@@ -133,7 +133,7 @@ def test_bench_end_to_end_mapping(benchmark, contigs, reads):
 def test_bench_fused_map(benchmark, contigs, reads):
     """Fused native S4 over the columnar store: sketch → lookup → vote in
     one C pass; compare against test_bench_fused_map_numpy_fallback."""
-    mapper = JEMMapper(CFG, store_kind="columnar")
+    mapper = JEMMapper(CFG)
     mapper.index(contigs)
     segments, _ = extract_end_segments(reads, CFG.ell)
     result = benchmark.pedantic(
@@ -146,7 +146,7 @@ def test_bench_fused_map_numpy_fallback(benchmark, contigs, reads, monkeypatch):
     """The same mapping with the kill switch on — the numpy parity-oracle
     path the fused kernel must stay bit-identical to."""
     monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    mapper = JEMMapper(CFG, store_kind="columnar")
+    mapper = JEMMapper(CFG)
     mapper.index(contigs)
     segments, _ = extract_end_segments(reads, CFG.ell)
     result = benchmark.pedantic(

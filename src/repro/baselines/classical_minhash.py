@@ -16,7 +16,7 @@ from ..core.config import JEMConfig
 from ..core.hitcounter import count_hits_vectorised
 from ..core.mapper import MappingResult
 from ..core.segments import extract_end_segments
-from ..core.store import DEFAULT_STORE_KIND, SketchStore, build_store
+from ..core.store import ColumnarSketchStore
 from ..errors import MappingError
 from ..seq.records import SequenceSet
 from ..sketch.kernels import key_scratch, pack_keys_batched, sorted_unique_rows
@@ -37,12 +37,10 @@ class ClassicalMinHashMapper:
         config: JEMConfig | None = None,
         *,
         use_minimizers: bool = False,
-        store_kind: str | None = None,
     ) -> None:
         self.config = config if config is not None else JEMConfig()
-        self.store_kind = store_kind if store_kind is not None else DEFAULT_STORE_KIND
         self._family = self.config.hash_family()
-        self._table: SketchStore | None = None
+        self._table: ColumnarSketchStore | None = None
         self._subject_names: list[str] = []
         #: when true, sketches draw from the (w, k)-minimizer set instead of
         #: all k-mers — the "minimizer MinHash" ablation variant
@@ -53,7 +51,7 @@ class ClassicalMinHashMapper:
         return self.config.w if self.use_minimizers else None
 
     @property
-    def table(self) -> SketchStore:
+    def table(self) -> ColumnarSketchStore:
         if self._table is None:
             raise MappingError("index() must be called before mapping")
         return self._table
@@ -62,7 +60,7 @@ class ClassicalMinHashMapper:
     def subject_names(self) -> list[str]:
         return self._subject_names
 
-    def index(self, contigs: SequenceSet) -> SketchStore:
+    def index(self, contigs: SequenceSet) -> ColumnarSketchStore:
         """One bottom-1 MinHash per (subject, trial) into the trial tables."""
         if len(contigs) == 0:
             raise MappingError("cannot index an empty contig set")
@@ -77,8 +75,8 @@ class ClassicalMinHashMapper:
             sketches[:, has], subject_ids,
             out=key_scratch(self.config.trials, int(subject_ids.size)),
         )
-        self._table = build_store(
-            self.store_kind, sorted_unique_rows(packed), n_subjects=len(contigs)
+        self._table = ColumnarSketchStore.from_trial_keys(
+            sorted_unique_rows(packed), n_subjects=len(contigs)
         )
         self._subject_names = list(contigs.names)
         return self._table

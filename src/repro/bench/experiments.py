@@ -893,7 +893,7 @@ def exp_serve_concurrent(
     total_reads = passes * n_reads
     service_config = ServiceConfig(max_batch_size=64, max_wait_ms=1.0)
 
-    jem = JEMMapper(ctx.config, store_kind="columnar")
+    jem = JEMMapper(ctx.config)
     jem.index(ds.contigs)
     batches = [
         ds.reads.slice(int(batch_bounds[b]), int(batch_bounds[b + 1]))
@@ -1095,7 +1095,7 @@ def exp_store(ctx: BenchContext, *, repeats: int = 5) -> ExperimentOutput:
     columnar layout's headline claim: at least one of the two >= 2x.
     """
     from ..core.mapper import JEMMapper
-    from ..core.store import ColumnarSketchStore, DictSketchStore
+    from ..core.store import DictSketchStore
     from ..sketch.jem import query_sketch_values
 
     name = ctx.pick(("e_coli",))[0]
@@ -1103,10 +1103,11 @@ def exp_store(ctx: BenchContext, *, repeats: int = 5) -> ExperimentOutput:
     cfg = ctx.config
     segments, _ = extract_end_segments(ds.reads, cfg.ell)
 
-    packed = JEMMapper(cfg, store_kind="packed").index(ds.contigs)
-    keys = [packed.trial_keys(t) for t in range(packed.trials)]
-    columnar = ColumnarSketchStore.from_trial_keys(keys, packed.n_subjects)
-    dictstore = DictSketchStore.from_trial_keys(keys, packed.n_subjects)
+    columnar = JEMMapper(cfg).index(ds.contigs)
+    dictstore = DictSketchStore(
+        [columnar.trial_keys(t) for t in range(columnar.trials)],
+        columnar.n_subjects,
+    )
 
     sketches = query_sketch_values(segments, cfg.k, cfg.w, cfg.hash_family())
     queries = [sketches.values[t, sketches.has] for t in range(cfg.trials)]
@@ -1196,7 +1197,7 @@ def exp_mutation(ctx: BenchContext, *, repeats: int = 3) -> ExperimentOutput:
     hold = max(4, n // 5)  # contigs streamed in online, in 4 batches
     batches = np.array_split(np.arange(n - hold, n), 4)
     base = subset(range(n - hold))
-    seed_mapper = JEMMapper(cfg, store_kind="columnar")
+    seed_mapper = JEMMapper(cfg)
     seed_mapper.index(base)
     handle = MutableSketchStore.in_memory(
         cfg, base_store=seed_mapper.table, subject_names=base.names
@@ -1232,7 +1233,7 @@ def exp_mutation(ctx: BenchContext, *, repeats: int = 3) -> ExperimentOutput:
         handle.flush()
     shapes.append(shape_row("4 delta segments"))
 
-    full_mapper = JEMMapper(cfg, store_kind="columnar")
+    full_mapper = JEMMapper(cfg)
     full_mapper.index(ds.contigs)
     parity_full = all(
         np.array_equal(handle.trial_keys(t), full_mapper.table.trial_keys(t))
@@ -1249,7 +1250,7 @@ def exp_mutation(ctx: BenchContext, *, repeats: int = 3) -> ExperimentOutput:
     handle.remove_contigs([ds.contigs.names[int(i)] for i in batches[-1]])
     handle.compact()
     survivors = subset(range(n - len(batches[-1])))
-    live_mapper = JEMMapper(cfg, store_kind="columnar")
+    live_mapper = JEMMapper(cfg)
     live_mapper.index(survivors)
     parity_removed = all(
         np.array_equal(handle.trial_keys(t), live_mapper.table.trial_keys(t))

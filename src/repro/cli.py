@@ -9,7 +9,7 @@ Subcommands:
 * ``store-stats`` — inspect a saved index (bundle or mutable directory):
   generation, segments, memtable, tombstones, byte breakdown;
 * ``serve``    — long-lived mapping service over stdin/stdout NDJSON
-  (index resident, micro-batched, cached; see ``docs/service.md``);
+  (index resident, micro-batched, cached; see ``docs/serving.md``);
 * ``client``   — drive a ``serve`` process from a FASTA/FASTQ file and
   write the same TSV as ``map``;
 * ``chaos``    — seeded kill-resume chaos cycles against ``index``/``map``
@@ -39,7 +39,6 @@ from .bench.experiments import BenchContext
 from .core.config import JEMConfig
 from .core.engine import MAPPER_KINDS, MappingEngine, PipelineConfig, read_sequences
 from .core.mapper import JEMMapper
-from .core.store import DEFAULT_STORE_KIND, STORE_KINDS
 from .eval.datasets import DEFAULT_SCALE, dataset_names, load_or_generate
 from .eval.pipeline import run_mappers
 from .seq.io_fasta import read_fasta, write_fasta
@@ -100,13 +99,6 @@ def _invocation_payload(args: argparse.Namespace, command: str) -> dict:
             k: v for k, v in vars(args).items() if k not in ("command", "resume")
         },
     }
-
-
-def _add_store_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--store", choices=STORE_KINDS, default=DEFAULT_STORE_KIND,
-                        help="resident sketch-store layout: columnar "
-                             "(sorted value/contig arrays, default), dict "
-                             "(hash-map oracle) or packed (legacy uint64 keys)")
 
 
 def _engine_from(args: argparse.Namespace) -> MappingEngine:
@@ -215,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "lookup path)")
     _add_checkpoint_args(p_index)
     _add_config_args(p_index)
-    _add_store_arg(p_index)
 
     p_stats = sub.add_parser(
         "store-stats",
@@ -258,12 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(testing/demo; recovery shows up in the timing line)")
     _add_checkpoint_args(p_map)
     _add_config_args(p_map)
-    _add_store_arg(p_map)
 
     p_serve = sub.add_parser(
         "serve",
         help="long-lived mapping service: NDJSON requests on stdin, "
-             "responses on stdout (see docs/service.md)",
+             "responses on stdout (see docs/serving.md)",
     )
     p_serve.add_argument("-s", "--subjects", help="contigs FASTA (indexed at startup)")
     p_serve.add_argument("--index", help="saved JEM index (alternative to -s)")
@@ -303,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-connection read deadline behind --listen "
                               "(slow-loris guard; 0 disables, default 300)")
     _add_config_args(p_serve)
-    _add_store_arg(p_serve)
     _add_service_args(p_serve)
 
     p_client = sub.add_parser(
@@ -324,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="connect to a running `jem serve --listen` "
                                "server instead of spawning a pipe-mode one")
     _add_config_args(p_client)
-    _add_store_arg(p_client)
     _add_service_args(p_client)
 
     p_chaos = sub.add_parser(
@@ -358,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--keep", action="store_true",
                          help="keep the run directories for inspection")
     _add_config_args(p_chaos)
-    _add_store_arg(p_chaos)
 
     p_scaf = sub.add_parser("scaffold", help="hybrid scaffolding from reads + contigs")
     p_scaf.add_argument("-q", "--queries", required=True, help="long reads FASTA/FASTQ")
@@ -434,16 +421,16 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
         save_invocation(args.checkpoint_dir, _invocation_payload(args, "index"))
         mapper = build_index_checkpointed(
-            subjects, config, store_kind=args.store, shards=args.shards,
+            subjects, config, shards=args.shards,
             run_dir=args.checkpoint_dir, subjects_path=args.subjects,
         )
     elif args.shards > 1:
         from .parallel.partition import partition_set
 
-        mapper = JEMMapper(config, store_kind=args.store)
+        mapper = JEMMapper(config)
         mapper.index_partitioned(partition_set(subjects, args.shards))
     else:
-        mapper = JEMMapper(config, store_kind=args.store)
+        mapper = JEMMapper(config)
         mapper.index(subjects)
     table = mapper.table
     path = save_index(mapper, args.output)
@@ -488,7 +475,7 @@ def _cmd_index_mutable(args: argparse.Namespace) -> int:
     elif args.subjects:
         config = _config_from(args)
         subjects = read_fasta(args.subjects)
-        mapper = JEMMapper(config, store_kind=args.store)
+        mapper = JEMMapper(config)
         mapper.index(subjects)
         handle = MutableSketchStore.create(
             run_dir, config, base_store=mapper.table,
@@ -803,7 +790,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
         command += [
             "--k", str(args.k), "--w", str(args.w), "--ell", str(args.ell),
             "--trials", str(args.trials), "--seed", str(args.seed),
-            "--store", args.store,
             "--max-batch", str(args.max_batch),
             "--max-wait-ms", str(args.max_wait_ms),
             "--queue-capacity", str(args.queue_capacity),
@@ -863,7 +849,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     config_argv = [
         "--k", str(args.k), "--w", str(args.w), "--ell", str(args.ell),
         "--trials", str(args.trials), "--seed", str(args.seed),
-        "--store", args.store,
     ]
 
     def victim_argv(out: str, run_dir: str | None = None) -> list[str]:

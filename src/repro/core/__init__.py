@@ -21,14 +21,15 @@ from .mapper import JEMMapper, MappingResult, map_segment_batch
 from .paf import paf_records, write_paf
 from .persist import load_index, save_index
 from .segments import PREFIX, SUFFIX, SegmentInfo, extract_end_segments
-from .sketch_table import SketchTable, TrialHits
 from .store import (
     DEFAULT_STORE_KIND,
     STORE_KINDS,
     ColumnarSketchStore,
     DictSketchStore,
     SketchStore,
+    TrialHits,
     build_store,
+    merge_trial_keys,
 )
 from .streaming import map_file, map_reads_stream
 from .tiling import TileInfo, extract_tiled_segments, map_reads_tiled
@@ -50,6 +51,7 @@ __all__ = [
     "ColumnarSketchStore",
     "DictSketchStore",
     "build_store",
+    "merge_trial_keys",
     "STORE_KINDS",
     "DEFAULT_STORE_KIND",
     "BestHits",
@@ -74,6 +76,5 @@ __all__ = [
     "SUFFIX",
     "SegmentInfo",
     "extract_end_segments",
-    "SketchTable",
     "TrialHits",
 ]

@@ -8,7 +8,7 @@ driver carried its own S1–S4 assembly, and the service had
 change to how an index is built or a store is chosen.
 
 Now there is one typed :class:`PipelineConfig` (algorithm constants +
-mapper choice + store kind + execution backend), a :class:`Mapper`
+mapper choice + execution backend), a :class:`Mapper`
 protocol with a registry (``jem``, ``minhash``, ``mashmap``,
 ``minimap-lite``), and a :class:`MappingEngine` that owns the lifecycle:
 
@@ -24,7 +24,7 @@ protocol with a registry (``jem``, ``minhash``, ``mashmap``,
 
 The engine never changes *what* is computed — for any config, every
 execution mode yields the sequential mapper's output bit for bit (the
-cross-frontend parity suite pins this down, store kinds included).
+cross-frontend parity suite pins this down against the dict-store oracle).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from ..seq.io_fasta import read_fasta
 from ..seq.records import SequenceSet
 from .config import JEMConfig
 from .mapper import JEMMapper, MappingResult
-from .store import DEFAULT_STORE_KIND, STORE_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..parallel.costmodel import StepTimes
@@ -98,7 +97,6 @@ class PipelineConfig:
 
     jem: JEMConfig = field(default_factory=JEMConfig)
     mapper: str = "jem"
-    store: str = DEFAULT_STORE_KIND
     processes: int = 1
     backend: str = "simulated"
     transport: str = "shm"
@@ -112,10 +110,6 @@ class PipelineConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.store not in STORE_KINDS:
-            raise MappingError(
-                f"unknown store kind {self.store!r}; expected one of {STORE_KINDS}"
-            )
         if self.backend not in BACKENDS:
             raise MappingError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
@@ -132,7 +126,6 @@ class PipelineConfig:
         return cls(
             jem=jem,
             mapper=getattr(args, "mapper", "jem"),
-            store=getattr(args, "store", None) or DEFAULT_STORE_KIND,
             processes=getattr(args, "processes", 1),
             backend=getattr(args, "backend", "simulated"),
             transport=getattr(args, "transport", "shm"),
@@ -156,13 +149,13 @@ class PipelineConfig:
 
 
 def _make_jem(pipeline: PipelineConfig) -> Mapper:
-    return JEMMapper(pipeline.jem, store_kind=pipeline.store)
+    return JEMMapper(pipeline.jem)
 
 
 def _make_minhash(pipeline: PipelineConfig) -> Mapper:
     from ..baselines.classical_minhash import ClassicalMinHashMapper
 
-    return ClassicalMinHashMapper(pipeline.jem, store_kind=pipeline.store)
+    return ClassicalMinHashMapper(pipeline.jem)
 
 
 def _make_mashmap(pipeline: PipelineConfig) -> Mapper:
@@ -312,8 +305,8 @@ class MappingEngine:
 
     One engine instance wraps one mapper and one resident index; every
     frontend (one-shot batch, stream, tiled, resident service) maps
-    through the same object, so store kind and mapper choice are decided
-    exactly once, in the :class:`PipelineConfig`.
+    through the same object, so the mapper choice is decided exactly
+    once, in the :class:`PipelineConfig`.
     """
 
     def __init__(self, pipeline: PipelineConfig | None = None) -> None:
@@ -341,7 +334,7 @@ class MappingEngine:
     def use_index(self, path: str) -> "MappingEngine":
         """Use a persisted index (jem only; config comes from disk).
 
-        ``path`` may be a v2/v3 single-file bundle or a format-v4 mutable
+        ``path`` may be a v3 single-file bundle or a format-v4 mutable
         index *directory* (manifest + segments + WAL, see
         :mod:`repro.core.lsm`); directories replay their WAL suffix on
         load, so the mapper sees every durably applied mutation.
@@ -352,7 +345,7 @@ class MappingEngine:
             )
         from .persist import load_index
 
-        self._mapper = load_index(path, store=self.pipeline.store)
+        self._mapper = load_index(path)
         self._subjects = None
         self._from_saved_index = True
         self._index_path = path
@@ -410,6 +403,13 @@ class MappingEngine:
 
             return map_queries_checkpointed(self, reads, t0=t0)
         if self._from_saved_index:
+            if pipe.processes > 1:
+                print(
+                    "warning: a saved index maps inline; ignoring "
+                    f"-p/--processes {pipe.processes} and "
+                    f"--backend {pipe.backend}",
+                    file=sys.stderr,
+                )
             mapping = self.mapper.map_reads(reads)
             return EngineRun(
                 mapping=mapping,
@@ -442,7 +442,6 @@ class MappingEngine:
                 timeout=pipe.timeout,
                 report=report,
                 transport=pipe.transport,
-                store_kind=pipe.store,
             )
             return EngineRun(
                 mapping=mapping,
@@ -463,7 +462,6 @@ class MappingEngine:
             p=pipe.processes,
             faults=pipe.fault_plan(),
             strict=pipe.strict,
-            store_kind=pipe.store,
         )
         return EngineRun(
             mapping=run.mapping,

@@ -22,15 +22,11 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import MappingError
-from .sketch_table import TrialHits
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .store import SketchStore
+from .store import SketchStore, TrialHits
 
 __all__ = ["BestHits", "count_hits_fused", "count_hits_lazy", "count_hits_vectorised"]
 
@@ -71,7 +67,7 @@ class BestHits:
 
 
 def count_hits_lazy(
-    table: "SketchStore",
+    table: SketchStore,
     query_values: np.ndarray,
     *,
     min_hits: int = 1,
@@ -116,7 +112,7 @@ def count_hits_lazy(
 
 
 def count_hits_fused(
-    table: "SketchStore",
+    table: SketchStore,
     minimizer_values: np.ndarray,
     segment_starts: np.ndarray,
     family,
@@ -136,7 +132,7 @@ def count_hits_fused(
     minimizers and are reported unmapped, exactly like a ``query_mask``).
 
     ``None`` is returned — and the caller must take the numpy path — when
-    the store has no fused entry point (dict/packed stores, scatter-gather
+    the store has no fused entry point (the dict store, scatter-gather
     lanes) or the native library is unavailable (no compiler,
     ``REPRO_NO_NATIVE``).  When a result is returned it is bit-identical
     to :func:`count_hits_vectorised` over the same batch.
@@ -164,7 +160,7 @@ def count_hits_fused(
 
 
 def count_hits_vectorised(
-    table: "SketchStore",
+    table: SketchStore,
     query_values: np.ndarray,
     *,
     min_hits: int = 1,

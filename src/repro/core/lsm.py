@@ -74,8 +74,7 @@ from ..errors import IndexCorruptError, MappingError, SketchError
 from ..seq.records import SequenceSet
 from ..sketch.jem import subject_sketch_pairs
 from .config import JEMConfig
-from .sketch_table import SketchTable, TrialHits
-from .store import ColumnarSketchStore, DictSketchStore, SketchStore
+from .store import ColumnarSketchStore, DictSketchStore, SketchStore, TrialHits
 
 __all__ = [
     "IndexGeneration",
@@ -113,7 +112,6 @@ class IndexGeneration:
         "subject_names",
         "generation",
         "_tomb_arr",
-        "_table",
     )
 
     def __init__(
@@ -138,7 +136,6 @@ class IndexGeneration:
             if self.tombstones
             else None
         )
-        self._table: SketchTable | None = None
 
     # -- structure -----------------------------------------------------------
 
@@ -277,19 +274,6 @@ class IndexGeneration:
             keys = keys[np.isin(subjects, self._tomb_arr, invert=True)]
         return np.sort(keys)
 
-    def as_table(self) -> SketchTable:
-        if self._table is None:
-            self._table = SketchTable(
-                [self.trial_keys(t) for t in range(self.trials)],
-                n_subjects=self.n_subjects,
-            )
-        return self._table
-
-    #: packed-key view for call sites that iterate ``store.keys``
-    @property
-    def keys(self) -> list[np.ndarray]:
-        return self.as_table().keys
-
     def as_columnar(self) -> ColumnarSketchStore:
         """Fold this generation into one columnar store (same subject ids).
 
@@ -378,14 +362,6 @@ def _config_from_dict(data: dict) -> JEMConfig:
         trials=int(data["trials"]),
         seed=int(data["seed"]),
         min_hits=int(data["min_hits"]),
-    )
-
-
-def _store_to_segment(store: SketchStore) -> ColumnarSketchStore:
-    if isinstance(store, ColumnarSketchStore):
-        return store
-    return ColumnarSketchStore.from_trial_keys(
-        [store.trial_keys(t) for t in range(store.trials)], store.n_subjects
     )
 
 
@@ -503,7 +479,7 @@ class MutableSketchStore:
     def from_bundle(
         cls, bundle_path: str, *, run_dir: str | None = None
     ) -> "MutableSketchStore":
-        """Load a format-v3 (or v2) bundle as a single-segment generation 0.
+        """Load a format-v3 bundle as a single-segment generation 0.
 
         The auto-migration path: the immutable bundle's store becomes the
         seed segment unchanged — same subject ids, same lookups — and the
@@ -541,7 +517,7 @@ class MutableSketchStore:
                 f"store has {base_store.trials} trials, config expects "
                 f"{self.config.trials}"
             )
-        self._segments = [_store_to_segment(base_store)]
+        self._segments = [ColumnarSketchStore.from_store(base_store)]
         self._names = names
         self._live = {n: i for i, n in enumerate(names)}
         if len(self._live) != len(names):
@@ -592,7 +568,7 @@ class MutableSketchStore:
                 np.sort(np.concatenate([chunk[t] for chunk in self._mem_chunks]))
                 for t in range(trials)
             ]
-            memtable = DictSketchStore.from_trial_keys(keys, len(self._names))
+            memtable = DictSketchStore(keys, len(self._names))
         return IndexGeneration(
             segments=tuple(self._segments),
             memtable=memtable,
@@ -966,13 +942,6 @@ class MutableSketchStore:
 
     def trial_keys(self, t: int) -> np.ndarray:
         return self._current.trial_keys(t)
-
-    def as_table(self) -> SketchTable:
-        return self._current.as_table()
-
-    @property
-    def keys(self) -> list[np.ndarray]:
-        return self._current.keys
 
     def __repr__(self) -> str:
         mode = f"dir={self._dir!r}" if self._dir else "in-memory"

@@ -30,8 +30,7 @@ from ..sketch.jem import (
 from .config import JEMConfig
 from .hitcounter import BestHits, count_hits_fused, count_hits_vectorised
 from .segments import SegmentInfo, extract_end_segments
-from .sketch_table import SketchTable
-from .store import DEFAULT_STORE_KIND, SketchStore, build_store, store_from_table
+from .store import DEFAULT_STORE_KIND, SketchStore, build_store, merge_trial_keys
 
 __all__ = ["JEMMapper", "MappingResult", "map_segment_batch"]
 
@@ -189,17 +188,21 @@ class JEMMapper:
         if not partitions:
             raise MappingError("no partitions given")
         cfg = self.config
-        parts: list[SketchTable] = []
+        parts: list[list[np.ndarray]] = []
         offset = 0
         names: list[str] = []
         for part in partitions:
-            keys = subject_sketch_pairs(
-                part, cfg.k, cfg.w, cfg.ell, self._family, subject_id_offset=offset
+            parts.append(
+                subject_sketch_pairs(
+                    part, cfg.k, cfg.w, cfg.ell, self._family,
+                    subject_id_offset=offset,
+                )
             )
             offset += len(part)
             names.extend(part.names)
-            parts.append(SketchTable.from_pairs(keys, n_subjects=offset))
-        self._table = store_from_table(self.store_kind, SketchTable.union(parts))
+        self._table = build_store(
+            self.store_kind, merge_trial_keys(parts), n_subjects=offset
+        )
         self._subject_names = names
         return self._table
 

@@ -19,10 +19,9 @@ never a torn bundle under the index's name.
 entry is a ``(2, n)`` ``uint32`` array — row 0 the sorted sketch-value
 column, row 1 the parallel contig-id column — exactly the resident form of
 :class:`~repro.core.store.ColumnarSketchStore`, so loading builds the
-store without repacking (and at half the bytes of the packed ``uint64``
-keys v2 wrote).  v2 bundles (packed keys) are still loaded: their own v2
-checksum is verified first, then the keys are migrated in memory to the
-requested store kind.  See ``docs/architecture.md`` for the layout.
+store without repacking.  Older single-file formats (v2 wrote packed
+``uint64`` keys) are rejected with a typed error telling the user to
+rebuild.  See ``docs/architecture.md`` for the layout.
 """
 
 from __future__ import annotations
@@ -37,12 +36,7 @@ import numpy as np
 from ..errors import IndexCorruptError, MappingError, SketchError
 from .config import JEMConfig
 from .mapper import JEMMapper
-from .store import (
-    DEFAULT_STORE_KIND,
-    ColumnarSketchStore,
-    build_store,
-    store_from_table,
-)
+from .store import ColumnarSketchStore
 
 __all__ = ["save_index", "load_index", "INDEX_FORMAT_VERSION"]
 
@@ -50,12 +44,9 @@ __all__ = ["save_index", "load_index", "INDEX_FORMAT_VERSION"]
 #: v4 is the *mutable* layout — a directory holding a manifest of segment
 #: files (per-segment CRCs) plus a WAL (see :mod:`repro.core.lsm`);
 #: :func:`load_index` dispatches on a directory path.  Single-file bundles
-#: stay at v3 (columnar (2, n) uint32 trial columns); v2 (packed uint64
-#: keys, content checksum) is auto-migrated on load; v1 must be rebuilt.
+#: stay at v3 (columnar (2, n) uint32 trial columns); older bundles must
+#: be rebuilt.
 INDEX_FORMAT_VERSION = 3
-
-#: Oldest version :func:`load_index` can still migrate.
-_OLDEST_READABLE_VERSION = 2
 
 #: Low-level failures that mean "this file is not a readable index".
 #: ``NotImplementedError`` covers a flipped compression-method byte in a
@@ -76,9 +67,8 @@ def _content_checksum(
 ) -> int:
     """CRC32 over everything that determines mapping behaviour.
 
-    ``trials`` is whatever per-trial array the format version stores —
-    packed ``uint64`` keys for v2, stacked ``(2, n)`` ``uint32`` columns
-    for v3 — so each version's checksum covers its own bytes.
+    ``trials`` is the per-trial arrays exactly as stored — stacked
+    ``(2, n)`` ``uint32`` columns — so the checksum covers the bytes on disk.
     """
     crc = zlib.crc32(np.ascontiguousarray(config_arr).tobytes())
     crc = zlib.crc32(str(int(n_subjects)).encode(), crc)
@@ -91,15 +81,12 @@ def _content_checksum(
 def save_index(mapper: JEMMapper, path: str | os.PathLike) -> str:
     """Write a mapper's index (store + config + subject names) to ``path``.
 
-    Returns the path written.  The mapper must be indexed.  Any store kind
+    Returns the path written.  The mapper must be indexed.  Any store
     saves through the same v3 layout (columns are derived when the
     resident store is not already columnar).
     """
-    store = mapper.table  # raises MappingError when not indexed
-    if not isinstance(store, ColumnarSketchStore):
-        store = ColumnarSketchStore.from_trial_keys(
-            [store.trial_keys(t) for t in range(store.trials)], store.n_subjects
-        )
+    # mapper.table raises MappingError when not indexed
+    store = ColumnarSketchStore.from_store(mapper.table)
     cfg = mapper.config
     config_arr = np.array(
         [cfg.k, cfg.w, cfg.ell, cfg.trials, cfg.seed, cfg.min_hits], dtype=np.int64
@@ -144,23 +131,17 @@ def save_index(mapper: JEMMapper, path: str | os.PathLike) -> str:
     return final
 
 
-def load_index(
-    path: str | os.PathLike, *, store: str = DEFAULT_STORE_KIND
-) -> JEMMapper:
+def load_index(path: str | os.PathLike) -> JEMMapper:
     """Reconstruct a ready-to-map :class:`JEMMapper` from a saved index.
 
-    ``store`` selects the resident store kind the loaded index is held in
-    (v3 columnar bundles build the default columnar store zero-conversion).
-    Truncated, corrupted, or future-format files raise
-    :class:`~repro.errors.MappingError` with the root cause chained; v2
-    bundles are checksum-verified against their own layout and migrated in
-    memory.
+    A v3 bundle's columns become the resident columnar store without
+    conversion.  Truncated, corrupted, older- or future-format files raise
+    :class:`~repro.errors.MappingError` with the root cause chained.
     """
     path = os.fspath(path)
     if os.path.isdir(path):
-        # format v4: a mutable-index directory (manifest + segments + WAL).
-        # The resident store is the generational handle itself — the
-        # ``store`` kind is fixed by the layout, so the argument is ignored.
+        # format v4: a mutable-index directory (manifest + segments + WAL);
+        # the resident store is the generational handle itself
         from .lsm import MutableSketchStore
 
         handle = MutableSketchStore.open(path)
@@ -172,7 +153,7 @@ def load_index(
     try:
         with np.load(path, allow_pickle=False) as data:
             version = int(data["format_version"])
-            if not _OLDEST_READABLE_VERSION <= version <= INDEX_FORMAT_VERSION:
+            if version != INDEX_FORMAT_VERSION:
                 hint = (
                     "rebuild the index with save_index"
                     if version < INDEX_FORMAT_VERSION
@@ -180,8 +161,7 @@ def load_index(
                 )
                 raise MappingError(
                     f"index format {version} unsupported "
-                    f"(expected {_OLDEST_READABLE_VERSION}"
-                    f"..{INDEX_FORMAT_VERSION}); {hint}"
+                    f"(expected {INDEX_FORMAT_VERSION}); {hint}"
                 )
             config_arr = np.asarray(data["config"], dtype=np.int64)
             k, w, ell, trials, seed, min_hits = (int(v) for v in config_arr)
@@ -207,10 +187,14 @@ def load_index(
             f"computed {actual:#010x})",
         )
     try:
-        resident = _build_resident_store(version, trial_arrays, n_subjects, store)
+        resident = ColumnarSketchStore(
+            [arr[0] for arr in trial_arrays],
+            [arr[1] for arr in trial_arrays],
+            n_subjects,
+        )
     except (SketchError, *_CORRUPTION_ERRORS) as exc:
         raise _corrupt_error(path, str(exc)) from exc
-    mapper = JEMMapper(config, store_kind=store)
+    mapper = JEMMapper(config)
     mapper.adopt_store(resident, names)
     return mapper
 
@@ -256,21 +240,3 @@ def _corrupt_error(path: str, cause: str) -> IndexCorruptError:
         path=path,
         offset=offset,
     )
-
-
-def _build_resident_store(
-    version: int, trial_arrays: list[np.ndarray], n_subjects: int, kind: str
-):
-    """Turn the bundle's per-trial arrays into the requested store kind."""
-    if version >= 3:
-        columnar = ColumnarSketchStore(
-            [arr[0] for arr in trial_arrays],
-            [arr[1] for arr in trial_arrays],
-            n_subjects,
-        )
-        if kind == "columnar":
-            return columnar
-        return store_from_table(kind, columnar.as_table())
-    # v2 migration: packed uint64 keys -> requested store kind
-    keys = [np.asarray(arr, dtype=np.uint64) for arr in trial_arrays]
-    return build_store(kind, keys, n_subjects)

@@ -1,35 +1,30 @@
-"""Pluggable sketch stores — the resident form of the tables S[1..T].
+"""The resident sketch store — the tables S[1..T] of Algorithm 2.
 
-The per-trial sketch tables of Algorithm 2 used to exist in exactly one
-shape: the packed :class:`~repro.core.sketch_table.SketchTable`.  Every
-consumer (hit counting, the parallel driver, the service, persistence,
-shared memory) was welded to that one layout, so trying a different
-resident representation meant touching five frontends at once.
+There is one resident index layout, :class:`ColumnarSketchStore`,
+following Minimap2's sorted-seed-array design (Li 2016, 2018): per trial,
+one **sorted** ``uint32`` sketch-value array plus a parallel ``uint32``
+contig-id array.  Batch lookup is a pair of ``np.searchsorted`` calls over
+the value column feeding
+:func:`~repro.core.hitcounter.count_hits_vectorised`, and the flat columns
+feed the fused native kernel.  The store supports key-range sharding for
+partitioned lookup and zero-copy export over the
+:mod:`repro.parallel.shm` segments so worker processes attach instead of
+unpickling.
 
-This module introduces the :class:`SketchStore` protocol and two
-implementations:
+:class:`DictSketchStore` answers the same :class:`SketchStore` protocol
+from per-trial Python dicts (``sketch value -> subject-id array``).  It is
+the LSM memtable (:mod:`repro.core.lsm`) and the *equivalence oracle*: a
+maximally simple, obviously correct lookup path the columnar store is
+tested against bit for bit.
 
-* :class:`DictSketchStore` — an adapter over the packed
-  :class:`SketchTable` that answers lookups from per-trial Python dicts
-  (``sketch value -> subject-id array``).  It is the *equivalence oracle*:
-  a maximally simple, obviously correct lookup path the columnar store is
-  tested against bit for bit, and the memory/throughput baseline the
-  ``bench store`` experiment measures against.
-* :class:`ColumnarSketchStore` — the production layout, following
-  Minimap2's sorted-seed-array design (Li 2016, 2018): per trial, one
-  **sorted** ``uint32`` sketch-value array plus a parallel ``uint32``
-  contig-id array.  Batch lookup is a pair of ``np.searchsorted`` calls
-  over the value column (half the key-compare traffic of the packed
-  layout, and no per-lookup bound-key materialisation), feeding
-  :func:`~repro.core.hitcounter.count_hits_vectorised` unchanged.  The
-  store supports key-range sharding for partitioned lookup and zero-copy
-  export over the :mod:`repro.parallel.shm` segments so worker processes
-  attach instead of unpickling.
+Packed ``uint64`` ``(value << 32) | subject`` key arrays exist only as the
+build-time intermediate: :func:`~repro.sketch.jem.subject_sketch_pairs`
+emits them, :func:`merge_trial_keys` unions them across ranks (step S3),
+and :func:`build_store` splits them into the resident layout.
 
-Every store is **order-preserving**: for the same trial keys, all three
-layouts (packed table included) return identical
-:class:`~repro.core.sketch_table.TrialHits` for any query batch — the
-invariant the cross-frontend parity suite pins down.
+Every store is **order-preserving**: for the same trial keys, all
+implementers return identical :class:`TrialHits` for any query batch —
+the invariant the cross-frontend parity suite pins down.
 """
 
 from __future__ import annotations
@@ -40,28 +35,49 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..errors import SketchError
-from .sketch_table import SketchTable, TrialHits
 
 __all__ = [
     "SketchStore",
+    "TrialHits",
     "DictSketchStore",
     "ColumnarSketchStore",
     "StoreShard",
     "STORE_KINDS",
     "DEFAULT_STORE_KIND",
     "build_store",
-    "store_from_table",
+    "merge_trial_keys",
     "shard_bounds",
     "lookup_trial_sharded",
 ]
 
 #: Store kinds accepted by :func:`build_store` (first is the default).
-STORE_KINDS = ("columnar", "dict", "packed")
+STORE_KINDS = ("columnar", "dict")
 
-#: What every frontend builds unless explicitly told otherwise.
+#: What every frontend builds; ``"dict"`` is injected only by parity suites.
 DEFAULT_STORE_KIND = "columnar"
 
 _LOW32 = np.uint64(0xFFFFFFFF)
+
+
+class TrialHits:
+    """Collisions of one trial's lookups, in flat (query, subject) form.
+
+    Attributes
+    ----------
+    query_index:
+        For every collision, the index of the query that produced it.
+    subjects:
+        The colliding subject id (parallel to ``query_index``).
+    """
+
+    __slots__ = ("query_index", "subjects")
+
+    def __init__(self, query_index: np.ndarray, subjects: np.ndarray) -> None:
+        self.query_index = query_index
+        self.subjects = subjects
+
+    def __len__(self) -> int:
+        return int(self.query_index.size)
 
 
 @runtime_checkable
@@ -72,10 +88,8 @@ class SketchStore(Protocol):
     trial ``t`` with hits ordered by (query index, subject id) — the order
     :func:`~repro.core.hitcounter.count_hits_vectorised` relies on for
     bit-identical best-hit selection across store implementations.
-
-    :class:`~repro.core.sketch_table.SketchTable` itself satisfies this
-    protocol (it is the "packed" store), so existing call sites keep
-    working unchanged.
+    ``trial_keys(t)`` is trial ``t`` as one sorted packed-key array, the
+    layout-neutral form every implementer can be rebuilt from.
     """
 
     @property
@@ -98,8 +112,6 @@ class SketchStore(Protocol):
 
     def trial_keys(self, t: int) -> np.ndarray: ...
 
-    def as_table(self) -> SketchTable: ...
-
 
 def _check_query_values(qv: np.ndarray) -> np.ndarray:
     qv = np.asarray(qv, dtype=np.uint64)
@@ -109,61 +121,53 @@ def _check_query_values(qv: np.ndarray) -> np.ndarray:
 
 
 class DictSketchStore:
-    """Dict-backed adapter over the packed :class:`SketchTable` (the oracle).
+    """Dict-backed store over sorted packed trial keys (memtable + oracle).
 
     One Python dict per trial maps each distinct sketch value to the sorted
     array of subject ids carrying it.  Lookups walk the query batch in a
     Python loop — deliberately the simplest possible implementation, kept
-    as the equivalence oracle and the baseline the ``bench store``
-    experiment measures the columnar layout against.
+    as the equivalence oracle, the LSM memtable, and the baseline the
+    ``bench store`` experiment measures the columnar layout against.
     """
 
-    __slots__ = ("_table", "_maps")
+    __slots__ = ("_keys", "n_subjects", "_maps")
 
-    def __init__(self, table: SketchTable) -> None:
-        self._table = table
+    def __init__(self, keys: list[np.ndarray], n_subjects: int) -> None:
+        if not keys:
+            raise SketchError("sketch store needs at least one trial")
+        self._keys = [np.ascontiguousarray(k, dtype=np.uint64) for k in keys]
+        for arr in self._keys:
+            if arr.size > 1 and (arr[1:] < arr[:-1]).any():
+                raise SketchError("trial key arrays must be sorted")
+        self.n_subjects = int(n_subjects)
         self._maps: list[dict[int, np.ndarray]] = []
-        for t in range(table.trials):
-            values, subjects = _split_keys(table.keys[t])
+        for trial in self._keys:
+            values, subjects = _split_keys(trial)
             mapping: dict[int, np.ndarray] = {}
             if values.size:
                 starts = np.concatenate(
                     [[0], np.flatnonzero(np.diff(values)) + 1, [values.size]]
                 )
+                # packed keys sort by (value, subject), so every run comes
+                # out in the sorted-subject order the merge contract needs
                 for i in range(starts.size - 1):
                     lo, hi = int(starts[i]), int(starts[i + 1])
-                    run = subjects[lo:hi]
-                    # hits must come back in sorted-subject order (the merge
-                    # contract the LSM layer and the columnar store share),
-                    # not merely as a set — sort the rare unsorted run
-                    if run.size > 1 and (run[1:] < run[:-1]).any():
-                        run = np.sort(run)
-                    mapping[int(values[lo])] = run
+                    mapping[int(values[lo])] = subjects[lo:hi]
             self._maps.append(mapping)
-
-    @classmethod
-    def from_trial_keys(
-        cls, keys: list[np.ndarray], n_subjects: int
-    ) -> "DictSketchStore":
-        return cls(SketchTable(keys, n_subjects))
 
     # -- protocol ----------------------------------------------------------
 
     @property
     def trials(self) -> int:
-        return self._table.trials
-
-    @property
-    def n_subjects(self) -> int:
-        return self._table.n_subjects
+        return len(self._keys)
 
     @property
     def total_entries(self) -> int:
-        return self._table.total_entries
+        return int(sum(k.size for k in self._keys))
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the dict machinery (not the wrapped table).
+        """Resident bytes of the dict machinery (not the source keys).
 
         Counts each trial's dict, its boxed integer keys and its subject
         arrays — the price actually paid to hold a dict-backed index in
@@ -197,18 +201,10 @@ class DictSketchStore:
         return self.lookup_trial(t, np.array([value], dtype=np.uint64)).subjects
 
     def values_of_trial(self, t: int) -> np.ndarray:
-        return self._table.values_of_trial(t)
+        return np.unique(self._keys[t] >> np.uint64(32))
 
     def trial_keys(self, t: int) -> np.ndarray:
-        return self._table.keys[t]
-
-    def as_table(self) -> SketchTable:
-        return self._table
-
-    #: packed-key view for call sites that iterate ``store.keys``
-    @property
-    def keys(self) -> list[np.ndarray]:
-        return self._table.keys
+        return self._keys[t]
 
     def __repr__(self) -> str:
         return (
@@ -229,7 +225,7 @@ class ColumnarSketchStore:
     ready for zero-copy publication in shared memory.
     """
 
-    __slots__ = ("values", "subjects", "n_subjects", "_table", "_flat")
+    __slots__ = ("values", "subjects", "n_subjects", "_flat")
 
     def __init__(
         self,
@@ -247,7 +243,6 @@ class ColumnarSketchStore:
             if v.size > 1 and (v[1:] < v[:-1]).any():
                 raise SketchError("value columns must be sorted")
         self.n_subjects = int(n_subjects)
-        self._table: SketchTable | None = None
         self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -256,9 +251,9 @@ class ColumnarSketchStore:
     ) -> "ColumnarSketchStore":
         """Split sorted packed-key arrays into (value, subject) columns.
 
-        The packed keys sort by value first, subject second, so the split
-        columns inherit exactly the order the packed lookups returned —
-        which is what keeps the layouts bit-identical.
+        The packed keys sort by value first, subject second, so each
+        value's run of the subject column comes out subject-ascending —
+        the hit order every store implementation must return.
         """
         values: list[np.ndarray] = []
         subjects: list[np.ndarray] = []
@@ -269,10 +264,13 @@ class ColumnarSketchStore:
         return cls(values, subjects, n_subjects)
 
     @classmethod
-    def from_table(cls, table: SketchTable) -> "ColumnarSketchStore":
-        store = cls.from_trial_keys(table.keys, table.n_subjects)
-        store._table = table
-        return store
+    def from_store(cls, store: SketchStore) -> "ColumnarSketchStore":
+        """Any store folded into the resident layout (identity when columnar)."""
+        if isinstance(store, cls):
+            return store
+        return cls.from_trial_keys(
+            [store.trial_keys(t) for t in range(store.trials)], store.n_subjects
+        )
 
     @classmethod
     def from_columns(
@@ -391,9 +389,10 @@ class ColumnarSketchStore:
         """All (query, subject) collisions of trial ``t`` — batch lookup.
 
         One ``searchsorted`` pair over the value column finds every run of
-        matching entries; the subject column is gathered with the same
-        flat-index trick the packed table used, so hit order (query index
-        ascending, subject ascending within a query) is preserved exactly.
+        matching entries; the subject column is gathered by flat index
+        (within each run, offsets count up from the run's left edge), so
+        hit order is query index ascending, subject ascending within a
+        query.
         """
         if not 0 <= t < self.trials:
             raise SketchError(f"trial {t} out of range [0, {self.trials})")
@@ -427,20 +426,6 @@ class ColumnarSketchStore:
         return (self.values[t].astype(np.uint64) << np.uint64(32)) | self.subjects[
             t
         ].astype(np.uint64)
-
-    def as_table(self) -> SketchTable:
-        """Packed :class:`SketchTable` view (repacked once, then cached)."""
-        if self._table is None:
-            self._table = SketchTable(
-                [self.trial_keys(t) for t in range(self.trials)],
-                n_subjects=self.n_subjects,
-            )
-        return self._table
-
-    #: packed-key view for call sites that iterate ``store.keys``
-    @property
-    def keys(self) -> list[np.ndarray]:
-        return self.as_table().keys
 
     # -- key-range sharding -------------------------------------------------
 
@@ -587,25 +572,29 @@ def build_store(
 ) -> "SketchStore":
     """Build a store of the requested kind from per-trial packed keys.
 
-    ``kind`` is one of :data:`STORE_KINDS`; ``"packed"`` returns the plain
-    :class:`SketchTable` (which satisfies the protocol), kept for
-    comparisons and for callers that need the legacy object.
+    ``kind`` is one of :data:`STORE_KINDS`: ``"columnar"`` is the resident
+    index every frontend runs; ``"dict"`` is the oracle parity suites
+    inject through the :class:`~repro.core.mapper.JEMMapper` constructor.
     """
     if kind == "columnar":
         return ColumnarSketchStore.from_trial_keys(trial_keys, n_subjects)
     if kind == "dict":
-        return DictSketchStore.from_trial_keys(trial_keys, n_subjects)
-    if kind == "packed":
-        return SketchTable(trial_keys, n_subjects)
+        return DictSketchStore(trial_keys, n_subjects)
     raise SketchError(f"unknown store kind {kind!r}; expected one of {STORE_KINDS}")
 
 
-def store_from_table(kind: str, table: SketchTable) -> "SketchStore":
-    """Adapt an existing packed table to the requested store kind."""
-    if kind == "columnar":
-        return ColumnarSketchStore.from_table(table)
-    if kind == "dict":
-        return DictSketchStore(table)
-    if kind == "packed":
-        return table
-    raise SketchError(f"unknown store kind {kind!r}; expected one of {STORE_KINDS}")
+def merge_trial_keys(parts: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Union per-rank packed-key lists trial by trial — the S3 gather.
+
+    ``parts[r][t]`` is rank ``r``'s trial-``t`` key array as
+    :func:`~repro.sketch.jem.subject_sketch_pairs` emits it.  Trial counts
+    must agree; duplicate keys (same sketch from the same subject seen on
+    two ranks — impossible under disjoint partitions but tolerated) are
+    collapsed, and each merged array comes back sorted.
+    """
+    if not parts:
+        raise SketchError("cannot merge zero key lists")
+    trials = len(parts[0])
+    if any(len(p) != trials for p in parts):
+        raise SketchError("trial count mismatch across key lists")
+    return [np.unique(np.concatenate([p[t] for p in parts])) for t in range(trials)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import MappingError
-from .sketch_table import SketchTable
+from .store import SketchStore
 
 __all__ = ["TopHits", "count_hits_topx"]
 
@@ -64,7 +64,7 @@ class TopHits:
 
 
 def count_hits_topx(
-    table: SketchTable,
+    table: SketchStore,
     query_values: np.ndarray,
     *,
     x: int = 3,

@@ -80,7 +80,7 @@ class Replica:
         self.store = (
             shared.materialise() if isinstance(shared, SharedStore) else shared
         )
-        mapper = JEMMapper(jem_config, store_kind="columnar")
+        mapper = JEMMapper(jem_config)
         mapper.adopt_store(self.store, subject_names)
         self.service = MappingService(
             mapper,
@@ -116,9 +116,8 @@ class ReplicaSet:
         retry: RetryPolicy | None = None,
         hedge_timeout_s: float | None = 2.0,
     ) -> None:
-        if not isinstance(store, ColumnarSketchStore):
-            # sharding and column export are columnar-only; repack once
-            store = ColumnarSketchStore.from_table(store.as_table())
+        # sharding and column export are columnar-only; repack once
+        store = ColumnarSketchStore.from_store(store)
         self.placement = placement
         self.config = (
             service_config if service_config is not None else ServiceConfig()
@@ -142,10 +141,10 @@ class ReplicaSet:
         shards = placement.plan(store)
         if placement.kind == ReplicatedPlacement.kind:
             # one segment, every replica attaches it: memory stays ~1 copy
-            shared = share_store(store, "columnar")
+            shared = share_store(store)
             shared_per_replica = [shared] * placement.n_replicas
         else:
-            shared_per_replica = [share_store(s.store, "columnar") for s in shards]
+            shared_per_replica = [share_store(s.store) for s in shards]
         #: per-replica attachment source — SharedStore, or the in-memory
         #: generation after a replicate-placement mutation.  Respawn
         #: rebuilds replica i from exactly this slot.
@@ -185,7 +184,7 @@ class ReplicaSet:
             )
             self._router = virtual
             self.scatter_stats = virtual.stats
-            central = JEMMapper(jem_config, store_kind="columnar")
+            central = JEMMapper(jem_config)
             central.adopt_store(virtual, self._subject_names)
             # the central service votes over the virtual store inline; a
             # process pool cannot ship a virtual store, and lane faults
@@ -214,11 +213,8 @@ class ReplicaSet:
         if not isinstance(mapper, JEMMapper):
             raise ServiceError("netserve requires a JEMMapper index")
         kwargs.setdefault("faults", engine.pipeline.fault_plan())
-        store = mapper.table
-        if not isinstance(store, ColumnarSketchStore):
-            store = ColumnarSketchStore.from_table(store.as_table())
         return cls(
-            store, mapper.subject_names, mapper.config,
+            mapper.table, mapper.subject_names, mapper.config,
             placement=placement, service_config=service_config, **kwargs,
         )
 
@@ -366,7 +362,7 @@ class ReplicaSet:
             placement = ScatterPlacement(self.placement.n_replicas)
             shards = placement.plan(merged)
             shared_per_replica = [
-                share_store(s.store, "columnar") for s in shards
+                share_store(s.store) for s in shards
             ]
             new_lanes = []
             for i, replica in enumerate(self.replicas):
@@ -557,7 +553,7 @@ class ReplicaSet:
                     else:
                         self._deferred_segments.append(source.ref.name)
                 shard = self._root.restrict(old.lo, old.hi)
-                source = share_store(shard.store, "columnar")
+                source = share_store(shard.store)
                 self._shared[i] = source
                 self._segments = sorted(
                     {s.ref.name for s in self._shared if isinstance(s, SharedStore)}

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.sketch_table import SketchTable, TrialHits
-from ..core.store import ColumnarSketchStore, _check_query_values
+from ..core.store import ColumnarSketchStore, TrialHits, _check_query_values
 from ..errors import (
     FaultError,
     ServiceClosedError,
@@ -254,7 +253,7 @@ class ScatterStats:
 class ScatterGatherStore:
     """Virtual :class:`SketchStore` fanning lookups across shard owners.
 
-    Non-lookup protocol members (``trial_keys``, ``as_table``, ...)
+    Non-lookup protocol members (``trial_keys``, ``values_of_trial``, ...)
     delegate to the root store: they serve index-shaped introspection and
     the central service's degraded fallback, which are front-end-local by
     design.  Only ``lookup_trial`` — the hot path — scatters.
@@ -326,9 +325,6 @@ class ScatterGatherStore:
 
     def trial_keys(self, t: int) -> np.ndarray:
         return self._root.trial_keys(t)
-
-    def as_table(self) -> SketchTable:
-        return self._root.as_table()
 
     # -- the hot path --------------------------------------------------------
 

@@ -17,14 +17,12 @@ from .partition import partition_bounds, partition_imbalance, partition_set
 from .retry import RetryPolicy, retry_call
 from .shm import (
     SharedSeqBlock,
-    SharedTable,
     ShmArrayRef,
     attach_arrays,
     release,
     release_all,
     share_arrays,
     share_sequence_set,
-    share_table_keys,
 )
 
 __all__ = [
@@ -42,11 +40,9 @@ __all__ = [
     "TRANSPORTS",
     "ShmArrayRef",
     "SharedSeqBlock",
-    "SharedTable",
     "share_arrays",
     "attach_arrays",
     "share_sequence_set",
-    "share_table_keys",
     "release",
     "release_all",
     "partition_bounds",

@@ -46,7 +46,7 @@ import numpy as np
 from ..core.config import JEMConfig
 from ..core.mapper import MappingResult, map_segment_batch
 from ..core.segments import SegmentInfo, extract_end_segments
-from ..core.store import DEFAULT_STORE_KIND, SketchStore, build_store
+from ..core.store import ColumnarSketchStore, SketchStore, merge_trial_keys
 from ..errors import CommError, FaultError, PartialResultError
 from ..seq.records import SequenceSet
 from ..sketch.jem import subject_sketch_pairs
@@ -329,7 +329,6 @@ def run_parallel_jem(
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
     strict: bool = True,
-    store_kind: str = DEFAULT_STORE_KIND,
     checkpoint: "CheckpointContext | None" = None,
 ) -> ParallelRunResult:
     """Instrumented S1–S4 run on p simulated ranks.
@@ -429,11 +428,9 @@ def run_parallel_jem(
     key_arrays: list[list[np.ndarray]] = [k for k in local_keys if k is not None]
     comm_bytes = int(sum(k.nbytes for keys in key_arrays for k in keys))
     rank_bytes = [int(sum(k.nbytes for k in keys)) for keys in key_arrays]
-    merged = [
-        np.unique(np.concatenate([key_arrays[r][t] for r in range(p)]))
-        for t in range(config.trials)
-    ]
-    table = build_store(store_kind, merged, n_subjects=len(contigs))
+    table = ColumnarSketchStore.from_trial_keys(
+        merge_trial_keys(key_arrays), n_subjects=len(contigs)
+    )
     gather_comm = cost_model.allgatherv_time(p, comm_bytes)
     regather_comm = 0.0
     gather_retries = 0
@@ -494,7 +491,6 @@ def run_parallel_jem_threaded(
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = 300.0,
-    store_kind: str = DEFAULT_STORE_KIND,
 ) -> MappingResult:
     """The same SPMD program on a real ThreadComm world (correctness mode).
 
@@ -530,7 +526,7 @@ def run_parallel_jem_threaded(
         keys, _, _ = retry_call(attempt_sketch, policy=policy, stream=r)
         # S3: per-trial Allgatherv into the global table (checksummed)
         merged = [np.unique(comm.Allgatherv(keys[t])) for t in range(config.trials)]
-        table = build_store(store_kind, merged, n_subjects=len(contigs))
+        table = ColumnarSketchStore.from_trial_keys(merged, n_subjects=len(contigs))
 
         # S4: map local queries (retried on fault)
         def attempt_map(_attempt: int) -> MappingResult:

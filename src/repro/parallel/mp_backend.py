@@ -43,13 +43,12 @@ import time
 import numpy as np
 
 from ..core.config import JEMConfig
-from ..core.hitcounter import count_hits_vectorised
-from ..core.mapper import MappingResult
+from ..core.mapper import MappingResult, map_segment_batch
 from ..core.segments import extract_end_segments
-from ..core.store import DEFAULT_STORE_KIND, build_store
+from ..core.store import ColumnarSketchStore, merge_trial_keys
 from ..errors import CommError, FaultError, PartialResultError
 from ..seq.records import SequenceSet
-from ..sketch.jem import query_sketch_values, subject_sketch_pairs
+from ..sketch.jem import subject_sketch_pairs
 from .driver import _merge_rank_results
 from .faults import FaultPlan, PartialResult, RecoveryReport
 from .partition import partition_bounds, partition_set
@@ -57,7 +56,6 @@ from .retry import RetryPolicy
 from .shm import (
     SharedSeqBlock,
     SharedStore,
-    SharedTable,
     release,
     share_sequence_set,
     share_store,
@@ -98,7 +96,7 @@ def _sketch_worker(payload: tuple) -> list[np.ndarray]:
 
 def _map_worker(payload: tuple) -> MappingResult:
     """S4 on one read block against the gathered store."""
-    reads, config, table, n_subjects, store_kind, actions = payload
+    reads, config, table, actions = payload
     _apply_worker_faults(actions)
     if isinstance(reads, SharedSeqBlock):
         reads = reads.materialise()
@@ -106,17 +104,11 @@ def _map_worker(payload: tuple) -> MappingResult:
         return MappingResult(
             [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), []
         )
-    if isinstance(table, (SharedStore, SharedTable)):
+    # shm ships a descriptor to attach; the pickle transport the store itself
+    if isinstance(table, SharedStore):
         table = table.materialise()
-    else:
-        table = build_store(store_kind, table, n_subjects=n_subjects)
-    family = config.hash_family()
     segments, infos = extract_end_segments(reads, config.ell)
-    sketches = query_sketch_values(segments, config.k, config.w, family)
-    hits = count_hits_vectorised(
-        table, sketches.values, min_hits=config.min_hits, query_mask=sketches.has
-    )
-    return MappingResult.from_best_hits(segments.names, hits, infos)
+    return map_segment_batch(table, segments, config, config.hash_family(), infos)
 
 
 def _arm(plan: FaultPlan | None, phase: str, block: int, *, first: bool) -> tuple:
@@ -246,7 +238,6 @@ def map_reads_multiprocess(
     timeout: float | None = DEFAULT_UNIT_TIMEOUT,
     report: RecoveryReport | None = None,
     transport: str = "shm",
-    store_kind: str = DEFAULT_STORE_KIND,
     checkpoint=None,
 ) -> MappingResult:
     """Full pipeline with worker-process parallelism; returns the mapping.
@@ -282,10 +273,10 @@ def map_reads_multiprocess(
 
     if processes == 1 and faults is None and checkpoint is None:
         local = _sketch_worker((subject_parts[0], config, 0, ()))
-        merged = [np.unique(k) for k in local]
-        result = _map_worker(
-            (read_parts[0], config, merged, len(contigs), store_kind, ())
+        store = ColumnarSketchStore.from_trial_keys(
+            merge_trial_keys([local]), n_subjects=len(contigs)
         )
+        result = _map_worker((read_parts[0], config, store, ()))
         return _merge_rank_results([result], [0])
 
     ctx = mp.get_context(mp_context)
@@ -334,14 +325,12 @@ def map_reads_multiprocess(
                 f"{policy.max_attempts} attempts: {sketch_failures[blocks[0]]}"
             )
         # S3: union in the parent (the Allgatherv root role)
-        merged = [
-            np.unique(np.concatenate([per_rank_keys[r][t] for r in range(processes)]))
-            for t in range(config.trials)
-        ]
+        store = ColumnarSketchStore.from_trial_keys(
+            merge_trial_keys(per_rank_keys), n_subjects=len(contigs)
+        )
         # S4: map read blocks in parallel against the gathered store
         if transport == "shm":
-            store = build_store(store_kind, merged, n_subjects=len(contigs))
-            table = share_store(store, store_kind)
+            table = share_store(store)
             shared_refs.append(table.ref.name)
             read_blocks = share_sequence_set(
                 reads, "reads",
@@ -351,15 +340,9 @@ def map_reads_multiprocess(
                 ],
             )
             shared_refs.append(read_blocks[0].ref.name)
-            map_jobs = [
-                (read_blocks[r], config, table, len(contigs), store_kind)
-                for r in range(processes)
-            ]
+            map_jobs = [(read_blocks[r], config, table) for r in range(processes)]
         else:
-            map_jobs = [
-                (read_parts[r], config, merged, len(contigs), store_kind)
-                for r in range(processes)
-            ]
+            map_jobs = [(read_parts[r], config, store) for r in range(processes)]
         map_done: dict[int, object] = {}
         map_commit = None
         if checkpoint is not None:

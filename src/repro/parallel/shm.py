@@ -42,20 +42,17 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from ..core.sketch_table import SketchTable
-from ..core.store import ColumnarSketchStore, SketchStore, store_from_table
+from ..core.store import ColumnarSketchStore
 from ..errors import CommError
 from ..seq.records import SequenceSet
 
 __all__ = [
     "ShmArrayRef",
     "SharedSeqBlock",
-    "SharedTable",
     "SharedStore",
     "share_arrays",
     "attach_arrays",
     "share_sequence_set",
-    "share_table_keys",
     "share_store",
     "release",
     "release_all",
@@ -197,18 +194,6 @@ class SharedSeqBlock:
         )
 
 
-@dataclass(frozen=True)
-class SharedTable:
-    """The merged per-trial sketch table, published once for all ranks."""
-
-    ref: ShmArrayRef
-    n_subjects: int
-
-    def materialise(self) -> SketchTable:
-        """Rebuild the table over zero-copy shm views (keys stay sorted)."""
-        return SketchTable(attach_arrays(self.ref), n_subjects=self.n_subjects)
-
-
 def share_sequence_set(
     sequences: SequenceSet, role: str, bounds: list[tuple[int, int]]
 ) -> list[SharedSeqBlock]:
@@ -231,47 +216,30 @@ def share_sequence_set(
     ]
 
 
-def share_table_keys(keys: list[np.ndarray], n_subjects: int) -> SharedTable:
-    """Publish the merged trial-key arrays once; all ranks attach."""
-    return SharedTable(ref=share_arrays(keys, "table"), n_subjects=n_subjects)
-
-
 @dataclass(frozen=True)
 class SharedStore:
-    """Any resident sketch store, published once for all ranks.
+    """The resident sketch store, published once for all ranks.
 
-    The columnar store's value/subject columns are shared natively
-    (workers rebuild a :class:`~repro.core.store.ColumnarSketchStore`
-    over zero-copy views of the interleaved columns); other kinds travel
-    as packed keys and are adapted on attach.  ``kind`` decides which.
+    The value/subject columns are shared as they are held: workers rebuild
+    a :class:`~repro.core.store.ColumnarSketchStore` over zero-copy views
+    of the interleaved columns.
     """
 
     ref: ShmArrayRef
     n_subjects: int
-    kind: str
 
-    def materialise(self) -> SketchStore:
+    def materialise(self) -> ColumnarSketchStore:
         """Rebuild the store over zero-copy shm views."""
-        arrays = attach_arrays(self.ref)
-        if self.kind == "columnar":
-            return ColumnarSketchStore.from_columns(arrays, self.n_subjects)
-        table = SketchTable(arrays, n_subjects=self.n_subjects)
-        return store_from_table(self.kind, table)
+        return ColumnarSketchStore.from_columns(
+            attach_arrays(self.ref), self.n_subjects
+        )
 
 
-def share_store(store: SketchStore, kind: str) -> SharedStore:
-    """Publish a store once; returns the descriptor workers attach to.
-
-    Columnar stores ship their flat column arrays (half the key-compare
-    bytes of the packed layout, and already in resident form); every other
-    kind ships the packed trial keys, exactly like :func:`share_table_keys`.
-    """
-    if kind == "columnar" and isinstance(store, ColumnarSketchStore):
-        arrays = store.export_columns()
-    else:
-        arrays = [store.trial_keys(t) for t in range(store.trials)]
+def share_store(store: ColumnarSketchStore) -> SharedStore:
+    """Publish a store once; returns the descriptor workers attach to."""
     return SharedStore(
-        ref=share_arrays(arrays, "table"), n_subjects=store.n_subjects, kind=kind
+        ref=share_arrays(store.export_columns(), "table"),
+        n_subjects=store.n_subjects,
     )
 
 

@@ -489,7 +489,7 @@ def run_serve_chaos(
     if ref_dropped:
         raise ChaosError(f"reference run dropped {ref_dropped} read(s)")
 
-    mapper = JEMMapper(config, store_kind="columnar")
+    mapper = JEMMapper(config)
     mapper.index(contigs)
 
     shm_before = _jem_shm_segments()

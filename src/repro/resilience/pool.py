@@ -31,7 +31,7 @@ import os
 import signal
 import time
 
-from ..core.store import SketchStore
+from ..core.store import ColumnarSketchStore
 from ..errors import ReproError
 from ..parallel.shm import (
     SharedStore,
@@ -44,10 +44,10 @@ from ..parallel.shm import (
 __all__ = ["ResilientWorkerPool", "probe_worker"]
 
 #: Worker-side cache of the attached store (one per worker process).
-_worker_store: dict[str, SketchStore] = {}
+_worker_store: dict[str, ColumnarSketchStore] = {}
 
 
-def _attached_store(shared: SharedStore) -> SketchStore:
+def _attached_store(shared: SharedStore) -> ColumnarSketchStore:
     store = _worker_store.get(shared.ref.name)
     if store is None:
         store = shared.materialise()
@@ -61,7 +61,7 @@ def _call(args: tuple) -> object:
     return fn(_attached_store(shared), item)
 
 
-def probe_worker(store: SketchStore, _item: object) -> tuple[int, int]:
+def probe_worker(store: ColumnarSketchStore, _item: object) -> tuple[int, int]:
     """Liveness probe: proves the worker can see the shared store."""
     return os.getpid(), store.n_subjects
 
@@ -112,13 +112,10 @@ class _Worker:
 class ResilientWorkerPool:
     """Process pool + shared resident store, rebuildable after total loss."""
 
-    def __init__(
-        self, store: SketchStore, kind: str, processes: int = 2
-    ) -> None:
+    def __init__(self, store: ColumnarSketchStore, processes: int = 2) -> None:
         if processes < 1:
             raise ReproError(f"processes must be >= 1, got {processes}")
         self._store = store
-        self._kind = kind
         self._processes = int(processes)
         self._shared: SharedStore | None = None
         self._workers: list[_Worker] | None = None
@@ -131,7 +128,7 @@ class ResilientWorkerPool:
     def start(self) -> "ResilientWorkerPool":
         """Publish the store and spawn workers (idempotent)."""
         if self._shared is None:
-            self._shared = share_store(self._store, self._kind)
+            self._shared = share_store(self._store)
         if self._workers is None:
             ctx = mp.get_context("fork")
             self._workers = [_Worker(ctx) for _ in range(self._processes)]
@@ -213,7 +210,7 @@ class ResilientWorkerPool:
         if self._shared is not None and not segment_exists(self._shared.ref.name):
             release(self._shared.ref.name)  # drop the stale registry entry
             self._shared = None
-            self._shared = share_store(self._store, self._kind)
+            self._shared = share_store(self._store)
             self.segments_republished += 1
         sweep_orphan_segments()
         self.start()

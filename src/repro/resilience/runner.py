@@ -16,8 +16,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from ..core.mapper import JEMMapper
-from ..core.sketch_table import SketchTable
-from ..core.store import store_from_table
+from ..core.store import ColumnarSketchStore, merge_trial_keys
 from ..errors import CheckpointError, MappingError
 from ..parallel.partition import partition_bounds, partition_set
 from ..seq.records import SequenceSet
@@ -51,7 +50,6 @@ INVOCATION_NAME = "invocation.json"
 #: excluded: two runs differing only in those are the same logical run.
 _IDENTITY_FIELDS = (
     "mapper",
-    "store",
     "processes",
     "backend",
     "strict",
@@ -186,7 +184,6 @@ def map_queries_checkpointed(
                 timeout=pipe.timeout,
                 report=report,
                 transport=pipe.transport,
-                store_kind=pipe.store,
                 checkpoint=ctx,
             )
             return EngineRun(
@@ -224,7 +221,6 @@ def map_queries_checkpointed(
             p=p,
             faults=pipe.fault_plan(),
             strict=pipe.strict,
-            store_kind=pipe.store,
             checkpoint=ctx,
         )
         return EngineRun(
@@ -243,7 +239,6 @@ def build_index_checkpointed(
     subjects: SequenceSet,
     config: "JEMConfig",
     *,
-    store_kind: str,
     shards: int,
     run_dir: str,
     subjects_path: str | None = None,
@@ -268,15 +263,12 @@ def build_index_checkpointed(
         ctx.ensure_manifest(
             RunManifest(
                 command="index",
-                pipeline={
-                    "store": store_kind,
-                    **{f"jem_{k}": v for k, v in asdict(config).items()},
-                },
+                pipeline={f"jem_{k}": v for k, v in asdict(config).items()},
                 units={"mode": "index", "sketch_blocks": shards},
                 inputs=inputs,
             )
         )
-        tables: list[SketchTable] = []
+        shard_keys: list[list] = []
         offset = 0
         names: list[str] = []
         for s, part in enumerate(parts):
@@ -291,10 +283,13 @@ def build_index_checkpointed(
                 keys = saved
             offset += len(part)
             names.extend(part.names)
-            tables.append(SketchTable.from_pairs(keys, n_subjects=offset))
-    mapper = JEMMapper(config, store_kind=store_kind)
+            shard_keys.append(keys)
+    mapper = JEMMapper(config)
     mapper.adopt_store(
-        store_from_table(store_kind, SketchTable.union(tables)), names
+        ColumnarSketchStore.from_trial_keys(
+            merge_trial_keys(shard_keys), n_subjects=offset
+        ),
+        names,
     )
     return mapper
 

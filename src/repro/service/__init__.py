@@ -4,7 +4,7 @@ Turns the one-shot JEM-mapper pipeline into a resident server: index
 loaded once, bounded admission queue with backpressure, dynamic
 micro-batching through the fault-tolerant parallel dispatch, an LRU
 result cache keyed by query-sketch content, and live metrics.  See
-``docs/service.md`` for the architecture and contracts.
+``docs/serving.md`` for the architecture and contracts.
 """
 
 from .cache import SketchCacheEntry, SketchLRUCache, read_content_key

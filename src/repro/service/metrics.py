@@ -7,7 +7,7 @@ report p50/p95/p99 quantiles.  Everything is thread-safe (the service's
 submitters, the scheduler thread, and metrics readers run concurrently)
 and :meth:`ServiceMetrics.snapshot` renders the whole registry as one
 plain-``dict`` tree that ``json.dumps`` accepts verbatim — the service's
-observability contract (see ``docs/service.md``).
+observability contract (see ``docs/serving.md``).
 """
 
 from __future__ import annotations

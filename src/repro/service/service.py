@@ -38,7 +38,7 @@ from ..core.hitcounter import count_hits_vectorised
 from ..core.lsm import MutableSketchStore, store_stats
 from ..core.mapper import JEMMapper, MappingResult, map_segment_batch
 from ..core.segments import PREFIX, SUFFIX, SegmentInfo, extract_end_segments
-from ..core.sketch_table import SketchTable
+from ..core.store import ColumnarSketchStore
 from ..errors import (
     DeadlineExceededError,
     SequenceError,
@@ -203,7 +203,9 @@ class MappingService:
         self._pool: "ResilientWorkerPool | None" = None
         #: ((generation, trials kept), table, family slice) — rebuilt on swap
         #: and whenever the breaker's shed level moves the trial budget
-        self._degraded_view: tuple[tuple[int, int], SketchTable, object] | None = None
+        self._degraded_view: (
+            tuple[tuple[int, int], ColumnarSketchStore, object] | None
+        ) = None
         self._refresh_index_gauges()
         if auto_start:
             self.start()
@@ -234,7 +236,7 @@ class MappingService:
 
         Exactly one of ``subjects`` (contig sequences, indexed at startup)
         or ``index`` (a saved bundle path) selects the index source; the
-        pipeline decides mapper constants and store kind.  This is the
+        pipeline decides the mapper constants.  This is the
         single construction path — :meth:`from_index` and
         :meth:`from_contigs` are convenience wrappers over it.
         """
@@ -781,8 +783,8 @@ class MappingService:
         if degraded is None or degraded[0] != (view.generation, t_eff):
             degraded = (
                 (view.generation, t_eff),
-                SketchTable(
-                    [np.asarray(view.table.trial_keys(t)) for t in range(t_eff)],
+                ColumnarSketchStore.from_trial_keys(
+                    [view.table.trial_keys(t) for t in range(t_eff)],
                     view.table.n_subjects,
                 ),
                 self._family.trial_slice(0, t_eff),

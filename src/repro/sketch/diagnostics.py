@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.sketch_table import SketchTable
+from ..core.store import SketchStore
 from ..seq.records import SequenceSet
 from .minimizers import minimizers
 
@@ -45,13 +45,15 @@ class SketchStats:
         )
 
 
-def table_stats(table: SketchTable) -> SketchStats:
+def table_stats(table: SketchStore) -> SketchStats:
     """Compute :class:`SketchStats` for a built table."""
-    entries = [int(k.size) for k in table.keys]
+    entries = []
     distinct = []
     max_bucket = 0
     bucket_sizes: list[int] = []
-    for keys in table.keys:
+    for t in range(table.trials):
+        keys = table.trial_keys(t)
+        entries.append(int(keys.size))
         values = keys >> np.uint64(32)
         if values.size == 0:
             distinct.append(0)

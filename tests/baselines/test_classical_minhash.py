@@ -43,7 +43,7 @@ def test_table_has_one_entry_per_subject_per_trial(tiling_contigs):
     table = mapper.index(tiling_contigs)
     for t in range(CFG.trials):
         # each subject contributes exactly one (value, subject) key
-        assert table.keys[t].size == len(tiling_contigs)
+        assert table.trial_keys(t).size == len(tiling_contigs)
 
 
 def test_minimizer_variant_maps(tiling_contigs, clean_reads):

@@ -1,29 +1,53 @@
-"""Cross-frontend bit-identity: every frontend, every store, one output.
+"""Cross-frontend bit-identity: every frontend, one output.
 
-The MappingEngine promises that store kind and execution mode never change
-*what* is computed.  This suite pins that down by running the same dataset
-through the CLI, the engine API (inline and simulated-parallel, with and
-without seeded faults), the resident service, the streaming frontend and
-the tiled frontend — under every store kind — and asserting the mappings
-are bit-identical to the packed-table reference.
+The MappingEngine promises that the execution mode never changes *what* is
+computed.  This suite pins that down by running the same dataset through
+the CLI, the engine API (inline and simulated-parallel, with and without
+seeded faults), the resident service, the streaming frontend and the tiled
+frontend, and asserting the mappings are bit-identical to the reference: a
+``JEMMapper`` over the dict-store oracle, called directly.
+
+The store kind is not a pipeline option; the one seam left is the
+``JEMMapper`` constructor.  Frontends that build their mapper through the
+engine's registry are therefore run twice — on the resident columnar store
+and with the oracle injected through that seam; the parallel driver builds
+its own (columnar) store and is run once.
 """
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import JEMConfig, MappingEngine, PipelineConfig
+from repro.core import JEMConfig, JEMMapper, MappingEngine, PipelineConfig
+from repro.core import engine as engine_module
+from repro.core.tiling import map_reads_tiled
 from repro.seq import write_fasta, write_fastq
 
 CFG = JEMConfig(k=12, w=20, ell=500, trials=10, seed=99)
 CFG_FLAGS = ["--k", "12", "--w", "20", "--ell", "500", "--trials", "10", "--seed", "99"]
-STORES = ("columnar", "dict", "packed")
+STORES = ("columnar", "dict")
+
+
+@pytest.fixture
+def store(request, monkeypatch):
+    """The parametrised store kind, injected into registry-built ``jem`` mappers."""
+    kind = request.param
+    monkeypatch.setitem(
+        engine_module._REGISTRY,
+        "jem",
+        lambda pipeline: JEMMapper(pipeline.jem, store_kind=kind),
+    )
+    return kind
+
+
+def _oracle(tiling_contigs):
+    mapper = JEMMapper(CFG, store_kind="dict")
+    mapper.index(tiling_contigs)
+    return mapper
 
 
 def _reference(tiling_contigs, clean_reads):
-    engine = MappingEngine(PipelineConfig(jem=CFG, store="packed"))
-    engine.use_subjects(tiling_contigs)
-    return engine.map_queries(clean_reads).mapping
+    return _oracle(tiling_contigs).map_reads(clean_reads)
 
 
 def _assert_same(result, reference):
@@ -32,21 +56,22 @@ def _assert_same(result, reference):
     assert np.array_equal(result.hit_count, reference.hit_count)
 
 
-@pytest.mark.parametrize("store", STORES)
+@pytest.mark.parametrize("store", STORES, indirect=True)
 def test_engine_inline_parity(store, tiling_contigs, clean_reads):
     reference = _reference(tiling_contigs, clean_reads)
-    engine = MappingEngine(PipelineConfig(jem=CFG, store=store))
+    engine = MappingEngine(PipelineConfig(jem=CFG))
     engine.use_subjects(tiling_contigs)
+    assert engine.mapper.store_kind == store
     run = engine.map_queries(clean_reads)
     assert run.mode == "inline"
     _assert_same(run.mapping, reference)
 
 
-@pytest.mark.parametrize("store", STORES)
+@pytest.mark.parametrize("store", ("columnar",), indirect=True)  # the driver builds its own store
 def test_engine_simulated_parity(store, tiling_contigs, clean_reads):
     reference = _reference(tiling_contigs, clean_reads)
     engine = MappingEngine(
-        PipelineConfig(jem=CFG, store=store, processes=4, backend="simulated")
+        PipelineConfig(jem=CFG, processes=4, backend="simulated")
     )
     engine.use_subjects(tiling_contigs)
     run = engine.map_queries(clean_reads)
@@ -55,12 +80,12 @@ def test_engine_simulated_parity(store, tiling_contigs, clean_reads):
     _assert_same(run.mapping, reference)
 
 
-@pytest.mark.parametrize("store", ("columnar", "dict"))
+@pytest.mark.parametrize("store", ("columnar",), indirect=True)  # the driver builds its own store
 def test_engine_seeded_faults_parity(store, tiling_contigs, clean_reads):
     """A seeded recoverable fault plan must not change the mapping."""
     reference = _reference(tiling_contigs, clean_reads)
     engine = MappingEngine(
-        PipelineConfig(jem=CFG, store=store, processes=4, inject_faults=7)
+        PipelineConfig(jem=CFG, processes=4, inject_faults=7)
     )
     engine.use_subjects(tiling_contigs)
     run = engine.map_queries(clean_reads)
@@ -68,22 +93,22 @@ def test_engine_seeded_faults_parity(store, tiling_contigs, clean_reads):
     _assert_same(run.mapping, reference)
 
 
-@pytest.mark.parametrize("store", ("columnar", "dict"))
+@pytest.mark.parametrize("store", ("columnar", "dict"), indirect=True)
 def test_service_parity(store, tiling_contigs, clean_reads):
     from repro.service import MappingService
 
     reference = _reference(tiling_contigs, clean_reads)
     with MappingService.from_pipeline(
-        PipelineConfig(jem=CFG, store=store), subjects=tiling_contigs
+        PipelineConfig(jem=CFG), subjects=tiling_contigs
     ) as service:
         result = service.map_reads(clean_reads, timeout=60)
     _assert_same(result, reference)
 
 
-@pytest.mark.parametrize("store", ("columnar", "dict"))
+@pytest.mark.parametrize("store", ("columnar", "dict"), indirect=True)
 def test_streaming_parity(store, tiling_contigs, clean_reads):
     reference = _reference(tiling_contigs, clean_reads)
-    engine = MappingEngine(PipelineConfig(jem=CFG, store=store))
+    engine = MappingEngine(PipelineConfig(jem=CFG))
     engine.use_subjects(tiling_contigs)
     batches = list(engine.map_stream(iter(clean_reads), batch_size=7))
     subjects = np.concatenate([b.subject for b in batches])
@@ -94,12 +119,13 @@ def test_streaming_parity(store, tiling_contigs, clean_reads):
     assert np.array_equal(hit_counts, reference.hit_count)
 
 
-@pytest.mark.parametrize("store", ("columnar", "dict"))
+@pytest.mark.parametrize("store", ("columnar", "dict"), indirect=True)
 def test_tiled_parity(store, tiling_contigs, clean_reads):
-    packed = MappingEngine(PipelineConfig(jem=CFG, store="packed"))
-    packed.use_subjects(tiling_contigs)
-    reference = packed.map_tiled(clean_reads)
-    engine = MappingEngine(PipelineConfig(jem=CFG, store=store))
+    # min_tile_hits=2 is MappingEngine.map_tiled's default
+    reference = map_reads_tiled(
+        _oracle(tiling_contigs), clean_reads, min_tile_hits=2
+    )
+    engine = MappingEngine(PipelineConfig(jem=CFG))
     engine.use_subjects(tiling_contigs)
     assert engine.map_tiled(clean_reads) == reference
 
@@ -117,19 +143,27 @@ def _tsv_body(path):
         return [line for line in fh if not line.startswith("#")]
 
 
-@pytest.mark.parametrize("store", STORES)
+@pytest.mark.parametrize("store", STORES, indirect=True)
 def test_cli_map_parity(store, tmp_path, tiling_contigs, clean_reads):
-    """`jem map --store <kind>` writes the same TSV for every store kind."""
+    """`jem map` writes exactly the oracle mapping, row for row."""
     contigs_path, reads_path = _write_inputs(tmp_path, tiling_contigs, clean_reads)
-    want = str(tmp_path / "packed.tsv")
+    reference = _reference(tiling_contigs, clean_reads)
+    names = tiling_contigs.names
+    want = ["segment\tcontig\thits\n"] + [
+        f"{seg}\t{names[sid] if sid >= 0 else '*'}\t{hits}\n"
+        for seg, sid, hits in zip(
+            reference.segment_names,
+            reference.subject.tolist(),
+            reference.hit_count.tolist(),
+        )
+    ]
     got = str(tmp_path / f"{store}.tsv")
-    base = ["map", "-q", reads_path, "-s", contigs_path, *CFG_FLAGS]
-    assert main([*base, "-o", want, "--store", "packed"]) == 0
-    assert main([*base, "-o", got, "--store", store]) == 0
-    assert _tsv_body(got) == _tsv_body(want)
+    assert main(["map", "-q", reads_path, "-s", contigs_path, *CFG_FLAGS,
+                 "-o", got]) == 0
+    assert _tsv_body(got) == want
 
 
-@pytest.mark.parametrize("store", ("columnar", "dict"))
+@pytest.mark.parametrize("store", ("columnar", "dict"), indirect=True)
 def test_cli_saved_index_roundtrip(store, tmp_path, tiling_contigs, clean_reads):
     """index -> map --index keeps parity across the persisted v3 bundle."""
     contigs_path, reads_path = _write_inputs(tmp_path, tiling_contigs, clean_reads)
@@ -138,8 +172,8 @@ def test_cli_saved_index_roundtrip(store, tmp_path, tiling_contigs, clean_reads)
     direct = str(tmp_path / "direct.tsv")
     via_index = str(tmp_path / "via_index.tsv")
     base = ["map", "-q", reads_path, *CFG_FLAGS]
-    assert main([*base, "-s", contigs_path, "-o", direct, "--store", store]) == 0
-    assert main([*base, "--index", index_path, "-o", via_index, "--store", store]) == 0
+    assert main([*base, "-s", contigs_path, "-o", direct]) == 0
+    assert main([*base, "--index", index_path, "-o", via_index]) == 0
     assert _tsv_body(via_index) == _tsv_body(direct)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SketchTable, count_hits_lazy, count_hits_vectorised
+from repro.core import build_store, count_hits_lazy, count_hits_vectorised
 from repro.core.hitcounter import UNMAPPED
 from repro.errors import MappingError
 from repro.sketch import pack_key
@@ -18,7 +18,7 @@ def build_table(per_trial_pairs, n_subjects):
             keys.append(np.unique(pack_key(v, s)))
         else:
             keys.append(np.empty(0, dtype=np.uint64))
-    return SketchTable(keys, n_subjects)
+    return build_store("columnar", keys, n_subjects)
 
 
 def test_simple_majority():

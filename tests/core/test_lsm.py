@@ -29,9 +29,8 @@ from repro.core.lsm import (
     MutableSketchStore,
     store_stats,
 )
-from repro.core.sketch_table import SketchTable
 from repro.core.store import DictSketchStore
-from repro.errors import MappingError
+from repro.errors import MappingError, SketchError
 from repro.resilience.chaos import ChaosPlan
 from repro.seq.records import SequenceSet
 from repro.sketch.jem import subject_sketch_pairs
@@ -130,7 +129,7 @@ def seeded_handle(rng, count: int = 4):
     """An in-memory handle wrapping a statically built base index."""
     pairs = _contig_pairs(rng, count)
     base = SequenceSet.from_strings(pairs)
-    mapper = JEMMapper(CONFIG, store_kind="columnar")
+    mapper = JEMMapper(CONFIG)
     mapper.index(base)
     handle = MutableSketchStore.in_memory(
         CONFIG, base_store=mapper.table, subject_names=base.names
@@ -267,20 +266,20 @@ class TestStoreStats:
 
 
 class TestDictStoreOrder:
-    def test_unsorted_subject_run_comes_back_sorted(self):
-        """Satellite 1: lookups honour the sorted-subject merge contract.
+    def test_unsorted_subject_run_rejected(self):
+        """Lookups honour the sorted-subject merge contract.
 
-        Packed-key sorting makes unsorted runs unrepresentable through
-        normal construction, so build the table without validation — the
-        dict store must still normalise the run, because the LSM merge
-        (concat + lexsort) and the columnar layout both assume it.
+        The LSM merge (concat + lexsort) and the columnar layout both
+        assume every value's run comes back subject-ascending; the
+        memtable store enforces it by refusing keys that are not sorted
+        by (value, subject), so an unsorted run is unrepresentable.
         """
-        table = SketchTable.__new__(SketchTable)
-        table.keys = [
+        keys = [
             np.array([(5 << 32) | 9, (5 << 32) | 2, (7 << 32) | 4], dtype=np.uint64)
         ]
-        table.n_subjects = 10
-        store = DictSketchStore(table)
+        with pytest.raises(SketchError):
+            DictSketchStore(keys, 10)
+        store = DictSketchStore([np.sort(keys[0])], 10)
         hits = store.lookup_trial(0, np.array([5, 7], dtype=np.uint64))
         assert np.array_equal(hits.query_index, [0, 0, 1])
         assert np.array_equal(hits.subjects, [2, 9, 4])
@@ -290,7 +289,7 @@ class TestDurability:
     def seeded_durable(self, rng, tmp_path):
         pairs = _contig_pairs(rng, 4)
         base = SequenceSet.from_strings(pairs)
-        mapper = JEMMapper(CONFIG, store_kind="columnar")
+        mapper = JEMMapper(CONFIG)
         mapper.index(base)
         run_dir = str(tmp_path / "idx")
         handle = MutableSketchStore.create(
@@ -342,7 +341,7 @@ class TestDurability:
 class TestBundleMigration:
     def test_v3_bundle_loads_as_generation_zero(self, rng, tmp_path):
         pairs = _contig_pairs(rng, 4)
-        mapper = JEMMapper(CONFIG, store_kind="columnar")
+        mapper = JEMMapper(CONFIG)
         mapper.index(SequenceSet.from_strings(pairs))
         bundle = str(tmp_path / "bundle.npz")
         save_index(mapper, bundle)
@@ -357,7 +356,7 @@ class TestBundleMigration:
 
     def test_v3_bundle_migrates_to_durable_v4(self, rng, tmp_path):
         pairs = _contig_pairs(rng, 4)
-        mapper = JEMMapper(CONFIG, store_kind="columnar")
+        mapper = JEMMapper(CONFIG)
         mapper.index(SequenceSet.from_strings(pairs))
         bundle = str(tmp_path / "bundle.npz")
         save_index(mapper, bundle)
@@ -390,7 +389,7 @@ CHAOS_CHILD = textwrap.dedent(
         handle = MutableSketchStore.open(run_dir)
     else:
         base = SequenceSet.from_strings([tuple(p) for p in payload["base"]])
-        mapper = JEMMapper(cfg, store_kind="columnar")
+        mapper = JEMMapper(cfg)
         mapper.index(base)
         handle = MutableSketchStore.create(
             run_dir, cfg, base_store=mapper.table, subject_names=base.names

@@ -71,7 +71,7 @@ def test_index_partitioned_equivalent(tiling_contigs, clean_reads):
     split = JEMMapper(CFG)
     split.index_partitioned(parts)
     for t in range(CFG.trials):
-        assert np.array_equal(whole.table.keys[t], split.table.keys[t])
+        assert np.array_equal(whole.table.trial_keys(t), split.table.trial_keys(t))
     m1 = whole.map_reads(clean_reads)
     m2 = split.map_reads(clean_reads)
     assert np.array_equal(m1.subject, m2.subject)

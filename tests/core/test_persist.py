@@ -27,7 +27,12 @@ def _saved_bundle(tmp_path, contigs) -> str:
 
 
 def _v2_bundle(tmp_path, contigs) -> str:
-    """A legacy v2 bundle (packed uint64 keys) built by hand."""
+    """A legacy v2 bundle (packed uint64 keys) built by hand.
+
+    Nothing in ``src/`` reads or writes this layout any more; the helper
+    exists so the tests can prove an old bundle is *refused* with a typed
+    error — pristine or damaged — instead of being misread as v3.
+    """
     mapper = JEMMapper(CFG)
     mapper.index(contigs)
     store = mapper.table
@@ -66,7 +71,9 @@ def test_round_trip(tmp_path, tiling_contigs, clean_reads):
     assert loaded.config == CFG
     assert loaded.subject_names == mapper.subject_names
     for t in range(CFG.trials):
-        assert np.array_equal(loaded.table.keys[t], mapper.table.keys[t])
+        assert np.array_equal(
+            loaded.table.trial_keys(t), mapper.table.trial_keys(t)
+        )
     # mapping through the loaded index is identical
     expected = mapper.map_reads(clean_reads)
     got = loaded.map_reads(clean_reads)
@@ -159,11 +166,13 @@ def test_bitflip_at_every_boundary_never_maps_silently_wrong(
     Flips landing in zip bookkeeping (timestamps, attributes) decode to
     the same content — those must load with trial columns bit-identical
     to the pristine bundle.  Any flip that reaches decoded content must
-    surface as :class:`IndexCorruptError`, never a wrong mapping.
+    surface as :class:`IndexCorruptError`, never a wrong mapping.  A v2
+    bundle never loads at all: damaged it is corrupt, intact-looking it
+    is the typed "format 2 unsupported" refusal.
     """
     build = _saved_bundle if bundle == "v3" else _v2_bundle
     path = build(tmp_path, tiling_contigs)
-    pristine = load_index(path)
+    pristine = load_index(_saved_bundle(tmp_path, tiling_contigs))
     raw = bytearray(open(path, "rb").read())
     offset = min(int(len(raw) * fraction), len(raw) - 1)
     raw[offset] ^= 0xFF
@@ -173,7 +182,10 @@ def test_bitflip_at_every_boundary_never_maps_silently_wrong(
         loaded = load_index(path)
     except IndexCorruptError as exc:
         assert exc.path == path
+    except MappingError as exc:
+        assert bundle == "v2" and "index format 2 unsupported" in str(exc)
     else:
+        assert bundle == "v3"
         assert loaded.config == pristine.config
         assert loaded.subject_names == pristine.subject_names
         for t in range(loaded.config.trials):
@@ -195,16 +207,14 @@ def test_member_bitflip_localises_to_an_offset(tmp_path, tiling_contigs):
     assert "offset" in str(excinfo.value)
 
 
-def test_corrupt_v2_checksum_refuses_migration(tmp_path, tiling_contigs):
+def test_v2_bundle_rejected_with_rebuild_hint(tmp_path, tiling_contigs):
+    """A pristine v2 bundle is refused, typed, telling the user to rebuild."""
     path = _v2_bundle(tmp_path, tiling_contigs)
-    with np.load(path) as data:
-        payload = {key: data[key] for key in data.files}
-    flipped = payload["trial_000"].copy()
-    flipped[0] ^= np.uint64(1)
-    payload["trial_000"] = flipped
-    np.savez_compressed(path, **payload)
-    with pytest.raises(IndexCorruptError, match="integrity"):
+    with pytest.raises(MappingError) as excinfo:
         load_index(path)
+    assert not isinstance(excinfo.value, IndexCorruptError)
+    assert "index format 2 unsupported" in str(excinfo.value)
+    assert "rebuild the index" in str(excinfo.value)
 
 
 def test_save_is_atomic_and_tolerates_stale_tmp(tmp_path, tiling_contigs):

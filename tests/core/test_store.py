@@ -1,9 +1,9 @@
-"""SketchStore protocol conformance and three-way layout parity."""
+"""SketchStore protocol conformance and columnar-vs-oracle parity."""
 
 import numpy as np
 import pytest
 
-from repro.core import SketchTable
+from repro.core import JEMConfig, MutableSketchStore
 from repro.core.store import (
     DEFAULT_STORE_KIND,
     STORE_KINDS,
@@ -14,9 +14,12 @@ from repro.core.store import (
     build_store,
     lookup_trial_sharded,
     shard_bounds,
-    store_from_table,
 )
 from repro.errors import SketchError
+from repro.netserve import ScatterGatherStore, ScatterPlacement
+from repro.netserve.router import LookupLane
+from repro.service.health import CircuitBreaker
+from repro.service.metrics import ServiceMetrics
 
 TRIALS = 5
 N_SUBJECTS = 40
@@ -49,7 +52,7 @@ def _stores(trial_keys):
 
 def test_default_kind_is_columnar():
     assert DEFAULT_STORE_KIND == "columnar"
-    assert STORE_KINDS[0] == "columnar"
+    assert STORE_KINDS == ("columnar", "dict")
 
 
 @pytest.mark.parametrize("kind", STORE_KINDS)
@@ -66,14 +69,18 @@ def test_protocol_conformance(kind, trial_keys):
 
 @pytest.mark.parametrize("kind", ("columnar", "dict"))
 def test_lookup_parity_with_packed(kind, trial_keys, queries):
-    """Every layout answers batch lookups bit-identically to the packed table."""
-    packed = build_store("packed", trial_keys, N_SUBJECTS)
-    other = build_store(kind, trial_keys, N_SUBJECTS)
+    """Every store answers batch lookups exactly as a scan of the packed keys."""
+    store = build_store(kind, trial_keys, N_SUBJECTS)
     for t in range(TRIALS):
-        want = packed.lookup_trial(t, queries)
-        got = other.lookup_trial(t, queries)
-        assert np.array_equal(want.query_index, got.query_index)
-        assert np.array_equal(want.subjects, got.subjects)
+        values = trial_keys[t] >> np.uint64(32)
+        subjects = trial_keys[t] & np.uint64(0xFFFFFFFF)
+        want = [
+            (i, int(s))
+            for i, q in enumerate(queries)
+            for s in subjects[values == q]  # key order = subject ascending
+        ]
+        got = store.lookup_trial(t, queries)
+        assert list(zip(got.query_index.tolist(), got.subjects.tolist())) == want
 
 
 @pytest.mark.parametrize("kind", STORE_KINDS)
@@ -94,23 +101,70 @@ def test_values_of_trial_sorted_unique(kind, trial_keys):
         assert np.array_equal(values, np.unique(values))
 
 
-def test_as_table_roundtrip(trial_keys):
-    for kind in ("columnar", "dict"):
-        store = build_store(kind, trial_keys, N_SUBJECTS)
-        table = store.as_table()
-        assert isinstance(table, SketchTable)
-        for t in range(TRIALS):
-            assert np.array_equal(table.keys[t], trial_keys[t])
+@pytest.fixture(params=["columnar", "dict", "generation", "mutable", "scatter"])
+def implementer(request, trial_keys):
+    """One of the five ``SketchStore`` implementers over the same keys."""
+    root = ColumnarSketchStore.from_trial_keys(trial_keys, N_SUBJECTS)
+    if request.param in STORE_KINDS:
+        yield build_store(request.param, trial_keys, N_SUBJECTS)
+    elif request.param in ("generation", "mutable"):
+        handle = MutableSketchStore.in_memory(
+            JEMConfig(trials=TRIALS),
+            base_store=root,
+            subject_names=[f"c{i}" for i in range(N_SUBJECTS)],
+        )
+        yield handle.current if request.param == "generation" else handle
+    else:
+        placement = ScatterPlacement(3)
+        lanes = [
+            LookupLane(
+                i, shard.store,
+                breaker=CircuitBreaker(failure_threshold=0),
+                metrics=ServiceMetrics(window=64),
+                capacity=64,
+            )
+            for i, shard in enumerate(placement.plan(root))
+        ]
+        try:
+            yield ScatterGatherStore(lanes, placement, root)
+        finally:
+            for lane in lanes:
+                lane.close()
 
 
-def test_store_from_table(trial_keys):
-    table = SketchTable(trial_keys, N_SUBJECTS)
-    assert store_from_table("packed", table) is table
-    for kind in ("columnar", "dict"):
-        store = store_from_table(kind, table)
-        assert store.total_entries == table.total_entries
-        for t in range(TRIALS):
-            assert np.array_equal(store.trial_keys(t), trial_keys[t])
+def test_every_implementer_satisfies_the_protocol(implementer, trial_keys, queries):
+    """The slimmed protocol, member by member, against the dict oracle."""
+    oracle = DictSketchStore(trial_keys, N_SUBJECTS)
+    assert isinstance(implementer, SketchStore)
+    assert not hasattr(implementer, "as_table")
+    assert not hasattr(implementer, "keys")
+    assert implementer.trials == TRIALS
+    assert implementer.n_subjects == N_SUBJECTS
+    assert implementer.total_entries == oracle.total_entries
+    assert implementer.nbytes > 0
+    for t in range(TRIALS):
+        assert np.array_equal(implementer.trial_keys(t), trial_keys[t])
+        assert np.array_equal(
+            implementer.values_of_trial(t), oracle.values_of_trial(t)
+        )
+        want = oracle.lookup_trial(t, queries)
+        got = implementer.lookup_trial(t, queries)
+        assert np.array_equal(want.query_index, got.query_index)
+        assert np.array_equal(want.subjects, got.subjects)
+    value = int(oracle.values_of_trial(0)[0])
+    assert np.array_equal(
+        implementer.lookup_scalar(0, value), oracle.lookup_scalar(0, value)
+    )
+
+
+def test_from_store_folds_any_store_to_columnar(trial_keys):
+    columnar = build_store("columnar", trial_keys, N_SUBJECTS)
+    assert ColumnarSketchStore.from_store(columnar) is columnar
+    folded = ColumnarSketchStore.from_store(build_store("dict", trial_keys, N_SUBJECTS))
+    assert isinstance(folded, ColumnarSketchStore)
+    assert folded.n_subjects == N_SUBJECTS
+    for t in range(TRIALS):
+        assert np.array_equal(folded.trial_keys(t), trial_keys[t])
 
 
 def test_export_import_columns_roundtrip(trial_keys, queries):
@@ -232,7 +286,7 @@ def test_unknown_kind_rejected(trial_keys):
     with pytest.raises(SketchError):
         build_store("btree", trial_keys, N_SUBJECTS)
     with pytest.raises(SketchError):
-        store_from_table("btree", SketchTable(trial_keys, N_SUBJECTS))
+        build_store("packed", trial_keys, N_SUBJECTS)
 
 
 def test_trial_out_of_range(trial_keys):
@@ -271,10 +325,3 @@ def test_empty_lookup(trial_keys):
         store = build_store(kind, trial_keys, N_SUBJECTS)
         hits = store.lookup_trial(0, np.empty(0, dtype=np.uint64))
         assert len(hits) == 0
-
-
-def test_dict_store_wraps_table(trial_keys):
-    table = SketchTable(trial_keys, N_SUBJECTS)
-    store = DictSketchStore(table)
-    assert store.as_table() is table
-    assert store.keys is table.keys

@@ -1,10 +1,10 @@
-"""Property: the sketch table's searchsorted lookup equals brute force."""
+"""Property: every store's lookup equals brute force, in the same order."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SketchTable
+from repro.core import STORE_KINDS, build_store
 from repro.sketch import pack_key
 
 
@@ -23,19 +23,19 @@ def test_lookup_matches_brute_force(data):
         keys = np.unique(pack_key(v, s))
     else:
         keys = np.empty(0, dtype=np.uint64)
-    table = SketchTable([keys], n_subjects=8)
-
     n_queries = data.draw(st.integers(min_value=1, max_value=12))
     qv = np.array([data.draw(values) for _ in range(n_queries)], dtype=np.uint64)
-    hits = table.lookup_trial(0, qv)
-    got = set(zip(hits.query_index.tolist(), hits.subjects.tolist()))
-    expected = {
+    # (query index, subject id) ascending — the order the vote relies on
+    expected = sorted(
         (qi, subj)
         for qi in range(n_queries)
         for (val, subj) in pairs
         if val == qv[qi]
-    }
-    assert got == expected
+    )
+    for kind in STORE_KINDS:
+        hits = build_store(kind, [keys], n_subjects=8).lookup_trial(0, qv)
+        got = list(zip(hits.query_index.tolist(), hits.subjects.tolist()))
+        assert got == expected, kind
 
 
 @settings(max_examples=40, deadline=None)
@@ -55,7 +55,7 @@ def test_values_of_trial_is_distinct_sorted(pairs):
         keys = np.unique(pack_key(v, s))
     else:
         keys = np.empty(0, dtype=np.uint64)
-    table = SketchTable([keys], n_subjects=21)
-    vals = table.values_of_trial(0)
-    assert sorted(set(vals.tolist())) == vals.tolist()
-    assert set(vals.tolist()) == {p[0] for p in pairs}
+    for kind in STORE_KINDS:
+        vals = build_store(kind, [keys], n_subjects=21).values_of_trial(0)
+        assert sorted(set(vals.tolist())) == vals.tolist(), kind
+        assert set(vals.tolist()) == {p[0] for p in pairs}, kind

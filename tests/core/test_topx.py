@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SketchTable, count_hits_vectorised
+from repro.core import build_store, count_hits_vectorised
 from repro.core.topx import TopHits, count_hits_topx
 from repro.errors import MappingError
 from repro.sketch import pack_key
@@ -16,7 +16,7 @@ def build_table(per_trial_pairs, n_subjects):
             keys.append(np.unique(pack_key(v, s)))
         else:
             keys.append(np.empty(0, dtype=np.uint64))
-    return SketchTable(keys, n_subjects)
+    return build_store("columnar", keys, n_subjects)
 
 
 @pytest.fixture

@@ -157,3 +157,39 @@ def test_scaffold_command(tmp_path, capsys):
 def test_parser_rejects_unknown_dataset():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["simulate", "martian_genome"])
+
+
+def test_store_flag_is_gone(capsys):
+    """The resident layout is not a CLI choice: `--store` is an argparse error."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(
+            ["map", "-q", "r.fq", "-s", "c.fa", "--store", "columnar"]
+        )
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --store" in capsys.readouterr().err
+
+
+def test_saved_index_warns_about_ignored_parallel_flags(tmp_path, capsys):
+    """`map --index X -p N --backend process` maps inline — and says so."""
+    data = tmp_path / "data"
+    main(["simulate", "e_coli", "--scale", "0.0002", "--seed", "3", "--out", str(data)])
+    idx = tmp_path / "contigs.idx.npz"
+    main(["index", "-s", str(data / "e_coli_contigs.fasta"), "-o", str(idx),
+          "--trials", "8"])
+    reads = str(data / "e_coli_reads.fastq")
+    plain = tmp_path / "plain.tsv"
+    flagged = tmp_path / "flagged.tsv"
+    capsys.readouterr()
+    assert main(["map", "-q", reads, "--index", str(idx), "-o", str(plain)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert main(["map", "-q", reads, "--index", str(idx), "-o", str(flagged),
+                 "-p", "2", "--backend", "process"]) == 0
+    warnings = [
+        line for line in capsys.readouterr().err.splitlines() if "warning" in line
+    ]
+    assert len(warnings) == 1
+    assert "-p/--processes 2" in warnings[0] and "--backend process" in warnings[0]
+    assert flagged.read_text().splitlines()[0].startswith("# jem-mapper")
+    assert "(saved index)" in flagged.read_text().splitlines()[0]
+    strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
+    assert strip(flagged) == strip(plain)

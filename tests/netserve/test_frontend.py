@@ -105,7 +105,7 @@ def map_replies(stats):
 class TestEndToEnd:
     @pytest.fixture
     def backend(self, tiling_contigs):
-        mapper = JEMMapper(CONFIG, store_kind="columnar")
+        mapper = JEMMapper(CONFIG)
         mapper.index(tiling_contigs)
         replica_set = ReplicaSet(
             mapper.table, mapper.subject_names, CONFIG,

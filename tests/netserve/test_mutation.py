@@ -42,7 +42,7 @@ def genome(rng):
 
 @pytest.fixture
 def indexed(genome):
-    mapper = JEMMapper(CONFIG, store_kind="columnar")
+    mapper = JEMMapper(CONFIG)
     mapper.index(SequenceSet.from_strings(list(genome.items())))
     return mapper
 

@@ -25,7 +25,7 @@ SERVICE = ServiceConfig(max_batch_size=8, max_wait_ms=1.0)
 
 @pytest.fixture
 def indexed(tiling_contigs):
-    mapper = JEMMapper(CONFIG, store_kind="columnar")
+    mapper = JEMMapper(CONFIG)
     mapper.index(tiling_contigs)
     return mapper
 

@@ -43,7 +43,7 @@ SUPERVISION = SupervisorConfig(
 
 @pytest.fixture
 def indexed(tiling_contigs):
-    mapper = JEMMapper(CONFIG, store_kind="columnar")
+    mapper = JEMMapper(CONFIG)
     mapper.index(tiling_contigs)
     return mapper
 

@@ -7,7 +7,7 @@ import glob
 import numpy as np
 import pytest
 
-from repro.core import JEMConfig, JEMMapper
+from repro.core import JEMConfig, JEMMapper, build_store
 from repro.errors import CommError, PartialResultError
 from repro.parallel import (
     FaultPlan,
@@ -115,12 +115,12 @@ def test_shared_table_materialises_sorted_keys():
         np.sort(np.random.default_rng(t).integers(0, 1 << 40, 30).astype(np.uint64))
         for t in range(4)
     ]
-    table = shm.share_table_keys(keys, n_subjects=9)
+    table = shm.share_store(build_store("columnar", keys, n_subjects=9))
     try:
         rebuilt = table.materialise()
         assert rebuilt.n_subjects == 9
-        for a, b in zip(rebuilt.keys, keys):
-            assert np.array_equal(a, b)
+        for t, want in enumerate(keys):
+            assert np.array_equal(rebuilt.trial_keys(t), want)
     finally:
         shm.release(table.ref.name)
     _no_leaks()

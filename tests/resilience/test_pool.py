@@ -46,18 +46,18 @@ def wait_until(predicate, timeout=10.0, interval=0.02) -> bool:
 
 class TestResilientWorkerPool:
     def test_probe_sees_shared_store(self, store):
-        with ResilientWorkerPool(store, "columnar", processes=2) as pool:
+        with ResilientWorkerPool(store, processes=2) as pool:
             probes = pool.run(probe_worker, [0, 1, 2, 3], timeout=30)
             assert {pid for pid, _ in probes} <= set(pool.worker_pids)
             assert all(n == store.n_subjects for _, n in probes)
 
     def test_run_before_start_is_typed(self, store):
-        pool = ResilientWorkerPool(store, "columnar", processes=1)
+        pool = ResilientWorkerPool(store, processes=1)
         with pytest.raises(ReproError, match="not started"):
             pool.run(probe_worker, [0])
 
     def test_sigkilled_workers_trigger_rebuild(self, store):
-        with ResilientWorkerPool(store, "columnar", processes=2) as pool:
+        with ResilientWorkerPool(store, processes=2) as pool:
             assert pool.healthy()
             old_pids = pool.worker_pids
             hit = pool.kill_workers(signal.SIGKILL)
@@ -70,7 +70,7 @@ class TestResilientWorkerPool:
             assert all(n == store.n_subjects for _, n in probes)
 
     def test_vanished_segment_republished(self, store):
-        with ResilientWorkerPool(store, "columnar", processes=1) as pool:
+        with ResilientWorkerPool(store, processes=1) as pool:
             name = pool.segment_name
             # an over-eager operator unlinks the segment out from under us
             from repro.parallel import shm as shm_mod
@@ -86,7 +86,7 @@ class TestResilientWorkerPool:
             assert probes[0][1] == store.n_subjects
 
     def test_ensure_on_healthy_pool_is_a_noop(self, store):
-        with ResilientWorkerPool(store, "columnar", processes=1) as pool:
+        with ResilientWorkerPool(store, processes=1) as pool:
             assert pool.ensure() is False
             assert pool.rebuilds == 0
 
@@ -97,7 +97,7 @@ def _publish_and_sleep(conn) -> None:
 
     mapper = JEMMapper(CONFIG)
     mapper.index(SequenceSet.from_strings([("c0", "ACGTACGTACGT" * 50)]))
-    shared = share_store(mapper.table, "columnar")
+    shared = share_store(mapper.table)
     conn.send(shared.ref.name)
     conn.close()
     time.sleep(120)  # killed long before this returns
@@ -127,7 +127,7 @@ class TestOrphanSweep:
                 child.join(10)
 
     def test_sweep_spares_live_owners(self, store):
-        shared = share_store(store, "columnar")
+        shared = share_store(store)
         try:
             assert shared.ref.name not in orphan_segment_names()
             assert shared.ref.name not in sweep_orphan_segments()

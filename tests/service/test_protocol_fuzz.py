@@ -78,7 +78,7 @@ def fuzz_lines(seed: int, n: int = 40) -> list[str]:
 
 @pytest.fixture
 def indexed(tiling_contigs):
-    mapper = JEMMapper(CONFIG, store_kind="columnar")
+    mapper = JEMMapper(CONFIG)
     mapper.index(tiling_contigs)
     return mapper
 

@@ -340,7 +340,7 @@ class TestWatchdog:
         cfg = ServiceConfig(watchdog_interval_ms=20.0)
         service = MappingService(mapper, cfg)
         try:
-            pool = ResilientWorkerPool(mapper.table, "columnar", processes=2)
+            pool = ResilientWorkerPool(mapper.table, processes=2)
             service.attach_pool(pool)
             assert wait_until(lambda: service.healthz()["pool"]["healthy"])
             pool.kill_workers()
