@@ -22,7 +22,6 @@ from ..align import segment_identity
 from ..core.config import JEMConfig
 from ..core.segments import extract_end_segments
 from ..eval.datasets import DATASETS, LARGE_DATASETS, Dataset, load_or_generate
-from ..eval.metrics import evaluate_mapping
 from ..eval.pipeline import prepare_benchmark, run_mappers
 from ..eval.report import render_series, render_table
 from ..parallel.costmodel import CostModel
@@ -473,10 +472,10 @@ def exp_kernels(ctx: BenchContext, *, repeats: int = 5) -> ExperimentOutput:
     expected speedup floors.
     """
     from ..sketch.jem import (
-        _concat_minimizer_lists,
-        _query_minimizer_concat,
+        _subject_minimizer_block,
         query_kernel,
         query_kernel_reference,
+        query_minimizer_concat,
         query_sketch_values,
         query_sketch_values_reference,
         subject_kernel,
@@ -485,7 +484,6 @@ def exp_kernels(ctx: BenchContext, *, repeats: int = 5) -> ExperimentOutput:
         subject_sketch_pairs_reference,
     )
     from ..sketch import _native
-    from ..sketch.minimizers import minimizers_set
 
     name = ctx.pick(("e_coli",))[0]
     ds = ctx.dataset(name)
@@ -521,8 +519,8 @@ def exp_kernels(ctx: BenchContext, *, repeats: int = 5) -> ExperimentOutput:
     )
 
     # timed region: the kernels only, over shared pre-extracted intervals
-    s_values, s_positions, s_owner, _ = _concat_minimizer_lists(
-        minimizers_set(ds.contigs, cfg.k, cfg.w), cfg.ell
+    s_values, s_positions, s_owner = _subject_minimizer_block(
+        ds.contigs, cfg.k, cfg.w, cfg.ell
     )
     s_ends = np.searchsorted(s_positions, s_positions + cfg.ell, side="right")
     s_ids = s_owner.astype(np.uint64)
@@ -531,7 +529,7 @@ def exp_kernels(ctx: BenchContext, *, repeats: int = 5) -> ExperimentOutput:
         lambda: subject_kernel_reference(s_values, s_ends, s_ids, family)
     )
 
-    _, _, q_values, q_starts = _query_minimizer_concat(segments, cfg.k, cfg.w)
+    _, _, q_values, q_starts = query_minimizer_concat(segments, cfg.k, cfg.w)
     t_query_batched = best(lambda: query_kernel(q_values, q_starts, family))
     t_query_reference = best(
         lambda: query_kernel_reference(q_values, q_starts, family)
@@ -562,7 +560,7 @@ def exp_kernels(ctx: BenchContext, *, repeats: int = 5) -> ExperimentOutput:
     from ..sketch._native import thread_count
 
     store = ColumnarSketchStore.from_trial_keys(subj_batched, len(ds.contigs))
-    q_has, q_nonempty, qq_values, qq_starts = _query_minimizer_concat(
+    q_has, q_nonempty, qq_values, qq_starts = query_minimizer_concat(
         segments, cfg.k, cfg.w
     )
     n_seg = len(segments)

@@ -34,19 +34,33 @@ import time
 import numpy as np
 
 from . import __version__
-from .bench import ALL_EXPERIMENTS as EXPERIMENTS
-from .bench.experiments import BenchContext
 from .core.config import JEMConfig
 from .core.engine import MAPPER_KINDS, MappingEngine, PipelineConfig, read_sequences
 from .core.mapper import JEMMapper
-from .eval.datasets import DEFAULT_SCALE, dataset_names, load_or_generate
-from .eval.pipeline import run_mappers
 from .seq.io_fasta import read_fasta, write_fasta
 from .seq.io_fastq import write_fastq
 from .seq.records import SequenceSet
 from .seq.stats import set_stats
 
 __all__ = ["main", "build_parser"]
+
+#: What the parser offers, spelled out so that building it imports neither
+#: ``repro.bench`` nor ``repro.eval`` — the subcommands that use them do —
+#: which was ~60 ms of every ``index`` / ``map`` / ``serve`` start.
+#: ``tests/integration/test_cli.py`` holds the three equal to
+#: ``ALL_EXPERIMENTS``, ``dataset_names()`` and ``DEFAULT_SCALE``.
+_EXPERIMENT_NAMES = (
+    "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "kernels",
+    "faults", "serve", "serve_concurrent", "store", "mutation",
+    "ablation_topx", "ablation_segments", "ablation_window",
+    "ablation_counter", "ablation_threshold", "ablation_kmer",
+    "ablation_ingredients", "ablation_seeds", "ablation_error_rate",
+)
+_DATASET_NAMES = (
+    "e_coli", "p_aeruginosa", "c_elegans", "d_busckii", "human_chr7",
+    "human_chr8", "b_splendens", "o_sativa_chr8",
+)
+_DEFAULT_SCALE = 0.005
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -174,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a Table I dataset to disk")
-    p_sim.add_argument("dataset", choices=dataset_names())
-    p_sim.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    p_sim.add_argument("dataset", choices=_DATASET_NAMES)
+    p_sim.add_argument("--scale", type=float, default=_DEFAULT_SCALE)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default=".", help="output directory")
 
@@ -356,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p_scaf)
 
     p_eval = sub.add_parser("eval", help="quality evaluation on a generated dataset")
-    p_eval.add_argument("dataset", choices=dataset_names())
-    p_eval.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    p_eval.add_argument("dataset", choices=_DATASET_NAMES)
+    p_eval.add_argument("--scale", type=float, default=_DEFAULT_SCALE)
     p_eval.add_argument("--data-seed", type=int, default=0)
     p_eval.add_argument("--cache-dir", default=".dataset_cache")
     p_eval.add_argument(
@@ -367,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p_eval)
 
     p_bench = sub.add_parser("bench", help="regenerate a paper table/figure")
-    p_bench.add_argument("experiment", choices=list(EXPERIMENTS) + ["all"])
+    p_bench.add_argument("experiment", choices=[*_EXPERIMENT_NAMES, "all"])
     p_bench.add_argument("--scale", type=float, default=None)
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--datasets", default=None, help="comma list to restrict inputs")
@@ -382,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .eval.datasets import load_or_generate
+
     dataset = load_or_generate(args.dataset, scale=args.scale, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     genome_path = os.path.join(args.out, f"{args.dataset}_genome.fasta")
@@ -987,6 +1003,9 @@ def _cmd_scaffold(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .eval.datasets import load_or_generate
+    from .eval.pipeline import run_mappers
+
     dataset = load_or_generate(
         args.dataset, scale=args.scale, seed=args.data_seed, cache_dir=args.cache_dir
     )
@@ -1002,6 +1021,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import ALL_EXPERIMENTS as EXPERIMENTS, BenchContext
+
     overrides: dict = {
         "seed": args.seed,
         "cache_dir": args.cache_dir,

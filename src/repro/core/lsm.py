@@ -70,7 +70,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import IndexCorruptError, MappingError, SketchError
+from ..errors import IndexCorruptError, MappingError
 from ..seq.records import SequenceSet
 from ..sketch.jem import subject_sketch_pairs
 from .config import JEMConfig

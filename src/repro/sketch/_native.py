@@ -4,9 +4,13 @@ The numpy kernels in :mod:`repro.sketch.jem` are dispatch-efficient but
 bound by 64-bit hardware division: every trial pays two ``uint64`` modulos
 per minimizer, and numpy cannot fuse the hash, the packed-key min and the
 interval reduction into one pass.  This module compiles (with the system C
-compiler, once per machine, cached by source hash) two tiny kernels that
+compiler, once per machine, cached by source hash) four small kernels that
 do exactly that:
 
+* ``jem_minimizer_kernel`` — step 1 for S2 and S4 alike: per sequence, one
+  rolling pass over the 2-bit codes (forward and reverse-complement k-mer
+  updated in O(1) per base, a branch-free block-scan window minimum) to
+  the concatenated minimizer block — ranks, positions, per-sequence counts;
 * ``jem_query_kernel`` — per trial, one sequential sweep hashing each
   minimizer with a Barrett-reduced LCG and tracking the packed
   ``(hash << 32) | index`` minimum per segment;
@@ -22,8 +26,10 @@ do exactly that:
   contiguous segment blocks (``REPRO_NATIVE_THREADS``).  Segments are
   independent, so the output is bit-identical for any thread count.
 
-Both are **bit-identical** to the numpy kernels and the per-trial
-reference paths: Barrett reduction computes the exact ``x mod p`` (one
+All are **bit-identical** to the numpy kernels and the per-trial
+reference paths: the minimizer pass packs the same ``(canon << 32) |
+position`` keys as :func:`~repro.sketch.minimizers.minimizers_set`, Barrett
+reduction computes the exact ``x mod p`` (one
 conditional subtract corrects the floor estimate), and tie-breaking uses
 the same packed keys.  The test suite asserts the equivalence.
 
@@ -536,7 +542,78 @@ int64_t jem_map_kernel(const uint64_t *qvalues, int64_t n,
     free(m);
     return rc;
 }
+
+/* ---- S1: rolling canonical (w, k)-minimizers ----------------------------- */
+
+/* Sequences [seq_lo, seq_hi) of the concatenated 2-bit code buffer, one
+   pass each: the forward and reverse-complement k-mers roll in O(1) per
+   base, `run` counts the valid bases ending here (a k-mer is valid iff
+   run >= k; code 4 resets it), and the minimum of every window of
+   weff = min(w, nk) packed keys (canon << 32) | position comes from the
+   van Herk block scan minimizers_set uses — a running prefix minimum of
+   the current weff-block and in-place suffix minima of the previous one —
+   which, unlike a deque, has no data-dependent branch.  A key is emitted
+   when the window minimum changes; windows of only invalid k-mers carry
+   the sentinel rank and are dropped after the change test, so the output
+   equals minimizers_set bit for bit.  block holds min(w, longest
+   sequence) keys.  Appends to ranks/positions from index 0, writes
+   counts[s] per sequence, returns the number emitted (at most one per
+   base of the range). */
+int64_t jem_minimizer_kernel(const uint8_t *codes, const int64_t *offsets,
+                             int64_t seq_lo, int64_t seq_hi,
+                             int64_t k, int64_t w, uint64_t *block,
+                             uint64_t *ranks, int64_t *positions,
+                             int64_t *counts) {
+    const uint64_t sentinel = 0xffffffffu;
+    const uint64_t kmask = (((uint64_t)1) << (2 * k)) - 1;
+    const int rc_shift = (int)(2 * (k - 1));
+    int64_t m = 0;
+    for (int64_t s = seq_lo; s < seq_hi; s++) {
+        const uint8_t *seq = codes + offsets[s];
+        const int64_t len = offsets[s + 1] - offsets[s];
+        const int64_t nk = len - k + 1;
+        const int64_t weff = w < nk ? w : nk;
+        const int64_t first = m;
+        uint64_t fwd = 0, rc = 0, prefix = UINT64_MAX, prev = UINT64_MAX;
+        int64_t run = 0, b = 0; /* b: slot of k-mer j in its block */
+        for (int64_t i = 0; i < len; i++) {
+            const uint64_t c = seq[i] & 3;
+            run = (seq[i] == 4) ? 0 : run + 1;
+            fwd = ((fwd << 2) | c) & kmask;
+            rc = (rc >> 2) | ((c ^ 3) << rc_shift);
+            const int64_t j = i - k + 1; /* k-mer index */
+            if (j < 0) continue;
+            const uint64_t canon = run >= k ? (fwd < rc ? fwd : rc) : sentinel;
+            const uint64_t key = (canon << 32) | (uint64_t)j;
+            /* slot b's suffix minimum was read one step ago: reuse it */
+            block[b] = key;
+            if (key < prefix) prefix = key;
+            uint64_t cur = prefix;
+            if (++b < weff) {
+                if (j < weff) continue; /* first block: no full window yet */
+                if (block[b] < cur) cur = block[b];
+            } else { /* block full: its suffix minima serve the next one */
+                for (int64_t q = weff - 1; q > 0; q--)
+                    if (block[q] < block[q - 1]) block[q - 1] = block[q];
+                b = 0;
+                prefix = UINT64_MAX;
+            }
+            if (cur == prev) continue;
+            prev = cur;
+            if ((cur >> 32) == sentinel) continue;
+            ranks[m] = cur >> 32;
+            positions[m++] = (int64_t)(cur & sentinel);
+        }
+        counts[s] = m - first;
+    }
+    return m;
+}
 """
+
+#: Bases handed to ``jem_minimizer_kernel`` per call.  The kernel can emit
+#: one minimizer per base (w = 1), so its output scratch is sized to one
+#: call's bases, not the whole set's, and each call's result is trimmed.
+_BLOCK_BASES = 1 << 20
 
 _lock = threading.Lock()
 _lib: "NativeKernels | None" = None
@@ -610,12 +687,68 @@ class NativeKernels:
             i64p, i64p,                    # best_subject, best_count
         ]
         dll.jem_map_kernel.restype = ctypes.c_int64
+        dll.jem_minimizer_kernel.argtypes = [
+            ctypes.POINTER(ctypes.c_uint8), i64p, i64, i64,  # codes, offsets, lo, hi
+            i64, i64, u64p,                                  # k, w, block
+            u64p, i64p, i64p,                                # ranks, positions, counts
+        ]
+        dll.jem_minimizer_kernel.restype = i64
 
     @staticmethod
     def _ptr(arr: np.ndarray, dtype, ctype):
         if arr.dtype != dtype or not arr.flags.c_contiguous:
             raise ValueError("native kernel inputs must be contiguous and typed")
         return arr.ctypes.data_as(ctypes.POINTER(ctype))
+
+    def minimizer_block(
+        self, codes: np.ndarray, offsets: np.ndarray, k: int, w: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Canonical (w, k)-minimizers of every sequence, concatenated (S1).
+
+        ``codes``/``offsets`` are a :class:`~repro.seq.records.SequenceSet`'s
+        buffer and offsets.  Returns ``(ranks, positions, counts)``: the
+        ``uint64`` canonical ranks and ``int64`` within-sequence positions
+        of all sequences back to back, and the ``int64`` number each
+        sequence contributed — what ``minimizers_set`` returns, without
+        the per-sequence objects.  Sequences go to the kernel in runs of
+        at most ``_BLOCK_BASES`` bases (a longer sequence alone), so the
+        scratch a call can fill is bounded by that, not by the set.
+        """
+        u64, i64 = np.uint64, np.int64
+        codes_p = self._ptr(codes, np.uint8, ctypes.c_uint8)
+        offsets_p = self._ptr(offsets, i64, ctypes.c_int64)
+        lengths = np.diff(offsets)
+        if offsets.size < 2 or offsets[0] < 0 or offsets[-1] > codes.size or lengths.min() < 0:
+            raise ValueError("offsets must be non-decreasing, inside codes, one sequence or more")
+        longest = int(lengths.max())
+        if not 1 <= k <= 16 or w < 1 or longest >> 32:
+            raise ValueError("minimizer kernel needs 1 <= k <= 16, w >= 1, sequences under 2^32 bases")
+        n = lengths.size
+        counts = np.empty(n, dtype=i64)
+        # a call emits at most one minimizer per base it is handed
+        cap = min(max(longest, _BLOCK_BASES), int(offsets[-1] - offsets[0]))
+        ranks = np.empty(cap, dtype=u64)
+        positions = np.empty(cap, dtype=i64)
+        w = min(int(w), max(longest, 1))
+        block = np.empty(w, dtype=u64)
+        scratch = (
+            self._ptr(block, u64, ctypes.c_uint64),
+            self._ptr(ranks, u64, ctypes.c_uint64),
+            self._ptr(positions, i64, ctypes.c_int64),
+            self._ptr(counts, i64, ctypes.c_int64),
+        )
+        rank_parts, position_parts = [], []
+        lo = 0
+        while lo < n:
+            hi = int(np.searchsorted(offsets, offsets[lo] + _BLOCK_BASES, side="right")) - 1
+            hi = min(max(hi, lo + 1), n)
+            m = self._dll.jem_minimizer_kernel(codes_p, offsets_p, lo, hi, k, w, *scratch)
+            rank_parts.append(ranks[:m].copy())
+            position_parts.append(positions[:m].copy())
+            lo = hi
+        if len(rank_parts) == 1:
+            return rank_parts[0], position_parts[0], counts
+        return np.concatenate(rank_parts), np.concatenate(position_parts), counts
 
     def query_values(
         self, values: np.ndarray, starts: np.ndarray, family, out: np.ndarray
@@ -764,8 +897,11 @@ def thread_count() -> int:
     """Threads for the fused map kernel's pthread loop.
 
     ``REPRO_NATIVE_THREADS`` overrides (clamped to >= 1, junk ignored);
-    the default is the machine's CPU count.  Read per call so tests and
-    operators can change it without reloading modules.
+    the default is the number of CPUs this process may run on (its
+    affinity mask where the platform has one, else the machine's count) —
+    a server pinned to one core maps its one-read batches inline instead
+    of spawning pthreads that share that core.  Read per call so tests
+    and operators can change it without reloading modules.
     """
     raw = os.environ.get("REPRO_NATIVE_THREADS")
     if raw:
@@ -773,6 +909,8 @@ def thread_count() -> int:
             return max(int(raw), 1)
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

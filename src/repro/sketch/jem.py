@@ -89,33 +89,50 @@ def jem_sketch_single(minis: MinimizerList, family: HashFamily) -> np.ndarray:
     return out
 
 
-def _concat_minimizer_lists(
-    lists: list[MinimizerList], ell: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate per-sequence minimizer lists with non-overlapping offsets.
+def _minimizer_block(
+    sequences: SequenceSet, k: int, w: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 1 for a whole set: every sequence's minimizers, back to back.
 
-    Returns ``(values, shifted_positions, owner, starts)`` where ``owner[i]``
-    is the index of the sequence that minimizer i came from and ``starts``
-    has one entry per list (offset of its first minimizer in the
-    concatenation).  Position offsets are spaced by ``max_pos + ell + 2`` so
-    an interval ``[p, p + ell]`` never reaches the next sequence.
+    Returns ``(ranks, positions, counts)`` — ``counts[i]`` minimizers of
+    sequence i, positions relative to its own start.  One native rolling
+    pass when the compiled kernels are loaded; otherwise numpy
+    :func:`minimizers_set`, the test oracle, concatenated — bit-identical.
     """
-    sizes = np.fromiter((len(ml) for ml in lists), dtype=np.int64, count=len(lists))
-    starts = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
-    total = int(starts[-1])
-    values = np.empty(total, dtype=np.uint64)
-    positions = np.empty(total, dtype=np.int64)
-    owner = np.empty(total, dtype=np.int64)
-    base = 0
-    for i, ml in enumerate(lists):
-        lo, hi = starts[i], starts[i + 1]
-        values[lo:hi] = ml.ranks
-        positions[lo:hi] = ml.positions + base
-        owner[lo:hi] = i
-        if len(ml):
-            base += int(ml.positions[-1]) + ell + 2
-    return values, positions, owner, starts
+    if not 1 <= k <= 16:
+        raise SketchError(f"minimizer extraction requires 1 <= k <= 16, got {k}")
+    if w < 1:
+        raise SketchError(f"window size must be >= 1, got {w}")
+    if len(sequences) == 0:
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    native = _native.load()
+    if native is not None:
+        return native.minimizer_block(sequences.buffer, sequences.offsets, k, w)
+    lists = minimizers_set(sequences, k, w)
+    counts = np.fromiter((len(ml) for ml in lists), dtype=np.int64, count=len(lists))
+    ranks = np.concatenate([ml.ranks for ml in lists])
+    return ranks, np.concatenate([ml.positions for ml in lists]), counts
+
+
+def _subject_minimizer_block(
+    subjects: SequenceSet, k: int, w: int, ell: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The subjects' minimizer block laid out for one global interval search.
+
+    Returns ``(values, shifted_positions, owner)`` where ``owner[i]`` is the
+    index of the sequence minimizer i came from.  Each non-empty sequence
+    pushes the next one's positions up by its last position ``+ ell + 2``,
+    so an interval ``[p, p + ell]`` never reaches the next sequence.
+    """
+    values, positions, counts = _minimizer_block(subjects, k, w)
+    ends = np.cumsum(counts)
+    step = np.zeros(counts.size, dtype=np.int64)
+    has = counts > 0
+    step[has] = positions[ends[has] - 1] + (ell + 2)
+    base = np.cumsum(step) - step
+    positions += np.repeat(base, counts)
+    owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    return values, positions, owner
 
 
 def subject_sketch_pairs(
@@ -151,8 +168,7 @@ def subject_sketch_pairs(
     ``subject_id_offset`` maps local contig indices to global ids when each
     parallel rank sketches only its block of contigs (step S2).
     """
-    lists = minimizers_set(subjects, k, w)
-    values, positions, owner, _ = _concat_minimizer_lists(lists, ell)
+    values, positions, owner = _subject_minimizer_block(subjects, k, w, ell)
     total = values.size
     if total == 0:
         return [np.empty(0, dtype=np.uint64) for _ in range(family.size)]
@@ -283,8 +299,7 @@ def subject_sketch_pairs_reference(
     sort.  Retained as the equivalence oracle for the property tests and
     the baseline the ``bench kernels`` experiment measures speedup against.
     """
-    lists = minimizers_set(subjects, k, w)
-    values, positions, owner, _ = _concat_minimizer_lists(lists, ell)
+    values, positions, owner = _subject_minimizer_block(subjects, k, w, ell)
     total = values.size
     if total == 0:
         return [np.empty(0, dtype=np.uint64) for _ in range(family.size)]
@@ -315,34 +330,25 @@ class QuerySketches:
         return int(self.values.shape[1])
 
 
-def _query_minimizer_concat(
+def query_minimizer_concat(
     segments: SequenceSet, k: int, w: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Shared query-side setup: concatenated ranks + segment bookkeeping.
 
     Returns ``(has, nonempty, values, starts)`` where ``values`` is the
     concatenation of every non-empty segment's minimizer ranks and
-    ``starts`` the segment boundaries for ``minimum.reduceat``.
+    ``starts`` the segment boundaries for ``minimum.reduceat``.  Public
+    because the fused map path needs the *pre-sketch* minimizer block so
+    the native kernel can hash, search and vote in one pass without a
+    (T, n) matrix.
     """
-    n = len(segments)
-    per_seg = [ml.ranks for ml in minimizers_set(segments, k, w)]
-    has = np.fromiter((r.size > 0 for r in per_seg), dtype=bool, count=n)
-    nonempty = np.flatnonzero(has)
-    if nonempty.size == 0:
-        return has, nonempty, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    values = np.concatenate([per_seg[i] for i in nonempty])
-    lengths = np.fromiter((per_seg[i].size for i in nonempty), dtype=np.int64)
-    starts = np.zeros(nonempty.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
+    values, _, counts = _minimizer_block(segments, k, w)
     if values.size >> 32:
         raise SketchError("too many minimizers for packed-key argmin")  # pragma: no cover
-    return has, nonempty, values, starts
-
-
-#: Public name for the query-side setup: the fused map path needs the
-#: *pre-sketch* minimizer block (values + segment starts) so the native
-#: kernel can hash, search and vote in one pass without a (T, n) matrix.
-query_minimizer_concat = _query_minimizer_concat
+    has = counts > 0
+    nonempty = np.flatnonzero(has)
+    lengths = counts[nonempty]
+    return has, nonempty, values, np.cumsum(lengths) - lengths
 
 
 def query_sketch_values(
@@ -356,7 +362,7 @@ def query_sketch_values(
     answer every trial at once; output is bit-identical to
     :func:`query_sketch_values_reference`.
     """
-    has, nonempty, values, starts = _query_minimizer_concat(segments, k, w)
+    has, nonempty, values, starts = query_minimizer_concat(segments, k, w)
     values_out = np.zeros((family.size, len(segments)), dtype=np.uint64)
     if nonempty.size == 0:
         return QuerySketches(values_out, has)
@@ -435,7 +441,7 @@ def query_sketch_values_reference(
     T loop bodies of hash + pack + ``reduceat``; retained as the test
     oracle and the ``bench kernels`` baseline.
     """
-    has, nonempty, values, starts = _query_minimizer_concat(segments, k, w)
+    has, nonempty, values, starts = query_minimizer_concat(segments, k, w)
     values_out = np.zeros((family.size, len(segments)), dtype=np.uint64)
     if nonempty.size == 0:
         return QuerySketches(values_out, has)

@@ -11,6 +11,8 @@ output must not depend on ``REPRO_NATIVE_THREADS``.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,31 @@ class TestFusedParity:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         got = fused_hits(store, family, values, starts, lengths, 1)
         assert got is None
+
+
+class TestThreadDefault:
+    def test_default_follows_affinity_mask(self, monkeypatch):
+        """Unset, the count is the CPUs this process may run on — a server
+        pinned to one core (as the ledger pins ``jem serve``) maps inline."""
+        monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
+        if not hasattr(os, "sched_getaffinity"):
+            assert _native.thread_count() == (os.cpu_count() or 1)
+            return
+        allowed = os.sched_getaffinity(0)
+        assert _native.thread_count() == len(allowed)
+        os.sched_setaffinity(0, {min(allowed)})
+        try:
+            assert _native.thread_count() == 1
+        finally:
+            os.sched_setaffinity(0, allowed)
+
+    def test_junk_override_falls_back_to_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
+        default = _native.thread_count()
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "many")
+        assert _native.thread_count() == default
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "0")
+        assert _native.thread_count() == 1
 
 
 @needs_native

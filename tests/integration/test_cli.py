@@ -159,6 +159,35 @@ def test_parser_rejects_unknown_dataset():
         build_parser().parse_args(["simulate", "martian_genome"])
 
 
+def test_parser_name_lists_match_the_registries():
+    """The parser spells its choices out so that building it imports neither
+    repro.bench nor repro.eval; the spelled-out lists must not drift."""
+    from repro import cli
+    from repro.bench import ALL_EXPERIMENTS
+    from repro.eval.datasets import DEFAULT_SCALE, dataset_names
+
+    assert list(cli._EXPERIMENT_NAMES) == list(ALL_EXPERIMENTS)
+    assert list(cli._DATASET_NAMES) == dataset_names()
+    assert cli._DEFAULT_SCALE == DEFAULT_SCALE
+
+
+def test_parser_builds_without_bench_or_eval():
+    """`jem index | map | serve` start-up does not pay for the harnesses."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys; from repro.cli import build_parser; build_parser(); "
+        "bad = [m for m in sys.modules if m.startswith(('repro.bench', 'repro.eval'))]; "
+        "sys.exit(1 if bad else 0)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_store_flag_is_gone(capsys):
     """The resident layout is not a CLI choice: `--store` is an argparse error."""
     with pytest.raises(SystemExit) as excinfo:
