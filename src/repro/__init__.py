@@ -11,47 +11,48 @@ Quickstart::
     result = mapper.map_reads(long_reads)
 """
 
-from .core import (
-    ColumnarSketchStore,
-    DictSketchStore,
-    JEMConfig,
-    JEMMapper,
-    MappingEngine,
-    MappingResult,
-    PipelineConfig,
-    load_index,
-    save_index,
-)
-from .errors import ReproError
-from .scaffold import Scaffolder
-from .seq import SeqRecord, SequenceSet, read_fasta, read_fastq, write_fasta, write_fastq
-from .service import MappingService, ServiceConfig
-from .sketch import HashFamily, MinimizerList, minimizers
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "JEMConfig",
-    "JEMMapper",
-    "MappingResult",
-    "MappingEngine",
-    "PipelineConfig",
-    "ColumnarSketchStore",
-    "DictSketchStore",
-    "save_index",
-    "load_index",
-    "Scaffolder",
-    "ReproError",
-    "SeqRecord",
-    "SequenceSet",
-    "read_fasta",
-    "read_fastq",
-    "write_fasta",
-    "write_fastq",
-    "MappingService",
-    "ServiceConfig",
-    "HashFamily",
-    "MinimizerList",
-    "minimizers",
-    "__version__",
-]
+#: Public name -> subpackage that defines it, imported on first access
+#: (PEP 562): ``python -m repro.cli index`` runs this file and must not pay
+#: for ``repro.service`` or ``repro.scaffold`` (multiprocessing, sockets).
+_EXPORTS = {
+    "JEMConfig": ".core",
+    "JEMMapper": ".core",
+    "MappingResult": ".core",
+    "MappingEngine": ".core",
+    "PipelineConfig": ".core",
+    "ColumnarSketchStore": ".core",
+    "DictSketchStore": ".core",
+    "save_index": ".core",
+    "load_index": ".core",
+    "Scaffolder": ".scaffold",
+    "ReproError": ".errors",
+    "SeqRecord": ".seq",
+    "SequenceSet": ".seq",
+    "read_fasta": ".seq",
+    "read_fastq": ".seq",
+    "write_fasta": ".seq",
+    "write_fastq": ".seq",
+    "MappingService": ".service",
+    "ServiceConfig": ".service",
+    "HashFamily": ".sketch",
+    "MinimizerList": ".sketch",
+    "minimizers": ".sketch",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value  # later lookups find it without coming here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -749,7 +749,7 @@ class MutableSketchStore:
                 [segment.values[t], segment.subjects[t]]
             )
         buf = io.BytesIO()
-        np.savez_compressed(buf, **payload_arrays)
+        np.savez(buf, **payload_arrays)  # stored, like the v3 bundle
         payload = buf.getvalue()
         rel = os.path.join(_SEGMENTS_DIR, f"seg_{seq:06d}.npz")
         atomic_write_bytes(os.path.join(self._dir, rel), payload)

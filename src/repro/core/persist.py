@@ -70,11 +70,12 @@ def _content_checksum(
     ``trials`` is the per-trial arrays exactly as stored — stacked
     ``(2, n)`` ``uint32`` columns — so the checksum covers the bytes on disk.
     """
-    crc = zlib.crc32(np.ascontiguousarray(config_arr).tobytes())
+    # crc32 reads the arrays' own buffers: no ``tobytes`` copy per trial
+    crc = zlib.crc32(np.ascontiguousarray(config_arr))
     crc = zlib.crc32(str(int(n_subjects)).encode(), crc)
     crc = zlib.crc32("\x00".join(str(n) for n in names).encode(), crc)
     for arr in trials:
-        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
+        crc = zlib.crc32(np.ascontiguousarray(arr), crc)
     return crc & 0xFFFFFFFF
 
 
@@ -109,8 +110,10 @@ def save_index(mapper: JEMMapper, path: str | os.PathLike) -> str:
     path = os.fspath(path)
     # np.savez appends .npz when missing; commit under the real file name
     final = path if path.endswith(".npz") else path + ".npz"
+    # stored, not deflated: hashed uint32 columns shrink by a third at
+    # ~12 MB/s, which cost more than sketching the contigs did
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **payload)
+    np.savez(buffer, **payload)
     # atomic commit: a crash mid-save can leave a stale tmp file, never a
     # torn bundle under the index's name
     tmp = f"{final}.tmp.{os.getpid()}"

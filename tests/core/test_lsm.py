@@ -18,6 +18,8 @@ import signal
 import subprocess
 import sys
 import textwrap
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -338,6 +340,43 @@ class TestDurability:
             assert np.array_equal(mapper.table.trial_keys(t), want[t])
 
 
+    def test_segments_are_stored_and_deflated_ones_still_reopen(self, rng, tmp_path):
+        """Segment files are written stored; a directory whose segments an
+        earlier commit deflated (same members, per-segment CRC over the file
+        bytes) opens to the same index and takes a stored segment next to them."""
+        run_dir, handle, model = self.seeded_durable(rng, tmp_path)
+        extra = _contig_pairs(rng, 2, prefix="d")
+        with handle:
+            handle.add_contigs(SequenceSet.from_strings(extra))
+            model.add(extra)
+            handle.flush()
+        manifest_path = os.path.join(run_dir, MANIFEST_NAME)
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        assert len(manifest["segments"]) == 2
+        for meta in manifest["segments"]:
+            seg_path = os.path.join(run_dir, meta["file"])
+            with zipfile.ZipFile(seg_path) as zf:
+                assert {m.compress_type for m in zf.infolist()} == {zipfile.ZIP_STORED}
+            # rewrite it the way np.savez_compressed did before
+            with np.load(seg_path) as data:
+                members = {key: data[key] for key in data.files}
+            np.savez_compressed(seg_path, **members)
+            with open(seg_path, "rb") as fh:
+                meta["crc32"] = zlib.crc32(fh.read()) & 0xFFFFFFFF
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        more = _contig_pairs(rng, 1, prefix="e")
+        with MutableSketchStore.open(run_dir) as reopened:
+            assert_key_parity(reopened, model)
+            reopened.add_contigs(SequenceSet.from_strings(more))
+            model.add(more)
+            reopened.flush()
+        with MutableSketchStore.open(run_dir) as again:
+            assert store_stats(again)["segments"] == 3
+            assert_key_parity(again, model)
+
+
 class TestBundleMigration:
     def test_v3_bundle_loads_as_generation_zero(self, rng, tmp_path):
         pairs = _contig_pairs(rng, 4)
@@ -420,18 +459,18 @@ class TestChaosRecovery:
             env=env, capture_output=True, text=True, timeout=120,
         )
 
-    @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_kill_resume_converges(self, seed, rng, tmp_path):
+    def chaos_case(self, rng, tmp_path, prefix, remove):
+        """Files for one CHAOS_CHILD run and the model it must converge on."""
         base = _contig_pairs(rng, 3)
-        extra = _contig_pairs(rng, 2, prefix="k")
+        extra = _contig_pairs(rng, 2, prefix=prefix)
         model = Model()
         model.add(base)
         model.add(extra)
-        model.remove("c1")
+        model.remove(remove)
         payload = {
             "config": {"k": CONFIG.k, "w": CONFIG.w, "ell": CONFIG.ell,
                        "trials": CONFIG.trials, "seed": CONFIG.seed},
-            "base": base, "extra": extra, "remove": ["c1"],
+            "base": base, "extra": extra, "remove": [remove],
         }
         payload_path = str(tmp_path / "payload.json")
         with open(payload_path, "w") as fh:
@@ -439,7 +478,11 @@ class TestChaosRecovery:
         script = str(tmp_path / "chaos_child.py")
         with open(script, "w") as fh:
             fh.write(CHAOS_CHILD)
-        run_dir = str(tmp_path / "idx")
+        return script, str(tmp_path / "idx"), payload_path, model
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_kill_resume_converges(self, seed, rng, tmp_path):
+        script, run_dir, payload_path, model = self.chaos_case(rng, tmp_path, "k", "c1")
 
         # the schedule appends 5 WAL records: 2 adds, 1 remove, flush, compact
         plan = ChaosPlan.seeded(seed, total_units=5)
@@ -455,26 +498,37 @@ class TestChaosRecovery:
             assert_key_parity(recovered, model)
             assert_mapping_parity(recovered, model, reads_over(model, rng))
 
+    @pytest.mark.parametrize("kill_after", [1, 2, 3, 4, 5])
+    def test_kill_at_every_record_reopens_to_one_state(self, kill_after, rng, tmp_path):
+        """SIGKILL right after each WAL record in turn — the flush and the
+        compact included, whose stored segment file is on disk by then:
+        whatever survived opens, opens again to the same keys, and the rerun
+        converges on the model."""
+        script, run_dir, payload_path, model = self.chaos_case(rng, tmp_path, "k", "c1")
+
+        overlay = {"REPRO_CHAOS_KILL_AFTER": str(kill_after)}
+        first = self.run_child(script, run_dir, payload_path, overlay)
+        assert first.returncode == -signal.SIGKILL, first.stderr
+
+        def survived():
+            with MutableSketchStore.open(run_dir) as handle:
+                keys = [handle.trial_keys(t) for t in range(CONFIG.trials)]
+                return handle.generation, handle.subject_names, keys
+
+        generation, names, keys = survived()
+        again = survived()
+        assert again[:2] == (generation, names)
+        assert all(np.array_equal(a, b) for a, b in zip(again[2], keys))
+
+        second = self.run_child(script, run_dir, payload_path, {})
+        assert second.returncode == 0, second.stderr
+        with MutableSketchStore.open(run_dir) as recovered:
+            assert recovered.current.is_clean
+            assert_key_parity(recovered, model)
+
     def test_torn_tail_is_discarded_on_replay(self, rng, tmp_path):
         """Explicit torn-write kill: the half-frame must not poison replay."""
-        base = _contig_pairs(rng, 3)
-        extra = _contig_pairs(rng, 2, prefix="t")
-        model = Model()
-        model.add(base)
-        model.add(extra)
-        model.remove("c0")
-        payload = {
-            "config": {"k": CONFIG.k, "w": CONFIG.w, "ell": CONFIG.ell,
-                       "trials": CONFIG.trials, "seed": CONFIG.seed},
-            "base": base, "extra": extra, "remove": ["c0"],
-        }
-        payload_path = str(tmp_path / "payload.json")
-        with open(payload_path, "w") as fh:
-            json.dump(payload, fh)
-        script = str(tmp_path / "chaos_child.py")
-        with open(script, "w") as fh:
-            fh.write(CHAOS_CHILD)
-        run_dir = str(tmp_path / "idx")
+        script, run_dir, payload_path, model = self.chaos_case(rng, tmp_path, "t", "c0")
 
         overlay = {"REPRO_CHAOS_KILL_AFTER": "2", "REPRO_CHAOS_TORN": "1"}
         first = self.run_child(script, run_dir, payload_path, overlay)

@@ -1,4 +1,6 @@
 import os
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -24,6 +26,28 @@ def _saved_bundle(tmp_path, contigs) -> str:
     mapper = JEMMapper(CFG)
     mapper.index(contigs)
     return save_index(mapper, tmp_path / "idx")
+
+
+def _deflated_bundle(tmp_path, contigs) -> str:
+    """A v3 bundle as every commit before stored bundles wrote it: the
+    same members through ``np.savez_compressed``."""
+    with np.load(_saved_bundle(tmp_path, contigs)) as data:
+        payload = {key: data[key] for key in data.files}
+    path = str(tmp_path / "deflated.npz")
+    np.savez_compressed(path, **payload)
+    return path
+
+
+def _member_data_spans(path) -> list[tuple[int, int, int]]:
+    """``(header offset, data start, data end)`` of every zip member."""
+    spans = []
+    with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
+        for info in zf.infolist():
+            fh.seek(info.header_offset + 26)
+            name_len, extra_len = struct.unpack("<HH", fh.read(4))
+            start = info.header_offset + 30 + name_len + extra_len
+            spans.append((info.header_offset, start, start + info.compress_size))
+    return spans
 
 
 def _v2_bundle(tmp_path, contigs) -> str:
@@ -61,6 +85,9 @@ def _v2_bundle(tmp_path, contigs) -> str:
     return path
 
 
+BUNDLES = {"v3": _saved_bundle, "v3-deflated": _deflated_bundle, "v2": _v2_bundle}
+
+
 def test_round_trip(tmp_path, tiling_contigs, clean_reads):
     mapper = JEMMapper(CFG)
     mapper.index(tiling_contigs)
@@ -78,6 +105,28 @@ def test_round_trip(tmp_path, tiling_contigs, clean_reads):
     expected = mapper.map_reads(clean_reads)
     got = loaded.map_reads(clean_reads)
     assert np.array_equal(got.subject, expected.subject)
+
+
+def test_bundle_members_are_stored_not_deflated(tmp_path, tiling_contigs):
+    path = _saved_bundle(tmp_path, tiling_contigs)
+    with zipfile.ZipFile(path) as zf:
+        members = zf.infolist()
+    assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
+    assert all(m.compress_size == m.file_size for m in members)
+
+
+def test_deflated_bundle_from_an_earlier_commit_still_loads(tmp_path, tiling_contigs):
+    path = _deflated_bundle(tmp_path, tiling_contigs)
+    with zipfile.ZipFile(path) as zf:
+        assert {m.compress_type for m in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+    old = load_index(path)
+    new = load_index(_saved_bundle(tmp_path, tiling_contigs))
+    assert old.config == new.config
+    assert old.subject_names == new.subject_names
+    assert old.table.n_subjects == new.table.n_subjects
+    for t in range(CFG.trials):
+        assert np.array_equal(old.table.values[t], new.table.values[t])
+        assert np.array_equal(old.table.subjects[t], new.table.subjects[t])
 
 
 def test_load_without_suffix(tmp_path, tiling_contigs):
@@ -137,13 +186,12 @@ def test_missing_key_is_clear_error(tmp_path, tiling_contigs):
         load_index(path)
 
 
-@pytest.mark.parametrize("bundle", ["v3", "v2"])
+@pytest.mark.parametrize("bundle", list(BUNDLES))
 @pytest.mark.parametrize("fraction", BOUNDARIES)
 def test_truncation_at_every_boundary_is_typed_with_offset(
     tmp_path, tiling_contigs, bundle, fraction
 ):
-    build = _saved_bundle if bundle == "v3" else _v2_bundle
-    path = build(tmp_path, tiling_contigs)
+    path = BUNDLES[bundle](tmp_path, tiling_contigs)
     raw = open(path, "rb").read()
     cut = max(1, int(len(raw) * fraction))
     with open(path, "wb") as fh:
@@ -156,7 +204,7 @@ def test_truncation_at_every_boundary_is_typed_with_offset(
     assert "rebuild the index" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("bundle", ["v3", "v2"])
+@pytest.mark.parametrize("bundle", list(BUNDLES))
 @pytest.mark.parametrize("fraction", BOUNDARIES)
 def test_bitflip_at_every_boundary_never_maps_silently_wrong(
     tmp_path, tiling_contigs, bundle, fraction
@@ -169,12 +217,19 @@ def test_bitflip_at_every_boundary_never_maps_silently_wrong(
     surface as :class:`IndexCorruptError`, never a wrong mapping.  A v2
     bundle never loads at all: damaged it is corrupt, intact-looking it
     is the typed "format 2 unsupported" refusal.
+
+    In a stored bundle a flip inside a member lands in raw ``.npy`` bytes
+    with no inflate step to trip over: the zip member CRC is what catches
+    it, before the content checksum is ever computed.
     """
-    build = _saved_bundle if bundle == "v3" else _v2_bundle
-    path = build(tmp_path, tiling_contigs)
+    path = BUNDLES[bundle](tmp_path, tiling_contigs)
     pristine = load_index(_saved_bundle(tmp_path, tiling_contigs))
     raw = bytearray(open(path, "rb").read())
     offset = min(int(len(raw) * fraction), len(raw) - 1)
+    hit_member = [
+        header for header, start, end in _member_data_spans(path)
+        if start <= offset < end
+    ]
     raw[offset] ^= 0xFF
     with open(path, "wb") as fh:
         fh.write(bytes(raw))
@@ -182,10 +237,14 @@ def test_bitflip_at_every_boundary_never_maps_silently_wrong(
         loaded = load_index(path)
     except IndexCorruptError as exc:
         assert exc.path == path
+        if bundle == "v3" and hit_member:
+            assert isinstance(exc.__cause__, zipfile.BadZipFile)
+            assert "Bad CRC-32" in str(exc.__cause__)
+            assert exc.offset == hit_member[0]
     except MappingError as exc:
         assert bundle == "v2" and "index format 2 unsupported" in str(exc)
     else:
-        assert bundle == "v3"
+        assert bundle != "v2" and not hit_member
         assert loaded.config == pristine.config
         assert loaded.subject_names == pristine.subject_names
         for t in range(loaded.config.trials):
@@ -197,7 +256,7 @@ def test_bitflip_at_every_boundary_never_maps_silently_wrong(
 def test_member_bitflip_localises_to_an_offset(tmp_path, tiling_contigs):
     path = _saved_bundle(tmp_path, tiling_contigs)
     raw = bytearray(open(path, "rb").read())
-    raw[len(raw) // 2] ^= 0xFF  # inside some member's compressed data
+    raw[len(raw) // 2] ^= 0xFF  # inside some member's data
     with open(path, "wb") as fh:
         fh.write(bytes(raw))
     with pytest.raises(IndexCorruptError) as excinfo:

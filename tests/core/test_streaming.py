@@ -4,7 +4,7 @@ import pytest
 from repro.core import JEMConfig, JEMMapper
 from repro.core.streaming import map_file, map_reads_stream
 from repro.errors import MappingError
-from repro.seq import write_fastq
+from repro.seq import io_fasta, write_fasta, write_fastq
 
 
 CFG = JEMConfig(k=12, w=20, ell=500, trials=8, seed=13)
@@ -63,3 +63,46 @@ def test_map_file_fastq(tmp_path, mapper, clean_reads):
         [batch.subject for batch in map_file(mapper, str(path), batch_size=6)]
     )
     assert np.array_equal(got, bulk.subject)
+
+
+def test_map_file_fasta_asks_for_blocks_lazily(tmp_path, monkeypatch, mapper, clean_reads):
+    """The FASTA reader stays a stream: a block is read only when the batch
+    being built needs it, so the resident set does not grow with the file."""
+    path = tmp_path / "reads.fasta"
+    write_fasta(path, clean_reads)
+    block = 4096
+    n_blocks = -(-path.stat().st_size // block)
+    assert n_blocks > 20
+    asked = []
+
+    class CountingFile:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def read(self, size):
+            assert size <= block
+            asked.append(size)
+            return self.handle.read(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+    open_binary = io_fasta._open_binary
+    monkeypatch.setattr(io_fasta, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(io_fasta, "_open_binary", lambda p: CountingFile(open_binary(p)))
+    batches = map_file(mapper, str(path), batch_size=5)
+    assert asked == []  # nothing is read before the first batch is asked for
+    subjects = []
+    asked_per_batch = []
+    for batch in batches:
+        subjects.append(batch.subject)
+        asked_per_batch.append(len(asked))
+    # 4 batches of 5 reads: each costs about a quarter of the file's blocks
+    assert len(asked_per_batch) == 4
+    assert asked_per_batch[0] <= n_blocks // 4 + 2
+    assert asked_per_batch == sorted(asked_per_batch)
+    assert asked_per_batch[-1] == n_blocks + 1  # the last read returns b""
+    assert np.array_equal(np.concatenate(subjects), mapper.map_reads(clean_reads).subject)

@@ -188,6 +188,39 @@ def test_parser_builds_without_bench_or_eval():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
+    """`jem index` and `jem map --index` import what they run: the package
+    ``__init__``s resolve their re-exports lazily, so the service, network,
+    scaffolding and alignment layers (and multiprocessing / asyncio with
+    them) stay out of the one-shot round."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    contigs, reads = tmp_path / "contigs.fasta", tmp_path / "reads.fasta"
+    contigs.write_text(">c1\n" + "acgtgcatta" * 60 + "\n")
+    reads.write_text(">r1\n" + "acgtgcatta" * 40 + "\n")
+    code = (
+        "import sys; from repro.cli import main; rc = main(sys.argv[1:]); "
+        "heavy = ('repro.service', 'repro.netserve', 'repro.scaffold', "
+        "'repro.align', 'multiprocessing', 'asyncio'); "
+        "bad = [m for m in heavy if m in sys.modules]; "
+        "print(bad, file=sys.stderr); sys.exit(rc or len(bad))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    idx = str(tmp_path / "idx.npz")
+    for argv in (
+        ["index", "-s", str(contigs), "-o", idx, "--trials", "4"],
+        ["map", "-q", str(reads), "--index", idx, "-o", str(tmp_path / "out.tsv")],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+
+
 def test_store_flag_is_gone(capsys):
     """The resident layout is not a CLI choice: `--store` is an argparse error."""
     with pytest.raises(SystemExit) as excinfo:

@@ -59,10 +59,11 @@ def test_fastq_truncated_record(tmp_path):
 def test_fasta_with_windows_bom_fails_cleanly(tmp_path):
     path = tmp_path / "bom.fasta"
     path.write_bytes(b"\xef\xbb\xbf>a\nacgt\n")
-    # BOM bytes are not valid ASCII; the decode error should surface,
-    # not silently corrupt the record
-    with pytest.raises(Exception):
+    # BOM bytes are not valid ASCII: a typed error with the file and line,
+    # never a codec traceback and never silently coded as sequence
+    with pytest.raises(ParseError, match="non-ASCII") as info:
         list(iter_fasta(path))
+    assert info.value.line == 1 and info.value.path == str(path)
 
 
 def test_write_empty_set(tmp_path):
