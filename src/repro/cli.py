@@ -4,8 +4,9 @@ Subcommands:
 
 * ``simulate`` — generate one of the Table I datasets to FASTA/FASTQ files;
 * ``map``      — map long reads (FASTA/FASTQ) to contigs (FASTA) and write
-  a TSV of ⟨segment, contig, hits⟩ (mapper: jem / mashmap / minhash;
-  ``-p`` > 1 runs the simulated-SPMD parallel driver);
+  a TSV of ⟨segment, contig, hits⟩, batch by batch as the reads are parsed
+  (mapper: jem / mashmap / minhash; ``-p`` > 1 runs the simulated-SPMD
+  parallel driver, or N kernel threads with ``--backend process``);
 * ``store-stats`` — inspect a saved index (bundle or mutable directory):
   generation, segments, memtable, tombstones, byte breakdown;
 * ``serve``    — long-lived mapping service over stdin/stdout NDJSON
@@ -27,6 +28,7 @@ output is bit-identical to an uninterrupted run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -238,23 +240,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("-o", "--output", default="-", help="output TSV ('-' = stdout)")
     p_map.add_argument("--mapper", choices=MAPPER_KINDS, default="jem")
     p_map.add_argument("-p", "--processes", type=int, default=1,
-                       help="simulated ranks for the parallel driver (jem only)")
+                       help="ranks of the simulated parallel driver, or kernel "
+                            "threads with --backend process (jem only)")
     p_map.add_argument("--backend", choices=("simulated", "process"), default="simulated",
-                       help="parallel backend for -p > 1: instrumented SPMD "
-                            "simulation or real worker processes")
+                       help="what -p > 1 means: instrumented SPMD simulation, "
+                            "or mapping in-process on -p native threads (worker "
+                            "processes under --inject-faults / --checkpoint-dir)")
     p_map.add_argument("--paf", action="store_true",
                        help="write PAF with coordinates instead of the TSV "
                             "(requires -s, not --index)")
     p_map.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
-                       help="abort on unrecoverable faults (--no-strict degrades "
-                            "to a partial mapping and reports the lost reads)")
+                       help="fault-injected / checkpointed runs: abort on "
+                            "unrecoverable faults (--no-strict degrades to a "
+                            "partial mapping and reports the lost reads)")
     p_map.add_argument("--timeout", type=float, default=60.0,
-                       help="per-work-unit timeout in seconds for the process "
-                            "backend (dead/hung worker detection; default 60)")
-    p_map.add_argument("--transport", choices=("shm", "pickle"), default="shm",
-                       help="process-backend transport for read-only blocks: "
-                            "publish once in shared memory (default) or pickle "
-                            "a copy into every work unit")
+                       help="per-work-unit timeout in seconds of worker-process "
+                            "(fault-injected, checkpointed) runs: dead/hung "
+                            "worker detection (default 60)")
     p_map.add_argument("--on-error", choices=("raise", "skip"), default="raise",
                        help="input parser policy: abort on malformed records "
                             "or skip them with a counted warning")
@@ -555,6 +557,25 @@ def _report_partial(partial) -> None:
             print(f"warning: unmapped read {name}", file=sys.stderr)
 
 
+@contextlib.contextmanager
+def _tsv_output(path: str):
+    """The handle `jem map` writes: stdout for ``-``, else a file next to
+    ``path`` that is renamed over it only when the body finishes — a run that
+    fails after some batches leaves no plausible, truncated TSV behind."""
+    if path == "-":
+        yield sys.stdout
+        return
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _cmd_map(args: argparse.Namespace) -> int:
     args = _apply_resume(args, "map")
     if args.queries is None:
@@ -562,43 +583,44 @@ def _cmd_map(args: argparse.Namespace) -> int:
         return 2
     if not _require_one_source(args):
         return 2
+    if args.paf and args.index is not None:
+        print("error: --paf needs contig sequences; use -s", file=sys.stderr)
+        return 2
     if args.checkpoint_dir:
         from .resilience import save_invocation
 
         save_invocation(args.checkpoint_dir, _invocation_payload(args, "map"))
     engine = _engine_from(args)
-    config = engine.pipeline.jem
-    queries = read_sequences(args.queries, on_error=args.on_error)
-    run = engine.map_queries(queries)
-    result = run.mapping
-    subject_names = run.subject_names
-    timing = run.timing_line()
-    _report_partial(run.partial)
     if args.paf:
-        if args.index is not None:
-            print("error: --paf needs contig sequences; use -s", file=sys.stderr)
-            return 2
         from .core.paf import write_paf
         from .core.segments import extract_end_segments
 
+        config = engine.pipeline.jem
+        queries = read_sequences(args.queries, on_error=args.on_error)
+        run = engine.map_queries(queries)
+        _report_partial(run.partial)
         segments, _ = extract_end_segments(queries, config.ell)
-        n = write_paf(args.output, result, segments, engine.subjects,
+        n = write_paf(args.output, run.mapping, segments, engine.subjects,
                       trials=config.trials, k=config.k)
         print(f"wrote {n} PAF records", file=sys.stderr)
         return 0
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
-    try:
-        out.write(f"# jem-mapper {__version__} {timing}\n")
+    subject_names = engine.subject_names
+    mapped = total = 0
+    with _tsv_output(args.output) as out:
+        out.write(f"# jem-mapper {__version__} # {engine.describe()}\n")
         out.write("segment\tcontig\thits\n")
-        for i in range(len(result)):
-            sid = int(result.subject[i])
-            label = subject_names[sid] if sid >= 0 else "*"
-            out.write(f"{result.segment_names[i]}\t{label}\t{int(result.hit_count[i])}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    mapped = result.n_mapped
-    print(f"mapped {mapped}/{len(result)} segments ({100 * mapped / max(len(result), 1):.1f}%)",
+        # one batch at a time: in-process modes stream, whole-set modes yield one
+        for result in engine.map_file(args.queries):
+            for name, sid, hits in zip(
+                result.segment_names, result.subject.tolist(), result.hit_count.tolist()
+            ):
+                out.write(f"{name}\t{subject_names[sid] if sid >= 0 else '*'}\t{hits}\n")
+            mapped += result.n_mapped
+            total += len(result)
+        run = engine.last_run
+        out.write(run.timing_line() + "\n")
+    _report_partial(run.partial)
+    print(f"mapped {mapped}/{total} segments ({100 * mapped / max(total, 1):.1f}%)",
           file=sys.stderr)
     return 0
 

@@ -1,26 +1,21 @@
 """One engine, five frontends — the build-index / map-queries lifecycle.
 
-Before this module, every frontend assembled the pipeline its own way: the
-CLI's ``map`` had four hand-rolled dispatch branches plus
-``_jem_mapper_from``, ``serve`` repeated the same wiring, the parallel
-driver carried its own S1–S4 assembly, and the service had
-``from_index``/``from_contigs`` classmethods — five places to touch for any
-change to how an index is built or a store is chosen.
-
-Now there is one typed :class:`PipelineConfig` (algorithm constants +
-mapper choice + execution backend), a :class:`Mapper`
-protocol with a registry (``jem``, ``minhash``, ``mashmap``,
-``minimap-lite``), and a :class:`MappingEngine` that owns the lifecycle:
+One typed :class:`PipelineConfig` (algorithm constants + mapper choice +
+execution backend), a :class:`Mapper` protocol with a registry (``jem``,
+``minhash``, ``mashmap``, ``minimap-lite``), and a :class:`MappingEngine`
+that owns the lifecycle:
 
 * :meth:`MappingEngine.use_subjects` / :meth:`MappingEngine.use_index`
   declare where the index comes from (sequences or a persisted bundle);
-* :meth:`MappingEngine.map_queries` runs one batch through the configured
-  execution mode (inline, instrumented SPMD simulation, or the
-  worker-process backend) and returns an :class:`EngineRun` carrying the
-  mapping plus the run's timing/fault telemetry;
-* :meth:`MappingEngine.map_stream`, :meth:`MappingEngine.map_tiled` and
-  :meth:`MappingEngine.service` expose the streaming, tiled and resident
-  frontends over the same mapper instance.
+* :meth:`MappingEngine.map_file` is the loop ``jem map`` runs: a read file
+  mapped batch by batch as it is parsed (a whole-set mode is its
+  one-batch case);
+* :meth:`MappingEngine.map_queries` runs one resident batch through the
+  configured execution mode — inline, instrumented SPMD simulation, or,
+  for fault-injected and checkpointed runs, worker processes — and returns
+  an :class:`EngineRun` carrying the mapping plus timing/fault telemetry;
+* :meth:`MappingEngine.map_tiled` and :meth:`MappingEngine.service` expose
+  the tiled and resident frontends over the same mapper instance.
 
 The engine never changes *what* is computed — for any config, every
 execution mode yields the sequential mapper's output bit for bit (the
@@ -32,15 +27,14 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, runtime_checkable
 
 from ..errors import MappingError
-from ..seq.io_fasta import read_fasta
-from ..seq.records import SequenceSet
+from ..seq.io_fasta import ParseReport
+from ..seq.records import SequenceSet, SequenceSetBuilder
 from .config import JEMConfig
 from .mapper import JEMMapper, MappingResult
+from .streaming import iter_records, map_file
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..parallel.costmodel import StepTimes
@@ -56,6 +50,7 @@ __all__ = [
     "build_mapper",
     "MappingEngine",
     "EngineRun",
+    "RunTelemetry",
     "native_summary",
     "read_sequences",
 ]
@@ -99,7 +94,6 @@ class PipelineConfig:
     mapper: str = "jem"
     processes: int = 1
     backend: str = "simulated"
-    transport: str = "shm"
     strict: bool = True
     timeout: float = 60.0
     on_error: str = "raise"
@@ -128,7 +122,6 @@ class PipelineConfig:
             mapper=getattr(args, "mapper", "jem"),
             processes=getattr(args, "processes", 1),
             backend=getattr(args, "backend", "simulated"),
-            transport=getattr(args, "transport", "shm"),
             strict=getattr(args, "strict", True),
             timeout=getattr(args, "timeout", 60.0),
             on_error=getattr(args, "on_error", "raise"),
@@ -144,12 +137,20 @@ class PipelineConfig:
 
         return FaultPlan.seeded(self.inject_faults, max(self.processes, 1))
 
+    @property
+    def kernel_threads(self) -> int | None:
+        """Threads ``-p N --backend process`` asks of the fused map kernel
+        (None: the kernel's own :func:`~repro.sketch._native.thread_count`)."""
+        if self.backend == "process" and self.processes > 1:
+            return self.processes
+        return None
+
 
 # -- mapper registry ---------------------------------------------------------
 
 
 def _make_jem(pipeline: PipelineConfig) -> Mapper:
-    return JEMMapper(pipeline.jem)
+    return JEMMapper(pipeline.jem, threads=pipeline.kernel_threads)
 
 
 def _make_minhash(pipeline: PipelineConfig) -> Mapper:
@@ -203,101 +204,100 @@ def build_mapper(pipeline: PipelineConfig) -> Mapper:
 # -- input loading -----------------------------------------------------------
 
 
-def read_sequences(path: str, *, on_error: str = "raise") -> SequenceSet:
-    """Load FASTA or FASTQ by extension, with the shared skip-warning.
-
-    The one argparse-independent input loader every frontend shares (the
-    CLI's ``map``/``client``/``scaffold`` all used private copies of this).
-    """
-    from ..seq.io_fasta import ParseReport
-
-    report = ParseReport()
-    if path.endswith((".fq", ".fastq", ".fq.gz", ".fastq.gz")):
-        from ..seq.io_fastq import read_fastq
-
-        seqs = read_fastq(path, on_error=on_error, report=report)
-    else:
-        seqs = read_fasta(path, on_error=on_error, report=report)
+def _warn_skipped(report: ParseReport, path: str) -> None:
     if report.skipped:
         print(
             f"warning: skipped {report.skipped} malformed record(s) in {path}",
             file=sys.stderr,
         )
-    return seqs
+
+
+def read_sequences(path: str, *, on_error: str = "raise") -> SequenceSet:
+    """Load a whole FASTA or FASTQ file (by extension), with the shared
+    skip-warning: what `client`/`scaffold`/`chaos` and `map`'s whole-set modes use."""
+    report = ParseReport()
+    builder = SequenceSetBuilder()
+    for rec in iter_records(path, on_error=on_error, report=report):
+        builder.add(rec.name, rec.codes, rec.meta)
+    _warn_skipped(report, path)
+    return builder.build()
 
 
 # -- the engine --------------------------------------------------------------
 
 
-def native_summary() -> str:
-    """One token describing the native-kernel state, for timing lines.
+def native_summary(threads: int | None = None) -> str:
+    """One token describing the native-kernel state, for TSV headers.
 
-    ``native=fused,threads=N`` when the compiled fast path is loaded,
+    ``native=fused,threads=N`` when the compiled fast path is loaded (N
+    being ``threads``, or the kernel's default when None),
     ``native=off(<reason>)`` otherwise — the reason being the kill switch
-    or the recorded compile failure, so a pasted timing line is enough to
-    tell which backend produced a run and why.
+    or the recorded compile failure, so a pasted header is enough to tell
+    which backend produced a run and why.
     """
     from ..sketch import _native
 
     info = _native.availability()
     if info["available"]:
-        return f"native=fused,threads={info['threads']}"
+        return f"native=fused,threads={threads or info['threads']}"
     reason = info["error"] or "unavailable"
     return f"native=off({reason.splitlines()[0][:60]})"
 
 
-@dataclass
-class EngineRun:
-    """One :meth:`MappingEngine.map_queries` batch and its telemetry.
+#: :attr:`RunTelemetry.mode` values that map in this process, on the resident mapper.
+_INLINE_MODES = ("inline", "saved-index")
+
+#: How TSV comment lines spell each mode.
+_LABELS = {
+    "inline": "{mapper}",
+    "saved-index": "jem (saved index)",
+    "simulated": "parallel p={processes}",
+    "process": "process backend p={processes}",
+}
+
+
+@dataclass(kw_only=True)
+class RunTelemetry:
+    """What a finished run reports, mapping aside.
 
     ``mode`` names the execution path taken (``inline``, ``saved-index``,
-    ``simulated``, ``process``); ``steps`` carries the simulation's
-    modelled S1–S4 breakdown and ``report`` the process backend's recovery
-    accounting (each ``None`` on the other paths).
+    ``simulated``, ``process``) and ``label`` is how TSV comment lines
+    spell it; ``steps`` carries the simulation's modelled S1–S4 breakdown
+    and ``report`` the worker-process backend's recovery accounting (each
+    ``None`` on the other paths).
     """
 
-    mapping: MappingResult
-    subject_names: list[str]
     mode: str
     elapsed: float
-    mapper_name: str = "jem"
-    processes: int = 1
+    label: str = "jem"
     partial: "PartialResult | None" = None
     steps: "StepTimes | None" = None
     report: "RecoveryReport | None" = None
 
     def timing_line(self) -> str:
-        """The ``#``-comment timing summary the CLI writes above the TSV.
-
-        Ends with the native-kernel state (``native=fused,threads=N`` or
-        ``native=off(<reason>)``) so a TSV header always records whether
-        the fused C path or the numpy fallback produced the run.
-        """
-        if self.mode == "saved-index":
-            line = f"# jem (saved index): {self.elapsed:.3f}s wall"
-        elif self.mode == "simulated":
-            assert self.steps is not None
+        """The ``#``-comment timing summary the CLI writes below the TSV."""
+        if self.steps is not None:
             line = (
-                f"# parallel p={self.processes}: modelled time "
-                f"{self.steps.total_time:.3f}s, "
+                f"# {self.label}: modelled time {self.steps.total_time:.3f}s, "
                 f"comm {100 * self.steps.comm_fraction:.1f}%"
             )
             if self.steps.recovery_time > 0:
                 line += f", recovery {self.steps.recovery_time:.3f}s"
-        elif self.mode == "process":
-            assert self.report is not None
-            line = (
-                f"# process backend p={self.processes} "
-                f"({self.report.transport}): {self.elapsed:.3f}s wall"
+            return line
+        line = f"# {self.label}: {self.elapsed:.3f}s wall"
+        if self.report is not None and self.report.faults_encountered:
+            line += (
+                f", recovery {self.report.recovery_seconds:.3f}s "
+                f"({self.report.redispatches} re-dispatches)"
             )
-            if self.report.faults_encountered:
-                line += (
-                    f", recovery {self.report.recovery_seconds:.3f}s "
-                    f"({self.report.redispatches} re-dispatches)"
-                )
-        else:
-            line = f"# {self.mapper_name}: {self.elapsed:.3f}s wall"
-        return f"{line} [{native_summary()}]"
+        return line
+
+
+@dataclass(kw_only=True)
+class EngineRun(RunTelemetry):
+    """One :meth:`MappingEngine.map_queries` batch: the mapping and its telemetry."""
+
+    mapping: MappingResult
 
 
 class MappingEngine:
@@ -315,6 +315,8 @@ class MappingEngine:
         self._subjects: SequenceSet | None = None
         self._from_saved_index = False
         self._index_path: str | None = None
+        #: telemetry of the last :meth:`map_file` run, set once it is exhausted
+        self.last_run: RunTelemetry | None = None
 
     # -- source selection ---------------------------------------------------
 
@@ -345,7 +347,9 @@ class MappingEngine:
             )
         from .persist import load_index
 
-        self._mapper = load_index(path)
+        mapper = load_index(path)
+        mapper.threads = self.pipeline.kernel_threads
+        self._mapper = mapper
         self._subjects = None
         self._from_saved_index = True
         self._index_path = path
@@ -374,6 +378,9 @@ class MappingEngine:
 
     @property
     def subject_names(self) -> list[str]:
+        """Contig names by subject id (without building an unbuilt index)."""
+        if self._subjects is not None:
+            return self._subjects.names
         return self.mapper.subject_names
 
     @property
@@ -384,15 +391,59 @@ class MappingEngine:
 
     # -- batch mapping ------------------------------------------------------
 
+    def _mode(self) -> str:
+        """The execution path this pipeline takes (:attr:`RunTelemetry.mode`).
+        Worker processes run only where isolation is the point — a fault plan or
+        a checkpoint directory; else ``--backend process -p N`` is N kernel threads."""
+        pipe = self.pipeline
+        checkpointed = pipe.checkpoint_dir is not None
+        if self._from_saved_index:
+            return "saved-index"
+        if not checkpointed and (pipe.mapper != "jem" or pipe.processes == 1):
+            return "inline"
+        if pipe.backend == "process" and pipe.processes > 1:
+            isolated = checkpointed or pipe.inject_faults is not None
+            return "process" if isolated else "inline"
+        return "simulated"
+
+    def _label(self, mode: str) -> str:
+        pipe = self.pipeline
+        return _LABELS[mode].format(mapper=pipe.mapper, processes=pipe.processes)
+
+    def describe(self) -> str:
+        """Execution mode and native-kernel state: what a TSV header records."""
+        summary = native_summary(self.pipeline.kernel_threads)
+        return f"{self._label(self._mode())} [{summary}]"
+
+    def _inline_mapper(self, mode: str) -> Mapper:
+        """The resident mapper, for an in-process run (which says what it ignores)."""
+        pipe = self.pipeline
+        if mode == "saved-index" and pipe.processes > 1 and pipe.backend == "simulated":
+            print(
+                "warning: the simulated backend needs contig sequences; a saved "
+                f"index maps inline, ignoring -p/--processes {pipe.processes}",
+                file=sys.stderr,
+            )
+        return self.mapper
+
+    def _telemetry(self, mode: str, t0: float, **extra: Any) -> dict[str, Any]:
+        """The :class:`RunTelemetry` fields of a run that started at ``t0``."""
+        return {
+            "mode": mode, "elapsed": time.perf_counter() - t0,
+            "label": self._label(mode), **extra,
+        }
+
     def map_queries(self, reads: SequenceSet) -> EngineRun:
         """Map one read batch through the configured execution mode.
 
-        Inline (``processes == 1``, any mapper, or a saved index), the
-        instrumented SPMD simulation, or the worker-process backend — all
-        produce bit-identical mappings; the mode only changes telemetry.
+        Inline (``processes == 1``, any mapper, a saved index, or the
+        process backend without a fault plan), the instrumented SPMD
+        simulation, or the worker-process backend — all produce
+        bit-identical mappings; the mode only changes telemetry.
         """
         pipe = self.pipeline
         t0 = time.perf_counter()
+        mode = self._mode()
         if pipe.checkpoint_dir is not None:
             if pipe.mapper != "jem":
                 raise MappingError(
@@ -401,91 +452,64 @@ class MappingEngine:
                 )
             from ..resilience.runner import map_queries_checkpointed
 
-            return map_queries_checkpointed(self, reads, t0=t0)
-        if self._from_saved_index:
-            if pipe.processes > 1:
-                print(
-                    "warning: a saved index maps inline; ignoring "
-                    f"-p/--processes {pipe.processes} and "
-                    f"--backend {pipe.backend}",
-                    file=sys.stderr,
-                )
-            mapping = self.mapper.map_reads(reads)
-            return EngineRun(
-                mapping=mapping,
-                subject_names=self.mapper.subject_names,
-                mode="saved-index",
-                elapsed=time.perf_counter() - t0,
-                mapper_name=pipe.mapper,
-            )
-        if pipe.mapper != "jem" or pipe.processes == 1:
-            mapping = self.mapper.map_reads(reads)
-            return EngineRun(
-                mapping=mapping,
-                subject_names=self.mapper.subject_names,
-                mode="inline",
-                elapsed=time.perf_counter() - t0,
-                mapper_name=pipe.mapper,
-            )
-        if pipe.backend == "process":
+            return map_queries_checkpointed(self, reads, mode=mode, t0=t0)
+        if mode in _INLINE_MODES:
+            mapping = self._inline_mapper(mode).map_reads(reads)
+            return EngineRun(mapping=mapping, **self._telemetry(mode, t0))
+        return self._map_whole_set(reads, mode, t0)
+
+    def _map_whole_set(
+        self, reads: SequenceSet, mode: str, t0: float, checkpoint: Any = None
+    ) -> EngineRun:
+        """The worker-process backend or the SPMD simulation, from contig sequences."""
+        pipe = self.pipeline
+        common: dict[str, Any] = {
+            "faults": pipe.fault_plan(), "strict": pipe.strict, "checkpoint": checkpoint,
+        }
+        if mode == "process":
             from ..parallel.faults import RecoveryReport
             from ..parallel.mp_backend import map_reads_multiprocess
 
             report = RecoveryReport()
             mapping = map_reads_multiprocess(
-                self.subjects,
-                reads,
-                pipe.jem,
-                processes=pipe.processes,
-                faults=pipe.fault_plan(),
-                strict=pipe.strict,
-                timeout=pipe.timeout,
-                report=report,
-                transport=pipe.transport,
+                self.subjects, reads, pipe.jem, processes=pipe.processes,
+                timeout=pipe.timeout, report=report, **common,
             )
-            return EngineRun(
-                mapping=mapping,
-                subject_names=list(self.subjects.names),
-                mode="process",
-                elapsed=time.perf_counter() - t0,
-                mapper_name=pipe.mapper,
-                processes=pipe.processes,
-                partial=report.partial,
-                report=report,
-            )
+            telemetry = self._telemetry(mode, t0, partial=report.partial, report=report)
+            return EngineRun(mapping=mapping, **telemetry)
         from ..parallel.driver import run_parallel_jem
 
-        run = run_parallel_jem(
-            self.subjects,
-            reads,
-            pipe.jem,
-            p=pipe.processes,
-            faults=pipe.fault_plan(),
-            strict=pipe.strict,
-        )
-        return EngineRun(
-            mapping=run.mapping,
-            subject_names=list(self.subjects.names),
-            mode="simulated",
-            elapsed=time.perf_counter() - t0,
-            mapper_name=pipe.mapper,
-            processes=pipe.processes,
-            partial=run.partial,
-            steps=run.steps,
-        )
+        run = run_parallel_jem(self.subjects, reads, pipe.jem, p=pipe.processes, **common)
+        telemetry = self._telemetry(mode, t0, partial=run.partial, steps=run.steps)
+        return EngineRun(mapping=run.mapping, **telemetry)
 
     # -- streaming / tiled frontends ----------------------------------------
 
-    def map_stream(
-        self,
-        records: Iterable[tuple[str, "str | np.ndarray"]],
-        *,
-        batch_size: int = 512,
-    ) -> Iterator[MappingResult]:
-        """Constant-memory streaming over (name, sequence) records."""
-        from .streaming import map_reads_stream
+    def map_file(self, path: str) -> Iterator[MappingResult]:
+        """Map a FASTA/FASTQ file; yields one result per batch, in order.
 
-        return map_reads_stream(self.mapper, records, batch_size=batch_size)
+        The loop behind ``jem map``.  In-process modes map the reads as
+        the parser yields them, one :data:`~repro.core.streaming.BATCH_BASES`
+        batch resident at a time, and report skipped records after the
+        last; the whole-set modes (SPMD simulation, worker processes,
+        checkpointed runs) load the file and yield their one batch.
+        :attr:`last_run` holds the telemetry once exhausted.
+        """
+        pipe = self.pipeline
+        mode = self._mode()
+        self.last_run = None
+        if pipe.checkpoint_dir is not None or mode not in _INLINE_MODES:
+            run = self.map_queries(read_sequences(path, on_error=pipe.on_error))
+            self.last_run = run
+            yield run.mapping
+            return
+        t0 = time.perf_counter()
+        report = ParseReport()
+        yield from map_file(
+            self._inline_mapper(mode), path, on_error=pipe.on_error, report=report
+        )
+        _warn_skipped(report, path)
+        self.last_run = RunTelemetry(**self._telemetry(mode, t0))
 
     def map_tiled(
         self,

@@ -91,6 +91,8 @@ def map_segment_batch(
     config: JEMConfig,
     family: HashFamily,
     infos: list[SegmentInfo] | None = None,
+    *,
+    threads: int | None = None,
 ) -> MappingResult:
     """Algorithm 2 over one segment batch — the S4 hot path, shared.
 
@@ -104,7 +106,8 @@ def map_segment_batch(
     :func:`~repro.core.hitcounter.count_hits_vectorised` — runs on the
     *same* pre-extracted minimizer block, so the fallback never re-extracts
     minimizers.  Both routes are bit-identical (the parity oracle contract;
-    ``REPRO_NO_NATIVE=1`` forces the numpy route).
+    ``REPRO_NO_NATIVE=1`` forces the numpy route), at any ``threads`` count
+    of the fused pass (None: :func:`~repro.sketch._native.thread_count`).
     """
     has, nonempty, values, starts = query_minimizer_concat(
         segments, config.k, config.w
@@ -112,6 +115,7 @@ def map_segment_batch(
     hits = count_hits_fused(
         table, values, starts, family,
         min_hits=config.min_hits, n_queries=len(segments), nonempty=nonempty,
+        threads=threads,
     )
     if hits is None:
         sketch_values = np.zeros((family.size, len(segments)), dtype=np.uint64)
@@ -133,10 +137,16 @@ class JEMMapper:
     """
 
     def __init__(
-        self, config: JEMConfig | None = None, *, store_kind: str | None = None
+        self,
+        config: JEMConfig | None = None,
+        *,
+        store_kind: str | None = None,
+        threads: int | None = None,
     ) -> None:
         self.config = config if config is not None else JEMConfig()
         self.store_kind = store_kind if store_kind is not None else DEFAULT_STORE_KIND
+        #: threads of the fused map kernel (None: its default); `jem map -p N`
+        self.threads = threads
         self._family: HashFamily = self.config.hash_family()
         self._table: SketchStore | None = None
         self._subject_names: list[str] = []
@@ -216,7 +226,8 @@ class JEMMapper:
         the batched numpy path otherwise — bit-identical either way.
         """
         return map_segment_batch(
-            self.table, segments, self.config, self._family, infos
+            self.table, segments, self.config, self._family, infos,
+            threads=self.threads,
         )
 
     def map_reads(self, reads: SequenceSet) -> MappingResult:

@@ -12,7 +12,7 @@ from .faults import (
     PartialResult,
     RecoveryReport,
 )
-from .mp_backend import TRANSPORTS, map_reads_multiprocess
+from .mp_backend import map_reads_multiprocess
 from .partition import partition_bounds, partition_imbalance, partition_set
 from .retry import RetryPolicy, retry_call
 from .shm import (
@@ -37,7 +37,6 @@ __all__ = [
     "run_parallel_jem",
     "run_parallel_jem_threaded",
     "map_reads_multiprocess",
-    "TRANSPORTS",
     "ShmArrayRef",
     "SharedSeqBlock",
     "share_arrays",

@@ -300,8 +300,6 @@ class RecoveryReport:
     gather_retries: int = 0
     recovery_seconds: float = 0.0
     partial: PartialResult | None = None
-    #: transport the run used ("shm"/"pickle"); filled in by the backend
-    transport: str = ""
 
     @property
     def faults_encountered(self) -> bool:

@@ -3,9 +3,11 @@
 The in-process driver (:func:`~repro.parallel.driver.run_parallel_jem`)
 *simulates* p ranks to measure per-rank costs; this module actually runs
 the two data-parallel phases — subject sketching (S2) and query mapping
-(S4) — across worker processes with ``multiprocessing``, for hosts that do
-have spare cores.  The gather (S3) happens in the parent, playing the role
-of the Allgatherv root.
+(S4) — across worker processes with ``multiprocessing``.  The gather (S3)
+happens in the parent, playing the role of the Allgatherv root.  It is
+the backend of runs where process isolation is the point (``jem map
+--inject-faults`` / ``--checkpoint-dir`` with ``--backend process``); a
+plain ``-p N --backend process`` maps in-process on N kernel threads.
 
 Execution is fault-tolerant.  Work units are dispatched in rounds through
 a worker pool; a unit whose worker raises, dies hard (``os._exit``) or
@@ -20,17 +22,13 @@ index corrupts every result), and for S4 either raises
 into a :class:`~repro.parallel.faults.PartialResult` naming exactly the
 lost reads (``strict=False``).
 
-Work units travel over one of two transports.  The default, ``"shm"``,
-publishes the contig set, the read set and the merged sketch table once
-each in POSIX shared memory (:mod:`~repro.parallel.shm`); payloads shrink
-to small descriptors and workers build numpy views directly on the
-mapping — no per-rank copy of the table, no base buffers in the pickle
-stream, and a rebuilt pool re-attaches to the same segments by name.
-``"pickle"`` is the original transport (each payload pickles a zero-copy
-slice of the columnar :class:`SequenceSet`, copying exactly the bytes an
-MPI scatter would send) and is kept as the fallback and as the parity
-reference.  Output equals the sequential mapper's bit for bit on either
-transport — the test suite asserts it, including under any recoverable
+Work units travel through POSIX shared memory (:mod:`~repro.parallel.shm`):
+the contig set, the read set and the merged sketch table are published
+once each; payloads are small descriptors and workers build numpy views
+directly on the mapping — no per-rank copy of the table, no base buffers
+in the pickle stream, and a rebuilt pool re-attaches to the same segments
+by name.  Output equals the sequential mapper's bit for bit — the test
+suite asserts it, including under any recoverable
 :class:`~repro.parallel.faults.FaultPlan`.
 """
 
@@ -62,10 +60,7 @@ from .shm import (
     sweep_orphan_segments,
 )
 
-__all__ = ["map_reads_multiprocess", "TRANSPORTS"]
-
-#: Accepted values for ``map_reads_multiprocess(transport=...)``.
-TRANSPORTS = ("shm", "pickle")
+__all__ = ["map_reads_multiprocess"]
 
 #: Default per-work-unit deadline; how long a dead worker goes unnoticed.
 DEFAULT_UNIT_TIMEOUT = 60.0
@@ -104,11 +99,16 @@ def _map_worker(payload: tuple) -> MappingResult:
         return MappingResult(
             [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), []
         )
-    # shm ships a descriptor to attach; the pickle transport the store itself
+    # workers get a descriptor to attach; the p = 1 inline path the store itself
     if isinstance(table, SharedStore):
         table = table.materialise()
     segments, infos = extract_end_segments(reads, config.ell)
     return map_segment_batch(table, segments, config, config.hash_family(), infos)
+
+
+def _block_ranges(bounds: np.ndarray) -> list[tuple[int, int]]:
+    edges = bounds.tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _arm(plan: FaultPlan | None, phase: str, block: int, *, first: bool) -> tuple:
@@ -237,16 +237,13 @@ def map_reads_multiprocess(
     strict: bool = True,
     timeout: float | None = DEFAULT_UNIT_TIMEOUT,
     report: RecoveryReport | None = None,
-    transport: str = "shm",
     checkpoint=None,
 ) -> MappingResult:
     """Full pipeline with worker-process parallelism; returns the mapping.
 
     ``processes`` is the worker count for both phases; the input is
-    block-partitioned by base count exactly like the distributed driver.
-    ``transport`` selects how read-only blocks reach the workers:
-    ``"shm"`` (default) publishes them once in shared memory,
-    ``"pickle"`` ships a copy inside each work unit.  Pass a
+    block-partitioned by base count exactly like the distributed driver;
+    read-only blocks are published once in shared memory.  Pass a
     :class:`~repro.parallel.faults.RecoveryReport` to observe what the
     recovery machinery did (attempts, re-dispatches, recovery seconds,
     and — with ``strict=False`` — any :class:`PartialResult`).
@@ -259,12 +256,8 @@ def map_reads_multiprocess(
     config = config if config is not None else JEMConfig()
     policy = retry if retry is not None else RetryPolicy()
     report = report if report is not None else RecoveryReport()
-    report.transport = transport
     if processes < 1:
         raise CommError(f"processes must be >= 1, got {processes}")
-    if transport not in TRANSPORTS:
-        raise CommError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-    subject_parts = partition_set(contigs, processes)
     subject_index_bounds = partition_bounds(contigs.offsets, processes)
     subject_offsets = subject_index_bounds[:-1]
     read_parts = partition_set(reads, processes)
@@ -272,7 +265,7 @@ def map_reads_multiprocess(
     read_offsets = read_index_bounds[:-1]
 
     if processes == 1 and faults is None and checkpoint is None:
-        local = _sketch_worker((subject_parts[0], config, 0, ()))
+        local = _sketch_worker((contigs, config, 0, ()))
         store = ColumnarSketchStore.from_trial_keys(
             merge_trial_keys([local]), n_subjects=len(contigs)
         )
@@ -281,30 +274,19 @@ def map_reads_multiprocess(
 
     ctx = mp.get_context(mp_context)
     shared_refs: list[str] = []
-    if transport == "shm":
-        # reclaim segments leaked by an earlier hard-killed run before
-        # publishing new ones (startup half of the orphan-sweep contract)
-        sweep_orphan_segments()
+    # reclaim segments leaked by an earlier hard-killed run before
+    # publishing new ones (startup half of the orphan-sweep contract)
+    sweep_orphan_segments()
     try:
         # S2: sketch subject blocks in parallel (with retry / re-dispatch)
-        if transport == "shm":
-            subject_blocks = share_sequence_set(
-                contigs, "subjects",
-                [
-                    (int(subject_index_bounds[r]), int(subject_index_bounds[r + 1]))
-                    for r in range(processes)
-                ],
-            )
-            shared_refs.append(subject_blocks[0].ref.name)
-            sketch_jobs = [
-                (subject_blocks[r], config, int(subject_offsets[r]))
-                for r in range(processes)
-            ]
-        else:
-            sketch_jobs = [
-                (subject_parts[r], config, int(subject_offsets[r]))
-                for r in range(processes)
-            ]
+        subject_blocks = share_sequence_set(
+            contigs, "subjects", _block_ranges(subject_index_bounds)
+        )
+        shared_refs.append(subject_blocks[0].ref.name)
+        sketch_jobs = [
+            (subject_blocks[r], config, int(subject_offsets[r]))
+            for r in range(processes)
+        ]
         sketch_done: dict[int, object] = {}
         sketch_commit = None
         if checkpoint is not None:
@@ -329,20 +311,11 @@ def map_reads_multiprocess(
             merge_trial_keys(per_rank_keys), n_subjects=len(contigs)
         )
         # S4: map read blocks in parallel against the gathered store
-        if transport == "shm":
-            table = share_store(store)
-            shared_refs.append(table.ref.name)
-            read_blocks = share_sequence_set(
-                reads, "reads",
-                [
-                    (int(read_index_bounds[r]), int(read_index_bounds[r + 1]))
-                    for r in range(processes)
-                ],
-            )
-            shared_refs.append(read_blocks[0].ref.name)
-            map_jobs = [(read_blocks[r], config, table) for r in range(processes)]
-        else:
-            map_jobs = [(read_parts[r], config, store) for r in range(processes)]
+        table = share_store(store)
+        shared_refs.append(table.ref.name)
+        read_blocks = share_sequence_set(reads, "reads", _block_ranges(read_index_bounds))
+        shared_refs.append(read_blocks[0].ref.name)
+        map_jobs = [(read_blocks[r], config, table) for r in range(processes)]
         map_done: dict[int, object] = {}
         map_commit = None
         if checkpoint is not None:

@@ -46,7 +46,7 @@ INVOCATION_NAME = "invocation.json"
 
 #: PipelineConfig fields that can change *what* a run computes (or whether
 #: its recovery story is reproducible).  Scheduling knobs (timeout,
-#: transport, on_error) and the run directory itself are deliberately
+#: on_error) and the run directory itself are deliberately
 #: excluded: two runs differing only in those are the same logical run.
 _IDENTITY_FIELDS = (
     "mapper",
@@ -74,8 +74,6 @@ def _merged_run(
     mode: str,
     t0: float,
 ) -> "EngineRun":
-    import time
-
     from ..core.engine import EngineRun
     from ..parallel.driver import _merge_rank_results, resolve_partial
 
@@ -88,19 +86,11 @@ def _merged_run(
         [outcome.rank_results[b] for b in surviving],
         [int(bounds[b]) for b in surviving],
     )
-    return EngineRun(
-        mapping=mapping,
-        subject_names=list(engine.mapper.subject_names),
-        mode=mode,
-        elapsed=time.perf_counter() - t0,
-        mapper_name=engine.pipeline.mapper,
-        processes=engine.pipeline.processes,
-        partial=partial,
-    )
+    return EngineRun(mapping=mapping, **engine._telemetry(mode, t0, partial=partial))
 
 
 def map_queries_checkpointed(
-    engine: "MappingEngine", reads: SequenceSet, *, t0: float
+    engine: "MappingEngine", reads: SequenceSet, *, mode: str, t0: float
 ) -> "EngineRun":
     """Run one ``map_queries`` batch with durable unit checkpoints.
 
@@ -112,13 +102,11 @@ def map_queries_checkpointed(
     S2/S4 units found in the directory are loaded, not recomputed — so the
     merged mapping is bit-identical to an uninterrupted run.
     """
-    import time
-
     pipe = engine.pipeline
     assert pipe.checkpoint_dir is not None
-    p = max(pipe.processes, 1)
+    p = pipe.processes
     with CheckpointContext(pipe.checkpoint_dir) as ctx:
-        if engine._from_saved_index:
+        if mode == "saved-index":
             if engine._index_path is None:  # pragma: no cover - defensive
                 raise MappingError("saved-index engine lost its bundle path")
             mapper = engine.mapper
@@ -147,92 +135,24 @@ def map_queries_checkpointed(
                 checkpoint=ctx,
             )
             return _merged_run(
-                engine, outcome, reads, read_parts, bounds,
-                mode="saved-index", t0=t0,
+                engine, outcome, reads, read_parts, bounds, mode=mode, t0=t0
             )
 
-        subjects = engine.subjects
-        inputs = {
-            "subjects": fingerprint_sequences(subjects),
-            "reads": fingerprint_sequences(reads),
-        }
-        if pipe.backend == "process" and pipe.processes > 1:
-            from ..core.engine import EngineRun
-            from ..parallel.faults import RecoveryReport
-            from ..parallel.mp_backend import map_reads_multiprocess
-
-            ctx.ensure_manifest(
-                RunManifest(
-                    command="map",
-                    pipeline=pipeline_identity(pipe),
-                    units={
-                        "mode": "process",
-                        "sketch_blocks": p,
-                        "map_blocks": p,
-                    },
-                    inputs=inputs,
-                )
-            )
-            report = RecoveryReport()
-            mapping = map_reads_multiprocess(
-                subjects,
-                reads,
-                pipe.jem,
-                processes=p,
-                faults=pipe.fault_plan(),
-                strict=pipe.strict,
-                timeout=pipe.timeout,
-                report=report,
-                transport=pipe.transport,
-                checkpoint=ctx,
-            )
-            return EngineRun(
-                mapping=mapping,
-                subject_names=list(subjects.names),
-                mode="process",
-                elapsed=time.perf_counter() - t0,
-                mapper_name=pipe.mapper,
-                processes=p,
-                partial=report.partial,
-                report=report,
-            )
-
-        # simulated driver — also the checkpointed path for processes == 1,
-        # where the inline fast path has no unit boundaries to commit at
-        from ..core.engine import EngineRun
-        from ..parallel.driver import run_parallel_jem
-
+        # the worker-process backend, or the simulated driver — also the
+        # checkpointed path for processes == 1, where the inline fast path
+        # has no unit boundaries to commit at
         ctx.ensure_manifest(
             RunManifest(
                 command="map",
                 pipeline=pipeline_identity(pipe),
-                units={
-                    "mode": "simulated",
-                    "sketch_blocks": p,
-                    "map_blocks": p,
+                units={"mode": mode, "sketch_blocks": p, "map_blocks": p},
+                inputs={
+                    "subjects": fingerprint_sequences(engine.subjects),
+                    "reads": fingerprint_sequences(reads),
                 },
-                inputs=inputs,
             )
         )
-        run = run_parallel_jem(
-            subjects,
-            reads,
-            pipe.jem,
-            p=p,
-            faults=pipe.fault_plan(),
-            strict=pipe.strict,
-            checkpoint=ctx,
-        )
-        return EngineRun(
-            mapping=run.mapping,
-            subject_names=list(subjects.names),
-            mode="simulated",
-            elapsed=time.perf_counter() - t0,
-            mapper_name=pipe.mapper,
-            processes=p,
-            partial=run.partial,
-            steps=run.steps,
-        )
+        return engine._map_whole_set(reads, mode, t0, checkpoint=ctx)
 
 
 def build_index_checkpointed(

@@ -16,8 +16,9 @@ do exactly that:
   ``(hash << 32) | index`` minimum per segment;
 * ``jem_subject_kernel`` — per trial, the same Barrett hash plus an O(n)
   monotone-deque sliding-window minimum over the ℓ-interval ends
-  (replacing the O(n log n) sparse table), emitting the packed
-  ``(value << 32) | subject`` key row ready for the batched dedupe;
+  (replacing the O(n log n) sparse table), keeping a packed
+  ``(value << 32) | subject`` key only where it differs from the previous
+  interval's and radix-sorting what is kept into the trial's key list;
 * ``jem_map_kernel`` — the whole S4 query pipeline fused: per segment and
   per trial, sketch (Barrett hash + packed-key minimum), branchless binary
   search over the columnar store's sorted per-trial value columns, and the
@@ -56,7 +57,10 @@ import numpy as np
 __all__ = ["load", "load_error", "thread_count", "availability", "NativeKernels"]
 
 _SOURCE = r"""
+#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef unsigned __int128 u128;
 
@@ -102,25 +106,53 @@ void jem_query_kernel(const uint64_t *values, int64_t n,
     }
 }
 
+/* LSD radix sort of uint64 keys by the bytes from bit `shift` up (32: the
+   value half of a packed (value << 32) | index key); stable, so ties keep
+   their input order.  Returns whichever scratch holds the sorted data.
+   Passes where every key shares the same byte (common for narrow key
+   spaces) are skipped. */
+static uint64_t *radix_sort_u64(uint64_t *src, uint64_t *dst, int64_t n,
+                                int shift) {
+    for (int sh = shift; sh < 64; sh += 8) {
+        int64_t count[256];
+        memset(count, 0, sizeof(count));
+        for (int64_t i = 0; i < n; i++) count[(src[i] >> sh) & 0xff]++;
+        int uniform = 0;
+        for (int b = 0; b < 256; b++)
+            if (count[b] == n) { uniform = 1; break; }
+        if (uniform) continue;
+        int64_t offs[256];
+        int64_t acc = 0;
+        for (int b = 0; b < 256; b++) { offs[b] = acc; acc += count[b]; }
+        for (int64_t i = 0; i < n; i++)
+            dst[offs[(src[i] >> sh) & 0xff]++] = src[i];
+        uint64_t *tmp = src; src = dst; dst = tmp;
+    }
+    return src;
+}
+
 /* S2: per trial, a monotone-deque sliding minimum of the packed keys
    (hash << 32) | index over the half-open index intervals [i, ends[i])
    (ends is non-decreasing and ends[i] > i).  Hashing is fused into the
    deque push — every element is pushed exactly once — and the deque
    stores the packed keys themselves, so the hot compare loop has no
-   indirection.  Emits the packed sketch key
-   (values[argmin] << 32) | subject_ids[i] into out (trials, n) — one row
-   per trial, ready for the batched row dedupe.  deque_scratch must hold
-   n entries. */
+   indirection.  The packed sketch key (values[argmin] << 32) |
+   subject_ids[i] is kept only when it differs from the previous
+   interval's (overlapping intervals mostly share their minimum); the kept
+   keys are then radix-sorted and deduped, leaving counts[t] sorted
+   distinct keys in row t of out (trials, n).  deque_scratch and
+   sort_scratch hold n entries each. */
 void jem_subject_kernel(const uint64_t *values, const int64_t *ends,
                         int64_t n, const uint64_t *subject_ids,
                         const uint64_t *a, const uint64_t *b,
                         const uint64_t *p, int64_t trials,
-                        uint64_t *deque_scratch, uint64_t *out) {
+                        uint64_t *deque_scratch, uint64_t *sort_scratch,
+                        uint64_t *out, int64_t *counts) {
     for (int64_t t = 0; t < trials; t++) {
         const uint64_t at = a[t], bt = b[t], pt = p[t];
         const uint64_t mt = (uint64_t)((((u128)1) << 64) / pt);
         uint64_t *row = out + t * n;
-        int64_t head = 0, tail = 0, r = 0;
+        int64_t head = 0, tail = 0, r = 0, m = 0;
         for (int64_t i = 0; i < n; i++) {
             while (r < ends[i]) {
                 const uint64_t k = (lcg_hash(values[r], at, bt, pt, mt) << 32)
@@ -133,16 +165,21 @@ void jem_subject_kernel(const uint64_t *values, const int64_t *ends,
             while ((int64_t)(deque_scratch[head] & 0xffffffffu) < i)
                 head++;
             const uint64_t win = deque_scratch[head];
-            row[i] = (values[win & 0xffffffffu] << 32) | subject_ids[i];
+            const uint64_t key =
+                (values[win & 0xffffffffu] << 32) | subject_ids[i];
+            if (m == 0 || key != row[m - 1]) row[m++] = key;
         }
+        const uint64_t *sorted = radix_sort_u64(row, sort_scratch, m, 0);
+        int64_t kept = 0;
+        for (int64_t i = 0; i < m; i++) {
+            const uint64_t key = sorted[i];
+            if (kept == 0 || key != row[kept - 1]) row[kept++] = key;
+        }
+        counts[t] = kept;
     }
 }
 
 /* ---- fused S4 map kernel: sketch -> lookup -> vote ---------------------- */
-
-#include <pthread.h>
-#include <stdlib.h>
-#include <string.h>
 
 /* Branchless lower bound over a sorted uint32 column: first index whose
    value is >= key.  The classic half-interval form — the conditional add
@@ -186,30 +223,6 @@ static inline uint64_t lcg_hash32(uint64_t x, uint64_t a, uint64_t b,
     return barrett_mod(a * x + b, p, m);
 }
 
-/* LSD radix sort of packed (value << 32) | index keys by the four value
-   bytes; stable, so ties keep ascending-index order.  Returns whichever
-   scratch holds the sorted data.  Passes where every key shares the same
-   byte (common for narrow key spaces) are skipped. */
-static uint64_t *radix_sort_packed(uint64_t *src, uint64_t *dst, int64_t n) {
-    for (int pass = 0; pass < 4; pass++) {
-        const int sh = 32 + pass * 8;
-        int64_t count[256];
-        memset(count, 0, sizeof(count));
-        for (int64_t i = 0; i < n; i++) count[(src[i] >> sh) & 0xff]++;
-        int uniform = 0;
-        for (int b = 0; b < 256; b++)
-            if (count[b] == n) { uniform = 1; break; }
-        if (uniform) continue;
-        int64_t offs[256];
-        int64_t acc = 0;
-        for (int b = 0; b < 256; b++) { offs[b] = acc; acc += count[b]; }
-        for (int64_t i = 0; i < n; i++)
-            dst[offs[(src[i] >> sh) & 0xff]++] = src[i];
-        uint64_t *tmp = src; src = dst; dst = tmp;
-    }
-    return src;
-}
-
 /* Dedupe the query block: fill uniq with the sorted distinct values and
    inverse with each occurrence's slot in it.  Returns n_uniq, or -1 when
    any value overflows 32 bits (caller hashes inline instead). */
@@ -222,7 +235,7 @@ static int64_t dedupe_values(const uint64_t *qvalues, int64_t n,
         scratch_a[i] = (qvalues[i] << 32) | (uint64_t)i;
     }
     if (seen >> 32) return -1;
-    const uint64_t *sorted = radix_sort_packed(scratch_a, scratch_b, n);
+    const uint64_t *sorted = radix_sort_u64(scratch_a, scratch_b, n, 32);
     int64_t uid = -1;
     uint64_t prev = 0;
     for (int64_t k = 0; k < n; k++) {
@@ -676,7 +689,7 @@ class NativeKernels:
         dll.jem_query_kernel.argtypes = [u64p, i64, i64p, i64, u64p, u64p, u64p, i64, u64p]
         dll.jem_query_kernel.restype = None
         dll.jem_subject_kernel.argtypes = [
-            u64p, i64p, i64, u64p, u64p, u64p, u64p, i64, u64p, u64p,
+            u64p, i64p, i64, u64p, u64p, u64p, u64p, i64, u64p, u64p, u64p, i64p,
         ]
         dll.jem_subject_kernel.restype = None
         dll.jem_map_kernel.argtypes = [
@@ -776,9 +789,12 @@ class NativeKernels:
         family,
         out: np.ndarray,
     ) -> np.ndarray:
-        """Fill ``out[(T, n)]`` with packed subject sketch key rows (S2)."""
+        """Trial t's sorted distinct packed sketch keys into row t of
+        ``out[(T, n)]`` (S2); returns how many each row holds.  A row is
+        written only as far as its compacted keys reach."""
         u64, i64 = np.uint64, np.int64
-        deque_scratch = np.empty(values.size, dtype=u64)
+        scratch = np.empty((2, values.size), dtype=u64)  # deque, radix sort
+        counts = np.empty(family.size, dtype=i64)
         self._dll.jem_subject_kernel(
             self._ptr(values, u64, ctypes.c_uint64),
             self._ptr(ends, i64, ctypes.c_int64),
@@ -788,10 +804,12 @@ class NativeKernels:
             self._ptr(family.b, u64, ctypes.c_uint64),
             self._ptr(family.p, u64, ctypes.c_uint64),
             ctypes.c_int64(family.size),
-            self._ptr(deque_scratch, u64, ctypes.c_uint64),
+            self._ptr(scratch[0], u64, ctypes.c_uint64),
+            self._ptr(scratch[1], u64, ctypes.c_uint64),
             self._ptr(out, u64, ctypes.c_uint64),
+            self._ptr(counts, i64, ctypes.c_int64),
         )
-        return out
+        return counts
 
     def map_block(
         self,

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import SketchError
 from ..seq.records import SequenceSet
-from . import _native
+from . import _native, kernels
 from .hashing import HashFamily
 from .kernels import LOW32 as _LOW32
 from .kernels import key_scratch, sorted_unique_rows, trial_chunks
@@ -151,15 +151,11 @@ def subject_sketch_pairs(
     ``(k-mer value, global subject id)`` pair.  Duplicated pairs from
     overlapping intervals are removed.
 
-    All trials run per numpy dispatch: one broadcasted
-    :meth:`~repro.sketch.hashing.HashFamily.apply_all` pass, one
-    :class:`~repro.sketch.rmq.SparseTableRMQ2D` whose ``np.minimum`` levels
-    and interval-level bucketing are shared across trials, and one row-wise
-    dedupe over the packed-key matrix.  The 32-bit range checks formerly
-    paid per trial (``pack_key``, the 1-d RMQ's packability scan) are
-    hoisted to a single validation, and the key matrix lives in reusable
-    thread-local scratch.  Output is bit-identical to
-    :func:`subject_sketch_pairs_reference` — asserted by the test suite.
+    The minimizer block and its intervals are extracted once for all
+    trials and the 32-bit range checks run once (not per trial, as in
+    ``pack_key`` and the 1-d RMQ's packability scan); :func:`subject_kernel`
+    does the rest, natively or in batched numpy.  Output is bit-identical
+    to :func:`subject_sketch_pairs_reference` — asserted by the test suite.
 
     Returns one **sorted unique** packed-key array per trial — exactly the
     per-trial lists S[t] of Fig. 2, ready for the sketch table (and for the
@@ -202,11 +198,13 @@ def subject_kernel(
     minimizer-extraction cost drowning the comparison.
 
     When the compiled fast path (:mod:`repro.sketch._native`) is
-    available, the hash + interval-minimum stage runs as one fused C
-    sweep per trial (Barrett-reduced LCG feeding a monotone-deque sliding
-    minimum) directly into the scratch key matrix; otherwise the numpy
-    path below runs.  Both produce bit-identical rows — the dedupe and
-    all downstream consumers cannot tell them apart.
+    available, each trial is one fused C sweep (Barrett-reduced LCG
+    feeding a monotone-deque sliding minimum) that keeps a key only where
+    it differs from the previous interval's and sorts the kept keys into
+    the trial's list; trials go through it a few at a time, under the
+    fixed :data:`~repro.sketch.kernels.SUBJECT_SCRATCH_ELEMS` budget, so
+    no ``(T, n)`` key matrix exists.  Otherwise the numpy path below
+    runs.  Both produce bit-identical lists.
     """
     total = values.size
     native = _native.load()
@@ -215,16 +213,13 @@ def subject_kernel(
         values = np.ascontiguousarray(values, dtype=np.uint64)
         ends = np.ascontiguousarray(ends, dtype=np.int64)
         subject_ids = np.ascontiguousarray(subject_ids, dtype=np.uint64)
-        for chunk in trial_chunks(family.size, total, with_levels=False):
-            sub = (
-                family
-                if len(chunk) == family.size
-                else family.trial_slice(chunk.start, chunk.stop)
-            )
+        budget = kernels.SUBJECT_SCRATCH_ELEMS  # read per call: tests shrink it
+        for chunk in trial_chunks(family.size, total, with_levels=False, budget=budget):
+            sub = family.trial_slice(chunk.start, chunk.stop)
             keys = key_scratch(len(chunk), total)
-            native.subject_keys(values, ends, subject_ids, sub, out=keys)
-            for j, uniq in enumerate(sorted_unique_rows(keys)):
-                out[chunk.start + j] = uniq
+            counts = native.subject_keys(values, ends, subject_ids, sub, out=keys)
+            for j, count in enumerate(counts):
+                out[chunk.start + j] = keys[j, :count].copy()
         return out
     starts_idx = np.arange(total, dtype=np.int64)
     max_len = int((ends - starts_idx).max()) if total else 1

@@ -35,6 +35,7 @@ from ..errors import SketchError
 
 __all__ = [
     "LOW32",
+    "SUBJECT_SCRATCH_ELEMS",
     "key_scratch",
     "pack_keys_batched",
     "sorted_unique_rows",
@@ -48,6 +49,12 @@ LOW32 = np.uint64(0xFFFFFFFF)
 #: usual bench/service scales run every trial in a single chunk, small
 #: enough that a whole-genome minimizer list cannot blow up memory T-fold.
 MAX_BATCH_ELEMS = 1 << 24
+
+#: Key-scratch budget (uint64 entries, 4 MiB) of the native subject kernel,
+#: which writes each trial's *compacted* row: however many minimizers a
+#: contig set has, its trials go through the kernel a few rows at a time
+#: (one row, of n entries, once n alone exceeds the budget).
+SUBJECT_SCRATCH_ELEMS = 1 << 19
 
 _scratch = threading.local()
 

@@ -106,11 +106,16 @@ def test_service_parity(store, tiling_contigs, clean_reads):
 
 
 @pytest.mark.parametrize("store", ("columnar", "dict"), indirect=True)
-def test_streaming_parity(store, tiling_contigs, clean_reads):
+def test_streaming_parity(store, tmp_path, monkeypatch, tiling_contigs, clean_reads):
+    from repro.core import streaming
+
     reference = _reference(tiling_contigs, clean_reads)
+    _, reads_path = _write_inputs(tmp_path, tiling_contigs, clean_reads)
     engine = MappingEngine(PipelineConfig(jem=CFG))
     engine.use_subjects(tiling_contigs)
-    batches = list(engine.map_stream(iter(clean_reads), batch_size=7))
+    monkeypatch.setattr(streaming, "BATCH_BASES", 35_000)
+    batches = list(engine.map_file(reads_path))
+    assert len(batches) == 3 and engine.last_run.mode == "inline"
     subjects = np.concatenate([b.subject for b in batches])
     hit_counts = np.concatenate([b.hit_count for b in batches])
     names = [n for b in batches for n in b.segment_names]

@@ -21,7 +21,7 @@ def test_stream_matches_bulk(mapper, clean_reads):
     bulk = mapper.map_reads(clean_reads)
     streamed_subjects = []
     streamed_names = []
-    for batch in map_reads_stream(mapper, iter(clean_reads), batch_size=7):
+    for batch in map_reads_stream(mapper, iter(clean_reads), batch_bases=20_000):
         streamed_subjects.append(batch.subject)
         streamed_names.extend(batch.segment_names)
     assert np.array_equal(np.concatenate(streamed_subjects), bulk.subject)
@@ -29,20 +29,41 @@ def test_stream_matches_bulk(mapper, clean_reads):
 
 
 def test_batch_count(mapper, clean_reads):
-    batches = list(map_reads_stream(mapper, iter(clean_reads), batch_size=7))
-    n = len(clean_reads)
-    assert len(batches) == -(-n // 7)
-    assert sum(len(b) for b in batches) == 2 * n
+    """Batches are cut by bases, not reads: three 5-kbp reads fit 15,001 bases."""
+    batches = list(map_reads_stream(mapper, iter(clean_reads), batch_bases=15_001))
+    assert [len(b) for b in batches] == [6] * 6 + [4]  # 20 reads, two segments each
 
 
 def test_batch_size_one(mapper, clean_reads):
-    batches = list(map_reads_stream(mapper, iter(clean_reads), batch_size=1))
+    """A read over the budget is a batch alone — here every read is."""
+    batches = list(map_reads_stream(mapper, iter(clean_reads), batch_bases=1))
     assert len(batches) == len(clean_reads)
     assert all(len(b) == 2 for b in batches)
 
 
+def test_oversized_read_between_small_ones_is_alone(mapper, clean_reads):
+    from repro.seq import SeqRecord
+
+    big = SeqRecord("big", np.concatenate([clean_reads.codes_of(i) for i in (2, 3, 4)]))
+    records = [clean_reads[0], clean_reads[1], big, clean_reads[5], clean_reads[6]]
+    batches = list(map_reads_stream(mapper, iter(records), batch_bases=11_000))
+    assert [b.segment_names for b in batches] == [
+        ["read_0/prefix", "read_0/suffix", "read_1/prefix", "read_1/suffix"],
+        ["big/prefix", "big/suffix"],
+        ["read_5/prefix", "read_5/suffix", "read_6/prefix", "read_6/suffix"],
+    ]
+
+
+def test_default_budget_is_the_module_constant(monkeypatch, mapper, clean_reads):
+    from repro.core import streaming
+
+    assert len(list(map_reads_stream(mapper, iter(clean_reads)))) == 1
+    monkeypatch.setattr(streaming, "BATCH_BASES", 1)
+    assert len(list(map_reads_stream(mapper, iter(clean_reads)))) == len(clean_reads)
+
+
 def test_empty_stream(mapper):
-    assert list(map_reads_stream(mapper, iter([]), batch_size=5)) == []
+    assert list(map_reads_stream(mapper, iter([]), batch_bases=5)) == []
 
 
 def test_requires_index(clean_reads):
@@ -52,7 +73,7 @@ def test_requires_index(clean_reads):
 
 def test_bad_batch_size(mapper, clean_reads):
     with pytest.raises(MappingError):
-        list(map_reads_stream(mapper, iter(clean_reads), batch_size=0))
+        list(map_reads_stream(mapper, iter(clean_reads), batch_bases=0))
 
 
 def test_map_file_fastq(tmp_path, mapper, clean_reads):
@@ -60,7 +81,7 @@ def test_map_file_fastq(tmp_path, mapper, clean_reads):
     write_fastq(path, clean_reads)
     bulk = mapper.map_reads(clean_reads)
     got = np.concatenate(
-        [batch.subject for batch in map_file(mapper, str(path), batch_size=6)]
+        [batch.subject for batch in map_file(mapper, str(path), batch_bases=15_000)]
     )
     assert np.array_equal(got, bulk.subject)
 
@@ -93,7 +114,7 @@ def test_map_file_fasta_asks_for_blocks_lazily(tmp_path, monkeypatch, mapper, cl
     open_binary = io_fasta._open_binary
     monkeypatch.setattr(io_fasta, "_BLOCK_BYTES", block)
     monkeypatch.setattr(io_fasta, "_open_binary", lambda p: CountingFile(open_binary(p)))
-    batches = map_file(mapper, str(path), batch_size=5)
+    batches = map_file(mapper, str(path), batch_bases=25_000)
     assert asked == []  # nothing is read before the first batch is asked for
     subjects = []
     asked_per_batch = []

@@ -221,6 +221,73 @@ def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
         assert done.returncode == 0, done.stderr
 
 
+def test_one_shot_round_memory_does_not_grow_with_the_read_set(tmp_path):
+    """`jem index` and `jem map -s … -p 2 --backend process` stay within a fixed
+    allowance of an import-only process on a 2-Mbp contig set and a 24-Mbp read
+    set, and never import multiprocessing.  The allowance is what one round
+    needs at any read-set size — contigs twice over while they are assembled
+    (4 MB), S2's minimizer block and its 4-MiB key scratch, the index, one
+    2-Mi-base read batch twice over — and is less than the read set held once:
+    loading it whole (twice over while concatenating, as `read_sequences` does)
+    or publishing a copy in shared memory cannot fit.
+
+    VmHWM of /proc/self/status, not ru_maxrss: the kernel folds the forked
+    pytest parent into the latter at exec (ledger/README.md)."""
+    import subprocess
+    import sys
+
+    import numpy as np
+
+    import repro
+    from repro.seq import SequenceSet, random_codes, write_fasta
+
+    allowance_mb = 20.0  # measured: index +11 MB, map +14..16 MB (+64 MB before batching)
+    rng = np.random.default_rng(17)
+    genome = random_codes(2_000_000, rng)
+    cuts = np.arange(0, genome.size + 1, 2_500, dtype=np.int64)
+    contigs = SequenceSet(genome, cuts, [f"c{i}" for i in range(cuts.size - 1)])
+    starts = rng.integers(0, genome.size - 10_000, size=2_400)
+    reads = SequenceSet(
+        np.concatenate([genome[s : s + 10_000] for s in starts]),
+        np.arange(0, 10_000 * starts.size + 1, 10_000, dtype=np.int64),
+        [f"r{i}" for i in range(starts.size)],
+    )
+    assert reads.total_bases / 1e6 > allowance_mb
+    contigs_path, reads_path = str(tmp_path / "contigs.fasta"), str(tmp_path / "reads.fasta")
+    write_fasta(contigs_path, contigs)
+    write_fasta(reads_path, reads, width=0)
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys; from repro.cli import main; import repro.sketch._native as n; n.load(); "
+        "rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+        "hwm = [l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]; "
+        "print(rc, hwm, 'multiprocessing' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        rc, hwm_kb, has_mp = done.stdout.split()[-3:]
+        assert rc == "0", done.stderr
+        return int(hwm_kb) / 1024.0, has_mp == "True"
+
+    baseline_mb, _ = run()
+    out = tmp_path / "out.tsv"
+    for argv in (
+        ["index", "-s", contigs_path, "-o", str(tmp_path / "idx.npz")],
+        ["map", "-q", reads_path, "-s", contigs_path, "-p", "2", "--backend", "process",
+         "-o", str(out)],
+    ):
+        peak_mb, has_mp = run(*argv)
+        assert not has_mp, argv[0]
+        assert peak_mb < baseline_mb + allowance_mb, (argv[0], baseline_mb, peak_mb)
+    assert sum(1 for _ in open(out)) == 3 + 2 * len(reads)
+
+
 def test_store_flag_is_gone(capsys):
     """The resident layout is not a CLI choice: `--store` is an argparse error."""
     with pytest.raises(SystemExit) as excinfo:
@@ -231,27 +298,45 @@ def test_store_flag_is_gone(capsys):
     assert "unrecognized arguments: --store" in capsys.readouterr().err
 
 
-def test_saved_index_warns_about_ignored_parallel_flags(tmp_path, capsys):
-    """`map --index X -p N --backend process` maps inline — and says so."""
+def test_transport_flag_is_gone(capsys):
+    """Shared memory is the worker processes' one transport, not a CLI choice."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(
+            ["map", "-q", "r.fq", "-s", "c.fa", "--transport", "shm"]
+        )
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --transport" in capsys.readouterr().err
+
+
+def test_saved_index_process_backend_maps_on_kernel_threads(tmp_path, capsys):
+    """`map --index X -p N --backend process` maps on N kernel threads and says
+    so; only the simulated backend, which needs contig sequences, still warns."""
     data = tmp_path / "data"
     main(["simulate", "e_coli", "--scale", "0.0002", "--seed", "3", "--out", str(data)])
     idx = tmp_path / "contigs.idx.npz"
     main(["index", "-s", str(data / "e_coli_contigs.fasta"), "-o", str(idx),
           "--trials", "8"])
     reads = str(data / "e_coli_reads.fastq")
-    plain = tmp_path / "plain.tsv"
-    flagged = tmp_path / "flagged.tsv"
+    plain, threaded, simulated = (tmp_path / f"{n}.tsv" for n in ("plain", "p3", "sim"))
     capsys.readouterr()
     assert main(["map", "-q", reads, "--index", str(idx), "-o", str(plain)]) == 0
+    assert main(["map", "-q", reads, "--index", str(idx), "-o", str(threaded),
+                 "-p", "3", "--backend", "process"]) == 0
     assert "warning" not in capsys.readouterr().err
-    assert main(["map", "-q", reads, "--index", str(idx), "-o", str(flagged),
-                 "-p", "2", "--backend", "process"]) == 0
+    assert main(["map", "-q", reads, "--index", str(idx), "-o", str(simulated),
+                 "-p", "3"]) == 0
     warnings = [
         line for line in capsys.readouterr().err.splitlines() if "warning" in line
     ]
     assert len(warnings) == 1
-    assert "-p/--processes 2" in warnings[0] and "--backend process" in warnings[0]
-    assert flagged.read_text().splitlines()[0].startswith("# jem-mapper")
-    assert "(saved index)" in flagged.read_text().splitlines()[0]
+    assert "simulated backend" in warnings[0] and "-p/--processes 3" in warnings[0]
+    header = threaded.read_text().splitlines()[0]
+    assert header.startswith("# jem-mapper") and "(saved index)" in header
+    from repro.sketch import _native
+
+    if _native.load() is not None:
+        assert header.endswith("[native=fused,threads=3]")
+    assert "process backend" not in threaded.read_text()
     strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
-    assert strip(flagged) == strip(plain)
+    assert strip(threaded) == strip(plain) == strip(simulated)
+    assert len(strip(plain)) > 10

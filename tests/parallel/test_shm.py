@@ -128,30 +128,18 @@ def test_shared_table_materialises_sorted_keys():
 
 # -- backend parity and lifecycle ---------------------------------------------
 
-def test_bad_transport_rejected(world):
-    contigs, reads = world
-    with pytest.raises(CommError):
-        map_reads_multiprocess(contigs, reads, CFG, transport="tcp")
-
-
 @pytest.mark.parametrize("processes", [2, 3])
-def test_shm_transport_matches_pickle_and_sequential(world, processes):
+def test_shm_transport_matches_inline_mapper(world, processes):
     contigs, reads = world
     seq = JEMMapper(CFG)
     seq.index(contigs)
     expected = seq.map_reads(reads)
-    via_shm = map_reads_multiprocess(
-        contigs, reads, CFG, processes=processes, mp_context="fork",
-        transport="shm",
+    got = map_reads_multiprocess(
+        contigs, reads, CFG, processes=processes, mp_context="fork"
     )
-    via_pickle = map_reads_multiprocess(
-        contigs, reads, CFG, processes=processes, mp_context="fork",
-        transport="pickle",
-    )
-    for got in (via_shm, via_pickle):
-        assert np.array_equal(got.subject, expected.subject)
-        assert np.array_equal(got.hit_count, expected.hit_count)
-        assert got.segment_names == expected.segment_names
+    assert np.array_equal(got.subject, expected.subject)
+    assert np.array_equal(got.hit_count, expected.hit_count)
+    assert got.segment_names == expected.segment_names
     _no_leaks()
 
 
@@ -167,7 +155,6 @@ def test_shm_transport_under_seeded_faults_no_leaks(world):
         got = map_reads_multiprocess(
             contigs, reads, CFG, processes=2, mp_context="fork",
             faults=plan, retry=POLICY, timeout=2.0, report=report,
-            transport="shm",
         )
         assert np.array_equal(got.subject, expected.subject)
         _no_leaks()
@@ -190,7 +177,6 @@ def test_shm_survives_worker_death_and_pool_rebuild(world):
     got = map_reads_multiprocess(
         contigs, reads, CFG, processes=2, mp_context="fork",
         faults=plan, retry=POLICY, timeout=2.0, report=report,
-        transport="shm",
     )
     assert np.array_equal(got.subject, expected.subject)
     assert report.redispatches >= 2
@@ -204,6 +190,6 @@ def test_shm_released_on_strict_failure(world):
     with pytest.raises(PartialResultError):
         map_reads_multiprocess(
             contigs, reads, CFG, processes=2, mp_context="fork",
-            faults=plan, retry=POLICY, timeout=30.0, transport="shm",
+            faults=plan, retry=POLICY, timeout=30.0,
         )
     _no_leaks()

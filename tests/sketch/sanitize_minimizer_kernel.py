@@ -64,11 +64,12 @@ int main(int argc, char **argv) {
 """
 
 
-def build(workdir: str) -> str:
+def build(workdir: str, driver: str = _DRIVER) -> str:
+    """Compile ``driver`` (which includes the shipped kernel source) under the sanitizers."""
     with open(os.path.join(workdir, "kernels.c"), "w") as fh:
         fh.write(_native._SOURCE)
     with open(os.path.join(workdir, "driver.c"), "w") as fh:
-        fh.write(_DRIVER)
+        fh.write(driver)
     exe = os.path.join(workdir, "driver")
     subprocess.run(
         [os.environ.get("CC", "cc"), "-O1", "-g", "-pthread",

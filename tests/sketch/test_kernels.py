@@ -345,6 +345,96 @@ def test_chunked_execution_is_bit_identical(monkeypatch):
     )
 
 
+def _dedupe_defeating_set(rng):
+    """Contigs on which dropping only *adjacent* repeats is not a dedupe: one
+    k-mer run recurs in a contig more than ℓ apart (the same key, far from its
+    first copy) and in another contig; contigs shorter than k sit between the
+    long ones (owners with no minimizers, so subject ids jump)."""
+    from repro.seq import SequenceSetBuilder
+
+    motif = random_codes(60, rng)
+    twice = np.concatenate(
+        [random_codes(400, rng), motif, random_codes(900, rng), motif, random_codes(300, rng)]
+    )
+    builder = SequenceSetBuilder()
+    for name, codes in (
+        ("long_a", random_codes(2_000, rng)),
+        ("tiny_1", random_codes(5, rng)),
+        ("twice", twice),
+        ("tiny_2", random_codes(11, rng)),
+        ("empty", np.empty(0, dtype=np.uint8)),
+        ("shares_motif", np.concatenate([random_codes(200, rng), motif, random_codes(700, rng)])),
+        ("periodic", np.tile(random_codes(37, rng), 40)),
+    ):
+        builder.add(name, codes)
+    return builder.build()
+
+
+@pytest.mark.parametrize("no_native", [False, True])
+@pytest.mark.parametrize("offset", [0, (1 << 32) - 8])
+def test_subject_pairs_survive_far_apart_repeats(monkeypatch, no_native, offset):
+    """The native kernel drops a key equal to the previous interval's; the
+    repeats that rule cannot see must still be deduped — at every chunking,
+    with subject ids up against 2^32 - 1, on either backend."""
+    if no_native:
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    seqs = _dedupe_defeating_set(np.random.default_rng(5))
+    k, w, ell = 12, 10, 300
+    want = subject_sketch_pairs_reference(seqs, k, w, ell, FAMILY, subject_id_offset=offset)
+    # the input does defeat adjacent-only dedupe: in some trial, dropping the
+    # keys equal to their left neighbour leaves more than the distinct ones
+    from repro.sketch.jem import _subject_minimizer_block
+
+    values, positions, owner = _subject_minimizer_block(seqs, k, w, ell)
+    ends = np.searchsorted(positions, positions + ell, side="right")
+    leftovers = 0
+    for t in range(FAMILY.size):
+        hashed = FAMILY.apply(t, values)
+        raw = np.array([
+            (int(values[i + np.argmin(hashed[i:e])]) << 32) | (int(owner[i]) + offset)
+            for i, e in enumerate(ends)
+        ], dtype=np.uint64)
+        assert np.array_equal(np.unique(raw), want[t])
+        leftovers += np.count_nonzero(raw[1:] != raw[:-1]) + 1 - want[t].size
+    assert leftovers > 0
+    for budget in (None, 1):  # 1: every chunk is one trial
+        if budget is not None:
+            monkeypatch.setattr(kernels_mod, "SUBJECT_SCRATCH_ELEMS", budget)
+            monkeypatch.setattr(kernels_mod, "MAX_BATCH_ELEMS", budget)
+        got = subject_sketch_pairs(seqs, k, w, ell, FAMILY, subject_id_offset=offset)
+        assert len(got) == FAMILY.size
+        for g, e in zip(got, want):
+            assert g.dtype == np.uint64 and np.array_equal(g, e)
+    with pytest.raises(SketchError, match="subject ids must fit"):
+        subject_sketch_pairs(seqs, k, w, ell, FAMILY, subject_id_offset=(1 << 32) - 3)
+
+
+@pytest.mark.skipif(_native.load() is None, reason="no C compiler available")
+def test_native_subject_kernel_scratch_stays_under_its_budget():
+    """Sketching a tier-L-sized contig set (≈ 170k minimizers x 30 trials) never
+    asks the key scratch for the (T, n) matrix: the slot stays at the budget."""
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1_500, 4_500, size=2_600)
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    contigs = SequenceSet(
+        random_codes(int(offsets[-1]), rng), offsets, [f"c{i}" for i in range(lengths.size)]
+    )
+    family = HashFamily.generate(30, seed=1)
+    seen = {}
+
+    def sketch():  # a fresh thread has fresh scratch slots
+        keys = subject_sketch_pairs(contigs, 16, 100, 1000, family)
+        seen["entries"] = sum(k.size for k in keys)
+        seen["slots"] = {name: buf.size for name, buf in kernels_mod._scratch.slots.items()}
+
+    thread = threading.Thread(target=sketch)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert seen["entries"] > kernels_mod.SUBJECT_SCRATCH_ELEMS  # the matrix would not have fit
+    assert seen["slots"] == {"keys": kernels_mod.SUBJECT_SCRATCH_ELEMS}
+
+
 def test_empty_and_degenerate_sets():
     empty = SequenceSet.empty()
     pairs = subject_sketch_pairs(empty, 12, 20, 500, FAMILY)
