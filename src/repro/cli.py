@@ -38,7 +38,6 @@ import numpy as np
 from . import __version__
 from .core.config import JEMConfig
 from .core.engine import MAPPER_KINDS, MappingEngine, PipelineConfig, read_sequences
-from .core.mapper import JEMMapper
 from .seq.io_fasta import read_fasta, write_fasta
 from .seq.io_fastq import write_fastq
 from .seq.records import SequenceSet
@@ -200,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("-o", "--output", help="index file (.npz) or, with any "
                                                "mutable-index flag, a v4 directory")
     p_index.add_argument("--shards", type=int, default=1,
-                         help="sketch the contigs in this many checkpointable "
-                              "shards (bit-identical to a one-shot build)")
+                         help="checkpoint units of a --checkpoint-dir build "
+                              "(no effect without one: a build always runs in "
+                              "bounded blocks)")
     p_index.add_argument("--mutable", action="store_true",
                          help="write a mutable (format v4) index directory "
                               "instead of a .npz bundle; -o names the directory")
@@ -432,27 +432,20 @@ def _cmd_index(args: argparse.Namespace) -> int:
         print("error: index requires -s/--subjects and -o/--output", file=sys.stderr)
         return 2
     config = _config_from(args)
-    subjects = read_fasta(args.subjects)
     t0 = time.perf_counter()
     if args.checkpoint_dir:
         from .resilience import build_index_checkpointed, save_invocation
 
         save_invocation(args.checkpoint_dir, _invocation_payload(args, "index"))
-        mapper = build_index_checkpointed(
-            subjects, config, shards=args.shards,
+        mapper = build_index_checkpointed(  # shards are cut from the whole set
+            read_sequences(args.subjects), config, shards=args.shards,
             run_dir=args.checkpoint_dir, subjects_path=args.subjects,
         )
-    elif args.shards > 1:
-        from .parallel.partition import partition_set
-
-        mapper = JEMMapper(config)
-        mapper.index_partitioned(partition_set(subjects, args.shards))
-    else:
-        mapper = JEMMapper(config)
-        mapper.index(subjects)
+    else:  # block by block from the file, as `jem map -s` builds it
+        mapper = _engine_from(args).mapper
     table = mapper.table
     path = save_index(mapper, args.output)
-    print(f"indexed {len(subjects)} contigs in {time.perf_counter() - t0:.2f}s: "
+    print(f"indexed {table.n_subjects} contigs in {time.perf_counter() - t0:.2f}s: "
           f"{table.total_entries:,} sketch entries ({table.nbytes / 1e6:.1f} MB) -> {path}")
     return 0
 
@@ -492,14 +485,12 @@ def _cmd_index_mutable(args: argparse.Namespace) -> int:
         actions.append(f"migrated {args.from_index} -> v4 directory")
     elif args.subjects:
         config = _config_from(args)
-        subjects = read_fasta(args.subjects)
-        mapper = JEMMapper(config)
-        mapper.index(subjects)
+        mapper = _engine_from(args).mapper
         handle = MutableSketchStore.create(
             run_dir, config, base_store=mapper.table,
-            subject_names=subjects.names,
+            subject_names=mapper.subject_names,
         )
-        actions.append(f"indexed {len(subjects)} contig(s)")
+        actions.append(f"indexed {len(mapper.subject_names)} contig(s)")
     else:
         print(f"error: no mutable index at {run_dir!r}; seed it with "
               "-s contigs.fasta or --from-index bundle.npz", file=sys.stderr)
@@ -596,11 +587,12 @@ def _cmd_map(args: argparse.Namespace) -> int:
         from .core.segments import extract_end_segments
 
         config = engine.pipeline.jem
+        subjects = engine.subjects  # coordinates need the sequences: read before indexing
         queries = read_sequences(args.queries, on_error=args.on_error)
         run = engine.map_queries(queries)
         _report_partial(run.partial)
         segments, _ = extract_end_segments(queries, config.ell)
-        n = write_paf(args.output, run.mapping, segments, engine.subjects,
+        n = write_paf(args.output, run.mapping, segments, subjects,
                       trials=config.trials, k=config.k)
         print(f"wrote {n} PAF records", file=sys.stderr)
         return 0

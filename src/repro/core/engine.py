@@ -34,7 +34,7 @@ from ..seq.io_fasta import ParseReport
 from ..seq.records import SequenceSet, SequenceSetBuilder
 from .config import JEMConfig
 from .mapper import JEMMapper, MappingResult
-from .streaming import iter_records, map_file
+from .streaming import iter_batches, iter_records, map_file
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..parallel.costmodel import StepTimes
@@ -313,6 +313,8 @@ class MappingEngine:
         self.pipeline = pipeline if pipeline is not None else PipelineConfig()
         self._mapper: Mapper | None = None
         self._subjects: SequenceSet | None = None
+        #: where :meth:`load_subjects` said the contigs are; read only when needed
+        self._subjects_path: str | None = None
         self._from_saved_index = False
         self._index_path: str | None = None
         #: telemetry of the last :meth:`map_file` run, set once it is exhausted
@@ -322,16 +324,23 @@ class MappingEngine:
 
     def use_subjects(self, subjects: SequenceSet) -> "MappingEngine":
         """Index will be built from these contig sequences (lazily)."""
-        self._subjects = subjects
+        return self._use_source(subjects, None)
+
+    def load_subjects(self, path: str) -> "MappingEngine":
+        """Use a contigs FASTA as the subject source, without reading it yet.
+
+        The jem index is built from the file block by block
+        (:meth:`~repro.core.mapper.JEMMapper.index_partitioned`), so the
+        contig set is never resident; :attr:`subjects` reads it whole for
+        the callers that need the sequences themselves.
+        """
+        return self._use_source(None, path)
+
+    def _use_source(self, subjects: SequenceSet | None, path: str | None) -> "MappingEngine":
+        self._subjects, self._subjects_path = subjects, path
         self._mapper = None
         self._from_saved_index = False
         return self
-
-    def load_subjects(self, path: str) -> "MappingEngine":
-        """Read a contigs FASTA and use it as the subject source."""
-        return self.use_subjects(
-            read_sequences(path, on_error=self.pipeline.on_error)
-        )
 
     def use_index(self, path: str) -> "MappingEngine":
         """Use a persisted index (jem only; config comes from disk).
@@ -349,8 +358,8 @@ class MappingEngine:
 
         mapper = load_index(path)
         mapper.threads = self.pipeline.kernel_threads
+        self._use_source(None, None)
         self._mapper = mapper
-        self._subjects = None
         self._from_saved_index = True
         self._index_path = path
         return self
@@ -367,26 +376,40 @@ class MappingEngine:
     def mapper(self) -> Mapper:
         """The engine's mapper, built and indexed on first access."""
         if self._mapper is None:
-            if self._subjects is None:
-                raise MappingError(
-                    "no index source: call use_subjects()/use_index() first"
-                )
             mapper = build_mapper(self.pipeline)
-            mapper.index(self._subjects)
+            path = self._subjects_path
+            if self._subjects is None and path and isinstance(mapper, JEMMapper):
+                pipe, report = self.pipeline, ParseReport()
+                records = iter_records(path, on_error=pipe.on_error, report=report)
+                mapper.index_partitioned(iter_batches(records))
+                _warn_skipped(report, path)
+            else:  # other mappers index a whole set
+                mapper.index(self.subjects)
             self._mapper = mapper
         return self._mapper
 
     @property
     def subject_names(self) -> list[str]:
-        """Contig names by subject id (without building an unbuilt index)."""
-        if self._subjects is not None:
-            return self._subjects.names
+        """Contig names by subject id — from the sequences while no index is
+        built and they are held, or the mode is one that never builds it."""
+        if self._mapper is None and (self._subjects is not None or self._whole_set()):
+            return self.subjects.names
         return self.mapper.subject_names
 
     @property
     def subjects(self) -> SequenceSet:
+        """The contig sequences, read from :meth:`load_subjects`' file on first
+        touch: what the SPMD simulation, worker-process runs, ``--paf`` and the
+        non-jem mappers need, and the plain jem path never asks for."""
         if self._subjects is None:
-            raise MappingError("engine has no subject sequences (saved index?)")
+            if self._subjects_path is None:
+                raise MappingError(
+                    "engine has no contig sequences: call use_subjects() / "
+                    "load_subjects() first (a saved index carries none)"
+                )
+            self._subjects = read_sequences(
+                self._subjects_path, on_error=self.pipeline.on_error
+            )
         return self._subjects
 
     # -- batch mapping ------------------------------------------------------
@@ -405,6 +428,11 @@ class MappingEngine:
             isolated = checkpointed or pipe.inject_faults is not None
             return "process" if isolated else "inline"
         return "simulated"
+
+    def _whole_set(self) -> bool:
+        """Whether runs go through :meth:`map_queries` on whole read and contig
+        sets (the simulation, worker processes, any checkpointed run)."""
+        return self.pipeline.checkpoint_dir is not None or self._mode() not in _INLINE_MODES
 
     def _label(self, mode: str) -> str:
         pipe = self.pipeline
@@ -498,7 +526,7 @@ class MappingEngine:
         pipe = self.pipeline
         mode = self._mode()
         self.last_run = None
-        if pipe.checkpoint_dir is not None or mode not in _INLINE_MODES:
+        if self._whole_set():
             run = self.map_queries(read_sequences(path, on_error=pipe.on_error))
             self.last_run = run
             yield run.mapping

@@ -66,6 +66,7 @@ import json
 import os
 import threading
 import zlib
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -736,24 +737,15 @@ class MutableSketchStore:
     def _write_segment_file(
         self, seq: int, segment: ColumnarSketchStore
     ) -> tuple[str, int]:
-        import io
+        from .persist import stacked_trials, write_bundle
 
-        from ..resilience.checkpoint import atomic_write_bytes
-
-        payload_arrays = {
-            "n_subjects": np.int64(segment.n_subjects),
-            "trials": np.int64(segment.trials),
-        }
-        for t in range(segment.trials):
-            payload_arrays[f"trial_{t:03d}"] = np.stack(
-                [segment.values[t], segment.subjects[t]]
-            )
-        buf = io.BytesIO()
-        np.savez(buf, **payload_arrays)  # stored, like the v3 bundle
-        payload = buf.getvalue()
+        head = [
+            ("n_subjects", np.int64(segment.n_subjects)),
+            ("trials", np.int64(segment.trials)),
+        ]
         rel = os.path.join(_SEGMENTS_DIR, f"seg_{seq:06d}.npz")
-        atomic_write_bytes(os.path.join(self._dir, rel), payload)
-        return rel, zlib.crc32(payload) & 0xFFFFFFFF
+        members = chain(head, stacked_trials(segment))
+        return rel, write_bundle(os.path.join(self._dir, rel), members, file_crc=True)
 
     def _load_segment_file(self, meta: dict) -> ColumnarSketchStore | None:
         path = os.path.join(self._dir, meta["file"])

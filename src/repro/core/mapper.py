@@ -14,6 +14,7 @@ Public usage::
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +28,11 @@ from ..sketch.jem import (
     query_sketch_values,
     subject_sketch_pairs,
 )
+from ..sketch.kernels import release_scratch
 from .config import JEMConfig
 from .hitcounter import BestHits, count_hits_fused, count_hits_vectorised
 from .segments import SegmentInfo, extract_end_segments
-from .store import DEFAULT_STORE_KIND, SketchStore, build_store, merge_trial_keys
+from .store import DEFAULT_STORE_KIND, SketchStore, build_store, iter_merged_trial_keys
 
 __all__ = ["JEMMapper", "MappingResult", "map_segment_batch"]
 
@@ -132,8 +134,8 @@ class JEMMapper:
 
     The mapper is *deterministic* for a fixed :class:`JEMConfig` (the hash
     constants derive from ``config.seed``), and the index can be built
-    incrementally from partitions (:meth:`index_partitioned`) — that is the
-    sequential equivalent of the paper's parallel steps S2+S3.
+    block by block (:meth:`index_partitioned`, the one build body) — the
+    sequential equivalent of the paper's parallel steps S1–S3.
     """
 
     def __init__(
@@ -179,39 +181,39 @@ class JEMMapper:
 
     def index(self, contigs: SequenceSet) -> SketchStore:
         """Sketch all subjects and build the per-trial tables S[1..T]."""
-        if len(contigs) == 0:
-            raise MappingError("cannot index an empty contig set")
-        cfg = self.config
-        keys = subject_sketch_pairs(contigs, cfg.k, cfg.w, cfg.ell, self._family)
-        self._table = build_store(self.store_kind, keys, n_subjects=len(contigs))
-        self._subject_names = list(contigs.names)
-        return self._table
+        return self.index_partitioned([contigs])
 
-    def index_partitioned(self, partitions: list[SequenceSet]) -> SketchStore:
-        """Build the index from disjoint contig partitions.
+    def index_partitioned(self, partitions: Iterable[SequenceSet]) -> SketchStore:
+        """Build the index from disjoint contig blocks, consumed one at a time.
 
-        Each partition is sketched with subject ids offset by its position —
-        the same global ids the parallel driver assigns — and the per-trial
-        tables are unioned, mirroring S2 + S3.  The result is identical to
-        :meth:`index` on the concatenated set.
+        The paper's S1–S3 run in sequence: each block (any iterable — a
+        generator over a file holds one block at a time) is sketched with
+        subject ids offset by the contigs seen so far, the same global ids
+        the parallel driver assigns, and the per-trial tables are unioned
+        once, each trial's merged keys going straight into the store's
+        columns.  The result is identical to :meth:`index` — its one-block
+        case — on the concatenated set.
         """
-        if not partitions:
-            raise MappingError("no partitions given")
         cfg = self.config
         parts: list[list[np.ndarray]] = []
-        offset = 0
         names: list[str] = []
-        for part in partitions:
-            parts.append(
-                subject_sketch_pairs(
-                    part, cfg.k, cfg.w, cfg.ell, self._family,
-                    subject_id_offset=offset,
+        try:
+            for part in partitions:
+                parts.append(
+                    subject_sketch_pairs(
+                        part, cfg.k, cfg.w, cfg.ell, self._family,
+                        subject_id_offset=len(names),
+                    )
                 )
-            )
-            offset += len(part)
-            names.extend(part.names)
+                names.extend(part.names)
+        finally:
+            release_scratch()  # S2's working set, not the resident index's
+        if not parts:
+            raise MappingError("no partitions given")
+        if not names:
+            raise MappingError("cannot index an empty contig set")
         self._table = build_store(
-            self.store_kind, merge_trial_keys(parts), n_subjects=offset
+            self.store_kind, iter_merged_trial_keys(parts), n_subjects=len(names)
         )
         self._subject_names = names
         return self._table

@@ -26,10 +26,10 @@ rebuild.  See ``docs/architecture.md`` for the layout.
 
 from __future__ import annotations
 
-import io
 import os
 import zipfile
 import zlib
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .config import JEMConfig
 from .mapper import JEMMapper
 from .store import ColumnarSketchStore
 
-__all__ = ["save_index", "load_index", "INDEX_FORMAT_VERSION"]
+__all__ = ["save_index", "load_index", "write_bundle", "INDEX_FORMAT_VERSION"]
 
 #: Bumped on any incompatible change to the on-disk layout.
 #: v4 is the *mutable* layout — a directory holding a manifest of segment
@@ -79,6 +79,54 @@ def _content_checksum(
     return crc & 0xFFFFFFFF
 
 
+def stacked_trials(store: ColumnarSketchStore) -> Iterator[tuple[str, np.ndarray]]:
+    """``(member name, (2, n) uint32 columns)`` of each trial, stacked one at a time."""
+    for t in range(store.trials):
+        yield f"trial_{t:03d}", np.stack([store.values[t], store.subjects[t]])
+
+
+def write_bundle(
+    final: str, members: Iterable[tuple[str, np.ndarray]], *, file_crc: bool = False
+) -> int | None:
+    """Write ``members`` as a stored ``.npz`` — what ``np.savez`` writes — atomically.
+
+    The one bundle writer (v3 bundles and v4 segment files).  Members go
+    one at a time straight into a tmp file next to ``final``, so no copy
+    of the bundle is built in memory; the tmp file is fsynced and renamed
+    over ``final``, so a crash mid-save can leave a stale tmp file but
+    never a torn bundle under the name.  Stored, not deflated: hashed
+    uint32 columns shrink by a third at ~12 MB/s, which cost more than
+    sketching the contigs did.  With ``file_crc`` the finished tmp file is
+    read back before the rename and its CRC32 returned (what a v4 manifest
+    records of a segment file).
+    """
+    tmp = f"{final}.tmp.{os.getpid()}"
+    crc = None
+    with open(tmp, "w+b") as fh:
+        with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as bundle:
+            for name, arr in members:
+                with bundle.open(name + ".npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, np.asanyarray(arr), allow_pickle=False)
+        if file_crc:
+            fh.seek(0)
+            crc = 0
+            while piece := fh.read(1 << 20):
+                crc = zlib.crc32(piece, crc)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, final)
+    parent = os.path.dirname(os.path.abspath(final))
+    try:
+        dir_fd = os.open(parent, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir fds
+        return crc
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+    return crc
+
+
 def save_index(mapper: JEMMapper, path: str | os.PathLike) -> str:
     """Write a mapper's index (store + config + subject names) to ``path``.
 
@@ -93,44 +141,23 @@ def save_index(mapper: JEMMapper, path: str | os.PathLike) -> str:
         [cfg.k, cfg.w, cfg.ell, cfg.trials, cfg.seed, cfg.min_hits], dtype=np.int64
     )
     names_arr = np.array(mapper.subject_names)
-    stacked = [
-        np.stack([store.values[t], store.subjects[t]]) for t in range(store.trials)
-    ]
-    payload: dict = {
-        "format_version": np.int64(INDEX_FORMAT_VERSION),
-        "config": config_arr,
-        "n_subjects": np.int64(store.n_subjects),
-        "subject_names": names_arr,
-        "checksum": np.uint32(
-            _content_checksum(config_arr, store.n_subjects, names_arr, stacked)
-        ),
-    }
-    for t, columns in enumerate(stacked):
-        payload[f"trial_{t:03d}"] = columns
+
+    def members() -> Iterator[tuple[str, np.ndarray]]:
+        yield "format_version", np.int64(INDEX_FORMAT_VERSION)
+        yield "config", config_arr
+        yield "n_subjects", np.int64(store.n_subjects)
+        yield "subject_names", names_arr
+        # _content_checksum, continued over each trial as it is written
+        crc = _content_checksum(config_arr, store.n_subjects, names_arr, [])
+        for name, columns in stacked_trials(store):
+            crc = zlib.crc32(columns, crc)
+            yield name, columns
+        yield "checksum", np.uint32(crc)
+
     path = os.fspath(path)
-    # np.savez appends .npz when missing; commit under the real file name
+    # np.savez appended .npz when missing; commit under the same file name
     final = path if path.endswith(".npz") else path + ".npz"
-    # stored, not deflated: hashed uint32 columns shrink by a third at
-    # ~12 MB/s, which cost more than sketching the contigs did
-    buffer = io.BytesIO()
-    np.savez(buffer, **payload)
-    # atomic commit: a crash mid-save can leave a stale tmp file, never a
-    # torn bundle under the index's name
-    tmp = f"{final}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(buffer.getbuffer())
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, final)
-    parent = os.path.dirname(os.path.abspath(final))
-    try:
-        dir_fd = os.open(parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return final
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    write_bundle(final, members())
     return final
 
 

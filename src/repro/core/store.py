@@ -30,6 +30,7 @@ the invariant the cross-frontend parity suite pins down.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Iterator
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "STORE_KINDS",
     "DEFAULT_STORE_KIND",
     "build_store",
+    "iter_merged_trial_keys",
     "merge_trial_keys",
     "shard_bounds",
     "lookup_trial_sharded",
@@ -247,9 +249,9 @@ class ColumnarSketchStore:
 
     @classmethod
     def from_trial_keys(
-        cls, keys: list[np.ndarray], n_subjects: int
+        cls, keys: Iterable[np.ndarray], n_subjects: int
     ) -> "ColumnarSketchStore":
-        """Split sorted packed-key arrays into (value, subject) columns.
+        """Split sorted packed-key arrays (any iterable) into (value, subject) columns.
 
         The packed keys sort by value first, subject second, so each
         value's run of the subject column comes out subject-ascending —
@@ -299,25 +301,22 @@ class ColumnarSketchStore:
 
         Returns ``(values, subjects, offsets)`` where trial ``t`` occupies
         ``values[offsets[t]:offsets[t+1]]`` (and the same slice of
-        ``subjects``) — :meth:`export_columns` concatenated once and cached,
-        so repeated fused map calls pay zero copies after the first.
+        ``subjects``) — the columns concatenated on the first call and
+        cached.  The per-trial lists are re-pointed at views of the flat
+        arrays, so the store holds its columns once.  (Not done at
+        construction: a shared-memory shard or a generation that never maps
+        fused would pay a private copy for nothing.)
         """
         if self._flat is None:
             offsets = np.zeros(self.trials + 1, dtype=np.int64)
             np.cumsum([v.size for v in self.values], out=offsets[1:])
-            self._flat = (
-                np.ascontiguousarray(
-                    np.concatenate(self.values)
-                    if self.total_entries
-                    else np.empty(0, dtype=np.uint32)
-                ),
-                np.ascontiguousarray(
-                    np.concatenate(self.subjects)
-                    if self.total_entries
-                    else np.empty(0, dtype=np.uint32)
-                ),
-                offsets,
-            )
+            bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+            # one side at a time: its old columns are freed before the next is copied
+            flat_values = np.concatenate(self.values)
+            self.values = [flat_values[lo:hi] for lo, hi in bounds]
+            flat_subjects = np.concatenate(self.subjects)
+            self.subjects = [flat_subjects[lo:hi] for lo, hi in bounds]
+            self._flat = (flat_values, flat_subjects, offsets)
         return self._flat
 
     def lookup_fused(
@@ -568,7 +567,7 @@ def _split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_store(
-    kind: str, trial_keys: list[np.ndarray], n_subjects: int
+    kind: str, trial_keys: Iterable[np.ndarray], n_subjects: int
 ) -> "SketchStore":
     """Build a store of the requested kind from per-trial packed keys.
 
@@ -579,8 +578,28 @@ def build_store(
     if kind == "columnar":
         return ColumnarSketchStore.from_trial_keys(trial_keys, n_subjects)
     if kind == "dict":
-        return DictSketchStore(trial_keys, n_subjects)
+        return DictSketchStore(list(trial_keys), n_subjects)
     raise SketchError(f"unknown store kind {kind!r}; expected one of {STORE_KINDS}")
+
+
+def iter_merged_trial_keys(parts: list[list]) -> Iterator[np.ndarray]:
+    """:func:`merge_trial_keys` one trial at a time, *consuming* ``parts``:
+    ``parts[r][t]`` is dropped (set to None) once merged, so the parts and
+    whatever the caller builds from the merged arrays never coexist in full."""
+    if not parts:
+        raise SketchError("cannot merge zero key lists")
+    trials = len(parts[0])
+    if any(len(p) != trials for p in parts):
+        raise SketchError("trial count mismatch across key lists")
+    for t in range(trials):
+        merged = np.concatenate([p[t] for p in parts])
+        for p in parts:
+            p[t] = None
+        merged.sort()
+        duplicate = merged[1:] == merged[:-1]
+        if duplicate.any():
+            merged = merged[np.concatenate(([True], ~duplicate))]
+        yield merged
 
 
 def merge_trial_keys(parts: list[list[np.ndarray]]) -> list[np.ndarray]:
@@ -592,9 +611,4 @@ def merge_trial_keys(parts: list[list[np.ndarray]]) -> list[np.ndarray]:
     two ranks — impossible under disjoint partitions but tolerated) are
     collapsed, and each merged array comes back sorted.
     """
-    if not parts:
-        raise SketchError("cannot merge zero key lists")
-    trials = len(parts[0])
-    if any(len(p) != trials for p in parts):
-        raise SketchError("trial count mismatch across key lists")
-    return [np.unique(np.concatenate([p[t] for p in parts])) for t in range(trials)]
+    return list(iter_merged_trial_keys([list(p) for p in parts]))

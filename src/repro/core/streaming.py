@@ -1,10 +1,11 @@
-"""Batched query mapping — the one loop ``jem map`` runs, in bounded memory.
+"""Bounded batches of records — the one loop under ``jem map`` and the index build.
 
 The paper's real-data input (O. sativa) has 532 K reads / 10.5 Gbp, and the
-mapper only ever needs the two ℓ-long ends of a read.  Reads are therefore
-mapped as the parser yields them, in batches cut by *bases*:
-:func:`map_reads_stream` consumes any record iterator and yields one result
-per batch, :func:`map_file` feeds it from a FASTA/FASTQ path.
+mapper only ever needs the two ℓ-long ends of a read.  Records are therefore
+consumed as the parser yields them, in batches cut by *bases*
+(:func:`iter_batches`): reads go to S4 (:func:`map_reads_stream` yields one
+result per batch, :func:`map_file` feeds it from a FASTA/FASTQ path) and
+contigs to S2 (:meth:`~repro.core.mapper.JEMMapper.index_partitioned`).
 """
 
 from __future__ import annotations
@@ -14,17 +15,17 @@ from typing import TYPE_CHECKING
 
 from ..errors import MappingError
 from ..seq.io_fasta import ParseReport, iter_fasta
-from ..seq.records import SeqRecord, SequenceSetBuilder
+from ..seq.records import SeqRecord, SequenceSet, SequenceSetBuilder
 from .mapper import MappingResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Mapper
 
-__all__ = ["BATCH_BASES", "iter_records", "map_reads_stream", "map_file"]
+__all__ = ["BATCH_BASES", "iter_records", "iter_batches", "map_reads_stream", "map_file"]
 
-#: Bases per mapped batch (≈ 200 HiFi reads): per-batch kernel set-up is
-#: ≈ 1 ms, and a batch — resident twice while it is concatenated — is 4 MB.
-#: `jem map` has no flag for it; a read longer than this is a batch alone.
+#: Bases per batch (≈ 200 HiFi reads, ≈ 800 contigs): per-batch kernel set-up
+#: is ≈ 1 ms, and a batch — resident twice while it is concatenated — is 4 MB.
+#: No command has a flag for it; a sequence longer than this is a batch alone.
 BATCH_BASES = 1 << 21
 
 
@@ -39,37 +40,49 @@ def iter_records(
     return iter_fasta(path, on_error=on_error, report=report)
 
 
+def iter_batches(
+    records: Iterable[SeqRecord], batch_bases: int | None = None
+) -> Iterator[SequenceSet]:
+    """Cut a record stream into :class:`SequenceSet` batches, in input order.
+
+    A batch is closed before the record that would take it past
+    ``batch_bases`` (default :data:`BATCH_BASES`), so one batch is resident
+    at a time whatever the file holds.
+    """
+    if batch_bases is None:
+        batch_bases = BATCH_BASES
+    if batch_bases < 1:
+        raise MappingError(f"batch_bases must be >= 1, got {batch_bases}")
+    builder = SequenceSetBuilder()
+    bases = 0
+    for record in records:
+        if len(builder) and bases + len(record) > batch_bases:
+            yield builder.build()
+            builder = SequenceSetBuilder()
+            bases = 0
+        builder.add(record.name, record.codes, record.meta)
+        bases += len(record)
+    if len(builder):
+        yield builder.build()
+
+
 def map_reads_stream(
     mapper: "Mapper",
     records: Iterable[SeqRecord],
     *,
     batch_bases: int | None = None,
 ) -> Iterator[MappingResult]:
-    """Yield one :class:`MappingResult` per batch of reads.
+    """Yield one :class:`MappingResult` per :func:`iter_batches` batch of reads.
 
-    ``mapper`` is any indexed :class:`~repro.core.engine.Mapper`.  A batch
-    is closed before the read that would take it past ``batch_bases``
-    (default :data:`BATCH_BASES`).  Segment rows follow the usual layout
-    (two per read, prefix first), in input order across batches;
-    ``infos[i].read_index`` is the index *within the batch*.
+    ``mapper`` is any indexed :class:`~repro.core.engine.Mapper`.  Segment
+    rows follow the usual layout (two per read, prefix first), in input
+    order across batches; ``infos[i].read_index`` is the index *within the
+    batch*.
     """
-    if batch_bases is None:
-        batch_bases = BATCH_BASES
-    if batch_bases < 1:
-        raise MappingError(f"batch_bases must be >= 1, got {batch_bases}")
     if not getattr(mapper, "is_indexed", True):
         raise MappingError("index() must be called before streaming")
-    builder = SequenceSetBuilder()
-    bases = 0
-    for record in records:
-        if len(builder) and bases + len(record) > batch_bases:
-            yield mapper.map_reads(builder.build())
-            builder = SequenceSetBuilder()
-            bases = 0
-        builder.add(record.name, record.codes, record.meta)
-        bases += len(record)
-    if len(builder):
-        yield mapper.map_reads(builder.build())
+    for batch in iter_batches(records, batch_bases):
+        yield mapper.map_reads(batch)
 
 
 def map_file(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 from collections.abc import Iterable, Iterator
 
@@ -9,13 +10,27 @@ import numpy as np
 
 from ..errors import ParseError
 from .encode import encode
-from .io_fasta import ParseReport, _check_on_error, _open_text
+from .io_fasta import ParseReport, _check_on_error, _open_binary, _open_text
 from .records import SeqRecord, SequenceSet, SequenceSetBuilder
 
 __all__ = ["read_fastq", "iter_fastq", "write_fastq", "PHRED_OFFSET"]
 
 #: Sanger/Illumina 1.8+ quality encoding offset.
 PHRED_OFFSET = 33
+
+
+def _non_ascii_error(lines: tuple[str, ...], path: str, lineno: int) -> ParseError | None:
+    """The typed error for the first byte >= 0x80 in ``lines`` (the first of
+    them line ``lineno``), which the reader escaped to a lone surrogate."""
+    for offset, line in enumerate(lines):
+        if not line.isascii():
+            bad = next(ord(ch) for ch in line if ord(ch) > 0x7F)
+            return ParseError(
+                f"non-ASCII byte 0x{bad & 0xFF:02x} in FASTQ input",
+                path=path,
+                line=lineno + offset,
+            )
+    return None
 
 
 def iter_fastq(
@@ -27,15 +42,19 @@ def iter_fastq(
     """Yield records from a FASTQ file, streaming, with quality arrays.
 
     ``on_error="skip"`` drops malformed records (bad ``@`` header, missing
-    ``+`` separator, quality/sequence length mismatch, truncated final
-    record) with a counted warning and resynchronises on the next header
-    line instead of aborting the file; pass a :class:`ParseReport` to
-    collect the tally.
+    ``+`` separator, quality/sequence length mismatch, non-ASCII bytes,
+    truncated final record) with a counted warning and resynchronises on
+    the next header line instead of aborting the file; pass a
+    :class:`ParseReport` to collect the tally.
     """
     _check_on_error(on_error)
     report = report if report is not None else ParseReport()
     path = os.fspath(path)
-    with _open_text(path, "r") as handle:
+    # surrogateescape: a byte >= 0x80 reaches the checks below, as a typed and
+    # skippable ParseError, where strict decoding dies in readline
+    with io.TextIOWrapper(
+        _open_binary(path), encoding="ascii", errors="surrogateescape"
+    ) as handle:
         lineno = 0
         while True:
             header = handle.readline()
@@ -46,34 +65,33 @@ def iter_fastq(
             if not header:
                 continue
             if not header.startswith("@"):
-                err = ParseError(
+                # skipped, this resynchronises: line by line to the next header
+                err = _non_ascii_error((header,), path, lineno) or ParseError(
                     f"expected '@' header, got {header[:30]!r}", path=path, line=lineno
                 )
-                if on_error == "raise":
-                    raise err
-                # resynchronise by scanning line-by-line to the next header
-                report.record(err)
-                continue
-            seq_line = handle.readline().rstrip("\n\r")
-            plus_line = handle.readline().rstrip("\n\r")
-            qual_line = handle.readline().rstrip("\n\r")
-            lineno += 3
-            if not plus_line.startswith("+"):
-                err = ParseError(
-                    f"expected '+' separator, got {plus_line[:30]!r}",
-                    path=path,
-                    line=lineno - 1,
+            else:
+                seq_line = handle.readline().rstrip("\n\r")
+                plus_line = handle.readline().rstrip("\n\r")
+                qual_line = handle.readline().rstrip("\n\r")
+                lineno += 3
+                err = _non_ascii_error(
+                    (header, seq_line, plus_line, qual_line), path, lineno - 3
                 )
-                if on_error == "raise":
-                    raise err
-                report.record(err)
-                continue
-            if len(qual_line) != len(seq_line):
-                err = ParseError(
-                    f"quality length {len(qual_line)} != sequence length {len(seq_line)}",
-                    path=path,
-                    line=lineno,
-                )
+                if err is not None:
+                    pass
+                elif not plus_line.startswith("+"):
+                    err = ParseError(
+                        f"expected '+' separator, got {plus_line[:30]!r}",
+                        path=path,
+                        line=lineno - 1,
+                    )
+                elif len(qual_line) != len(seq_line):
+                    err = ParseError(
+                        f"quality length {len(qual_line)} != sequence length {len(seq_line)}",
+                        path=path,
+                        line=lineno,
+                    )
+            if err is not None:
                 if on_error == "raise":
                     raise err
                 report.record(err)

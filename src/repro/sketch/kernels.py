@@ -38,6 +38,7 @@ __all__ = [
     "SUBJECT_SCRATCH_ELEMS",
     "key_scratch",
     "pack_keys_batched",
+    "release_scratch",
     "sorted_unique_rows",
     "trial_chunks",
 ]
@@ -85,6 +86,13 @@ def key_scratch(rows: int, cols: int, slot: str = "keys") -> np.ndarray:
             capacity *= 2
         buf = slots[slot] = np.empty(capacity, dtype=np.uint64)
     return buf[:need].reshape(rows, cols)
+
+
+def release_scratch() -> None:
+    """Free this thread's scratch buffers (the next kernel call regrows them):
+    what a one-off pass — an index build — calls when it ends, so its
+    working set does not stay resident for the life of the process."""
+    _scratch.__dict__.pop("slots", None)
 
 
 def pack_keys_batched(

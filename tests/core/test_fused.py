@@ -272,3 +272,83 @@ class TestThreadInvariance:
         assert got is not None and baseline is not None
         assert np.array_equal(got.subject, baseline.subject)
         assert np.array_equal(got.count, baseline.count)
+
+
+# -- the columns are held once ------------------------------------------------
+
+
+def _all_lookups(store, rng):
+    probe = rng.integers(0, 500, 64).astype(np.uint64)
+    hits = [store.lookup_trial(t, probe) for t in range(store.trials)]
+    return [(h.query_index.tolist(), h.subjects.tolist()) for h in hits]
+
+
+def test_flat_columns_fold_the_per_trial_columns_into_views():
+    """The first fused use concatenates the columns and re-points the per-trial
+    lists at views of the flat arrays: one copy resident, equal lookups."""
+    rng = np.random.default_rng(21)
+    store = random_store(rng, trials=5, n_subjects=12, n_entries=300, value_range=500)
+    originals = list(store.values) + list(store.subjects)
+    before = _all_lookups(store, np.random.default_rng(3))
+    keys = [store.trial_keys(t) for t in range(store.trials)]
+    assert store._flat is None  # nothing is copied at construction
+
+    flat_values, flat_subjects, offsets = store.flat_columns()
+    assert store.flat_columns()[0] is flat_values  # cached
+    for t in range(store.trials):
+        lo, hi = int(offsets[t]), int(offsets[t + 1])
+        assert np.shares_memory(store.values[t], flat_values)
+        assert np.shares_memory(store.subjects[t], flat_subjects)
+        assert np.array_equal(store.values[t], flat_values[lo:hi])
+        assert np.array_equal(store.subjects[t], flat_subjects[lo:hi])
+        assert np.array_equal(store.trial_keys(t), keys[t])
+    assert not any(
+        np.shares_memory(old, flat) for old in originals for flat in (flat_values, flat_subjects)
+    )
+    assert _all_lookups(store, np.random.default_rng(3)) == before
+    assert store.nbytes == flat_values.nbytes + flat_subjects.nbytes
+
+
+@needs_native
+def test_fused_lookup_is_what_folds_the_columns():
+    rng = np.random.default_rng(22)
+    family = HashFamily.generate(4, seed=9)
+    store = random_store(rng, trials=4, n_subjects=9, n_entries=200, value_range=400)
+    values, starts, lengths = random_query_block(rng, 30, 8, 400)
+    before = _all_lookups(store, np.random.default_rng(4))
+    want = oracle_hits(store, family, values, starts, lengths, 1)
+    assert store._flat is None
+    got = count_hits_fused(store, values, starts, family, min_hits=1, n_queries=starts.size)
+    assert store._flat is not None
+    assert all(np.shares_memory(store.values[t], store._flat[0]) for t in range(4))
+    assert all(np.shares_memory(store.subjects[t], store._flat[1]) for t in range(4))
+    assert np.array_equal(got.subject, want.subject) and np.array_equal(got.count, want.count)
+    assert _all_lookups(store, np.random.default_rng(4)) == before
+
+
+def test_shm_attached_store_is_not_copied_until_its_first_fused_use():
+    """A worker's shard is views of the shared segment — no private copy at
+    construction, none for numpy lookups — until it first maps fused."""
+    from repro.parallel import shm
+
+    rng = np.random.default_rng(23)
+    shared = shm.share_store(
+        random_store(rng, trials=3, n_subjects=7, n_entries=150, value_range=300)
+    )
+    try:
+        attached = shared.materialise()
+        segment = shm.attach_arrays(shared.ref)
+        before = _all_lookups(attached, np.random.default_rng(5))
+        assert attached._flat is None
+        for t in range(attached.trials):
+            assert np.shares_memory(attached.values[t], segment[2 * t])
+            assert np.shares_memory(attached.subjects[t], segment[2 * t + 1])
+        attached.flat_columns()
+        for t in range(attached.trials):
+            assert not np.shares_memory(attached.values[t], segment[2 * t])
+            assert np.shares_memory(attached.values[t], attached._flat[0])
+        assert _all_lookups(attached, np.random.default_rng(5)) == before
+        del attached, segment
+    finally:
+        shm.release(shared.ref.name)
+    assert not shm.created_segment_names()

@@ -297,6 +297,84 @@ def test_save_is_atomic_and_tolerates_stale_tmp(tmp_path, tiling_contigs):
     ]
 
 
+def test_streamed_bundle_equals_np_savez_of_the_same_payload(tmp_path, tiling_contigs):
+    """The member-at-a-time writer writes what one ``np.savez`` call over the
+    whole payload wrote — same members, same bytes in each, same checksum
+    definition — and, asked to, returns the CRC32 of the file it committed."""
+    import zlib
+
+    from repro.core.persist import stacked_trials, write_bundle
+
+    mapper = JEMMapper(CFG)
+    mapper.index(tiling_contigs)
+    path = save_index(mapper, tmp_path / "idx")
+    store = mapper.table
+    config_arr = np.array(
+        [CFG.k, CFG.w, CFG.ell, CFG.trials, CFG.seed, CFG.min_hits], dtype=np.int64
+    )
+    names_arr = np.array(mapper.subject_names)
+    stacked = [np.stack([store.values[t], store.subjects[t]]) for t in range(store.trials)]
+    payload = {
+        "format_version": np.int64(INDEX_FORMAT_VERSION),
+        "config": config_arr,
+        "n_subjects": np.int64(store.n_subjects),
+        "subject_names": names_arr,
+        "checksum": np.uint32(
+            _content_checksum(config_arr, store.n_subjects, names_arr, stacked)
+        ),
+        **{f"trial_{t:03d}": columns for t, columns in enumerate(stacked)},
+    }
+    reference = str(tmp_path / "savez.npz")
+    np.savez(reference, **payload)
+    with zipfile.ZipFile(path) as got, zipfile.ZipFile(reference) as want:
+        assert sorted(got.namelist()) == sorted(want.namelist())
+        for name in want.namelist():
+            assert got.read(name) == want.read(name), name
+    loaded = load_index(path)  # verifies the streamed checksum
+    assert loaded.subject_names == mapper.subject_names
+    assert [name for name, _ in stacked_trials(store)] == sorted(payload)[-CFG.trials:]
+
+    segment = str(tmp_path / "segment.npz")
+    assert write_bundle(segment, stacked_trials(store)) is None
+    crc = write_bundle(segment, stacked_trials(store), file_crc=True)
+    with open(segment, "rb") as fh:
+        assert crc == zlib.crc32(fh.read())
+
+
+def test_writer_killed_mid_bundle_leaves_the_previous_bundle_intact(
+    tmp_path, tiling_contigs, monkeypatch
+):
+    """A save that dies while its third trial is being written has touched only
+    its tmp file: the bundle under the name is the previous one, byte for byte."""
+    from repro.core import persist
+
+    path = _saved_bundle(tmp_path, tiling_contigs)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    other = JEMMapper(CFG)
+    other.index(tiling_contigs.slice(0, 3))
+    real = persist.stacked_trials
+
+    def dying(store):
+        for i, member in enumerate(real(store)):
+            if i == 2:
+                raise RuntimeError("killed mid-bundle")
+            yield member
+
+    monkeypatch.setattr(persist, "stacked_trials", dying)
+    with pytest.raises(RuntimeError, match="killed mid-bundle"):
+        save_index(other, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert len(load_index(path).subject_names) == len(tiling_contigs)
+    tmp = f"{os.path.basename(path)}.tmp.{os.getpid()}"
+    assert sorted(os.listdir(os.path.dirname(path))) == sorted([os.path.basename(path), tmp])
+    monkeypatch.undo()
+    save_index(other, path)  # the next save reuses the tmp name and commits
+    assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+    assert len(load_index(path).subject_names) == 3
+
+
 def test_version_check(tmp_path, tiling_contigs):
     mapper = JEMMapper(CFG)
     mapper.index(tiling_contigs)

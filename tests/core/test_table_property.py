@@ -59,3 +59,38 @@ def test_values_of_trial_is_distinct_sorted(pairs):
         vals = build_store(kind, [keys], n_subjects=21).values_of_trial(0)
         assert sorted(set(vals.tolist())) == vals.tolist(), kind
         assert set(vals.tolist()) == {p[0] for p in pairs}, kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_merge_trial_keys_is_per_trial_unique_of_the_concatenation(data):
+    """Any number of parts, empty parts, keys repeated within and across parts:
+    the sort-and-drop merge equals ``np.unique`` of each trial's concatenation,
+    lazily (consuming its input) and as a list (leaving it alone)."""
+    from repro.core import merge_trial_keys
+    from repro.core.store import iter_merged_trial_keys
+
+    trials = data.draw(st.integers(min_value=1, max_value=4))
+    n_parts = data.draw(st.integers(min_value=1, max_value=5))
+    # a small key space, so duplicates are the rule; the top bit, so order is unsigned
+    key = st.sampled_from([0, 1, 2, 3, 5, 8, (7 << 32) | 1, (7 << 32) | 2, (1 << 63) | 4])
+    parts = [
+        [
+            np.array(data.draw(st.lists(key, max_size=12)), dtype=np.uint64)
+            for _ in range(trials)
+        ]
+        for _ in range(n_parts)
+    ]
+    expected = [
+        np.unique(np.concatenate([part[t] for part in parts])) for t in range(trials)
+    ]
+    copies = [[arr.copy() for arr in part] for part in parts]
+    merged = merge_trial_keys(parts)
+    assert len(merged) == trials
+    for got, want in zip(merged, expected):
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+    for part, copy in zip(parts, copies):  # the list form does not consume its input
+        assert all(np.array_equal(a, b) for a, b in zip(part, copy))
+    for t, got in enumerate(iter_merged_trial_keys(copies)):
+        assert np.array_equal(got, expected[t])
+        assert all(part[t] is None for part in copies)  # dropped as soon as merged

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -221,41 +222,17 @@ def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
         assert done.returncode == 0, done.stderr
 
 
-def test_one_shot_round_memory_does_not_grow_with_the_read_set(tmp_path):
-    """`jem index` and `jem map -s … -p 2 --backend process` stay within a fixed
-    allowance of an import-only process on a 2-Mbp contig set and a 24-Mbp read
-    set, and never import multiprocessing.  The allowance is what one round
-    needs at any read-set size — contigs twice over while they are assembled
-    (4 MB), S2's minimizer block and its 4-MiB key scratch, the index, one
-    2-Mi-base read batch twice over — and is less than the read set held once:
-    loading it whole (twice over while concatenating, as `read_sequences` does)
-    or publishing a copy in shared memory cannot fit.
+def _peak_mb(*argv):
+    """VmHWM (MB) of one `jem` command in a fresh interpreter with the kernels
+    loaded — of an import-only process without ``argv`` — and whether it
+    imported multiprocessing.
 
     VmHWM of /proc/self/status, not ru_maxrss: the kernel folds the forked
     pytest parent into the latter at exec (ledger/README.md)."""
     import subprocess
     import sys
 
-    import numpy as np
-
     import repro
-    from repro.seq import SequenceSet, random_codes, write_fasta
-
-    allowance_mb = 20.0  # measured: index +11 MB, map +14..16 MB (+64 MB before batching)
-    rng = np.random.default_rng(17)
-    genome = random_codes(2_000_000, rng)
-    cuts = np.arange(0, genome.size + 1, 2_500, dtype=np.int64)
-    contigs = SequenceSet(genome, cuts, [f"c{i}" for i in range(cuts.size - 1)])
-    starts = rng.integers(0, genome.size - 10_000, size=2_400)
-    reads = SequenceSet(
-        np.concatenate([genome[s : s + 10_000] for s in starts]),
-        np.arange(0, 10_000 * starts.size + 1, 10_000, dtype=np.int64),
-        [f"r{i}" for i in range(starts.size)],
-    )
-    assert reads.total_bases / 1e6 > allowance_mb
-    contigs_path, reads_path = str(tmp_path / "contigs.fasta"), str(tmp_path / "reads.fasta")
-    write_fasta(contigs_path, contigs)
-    write_fasta(reads_path, reads, width=0)
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     code = (
@@ -264,27 +241,96 @@ def test_one_shot_round_memory_does_not_grow_with_the_read_set(tmp_path):
         "hwm = [l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]; "
         "print(rc, hwm, 'multiprocessing' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    rc, hwm_kb, has_mp = done.stdout.split()[-3:]
+    assert rc == "0", done.stderr
+    return int(hwm_kb) / 1024.0, has_mp == "True"
 
-    def run(*argv):
-        done = subprocess.run(
-            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
-        )
-        assert done.returncode == 0, done.stderr
-        rc, hwm_kb, has_mp = done.stdout.split()[-3:]
-        assert rc == "0", done.stderr
-        return int(hwm_kb) / 1024.0, has_mp == "True"
 
-    baseline_mb, _ = run()
+def _tiled_contigs(genome, size=2_500):
+    from repro.seq import SequenceSet
+
+    cuts = np.arange(0, genome.size + 1, size, dtype=np.int64)
+    return SequenceSet(genome, cuts, [f"c{i}" for i in range(cuts.size - 1)])
+
+
+def _sampled_reads(genome, rng, count, size=10_000):
+    from repro.seq import SequenceSet
+
+    starts = rng.integers(0, genome.size - size, size=count)
+    return SequenceSet(
+        np.concatenate([genome[s : s + size] for s in starts]),
+        np.arange(0, size * count + 1, size, dtype=np.int64),
+        [f"r{i}" for i in range(count)],
+    )
+
+
+def test_one_shot_round_memory_does_not_grow_with_the_read_set(tmp_path):
+    """`jem index` and `jem map -s … -p 2 --backend process` stay within a fixed
+    allowance of an import-only process on a 2-Mbp contig set and a 24-Mbp read
+    set, and never import multiprocessing.  The allowance is what one round
+    needs at any read-set size — one 2-Mi-base block of contigs or reads twice
+    over while it is assembled (4 MB), S2's minimizer block and its 4-MiB key
+    scratch, the index — and is less than the read set held once: loading it
+    whole (twice over while concatenating, as `read_sequences` does) or
+    publishing a copy in shared memory cannot fit."""
+    from repro.seq import random_codes, write_fasta
+
+    allowance_mb = 20.0  # measured: index +11 MB, map +14..16 MB (+64 MB before batching)
+    rng = np.random.default_rng(17)
+    genome = random_codes(2_000_000, rng)
+    reads = _sampled_reads(genome, rng, 2_400)
+    assert reads.total_bases / 1e6 > allowance_mb
+    contigs_path, reads_path = str(tmp_path / "contigs.fasta"), str(tmp_path / "reads.fasta")
+    write_fasta(contigs_path, _tiled_contigs(genome))
+    write_fasta(reads_path, reads, width=0)
+
+    baseline_mb, _ = _peak_mb()
     out = tmp_path / "out.tsv"
     for argv in (
         ["index", "-s", contigs_path, "-o", str(tmp_path / "idx.npz")],
         ["map", "-q", reads_path, "-s", contigs_path, "-p", "2", "--backend", "process",
          "-o", str(out)],
     ):
-        peak_mb, has_mp = run(*argv)
+        peak_mb, has_mp = _peak_mb(*argv)
         assert not has_mp, argv[0]
         assert peak_mb < baseline_mb + allowance_mb, (argv[0], baseline_mb, peak_mb)
+    assert sum(1 for _ in open(out)) == 3 + 2 * len(reads)
+
+
+def test_one_shot_round_memory_grows_by_the_index_not_the_contig_set(tmp_path):
+    """The other axis: 6 Mbp against 24 Mbp of 2.5-kbp contigs.  `jem index`
+    grows by less than the 18 MB of added contig bases held once — it holds one
+    block of them, so what grows is the index (0.6 bytes a base: the packed
+    keys, then the columns) — and `jem map -s … -p 2 --backend process` by less
+    than 30 MB: the index, and half of it again while `flat_columns` folds one
+    side at a time.  Reading the set whole (twice over while it is assembled)
+    grew them by 58 and 44 MB."""
+    from repro.seq import random_codes, write_fasta
+
+    rng = np.random.default_rng(18)
+    genome = random_codes(24_000_000, rng)
+    small, large = str(tmp_path / "contigs6.fasta"), str(tmp_path / "contigs24.fasta")
+    write_fasta(small, _tiled_contigs(genome[:6_000_000]))
+    write_fasta(large, _tiled_contigs(genome))
+    reads = _sampled_reads(genome[:6_000_000], rng, 100)
+    reads_path = str(tmp_path / "reads.fasta")
+    write_fasta(reads_path, reads, width=0)
+
+    out = tmp_path / "out.tsv"
+    legs = {
+        "index": (18.0, lambda contigs: ["index", "-s", contigs, "-o", str(tmp_path / "idx.npz")]),
+        "map": (30.0, lambda contigs: ["map", "-q", reads_path, "-s", contigs, "-p", "2",
+                                       "--backend", "process", "-o", str(out)]),
+    }  # measured growth: index +12..13 MB, map +22..24 MB
+    for name, (allowance_mb, argv) in legs.items():
+        (small_mb, mp_small), (large_mb, mp_large) = _peak_mb(*argv(small)), _peak_mb(*argv(large))
+        assert not (mp_small or mp_large), name
+        assert large_mb - small_mb < allowance_mb, (name, small_mb, large_mb)
     assert sum(1 for _ in open(out)) == 3 + 2 * len(reads)
 
 

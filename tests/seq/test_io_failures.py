@@ -66,6 +66,90 @@ def test_fasta_with_windows_bom_fails_cleanly(tmp_path):
     assert info.value.line == 1 and info.value.path == str(path)
 
 
+#: r2 carries a Latin-1 byte in its sequence, r4 a UTF-8 pair in its header, r5
+#: one in its quality line; r1, r3 and r6 are well formed
+NON_ASCII_FASTQ = (
+    b"@r1\nacgt\n+\nIIII\n"
+    b"@r2\nac\xe9t\n+\nIIII\n"
+    b"@r3\ntt\n+\nII\n"
+    b"@r4 caf\xc3\xa9\nacgt\n+\nIIII\n"
+    b"@r5\nacg\n+\nI\xffI\n"
+    b"@r6\ng\n+\nI\n"
+)
+
+
+def _write_maybe_gzip(path, payload: bytes):
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "wb") as fh:
+        fh.write(payload)
+    return path
+
+
+@pytest.mark.parametrize("name", ["latin.fastq", "latin.fastq.gz"])
+def test_fastq_non_ascii_raises_parse_error_with_line(tmp_path, name):
+    """A byte >= 0x80 is a typed error naming the byte, the file and the line —
+    it used to escape as a UnicodeDecodeError from readline."""
+    path = _write_maybe_gzip(tmp_path / name, NON_ASCII_FASTQ)
+    with pytest.raises(ParseError, match="non-ASCII byte 0xe9 in FASTQ input") as info:
+        list(iter_fastq(path))
+    assert info.value.line == 6 and info.value.path == str(path)
+
+
+@pytest.mark.parametrize("name", ["latin.fastq", "latin.fastq.gz"])
+def test_fastq_non_ascii_record_is_skipped_and_counted(tmp_path, name):
+    """Under ``skip`` each such record is dropped and counted once, and the
+    reader picks up at the next ``@`` header — the policy FASTA has."""
+    from repro.seq.io_fasta import ParseReport
+
+    path = _write_maybe_gzip(tmp_path / name, NON_ASCII_FASTQ)
+    report = ParseReport()
+    with pytest.warns(UserWarning):
+        records = list(iter_fastq(path, on_error="skip", report=report))
+    assert [(r.name, r.sequence) for r in records] == [("r1", "acgt"), ("r3", "tt"), ("r6", "g")]
+    assert report.skipped == 3
+    assert [err.line for err in report.errors] == [6, 13, 20]
+    assert ["0xe9" in str(e) for e in report.errors] == [True, False, False]
+    assert "0xc3" in str(report.errors[1]) and "0xff" in str(report.errors[2])
+
+
+def test_fastq_non_ascii_outside_a_record_resynchronises(tmp_path):
+    """A stray non-ASCII line where a header should be is one counted error;
+    the records on either side of it survive."""
+    from repro.seq.io_fasta import ParseReport
+
+    path = tmp_path / "stray.fastq"
+    path.write_bytes(b"@r1\nacgt\n+\nIIII\n\xfe\xff junk\n@r2\ntt\n+\nII\n")
+    with pytest.raises(ParseError, match="non-ASCII byte 0xfe") as info:
+        list(iter_fastq(path))
+    assert info.value.line == 5
+    report = ParseReport()
+    with pytest.warns(UserWarning):
+        records = list(iter_fastq(path, on_error="skip", report=report))
+    assert [r.name for r in records] == ["r1", "r2"] and report.skipped == 1
+
+
+def test_map_skips_a_non_ascii_fastq_read(tmp_path, capsys):
+    """`jem map --on-error skip` survives the read that used to kill it."""
+    from repro.cli import main
+
+    contigs, reads = tmp_path / "contigs.fasta", tmp_path / "reads.fastq"
+    body = "acgtgcattagcctagatcgatcggatatcgcgatagctagcatcgatcagctacgactacgacgatcgatc" * 12
+    contigs.write_text(f">c1\n{body}\n")
+    good = f"@r1\n{body[:600]}\n+\n{'I' * 600}\n"
+    reads.write_bytes(good.encode() + b"@r2\nac\xe9t\n+\nIIII\n" + good.replace("@r1", "@r3").encode())
+    out = tmp_path / "out.tsv"
+    argv = ["map", "-q", str(reads), "-s", str(contigs), "-o", str(out),
+            "--k", "12", "--w", "10", "--ell", "300", "--trials", "4"]
+    with pytest.raises(ParseError, match="non-ASCII byte 0xe9"):
+        main(argv)
+    assert not out.exists()
+    with pytest.warns(UserWarning):
+        assert main([*argv, "--on-error", "skip"]) == 0
+    rows = [line.split("\t")[0] for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows[1:] == ["r1/prefix", "r1/suffix", "r3/prefix", "r3/suffix"]
+    assert "skipped 1 malformed record(s)" in capsys.readouterr().err
+
+
 def test_write_empty_set(tmp_path):
     path = tmp_path / "empty.fasta"
     assert write_fasta(path, SequenceSet.empty()) == 0
