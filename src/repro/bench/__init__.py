@@ -3,7 +3,12 @@
 from .ablations import (
     ABLATIONS,
     ablation_counter,
+    ablation_error_rate,
+    ablation_ingredients,
+    ablation_kmer,
+    ablation_seeds,
     ablation_segments,
+    ablation_threshold,
     ablation_topx,
     ablation_window,
 )
@@ -12,14 +17,11 @@ from .experiments import (
     BenchContext,
     ExperimentOutput,
     ThreadScalingModel,
-    exp_faults,
     exp_fig5,
     exp_fig6,
     exp_fig7,
     exp_fig8,
     exp_fig9,
-    exp_kernels,
-    exp_serve,
     exp_table1,
     exp_table2,
 )
@@ -34,18 +36,5 @@ __all__ = [
     "BenchContext",
     "ExperimentOutput",
     "ThreadScalingModel",
-    "exp_table1",
-    "exp_table2",
-    "exp_fig5",
-    "exp_fig6",
-    "exp_fig7",
-    "exp_fig8",
-    "exp_fig9",
-    "exp_kernels",
-    "exp_faults",
-    "exp_serve",
-    "ablation_topx",
-    "ablation_segments",
-    "ablation_window",
-    "ablation_counter",
+    *(fn.__name__ for fn in ALL_EXPERIMENTS.values()),
 ]

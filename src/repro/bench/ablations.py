@@ -37,6 +37,11 @@ __all__ = [
     "ablation_segments",
     "ablation_window",
     "ablation_counter",
+    "ablation_threshold",
+    "ablation_kmer",
+    "ablation_ingredients",
+    "ablation_seeds",
+    "ablation_error_rate",
     "ABLATIONS",
 ]
 

@@ -51,8 +51,7 @@ __all__ = ["main", "build_parser"]
 #: ``tests/integration/test_cli.py`` holds the three equal to
 #: ``ALL_EXPERIMENTS``, ``dataset_names()`` and ``DEFAULT_SCALE``.
 _EXPERIMENT_NAMES = (
-    "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "kernels",
-    "faults", "serve", "serve_concurrent", "store", "mutation",
+    "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9",
     "ablation_topx", "ablation_segments", "ablation_window",
     "ablation_counter", "ablation_threshold", "ablation_kmer",
     "ablation_ingredients", "ablation_seeds", "ablation_error_rate",
@@ -389,9 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--datasets", default=None, help="comma list to restrict inputs")
     p_bench.add_argument("--cache-dir", default=".dataset_cache")
     p_bench.add_argument("--results-dir", default="results")
-    p_bench.add_argument("--bench-json-dir", default=".",
-                         help="where BENCH_<name>.json trajectory files land "
-                              "(default: current directory, i.e. the repo root)")
 
     sub.add_parser("datasets", help="list the dataset registry")
     return parser
@@ -1051,11 +1047,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for name in names:
         t0 = time.perf_counter()
         output = EXPERIMENTS[name](ctx)
-        output.elapsed_seconds = time.perf_counter() - t0
-        json_path = output.save_bench_json(args.bench_json_dir)
         print(output.text)
-        print(f"[{name}: {output.elapsed_seconds:.1f}s; saved to "
-              f"{os.path.join(ctx.results_dir, name + '.txt')} + {json_path}]\n")
+        print(f"[{name}: {time.perf_counter() - t0:.1f}s; saved to "
+              f"{os.path.join(ctx.results_dir, name + '.txt')}]\n")
     return 0
 
 

@@ -128,8 +128,7 @@ class DictSketchStore:
     One Python dict per trial maps each distinct sketch value to the sorted
     array of subject ids carrying it.  Lookups walk the query batch in a
     Python loop — deliberately the simplest possible implementation, kept
-    as the equivalence oracle, the LSM memtable, and the baseline the
-    ``bench store`` experiment measures the columnar layout against.
+    as the equivalence oracle and the LSM memtable.
     """
 
     __slots__ = ("_keys", "n_subjects", "_maps")

@@ -7,7 +7,7 @@ Two execution modes:
   single-thread measurements) and the gather step's cost comes from the
   measured communication volume through the :class:`CostModel`.  This is
   what the strong-scaling experiments (Table II, Figs. 7–8) run, since the
-  host has one core.
+  host has two vCPUs, not 64 ranks.
 * :func:`run_parallel_jem_threaded` — the same program on a real
   :class:`ThreadComm` world with genuine ``Allgatherv`` data movement; used
   to verify the SPMD program's collectives are correct (its mapping output

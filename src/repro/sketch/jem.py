@@ -18,7 +18,7 @@ that a positional interval can never cross a sequence boundary, one global
 broadcasted hash pass, one 2-d sparse table whose interval bucketing is
 shared by every trial, one row-wise dedupe.  The per-trial implementations
 are retained as ``*_reference`` functions: they are the equivalence oracle
-for the test suite and the baseline for ``bench kernels``.
+for the test suite.
 """
 
 from __future__ import annotations
@@ -192,10 +192,7 @@ def subject_kernel(
     """The batched S2 kernel given pre-extracted minimizer intervals.
 
     Interval i is ``values[i : ends[i]]``; inputs must already satisfy the
-    32-bit packing constraints (validated once by the caller).  Exposed
-    separately so the ``bench kernels`` experiment can time the kernel
-    stage against :func:`subject_kernel_reference` without the shared
-    minimizer-extraction cost drowning the comparison.
+    32-bit packing constraints (validated once by the caller).
 
     When the compiled fast path (:mod:`repro.sketch._native`) is
     available, each trial is one fused C sweep (Barrett-reduced LCG
@@ -291,8 +288,7 @@ def subject_sketch_pairs_reference(
 
     The pre-kernel implementation: T rounds of hash-apply, a fresh 1-d
     :class:`~repro.sketch.rmq.SparseTableRMQ` build and an ``np.unique``
-    sort.  Retained as the equivalence oracle for the property tests and
-    the baseline the ``bench kernels`` experiment measures speedup against.
+    sort.  Retained as the equivalence oracle for the property tests.
     """
     values, positions, owner = _subject_minimizer_block(subjects, k, w, ell)
     total = values.size
@@ -434,7 +430,7 @@ def query_sketch_values_reference(
     """Per-trial reference for :func:`query_sketch_values`.
 
     T loop bodies of hash + pack + ``reduceat``; retained as the test
-    oracle and the ``bench kernels`` baseline.
+    oracle.
     """
     has, nonempty, values, starts = query_minimizer_concat(segments, k, w)
     values_out = np.zeros((family.size, len(segments)), dtype=np.uint64)

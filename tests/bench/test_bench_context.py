@@ -1,20 +1,39 @@
-import os
+import pathlib
 
 import pytest
 
-from repro.bench import ALL_EXPERIMENTS, BenchContext, EXPERIMENTS, ThreadScalingModel
+import repro.bench
+from repro.bench import (
+    ABLATIONS,
+    ALL_EXPERIMENTS,
+    BenchContext,
+    EXPERIMENTS,
+    ThreadScalingModel,
+)
 
 
 def test_registry_covers_every_artifact():
     assert set(EXPERIMENTS) == {
-        "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "faults",
-        "serve", "serve_concurrent", "kernels", "store", "mutation",
+        "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9",
     }
-    for name in (
+    assert set(ABLATIONS) == {
         "ablation_topx", "ablation_segments", "ablation_window",
         "ablation_counter", "ablation_threshold", "ablation_kmer",
-    ):
-        assert name in ALL_EXPERIMENTS
+        "ablation_ingredients", "ablation_seeds", "ablation_error_rate",
+    }
+    functions = {fn.__name__ for fn in ALL_EXPERIMENTS.values()}
+    classes = {"BenchContext", "ExperimentOutput", "ThreadScalingModel"}
+    registries = {"EXPERIMENTS", "ABLATIONS", "ALL_EXPERIMENTS"}
+    assert set(repro.bench.__all__) == functions | classes | registries
+    assert (
+        set(repro.bench.experiments.__all__) | set(repro.bench.ablations.__all__)
+        == set(repro.bench.__all__) - {"ALL_EXPERIMENTS"}
+    )
+    # every registered experiment has a shape-asserting test under benchmarks/
+    suite = pathlib.Path(__file__).parents[2] / "benchmarks"
+    tests = "".join(p.read_text(encoding="utf-8") for p in suite.glob("test_*.py"))
+    for name in functions:
+        assert name in tests, f"{name} has no test under benchmarks/"
 
 
 def test_pick_default_and_restriction():

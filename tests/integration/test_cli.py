@@ -92,24 +92,28 @@ def test_eval_command(tmp_path, capsys):
     assert "precision=" in out
 
 
-def test_bench_command(tmp_path, capsys):
+def test_bench_command(tmp_path, capsys, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     assert main([
         "bench", "table1", "--scale", "0.0002", "--datasets", "e_coli",
         "--cache-dir", str(tmp_path / "cache"),
         "--results-dir", str(tmp_path / "results"),
-        "--bench-json-dir", str(tmp_path),
     ]) == 0
-    assert (tmp_path / "results" / "table1.txt").exists()
     assert "Table I" in capsys.readouterr().out
+    # nothing lands outside --results-dir / --cache-dir
+    assert os.listdir(tmp_path / "results") == ["table1.txt"]
+    assert sorted(os.listdir(tmp_path)) == ["cache", "cwd", "results"]
+    assert os.listdir(cwd) == []
 
-    import json
 
-    snapshot = json.loads((tmp_path / "BENCH_table1.json").read_text())
-    assert snapshot["name"] == "table1"
-    assert snapshot["config"]["scale"] == 0.0002
-    assert snapshot["config"]["jem_config"]["trials"] == 30
-    assert snapshot["elapsed_seconds"] > 0
-    assert "data" in snapshot
+def test_bench_rejects_the_deleted_experiments(capsys):
+    """`kernels` & co. are ledger metrics now, not `jem bench` choices."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "kernels"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_map_paf_output(tmp_path):
