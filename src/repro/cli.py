@@ -32,24 +32,23 @@ import contextlib
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__, _native_build
 
-from . import __version__
-from .core.config import JEMConfig
-from .core.engine import MAPPER_KINDS, MappingEngine, PipelineConfig, read_sequences
-from .seq.io_fasta import read_fasta, write_fasta
-from .seq.io_fastq import write_fastq
-from .seq.records import SequenceSet
-from .seq.stats import set_stats
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .core.config import JEMConfig
+    from .core.engine import MappingEngine
 
 __all__ = ["main", "build_parser"]
 
 #: What the parser offers, spelled out so that building it imports neither
 #: ``repro.bench`` nor ``repro.eval`` — the subcommands that use them do —
-#: which was ~60 ms of every ``index`` / ``map`` / ``serve`` start.
-#: ``tests/integration/test_cli.py`` holds the three equal to
-#: ``ALL_EXPERIMENTS``, ``dataset_names()`` and ``DEFAULT_SCALE``.
+#: which was ~60 ms of every ``index`` / ``map`` / ``serve`` start — nor numpy
+#: and the engine: :func:`main` starts a cold cache's kernel compile before
+#: those imports, which every handler makes for itself.
+#: ``tests/integration/test_cli.py`` holds the four equal to
+#: ``ALL_EXPERIMENTS``, ``dataset_names()``, ``DEFAULT_SCALE`` and ``MAPPER_KINDS``.
 _EXPERIMENT_NAMES = (
     "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9",
     "ablation_topx", "ablation_segments", "ablation_window",
@@ -61,6 +60,10 @@ _DATASET_NAMES = (
     "human_chr8", "b_splendens", "o_sativa_chr8",
 )
 _DEFAULT_SCALE = 0.005
+_MAPPER_KINDS = ("jem", "minhash", "mashmap", "minimap-lite")
+
+#: The commands whose work runs in the compiled kernels.
+_KERNEL_COMMANDS = ("index", "map", "serve")
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -72,6 +75,8 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> JEMConfig:
+    from .core.config import JEMConfig
+
     return JEMConfig(k=args.k, w=args.w, ell=args.ell, trials=args.trials, seed=args.seed)
 
 
@@ -117,6 +122,8 @@ def _invocation_payload(args: argparse.Namespace, command: str) -> dict:
 
 def _engine_from(args: argparse.Namespace) -> MappingEngine:
     """Engine wired from ``--index`` or ``-s`` (shared by map/serve)."""
+    from .core.engine import MappingEngine, PipelineConfig
+
     engine = MappingEngine(PipelineConfig.from_args(args))
     if getattr(args, "index", None):
         return engine.use_index(args.index)
@@ -237,10 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("-s", "--subjects", help="contigs FASTA")
     p_map.add_argument("--index", help="saved JEM index (alternative to -s)")
     p_map.add_argument("-o", "--output", default="-", help="output TSV ('-' = stdout)")
-    p_map.add_argument("--mapper", choices=MAPPER_KINDS, default="jem")
+    p_map.add_argument("--mapper", choices=_MAPPER_KINDS, default="jem")
     p_map.add_argument("-p", "--processes", type=int, default=1,
-                       help="ranks of the simulated parallel driver, or kernel "
-                            "threads with --backend process (jem only)")
+                       help="ranks of the simulated parallel driver, or with "
+                            "--backend process the threads every native kernel "
+                            "(minimizers, sketch, map) runs on, in place of one "
+                            "per CPU (jem only)")
     p_map.add_argument("--backend", choices=("simulated", "process"), default="simulated",
                        help="what -p > 1 means: instrumented SPMD simulation, "
                             "or mapping in-process on -p native threads (worker "
@@ -377,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--cache-dir", default=".dataset_cache")
     p_eval.add_argument(
         "--mappers", default="jem,mashmap",
-        help=f"comma list from: {','.join(MAPPER_KINDS)}",
+        help=f"comma list from: {','.join(_MAPPER_KINDS)}",
     )
     _add_config_args(p_eval)
 
@@ -394,7 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .eval.datasets import load_or_generate
+    from .seq.io_fasta import write_fasta
+    from .seq.io_fastq import write_fastq
+    from .seq.records import SequenceSet
+    from .seq.stats import set_stats
 
     dataset = load_or_generate(args.dataset, scale=args.scale, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -418,6 +433,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
+    from .core.engine import native_summary
     from .core.persist import save_index
 
     args = _apply_resume(args, "index")
@@ -430,6 +446,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     config = _config_from(args)
     t0 = time.perf_counter()
     if args.checkpoint_dir:
+        from .core.engine import read_sequences
         from .resilience import build_index_checkpointed, save_invocation
 
         save_invocation(args.checkpoint_dir, _invocation_payload(args, "index"))
@@ -442,7 +459,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
     table = mapper.table
     path = save_index(mapper, args.output)
     print(f"indexed {table.n_subjects} contigs in {time.perf_counter() - t0:.2f}s: "
-          f"{table.total_entries:,} sketch entries ({table.nbytes / 1e6:.1f} MB) -> {path}")
+          f"{table.total_entries:,} sketch entries ({table.nbytes / 1e6:.1f} MB) -> {path} "
+          f"[{native_summary(mapper.threads)}]")
     return 0
 
 
@@ -493,6 +511,8 @@ def _cmd_index_mutable(args: argparse.Namespace) -> int:
         return 2
     with handle:
         if args.append:
+            from .seq.io_fasta import read_fasta
+
             extra = read_fasta(args.append)
             handle.add_contigs(extra)
             actions.append(f"appended {len(extra)} contig(s)")
@@ -579,6 +599,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         save_invocation(args.checkpoint_dir, _invocation_payload(args, "map"))
     engine = _engine_from(args)
     if args.paf:
+        from .core.engine import read_sequences
         from .core.paf import write_paf
         from .core.segments import extract_end_segments
 
@@ -791,6 +812,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
     import shlex
     import subprocess
 
+    from .core.engine import read_sequences
     from .service import stream_reads
 
     if (
@@ -843,6 +865,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
 def _chaos_fingerprint(target: str, path: str):
     """What parity means per target: TSV body for map, content checksum
     for index (the npz container bytes legitimately differ run to run)."""
+    import numpy as np
+
     from .resilience.chaos import read_tsv_body
 
     if target == "map":
@@ -956,8 +980,10 @@ def _chaos_serve(args: argparse.Namespace, seeds: list[int]) -> int:
     fully recovered fleet, restored scatter throughput, and no leaked
     shm segments.
     """
+    from .core.engine import read_sequences
     from .errors import ChaosError
     from .resilience import ServeChaosPlan, run_serve_chaos
+    from .seq.io_fasta import read_fasta
 
     config = _config_from(args)
     contigs = read_fasta(args.subjects, on_error="raise")
@@ -988,7 +1014,9 @@ def _chaos_serve(args: argparse.Namespace, seeds: list[int]) -> int:
 
 
 def _cmd_scaffold(args: argparse.Namespace) -> int:
+    from .core.engine import read_sequences
     from .scaffold import Scaffolder
+    from .seq.io_fasta import read_fasta, write_fasta
 
     config = _config_from(args)
     contigs = read_fasta(args.subjects)
@@ -1068,6 +1096,11 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in _KERNEL_COMMANDS:
+        # cold cache: the C compiler, a child process, works beside the
+        # imports the handler is about to make; _native.load() collects it
+        with contextlib.suppress(OSError):  # load() meets the same error, and warns
+            _native_build.start()
     handlers = {
         "simulate": _cmd_simulate,
         "index": _cmd_index,

@@ -139,8 +139,8 @@ class PipelineConfig:
 
     @property
     def kernel_threads(self) -> int | None:
-        """Threads ``-p N --backend process`` asks of the fused map kernel
-        (None: the kernel's own :func:`~repro.sketch._native.thread_count`)."""
+        """Threads ``-p N --backend process`` asks of the native kernels
+        (None: their own :func:`~repro.sketch._native.thread_count`)."""
         if self.backend == "process" and self.processes > 1:
             return self.processes
         return None
@@ -439,9 +439,15 @@ class MappingEngine:
         return _LABELS[mode].format(mapper=pipe.mapper, processes=pipe.processes)
 
     def describe(self) -> str:
-        """Execution mode and native-kernel state: what a TSV header records."""
-        summary = native_summary(self.pipeline.kernel_threads)
-        return f"{self._label(self._mode())} [{summary}]"
+        """Execution mode and native-kernel state: what a TSV header records
+        (``threads`` is per process: worker processes run one kernel thread each)."""
+        mode = self._mode()
+        threads = self.pipeline.kernel_threads
+        if mode == "process":
+            from ..parallel.mp_backend import WORKER_KERNEL_THREADS
+
+            threads = WORKER_KERNEL_THREADS
+        return f"{self._label(mode)} [{native_summary(threads)}]"
 
     def _inline_mapper(self, mode: str) -> Mapper:
         """The resident mapper, for an in-process run (which says what it ignores)."""

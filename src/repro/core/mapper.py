@@ -109,10 +109,11 @@ def map_segment_batch(
     *same* pre-extracted minimizer block, so the fallback never re-extracts
     minimizers.  Both routes are bit-identical (the parity oracle contract;
     ``REPRO_NO_NATIVE=1`` forces the numpy route), at any ``threads`` count
-    of the fused pass (None: :func:`~repro.sketch._native.thread_count`).
+    of the minimizer and fused passes (None:
+    :func:`~repro.sketch._native.thread_count`).
     """
     has, nonempty, values, starts = query_minimizer_concat(
-        segments, config.k, config.w
+        segments, config.k, config.w, threads=threads
     )
     hits = count_hits_fused(
         table, values, starts, family,
@@ -147,7 +148,8 @@ class JEMMapper:
     ) -> None:
         self.config = config if config is not None else JEMConfig()
         self.store_kind = store_kind if store_kind is not None else DEFAULT_STORE_KIND
-        #: threads of the fused map kernel (None: its default); `jem map -p N`
+        #: threads of the native kernels (None: their default,
+        #: :func:`~repro.sketch._native.thread_count`); `jem map -p N`
         self.threads = threads
         self._family: HashFamily = self.config.hash_family()
         self._table: SketchStore | None = None
@@ -192,7 +194,8 @@ class JEMMapper:
         the parallel driver assigns, and the per-trial tables are unioned
         once, each trial's merged keys going straight into the store's
         columns.  The result is identical to :meth:`index` — its one-block
-        case — on the concatenated set.
+        case — on the concatenated set, at any :attr:`threads` count (each
+        block's S1 and S2 are split over them).
         """
         cfg = self.config
         parts: list[list[np.ndarray]] = []
@@ -202,7 +205,7 @@ class JEMMapper:
                 parts.append(
                     subject_sketch_pairs(
                         part, cfg.k, cfg.w, cfg.ell, self._family,
-                        subject_id_offset=len(names),
+                        subject_id_offset=len(names), threads=self.threads,
                     )
                 )
                 names.extend(part.names)

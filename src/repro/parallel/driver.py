@@ -375,9 +375,10 @@ def run_parallel_jem(
 
     # -- S2: sketch local subjects (measured per rank, retried on fault) ------
     def sketch_block(b: int):
+        # a rank is one core: its measured time is what the cost model scales
         return lambda: subject_sketch_pairs(
             subject_parts[b], config.k, config.w, config.ell, family,
-            subject_id_offset=subject_offsets[b],
+            subject_id_offset=subject_offsets[b], threads=1,
         )
 
     sketch_times = np.zeros(p)
@@ -518,9 +519,9 @@ def run_parallel_jem_threaded(
         # S2: sketch local subjects with global subject ids (retried on fault)
         def attempt_sketch(_attempt: int):
             inject_compute_faults(faults, "sketch", block=r, exec_rank=r)
-            return subject_sketch_pairs(
+            return subject_sketch_pairs(  # the ranks are the threads: one each
                 my_subjects, config.k, config.w, config.ell, family,
-                subject_id_offset=int(subject_bounds[r]),
+                subject_id_offset=int(subject_bounds[r]), threads=1,
             )
 
         keys, _, _ = retry_call(attempt_sketch, policy=policy, stream=r)
@@ -536,7 +537,7 @@ def run_parallel_jem_threaded(
                     [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), []
                 )
             segments, infos = extract_end_segments(my_reads, config.ell)
-            return map_segment_batch(table, segments, config, family, infos)
+            return map_segment_batch(table, segments, config, family, infos, threads=1)
 
         result, _, _ = retry_call(attempt_map, policy=policy, stream=p + r)
         return result

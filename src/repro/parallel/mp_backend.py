@@ -65,6 +65,11 @@ __all__ = ["map_reads_multiprocess"]
 #: Default per-work-unit deadline; how long a dead worker goes unnoticed.
 DEFAULT_UNIT_TIMEOUT = 60.0
 
+#: Kernel threads of a worker process.  The workers are the parallelism — one
+#: per core — so each sketches and maps on one thread; left to the default,
+#: N workers would start N x CPUs of them.
+WORKER_KERNEL_THREADS = 1
+
 
 def _apply_worker_faults(actions: tuple) -> None:
     """Execute parent-armed fault actions inside the worker process."""
@@ -84,8 +89,9 @@ def _sketch_worker(payload: tuple) -> list[np.ndarray]:
     if isinstance(subjects, SharedSeqBlock):
         subjects = subjects.materialise()
     family = config.hash_family()
-    return subject_sketch_pairs(
-        subjects, config.k, config.w, config.ell, family, subject_id_offset=offset
+    return subject_sketch_pairs(  # one worker per core: one kernel thread each
+        subjects, config.k, config.w, config.ell, family,
+        subject_id_offset=offset, threads=WORKER_KERNEL_THREADS,
     )
 
 
@@ -103,7 +109,10 @@ def _map_worker(payload: tuple) -> MappingResult:
     if isinstance(table, SharedStore):
         table = table.materialise()
     segments, infos = extract_end_segments(reads, config.ell)
-    return map_segment_batch(table, segments, config, config.hash_family(), infos)
+    return map_segment_batch(
+        table, segments, config, config.hash_family(), infos,
+        threads=WORKER_KERNEL_THREADS,
+    )
 
 
 def _block_ranges(bounds: np.ndarray) -> list[tuple[int, int]]:

@@ -90,14 +90,15 @@ def jem_sketch_single(minis: MinimizerList, family: HashFamily) -> np.ndarray:
 
 
 def _minimizer_block(
-    sequences: SequenceSet, k: int, w: int
+    sequences: SequenceSet, k: int, w: int, threads: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step 1 for a whole set: every sequence's minimizers, back to back.
 
     Returns ``(ranks, positions, counts)`` — ``counts[i]`` minimizers of
     sequence i, positions relative to its own start.  One native rolling
-    pass when the compiled kernels are loaded; otherwise numpy
-    :func:`minimizers_set`, the test oracle, concatenated — bit-identical.
+    pass (over ``threads`` threads) when the compiled kernels are loaded;
+    otherwise numpy :func:`minimizers_set`, the test oracle, concatenated —
+    bit-identical.
     """
     if not 1 <= k <= 16:
         raise SketchError(f"minimizer extraction requires 1 <= k <= 16, got {k}")
@@ -107,7 +108,9 @@ def _minimizer_block(
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     native = _native.load()
     if native is not None:
-        return native.minimizer_block(sequences.buffer, sequences.offsets, k, w)
+        return native.minimizer_block(
+            sequences.buffer, sequences.offsets, k, w, threads=threads
+        )
     lists = minimizers_set(sequences, k, w)
     counts = np.fromiter((len(ml) for ml in lists), dtype=np.int64, count=len(lists))
     ranks = np.concatenate([ml.ranks for ml in lists])
@@ -115,7 +118,7 @@ def _minimizer_block(
 
 
 def _subject_minimizer_block(
-    subjects: SequenceSet, k: int, w: int, ell: int
+    subjects: SequenceSet, k: int, w: int, ell: int, threads: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The subjects' minimizer block laid out for one global interval search.
 
@@ -124,7 +127,7 @@ def _subject_minimizer_block(
     pushes the next one's positions up by its last position ``+ ell + 2``,
     so an interval ``[p, p + ell]`` never reaches the next sequence.
     """
-    values, positions, counts = _minimizer_block(subjects, k, w)
+    values, positions, counts = _minimizer_block(subjects, k, w, threads)
     ends = np.cumsum(counts)
     step = np.zeros(counts.size, dtype=np.int64)
     has = counts > 0
@@ -143,6 +146,7 @@ def subject_sketch_pairs(
     family: HashFamily,
     *,
     subject_id_offset: int = 0,
+    threads: int | None = None,
 ) -> list[np.ndarray]:
     """Algorithm 1 over a whole contig set, batched across trials (S2 kernel).
 
@@ -163,8 +167,13 @@ def subject_sketch_pairs(
 
     ``subject_id_offset`` maps local contig indices to global ids when each
     parallel rank sketches only its block of contigs (step S2).
+
+    ``threads`` (None: :func:`~repro.sketch._native.thread_count`) is how
+    many threads the native kernels split the block's sequences (S1) and
+    its trials (S2) over — the paper's block partition in shared memory,
+    joined in input order, so the lists are the same at any count.
     """
-    values, positions, owner = _subject_minimizer_block(subjects, k, w, ell)
+    values, positions, owner = _subject_minimizer_block(subjects, k, w, ell, threads)
     total = values.size
     if total == 0:
         return [np.empty(0, dtype=np.uint64) for _ in range(family.size)]
@@ -180,7 +189,7 @@ def subject_sketch_pairs(
     # Interval i spans minimizers with position in [p_i, p_i + ell]; offsets
     # guarantee the range stays inside sequence i's owner.
     ends = np.searchsorted(positions, positions + ell, side="right")
-    return subject_kernel(values, ends, subject_ids, family)
+    return subject_kernel(values, ends, subject_ids, family, threads=threads)
 
 
 def subject_kernel(
@@ -188,6 +197,8 @@ def subject_kernel(
     ends: np.ndarray,
     subject_ids: np.ndarray,
     family: HashFamily,
+    *,
+    threads: int | None = None,
 ) -> list[np.ndarray]:
     """The batched S2 kernel given pre-extracted minimizer intervals.
 
@@ -200,8 +211,9 @@ def subject_kernel(
     it differs from the previous interval's and sorts the kept keys into
     the trial's list; trials go through it a few at a time, under the
     fixed :data:`~repro.sketch.kernels.SUBJECT_SCRATCH_ELEMS` budget, so
-    no ``(T, n)`` key matrix exists.  Otherwise the numpy path below
-    runs.  Both produce bit-identical lists.
+    no ``(T, n)`` key matrix exists, and each chunk's rows are divided
+    between ``threads`` threads — the budget is shared, not multiplied.
+    Otherwise the numpy path below runs.  Both produce bit-identical lists.
     """
     total = values.size
     native = _native.load()
@@ -214,7 +226,9 @@ def subject_kernel(
         for chunk in trial_chunks(family.size, total, with_levels=False, budget=budget):
             sub = family.trial_slice(chunk.start, chunk.stop)
             keys = key_scratch(len(chunk), total)
-            counts = native.subject_keys(values, ends, subject_ids, sub, out=keys)
+            counts = native.subject_keys(
+                values, ends, subject_ids, sub, out=keys, threads=threads
+            )
             for j, count in enumerate(counts):
                 out[chunk.start + j] = keys[j, :count].copy()
         return out
@@ -322,7 +336,7 @@ class QuerySketches:
 
 
 def query_minimizer_concat(
-    segments: SequenceSet, k: int, w: int
+    segments: SequenceSet, k: int, w: int, *, threads: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Shared query-side setup: concatenated ranks + segment bookkeeping.
 
@@ -333,7 +347,7 @@ def query_minimizer_concat(
     the native kernel can hash, search and vote in one pass without a
     (T, n) matrix.
     """
-    values, _, counts = _minimizer_block(segments, k, w)
+    values, _, counts = _minimizer_block(segments, k, w, threads)
     if values.size >> 32:
         raise SketchError("too many minimizers for packed-key argmin")  # pragma: no cover
     has = counts > 0

@@ -66,6 +66,12 @@ def test_index_then_map(tmp_path, capsys):
         "-o", str(idx), "--trials", "8",
     ]) == 0
     assert idx.exists()
+    # the summary says which kernels and how many threads built the index,
+    # with the token `jem map` heads its TSV with
+    from repro.core.engine import native_summary
+
+    summary = [l for l in capsys.readouterr().out.splitlines() if l.startswith("indexed ")]
+    assert len(summary) == 1 and summary[0].endswith(f"-> {idx} [{native_summary()}]")
     direct = tmp_path / "direct.tsv"
     via_index = tmp_path / "via_index.tsv"
     main(["map", "-q", str(data / "e_coli_reads.fastq"),
@@ -169,11 +175,13 @@ def test_parser_name_lists_match_the_registries():
     repro.bench nor repro.eval; the spelled-out lists must not drift."""
     from repro import cli
     from repro.bench import ALL_EXPERIMENTS
+    from repro.core.engine import MAPPER_KINDS
     from repro.eval.datasets import DEFAULT_SCALE, dataset_names
 
     assert list(cli._EXPERIMENT_NAMES) == list(ALL_EXPERIMENTS)
     assert list(cli._DATASET_NAMES) == dataset_names()
     assert cli._DEFAULT_SCALE == DEFAULT_SCALE
+    assert cli._MAPPER_KINDS == MAPPER_KINDS
 
 
 def test_parser_builds_without_bench_or_eval():
@@ -184,9 +192,12 @@ def test_parser_builds_without_bench_or_eval():
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    # ... nor, yet, for numpy and the engine: main() starts a cold cache's
+    # kernel compile first, and the handlers import what they run
     code = (
         "import sys; from repro.cli import build_parser; build_parser(); "
-        "bad = [m for m in sys.modules if m.startswith(('repro.bench', 'repro.eval'))]; "
+        "bad = [m for m in sys.modules if m.startswith(('repro.bench', 'repro.eval', "
+        "'repro.core', 'repro.sketch', 'numpy'))]; "
         "sys.exit(1 if bad else 0)"
     )
     env = {**os.environ, "PYTHONPATH": src}

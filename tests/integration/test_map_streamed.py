@@ -178,3 +178,8 @@ def test_isolated_runs_still_use_worker_processes(files, tmp_path, monkeypatch):
     assert plain[0].split(" [")[0].endswith("# jem") and plain[-1].startswith("# jem: ")
     assert "# process backend p=2 [" in faults[0]
     assert faults[-1].startswith("# process backend p=2: ") and "(shm)" not in faults[-1]
+    from repro.sketch import _native
+
+    if _native.load() is not None:  # -p 2 is two kernel threads, or two one-thread workers
+        assert plain[0].endswith("[native=fused,threads=2]")
+        assert faults[0].endswith("[native=fused,threads=1]")

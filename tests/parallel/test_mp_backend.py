@@ -64,3 +64,35 @@ def test_invalid_processes(world):
     contigs, reads = world
     with pytest.raises(CommError):
         map_reads_multiprocess(contigs, reads, CFG, processes=0)
+
+
+def test_workers_run_one_kernel_thread_each(world, monkeypatch):
+    """The worker processes are the parallelism, one per core: whatever
+    ``thread_count()`` says, a worker's S2 and S4 ask the kernels for one
+    thread — N workers x CPUs threads otherwise — and change no answer."""
+    from repro.core.store import ColumnarSketchStore, merge_trial_keys
+    from repro.parallel import mp_backend
+    from repro.sketch import _native
+
+    contigs, reads = world
+    monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
+    monkeypatch.setattr(_native, "MIN_THREAD_BASES", 1)
+    monkeypatch.setattr(_native, "MIN_THREAD_ENTRIES", 1)
+    asked = []
+    real = _native.thread_count
+
+    def spy(requested=None):
+        asked.append(requested)
+        return real(requested)
+
+    monkeypatch.setattr(_native, "thread_count", spy)
+    keys = mp_backend._sketch_worker((contigs, CFG, 0, ()))
+    store = ColumnarSketchStore.from_trial_keys(merge_trial_keys([keys]), n_subjects=len(contigs))
+    got = mp_backend._map_worker((reads, CFG, store, ()))
+    if _native.load() is not None:
+        assert asked and set(asked) == {mp_backend.WORKER_KERNEL_THREADS} == {1}
+    seq = JEMMapper(CFG)
+    seq.index(contigs)
+    expected = seq.map_reads(reads)
+    assert np.array_equal(got.subject, expected.subject)
+    assert np.array_equal(got.hit_count, expected.hit_count)

@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""``jem_subject_kernel`` under AddressSanitizer + UBSan (ROADMAP 6b).
+"""``jem_subject_kernel`` under AddressSanitizer + UBSan, and under
+ThreadSanitizer (ROADMAP 6b).
 
 Not collected by pytest: CI's ``kernels`` job runs it as
-``PYTHONPATH=src python tests/sketch/sanitize_subject_kernel.py``, after
-``sanitize_minimizer_kernel.py``, whose build step it shares.
+``PYTHONPATH=src python tests/sketch/sanitize_subject_kernel.py`` and again
+with ``--sanitize thread``, after ``sanitize_minimizer_kernel.py``, whose
+build step it shares.
 
 The kernel writes each trial's *compacted* row — a key only where it
 differs from the previous interval's, then sorted and deduped in place —
 so the contract worth a sanitizer is "a row never needs more than n
 entries, however little compacts".  The C driver gives the kernel buffers
-of exactly the sizes the ctypes binding promises (n deque slots, n sort
-slots, ``chunk x n`` key slots, ``chunk`` counts) and calls it once per
-chunk of trials, as ``subject_kernel`` does; each row is compared with
+of exactly the sizes the ctypes binding promises (n deque slots and n sort
+slots per thread, ``chunk x n`` key slots, ``chunk`` counts) and calls it
+once per chunk of trials, as ``subject_kernel`` does — the chunk's rows
+divided between 1, 2 and 3 POSIX threads, as ``NativeKernels.subject_keys``
+divides them, every thread writing its own rows of the one key scratch: two
+threads touching one byte abort the TSan run.  Each row is compared with
 ``np.unique`` of the uncompacted keys from ``subject_kernel_reference``.
 Shapes: n = 0, n = 1, all-equal values (one key per subject), all-distinct
 values with ``ends[i] = i + 1`` (nothing compacts, m = n), T = 1 and
@@ -30,6 +35,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from sanitize_minimizer_kernel import THREADS, sanitizers  # noqa: E402
 from sanitize_minimizer_kernel import build as build_driver  # noqa: E402
 
 from repro.sketch.hashing import HashFamily  # noqa: E402
@@ -37,6 +43,7 @@ from repro.sketch.jem import subject_kernel_reference  # noqa: E402
 
 _DRIVER = r"""
 #include "kernels.c"
+#include <pthread.h>
 #include <stdio.h>
 
 static void *exact(size_t count, size_t size) { /* malloc(0) may be NULL */
@@ -51,25 +58,53 @@ static void *load(FILE *in, size_t count, size_t size) {
     return p;
 }
 
+typedef struct { /* rows [lo, hi) of one chunk: a thread's share */
+    const uint64_t *values, *subject_ids, *a, *b, *p;
+    const int64_t *ends;
+    int64_t n, rows;
+    uint64_t *deque, *sort, *out;
+    int64_t *counts;
+} share_t;
+
+static void *sketch_rows(void *arg) {
+    share_t *s = arg;
+    jem_subject_kernel(s->values, s->ends, s->n, s->subject_ids, s->a, s->b, s->p,
+                       s->rows, s->deque, s->sort, s->out, s->counts);
+    return NULL;
+}
+
 int main(int argc, char **argv) {
-    if (argc != 2) return 2;
+    if (argc != 3) return 2;
     FILE *in = fopen(argv[1], "rb");
+    const int64_t threads = atoll(argv[2]);
     int64_t head[3]; /* minimizers, trials, trials per kernel call */
-    if (in == NULL || fread(head, 8, 3, in) != 3) return 2;
+    if (in == NULL || threads < 1 || fread(head, 8, 3, in) != 3) return 2;
     const int64_t n = head[0], trials = head[1], chunk = head[2];
     uint64_t *values = load(in, n, 8);
     int64_t *ends = load(in, n, 8);
     uint64_t *subject_ids = load(in, n, 8);
     uint64_t *a = load(in, trials, 8), *b = load(in, trials, 8), *p = load(in, trials, 8);
     fclose(in);
-    uint64_t *deque = exact(n, 8), *sort = exact(n, 8);
+    share_t *shares = exact(threads, sizeof(share_t));
+    pthread_t *tids = exact(threads, sizeof(pthread_t));
+    for (int64_t t = 0; t < threads; t++) {
+        shares[t].deque = exact(n, 8);
+        shares[t].sort = exact(n, 8);
+    }
     for (int64_t lo = 0; lo < trials; lo += chunk) {
         const int64_t c = lo + chunk < trials ? chunk : trials - lo;
-        /* fresh, exact-size rows per call: one write past row c - 1 aborts */
+        /* fresh, exact-size rows per chunk: one write past row c - 1 aborts */
         uint64_t *out = exact(c * n, 8);
         int64_t *counts = exact(c, 8);
-        jem_subject_kernel(values, ends, n, subject_ids, a + lo, b + lo, p + lo, c,
-                           deque, sort, out, counts);
+        for (int64_t t = 0; t < threads; t++) {
+            share_t *s = &shares[t];
+            const int64_t r0 = c * t / threads, r1 = c * (t + 1) / threads;
+            s->values = values; s->ends = ends; s->n = n; s->subject_ids = subject_ids;
+            s->a = a + lo + r0; s->b = b + lo + r0; s->p = p + lo + r0;
+            s->rows = r1 - r0; s->out = out + r0 * n; s->counts = counts + r0;
+            if (pthread_create(&tids[t], NULL, sketch_rows, s)) return 3;
+        }
+        for (int64_t t = 0; t < threads; t++) pthread_join(tids[t], NULL);
         for (int64_t t = 0; t < c; t++) {
             if (counts[t] < 0 || counts[t] > n) return 4;
             fwrite(&counts[t], 8, 1, stdout);
@@ -77,8 +112,9 @@ int main(int argc, char **argv) {
         }
         free(out); free(counts);
     }
+    for (int64_t t = 0; t < threads; t++) { free(shares[t].deque); free(shares[t].sort); }
     free(values); free(ends); free(subject_ids); free(a); free(b); free(p);
-    free(deque); free(sort);
+    free(shares); free(tids);
     return 0;
 }
 """
@@ -119,13 +155,13 @@ def shapes(rng: np.random.Generator):
            rng.integers(0, 1 << 32, size=n, dtype=u64), 4, 3)
 
 
-def run(exe, workdir, values, ends, subject_ids, family, chunk):
+def run(exe, workdir, values, ends, subject_ids, family, chunk, threads):
     path = os.path.join(workdir, "case.bin")
     with open(path, "wb") as fh:
         fh.write(np.array([values.size, family.size, chunk], dtype=np.int64).tobytes())
         for arr in (values, ends, subject_ids, family.a, family.b, family.p):
             fh.write(np.ascontiguousarray(arr).tobytes())
-    raw = subprocess.run([exe, path], check=True, capture_output=True).stdout
+    raw = subprocess.run([exe, path, str(threads)], check=True, capture_output=True).stdout
     rows, at = [], 0
     for _ in range(family.size):
         count = int(np.frombuffer(raw, dtype=np.int64, count=1, offset=at)[0])
@@ -135,24 +171,26 @@ def run(exe, workdir, values, ends, subject_ids, family, chunk):
     return rows
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    sanitize = sanitizers(sys.argv[1:] if argv is None else argv)
     os.environ["REPRO_NO_NATIVE"] = "1"  # the oracle side never loads the kernels
     with tempfile.TemporaryDirectory() as workdir:
-        exe = build_driver(workdir, _DRIVER)
+        exe = build_driver(workdir, _DRIVER, sanitize)
         for label, values, ends, subject_ids, trials, chunk in shapes(
             np.random.default_rng(20230157)
         ):
             family = HashFamily.generate(trials, seed=trials)
-            rows = run(exe, workdir, values, ends, subject_ids, family, chunk)
             # the reference builds an RMQ, which an empty list cannot have
             want = (subject_kernel_reference(values, ends, subject_ids, family)
                     if values.size else [values] * trials)
-            ok = all(np.array_equal(g, w) for g, w in zip(rows, want))
-            print(f"{'ok  ' if ok else 'FAIL'} {label}: "
-                  f"{sum(r.size for r in rows)} keys from {trials} x {values.size}")
-            if not ok:
-                return 1
-    print("jem_subject_kernel: clean under address,undefined sanitizers")
+            for threads in THREADS:
+                rows = run(exe, workdir, values, ends, subject_ids, family, chunk, threads)
+                if not all(np.array_equal(g, w) for g, w in zip(rows, want)):
+                    print(f"FAIL {label} at {threads} thread(s)")
+                    return 1
+            print(f"ok   {label}: {sum(r.size for r in rows)} keys from "
+                  f"{trials} x {values.size} at {THREADS} threads")
+    print(f"jem_subject_kernel: clean under the {sanitize} sanitizers")
     return 0
 
 

@@ -539,9 +539,11 @@ def test_native_and_numpy_backends_bit_identical(seed):
 @pytest.mark.skipif(_native.load() is None, reason="no C compiler available")
 def test_native_compile_is_cached(tmp_path, monkeypatch):
     """A second load in a fresh cache dir compiles once and reuses the .so."""
+    from repro import _native_build
+
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-    first = _native._compile()
+    first = _native_build.library()
     stamp = first.stat().st_mtime_ns
-    second = _native._compile()
+    second = _native_build.library()
     assert first == second
     assert second.stat().st_mtime_ns == stamp

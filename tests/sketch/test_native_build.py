@@ -1,0 +1,323 @@
+"""How the kernels' C source becomes a shared library (``repro._native_build``).
+
+Everything here runs the real compiler in fresh interpreters against an empty
+``REPRO_NATIVE_CACHE``: concurrent cold processes, a compiler that fails, a
+compile started early (``jem index`` / ``map`` / ``serve`` start it before they
+import numpy) and one nobody waited for — and after each, what is left in the
+cache directory.
+"""
+
+from __future__ import annotations
+
+import os
+import stat
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import repro
+from repro import _native_build
+from repro.sketch import _native
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+needs_compiler = pytest.mark.skipif(
+    _native.load() is None, reason="no C compiler available"
+)
+needs_two_cpus = pytest.mark.skipif(
+    len(_native_build.affinity()) < 2, reason="start() waits for a second CPU"
+)
+
+
+def child_env(cache, **env) -> dict[str, str]:
+    """This process's environment, kernels on, caching into ``cache``."""
+    full = {**os.environ, "PYTHONPATH": SRC, "REPRO_NATIVE_CACHE": str(cache)}
+    full.pop("REPRO_NO_NATIVE", None)
+    full.update(env)
+    return full
+
+
+def python(code: str, cache, **env) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-W", "always", "-c", textwrap.dedent(code)],
+        env=child_env(cache, **env), capture_output=True, text=True, timeout=300,
+    )
+
+
+def cache_files(cache) -> list[str]:
+    return sorted(os.listdir(cache)) if os.path.isdir(cache) else []
+
+
+def assert_one_library_and_no_temp_file(cache) -> None:
+    files = cache_files(cache)
+    assert len(files) == 2 and not any(name.startswith(".") for name in files), files
+    assert sorted(name.rsplit(".", 1)[1] for name in files) == ["c", "so"]
+
+
+def fake_compiler(tmp_path, body: str) -> str:
+    path = tmp_path / "fake-cc"
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(path.stat().st_mode | stat.S_IXUSR)
+    return str(path)
+
+
+LOADED = """
+    from repro.sketch import _native
+    print("native_loaded", _native.load() is not None)
+"""
+
+
+@needs_compiler
+def test_two_concurrent_cold_loads_into_one_empty_cache_both_load(tmp_path):
+    cache = tmp_path / "cache"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-W", "error", "-c", textwrap.dedent(LOADED)],
+            env=child_env(cache), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(2)
+    ]
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        assert out.split() == ["native_loaded", "True"]
+    assert_one_library_and_no_temp_file(cache)
+
+
+@needs_compiler
+def test_the_shared_source_file_is_never_seen_half_written(tmp_path, monkeypatch):
+    """The ``.c`` every cold process names alike appears by rename: while one
+    process is still writing, another's compiler finds the old whole file or
+    none — here, the writer dies mid-write and the name is never created."""
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+
+    def dies(self, text):
+        with open(self, "w") as fh:
+            fh.write(text[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(type(tmp_path), "write_text", dies)
+    with pytest.raises(OSError, match="disk full"):
+        _native_build.library()
+    assert cache_files(tmp_path) == []
+
+
+def test_a_failing_compiler_warns_once_leaves_no_temp_file_and_maps_on_numpy(tmp_path):
+    cache = tmp_path / "cache"
+    code = """
+        import warnings
+        import numpy as np
+        from repro.core import JEMConfig, JEMMapper
+        from repro.seq import SequenceSet, decode, random_codes
+        from repro.sketch import _native
+        rng = np.random.default_rng(4)
+        contigs = SequenceSet.from_strings(
+            [(f"c{i}", decode(random_codes(3_000, rng))) for i in range(5)])
+        reads = SequenceSet.from_strings(
+            [(f"r{i}", decode(contigs.codes_of(i % 5)[200:2_600])) for i in range(10)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mapper = JEMMapper(JEMConfig(k=12, w=20, ell=500, trials=6))
+            mapper.index(contigs)
+            result = mapper.map_reads(reads)
+        print(len(caught), caught[0].category.__name__, "|", caught[0].message)
+        print(_native.load() is None, result.subject.tolist(), result.hit_count.tolist())
+    """
+    failed = python(code, cache, CC=fake_compiler(tmp_path, "echo 'fake-cc: no such header' >&2\nexit 1\n"))
+    assert failed.returncode == 0, failed.stderr
+    head, answer = failed.stdout.strip().splitlines()
+    assert head.startswith("1 RuntimeWarning |")
+    assert "compile failed" in head and "fake-cc: no such header" in head
+    files = cache_files(cache)
+    assert len(files) == 1 and files[0].endswith(".c") and not files[0].startswith(".")
+    off = python(code.replace("print(len(caught), caught[0].category.__name__, \"|\", caught[0].message)", "print('-')"),
+                 tmp_path / "unused", REPRO_NO_NATIVE="1")
+    assert off.returncode == 0, off.stderr
+    assert off.stdout.strip().splitlines()[1] == answer and answer.startswith("True [")
+
+
+def test_cc_false_is_the_same_story(tmp_path):
+    cache = tmp_path / "cache"
+    done = python(LOADED, cache, CC="false")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["native_loaded", "False"]
+    assert done.stderr.count("RuntimeWarning") == 1 and "compile failed (false)" in done.stderr
+    assert [name for name in cache_files(cache) if name.startswith(".")] == []
+
+
+def test_a_missing_compiler_is_reported_by_load_not_raised_by_the_cli(tmp_path):
+    """``cli.main`` swallows start()'s OSError; load() meets it again and warns."""
+    cache = tmp_path / "cache"
+    done = python(
+        """
+        import contextlib
+        from repro import _native_build
+        with contextlib.suppress(OSError):
+            _native_build.start()
+        from repro.sketch import _native
+        print("native_loaded", _native.load() is not None)
+        """,
+        cache, CC=str(tmp_path / "no-such-compiler"),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["native_loaded", "False"]
+    assert done.stderr.count("RuntimeWarning") == 1 and "no-such-compiler" in done.stderr
+    assert [name for name in cache_files(cache) if name.startswith(".")] == []
+
+
+def test_a_compile_that_times_out_is_killed_and_removes_its_output(tmp_path):
+    cache = tmp_path / "cache"
+    slow = fake_compiler(tmp_path, 'for a; do out=$prev; prev=$a; done\ntouch "$out"\nexec sleep 30\n')
+    done = python(
+        """
+        import time
+        from repro import _native_build
+        _native_build._TIMEOUT_S = 0.5
+        from repro.sketch import _native
+        t0 = time.perf_counter()
+        print("native_loaded", _native.load() is not None, time.perf_counter() - t0 < 10)
+        """,
+        cache, CC=slow,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["native_loaded", "False", "True"]
+    assert "TimeoutExpired" in done.stderr
+    assert [name for name in cache_files(cache) if name.startswith(".")] == []
+
+
+@needs_compiler
+@needs_two_cpus
+def test_start_returns_at_once_and_load_collects_the_running_compile(tmp_path):
+    """What ``jem index`` does on a cold cache: the compiler is a live child
+    while numpy is still unimported; load() then waits for that same child."""
+    cache = tmp_path / "cache"
+    done = python(
+        """
+        import os, sys, time
+        from repro import _native_build
+        mask = os.sched_getaffinity(0)
+        t0 = time.perf_counter()
+        _native_build.start()
+        started = time.perf_counter() - t0
+        build = _native_build._running
+        print("numpy" in sys.modules, build.child.poll() is None, started < 0.2)
+        _native_build.start()  # a second call changes nothing
+        print(_native_build._running is build)
+        from repro.sketch import _native
+        print(_native.load() is not None, _native_build._running is None,
+              build.child.returncode, os.sched_getaffinity(0) == mask)
+        """,
+        cache,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True", "True", "True", "True", "True", "0", "True"]
+    assert_one_library_and_no_temp_file(cache)
+
+
+@needs_compiler
+def test_with_one_cpu_the_compile_is_not_started_early(tmp_path):
+    """Under a one-CPU mask (`taskset -c 0`, the ledger's pinned servers) the
+    order of work is the inline one: start() does nothing, load() compiles."""
+    cache = tmp_path / "cache"
+    done = python(
+        """
+        import os
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        from repro import _native_build
+        _native_build.start()
+        print(_native_build._running is None, os.path.exists(os.environ["REPRO_NATIVE_CACHE"]))
+        from repro.sketch import _native
+        print(_native.load() is not None)
+        """,
+        cache,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False", "True"]
+    assert_one_library_and_no_temp_file(cache)
+
+
+@needs_compiler
+@needs_two_cpus
+def test_a_compile_nobody_waited_for_is_stopped_at_exit_and_leaves_nothing(tmp_path):
+    cache = tmp_path / "cache"
+    done = python(
+        """
+        from repro import _native_build
+        _native_build.start()
+        print(_native_build._running.child.pid)
+        """,
+        cache,
+    )
+    assert done.returncode == 0, done.stderr
+    pid = int(done.stdout)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    files = cache_files(cache)
+    assert len(files) == 1 and files[0].endswith(".c") and not files[0].startswith(".")
+
+
+@needs_compiler
+@needs_two_cpus
+def test_a_forked_copy_does_not_wait_on_its_parents_compiler(tmp_path, monkeypatch):
+    """A worker forked between start() and load() inherits the record of a
+    child that is not its own: it must build for itself."""
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    _native_build.start()
+    parents = _native_build._running
+    # this test is not a fork: its own compile would share the pid in the
+    # temporary names, so the "parent's" is stopped before the "child" builds
+    parents.child.kill()
+    parents.child.communicate()
+    parents.tmp.unlink(missing_ok=True)
+    monkeypatch.setattr(parents, "pid", parents.pid + 1)  # as seen from a fork
+    assert _native_build._mine() is None
+    path = _native_build.library()  # waiting on `parents` would raise: it was killed
+    assert path.exists() and _native_build._running is None
+    assert_one_library_and_no_temp_file(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["--help"], {}),
+        (["index", "--help"], {}),
+        (["datasets"], {}),
+        (["index", "-s", "CONTIGS", "-o", "OUT"], {"REPRO_NO_NATIVE": "1"}),
+    ],
+    ids=["help", "index-help", "datasets", "no-native-index"],
+)
+def test_commands_that_need_no_kernels_start_no_compiler(tmp_path, argv, env):
+    """No child process (the fake compiler would leave a marker) and a cache
+    directory that is not even created."""
+    contigs = tmp_path / "contigs.fasta"
+    contigs.write_text(">c0\n" + "acgtgtcatgcatgactgacgt" * 40 + "\n")
+    argv = [str(contigs) if a == "CONTIGS" else str(tmp_path / "out.npz") if a == "OUT" else a
+            for a in argv]
+    marker = tmp_path / "compiler-ran"
+    cache = tmp_path / "cache"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=child_env(cache, CC=fake_compiler(tmp_path, f"touch {marker}\nexit 1\n"), **env),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert not marker.exists() and not cache.exists()
+
+
+@needs_compiler
+def test_jem_index_on_a_cold_cache_compiles_once_beside_its_imports(tmp_path):
+    contigs = tmp_path / "contigs.fasta"
+    contigs.write_text(">c0\n" + "acgtgtcatgcatgactgacgt" * 200 + "\n")
+    cache = tmp_path / "cache"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "repro.cli", "index",
+         "-s", str(contigs), "-o", str(tmp_path / "out.npz")],
+        env=child_env(cache), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "[native=fused,threads=" in done.stdout
+    assert_one_library_and_no_temp_file(cache)
