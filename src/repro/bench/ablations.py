@@ -22,7 +22,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..core.config import JEMConfig
 from ..core.hitcounter import count_hits_lazy, count_hits_vectorised
 from ..core.mapper import JEMMapper
 from ..core.segments import extract_end_segments

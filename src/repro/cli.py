@@ -9,8 +9,9 @@ Subcommands:
   parallel driver, or N kernel threads with ``--backend process``);
 * ``store-stats`` — inspect a saved index (bundle or mutable directory):
   generation, segments, memtable, tombstones, byte breakdown;
-* ``serve``    — long-lived mapping service over stdin/stdout NDJSON
-  (index resident, micro-batched, cached; see ``docs/serving.md``);
+* ``serve``    — long-lived mapping service speaking NDJSON over
+  stdin/stdout or, with ``--listen``, TCP (index resident, micro-batched,
+  cached; see ``docs/serving.md``);
 * ``client``   — drive a ``serve`` process from a FASTA/FASTQ file and
   write the same TSV as ``map``;
 * ``chaos``    — seeded kill-resume chaos cycles against ``index``/``map``
@@ -276,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="long-lived mapping service: NDJSON requests on stdin, "
-             "responses on stdout (see docs/serving.md)",
+        help="long-lived mapping service: NDJSON requests and responses over "
+             "stdin/stdout or, with --listen, TCP (see docs/serving.md)",
     )
     p_serve.add_argument("-s", "--subjects", help="contigs FASTA (indexed at startup)")
     p_serve.add_argument("--index", help="saved JEM index (alternative to -s)")
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "+ round-robin (default scatter)")
     p_serve.add_argument("--tenant-quota", type=int, default=None,
                          help="max in-flight maps per tenant tag across all "
-                              "connections (default: unlimited)")
+                              "sessions (default: unlimited)")
     p_serve.add_argument("--no-supervise", action="store_true",
                          help="disable the fleet supervisor behind --listen "
                               "(dead/wedged replicas are then never respawned)")
@@ -309,13 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
                               "hedges the answer inline from the root store "
                               "(0 disables hedging; default 2000)")
     p_serve.add_argument("--max-line-bytes", type=int, default=1 << 20,
-                         help="longest accepted NDJSON request line behind "
-                              "--listen; oversized lines get a typed error "
-                              "(default 1MiB)")
+                         help="longest accepted NDJSON request line; an "
+                              "oversized line is skipped and answered with "
+                              "a typed error (default 1MiB)")
     p_serve.add_argument("--idle-timeout", type=float, default=300.0,
                          metavar="SECONDS",
-                         help="per-connection read deadline behind --listen "
-                              "(slow-loris guard; 0 disables, default 300)")
+                         help="TCP slow-loris guard: cut a connection that "
+                              "completes no request line in this long (0 "
+                              "disables, default 300); a stdio session has "
+                              "none, its parent owns the pipe and may idle")
     _add_config_args(p_serve)
     _add_service_args(p_serve)
 
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "`%(prog)s serve` with the matching flags)")
     p_client.add_argument("--connect", default=None, metavar="HOST:PORT",
                           help="connect to a running `jem serve --listen` "
-                               "server instead of spawning a pipe-mode one")
+                               "server instead of spawning a stdio one")
     _add_config_args(p_client)
     _add_service_args(p_client)
 
@@ -642,40 +645,9 @@ def _require_one_source(args: argparse.Namespace) -> bool:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from .service import serve_loop
-
-    if not _require_one_source(args):
-        return 2
-    t0 = time.perf_counter()
-    engine = _engine_from(args)
-    if args.listen is not None:
-        return _serve_listen(args, engine, t0)
-    service = engine.service(_service_config_from(args))
-    mapper = engine.mapper
-    print(
-        f"# serving {len(mapper.subject_names)} contigs "
-        f"({mapper.table.total_entries:,} sketch entries, "
-        f"ready in {time.perf_counter() - t0:.2f}s); NDJSON on stdin",
-        file=sys.stderr,
-    )
-    stats = serve_loop(service, sys.stdin, sys.stdout)
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(service.metrics.snapshot(), fh, indent=2)
-    print(
-        f"# drained: {stats.mapped} mapped, {stats.errors} errors, "
-        f"{stats.rejected} rejected",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _serve_listen(args: argparse.Namespace, engine: MappingEngine, t0: float) -> int:
-    """``jem serve --listen``: asyncio TCP front-end over a replica set."""
+    """``jem serve``: one NDJSON front-end — over stdin/stdout, or with
+    ``--listen`` over TCP in front of a replica fleet."""
     import asyncio
-    import contextlib
     import json
     import signal
 
@@ -688,37 +660,63 @@ def _serve_listen(args: argparse.Namespace, engine: MappingEngine, t0: float) ->
         parse_hostport,
     )
 
-    host, port = parse_hostport(args.listen)
-    placement = make_placement(args.placement, args.replicas)
-    replica_set = ReplicaSet.from_engine(
-        engine, placement, _service_config_from(args),
-        hedge_timeout_s=(
-            args.hedge_timeout_ms / 1000.0 if args.hedge_timeout_ms > 0 else None
-        ),
-    )
-    frontend = NetFrontend(
-        replica_set, host=host, port=port, tenant_quota=args.tenant_quota,
-        max_line_bytes=args.max_line_bytes,
-        idle_timeout_s=args.idle_timeout if args.idle_timeout > 0 else None,
-    )
+    if not _require_one_source(args):
+        return 2
+    t0 = time.perf_counter()
+    engine = _engine_from(args)
     supervisor = None
-    if not args.no_supervise:
-        interval_s = max(args.probe_interval_ms, 1.0) / 1000.0
-        supervisor = FleetSupervisor(
-            replica_set,
-            SupervisorConfig(
-                probe_interval_s=interval_s,
-                probe_deadline_s=interval_s / 2.0,
+    if args.listen is None:
+        host, port = "", 0  # never bound: the session's streams are stdio
+        backend = engine.service(_service_config_from(args))
+        # no slow-loris guard: the parent that owns the pipe may idle as
+        # long as it likes, and cutting it loose would kill the service
+        idle_timeout_s = None
+    else:
+        host, port = parse_hostport(args.listen)
+        placement = make_placement(args.placement, args.replicas)
+        backend = ReplicaSet.from_engine(
+            engine, placement, _service_config_from(args),
+            hedge_timeout_s=(
+                args.hedge_timeout_ms / 1000.0 if args.hedge_timeout_ms > 0 else None
             ),
         )
+        idle_timeout_s = args.idle_timeout if args.idle_timeout > 0 else None
+        if not args.no_supervise:
+            interval_s = max(args.probe_interval_ms, 1.0) / 1000.0
+            supervisor = FleetSupervisor(
+                backend,
+                SupervisorConfig(
+                    probe_interval_s=interval_s,
+                    probe_deadline_s=interval_s / 2.0,
+                ),
+            )
+    frontend = NetFrontend(
+        backend, host=host, port=port, tenant_quota=args.tenant_quota,
+        max_line_bytes=args.max_line_bytes, idle_timeout_s=idle_timeout_s,
+    )
 
-    async def main() -> None:
+    async def stdio() -> str:
+        mapper = engine.mapper
+        print(
+            f"# serving {len(mapper.subject_names)} contigs "
+            f"({mapper.table.total_entries:,} sketch entries, "
+            f"ready in {time.perf_counter() - t0:.2f}s); NDJSON on stdin",
+            file=sys.stderr,
+            flush=True,
+        )
+        session = await frontend.serve_stdio(sys.stdin.buffer, sys.stdout.buffer)
+        return (
+            f"# drained: {session.mapped} mapped, {session.errors} errors, "
+            f"{session.rejected} rejected"
+        )
+
+    async def listen() -> str:
         bound_host, bound_port = await frontend.start()
         # machine-parseable banner: CI and tests discover port 0 from it
         print(
             f"# jem-netserve listening on {bound_host}:{bound_port} "
             f"({placement.kind} x{placement.n_replicas}, "
-            f"{len(replica_set.subject_names)} contigs, "
+            f"{len(backend.subject_names)} contigs, "
             f"ready in {time.perf_counter() - t0:.2f}s)",
             file=sys.stderr,
             flush=True,
@@ -736,7 +734,7 @@ def _serve_listen(args: argparse.Namespace, engine: MappingEngine, t0: float) ->
             # at a time off the event loop; the fleet never drops below N-1
             def run() -> None:
                 try:
-                    out = replica_set.rolling_restart()
+                    out = backend.rolling_restart()
                     print(
                         f"# jem-netserve rolling restart done: "
                         f"replicas {out['restarted']}, "
@@ -755,15 +753,16 @@ def _serve_listen(args: argparse.Namespace, engine: MappingEngine, t0: float) ->
                 loop.add_signal_handler(signal.SIGHUP, request_rolling_restart)
         await stop_requested.wait()
         await frontend.stop()
+        return "# jem-netserve stopped"
 
     try:
-        asyncio.run(main())
+        summary = asyncio.run(stdio() if args.listen is None else listen())
     finally:
-        replica_set.drain()
+        backend.drain()
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(replica_set.metrics_snapshot(), fh, indent=2)
-    print("# jem-netserve stopped", file=sys.stderr)
+            json.dump(backend.metrics_snapshot(), fh, indent=2)
+    print(summary, file=sys.stderr)
     return 0
 
 
@@ -813,7 +812,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
     import subprocess
 
     from .core.engine import read_sequences
-    from .service import stream_reads
+    from .service import PipeTransport, SocketTransport, run_session
 
     if (
         args.server_cmd is None
@@ -824,7 +823,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
     queries = read_sequences(args.queries, on_error=args.on_error)
     if args.connect is not None:
         from .netserve import parse_hostport
-        from .service import SocketTransport, run_session
 
         host, port = parse_hostport(args.connect)
         t0 = time.perf_counter()
@@ -852,7 +850,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
         command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
     )
     try:
-        stats = stream_reads(queries, proc)
+        stats = run_session(queries, PipeTransport(proc))
     finally:
         if proc.poll() is None:
             try:

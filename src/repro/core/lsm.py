@@ -502,6 +502,21 @@ class MutableSketchStore:
             subject_names=mapper.subject_names,
         )
 
+    @classmethod
+    def wrap(
+        cls, store, config: JEMConfig, subject_names: Iterable[str]
+    ) -> "MutableSketchStore":
+        """``store`` as a mutable handle — how a resident index goes mutable.
+
+        A handle (one opened from a v4 directory: WAL-logged, durable) is
+        used as is, so what is mutated is what was loaded; any static
+        store becomes the generation-0 segment of a memory-only handle.
+        The service and the replica fleet both decide through here.
+        """
+        if isinstance(store, cls):
+            return store
+        return cls.in_memory(config, base_store=store, subject_names=subject_names)
+
     def _adopt_base(
         self, base_store: SketchStore | None, subject_names: Iterable[str]
     ) -> None:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 
-import numpy as np
-
 from ..align.identity import locate_segment
 from ..errors import MappingError
 from ..seq.records import SequenceSet

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import SequenceError
 from ..seq.records import SequenceSet, SequenceSetBuilder
 

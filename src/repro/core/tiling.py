@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..errors import SequenceError
 from ..seq.records import SequenceSet, SequenceSetBuilder
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,6 +1,11 @@
-"""Asyncio TCP front-end: the NDJSON protocol over many connections.
+"""Asyncio front-end: the one server side of the NDJSON protocol.
 
-One event loop multiplexes every client:
+Every session — each TCP connection behind ``jem serve --listen`` and the
+single stdin/stdout session of a plain ``jem serve``
+(:meth:`NetFrontend.serve_stdio`) — runs the same connection handler, so
+a request line is parsed, routed, ordered and answered in exactly one
+place whichever transport carried it.  One event loop multiplexes every
+client:
 
 * a per-connection **reader** task parses NDJSON lines into the
   connection's intake queue (``health`` is answered immediately, off the
@@ -20,8 +25,8 @@ scheduler threads; ``MapFuture.add_done_callback`` +
 request.
 
 Backpressure is layered: the admission queue rejects in-band with
-``retry_after`` (same as pipe mode); a connection with ``max_pending``
-unanswered maps stops being read (TCP pushes back); an optional
+``retry_after``; a connection with ``max_pending`` unanswered maps stops
+being read (TCP, or the pipe, pushes back); an optional
 **per-tenant quota** caps in-flight maps per ``tenant`` tag across all
 connections, rejecting the excess in-band so one tenant cannot occupy
 the whole admission queue.
@@ -29,7 +34,7 @@ the whole admission queue.
 Hostile or broken clients are contained per frame, not per connection:
 request lines are bounded by ``max_line_bytes`` (an oversized line is
 discarded through its newline and answered with a typed ``error``
-frame), a connection that cannot complete one line within
+frame), a TCP connection that cannot complete one line within
 ``idle_timeout_s`` is cut loose (slow-loris), and any exception a
 malformed payload provokes during dispatch is answered in-band — the
 shared dispatcher task serving every other connection never dies for
@@ -41,6 +46,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -55,6 +62,10 @@ from ..service.protocol import (
 from ..service.queue import MapFuture
 
 __all__ = ["NetFrontend", "parse_hostport"]
+
+#: Ops answered in the session's request order, through the dispatcher
+#: (``health``, ``drain`` and unknown ops are handled by the reader).
+_ORDERED_OPS = ("map", "ping", "metrics", *MUTATION_OPS, *ADMIN_OPS)
 
 #: Messages the dispatcher drains from one connection per fairness cycle.
 FAIR_CHUNK = 16
@@ -131,6 +142,70 @@ class _LineReader:
                 return True
 
 
+class _StdioReader:
+    """``read()`` for :class:`_LineReader` off a blocking file descriptor.
+
+    A daemon thread does the blocking ``os.read`` — which works whether
+    stdin is a pipe, a regular file, a tty or ``/dev/null``
+    (``loop.connect_read_pipe`` refuses regular files) — and hands each
+    chunk to the loop.  It reads the descriptor, not the buffered stream
+    over it: a thread parked in a ``BufferedReader`` holds its lock, and
+    the interpreter aborts at exit when it cannot take it.  ``_slots``
+    bounds the chunks in flight, so a large request file is read at the
+    pace the session consumes it.
+    """
+
+    def __init__(self, fd: int) -> None:
+        loop = asyncio.get_running_loop()
+        self._chunks: asyncio.Queue = asyncio.Queue()
+        self._slots = threading.Semaphore(4)
+
+        def feed() -> None:
+            while True:
+                try:
+                    chunk = os.read(fd, 65536)
+                except OSError:  # a vanished tty, a closed descriptor
+                    chunk = b""  # the input is over: an implicit drain
+                self._slots.acquire()
+                try:
+                    loop.call_soon_threadsafe(self._chunks.put_nowait, chunk)
+                except RuntimeError:  # loop closed: `drain` ended the session
+                    return
+                if not chunk:
+                    return
+
+        threading.Thread(target=feed, name="jem-stdin", daemon=True).start()
+
+    async def read(self, _n: int) -> bytes:
+        chunk = await self._chunks.get()
+        self._slots.release()
+        return chunk
+
+
+class _StdioWriter:
+    """The ``StreamWriter`` surface a session uses, over a blocking binary stream.
+
+    A write blocks the loop while the parent does not read — for the one
+    session of a stdio process that *is* the backpressure — and it works
+    on a regular file, which ``loop.connect_write_pipe`` refuses.
+    """
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+
+    def write(self, data: bytes) -> None:
+        self._stream.write(data)
+
+    async def drain(self) -> None:
+        self._stream.flush()
+
+    def close(self) -> None:  # the stream's lifetime belongs to the caller
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
 def parse_hostport(spec: str, *, default_host: str = "127.0.0.1") -> tuple[str, int]:
     """``HOST:PORT`` / ``:PORT`` / ``PORT`` → (host, port)."""
     host, sep, port = spec.rpartition(":")
@@ -148,11 +223,11 @@ def parse_hostport(spec: str, *, default_host: str = "127.0.0.1") -> tuple[str, 
 class _Connection:
     """Per-client state shared by the reader/dispatcher/writer tasks."""
 
-    reader: asyncio.StreamReader
+    reader: asyncio.StreamReader  # or the stdio pair, same surface
     writer: asyncio.StreamWriter
     intake: deque = field(default_factory=deque)
     #: ordered responses: ("map", header, afut, tenant) | ("ready", dict)
-    #: | ("metrics",) | ("mutation", afut) | ("drain",)
+    #: | ("metrics",) | ("mutation", op, message) | ("drain",)
     pending: asyncio.Queue = field(default_factory=asyncio.Queue)
     outstanding: int = 0  # dispatched maps not yet written
     resume_read: asyncio.Event = field(default_factory=asyncio.Event)
@@ -160,6 +235,9 @@ class _Connection:
     errors: int = 0
     rejected: int = 0
     closed: bool = False
+    #: a mutation of this session is queued or running: nothing behind it
+    #: is read or dispatched until its reply is out
+    held: bool = False
 
     def send_json(self, obj: dict) -> None:
         # whole lines only: StreamWriter.write is a synchronous buffer
@@ -168,13 +246,15 @@ class _Connection:
 
 
 class NetFrontend:
-    """Serve the NDJSON protocol on TCP over a submit/healthz/metrics backend.
+    """Serve the NDJSON protocol over a submit/healthz/metrics backend.
 
     ``backend`` needs ``submit(name, seq, *, deadline_s) -> MapFuture``,
-    ``healthz() -> dict``, and ``metrics_snapshot() -> dict`` — satisfied
-    by :class:`~repro.netserve.ReplicaSet`; a single
-    :class:`~repro.service.MappingService` works too when wrapped with a
-    ``metrics_snapshot`` adapter (see ``jem serve --listen --replicas 1``).
+    ``healthz() -> dict``, ``metrics_snapshot() -> dict`` and the mutation
+    surface of :func:`~repro.service.protocol.mutation_response` — a
+    :class:`~repro.netserve.ReplicaSet` or a bare
+    :class:`~repro.service.MappingService`.  :meth:`start` serves TCP
+    connections; :meth:`serve_stdio` serves one session over a pair of
+    binary streams.
     """
 
     def __init__(
@@ -212,7 +292,6 @@ class NetFrontend:
         self._tenant_inflight: dict[str, int] = {}
         self._dispatch_wake = asyncio.Event()
         self._dispatcher: asyncio.Task | None = None
-        self._stopping = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -227,10 +306,24 @@ class NetFrontend:
         )
         return self.address
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._stopping.wait()
+    async def serve_stdio(self, stdin, stdout) -> "_Connection":
+        """Run one session over binary ``stdin`` / ``stdout`` streams.
+
+        The same handler a TCP connection gets; returns the finished
+        session (its ``mapped`` / ``errors`` / ``rejected`` counts) once
+        ``drain`` or EOF has ended it.
+        """
+        dispatcher = asyncio.create_task(
+            self._dispatch_loop(), name="jem-net-dispatch"
+        )
+        try:
+            return await self._handle_connection(
+                _StdioReader(stdin.fileno()), _StdioWriter(stdout)
+            )
+        finally:
+            dispatcher.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await dispatcher
 
     async def stop(self, *, session_grace_s: float = 10.0) -> None:
         """Stop accepting, let open sessions finish their pending work."""
@@ -250,13 +343,10 @@ class NetFrontend:
             self._dispatcher.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._dispatcher
-        self._stopping.set()
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _handle_connection(self, reader, writer) -> "_Connection":
         conn = _Connection(reader=reader, writer=writer)
         conn.resume_read.set()
         self._connections.append(conn)
@@ -275,6 +365,7 @@ class NetFrontend:
             with contextlib.suppress(ConnectionError):
                 conn.writer.close()
                 await conn.writer.wait_closed()
+        return conn
 
     async def _read_loop(self, conn: _Connection) -> None:
         lines = _LineReader(conn.reader, self.max_line_bytes)
@@ -304,7 +395,7 @@ class NetFrontend:
                 ))
                 await self._drain_writer(conn)
                 continue
-            if not line:  # EOF = implicit drain, as in pipe mode
+            if not line:  # EOF = implicit drain
                 return
             line = line.strip()
             if not line:
@@ -323,11 +414,7 @@ class NetFrontend:
                 conn.intake.append(("drain",))
                 self._dispatch_wake.set()
                 return
-            elif (
-                op in ("map", "ping", "metrics")
-                or op in MUTATION_OPS
-                or op in ADMIN_OPS
-            ):
+            elif op in _ORDERED_OPS:
                 conn.intake.append(("msg", message))
                 self._dispatch_wake.set()
             else:
@@ -346,10 +433,8 @@ class NetFrontend:
         while True:
             progressed = False
             for conn in list(self._connections):
-                if conn.closed:
-                    continue
                 for _ in range(self.fair_chunk):
-                    if not conn.intake:
+                    if not conn.intake or conn.closed or conn.held:
                         break
                     entry = conn.intake.popleft()
                     progressed = True
@@ -361,7 +446,8 @@ class NetFrontend:
             if not progressed:
                 self._dispatch_wake.clear()
                 if not any(
-                    c.intake for c in self._connections if not c.closed
+                    c.intake for c in self._connections
+                    if not (c.closed or c.held)
                 ):
                     await self._dispatch_wake.wait()
 
@@ -376,16 +462,15 @@ class NetFrontend:
             conn.pending.put_nowait(("metrics",))
             return
         if op in MUTATION_OPS or op in ADMIN_OPS:
-            # blocking work (sketching, segment rebuild, shm re-publish,
-            # rolling restart) runs off the loop; the reply stays in this
-            # connection's response order.  Maps already in flight keep
-            # the generation they captured — a mid-flight mutation never
-            # mixes into them.
-            loop = asyncio.get_running_loop()
-            afut = loop.run_in_executor(
-                None, mutation_response, self.backend, op, message
-            )
-            conn.pending.put_nowait(("mutation", afut))
+            # a barrier in this session's order: the writer runs it once
+            # every earlier reply is out (those reads resolved on the old
+            # generation), and nothing behind it is read or dispatched
+            # until its own reply is (later reads see the new one).  Other
+            # sessions keep flowing; their in-flight maps keep the
+            # generation they captured.
+            conn.held = True
+            conn.resume_read.clear()
+            conn.pending.put_nowait(("mutation", op, message))
             return
         header = {"id": message.get("id"), "name": message.get("name", "")}
         tenant = str(message.get("tenant", ""))
@@ -410,29 +495,24 @@ class NetFrontend:
                 ),
             )
         except ServiceOverloadError as exc:
-            conn.pending.put_nowait((
-                "ready",
-                {**header, "error": "overloaded", "retry_after": exc.retry_after},
-            ))
             conn.rejected += 1
-            return
+            refusal = {**header, "error": "overloaded", "retry_after": exc.retry_after}
         except ReproError as exc:
-            conn.pending.put_nowait(("ready", {**header, "error": str(exc)}))
             conn.errors += 1
-            return
+            refusal = {**header, "error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - one client's hostile payload
             # (e.g. a non-string "seq" or "deadline_ms") must answer in-band,
             # never kill the dispatcher task shared by every connection
-            conn.pending.put_nowait(
-                ("ready", _error(f"bad request: {exc}", **header))
-            )
             conn.errors += 1
+            refusal = _error(f"bad request: {exc}", **header)
+        else:
+            self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
+            conn.outstanding += 1
+            if conn.outstanding >= self.max_pending:
+                conn.resume_read.clear()
+            conn.pending.put_nowait(("map", header, self._bridge(future), tenant))
             return
-        self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
-        conn.outstanding += 1
-        if conn.outstanding >= self.max_pending:
-            conn.resume_read.clear()
-        conn.pending.put_nowait(("map", header, self._bridge(future), tenant))
+        conn.pending.put_nowait(("ready", refusal))
 
     def _bridge(self, future: MapFuture) -> asyncio.Future:
         """Thread-side MapFuture completion → loop-side asyncio.Future."""
@@ -471,7 +551,21 @@ class NetFrontend:
             elif entry[0] == "metrics":
                 conn.send_json({"op": "metrics", **self.backend.metrics_snapshot()})
             elif entry[0] == "mutation":
-                conn.send_json(await entry[1])
+                _kind, op, message = entry
+                try:
+                    # blocking work (sketching, segment rebuild, shm
+                    # re-publish, rolling restart) runs off the loop
+                    reply = await asyncio.get_running_loop().run_in_executor(
+                        None, mutation_response, self.backend, op, message
+                    )
+                except Exception as exc:  # noqa: BLE001 - a hostile payload
+                    # (a number for "names") or a failed WAL write answers
+                    # in-band: a dead writer would hold the session forever
+                    reply = _error(f"{type(exc).__name__}: {exc}", op=op)
+                conn.send_json(reply)
+                conn.held = False
+                conn.resume_read.set()
+                self._dispatch_wake.set()
             else:
                 _kind, header, afut, tenant = entry
                 try:
@@ -486,33 +580,10 @@ class NetFrontend:
                     0, self._tenant_inflight.get(tenant, 0) - 1
                 )
                 conn.outstanding -= 1
-                if conn.outstanding < self.max_pending // 2:
+                if conn.outstanding < self.max_pending // 2 and not conn.held:
                     conn.resume_read.set()
             await self._drain_writer(conn)
-        # session end: flush whatever was still pending, then summarise
-        while not conn.pending.empty():
-            leftover = conn.pending.get_nowait()
-            if leftover[0] == "map":
-                _kind, header, afut, tenant = leftover
-                try:
-                    mapping = await afut
-                except ReproError as exc:
-                    conn.send_json({**header, "error": str(exc)})
-                    conn.errors += 1
-                else:
-                    conn.send_json(response_for_mapping(header, mapping))
-                    conn.mapped += 1
-                self._tenant_inflight[tenant] = max(
-                    0, self._tenant_inflight.get(tenant, 0) - 1
-                )
-            elif leftover[0] == "ready":
-                conn.send_json(leftover[1])
-            elif leftover[0] == "metrics":
-                conn.send_json(
-                    {"op": "metrics", **self.backend.metrics_snapshot()}
-                )
-            elif leftover[0] == "mutation":
-                conn.send_json(await leftover[1])
+        # the dispatcher queues "drain" last: nothing is pending behind it
         conn.send_json({
             "op": "drained",
             "mapped": conn.mapped,

@@ -28,7 +28,6 @@ sick replica sheds or degrades alone while the set keeps serving:
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +35,6 @@ import numpy as np
 from ..core.config import JEMConfig
 from ..core.lsm import MutableSketchStore, store_stats
 from ..core.mapper import JEMMapper, MappingResult
-from ..core.segments import PREFIX, SUFFIX, SegmentInfo
 from ..core.store import ColumnarSketchStore
 from ..errors import ServiceClosedError, ServiceError, ServiceOverloadError
 from ..parallel.faults import FaultPlan
@@ -47,7 +45,7 @@ from ..service.config import ServiceConfig
 from ..service.health import OPEN
 from ..service.metrics import aggregate_metrics
 from ..service.queue import MapFuture
-from ..service.service import MappingService
+from ..service.service import MappingService, map_reads_through
 from .placement import PlacementPolicy, ReplicatedPlacement, ScatterPlacement
 from .router import LookupLane, ScatterGatherStore
 
@@ -68,6 +66,7 @@ class Replica:
         service_config: ServiceConfig,
         *,
         placement_kind: str,
+        generation: int = 0,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
@@ -93,6 +92,12 @@ class Replica:
                 "key_range": f"[{self.lo:#010x}, {self.hi:#010x})",
             },
         )
+        if generation != self.service.index_generation:
+            # a shard or shm copy carries no generation of its own: stamp
+            # the fleet's, so healthz agreement and the lane stamp line up
+            self.service.install_index(
+                self.store, subject_names, generation=generation
+            )
 
     def healthz(self) -> dict:
         health = self.service.healthz()
@@ -106,7 +111,7 @@ class ReplicaSet:
 
     def __init__(
         self,
-        store: ColumnarSketchStore,
+        store: ColumnarSketchStore | MutableSketchStore,
         subject_names: list[str],
         jem_config: JEMConfig | None = None,
         *,
@@ -116,20 +121,27 @@ class ReplicaSet:
         retry: RetryPolicy | None = None,
         hedge_timeout_s: float | None = 2.0,
     ) -> None:
-        # sharding and column export are columnar-only; repack once
-        store = ColumnarSketchStore.from_store(store)
         self.placement = placement
         self.config = (
             service_config if service_config is not None else ServiceConfig()
         )
-        self._store = store
-        self._root = store  # current unsharded index (follows mutations)
-        self._subject_names = list(subject_names)
         self._jem_config = jem_config if jem_config is not None else JEMConfig()
+        #: the set-level mutable handle: one serves every replica —
+        #: mutations are applied here and the resulting generation is
+        #: *installed* into the replica services (replicate) or re-sharded
+        #: behind new lookup lanes (scatter).  A handle loaded from a v4
+        #: directory is kept as given, so every mutation reaches its WAL
+        #: and segment files
+        self._mutable = MutableSketchStore.wrap(
+            store, self._jem_config, subject_names
+        )
+        # sharding and column export are columnar-only; fold once
+        store = self._mutable.current.as_columnar()
+        self._root = store  # current unsharded index (follows mutations)
+        self._subject_names = self._mutable.subject_names
         self._faults = faults
         self._retry = retry
         self._hedge_timeout_s = hedge_timeout_s
-        self._mutable: MutableSketchStore | None = None
         self._mutation_lock = threading.Lock()
         self._drained = False
         self._respawns = 0
@@ -151,15 +163,7 @@ class ReplicaSet:
         self._shared: list = list(shared_per_replica)
         self._segments = sorted({s.ref.name for s in shared_per_replica})
         self.replicas = [
-            Replica(
-                i, shared_per_replica[i], shards[i].lo, shards[i].hi,
-                self._subject_names, jem_config, self.config,
-                placement_kind=placement.kind,
-                # replicate: faults strike a replica's own dispatch path;
-                # scatter: faults strike the lookup lanes instead (below)
-                faults=faults if placement.kind == ReplicatedPlacement.kind else None,
-                retry=retry,
-            )
+            self._spawn(i, shared_per_replica[i], shards[i].lo, shards[i].hi)
             for i in range(placement.n_replicas)
         ]
         self._lanes: list[LookupLane] = []
@@ -167,20 +171,11 @@ class ReplicaSet:
         self._router: ScatterGatherStore | None = None
         self.scatter_stats = None
         if isinstance(placement, ScatterPlacement):
-            self._lanes = [
-                LookupLane(
-                    r.id, r.store,
-                    breaker=r.service.breaker,
-                    metrics=r.service.metrics,
-                    capacity=self.config.queue_capacity,
-                    faults=faults,
-                    retry=retry,
-                )
-                for r in self.replicas
-            ]
+            self._lanes = [self._lane(r) for r in self.replicas]
             virtual = ScatterGatherStore(
                 self._lanes, placement, store,
                 hedge_timeout_s=self._hedge_timeout_s,
+                generation=self.index_generation,
             )
             self._router = virtual
             self.scatter_stats = virtual.stats
@@ -197,6 +192,33 @@ class ReplicaSet:
             virtual.bind_metrics(self._frontdoor.metrics)
         self._cursor = 0
         self._cursor_lock = threading.Lock()
+
+    def _spawn(self, i: int, source, lo: int, hi: int) -> Replica:
+        """Replica ``i`` over ``source``, stamped with the fleet's generation."""
+        replicated = self.placement.kind == ReplicatedPlacement.kind
+        return Replica(
+            i, source, lo, hi,
+            self._subject_names, self._jem_config, self.config,
+            placement_kind=self.placement.kind,
+            generation=self.index_generation,
+            # replicate: faults strike a replica's own dispatch path;
+            # scatter: faults strike the lookup lanes instead
+            faults=self._faults if replicated else None,
+            retry=self._retry,
+        )
+
+    def _lane(self, replica: Replica) -> LookupLane:
+        """A lookup lane over ``replica``'s shard at the fleet's generation,
+        sharing the replica's breaker and metrics."""
+        return LookupLane(
+            replica.id, replica.store,
+            breaker=replica.service.breaker,
+            metrics=replica.service.metrics,
+            capacity=self.config.queue_capacity,
+            faults=self._faults,
+            retry=self._retry,
+            generation=self.index_generation,
+        )
 
     # -- construction --------------------------------------------------------
 
@@ -272,57 +294,17 @@ class ReplicaSet:
         self, reads: SequenceSet, *, timeout: float | None = None
     ) -> MappingResult:
         """Blocking convenience with :meth:`MappingService.map_reads` layout."""
-        futures: list[MapFuture] = []
-        for i in range(len(reads)):
-            while True:
-                try:
-                    futures.append(self.submit(reads.names[i], reads.codes_of(i)))
-                    break
-                except ServiceOverloadError as exc:
-                    time.sleep(exc.retry_after)
-        names: list[str] = []
-        infos: list[SegmentInfo] = []
-        subjects = np.empty(2 * len(reads), dtype=np.int64)
-        hit_counts = np.empty(2 * len(reads), dtype=np.int64)
-        for i, future in enumerate(futures):
-            mapping = future.result(timeout)
-            names.extend(mapping.segment_names)
-            infos.append(SegmentInfo(read_index=i, kind=PREFIX))
-            infos.append(SegmentInfo(read_index=i, kind=SUFFIX))
-            subjects[2 * i], subjects[2 * i + 1] = mapping.subject
-            hit_counts[2 * i], hit_counts[2 * i + 1] = mapping.hit_count
-        return MappingResult(
-            segment_names=names, subject=subjects, hit_count=hit_counts, infos=infos
-        )
+        return map_reads_through(self.submit, reads, timeout)
 
     # -- online index mutation -----------------------------------------------
 
     @property
     def index_generation(self) -> int:
-        return self._mutable.generation if self._mutable is not None else 0
+        return self._mutable.generation
 
     def store_stats(self) -> dict:
         """Per-generation stats of the set's (shared) index."""
-        target = self._mutable if self._mutable is not None else self._store
-        stats = store_stats(target)
-        stats["generation"] = self.index_generation
-        return stats
-
-    def _ensure_mutable(self) -> MutableSketchStore:
-        """The set-level mutable handle, seeded from the root store once.
-
-        One handle serves every replica: mutations are applied here and
-        the resulting generation is *installed* into the replica services
-        (replicate) or re-sharded behind new lookup lanes (scatter).
-        Called under the mutation lock.
-        """
-        if self._mutable is None:
-            self._mutable = MutableSketchStore.in_memory(
-                self._jem_config,
-                base_store=self._store,
-                subject_names=self._subject_names,
-            )
-        return self._mutable
+        return store_stats(self._mutable)
 
     def _install_generation(self) -> dict:
         """Publish the handle's latest generation across the whole set.
@@ -344,7 +326,6 @@ class ReplicaSet:
         mixed-generation answer.  Called under the mutation lock.
         """
         handle = self._mutable
-        assert handle is not None
         generation = handle.current
         names = list(handle.subject_names)
         self._subject_names = names
@@ -371,17 +352,7 @@ class ReplicaSet:
                 replica.service.install_index(
                     replica.store, names, generation=generation.generation
                 )
-                new_lanes.append(
-                    LookupLane(
-                        replica.id, replica.store,
-                        breaker=replica.service.breaker,
-                        metrics=replica.service.metrics,
-                        capacity=self.config.queue_capacity,
-                        faults=self._faults,
-                        retry=self._retry,
-                        generation=generation.generation,
-                    )
-                )
+                new_lanes.append(self._lane(replica))
             virtual = ScatterGatherStore(
                 new_lanes, placement, merged,
                 stats=self.scatter_stats,
@@ -411,7 +382,7 @@ class ReplicaSet:
     def add_contigs(self, contigs: SequenceSet) -> dict:
         """Add contigs online across the whole set; returns store stats."""
         with self._mutation_lock:
-            handle = self._ensure_mutable()
+            handle = self._mutable
             handle.add_contigs(contigs)
             limit = self.config.memtable_flush_entries
             if limit and handle.current.memtable_entries >= limit:
@@ -421,14 +392,13 @@ class ReplicaSet:
     def remove_contigs(self, names: list[str]) -> dict:
         """Tombstone contigs across the whole set; returns store stats."""
         with self._mutation_lock:
-            handle = self._ensure_mutable()
-            handle.remove_contigs(names)
+            self._mutable.remove_contigs(names)
             return self._install_generation()
 
     def flush_index(self) -> dict:
         """Seal the set-level memtable into an immutable segment."""
         with self._mutation_lock:
-            handle = self._ensure_mutable()
+            handle = self._mutable
             before = handle.generation
             handle.flush()
             if handle.generation == before:
@@ -438,8 +408,7 @@ class ReplicaSet:
     def compact_index(self) -> dict:
         """Fold the set-level index into one clean segment."""
         with self._mutation_lock:
-            handle = self._ensure_mutable()
-            handle.compact()
+            self._mutable.compact()
             return self._install_generation()
 
     # -- fleet recovery (chaos doors + respawn) ------------------------------
@@ -558,33 +527,9 @@ class ReplicaSet:
                 self._segments = sorted(
                     {s.ref.name for s in self._shared if isinstance(s, SharedStore)}
                 )
-            replica = Replica(
-                i, source, old.lo, old.hi,
-                self._subject_names, self._jem_config, self.config,
-                placement_kind=self.placement.kind,
-                faults=(
-                    self._faults
-                    if self.placement.kind == ReplicatedPlacement.kind
-                    else None
-                ),
-                retry=self._retry,
-            )
-            if self._frontdoor is not None and generation != 0:
-                # stamp the rebuilt shard with the fleet's generation so
-                # healthz agreement and the lane stamp line up
-                replica.service.install_index(
-                    replica.store, self._subject_names, generation=generation
-                )
+            replica = self._spawn(i, source, old.lo, old.hi)
             if self._frontdoor is not None:
-                lane = LookupLane(
-                    replica.id, replica.store,
-                    breaker=replica.service.breaker,
-                    metrics=replica.service.metrics,
-                    capacity=self.config.queue_capacity,
-                    faults=self._faults,
-                    retry=self._retry,
-                    generation=generation,
-                )
+                lane = self._lane(replica)
                 try:
                     self._parity_probe(lane, replica)
                 except ServiceError:

@@ -20,7 +20,7 @@ be (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,7 +12,7 @@ yielding a maximal set of consistent, linear joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import MappingError
 from .links import ContigLink

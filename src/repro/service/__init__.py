@@ -16,15 +16,7 @@ from .metrics import (
     ServiceMetrics,
     aggregate_metrics,
 )
-from .protocol import (
-    ClientStats,
-    PipeTransport,
-    ServeStats,
-    SocketTransport,
-    run_session,
-    serve_loop,
-    stream_reads,
-)
+from .protocol import ClientStats, PipeTransport, SocketTransport, run_session
 from .queue import AdmissionQueue, MapFuture
 from .scheduler import MicroBatchScheduler
 from .service import MappingService, ReadMapping
@@ -44,11 +36,8 @@ __all__ = [
     "AdmissionQueue",
     "MapFuture",
     "MicroBatchScheduler",
-    "serve_loop",
-    "stream_reads",
     "run_session",
     "PipeTransport",
     "SocketTransport",
-    "ServeStats",
     "ClientStats",
 ]

@@ -1,5 +1,13 @@
 """Newline-delimited JSON protocol for ``jem serve`` / ``jem client``.
 
+This module holds the wire contract's two ends that are *not* the server
+state machine: the reply formatters (:func:`response_for_mapping`,
+:func:`mutation_response`) and the client (:func:`run_session` over a
+:class:`PipeTransport` or :class:`SocketTransport`).  The server side —
+parse, route, order, answer — is :class:`repro.netserve.NetFrontend`,
+the same code for a TCP connection and for the stdin/stdout session of a
+plain ``jem serve``; ``docs/serving.md`` is the protocol reference.
+
 One JSON object per line, in both directions.  Requests:
 
 * ``{"op": "map", "id": <any>, "name": "<read>", "seq": "ACGT..."}`` —
@@ -9,18 +17,17 @@ One JSON object per line, in both directions.  Requests:
   expires is shed and answered with a typed error instead of mapped.
   Responses carry ``"degraded": true`` when the circuit breaker routed
   the read through the single-trial fallback path.
-* ``{"op": "ping"}`` → ``{"op": "pong"}`` (liveness).
-* ``{"op": "health"}`` → liveness/readiness/breaker state plus worker
-  pool health — answered immediately, without flushing pending maps, so
-  probes are not blocked behind a slow batch.
-* ``{"op": "metrics"}`` → the full metrics snapshot (pending maps are
-  flushed first so the snapshot reflects them).
+* ``{"op": "ping"}`` → ``{"op": "pong"}``, ordered behind every earlier
+  ``map`` of the session.
+* ``{"op": "health"}`` → liveness/readiness/breaker state — answered
+  immediately, off the ordered path, so probes are not blocked behind a
+  slow batch.
+* ``{"op": "metrics"}`` → ``{"op": "metrics", "aggregate": {...},
+  "replicas": [...]}``, taken once every earlier ``map`` is answered.
 * ``{"op": "add_contigs", "names": [...], "seqs": [...]}`` — add contigs
   to the resident index online; ``{"op": "remove_contigs", "names":
-  [...]}`` tombstones contigs.  Both flush pending maps first (so the
-  mutation is ordered after every previously submitted read of this
-  session) and answer ``{"op": ..., "stats": {...}}`` with the
-  post-mutation per-generation store stats.
+  [...]}`` tombstones contigs.  Both answer ``{"op": ..., "stats":
+  {...}, "generation": N}`` in the session's response order.
 * ``{"op": "flush"}`` / ``{"op": "compact"}`` — seal the memtable into a
   segment / fold the whole index into one compacted segment.
 * ``{"op": "stats"}`` → the current store stats block (generation,
@@ -28,15 +35,16 @@ One JSON object per line, in both directions.  Requests:
 * ``{"op": "restart"}`` — rolling restart of a replica-set backend: each
   member is drained, respawned over fresh shared memory, parity-probed,
   and re-admitted in turn, so the fleet never drops below N-1 members.
-  Answers ``{"op": "restart", "restarted": [...], ...}``.
-* ``{"op": "drain"}`` — stop admission, finish everything, answer
-  ``{"op": "drained", ...}`` with a final snapshot, and end the session.
-  EOF on the input stream is an implicit drain.
+  Answers ``{"op": "restart", "restarted": [...], ...}``; a single
+  service answers a typed refusal.
+* ``{"op": "drain"}`` — finish everything the session submitted, answer
+  ``{"op": "drained", "mapped", "errors", "rejected", "metrics"}`` and
+  end the session.  EOF on the input stream is an implicit drain.
 
-Malformed frames (unparseable JSON, oversized lines on the TCP door,
+Malformed frames (unparseable JSON, lines over ``--max-line-bytes``,
 unknown ops, non-string payload fields) are answered with a typed
-in-band ``{"type": "error", "error": ...}`` object; the session — and on
-the TCP door, every *other* session — keeps serving.
+in-band ``{"type": "error", "error": ...}`` object; the session — and
+every *other* session of a TCP server — keeps serving.
 
 Backpressure surfaces in-band: an admission rejection produces
 ``{"id": ..., "error": "overloaded", "retry_after": <seconds>}`` and the
@@ -54,14 +62,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..errors import ReproError, ServiceOverloadError
+from ..errors import ReproError
 from ..seq.records import SequenceSet
-from .service import MappingService
 
 __all__ = [
-    "serve_loop",
-    "ServeStats",
-    "stream_reads",
     "run_session",
     "response_for_mapping",
     "mutation_response",
@@ -72,35 +76,24 @@ __all__ = [
     "ClientStats",
 ]
 
-#: Index-mutation / introspection ops shared by pipe mode and the TCP
-#: front-end; both execute them through :func:`mutation_response`.
+#: Index-mutation / introspection ops, executed through
+#: :func:`mutation_response`.
 MUTATION_OPS = ("add_contigs", "remove_contigs", "flush", "compact", "stats")
 
 #: Fleet-administration ops (replica-set backends only); dispatched like
 #: mutations — ordered after every read the session already submitted.
 ADMIN_OPS = ("restart",)
 
-#: Map requests kept in flight before the serve loop flushes responses.
-#: Bounds server memory while still letting batches fill.
+#: Unanswered maps a session may hold before the front-end stops reading
+#: it.  Bounds server memory while still letting batches fill.
 MAX_PENDING = 512
-
-
-@dataclass
-class ServeStats:
-    """What one serve session did (returned by :func:`serve_loop`)."""
-
-    mapped: int = 0
-    errors: int = 0
-    rejected: int = 0
-    drained: bool = False
 
 
 def response_for_mapping(header: dict, mapping) -> dict:
     """Render one completed mapping as its wire response object.
 
-    The single formatting path for every session style — the pipe serve
-    loop and the network front-end both call it, so a read's response
-    bytes are identical whichever door it came through.
+    The single formatting path: a read's response bytes are identical
+    whichever transport its session runs on.
     """
     response = {
         **header,
@@ -123,8 +116,8 @@ def mutation_response(backend, op: str, message: dict) -> dict:
     (``add_contigs`` / ``remove_contigs`` / ``flush_index`` /
     ``compact_index`` / ``store_stats``) — a
     :class:`~repro.service.MappingService` or a
-    :class:`~repro.netserve.ReplicaSet`.  The single formatting path for
-    every session style, like :func:`response_for_mapping`.
+    :class:`~repro.netserve.ReplicaSet`.  The single formatting path,
+    like :func:`response_for_mapping`.
     """
     try:
         if op == "restart":
@@ -164,131 +157,14 @@ def mutation_response(backend, op: str, message: dict) -> dict:
     return {"op": op, "stats": stats, "generation": stats["generation"]}
 
 
-def _response_for(entry) -> dict:
-    """Render one pending (header, future) pair as a response object."""
-    header, future = entry
-    try:
-        mapping = future.result()
-    except ReproError as exc:
-        return {**header, "error": str(exc)}
-    return response_for_mapping(header, mapping)
-
-
-def serve_loop(service: MappingService, in_stream, out_stream) -> ServeStats:
-    """Run one NDJSON session over ``service`` until drain/EOF.
-
-    The service is always drained on the way out, even on a protocol
-    error — accepted requests are never abandoned.
-    """
-    stats = ServeStats()
-    pending: list[tuple[dict, object]] = []
-
-    def emit(obj: dict) -> None:
-        out_stream.write(json.dumps(obj) + "\n")
-        out_stream.flush()
-
-    def flush_pending(*, only_done: bool = False) -> None:
-        while pending:
-            header, future = pending[0]
-            if only_done and not (future is None or future.done()):
-                return
-            pending.pop(0)
-            if future is None:  # pre-resolved (admission rejection)
-                emit(header)
-                stats.rejected += 1
-                continue
-            response = _response_for((header, future))
-            if "error" in response:
-                stats.errors += 1
-            else:
-                stats.mapped += 1
-            emit(response)
-
-    try:
-        for line in in_stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                message = json.loads(line)
-                op = message.get("op", "map")
-            except (json.JSONDecodeError, AttributeError) as exc:
-                emit({"type": "error", "error": f"bad request line: {exc}"})
-                continue
-            if op == "map":
-                header = {"id": message.get("id"), "name": message.get("name", "")}
-                seq = message.get("seq", "")
-                deadline_ms = message.get("deadline_ms")
-                try:
-                    future = service.submit(
-                        header["name"] or "read", seq,
-                        deadline_s=(
-                            float(deadline_ms) / 1000.0
-                            if deadline_ms is not None else None
-                        ),
-                    )
-                    pending.append((header, future))
-                except ServiceOverloadError as exc:
-                    pending.append((
-                        {**header, "error": "overloaded",
-                         "retry_after": exc.retry_after},
-                        None,
-                    ))
-                except ReproError as exc:
-                    pending.append(({**header, "error": str(exc)}, None))
-                except Exception as exc:  # noqa: BLE001 - a hostile payload
-                    # (non-string seq, absurd deadline) must not end the
-                    # session; answer typed and keep reading
-                    pending.append((
-                        {**header, "type": "error",
-                         "error": f"bad request: {exc}"},
-                        None,
-                    ))
-                if len(pending) >= MAX_PENDING:
-                    flush_pending()
-                else:
-                    flush_pending(only_done=True)
-            elif op == "ping":
-                flush_pending()
-                emit({"op": "pong"})
-            elif op == "health":
-                # answered without flushing: probes must not wait on batches
-                emit({"op": "health", **service.healthz()})
-            elif op == "metrics":
-                flush_pending()
-                emit({"op": "metrics", "metrics": service.metrics.snapshot()})
-            elif op in MUTATION_OPS or op in ADMIN_OPS:
-                # order the mutation after every read this session already
-                # submitted: those futures resolve on their old generation
-                flush_pending()
-                emit(mutation_response(service, op, message))
-            elif op == "drain":
-                break
-            else:
-                emit({"type": "error", "error": f"unknown op {op!r}"})
-        flush_pending()
-        service.drain()
-        stats.drained = True
-        emit({
-            "op": "drained",
-            "mapped": stats.mapped,
-            "errors": stats.errors,
-            "rejected": stats.rejected,
-            "metrics": service.metrics.snapshot(),
-        })
-    finally:
-        if not service.drained:
-            service.drain()
-    return stats
-
-
 class PipeTransport:
     """Client transport over a ``jem serve`` subprocess's stdio pipes.
 
-    The transport layer is the only difference between pipe mode and
-    ``jem client --connect``: both run the same :func:`run_session` over
-    either this or :class:`SocketTransport`, so protocol behaviour
-    (pipelining, backpressure retries, drain) cannot drift between them.
+    The transport layer is the only difference between a spawned stdio
+    server and ``jem client --connect``: both run the same
+    :func:`run_session` over either this or :class:`SocketTransport`, so
+    protocol behaviour (pipelining, backpressure retries, drain) cannot
+    drift between them.
     """
 
     def __init__(self, proc: subprocess.Popen) -> None:
@@ -371,9 +247,9 @@ def run_session(
 ) -> ClientStats:
     """Drive one serve session over ``transport``: pipeline, honour backpressure.
 
-    The single session implementation behind both pipe mode
-    (:func:`stream_reads` over a subprocess) and ``jem client --connect``
-    (a :class:`SocketTransport`).  A reader thread collects responses
+    The single session implementation behind both a spawned stdio server
+    (a :class:`PipeTransport`) and ``jem client --connect`` (a
+    :class:`SocketTransport`).  A reader thread collects responses
     concurrently (the server writes in request order; without it both
     sides could block on full buffers).  ``overloaded`` rejections are
     resubmitted after sleeping out the server's ``retry_after`` hint;
@@ -439,18 +315,3 @@ def run_session(
                        for i in range(len(reads))]
     transport.close()
     return stats
-
-
-def stream_reads(
-    reads: SequenceSet,
-    proc: subprocess.Popen,
-    *,
-    max_retries: int = 64,
-    poll_s: float = 0.02,
-    timeout: float = 600.0,
-) -> ClientStats:
-    """Pipe-mode convenience: :func:`run_session` over a serve subprocess."""
-    return run_session(
-        reads, PipeTransport(proc),
-        max_retries=max_retries, poll_s=poll_s, timeout=timeout,
-    )

@@ -57,7 +57,7 @@ from ..sketch.jem import query_sketch_values
 from .cache import SketchCacheEntry, SketchLRUCache, read_content_key
 from .config import ServiceConfig
 from .health import OPEN, CircuitBreaker, Watchdog
-from .metrics import ServiceMetrics
+from .metrics import ServiceMetrics, aggregate_metrics
 from .queue import AdmissionQueue, MapFuture
 from .scheduler import MicroBatchScheduler
 
@@ -65,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import PipelineConfig
     from ..resilience.pool import ResilientWorkerPool
 
-__all__ = ["MappingService", "ReadMapping"]
+__all__ = ["MappingService", "ReadMapping", "map_reads_through"]
 
 #: Seed for the per-read service-time estimate before any batch completes.
 _INITIAL_READ_SECONDS = 2e-3
@@ -144,6 +144,40 @@ class _MapRequest:
         self.deadline = (
             self.t_submit + deadline_s if deadline_s is not None else None
         )
+
+
+def map_reads_through(
+    submit, reads: SequenceSet, timeout: float | None = None
+) -> MappingResult:
+    """Stream a whole set through a ``submit(name, codes)`` door, blocking.
+
+    Backpressure is honoured by sleeping out ``retry_after`` and
+    resubmitting.  The returned :class:`MappingResult` has exactly the
+    layout of :meth:`JEMMapper.map_reads` (prefix then suffix per read,
+    reads in order) so callers can compare bit for bit.
+    """
+    futures: list[MapFuture] = []
+    for i in range(len(reads)):
+        while True:
+            try:
+                futures.append(submit(reads.names[i], reads.codes_of(i)))
+                break
+            except ServiceOverloadError as exc:
+                time.sleep(exc.retry_after)
+    names: list[str] = []
+    infos: list[SegmentInfo] = []
+    subjects = np.empty(2 * len(reads), dtype=np.int64)
+    hit_counts = np.empty(2 * len(reads), dtype=np.int64)
+    for i, future in enumerate(futures):
+        mapping = future.result(timeout)
+        names.extend(mapping.segment_names)
+        infos.append(SegmentInfo(read_index=i, kind=PREFIX))
+        infos.append(SegmentInfo(read_index=i, kind=SUFFIX))
+        subjects[2 * i], subjects[2 * i + 1] = mapping.subject
+        hit_counts[2 * i], hit_counts[2 * i + 1] = mapping.hit_count
+    return MappingResult(
+        segment_names=names, subject=subjects, hit_count=hit_counts, infos=infos
+    )
 
 
 class MappingService:
@@ -391,22 +425,15 @@ class MappingService:
         return stats
 
     def _ensure_mutable(self) -> MutableSketchStore:
-        """The resident index as a mutable handle, wrapping it on first use.
-
-        A static store (plain columnar/dict/packed) becomes the single
-        generation-0 segment of an in-memory :class:`MutableSketchStore`;
-        a handle loaded from a v4 directory is used as-is (durable).
-        Called under the mutation lock.
+        """The resident index as a mutable handle, wrapping it on first use
+        (:meth:`MutableSketchStore.wrap`).  Called under the mutation lock.
         """
         table = self._mapper.table
-        if isinstance(table, MutableSketchStore):
-            return table
-        handle = MutableSketchStore.in_memory(
-            self.jem_config,
-            base_store=table,
-            subject_names=self._mapper.subject_names,
+        handle = MutableSketchStore.wrap(
+            table, self.jem_config, self._mapper.subject_names
         )
-        self._mapper.adopt_store(handle, handle.subject_names)
+        if handle is not table:
+            self._mapper.adopt_store(handle, handle.subject_names)
         return handle
 
     def _install_view(self, handle: MutableSketchStore) -> dict:
@@ -549,6 +576,16 @@ class MappingService:
             }
         return health
 
+    def metrics_snapshot(self) -> dict:
+        """The ``{"aggregate", "replicas"}`` shape of
+        :meth:`~repro.netserve.ReplicaSet.metrics_snapshot`, for a fleet of
+        one — what makes a bare service a front-end backend.
+        """
+        return {
+            "aggregate": aggregate_metrics([self.metrics]),
+            "replicas": [self.metrics.snapshot()],
+        }
+
     def _watchdog_tick(self) -> None:
         sweep_orphan_segments()
         if self._pool is not None and self._pool.ensure():
@@ -643,35 +680,9 @@ class MappingService:
     def map_reads(
         self, reads: SequenceSet, *, timeout: float | None = None
     ) -> MappingResult:
-        """Blocking convenience: stream a whole set through the service.
-
-        Backpressure is honoured by sleeping out ``retry_after`` and
-        resubmitting.  The returned :class:`MappingResult` has exactly the
-        layout of :meth:`JEMMapper.map_reads` (prefix then suffix per
-        read, reads in order) so callers can compare bit for bit.
-        """
-        futures: list[MapFuture] = []
-        for i in range(len(reads)):
-            while True:
-                try:
-                    futures.append(self.submit(reads.names[i], reads.codes_of(i)))
-                    break
-                except ServiceOverloadError as exc:
-                    time.sleep(exc.retry_after)
-        names: list[str] = []
-        infos: list[SegmentInfo] = []
-        subjects = np.empty(2 * len(reads), dtype=np.int64)
-        hit_counts = np.empty(2 * len(reads), dtype=np.int64)
-        for i, future in enumerate(futures):
-            mapping = future.result(timeout)
-            names.extend(mapping.segment_names)
-            infos.append(SegmentInfo(read_index=i, kind=PREFIX))
-            infos.append(SegmentInfo(read_index=i, kind=SUFFIX))
-            subjects[2 * i], subjects[2 * i + 1] = mapping.subject
-            hit_counts[2 * i], hit_counts[2 * i + 1] = mapping.hit_count
-        return MappingResult(
-            segment_names=names, subject=subjects, hit_count=hit_counts, infos=infos
-        )
+        """Blocking convenience: stream a whole set through the service
+        (:func:`map_reads_through` this service's :meth:`submit`)."""
+        return map_reads_through(self.submit, reads, timeout)
 
     # -- batch execution (scheduler thread) ----------------------------------
 
@@ -695,17 +706,19 @@ class MappingService:
             cached=cached,
             degraded=degraded,
         )
-        request.future.set_result(mapping)
         now = time.perf_counter()
         self.metrics.responses_total.inc()
         self.metrics.reads_mapped_total.inc()
         self.metrics.request_latency.observe(now - request.t_submit)
         self.metrics.inflight.add(-1)
+        # resolved last: a snapshot taken once the reply is out (the
+        # protocol's ``metrics`` / ``drained``) already counts this read
+        request.future.set_result(mapping)
 
     def _fail(self, request: _MapRequest, exc: BaseException) -> None:
-        request.future.set_exception(exc)
         self.metrics.errors_total.inc()
         self.metrics.inflight.add(-1)
+        request.future.set_exception(exc)
 
     def _fail_batch(self, batch, exc: BaseException) -> None:
         """Scheduler error hook: fail whatever the batch left unresolved."""
@@ -717,6 +730,8 @@ class MappingService:
     def _shed(self, request: _MapRequest, now: float) -> None:
         """Fail an expired request before spending mapping work on it."""
         elapsed = now - request.t_submit
+        self.metrics.shed_total.inc()
+        self.metrics.inflight.add(-1)
         request.future.set_exception(
             DeadlineExceededError(
                 f"read {request.name!r} shed: deadline expired after "
@@ -724,8 +739,6 @@ class MappingService:
                 elapsed=elapsed,
             )
         )
-        self.metrics.shed_total.inc()
-        self.metrics.inflight.add(-1)
 
     def _entries_from_result(
         self, result: MappingResult, count: int, base: int = 0
@@ -891,6 +904,8 @@ class MappingService:
                     if entry is not None:
                         self.cache.put(view.prefix + request.key, entry)
         self.metrics.map_latency.observe(time.perf_counter() - t0)
+        self.metrics.batches_total.inc()
+        self.metrics.cache_size.set(len(self.cache))
         for request, entry in hits:
             self._resolve(request, entry, view, cached=True)
         for request, (entry, cause) in zip(misses, mapped):
@@ -901,8 +916,6 @@ class MappingService:
                 )
             else:
                 self._resolve(request, entry, view, cached=False, degraded=degraded)
-        self.metrics.batches_total.inc()
-        self.metrics.cache_size.set(len(self.cache))
         elapsed = time.perf_counter() - t0
         alpha = 0.3
         per_read = elapsed / len(batch)

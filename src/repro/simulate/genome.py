@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DatasetError
-from ..seq.encode import random_codes
 
 __all__ = ["GenomeProfile", "simulate_genome"]
 

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import io
+import json
+import socket
+import tempfile
+import threading
+
 import numpy as np
 import pytest
 
@@ -47,3 +55,108 @@ def clean_reads(small_genome, rng) -> SequenceSet:
             {"ref_start": start, "ref_end": start + 5_000, "ref_strand": 1},
         )
     return builder.build()
+
+
+# -- serve-session harness: one NetFrontend, either transport ----------------
+# (imported by the protocol tests: ``from conftest import serve_session``)
+
+#: the transports a serve session runs on; the protocol is the same on both
+TRANSPORTS = ("stdio", "tcp")
+
+
+@contextlib.contextmanager
+def serving(backend, **kwargs):
+    """Run a TCP NetFrontend on a fresh loop in a thread; yield its address."""
+    from repro.netserve import NetFrontend
+
+    loop = asyncio.new_event_loop()
+    frontend = NetFrontend(backend, port=0, **kwargs)
+    started = threading.Event()
+    stopped = asyncio.Event()
+
+    def run() -> None:
+        asyncio.set_event_loop(loop)
+
+        async def main() -> None:
+            await frontend.start()
+            started.set()
+            await stopped.wait()
+            await frontend.stop()
+
+        loop.run_until_complete(main())
+        loop.close()
+
+    thread = threading.Thread(target=run, name="jem-net-test", daemon=True)
+    thread.start()
+    assert started.wait(10.0), "frontend failed to start"
+    try:
+        yield frontend.address
+    finally:
+        loop.call_soon_threadsafe(stopped.set)
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "frontend thread failed to stop"
+
+
+def _frame(line) -> bytes:
+    """One request line: a dict (JSON-encoded) or a str, newline appended;
+    ``bytes`` go out exactly as given — half-lines, garbage, no newline."""
+    if isinstance(line, bytes):
+        return line
+    if isinstance(line, dict):
+        line = json.dumps(line)
+    return line.encode("utf-8", errors="replace") + b"\n"
+
+
+def connect_lines(address):
+    """A raw NDJSON socket session: (send, readline, close); ``send`` takes
+    what :func:`_frame` takes."""
+    sock = socket.create_connection(address, timeout=30.0)
+    rfile = sock.makefile("rb", newline=b"\n")
+
+    def send(frame) -> None:
+        sock.sendall(_frame(frame))
+
+    def readline() -> dict:
+        line = rfile.readline()
+        assert line, "connection closed while a reply was expected"
+        return json.loads(line)
+
+    def close() -> None:
+        rfile.close()
+        sock.close()
+
+    return send, readline, close
+
+
+def serve_session(transport, backend, lines, **frontend_kwargs) -> list[dict]:
+    """One scripted session over ``transport``: every line, EOF, every reply.
+
+    ``stdio`` runs :meth:`NetFrontend.serve_stdio` with a regular file as
+    stdin and an in-memory stdout; ``tcp`` sends the same bytes down one
+    connection of a listening front-end.  ``lines`` are what
+    :func:`_frame` takes.
+    """
+    from repro.netserve import NetFrontend
+
+    payload = b"".join(_frame(line) for line in lines)
+    if transport == "stdio":
+        frontend = NetFrontend(backend, idle_timeout_s=None, **frontend_kwargs)
+        stdout = io.BytesIO()
+        with tempfile.TemporaryFile() as stdin:
+            stdin.write(payload)
+            stdin.seek(0)
+            asyncio.run(frontend.serve_stdio(stdin, stdout))
+        raw = stdout.getvalue()
+    else:
+        with serving(backend, **frontend_kwargs) as address:
+            with socket.create_connection(address, timeout=30.0) as sock:
+                def send() -> None:  # beside the read: neither side's buffer fills
+                    sock.sendall(payload)
+                    sock.shutdown(socket.SHUT_WR)
+
+                sender = threading.Thread(target=send)
+                sender.start()
+                with sock.makefile("rb") as rfile:
+                    raw = rfile.read()  # to EOF: the server closes after `drained`
+                sender.join(timeout=30.0)
+    return [json.loads(line) for line in raw.splitlines()]

@@ -8,19 +8,16 @@ tests exercise the exact client/server pairing shipped to users.
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
-import json
-import socket
 import threading
 import time
 
 import pytest
+from conftest import connect_lines, serve_session, serving
 
 from repro import JEMConfig, JEMMapper
-from repro.netserve import NetFrontend, ReplicaSet, make_placement, parse_hostport
+from repro.netserve import ReplicaSet, make_placement, parse_hostport
 from repro.errors import ReproError
-from repro.service import ServiceConfig
+from repro.service import MappingService, ServiceConfig
 from repro.service.protocol import SocketTransport, run_session
 from repro.service.queue import MapFuture
 
@@ -38,52 +35,6 @@ class TestParseHostport:
     def test_bad_port_rejected(self):
         with pytest.raises(ReproError, match="bad listen address"):
             parse_hostport("localhost:http")
-
-
-@contextlib.contextmanager
-def serving(backend, **kwargs):
-    """Run a NetFrontend on a fresh loop in a thread; yield its address."""
-    loop = asyncio.new_event_loop()
-    frontend = NetFrontend(backend, port=0, **kwargs)
-    started = threading.Event()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-
-        async def main() -> None:
-            await frontend.start()
-            started.set()
-            await frontend.serve_forever()
-
-        loop.run_until_complete(main())
-        loop.close()
-
-    thread = threading.Thread(target=run, name="jem-net-test", daemon=True)
-    thread.start()
-    assert started.wait(10.0), "frontend failed to start"
-    try:
-        yield frontend.address
-    finally:
-        asyncio.run_coroutine_threadsafe(frontend.stop(), loop).result(timeout=30.0)
-        thread.join(timeout=30.0)
-
-
-def connect_lines(address):
-    """A raw NDJSON socket session: (send, readline, close)."""
-    sock = socket.create_connection(address, timeout=30.0)
-    rfile = sock.makefile("r", encoding="utf-8", newline="\n")
-
-    def send(obj: dict) -> None:
-        sock.sendall((json.dumps(obj) + "\n").encode("utf-8"))
-
-    def readline() -> dict:
-        return json.loads(rfile.readline())
-
-    def close() -> None:
-        rfile.close()
-        sock.close()
-
-    return send, readline, close
 
 
 def wait_until(predicate, timeout: float = 10.0) -> bool:
@@ -117,26 +68,17 @@ class TestEndToEnd:
     def test_concurrent_clients_bit_identical_to_single_session(
         self, backend, tiling_contigs, clean_reads
     ):
-        """Two racing TCP clients each see exactly the pipe-mode transcript."""
-        import io
-
-        from repro.service import MappingService, serve_loop
-
-        # the single-session reference: one pipe-mode serve_loop
-        with MappingService.from_contigs(
-            tiling_contigs, CONFIG, SERVICE
-        ) as service:
-            requests = "".join(
-                json.dumps({"op": "map", "id": i, "name": clean_reads.names[i],
-                            "seq": clean_reads[i].sequence}) + "\n"
+        """Two racing TCP clients each see exactly the one-session transcript."""
+        # the single-session reference: one stdio session over a bare service
+        with MappingService.from_contigs(tiling_contigs, CONFIG, SERVICE) as service:
+            replies = serve_session("stdio", service, [
+                {"op": "map", "id": i, "name": clean_reads.names[i],
+                 "seq": clean_reads[i].sequence}
                 for i in range(len(clean_reads))
-            )
-            out = io.StringIO()
-            serve_loop(service, io.StringIO(requests), out)
+            ])
         reference = [
             {k: r.get(k) for k in ("id", "name", "results")}
-            for r in map(json.loads, out.getvalue().splitlines())
-            if "results" in r
+            for r in replies if "results" in r
         ]
 
         with serving(backend) as address:

@@ -12,17 +12,14 @@ the shared NDJSON protocol.
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
-import json
-import socket
-import threading
-
 import numpy as np
 import pytest
+from conftest import TRANSPORTS, serve_session
 
 from repro import JEMConfig, JEMMapper
-from repro.netserve import NetFrontend, ReplicaSet, make_placement
+from repro.core.lsm import MutableSketchStore
+from repro.core.persist import load_index
+from repro.netserve import ReplicaSet, make_placement
 from repro.seq.records import SequenceSet
 from repro.service import ServiceConfig
 
@@ -176,94 +173,80 @@ class TestFailClosed:
 # -- TCP front door ----------------------------------------------------------
 
 
-@contextlib.contextmanager
-def serving(backend, **kwargs):
-    """Run a NetFrontend on a fresh loop in a thread; yield its address."""
-    loop = asyncio.new_event_loop()
-    frontend = NetFrontend(backend, port=0, **kwargs)
-    started = threading.Event()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-
-        async def main() -> None:
-            await frontend.start()
-            started.set()
-            await frontend.serve_forever()
-
-        loop.run_until_complete(main())
-        loop.close()
-
-    thread = threading.Thread(target=run, name="jem-net-mut-test", daemon=True)
-    thread.start()
-    assert started.wait(10.0), "frontend failed to start"
-    try:
-        yield frontend.address
-    finally:
-        asyncio.run_coroutine_threadsafe(frontend.stop(), loop).result(timeout=30.0)
-        thread.join(timeout=30.0)
-
-
-def connect_lines(address):
-    """A raw NDJSON socket session: (send, readline, close)."""
-    sock = socket.create_connection(address, timeout=30.0)
-    rfile = sock.makefile("r", encoding="utf-8", newline="\n")
-
-    def send(obj: dict) -> None:
-        sock.sendall((json.dumps(obj) + "\n").encode("utf-8"))
-
-    def readline() -> dict:
-        return json.loads(rfile.readline())
-
-    def close() -> None:
-        rfile.close()
-        sock.close()
-
-    return send, readline, close
-
-
 class TestFrontendMutations:
     def test_mutation_ops_over_tcp(self, indexed, genome, rng):
         new_seq = _dna(rng, 900)
+        probe = {"op": "map", "name": "r0", "seq": new_seq}
         with make_set(indexed, "scatter", 3) as replica_set:
-            with serving(replica_set) as address:
-                send, readline, close = connect_lines(address)
-                try:
-                    send({"op": "stats"})
-                    assert readline()["generation"] == 0
-
-                    send({"op": "map", "id": 0, "name": "r0", "seq": new_seq})
-                    first = readline()
-                    assert [r["contig"] for r in first["results"]] == [None, None]
-
-                    send({"op": "add_contigs", "names": ["p0"], "seqs": [new_seq]})
-                    added = readline()
-                    assert added["op"] == "add_contigs"
-                    assert added["generation"] == 1
-
-                    send({"op": "map", "id": 1, "name": "r0", "seq": new_seq})
-                    second = readline()
-                    assert [r["contig"] for r in second["results"]] == ["p0", "p0"]
-
-                    send({"op": "remove_contigs", "names": ["p0"]})
-                    removed = readline()
-                    assert removed["generation"] == 2
-
-                    send({"op": "map", "id": 2, "name": "r0", "seq": new_seq})
-                    third = readline()
-                    assert "p0" not in [r["contig"] for r in third["results"]]
-                finally:
-                    close()
-        assert replica_set.index_generation == 2
+            # one pipelined script: a mutation is a barrier in its session,
+            # so each read sees exactly the mutations sent before it
+            stats, first, added, second, removed, third, _drained = serve_session(
+                "tcp", replica_set, [
+                    {"op": "stats"},
+                    {**probe, "id": 0},
+                    {"op": "add_contigs", "names": ["p0"], "seqs": [new_seq]},
+                    {**probe, "id": 1},
+                    {"op": "remove_contigs", "names": ["p0"]},
+                    {**probe, "id": 2},
+                ],
+            )
+            assert replica_set.index_generation == 2
+        assert stats["generation"] == 0
+        assert [r["contig"] for r in first["results"]] == [None, None]
+        assert added["op"] == "add_contigs" and added["generation"] == 1
+        assert [r["contig"] for r in second["results"]] == ["p0", "p0"]
+        assert removed["generation"] == 2
+        assert "p0" not in [r["contig"] for r in third["results"]]
 
     def test_bad_mutation_op_is_an_error_reply(self, indexed):
         with make_set(indexed, "replicate", 2) as replica_set:
-            with serving(replica_set) as address:
-                send, readline, close = connect_lines(address)
-                try:
-                    send({"op": "remove_contigs", "names": ["ghost"]})
-                    assert "error" in readline()
-                    send({"op": "stats"})  # session must survive the error
-                    assert readline()["op"] == "stats"
-                finally:
-                    close()
+            replies = serve_session("tcp", replica_set, [
+                {"op": "remove_contigs", "names": ["ghost"]},
+                {"op": "stats"},  # session must survive the error
+            ])
+        assert "error" in replies[0]
+        assert replies[1]["op"] == "stats"
+
+
+class TestDurableMutations:
+    """Every mutation op acknowledged over the wire is in the ``.lsm``
+    directory the server was given — whichever transport, whichever fleet."""
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("kind,n", [("replicate", 1), ("scatter", 2)])
+    def test_acknowledged_mutations_survive_a_restart(
+        self, tmp_path, indexed, genome, rng, transport, kind, n
+    ):
+        new_seq = _dna(rng, 900)
+        run_dir = str(tmp_path / "idx.lsm")
+        MutableSketchStore.create(
+            run_dir, CONFIG, base_store=indexed.table,
+            subject_names=indexed.subject_names,
+        ).close()
+        served = load_index(run_dir)
+        with ReplicaSet(
+            served.table, served.subject_names, CONFIG,
+            placement=make_placement(kind, n), service_config=SERVICE,
+        ) as replica_set:
+            replies = serve_session(transport, replica_set, [
+                {"op": "add_contigs", "names": ["p0"], "seqs": [new_seq]},
+                {"op": "remove_contigs", "names": ["c0"]},
+                {"op": "flush"},
+                {"op": "add_contigs", "names": ["p1"], "seqs": [genome["c0"]]},
+            ])
+            health = replica_set.healthz()
+        served.table.close()
+        assert [r.get("generation") for r in replies[:4]] == [1, 2, 3, 4]
+        assert health["index_generation"] == 4 and health["generations_agree"]
+
+        reopened = load_index(run_dir)  # the server is gone: only the directory
+        assert reopened.table.generation == 4
+        reads = SequenceSet.from_strings([("r_new", new_seq), ("r_c0", genome["c0"])])
+        result = reopened.map_reads(reads)
+        labels = [
+            reopened.subject_names[s] if s >= 0 else None for s in result.subject
+        ]
+        # the added contig maps; the removed one's read now finds its
+        # re-added copy (still in the WAL, not yet flushed), never c0
+        assert labels == ["p0", "p0", "p1", "p1"]
+        reopened.table.close()

@@ -1,29 +1,47 @@
-"""NDJSON protocol tests: in-process serve_loop and the CLI client path."""
+"""NDJSON protocol tests: one contract, bound to each transport, plus the CLI.
+
+The server side of the protocol is one state machine
+(:class:`repro.netserve.NetFrontend`); :class:`SessionContract` states
+what a session promises and is bound once per transport, and
+:class:`TestOneWireContract` holds both transports to line-for-line equal
+transcripts over either backend.
+"""
 
 from __future__ import annotations
 
-import io
 import json
+import os
+import subprocess
+import sys
+
+import pytest
+from conftest import TRANSPORTS, serve_session
 
 from repro import JEMConfig, JEMMapper
 from repro.cli import main
-from repro.service import MappingService, ServiceConfig, serve_loop
+from repro.netserve import ReplicaSet, make_placement
+from repro.service import MappingService, ServiceConfig
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
-
-def run_session(service, requests: list[dict]) -> list[dict]:
-    """Feed request objects through one serve_loop session; return replies."""
-    in_stream = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
-    out_stream = io.StringIO()
-    serve_loop(service, in_stream, out_stream)
-    return [json.loads(line) for line in out_stream.getvalue().splitlines()]
+SERVICE = ServiceConfig(max_batch_size=8, max_wait_ms=1.0)
 
 
-class TestServeLoop:
-    def make_service(self, tiling_contigs, **overrides):
-        config = ServiceConfig(max_batch_size=8, max_wait_ms=1.0, **overrides)
-        return MappingService.from_contigs(tiling_contigs, CONFIG, config)
+def map_request(reads, i: int) -> dict:
+    return {"op": "map", "id": i, "name": reads.names[i], "seq": reads[i].sequence}
+
+
+class SessionContract:
+    """What one serve session promises, whichever transport carries it."""
+
+    transport: str
+
+    def session(self, tiling_contigs, requests, **frontend_kwargs):
+        service = MappingService.from_contigs(tiling_contigs, CONFIG, SERVICE)
+        with service:
+            return serve_session(
+                self.transport, service, requests, **frontend_kwargs
+            )
 
     def test_map_responses_match_sequential_mapper(
         self, tiling_contigs, clean_reads
@@ -32,12 +50,9 @@ class TestServeLoop:
         mapper.index(tiling_contigs)
         expected = mapper.map_reads(clean_reads)
 
-        requests = [
-            {"op": "map", "id": i, "name": clean_reads.names[i],
-             "seq": clean_reads[i].sequence}
-            for i in range(len(clean_reads))
-        ]
-        replies = run_session(self.make_service(tiling_contigs), requests)
+        replies = self.session(tiling_contigs, [
+            map_request(clean_reads, i) for i in range(len(clean_reads))
+        ])
 
         drained = replies[-1]
         assert drained["op"] == "drained"
@@ -53,56 +68,135 @@ class TestServeLoop:
                 assert result["hits"] == int(expected.hit_count[row])
 
     def test_ping_metrics_and_unknown_op(self, tiling_contigs, clean_reads):
-        replies = run_session(self.make_service(tiling_contigs), [
-            {"op": "ping"},
-            {"op": "map", "id": 7, "name": clean_reads.names[0],
-             "seq": clean_reads[0].sequence},
-            {"op": "metrics"},
+        replies = self.session(tiling_contigs, [
             {"op": "teleport"},
+            {"op": "ping"},
+            {**map_request(clean_reads, 0), "id": 7},
+            {"op": "metrics"},
             {"op": "drain"},
         ])
-        assert replies[0] == {"op": "pong"}
-        # the metrics op flushes the pending map first
-        assert replies[1]["id"] == 7 and "results" in replies[1]
-        assert replies[2]["op"] == "metrics"
-        assert replies[2]["metrics"]["counters"]["requests_total"] == 1
-        assert "unknown op" in replies[3]["error"]
+        assert "unknown op" in replies[0]["error"]
+        assert replies[1] == {"op": "pong"}
+        # the metrics op is ordered behind the pending map
+        assert replies[2]["id"] == 7 and "results" in replies[2]
+        assert replies[3]["op"] == "metrics"
+        assert replies[3]["aggregate"]["counters"]["requests_total"] == 1
+        assert replies[3]["replicas"][0]["counters"]["responses_total"] == 1
         assert replies[-1]["op"] == "drained"
 
     def test_bad_json_line_reports_error_and_continues(
         self, tiling_contigs, clean_reads
     ):
-        service = self.make_service(tiling_contigs)
-        in_stream = io.StringIO(
-            "this is not json\n"
-            + json.dumps({"op": "map", "id": 0,
-                          "name": clean_reads.names[0],
-                          "seq": clean_reads[0].sequence}) + "\n"
+        replies = self.session(
+            tiling_contigs, ["this is not json", map_request(clean_reads, 0)]
         )
-        out_stream = io.StringIO()
-        stats = serve_loop(service, in_stream, out_stream)
-        replies = [json.loads(l) for l in out_stream.getvalue().splitlines()]
         assert "bad request line" in replies[0]["error"]
-        assert stats.mapped == 1 and stats.drained
+        assert replies[-1]["op"] == "drained" and replies[-1]["mapped"] == 1
 
     def test_empty_sequence_is_an_in_band_error(self, tiling_contigs):
-        replies = run_session(self.make_service(tiling_contigs), [
+        replies = self.session(tiling_contigs, [
             {"op": "map", "id": 0, "name": "empty", "seq": ""},
         ])
         errored = [r for r in replies if r.get("id") == 0]
         assert len(errored) == 1 and "error" in errored[0]
         assert replies[-1]["op"] == "drained"
-        assert replies[-1]["errors"] in (0, 1)  # submit-time reject, not a map error
+        assert replies[-1]["errors"] == 1 and replies[-1]["mapped"] == 0
 
     def test_eof_is_an_implicit_drain(self, tiling_contigs, clean_reads):
-        service = self.make_service(tiling_contigs)
-        replies = run_session(service, [
-            {"op": "map", "id": 0, "name": clean_reads.names[0],
-             "seq": clean_reads[0].sequence},
-        ])  # no explicit drain op
-        assert service.drained
+        replies = self.session(
+            tiling_contigs, [map_request(clean_reads, 0)]
+        )  # no explicit drain op
         assert replies[-1]["op"] == "drained"
         assert replies[-1]["mapped"] == 1
+        assert "aggregate" in replies[-1]["metrics"]
+
+
+class TestServeLoop(SessionContract):
+    """The stdio binding (class name kept: its test ids are the suite's floor)."""
+
+    transport = "stdio"
+
+
+class TestServeTCP(SessionContract):
+    transport = "tcp"
+
+
+#: timing-valued reply fields: latencies, and a gauge two threads set
+#: (submit and the scheduler); nothing else may differ between two runs
+_TIMED = {"histograms", "queue_depth"}
+
+#: one read a batch: batch, lane-lookup and cache counters of a script are
+#: then a function of the script alone, so the transcripts can be compared
+ONE_BY_ONE = ServiceConfig(max_batch_size=1, max_wait_ms=1.0)
+
+
+def masked(reply):
+    """``reply`` with every timing-valued field replaced by its name."""
+    if isinstance(reply, dict):
+        return {k: f"<{k}>" if k in _TIMED else masked(v) for k, v in reply.items()}
+    if isinstance(reply, list):
+        return [masked(v) for v in reply]
+    return reply
+
+
+class TestOneWireContract:
+    """One request script, two transports: the transcripts must be equal."""
+
+    @pytest.fixture(params=["service", "scatter-x2"])
+    def make_backend(self, request, tiling_contigs):
+        def make():
+            mapper = JEMMapper(CONFIG)  # fresh: a service mutates its mapper
+            mapper.index(tiling_contigs)
+            if request.param == "service":
+                return MappingService(mapper, ONE_BY_ONE)
+            return ReplicaSet(
+                mapper.table, mapper.subject_names, CONFIG,
+                placement=make_placement("scatter", 2), service_config=ONE_BY_ONE,
+            )
+
+        return make
+
+    def test_transcripts_are_equal_on_both_transports(
+        self, make_backend, clean_reads, rng
+    ):
+        late = "".join("ACGT"[c] for c in rng.integers(0, 4, size=900))
+        script = [
+            # answered off the ordered path: first, while nothing is pending
+            {"op": "health"},
+            "this is not json",
+            {"op": "teleport"},
+            *[map_request(clean_reads, i) for i in range(6)],
+            {"op": "ping"},
+            {"op": "map", "id": 90, "name": "empty", "seq": ""},
+            {"op": "map", "id": 91, "seq": 5},
+            {"op": "stats"},
+            {"op": "map", "id": 92, "name": "late", "seq": late},
+            {"op": "add_contigs", "names": ["late0"], "seqs": [late]},
+            {"op": "map", "id": 93, "name": "late", "seq": late},
+            {"op": "remove_contigs", "names": ["contig_0"]},
+            {"op": "remove_contigs", "names": ["ghost"]},
+            {"op": "flush"},
+            {"op": "compact"},
+            {"op": "stats"},
+            {"op": "metrics"},
+            {"op": "restart"},
+            {"op": "drain"},
+            {"op": "ping"},  # after drain: never read
+        ]
+        transcripts = {}
+        for transport in TRANSPORTS:
+            with make_backend() as backend:
+                transcripts[transport] = [
+                    masked(r) for r in serve_session(transport, backend, script)
+                ]
+        stdio, tcp = transcripts["stdio"], transcripts["tcp"]
+        assert len(stdio) == len(script) - 1  # one reply a line; `drained` last
+        for line, (a, b) in enumerate(zip(stdio, tcp)):
+            assert a == b, f"reply {line} differs between stdio and tcp"
+        assert len(stdio) == len(tcp)
+        assert [r["contig"] for r in stdio[13]["results"]] == [None, None]
+        assert [r["contig"] for r in stdio[15]["results"]] == ["late0", "late0"]
+        assert stdio[-1]["op"] == "drained" and stdio[-1]["mapped"] == 8
 
 
 class TestClientCLI:
@@ -133,7 +227,35 @@ class TestClientCLI:
         assert self.strip(one_shot) == self.strip(served)
 
         snapshot = json.loads(metrics.read_text())
-        assert snapshot["counters"]["requests_total"] > 0
-        assert snapshot["counters"]["responses_total"] == \
-            snapshot["counters"]["requests_total"]
-        assert "histograms" in snapshot and "gauges" in snapshot
+        assert set(snapshot) == {"aggregate", "replicas"}
+        counters = snapshot["aggregate"]["counters"]
+        assert counters["requests_total"] > 0
+        assert counters["responses_total"] == counters["requests_total"]
+        assert "histograms" in snapshot["aggregate"]
+        assert "gauges" in snapshot["replicas"][0]
+
+    @pytest.mark.parametrize("stdin_kind", ["file", "pipe-eof", "devnull"])
+    def test_serve_ends_drained_whatever_stdin_is(self, tmp_path, stdin_kind):
+        """A regular file, a pipe closed without ``drain``, and /dev/null."""
+        data = self.simulate(tmp_path)
+        request = json.dumps({"op": "ping"}) + "\n"
+        script = tmp_path / "requests.ndjson"
+        script.write_text(request)
+        command = [sys.executable, "-m", "repro.cli", "serve", "--trials", "8",
+                   "-s", str(data / "e_coli_contigs.fasta")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        if stdin_kind == "pipe-eof":
+            done = subprocess.run(command, input=request, env=env, text=True,
+                                  capture_output=True, timeout=120)
+        else:
+            source = script if stdin_kind == "file" else os.devnull
+            with open(source, "rb") as stdin:
+                done = subprocess.run(command, stdin=stdin, env=env, text=True,
+                                      capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        replies = [json.loads(line) for line in done.stdout.splitlines()]
+        assert replies[-1]["op"] == "drained"
+        assert [r["op"] for r in replies[:-1]] == (
+            [] if stdin_kind == "devnull" else ["pong"]
+        )
+        assert "# drained: 0 mapped, 0 errors, 0 rejected" in done.stderr

@@ -9,17 +9,16 @@ half-open probe and report it in the metrics.
 
 from __future__ import annotations
 
-import io
-import json
 import time
 
 import pytest
+from conftest import TRANSPORTS, serve_session
 
 from repro import JEMConfig, JEMMapper
 from repro.errors import DeadlineExceededError, ReproError, ServiceError
 from repro.parallel.faults import FaultPlan
 from repro.resilience import ResilientWorkerPool
-from repro.service import MappingService, ServiceConfig, serve_loop
+from repro.service import MappingService, ServiceConfig
 from repro.service.health import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
@@ -320,17 +319,16 @@ class TestHealthSurface:
         assert service.metrics.ready.value == 0.0
 
     def test_protocol_health_op(self, tiling_contigs):
-        service = MappingService.from_contigs(tiling_contigs, CONFIG)
-        out = io.StringIO()
-        serve_loop(
-            service, io.StringIO('{"op": "health"}\n{"op": "ping"}\n'), out
-        )
-        lines = [json.loads(line) for line in out.getvalue().splitlines()]
-        assert lines[0]["op"] == "health"
-        assert lines[0]["live"] is True and lines[0]["ready"] is True
-        assert lines[0]["breaker"] == CLOSED
-        assert lines[1] == {"op": "pong"}
-        assert lines[-1]["op"] == "drained"
+        for transport in TRANSPORTS:
+            with MappingService.from_contigs(tiling_contigs, CONFIG) as service:
+                lines = serve_session(
+                    transport, service, [{"op": "health"}, {"op": "ping"}]
+                )
+            assert lines[0]["op"] == "health"
+            assert lines[0]["live"] is True and lines[0]["ready"] is True
+            assert lines[0]["breaker"] == CLOSED
+            assert lines[1] == {"op": "pong"}
+            assert lines[-1]["op"] == "drained"
 
 
 class TestWatchdog:

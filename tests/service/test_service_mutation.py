@@ -9,18 +9,17 @@ compaction without disturbing in-flight batches.
 
 from __future__ import annotations
 
-import io
-import json
 import threading
 import time
 
 import numpy as np
 import pytest
+from conftest import serve_session
 
 from repro import JEMConfig, JEMMapper
 from repro.core.lsm import MutableSketchStore
 from repro.seq.records import SequenceSet
-from repro.service import MappingService, ServiceConfig, serve_loop
+from repro.service import MappingService, ServiceConfig
 
 CONFIG = JEMConfig(k=12, w=20, ell=300, trials=5, seed=17)
 
@@ -255,11 +254,11 @@ class TestAutoMaintenance:
 
 
 class TestServeLoopOps:
+    """Mutations over the wire of a stdio session on a bare service (the
+    fleet's, over TCP, are in ``tests/netserve/test_mutation.py``)."""
+
     def run_session(self, service, messages) -> list[dict]:
-        requests = "".join(json.dumps(m) + "\n" for m in messages)
-        out = io.StringIO()
-        serve_loop(service, io.StringIO(requests), out)
-        return [json.loads(line) for line in out.getvalue().splitlines()]
+        return serve_session("stdio", service, messages)
 
     def test_mutation_ops_over_the_pipe_protocol(self, genome, contigs, rng):
         new_seq = _dna(rng, 900)
