@@ -159,7 +159,7 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                              "mapping (0 = breaker disabled, default)")
     parser.add_argument("--watchdog-interval-ms", type=float, default=0.0,
                         help="self-healing watchdog period (orphaned-shm sweep, "
-                             "pool rebuild, scheduled index compaction); "
+                             "scheduled index compaction); "
                              "0 = disabled (default)")
     parser.add_argument("--memtable-flush-entries", type=int, default=0,
                         help="auto-flush the mutable index's memtable once an "

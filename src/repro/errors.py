@@ -17,7 +17,6 @@ __all__ = [
     "IndexCorruptError",
     "CommError",
     "FaultError",
-    "RankTimeoutError",
     "PartialResultError",
     "CheckpointError",
     "ChaosError",
@@ -83,7 +82,7 @@ class IndexCorruptError(MappingError):
 
 
 class CommError(ReproError):
-    """Misuse of the communicator / SPMD engine."""
+    """Misuse of, or an unrecoverable gather failure in, the SPMD engine."""
 
 
 class FaultError(ReproError):
@@ -93,18 +92,6 @@ class FaultError(ReproError):
     a work unit exhausts its retry budget.  The ``__cause__`` chain keeps
     the root fault visible through the retry wrapper.
     """
-
-
-class RankTimeoutError(CommError):
-    """One or more ranks failed to finish a phase within the deadline.
-
-    ``ranks`` lists the stuck ranks so a caller (or operator) can tell a
-    straggler from a global deadlock.
-    """
-
-    def __init__(self, message: str, *, ranks: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.ranks = tuple(ranks)
 
 
 class PartialResultError(ReproError):

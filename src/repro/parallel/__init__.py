@@ -1,9 +1,8 @@
-"""Distributed-memory substrate: communicator, partitioning, cost model,
-driver, plus the fault-injection / recovery machinery."""
+"""Distributed-memory substrate: partitioning, cost model, driver, plus
+the fault-injection / recovery machinery."""
 
-from .comm import Communicator, SerialComm, ThreadComm, spmd_run
 from .costmodel import CostModel, StepTimes, modelled_runtime
-from .driver import ParallelRunResult, run_parallel_jem, run_parallel_jem_threaded
+from .driver import ParallelRunResult, run_parallel_jem
 from .faults import (
     FAULT_KINDS,
     FAULT_PHASES,
@@ -26,16 +25,11 @@ from .shm import (
 )
 
 __all__ = [
-    "Communicator",
-    "SerialComm",
-    "ThreadComm",
-    "spmd_run",
     "CostModel",
     "StepTimes",
     "modelled_runtime",
     "ParallelRunResult",
     "run_parallel_jem",
-    "run_parallel_jem_threaded",
     "map_reads_multiprocess",
     "ShmArrayRef",
     "SharedSeqBlock",

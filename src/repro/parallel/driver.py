@@ -1,27 +1,20 @@
 """Distributed-memory JEM-mapper driver — steps S1–S4 of the paper.
 
-Two execution modes:
+:func:`run_parallel_jem` is an **instrumented SPMD simulation**: every
+rank's program is executed (sequentially, so per-rank compute times are
+clean single-thread measurements) and the gather step's cost comes from
+the measured communication volume through the :class:`CostModel`.  This is
+what the strong-scaling experiments (Table II, Figs. 7–8) run, since the
+host has two vCPUs, not 64 ranks.
 
-* :func:`run_parallel_jem` — **instrumented SPMD simulation**: every rank's
-  program is executed (sequentially, so per-rank compute times are clean
-  single-thread measurements) and the gather step's cost comes from the
-  measured communication volume through the :class:`CostModel`.  This is
-  what the strong-scaling experiments (Table II, Figs. 7–8) run, since the
-  host has two vCPUs, not 64 ranks.
-* :func:`run_parallel_jem_threaded` — the same program on a real
-  :class:`ThreadComm` world with genuine ``Allgatherv`` data movement; used
-  to verify the SPMD program's collectives are correct (its mapping output
-  must equal the sequential mapper's bit for bit).
-
-Both modes accept a :class:`~repro.parallel.faults.FaultPlan`.  Failure
-handling follows one playbook:
+It accepts a :class:`~repro.parallel.faults.FaultPlan`.  Failure handling
+follows one playbook:
 
 1. a faulted S2/S4 work unit is retried on its own rank under the
-   :class:`~repro.parallel.retry.RetryPolicy` (backoff accounted in the
-   simulation, really slept in threaded mode);
+   :class:`~repro.parallel.retry.RetryPolicy` (backoff accounted, not
+   slept);
 2. a unit whose rank is beyond saving is **re-dispatched** to a surviving
-   rank (simulation only — threaded ranks cannot swap blocks without
-   desynchronising the collectives);
+   rank;
 3. corrupted/dropped gather payloads are detected by checksum and
    re-requested, their cost charged to the cost model;
 4. an S4 unit that fails everywhere is fatal under ``strict=True``
@@ -50,11 +43,10 @@ from ..core.store import ColumnarSketchStore, SketchStore, merge_trial_keys
 from ..errors import CommError, FaultError, PartialResultError
 from ..seq.records import SequenceSet
 from ..sketch.jem import subject_sketch_pairs
-from .comm import MAX_GATHER_ATTEMPTS, Communicator, spmd_run
 from .costmodel import CostModel, StepTimes
-from .faults import FaultPlan, PartialResult, inject_compute_faults
+from .faults import FaultPlan, PartialResult
 from .partition import partition_bounds, partition_set
-from .retry import RetryPolicy, retry_call
+from .retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.checkpoint import CheckpointContext
@@ -65,8 +57,10 @@ __all__ = [
     "map_partitioned_queries",
     "resolve_partial",
     "run_parallel_jem",
-    "run_parallel_jem_threaded",
 ]
+
+#: Checksum-failed gathers are re-requested at most this many times.
+MAX_GATHER_ATTEMPTS = 4
 
 
 @dataclass
@@ -481,66 +475,3 @@ def run_parallel_jem(
     return ParallelRunResult(
         mapping=mapping, steps=steps, p=p, n_segments=n_segments, partial=partial
     )
-
-
-def run_parallel_jem_threaded(
-    contigs: SequenceSet,
-    reads: SequenceSet,
-    config: JEMConfig | None = None,
-    *,
-    p: int = 4,
-    faults: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
-    timeout: float | None = 300.0,
-) -> MappingResult:
-    """The same SPMD program on a real ThreadComm world (correctness mode).
-
-    Every rank executes S1–S4 concurrently with genuine Allgatherv data
-    movement; only the merged mapping is returned (timings under a shared
-    GIL are not meaningful).  Transient faults are retried in place (the
-    collectives stay aligned because retries complete before the rank
-    reaches its next collective); gather corruption is absorbed by the
-    checksummed :meth:`~repro.parallel.comm.ThreadComm.Allgatherv`.
-    Permanent rank faults abort the world — threaded ranks cannot trade
-    blocks without desynchronising the collectives.
-    """
-    config = config if config is not None else JEMConfig()
-    policy = retry if retry is not None else RetryPolicy()
-    family = config.hash_family()
-    subject_bounds = partition_bounds(contigs.offsets, p)
-    read_bounds = partition_bounds(reads.offsets, p)
-
-    def rank_program(comm: Communicator) -> MappingResult:
-        r = comm.rank
-        # S1: every rank takes its block of the (shared) input
-        my_subjects = contigs.slice(int(subject_bounds[r]), int(subject_bounds[r + 1]))
-        my_reads = reads.slice(int(read_bounds[r]), int(read_bounds[r + 1]))
-
-        # S2: sketch local subjects with global subject ids (retried on fault)
-        def attempt_sketch(_attempt: int):
-            inject_compute_faults(faults, "sketch", block=r, exec_rank=r)
-            return subject_sketch_pairs(  # the ranks are the threads: one each
-                my_subjects, config.k, config.w, config.ell, family,
-                subject_id_offset=int(subject_bounds[r]), threads=1,
-            )
-
-        keys, _, _ = retry_call(attempt_sketch, policy=policy, stream=r)
-        # S3: per-trial Allgatherv into the global table (checksummed)
-        merged = [np.unique(comm.Allgatherv(keys[t])) for t in range(config.trials)]
-        table = ColumnarSketchStore.from_trial_keys(merged, n_subjects=len(contigs))
-
-        # S4: map local queries (retried on fault)
-        def attempt_map(_attempt: int) -> MappingResult:
-            inject_compute_faults(faults, "map", block=r, exec_rank=r)
-            if len(my_reads) == 0:
-                return MappingResult(
-                    [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), []
-                )
-            segments, infos = extract_end_segments(my_reads, config.ell)
-            return map_segment_batch(table, segments, config, family, infos, threads=1)
-
-        result, _, _ = retry_call(attempt_map, policy=policy, stream=p + r)
-        return result
-
-    per_rank = spmd_run(rank_program, p, timeout=timeout, fault_plan=faults)
-    return _merge_rank_results(per_rank, [int(b) for b in read_bounds[:-1]])

@@ -246,9 +246,9 @@ def inject_compute_faults(
 ) -> None:
     """Fire matching compute faults for real: sleep stragglers, raise crashes.
 
-    Used where execution is genuinely concurrent (the ThreadComm rank
-    program and the worker processes); the simulated driver accounts the
-    same faults arithmetically instead.
+    Used where execution is genuinely concurrent (the scatter lanes of
+    :mod:`repro.netserve.router`); the simulated driver accounts the same
+    faults arithmetically instead.
     """
     if plan is None:
         return

@@ -182,6 +182,12 @@ def _run_phase(
     delays = {i: policy.delays(stream=i) for i in range(n)}
     if not pending:
         return results, failures
+    # An idle ``Pool`` worker sits in ``inqueue.get()`` holding the queue's
+    # reader lock; SIGKILLed there, the lock dies held and ``Pool.terminate``
+    # deadlocks taking it.  This pool (and its rebuild below) is safe only
+    # because injected deaths happen inside a task (``os._exit`` in
+    # ``_apply_worker_faults``), never while idle — do not signal these
+    # workers from outside.
     pool = ctx.Pool(processes)
     try:
         while pending:

@@ -9,8 +9,8 @@ deterministic end to end.
 
 Two execution styles share the schedule:
 
-* :func:`retry_call` — really sleep between attempts (the multiprocessing
-  backend, where recovery cost is wall time);
+* :func:`retry_call` — really sleep between attempts (the scatter lanes of
+  :mod:`repro.netserve.router`, where recovery cost is wall time);
 * :meth:`RetryPolicy.delays` — just enumerate the delays (the simulated
   SPMD driver, which *accounts* recovery time in the cost model instead of
   burning it).

@@ -37,6 +37,7 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
+import threading
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 
@@ -75,6 +76,8 @@ _created: dict[str, tuple[shared_memory.SharedMemory, int]] = {}
 #: Segments this process attached to (worker-side cache, dropped on exit).
 _attached: dict[str, shared_memory.SharedMemory] = {}
 _counter = itertools.count()
+#: Serialises the ``resource_tracker.register`` swap in ``_attach_untracked``.
+_attach_lock = threading.Lock()
 
 
 def _next_name(role: str) -> str:
@@ -88,14 +91,18 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     The tracker would otherwise unlink the parent-owned segment when this
     process exits.  Suppressing registration (rather than unregistering
     afterwards) avoids a race in the tracker's shared name cache when
-    several workers attach the same segment.
+    several workers attach the same segment.  The swap is a process-wide
+    patch, so it is serialised: two interleaved callers (every replica's
+    watchdog sweeps on the same period) would otherwise save the no-op as
+    "original" and leave it installed for good.
     """
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
+    with _attach_lock:
+        original = resource_tracker.register
+        resource_tracker.register = lambda *args, **kwargs: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = original
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Crash safety and chaos engineering for the mapping pipeline.
 
-Three cooperating pieces (see ``docs/robustness.md``):
+Two cooperating pieces (see ``docs/robustness.md``):
 
 * :mod:`~repro.resilience.checkpoint` — a durable, CRC32-framed
   :class:`CheckpointLog` plus :class:`RunManifest` identity records, so a
@@ -12,10 +12,7 @@ Three cooperating pieces (see ``docs/robustness.md``):
   a kill→resume→verify cycle runner behind ``jem chaos``; its serve
   flavour (:class:`ServeChaosPlan` + :func:`run_serve_chaos`, ``jem
   chaos serve``) kills and wedges supervised replicas mid-load and gates
-  on byte-identical serving output, full recovery, and zero shm leaks;
-* :mod:`~repro.resilience.pool` — a :class:`ResilientWorkerPool` of real
-  worker processes over a shared-memory resident store that rebuilds
-  itself (and re-publishes the store) when workers die.
+  on byte-identical serving output, full recovery, and zero shm leaks.
 """
 
 from .chaos import (
@@ -35,7 +32,6 @@ from .checkpoint import (
     fingerprint_file,
     fingerprint_sequences,
 )
-from .pool import ResilientWorkerPool
 from .runner import build_index_checkpointed, load_invocation, save_invocation
 
 __all__ = [
@@ -52,7 +48,6 @@ __all__ = [
     "ServeChaosPlan",
     "ServeChaosReport",
     "run_serve_chaos",
-    "ResilientWorkerPool",
     "build_index_checkpointed",
     "save_invocation",
     "load_invocation",

@@ -194,7 +194,6 @@ class ServiceMetrics:
         degraded single-trial path while the breaker was open),
         ``breaker_open_total`` (breaker trips), ``recovered_total``
         (half-open probes that closed the breaker),
-        ``pool_rebuilds_total`` (watchdog worker-pool rebuilds),
         ``replica_respawns_total`` (fleet supervisor respawns),
         ``hedged_requests_total`` (scatter shares answered inline because
         the owning replica missed the hedge deadline).
@@ -218,7 +217,7 @@ class ServiceMetrics:
         "requests_total", "responses_total", "rejected_total", "errors_total",
         "cache_hits_total", "cache_misses_total", "batches_total",
         "reads_mapped_total", "shed_total", "degraded_total",
-        "breaker_open_total", "recovered_total", "pool_rebuilds_total",
+        "breaker_open_total", "recovered_total",
         "mutations_total", "flushes_total", "compactions_total",
         "replica_respawns_total", "hedged_requests_total",
     )
@@ -251,7 +250,6 @@ class ServiceMetrics:
         self.degraded_total = Counter()
         self.breaker_open_total = Counter()
         self.recovered_total = Counter()
-        self.pool_rebuilds_total = Counter()
         self.mutations_total = Counter()
         self.flushes_total = Counter()
         self.compactions_total = Counter()

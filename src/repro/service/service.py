@@ -63,7 +63,6 @@ from .scheduler import MicroBatchScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import PipelineConfig
-    from ..resilience.pool import ResilientWorkerPool
 
 __all__ = ["MappingService", "ReadMapping", "map_reads_through"]
 
@@ -234,7 +233,6 @@ class MappingService:
             if self.config.watchdog_interval_ms > 0
             else None
         )
-        self._pool: "ResilientWorkerPool | None" = None
         #: ((generation, trials kept), table, family slice) — rebuilt on swap
         #: and whenever the breaker's shed level moves the trial budget
         self._degraded_view: (
@@ -350,8 +348,6 @@ class MappingService:
             )
         if self._watchdog is not None:
             self._watchdog.stop()
-        if self._pool is not None:
-            self._pool.close()
         self._drained = True
         self.metrics.queue_depth.set(0)
         self.metrics.ready.set(0.0)
@@ -369,19 +365,6 @@ class MappingService:
     @property
     def breaker(self) -> CircuitBreaker:
         return self._breaker
-
-    def attach_pool(self, pool: "ResilientWorkerPool") -> None:
-        """Give the watchdog a worker pool to keep alive.
-
-        The service takes ownership: the pool is started now, ensured on
-        every watchdog tick (rebuilt, with the resident store's shm
-        columns re-published, whenever workers or segments vanish), and
-        closed on :meth:`drain`.
-        """
-        pool.start()
-        self._pool = pool
-        if self._watchdog is not None:
-            self._watchdog.start()
 
     def set_fault_plan(self, faults: FaultPlan | None) -> None:
         """Chaos hook: swap the injected fault plan of future batches."""
@@ -540,15 +523,13 @@ class MappingService:
         ``live`` is True until the service has drained — the process can
         still answer.  ``ready`` is True only while new work is being
         accepted *and* served at full quality: scheduler running, not
-        draining, circuit breaker not open, attached worker pool healthy.
+        draining, circuit breaker not open.
         """
         breaker_state = self._breaker.state
-        pool_healthy = self._pool is None or self._pool.healthy()
         ready = (
             self._scheduler.alive
             and not self.draining
             and breaker_state != OPEN
-            and pool_healthy
         )
         shed = self._breaker.shed_level
         self.metrics.ready.set(1.0 if ready else 0.0)
@@ -568,12 +549,6 @@ class MappingService:
             # thread count, and the load failure when it is not
             "native": _native.availability(),
         }
-        if self._pool is not None:
-            health["pool"] = {
-                "healthy": pool_healthy,
-                "workers": self._pool.worker_pids,
-                "rebuilds": self._pool.rebuilds,
-            }
         return health
 
     def metrics_snapshot(self) -> dict:
@@ -588,8 +563,6 @@ class MappingService:
 
     def _watchdog_tick(self) -> None:
         sweep_orphan_segments()
-        if self._pool is not None and self._pool.ensure():
-            self.metrics.pool_rebuilds_total.inc()
         limit = self.config.compact_segments
         if limit:
             table = self._mapper.table

@@ -27,6 +27,9 @@ def test_top_level_exports():
         "repro.eval",
         "repro.scaffold",
         "repro.bench",
+        "repro.resilience",
+        "repro.service",
+        "repro.netserve",
     ],
 )
 def test_subpackage_all_resolves(module):

@@ -3,7 +3,7 @@ import pytest
 
 from repro.core import JEMConfig, JEMMapper
 from repro.errors import CommError
-from repro.parallel import CostModel, run_parallel_jem, run_parallel_jem_threaded
+from repro.parallel import CostModel, run_parallel_jem
 
 
 CFG = JEMConfig(k=12, w=20, ell=500, trials=8, seed=17)
@@ -22,12 +22,6 @@ def test_parallel_equals_sequential(tiling_contigs, clean_reads, sequential_resu
     assert np.array_equal(run.mapping.subject, sequential_result.subject)
     assert np.array_equal(run.mapping.hit_count, sequential_result.hit_count)
     assert run.mapping.segment_names == sequential_result.segment_names
-
-
-def test_threaded_equals_sequential(tiling_contigs, clean_reads, sequential_result):
-    mapping = run_parallel_jem_threaded(tiling_contigs, clean_reads, CFG, p=4)
-    assert np.array_equal(mapping.subject, sequential_result.subject)
-    assert mapping.segment_names == sequential_result.segment_names
 
 
 def test_segment_infos_globalised(tiling_contigs, clean_reads):

@@ -1,21 +1,14 @@
 """Fault matrix: crash / straggler / corrupt / drop / worker-death across
-the simulated SPMD driver, the ThreadComm world, and the multiprocessing
-backend.  The invariant under test: any *recoverable* fault plan yields a
-mapping bit-identical to the sequential JEMMapper's, and recovery cost is
-visible in the accounting."""
-
-import time
+the simulated SPMD driver and the multiprocessing backend.  The invariant
+under test: any *recoverable* fault plan yields a mapping bit-identical to
+the sequential JEMMapper's, and recovery cost is visible in the
+accounting."""
 
 import numpy as np
 import pytest
 
 from repro.core import JEMConfig, JEMMapper
-from repro.errors import (
-    CommError,
-    FaultError,
-    PartialResultError,
-    RankTimeoutError,
-)
+from repro.errors import CommError, FaultError, PartialResultError
 from repro.parallel import (
     FaultPlan,
     FaultSpec,
@@ -23,8 +16,6 @@ from repro.parallel import (
     RetryPolicy,
     map_reads_multiprocess,
     run_parallel_jem,
-    run_parallel_jem_threaded,
-    spmd_run,
 )
 
 CFG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=21)
@@ -183,41 +174,6 @@ def test_seeded_unrecoverable_plan_degrades(world):
     )
     assert run.partial is not None
     assert run.partial.n_failed > 0
-
-
-# -- ThreadComm world ----------------------------------------------------------
-
-THREADED_PLANS = {
-    "crash_sketch": [FaultSpec("crash", "sketch", 0, times=1)],
-    "crash_map": [FaultSpec("crash", "map", 2, times=1)],
-    "straggler": [FaultSpec("straggler", "sketch", 1, times=1, delay=0.01)],
-    "corrupt_gather": [FaultSpec("corrupt", "gather", 1, times=1)],
-    "drop_gather": [FaultSpec("drop", "gather", 2, times=1)],
-}
-
-
-@pytest.mark.parametrize("name", sorted(THREADED_PLANS))
-def test_threaded_fault_matrix(world, expected, name):
-    contigs, reads = world
-    plan = FaultPlan(THREADED_PLANS[name])
-    mapping = run_parallel_jem_threaded(
-        contigs, reads, CFG, p=4, faults=plan, retry=POLICY
-    )
-    assert_identical(mapping, expected)
-    assert plan.total_fired > 0
-
-
-def test_spmd_straggler_timeout_names_stuck_ranks():
-    def program(comm):
-        if comm.rank == 1:
-            time.sleep(3.0)
-        comm.barrier()
-        return comm.rank
-
-    with pytest.raises(RankTimeoutError) as excinfo:
-        spmd_run(program, 2, timeout=0.2)
-    assert 1 in excinfo.value.ranks
-    assert isinstance(excinfo.value, CommError)  # subclass contract
 
 
 # -- multiprocessing backend ---------------------------------------------------

@@ -3,6 +3,11 @@ and — most importantly — segment lifecycle (nothing may outlive the call,
 even when workers die or the phase raises)."""
 
 import glob
+import multiprocessing as mp
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +23,12 @@ from repro.parallel import (
 )
 from repro.parallel import shm
 from repro.parallel.partition import partition_bounds
+from repro.parallel.shm import (
+    orphan_segment_names,
+    segment_exists,
+    share_store,
+    sweep_orphan_segments,
+)
 
 CFG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=21)
 POLICY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.005)
@@ -193,3 +204,110 @@ def test_shm_released_on_strict_failure(world):
             faults=plan, retry=POLICY, timeout=30.0,
         )
     _no_leaks()
+
+
+# -- orphan sweep: what a SIGKILLed owner leaves behind ------------------------
+#
+# A hard-killed process cannot run its ``atexit`` unlink, so its segment
+# survives as an orphan — and the startup/watchdog sweep reclaims it.
+
+@pytest.fixture
+def store(tiling_contigs):
+    mapper = JEMMapper(CFG)
+    mapper.index(tiling_contigs)
+    return mapper.table
+
+
+def _publish_and_sleep(conn) -> None:
+    """Child body: publish a store into shm, report the name, hang."""
+    from repro.seq.records import SequenceSet
+
+    mapper = JEMMapper(CFG)
+    mapper.index(SequenceSet.from_strings([("c0", "ACGTACGTACGT" * 50)]))
+    shared = share_store(mapper.table)
+    conn.send(shared.ref.name)
+    conn.close()
+    time.sleep(120)  # killed long before this returns
+
+
+class TestOrphanSweep:
+    def test_sigkill_leaks_segment_and_sweep_reclaims_it(self):
+        ctx = mp.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
+        child = ctx.Process(target=_publish_and_sleep, args=(child_conn,))
+        child.start()
+        try:
+            assert parent_conn.poll(30), "child never published"
+            name = parent_conn.recv()
+            assert segment_exists(name)
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(30)
+            # SIGKILL skipped the atexit unlink: the segment is leaked
+            assert segment_exists(name)
+            assert name in orphan_segment_names()
+            removed = sweep_orphan_segments()
+            assert name in removed
+            assert not segment_exists(name)
+        finally:
+            if child.is_alive():  # pragma: no cover - cleanup on failure
+                child.kill()
+                child.join(10)
+
+    def test_sweep_spares_live_owners(self, store):
+        shared = share_store(store)
+        try:
+            assert shared.ref.name not in orphan_segment_names()
+            assert shared.ref.name not in sweep_orphan_segments()
+            assert segment_exists(shared.ref.name)
+        finally:
+            from repro.parallel.shm import release
+
+            release(shared.ref.name)
+
+
+def test_interleaved_attaches_restore_the_tracker_hook(monkeypatch):
+    """Two threads inside ``_attach_untracked`` at once (every replica's
+    watchdog sweeps on the same period) leave ``resource_tracker.register``
+    as they found it — not the suppression no-op, for the life of the process.
+
+    The first caller is held inside the swap window until the second has
+    either entered it too (unserialised code) or reached the lock; the
+    second, if it got in, is held until the first has left.
+    """
+    original = shm.resource_tracker.register
+    monkeypatch.setattr(shm.resource_tracker, "register", original)  # undo on failure
+    first_inside, second_arrived, first_left = (threading.Event() for _ in range(3))
+
+    class HeldSharedMemory:
+        def __init__(self, name):
+            if name == "first":
+                first_inside.set()
+                assert second_arrived.wait(30)
+            else:
+                second_arrived.set()
+                assert first_left.wait(30)
+
+    class AnnouncingLock:
+        def __init__(self):
+            self._lock = threading.Lock()
+
+        def __enter__(self):
+            if first_inside.is_set():
+                second_arrived.set()
+            self._lock.acquire()
+
+        def __exit__(self, *exc_info):
+            self._lock.release()
+
+    monkeypatch.setattr(shm.shared_memory, "SharedMemory", HeldSharedMemory)
+    monkeypatch.setattr(shm, "_attach_lock", AnnouncingLock())
+    first = threading.Thread(target=shm._attach_untracked, args=("first",))
+    second = threading.Thread(target=shm._attach_untracked, args=("second",))
+    first.start()
+    assert first_inside.wait(30)
+    second.start()
+    first.join(30)
+    first_left.set()
+    second.join(30)
+    assert not first.is_alive() and not second.is_alive()
+    assert shm.resource_tracker.register is original

@@ -9,7 +9,10 @@ half-open probe and report it in the metrics.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import time
+from multiprocessing import shared_memory
 
 import pytest
 from conftest import TRANSPORTS, serve_session
@@ -17,7 +20,7 @@ from conftest import TRANSPORTS, serve_session
 from repro import JEMConfig, JEMMapper
 from repro.errors import DeadlineExceededError, ReproError, ServiceError
 from repro.parallel.faults import FaultPlan
-from repro.resilience import ResilientWorkerPool
+from repro.parallel.shm import SEGMENT_PREFIX, segment_exists, sweep_orphan_segments
 from repro.service import MappingService, ServiceConfig
 from repro.service.health import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 
@@ -33,15 +36,6 @@ BREAKER_CFG = ServiceConfig(
     max_wait_ms=1.0,
     cache_capacity=0,
 )
-
-
-def wait_until(predicate, timeout=10.0, interval=0.02) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 class TestCircuitBreakerUnit:
@@ -332,19 +326,17 @@ class TestHealthSurface:
 
 
 class TestWatchdog:
-    def test_watchdog_rebuilds_killed_pool(self, tiling_contigs):
-        mapper = JEMMapper(CONFIG)
-        mapper.index(tiling_contigs)
-        cfg = ServiceConfig(watchdog_interval_ms=20.0)
-        service = MappingService(mapper, cfg)
+    def test_watchdog_tick_reclaims_a_dead_owners_segment(self, tiling_contigs):
+        owner = subprocess.Popen([sys.executable, "-c", "pass"])
+        owner.wait()
+        name = f"{SEGMENT_PREFIX}{owner.pid}-leaked-0"
+        shared_memory.SharedMemory(name=name, create=True, size=64).close()
         try:
-            pool = ResilientWorkerPool(mapper.table, processes=2)
-            service.attach_pool(pool)
-            assert wait_until(lambda: service.healthz()["pool"]["healthy"])
-            pool.kill_workers()
-            assert wait_until(lambda: pool.rebuilds >= 1), "watchdog never rebuilt"
-            assert wait_until(lambda: service.healthz()["pool"]["healthy"])
-            assert service.metrics.pool_rebuilds_total.value >= 1
+            with MappingService.from_contigs(tiling_contigs, CONFIG) as service:
+                assert segment_exists(name)
+                service._watchdog_tick()
+                assert not segment_exists(name)
+                assert service.metrics.ready.value == 1.0
         finally:
-            service.drain()
-        assert not pool.healthy()  # drain closed the pool with the service
+            if segment_exists(name):  # pragma: no cover - cleanup on failure
+                sweep_orphan_segments()
