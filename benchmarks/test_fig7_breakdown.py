@@ -24,7 +24,7 @@ def test_fig7(ctx, benchmark):
     # ...and the dominant step on most inputs — the paper's Fig. 7a finding.
     # Query dominance comes from the m >> n regime of full-size inputs; at
     # the tiny default bench scale the per-rank subject-sketching overhead
-    # (T sparse tables per rank) can win, so the majority requirement is
+    # (T trial passes per rank) can win, so the majority requirement is
     # only asserted at >= 1/100 scale.
     n = len(out.data["breakdown"])
     if ctx.scale >= 0.01:

@@ -15,9 +15,9 @@ into place — the ``.c`` file all cold processes share is never seen
 half-written, concurrent builders race benignly — and a failed, timed-out or
 abandoned compile removes its temporary output.
 
-The four kernels (all **bit-identical** to the numpy kernels in
-:mod:`repro.sketch.jem` and the per-trial reference paths; the test suite
-asserts the equivalence):
+The four kernels (all **bit-identical** to the per-trial numpy functions
+in :mod:`repro.sketch.jem` and :mod:`repro.sketch.minimizers`; the test
+suite asserts the equivalence):
 
 * ``jem_minimizer_kernel`` — step 1 for S2 and S4 alike: per sequence, one
   rolling pass over the 2-bit codes (forward and reverse-complement k-mer
@@ -27,10 +27,10 @@ asserts the equivalence):
   minimizer with a Barrett-reduced LCG and tracking the packed
   ``(hash << 32) | index`` minimum per segment;
 * ``jem_subject_kernel`` — per trial, the same Barrett hash plus an O(n)
-  monotone-deque sliding-window minimum over the ℓ-interval ends
-  (replacing the O(n log n) sparse table), keeping a packed
-  ``(value << 32) | subject`` key only where it differs from the previous
-  interval's and radix-sorting what is kept into the trial's key list;
+  monotone-deque sliding-window minimum over the ℓ-interval ends, keeping
+  a packed ``(value << 32) | subject`` key only where it differs from the
+  previous interval's and radix-sorting what is kept into the trial's key
+  list;
 * ``jem_map_kernel`` — the whole S4 query pipeline fused: per segment and
   per trial, sketch (Barrett hash + packed-key minimum), branchless binary
   search over the columnar store's sorted per-trial value columns, and the

@@ -68,9 +68,8 @@ class ClassicalMinHashMapper:
             contigs, self.config.k, self._family, minimizer_w=self._minimizer_w
         )
         subject_ids = np.arange(len(contigs), dtype=np.uint64)[has]
-        # Same batched key kernel as the JEM subject path: one hoisted
-        # validation + shift-or over the (T, n) matrix, one row-wise dedupe
-        # instead of T pack_key + np.unique rounds.
+        # One hoisted validation + shift-or over the (T, n) matrix, one
+        # row-wise dedupe instead of T pack_key + np.unique rounds.
         packed = pack_keys_batched(
             sketches[:, has], subject_ids,
             out=key_scratch(self.config.trials, int(subject_ids.size)),

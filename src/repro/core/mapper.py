@@ -104,7 +104,7 @@ def map_segment_batch(
     columnar and the compiled kernels are loaded, the whole pipeline runs
     as one fused multi-threaded C pass
     (:func:`~repro.core.hitcounter.count_hits_fused`); otherwise the numpy
-    path — batched sketch kernel feeding
+    path — the per-trial sketch kernel feeding
     :func:`~repro.core.hitcounter.count_hits_vectorised` — runs on the
     *same* pre-extracted minimizer block, so the fallback never re-extracts
     minimizers.  Both routes are bit-identical (the parity oracle contract;
@@ -228,7 +228,7 @@ class JEMMapper:
 
         Routes through :func:`map_segment_batch`: the fused native pass
         when the store is columnar and the compiled kernels are loaded,
-        the batched numpy path otherwise — bit-identical either way.
+        the numpy path otherwise — bit-identical either way.
         """
         return map_segment_batch(
             self.table, segments, self.config, self._family, infos,

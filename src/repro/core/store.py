@@ -350,9 +350,7 @@ class ColumnarSketchStore:
             raise SketchError(
                 f"{family.size} hash trials vs store with {self.trials}"
             )
-        query_values = np.ascontiguousarray(query_values, dtype=np.uint64)
-        if query_values.size and int(query_values.max()) >> 32:
-            raise SketchError("sketch values must fit in 32 bits (k <= 16)")
+        query_values = np.ascontiguousarray(_check_query_values(query_values))
         flat_values, flat_subjects, offsets = self.flat_columns()
         return native.map_block(
             query_values,

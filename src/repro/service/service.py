@@ -28,13 +28,12 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.config import JEMConfig
-from ..core.hitcounter import count_hits_vectorised
 from ..core.lsm import MutableSketchStore, store_stats
 from ..core.mapper import JEMMapper, MappingResult, map_segment_batch
 from ..core.segments import PREFIX, SUFFIX, SegmentInfo, extract_end_segments
@@ -53,7 +52,6 @@ from ..parallel.retry import RetryPolicy
 from ..parallel.shm import sweep_orphan_segments
 from ..seq.encode import encode
 from ..seq.records import SequenceSet, SequenceSetBuilder
-from ..sketch.jem import query_sketch_values
 from .cache import SketchCacheEntry, SketchLRUCache, read_content_key
 from .config import ServiceConfig
 from .health import OPEN, CircuitBreaker, Watchdog
@@ -779,11 +777,9 @@ class MappingService:
         _, table, family = degraded
         min_hits = max(1, (cfg.min_hits * t_eff) // cfg.trials)
         segments, _ = extract_end_segments(reads, cfg.ell)
-        sketches = query_sketch_values(segments, cfg.k, cfg.w, family)
-        hits = count_hits_vectorised(
-            table, sketches.values, min_hits=min_hits, query_mask=sketches.has
+        result = map_segment_batch(
+            table, segments, replace(cfg, trials=t_eff, min_hits=min_hits), family
         )
-        result = MappingResult.from_best_hits(segments.names, hits)
         return [(e, None) for e in self._entries_from_result(result, len(requests))]
 
     def _map_misses(

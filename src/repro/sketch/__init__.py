@@ -9,11 +9,9 @@ from .jem import (
     query_kernel,
     query_kernel_reference,
     query_sketch_values,
-    query_sketch_values_reference,
     subject_kernel,
     subject_kernel_reference,
     subject_sketch_pairs,
-    subject_sketch_pairs_reference,
     unpack_keys,
 )
 from .kernels import (
@@ -34,8 +32,7 @@ from .kmers import (
 )
 from .minhash import jaccard, minhash_jaccard_estimate, minhash_sketch, minhash_sketch_set
 from .minimizers import MinimizerList, minimizer_density, minimizers, minimizers_set
-from .rmq import SparseTableRMQ, SparseTableRMQ2D, range_argmin, range_min
-from .windowmin import sliding_window_argmin, sliding_window_min
+from .windowmin import sliding_window_min
 
 __all__ = [
     "SketchStats",
@@ -50,11 +47,9 @@ __all__ = [
     "query_kernel",
     "query_kernel_reference",
     "query_sketch_values",
-    "query_sketch_values_reference",
     "subject_kernel",
     "subject_kernel_reference",
     "subject_sketch_pairs",
-    "subject_sketch_pairs_reference",
     "MAX_BATCH_ELEMS",
     "key_scratch",
     "pack_keys_batched",
@@ -75,10 +70,5 @@ __all__ = [
     "minimizers",
     "minimizers_set",
     "minimizer_density",
-    "SparseTableRMQ",
-    "SparseTableRMQ2D",
-    "range_min",
-    "range_argmin",
     "sliding_window_min",
-    "sliding_window_argmin",
 ]

@@ -1,7 +1,7 @@
 """ctypes bindings over the compiled sketch kernels, and their thread count.
 
-The numpy kernels in :mod:`repro.sketch.jem` are dispatch-efficient but
-bound by 64-bit hardware division: every trial pays two ``uint64`` modulos
+The per-trial numpy kernels in :mod:`repro.sketch.jem` are bound by
+64-bit hardware division: every trial pays two ``uint64`` modulos
 per minimizer, and numpy cannot fuse the hash, the packed-key min and the
 interval reduction into one pass.  Four small C kernels do exactly that —
 their source, what each computes and how it is compiled and cached live in

@@ -139,49 +139,17 @@ class HashFamily:
         np.remainder(out, p, out=out)
         return out
 
-    def apply_all_transposed(self, x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`apply_all` in ``(n, T)`` layout: row i holds all hashes of x[i].
-
-        Values are identical to ``apply_all(x).T`` bit for bit — the modular
-        arithmetic is elementwise, so only the memory layout differs.  The
-        query kernel prefers this orientation: gathering whole rows of a
-        contiguous ``(n_unique, T)`` table is a memcpy per minimizer
-        occurrence, and the segmented minimum reduces along axis 0 in one
-        sequential SIMD-friendly sweep.
-        """
-        x = np.asarray(x, dtype=np.uint64)
-        shape = (x.size, self.size)
-        if out is None:
-            out = np.empty(shape, dtype=np.uint64)
-        elif out.shape != shape or out.dtype != np.uint64:
-            raise SketchError("apply_all_transposed out buffer must be (n, T) uint64")
-        p = self.p[None, :]
-        np.remainder(x[:, None], p, out=out)
-        np.multiply(out, self.a[None, :], out=out)
-        np.add(out, self.b[None, :], out=out)
-        np.remainder(out, p, out=out)
-        return out
-
     def apply_scalar(self, t: int, x: int) -> int:
         """Scalar version of :meth:`apply` (reference/tests)."""
         return int((int(self.a[t]) * (int(x) % int(self.p[t])) + int(self.b[t])) % int(self.p[t]))
 
-    def truncated(self, trials: int) -> "HashFamily":
-        """First ``trials`` functions as a new family.
-
-        Lets a T-sweep (Fig. 6) reuse one family so that trial ``t`` is the
-        same hash function at every sweep point.
-        """
-        if not 1 <= trials <= self.size:
-            raise SketchError(f"cannot truncate family of {self.size} to {trials}")
-        return HashFamily(a=self.a[:trials], b=self.b[:trials], p=self.p[:trials])
-
     def trial_slice(self, start: int, stop: int) -> "HashFamily":
         """Functions ``[start, stop)`` as a new family.
 
-        Used by the batched kernels to process trials in memory-bounded
-        chunks; trial ``start + t`` of this family is trial ``t`` of the
-        slice, so chunked and unchunked runs are bit-identical.
+        Used by the kernels to process trials in memory-bounded chunks and
+        by the service's shed ladder to keep the first trials; trial
+        ``start + t`` of this family is trial ``t`` of the slice, so chunked
+        and unchunked runs are bit-identical.
         """
         if not 0 <= start < stop <= self.size:
             raise SketchError(f"bad trial slice [{start}, {stop}) of {self.size}")

@@ -10,15 +10,14 @@ Queries (read end segments): the segment is exactly ℓ long, so its whole
 minimizer list is a single interval and each trial contributes one sketch
 k-mer ("we then pick T JEM sketches in a similar fashion", Fig. 3).
 
-Everything is batched across sequences *and across trials*: minimizer lists
-are concatenated with per-sequence base offsets spaced far enough apart
-that a positional interval can never cross a sequence boundary, one global
-``searchsorted`` finds every interval, and the multi-trial kernels
-(:mod:`repro.sketch.kernels`) answer all T trials per numpy dispatch — one
-broadcasted hash pass, one 2-d sparse table whose interval bucketing is
-shared by every trial, one row-wise dedupe.  The per-trial implementations
-are retained as ``*_reference`` functions: they are the equivalence oracle
-for the test suite.
+Minimizer lists are concatenated across sequences with per-sequence base
+offsets spaced far enough apart that a positional interval can never cross
+a sequence boundary, and one global ``searchsorted`` finds every interval.
+From there each stage has two implementations: the C kernel
+(:mod:`repro.sketch._native`) that :func:`subject_kernel` and
+:func:`query_kernel` call when it is loaded, and one per-trial numpy
+function (``*_kernel_reference``) that is both the oracle the test suite
+holds the C to and what runs on a host with no compiler.
 """
 
 from __future__ import annotations
@@ -32,20 +31,17 @@ from ..seq.records import SequenceSet
 from . import _native, kernels
 from .hashing import HashFamily
 from .kernels import LOW32 as _LOW32
-from .kernels import key_scratch, sorted_unique_rows, trial_chunks
+from .kernels import key_scratch, trial_chunks
 from .minimizers import MinimizerList, minimizers_set
-from .rmq import SparseTableRMQ, SparseTableRMQ2D
 
 __all__ = [
     "pack_key",
     "unpack_keys",
     "jem_sketch_single",
     "subject_sketch_pairs",
-    "subject_sketch_pairs_reference",
     "subject_kernel",
     "subject_kernel_reference",
     "query_sketch_values",
-    "query_sketch_values_reference",
     "query_kernel",
     "query_kernel_reference",
     "query_minimizer_concat",
@@ -148,7 +144,7 @@ def subject_sketch_pairs(
     subject_id_offset: int = 0,
     threads: int | None = None,
 ) -> list[np.ndarray]:
-    """Algorithm 1 over a whole contig set, batched across trials (S2 kernel).
+    """Algorithm 1 over a whole contig set (S2).
 
     For every contig, every sliding interval of length ℓ over its minimizer
     list and every trial t, the minimizer minimising h_t contributes a
@@ -156,10 +152,8 @@ def subject_sketch_pairs(
     overlapping intervals are removed.
 
     The minimizer block and its intervals are extracted once for all
-    trials and the 32-bit range checks run once (not per trial, as in
-    ``pack_key`` and the 1-d RMQ's packability scan); :func:`subject_kernel`
-    does the rest, natively or in batched numpy.  Output is bit-identical
-    to :func:`subject_sketch_pairs_reference` — asserted by the test suite.
+    trials and the 32-bit range checks run once; :func:`subject_kernel`
+    does the rest.
 
     Returns one **sorted unique** packed-key array per trial — exactly the
     per-trial lists S[t] of Fig. 2, ready for the sketch table (and for the
@@ -179,8 +173,8 @@ def subject_sketch_pairs(
         return [np.empty(0, dtype=np.uint64) for _ in range(family.size)]
     if total >> 32:
         raise SketchError("minimizer count exceeds packed-key capacity")  # pragma: no cover
-    # Hoisted validation: one pass over the minimizer values and subject ids
-    # instead of one per trial inside pack_key / the argmin RMQ.
+    # Hoisted validation: one pass over the minimizer values and subject
+    # ids; the native kernel checks neither.
     if int(values.max()) >> 32:
         raise SketchError("sketch values must fit in 32 bits (k <= 16)")
     subject_ids = (owner + subject_id_offset).astype(np.uint64)
@@ -200,7 +194,7 @@ def subject_kernel(
     *,
     threads: int | None = None,
 ) -> list[np.ndarray]:
-    """The batched S2 kernel given pre-extracted minimizer intervals.
+    """The S2 kernel given pre-extracted minimizer intervals.
 
     Interval i is ``values[i : ends[i]]``; inputs must already satisfy the
     32-bit packing constraints (validated once by the caller).
@@ -213,60 +207,26 @@ def subject_kernel(
     fixed :data:`~repro.sketch.kernels.SUBJECT_SCRATCH_ELEMS` budget, so
     no ``(T, n)`` key matrix exists, and each chunk's rows are divided
     between ``threads`` threads — the budget is shared, not multiplied.
-    Otherwise the numpy path below runs.  Both produce bit-identical lists.
+    Otherwise :func:`subject_kernel_reference` runs.  Both produce
+    bit-identical lists.
     """
-    total = values.size
     native = _native.load()
+    if native is None:
+        return subject_kernel_reference(values, ends, subject_ids, family)
+    total = values.size
     out: list[np.ndarray] = [np.empty(0, dtype=np.uint64)] * family.size
-    if native is not None:
-        values = np.ascontiguousarray(values, dtype=np.uint64)
-        ends = np.ascontiguousarray(ends, dtype=np.int64)
-        subject_ids = np.ascontiguousarray(subject_ids, dtype=np.uint64)
-        budget = kernels.SUBJECT_SCRATCH_ELEMS  # read per call: tests shrink it
-        for chunk in trial_chunks(family.size, total, with_levels=False, budget=budget):
-            sub = family.trial_slice(chunk.start, chunk.stop)
-            keys = key_scratch(len(chunk), total)
-            counts = native.subject_keys(
-                values, ends, subject_ids, sub, out=keys, threads=threads
-            )
-            for j, count in enumerate(counts):
-                out[chunk.start + j] = keys[j, :count].copy()
-        return out
-    starts_idx = np.arange(total, dtype=np.int64)
-    max_len = int((ends - starts_idx).max()) if total else 1
-    uniq_vals, inverse = np.unique(values, return_inverse=True)
-    # Hashing is division-bound, so when minimizers repeat (overlapping
-    # contigs, genomic repeats) it is cheaper to hash the distinct values
-    # and gather — identical values hash identically, so this is bit-exact.
-    dedupe = uniq_vals.size <= total - (total >> 2)
-    for chunk in trial_chunks(family.size, total):
-        sub = family if len(chunk) == family.size else family.trial_slice(chunk.start, chunk.stop)
-        # LCG outputs < 2^31, packable by construction.
-        hashed = key_scratch(len(chunk), total, slot="hash")
-        if dedupe:
-            uniq_hashed = sub.apply_all(
-                uniq_vals, out=key_scratch(len(chunk), uniq_vals.size, slot="uhash")
-            )
-            np.take(uniq_hashed, inverse, axis=1, out=hashed)
-        else:
-            sub.apply_all(values, out=hashed)
-        rmq = SparseTableRMQ2D(
-            hashed,
-            track_argmin=True,
-            values_packable=True,
-            max_interval=max_len,
-            workspace=True,
+    values = np.ascontiguousarray(values, dtype=np.uint64)
+    ends = np.ascontiguousarray(ends, dtype=np.int64)
+    subject_ids = np.ascontiguousarray(subject_ids, dtype=np.uint64)
+    budget = kernels.SUBJECT_SCRATCH_ELEMS  # read per call: tests shrink it
+    for chunk in trial_chunks(family.size, total, budget=budget):
+        sub = family.trial_slice(chunk.start, chunk.stop)
+        keys = key_scratch(len(chunk), total)
+        counts = native.subject_keys(
+            values, ends, subject_ids, sub, out=keys, threads=threads
         )
-        # The workspace build copied level 0 into its own scratch, so both
-        # the hashed matrix and the keys slot are free to recycle here.
-        packed = rmq.query_packed(starts_idx, ends, out=key_scratch(len(chunk), total))
-        np.bitwise_and(packed, _LOW32, out=packed)  # keep the argmin columns
-        keys = key_scratch(len(chunk), total, slot="hash")
-        np.take(values, packed, out=keys)
-        np.left_shift(keys, np.uint64(32), out=keys)
-        np.bitwise_or(keys, subject_ids[None, :], out=keys)
-        for j, uniq in enumerate(sorted_unique_rows(keys)):
-            out[chunk.start + j] = uniq
+        for j, count in enumerate(counts):
+            out[chunk.start + j] = keys[j, :count].copy()
     return out
 
 
@@ -276,43 +236,27 @@ def subject_kernel_reference(
     subject_ids: np.ndarray,
     family: HashFamily,
 ) -> list[np.ndarray]:
-    """Per-trial (pre-PR) S2 kernel: T rounds of hash, 1-d RMQ, np.unique."""
-    total = values.size
-    starts_idx = np.arange(total, dtype=np.int64)
+    """Per-trial numpy S2 kernel: the test oracle and the no-compiler fallback.
+
+    Per trial, ``(hash << 32) | index`` keys make the minimum of an
+    interval its leftmost hash argmin, and one ``minimum.reduceat`` over
+    the interleaved bounds ``i, ends[i], i + 1, ends[i + 1], …`` reduces
+    every ``[i, ends[i])`` (the even outputs; the odd ones are discarded).
+    A bound may equal ``n``, so the keys carry one sentinel slot past the
+    end.
+    """
+    n = values.size
+    index = np.arange(n, dtype=np.uint64)
+    bounds = np.stack([np.arange(n, dtype=np.int64), ends], axis=1).ravel()
+    sentinel = np.uint64(np.iinfo(np.uint64).max)
     out: list[np.ndarray] = []
     for t in range(family.size):
-        hashed = family.apply(t, values)
-        rmq = SparseTableRMQ(hashed, track_argmin=True)
-        idx, _ = rmq.query_argmin(starts_idx, ends)
-        keys = pack_key(values[idx], subject_ids)
-        out.append(np.unique(keys))
+        # LCG outputs < 2^31, packable by construction.
+        packed = np.append((family.apply(t, values) << np.uint64(32)) | index, sentinel)
+        mins = np.minimum.reduceat(packed, bounds)[0::2]
+        idx = (mins & _LOW32).astype(np.int64)
+        out.append(np.unique(pack_key(values[idx], subject_ids)))
     return out
-
-
-def subject_sketch_pairs_reference(
-    subjects: SequenceSet,
-    k: int,
-    w: int,
-    ell: int,
-    family: HashFamily,
-    *,
-    subject_id_offset: int = 0,
-) -> list[np.ndarray]:
-    """Per-trial reference for :func:`subject_sketch_pairs`.
-
-    The pre-kernel implementation: T rounds of hash-apply, a fresh 1-d
-    :class:`~repro.sketch.rmq.SparseTableRMQ` build and an ``np.unique``
-    sort.  Retained as the equivalence oracle for the property tests.
-    """
-    values, positions, owner = _subject_minimizer_block(subjects, k, w, ell)
-    total = values.size
-    if total == 0:
-        return [np.empty(0, dtype=np.uint64) for _ in range(family.size)]
-    if total >> 32:
-        raise SketchError("minimizer count exceeds packed-key capacity")  # pragma: no cover
-    ends = np.searchsorted(positions, positions + ell, side="right")
-    subject_ids = (owner + subject_id_offset).astype(np.uint64)
-    return subject_kernel_reference(values, ends, subject_ids, family)
 
 
 @dataclass(frozen=True)
@@ -359,13 +303,11 @@ def query_minimizer_concat(
 def query_sketch_values(
     segments: SequenceSet, k: int, w: int, family: HashFamily
 ) -> QuerySketches:
-    """T sketch k-mers for every query segment, batched (S4 kernel).
+    """T sketch k-mers for every query segment (S4 sketch).
 
     The ℓ-long end segment is one interval, so per trial the sketch is the
-    minimizer of the whole segment under h_t.  One broadcasted ``(T, n)``
-    hash pass and one segmented-minimum (``minimum.reduceat`` along axis 1)
-    answer every trial at once; output is bit-identical to
-    :func:`query_sketch_values_reference`.
+    minimizer of the whole segment under h_t; :func:`query_kernel` finds
+    it for every segment of the concatenated minimizer block at once.
     """
     has, nonempty, values, starts = query_minimizer_concat(segments, k, w)
     values_out = np.zeros((family.size, len(segments)), dtype=np.uint64)
@@ -378,7 +320,7 @@ def query_sketch_values(
 def query_kernel(
     values: np.ndarray, starts: np.ndarray, family: HashFamily
 ) -> np.ndarray:
-    """The batched S4 kernel: per-segment hash minima for every trial.
+    """The S4 sketch kernel: per-segment hash minima for every trial.
 
     ``values`` is the concatenation of the segments' minimizer ranks with
     segment boundaries at ``starts``; returns the ``(T, n_segments)``
@@ -388,47 +330,25 @@ def query_kernel(
     When the compiled fast path (:mod:`repro.sketch._native`) is
     available, each trial is one fused C sweep — Barrett-reduced LCG hash
     and packed-key segment minimum in the same pass, no ``(T, n)``
-    intermediate at all; otherwise the numpy path below runs.  Outputs
-    are bit-identical either way.
+    intermediate at all; otherwise :func:`query_kernel_reference` runs.
+    Outputs are bit-identical either way.
     """
-    total = values.size
     native = _native.load()
+    if native is None:
+        return query_kernel_reference(values, starts, family)
     out = np.empty((family.size, starts.size), dtype=np.uint64)
-    if native is not None:
-        values = np.ascontiguousarray(values, dtype=np.uint64)
-        starts = np.ascontiguousarray(starts, dtype=np.int64)
-        native.query_values(values, starts, family, out=out)
-        return out
-    index_col = np.arange(total, dtype=np.uint64)[:, None]
-    uniq_vals, inverse = np.unique(values, return_inverse=True)
-    # Read end-segments overlap on the genome, so query minimizers repeat
-    # heavily; hash each distinct value once and gather (bit-exact — equal
-    # values hash equally, and ties still break on the original index).
-    dedupe = uniq_vals.size <= total - (total >> 2)
-    for chunk in trial_chunks(family.size, total, with_levels=False):
-        sub = family if len(chunk) == family.size else family.trial_slice(chunk.start, chunk.stop)
-        # (n, T) layout: the row gather below is a contiguous memcpy per
-        # occurrence and the segmented min sweeps memory sequentially.
-        packed = key_scratch(total, len(chunk))
-        if dedupe:
-            hashed = sub.apply_all_transposed(
-                uniq_vals, out=key_scratch(uniq_vals.size, len(chunk), slot="uhash")
-            )
-            np.left_shift(hashed, np.uint64(32), out=hashed)
-            np.take(hashed, inverse, axis=0, out=packed)
-        else:
-            sub.apply_all_transposed(values, out=packed)
-            np.left_shift(packed, np.uint64(32), out=packed)
-        np.bitwise_or(packed, index_col, out=packed)
-        mins = np.minimum.reduceat(packed, starts, axis=0)  # (n_segments, c)
-        out[chunk.start : chunk.stop] = values[(mins & _LOW32).astype(np.int64)].T
+    values = np.ascontiguousarray(values, dtype=np.uint64)
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    native.query_values(values, starts, family, out=out)
     return out
 
 
 def query_kernel_reference(
     values: np.ndarray, starts: np.ndarray, family: HashFamily
 ) -> np.ndarray:
-    """Per-trial (pre-PR) S4 kernel: T loop bodies of hash + pack + reduceat."""
+    """Per-trial numpy S4 sketch kernel: hash, pack with the index, one
+    ``minimum.reduceat`` over the segment starts — the test oracle and the
+    no-compiler fallback."""
     index = np.arange(values.size, dtype=np.uint64)
     out = np.empty((family.size, starts.size), dtype=np.uint64)
     for t in range(family.size):
@@ -436,19 +356,3 @@ def query_kernel_reference(
         mins = np.minimum.reduceat(packed, starts)
         out[t] = values[(mins & _LOW32).astype(np.int64)]
     return out
-
-
-def query_sketch_values_reference(
-    segments: SequenceSet, k: int, w: int, family: HashFamily
-) -> QuerySketches:
-    """Per-trial reference for :func:`query_sketch_values`.
-
-    T loop bodies of hash + pack + ``reduceat``; retained as the test
-    oracle.
-    """
-    has, nonempty, values, starts = query_minimizer_concat(segments, k, w)
-    values_out = np.zeros((family.size, len(segments)), dtype=np.uint64)
-    if nonempty.size == 0:
-        return QuerySketches(values_out, has)
-    values_out[:, nonempty] = query_kernel_reference(values, starts, family)
-    return QuerySketches(values_out, has)

@@ -48,8 +48,7 @@ def minhash_sketch_set(
 
     Per-sequence k-mer sets are concatenated and *all* trials are answered
     at once: one broadcasted hash pass over the ``(T, n)`` matrix and one
-    segmented-minimum (``np.minimum.reduceat`` along axis 1) — the same
-    batched kernels as the JEM query path.
+    segmented-minimum (``np.minimum.reduceat`` along axis 1).
 
     ``minimizer_w`` switches the base set from *all* canonical k-mers to
     the (w, k)-minimizer set — the "minimizer MinHash" middle ground
@@ -86,7 +85,7 @@ def minhash_sketch_set(
     if values.size >> 32:
         raise SketchError("too many k-mers for packed-key argmin")  # pragma: no cover
     index = np.arange(values.size, dtype=np.uint64)
-    for chunk in trial_chunks(trials, values.size, with_levels=False):
+    for chunk in trial_chunks(trials, values.size):
         sub = family if len(chunk) == trials else family.trial_slice(chunk.start, chunk.stop)
         packed = sub.apply_all(values)
         np.left_shift(packed, np.uint64(32), out=packed)

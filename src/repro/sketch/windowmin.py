@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import SketchError
 
-__all__ = ["sliding_window_min", "sliding_window_argmin"]
+__all__ = ["sliding_window_min"]
 
 
 def sliding_window_min(values: np.ndarray, w: int) -> np.ndarray:
@@ -48,28 +48,3 @@ def sliding_window_min(values: np.ndarray, w: int) -> np.ndarray:
     # window [i, i+w-1]: suffix[i] covers i..end-of-i's-block, prefix[i+w-1]
     # covers start-of-that-block..i+w-1; the two spans tile the window.
     return np.minimum(suffix[:m], prefix[w - 1 : w - 1 + m])
-
-
-def sliding_window_argmin(values: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leftmost argmin (and min) of every length-``w`` window.
-
-    Uses the packed-key trick: keys ``(value << 32) | position`` are compared
-    as one ``uint64``, so the minimum key is the smallest value with the
-    *leftmost* position on ties.  Requires ``value < 2^32`` and
-    ``len(values) < 2^32``.
-
-    Returns
-    -------
-    (positions, minima):
-        Both arrays of length ``len(values) - w + 1``.
-    """
-    values = np.asarray(values, dtype=np.uint64)
-    if values.size and int(values.max()) >> 32:
-        raise SketchError("sliding_window_argmin requires values < 2^32 (use k <= 16)")
-    if values.size >> 32:
-        raise SketchError("input too long for packed-key argmin")  # pragma: no cover
-    keys = (values << np.uint64(32)) | np.arange(values.size, dtype=np.uint64)
-    packed = sliding_window_min(keys, w)
-    positions = (packed & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    minima = packed >> np.uint64(32)
-    return positions, minima

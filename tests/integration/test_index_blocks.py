@@ -188,9 +188,9 @@ def test_index_build_releases_the_sketch_scratch(contigs_path):
 
     mapper = JEMMapper(CFG)
     mapper.index(read_fasta(contigs_path))
-    assert not getattr(kernels._scratch, "slots", None)
+    assert getattr(kernels._scratch, "buf", None) is None
     kernels.key_scratch(4, 8)
-    assert kernels._scratch.slots
+    assert kernels._scratch.buf.size
 
     def failing_blocks():
         yield from iter_batches(iter_records(contigs_path), MID_CUT)
@@ -198,9 +198,9 @@ def test_index_build_releases_the_sketch_scratch(contigs_path):
 
     with pytest.raises(RuntimeError, match="parser died"):
         JEMMapper(CFG).index_partitioned(failing_blocks())
-    assert not getattr(kernels._scratch, "slots", None)
+    assert getattr(kernels._scratch, "buf", None) is None
     kernels.release_scratch()  # idempotent
-    assert kernels.key_scratch(2, 3).shape == (2, 3)  # and the slots regrow
+    assert kernels.key_scratch(2, 3).shape == (2, 3)  # and the buffer regrows
 
 
 def test_engine_builds_from_the_file_without_holding_the_contig_set(

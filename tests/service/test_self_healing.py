@@ -12,17 +12,22 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from multiprocessing import shared_memory
 
 import pytest
 from conftest import TRANSPORTS, serve_session
 
 from repro import JEMConfig, JEMMapper
+from repro.core.hitcounter import count_hits_vectorised
+from repro.core.segments import extract_end_segments
+from repro.core.store import ColumnarSketchStore
 from repro.errors import DeadlineExceededError, ReproError, ServiceError
 from repro.parallel.faults import FaultPlan
 from repro.parallel.shm import SEGMENT_PREFIX, segment_exists, sweep_orphan_segments
 from repro.service import MappingService, ServiceConfig
 from repro.service.health import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.sketch import query_sketch_values
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
@@ -119,12 +124,31 @@ class TestAdaptiveShedEndToEnd:
         except ReproError:
             pass
 
+    def vectorised_oracle(self, config, contigs, reads, t_eff):
+        """What a degraded reply must say: sketch + ``count_hits_vectorised``
+        over the first ``t_eff`` trials of the index, the family's matching
+        slice and ``min_hits`` scaled by the kept fraction."""
+        mapper = JEMMapper(config)
+        mapper.index(contigs)
+        table = ColumnarSketchStore.from_trial_keys(
+            [mapper.table.trial_keys(t) for t in range(t_eff)], len(contigs)
+        )
+        segments, _ = extract_end_segments(reads, config.ell)
+        sketches = query_sketch_values(
+            segments, config.k, config.w, config.hash_family().trial_slice(0, t_eff)
+        )
+        return count_hits_vectorised(
+            table, sketches.values, query_mask=sketches.has,
+            min_hits=max(1, (config.min_hits * t_eff) // config.trials),
+        )
+
     def test_degraded_trials_halve_as_opens_repeat(
         self, tiling_contigs, clean_reads
     ):
         plan = FaultPlan.kill_all_workers(2, once=False)
+        config = replace(CONFIG, min_hits=4)  # scales to 2, then 1, down the ladder
         with MappingService.from_contigs(
-            tiling_contigs, CONFIG, BREAKER_CFG, faults=plan
+            tiling_contigs, config, BREAKER_CFG, faults=plan
         ) as service:
             assert service.degraded_trials() == CONFIG.trials
             with pytest.raises(ServiceError):
@@ -150,6 +174,12 @@ class TestAdaptiveShedEndToEnd:
                     f"shed{expected}", clean_reads.codes_of(1)
                 ).result(60)
                 assert degraded.degraded is True
+                want = self.vectorised_oracle(
+                    config, tiling_contigs, clean_reads.subset([1]),
+                    service.degraded_trials(),
+                )
+                assert degraded.subject == tuple(want.subject.tolist())
+                assert degraded.hit_count == tuple(want.count.tolist())
 
     def test_recovery_steps_the_ladder_back_down(
         self, tiling_contigs, clean_reads

@@ -68,11 +68,11 @@ def test_apply_bad_trial():
 
 def test_truncated_prefix_property():
     f = HashFamily.generate(10, seed=5)
-    g = f.truncated(4)
+    g = f.trial_slice(0, 4)
     assert g.size == 4
     assert np.array_equal(g.a, f.a[:4])
     with pytest.raises(SketchError):
-        f.truncated(11)
+        f.trial_slice(0, 11)
 
 
 def test_invalid_constants_rejected():

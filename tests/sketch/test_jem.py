@@ -11,9 +11,11 @@ from repro.sketch import (
     minimizers,
     pack_key,
     query_sketch_values,
+    subject_kernel_reference,
     subject_sketch_pairs,
     unpack_keys,
 )
+from repro.sketch.jem import _subject_minimizer_block
 
 dna = st.text(alphabet="acgt", min_size=30, max_size=300)
 
@@ -60,6 +62,28 @@ def test_subject_pairs_match_naive(rng):
         vals, sids = unpack_keys(got[t])
         got_set = set(zip(vals.tolist(), sids.tolist()))
         assert got_set == expected[t]
+
+
+def test_subject_oracle_matches_naive_up_to_the_last_bound(rng, monkeypatch):
+    """The numpy oracle on its own (no native S1, no native S2) against
+    Algorithm 1 transcribed: the last contig's closing intervals all end at
+    ``len(values)``, one past what ``minimum.reduceat`` can index without
+    the sentinel slot."""
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    family = HashFamily.generate(5, seed=11)
+    seqs = SequenceSet.from_strings(
+        [(f"s{i}", decode(random_codes(400, rng))) for i in range(4)]
+    )
+    k, w, ell = 8, 10, 100
+    values, positions, owner = _subject_minimizer_block(seqs, k, w, ell)
+    ends = np.searchsorted(positions, positions + ell, side="right")
+    assert np.count_nonzero(ends == values.size) > 1
+    got = subject_kernel_reference(values, ends, owner.astype(np.uint64), family)
+    expected = naive_subject_pairs(seqs, k, w, ell, family)
+    for t in range(family.size):
+        vals, sids = unpack_keys(got[t])
+        assert set(zip(vals.tolist(), sids.tolist())) == expected[t]
+        assert (got[t][1:] > got[t][:-1]).all()
 
 
 def test_subject_pairs_sorted_unique():

@@ -21,7 +21,7 @@ from repro import _native_build
 from repro.seq import SequenceSet
 from repro.sketch import _native, kernels
 from repro.sketch.hashing import HashFamily
-from repro.sketch.jem import subject_sketch_pairs, subject_sketch_pairs_reference
+from repro.sketch.jem import subject_sketch_pairs
 from repro.sketch.minimizers import minimizers_set
 
 needs_native = pytest.mark.skipif(
@@ -230,7 +230,9 @@ def test_subject_sketch_pairs_is_the_same_at_every_thread_count(
         monkeypatch.setattr(kernels, "SUBJECT_SCRATCH_ELEMS", budget)
     family = HashFamily.generate(trials, seed=trials)
     for label, sset in edge_sets(np.random.default_rng(trials)):
-        want = subject_sketch_pairs_reference(sset, 12, 20, 300, family, subject_id_offset=5)
+        with monkeypatch.context() as numpy_arm:
+            numpy_arm.setenv("REPRO_NO_NATIVE", "1")
+            want = subject_sketch_pairs(sset, 12, 20, 300, family, subject_id_offset=5)
         for threads in THREADS:
             got = subject_sketch_pairs(
                 sset, 12, 20, 300, family, subject_id_offset=5, threads=threads
@@ -244,13 +246,13 @@ def test_subject_sketch_pairs_is_the_same_at_every_thread_count(
 @needs_native
 def test_subject_rows_share_one_key_scratch(monkeypatch, tiny_shares):
     """The chunk's rows are divided between the threads inside the one
-    ``keys`` scratch the chunk was given: the budget is not multiplied."""
+    key scratch the chunk was given: the budget is not multiplied."""
     sizes = []
     real = kernels.key_scratch
 
-    def spy(rows, cols, slot="keys"):
+    def spy(rows, cols):
         sizes.append(rows * cols)
-        return real(rows, cols, slot)
+        return real(rows, cols)
 
     monkeypatch.setattr("repro.sketch.jem.key_scratch", spy)
     sset = as_set([dna(np.random.default_rng(3), 4_000) for _ in range(4)])

@@ -1,13 +1,13 @@
-"""Equivalence of the batched multi-trial kernels against the retained
-per-trial reference paths.
+"""Equivalence of the two tiers of each sketch kernel, and the ``(T, n)``
+helpers around them.
 
-The batched subject/query sketchers, the 2-d sparse table and the row-wise
-dedupe must be *bit-identical* to the per-trial code they replaced — the
-reference implementations are kept in the tree precisely so these tests
-(and the bench parity check) can keep asserting that, including when
-``MAX_BATCH_ELEMS`` forces multi-chunk execution.
+S2 and S4-sketch are a C kernel and one per-trial numpy function each; the
+public entry points must be *bit-identical* whichever runs, so the parity
+cases run them twice — as the host would, and under ``REPRO_NO_NATIVE=1``
+(numpy S1 feeding the numpy oracle: nothing shared with the native arm).
 """
 
+import contextlib
 import threading
 
 import numpy as np
@@ -19,21 +19,17 @@ from repro.errors import SketchError
 from repro.seq import SequenceSet, random_codes
 from repro.sketch import (
     HashFamily,
-    SparseTableRMQ,
-    SparseTableRMQ2D,
     jem_sketch_single,
+    minhash_sketch_set,
     minimizers,
     pack_key,
     query_kernel,
-    query_kernel_reference,
     query_sketch_values,
-    query_sketch_values_reference,
     subject_kernel,
-    subject_kernel_reference,
     subject_sketch_pairs,
-    subject_sketch_pairs_reference,
 )
 from repro.sketch import _native
+from repro.sketch import jem as jem_mod
 from repro.sketch import kernels as kernels_mod
 from repro.sketch.kernels import (
     key_scratch,
@@ -43,6 +39,14 @@ from repro.sketch.kernels import (
 )
 
 FAMILY = HashFamily.generate(7, seed=13)
+
+
+@contextlib.contextmanager
+def numpy_arm():
+    """The numpy arm: ``_native.load()`` reads the switch on every call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NO_NATIVE", "1")
+        yield
 
 
 def _random_set(rng, n, max_len=3000, with_n_runs=True):
@@ -102,15 +106,6 @@ def test_apply_all_out_buffer_reused_and_validated():
         FAMILY.apply_all(x, out=np.empty((FAMILY.size, x.size), dtype=np.int64))
 
 
-def test_apply_all_transposed_is_exact_transpose():
-    x = np.random.default_rng(2).integers(0, 1 << 32, size=300, dtype=np.uint64)
-    assert np.array_equal(FAMILY.apply_all_transposed(x), FAMILY.apply_all(x).T)
-    buf = np.empty((x.size, FAMILY.size), dtype=np.uint64)
-    assert FAMILY.apply_all_transposed(x, out=buf) is buf
-    with pytest.raises(SketchError):
-        FAMILY.apply_all_transposed(x, out=np.empty((FAMILY.size, x.size), dtype=np.uint64))
-
-
 def test_trial_slice_matches_rows():
     x = np.arange(50, dtype=np.uint64)
     sub = FAMILY.trial_slice(2, 5)
@@ -123,95 +118,6 @@ def test_trial_slice_rejects_bad_bounds():
         FAMILY.trial_slice(3, 3)
     with pytest.raises(SketchError):
         FAMILY.trial_slice(0, FAMILY.size + 1)
-
-
-# -- 2-d sparse table ----------------------------------------------------------
-
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 100])
-def test_rmq2d_matches_per_trial_1d(n):
-    rng = np.random.default_rng(n)
-    values = rng.integers(0, 1 << 32, size=(5, n), dtype=np.uint64)
-    starts = rng.integers(0, n, size=20, dtype=np.int64)
-    ends = starts + rng.integers(1, n + 1 - starts, size=20, dtype=np.int64)
-    rmq2 = SparseTableRMQ2D(values, track_argmin=True)
-    mins2 = rmq2.query(starts, ends)
-    idx2, vals2 = rmq2.query_argmin(starts, ends)
-    for t in range(5):
-        rmq1 = SparseTableRMQ(values[t], track_argmin=True)
-        assert np.array_equal(mins2[t], rmq1.query(starts, ends))
-        idx1, vals1 = rmq1.query_argmin(starts, ends)
-        assert np.array_equal(idx2[t], idx1)
-        assert np.array_equal(vals2[t], vals1)
-
-
-def test_rmq2d_leftmost_tie_break():
-    values = np.zeros((3, 8), dtype=np.uint64)  # every entry ties
-    rmq = SparseTableRMQ2D(values, track_argmin=True)
-    idx, _ = rmq.query_argmin(np.array([0, 2]), np.array([8, 7]))
-    assert np.array_equal(idx, np.tile([0, 2], (3, 1)))
-
-
-def test_rmq2d_values_packable_skips_scan_but_matches():
-    values = np.arange(24, dtype=np.uint64).reshape(3, 8)
-    a = SparseTableRMQ2D(values, track_argmin=True)
-    b = SparseTableRMQ2D(values, track_argmin=True, values_packable=True)
-    starts = np.array([0, 3]), np.array([5, 8])
-    assert np.array_equal(a.query(*starts), b.query(*starts))
-
-
-def test_rmq2d_rejects_oversized_values_with_argmin():
-    values = np.full((2, 4), 1 << 32, dtype=np.uint64)
-    with pytest.raises(SketchError):
-        SparseTableRMQ2D(values, track_argmin=True)
-
-
-def test_rmq2d_max_interval_parity_and_cap_enforcement():
-    rng = np.random.default_rng(9)
-    values = rng.integers(0, 1 << 31, size=(4, 64), dtype=np.uint64)
-    starts = rng.integers(0, 60, size=30, dtype=np.int64)
-    ends = starts + rng.integers(1, np.minimum(7, 64 - starts) + 1, size=30)
-    full = SparseTableRMQ2D(values, track_argmin=True)
-    capped = SparseTableRMQ2D(values, track_argmin=True, max_interval=7)
-    assert len(capped._levels) < len(full._levels)
-    assert np.array_equal(capped.query(starts, ends), full.query(starts, ends))
-    with pytest.raises(SketchError):
-        capped.query(np.array([0]), np.array([64]))  # longer than the cap
-    with pytest.raises(SketchError):
-        SparseTableRMQ2D(values, max_interval=0)
-
-
-def test_rmq2d_workspace_build_is_bit_identical():
-    rng = np.random.default_rng(10)
-    values = rng.integers(0, 1 << 31, size=(3, 50), dtype=np.uint64)
-    starts = rng.integers(0, 45, size=20, dtype=np.int64)
-    ends = starts + rng.integers(1, np.minimum(6, 50 - starts) + 1, size=20)
-    plain = SparseTableRMQ2D(values, track_argmin=True, values_packable=True)
-    ws = SparseTableRMQ2D(
-        values, track_argmin=True, values_packable=True, max_interval=6, workspace=True
-    )
-    idx_p, min_p = plain.query_argmin(starts, ends)
-    idx_w, min_w = ws.query_argmin(starts, ends)
-    assert np.array_equal(idx_p, idx_w)
-    assert np.array_equal(min_p, min_w)
-
-
-def test_rmq2d_query_packed_matches_argmin_and_validates():
-    rng = np.random.default_rng(12)
-    values = rng.integers(0, 1 << 31, size=(3, 40), dtype=np.uint64)
-    starts = np.array([0, 5, 30], dtype=np.int64)
-    ends = np.array([8, 9, 40], dtype=np.int64)
-    rmq = SparseTableRMQ2D(values, track_argmin=True, values_packable=True)
-    packed = rmq.query_packed(starts, ends)
-    idx, mins = rmq.query_argmin(starts, ends)
-    assert np.array_equal(packed >> np.uint64(32), mins)
-    assert np.array_equal((packed & np.uint64(0xFFFFFFFF)).astype(np.int64), idx)
-    buf = np.empty((3, 3), dtype=np.uint64)
-    assert rmq.query_packed(starts, ends, out=buf) is buf
-    with pytest.raises(SketchError):
-        rmq.query_packed(starts, ends, out=np.empty((3, 4), dtype=np.uint64))
-    plain = SparseTableRMQ2D(values)
-    with pytest.raises(SketchError):
-        plain.query_packed(starts, ends)
 
 
 # -- packing / dedupe kernels --------------------------------------------------
@@ -268,26 +174,16 @@ def test_key_scratch_reuses_buffer_and_is_thread_local():
     assert other[0].base is not a.base
 
 
-def test_key_scratch_slots_are_independent_buffers():
-    a = key_scratch(4, 8, slot="keys")
-    b = key_scratch(4, 8, slot="hash")
-    assert a.base is not b.base
-    a[...] = 1
-    b[...] = 2
-    assert (a == 1).all()  # writing one slot never clobbers another
-    assert key_scratch(4, 8, slot="hash").base is b.base
-
-
 def test_trial_chunks_cover_and_respect_budget():
-    chunks = trial_chunks(10, 1000, budget=5000)  # with levels: > 1000/trial
-    assert [c.start for c in chunks][0] == 0
+    chunks = trial_chunks(10, 1000, budget=5000)
+    assert [len(c) for c in chunks] == [5, 5]
     flat = [t for c in chunks for t in c]
     assert flat == list(range(10))
     chunks = trial_chunks(10, 10**9, budget=1)  # degrade to per-trial, not fail
     assert all(len(c) == 1 for c in chunks)
 
 
-# -- batched sketchers vs reference paths --------------------------------------
+# -- public entry points: native run vs REPRO_NO_NATIVE=1 ----------------------
 
 CASES = [(16, 100, 1000), (12, 20, 500), (8, 1, 50), (5, 7, 10)]
 
@@ -296,9 +192,8 @@ CASES = [(16, 100, 1000), (12, 20, 500), (8, 1, 50), (5, 7, 10)]
 def test_subject_pairs_match_reference(k, w, ell):
     seqs = _random_set(np.random.default_rng(k * 100 + w), 25)
     got = subject_sketch_pairs(seqs, k, w, ell, FAMILY, subject_id_offset=7)
-    expected = subject_sketch_pairs_reference(
-        seqs, k, w, ell, FAMILY, subject_id_offset=7
-    )
+    with numpy_arm():
+        expected = subject_sketch_pairs(seqs, k, w, ell, FAMILY, subject_id_offset=7)
     assert len(got) == len(expected) == FAMILY.size
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
@@ -308,13 +203,14 @@ def test_subject_pairs_match_reference(k, w, ell):
 def test_query_values_match_reference(k, w, ell):
     seqs = _random_set(np.random.default_rng(k * 7 + w), 25, max_len=800)
     got = query_sketch_values(seqs, k, w, FAMILY)
-    expected = query_sketch_values_reference(seqs, k, w, FAMILY)
+    with numpy_arm():
+        expected = query_sketch_values(seqs, k, w, FAMILY)
     assert np.array_equal(got.has, expected.has)
     assert np.array_equal(got.values[:, got.has], expected.values[:, expected.has])
 
 
 def test_query_values_match_single_sketch():
-    """Cross-check: the batched query kernel == per-sequence jem_sketch_single."""
+    """Cross-check: the query kernel == per-sequence jem_sketch_single."""
     k, w = 12, 20
     seqs = _random_set(np.random.default_rng(5), 10)
     got = query_sketch_values(seqs, k, w, FAMILY)
@@ -328,21 +224,20 @@ def test_query_values_match_single_sketch():
 
 
 def test_chunked_execution_is_bit_identical(monkeypatch):
-    """Shrinking the batch budget forces multi-chunk paths; output unchanged."""
+    """Shrinking the budgets forces multi-chunk paths (the native subject
+    kernel's key scratch, MinHash's packed matrix); output unchanged."""
     seqs = _random_set(np.random.default_rng(11), 20)
     k, w, ell = 12, 20, 500
     whole_subject = subject_sketch_pairs(seqs, k, w, ell, FAMILY)
-    whole_query = query_sketch_values(seqs, k, w, FAMILY)
+    whole_minhash, whole_has = minhash_sketch_set(seqs, k, FAMILY)
+    monkeypatch.setattr(kernels_mod, "SUBJECT_SCRATCH_ELEMS", 256)
     monkeypatch.setattr(kernels_mod, "MAX_BATCH_ELEMS", 256)
     chunked_subject = subject_sketch_pairs(seqs, k, w, ell, FAMILY)
-    chunked_query = query_sketch_values(seqs, k, w, FAMILY)
+    chunked_minhash, chunked_has = minhash_sketch_set(seqs, k, FAMILY)
     for a, b in zip(whole_subject, chunked_subject):
         assert np.array_equal(a, b)
-    assert np.array_equal(whole_query.has, chunked_query.has)
-    assert np.array_equal(
-        whole_query.values[:, whole_query.has],
-        chunked_query.values[:, chunked_query.has],
-    )
+    assert np.array_equal(whole_has, chunked_has)
+    assert np.array_equal(whole_minhash[:, whole_has], chunked_minhash[:, chunked_has])
 
 
 def _dedupe_defeating_set(rng):
@@ -380,7 +275,8 @@ def test_subject_pairs_survive_far_apart_repeats(monkeypatch, no_native, offset)
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
     seqs = _dedupe_defeating_set(np.random.default_rng(5))
     k, w, ell = 12, 10, 300
-    want = subject_sketch_pairs_reference(seqs, k, w, ell, FAMILY, subject_id_offset=offset)
+    with numpy_arm():
+        want = subject_sketch_pairs(seqs, k, w, ell, FAMILY, subject_id_offset=offset)
     # the input does defeat adjacent-only dedupe: in some trial, dropping the
     # keys equal to their left neighbour leaves more than the distinct ones
     from repro.sketch.jem import _subject_minimizer_block
@@ -400,7 +296,6 @@ def test_subject_pairs_survive_far_apart_repeats(monkeypatch, no_native, offset)
     for budget in (None, 1):  # 1: every chunk is one trial
         if budget is not None:
             monkeypatch.setattr(kernels_mod, "SUBJECT_SCRATCH_ELEMS", budget)
-            monkeypatch.setattr(kernels_mod, "MAX_BATCH_ELEMS", budget)
         got = subject_sketch_pairs(seqs, k, w, ell, FAMILY, subject_id_offset=offset)
         assert len(got) == FAMILY.size
         for g, e in zip(got, want):
@@ -412,7 +307,7 @@ def test_subject_pairs_survive_far_apart_repeats(monkeypatch, no_native, offset)
 @pytest.mark.skipif(_native.load() is None, reason="no C compiler available")
 def test_native_subject_kernel_scratch_stays_under_its_budget():
     """Sketching a tier-L-sized contig set (≈ 170k minimizers x 30 trials) never
-    asks the key scratch for the (T, n) matrix: the slot stays at the budget."""
+    asks the key scratch for the (T, n) matrix: the buffer stays at the budget."""
     rng = np.random.default_rng(3)
     lengths = rng.integers(1_500, 4_500, size=2_600)
     offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
@@ -422,17 +317,17 @@ def test_native_subject_kernel_scratch_stays_under_its_budget():
     family = HashFamily.generate(30, seed=1)
     seen = {}
 
-    def sketch():  # a fresh thread has fresh scratch slots
+    def sketch():  # a fresh thread has a fresh scratch buffer
         keys = subject_sketch_pairs(contigs, 16, 100, 1000, family)
         seen["entries"] = sum(k.size for k in keys)
-        seen["slots"] = {name: buf.size for name, buf in kernels_mod._scratch.slots.items()}
+        seen["scratch"] = kernels_mod._scratch.buf.size
 
     thread = threading.Thread(target=sketch)
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive()
     assert seen["entries"] > kernels_mod.SUBJECT_SCRATCH_ELEMS  # the matrix would not have fit
-    assert seen["slots"] == {"keys": kernels_mod.SUBJECT_SCRATCH_ELEMS}
+    assert seen["scratch"] == kernels_mod.SUBJECT_SCRATCH_ELEMS
 
 
 def test_empty_and_degenerate_sets():
@@ -443,7 +338,8 @@ def test_empty_and_degenerate_sets():
     assert sketches.values.shape == (FAMILY.size, 0)
     all_n = SequenceSet.from_strings([("n1", "n" * 40), ("n2", "n" * 25)])
     pairs = subject_sketch_pairs(all_n, 12, 20, 500, FAMILY)
-    ref = subject_sketch_pairs_reference(all_n, 12, 20, 500, FAMILY)
+    with numpy_arm():
+        ref = subject_sketch_pairs(all_n, 12, 20, 500, FAMILY)
     for g, e in zip(pairs, ref):
         assert np.array_equal(g, e)
     sketches = query_sketch_values(all_n, 12, 20, FAMILY)
@@ -462,22 +358,23 @@ def test_fuzzed_parity_subject_and_query(seed, k, w, ell, trials):
     family = HashFamily.generate(trials, seed=seed % 97)
     seqs = _random_set(np.random.default_rng(seed), 8, max_len=600)
     got = subject_sketch_pairs(seqs, k, w, ell, family)
-    exp = subject_sketch_pairs_reference(seqs, k, w, ell, family)
+    gq = query_sketch_values(seqs, k, w, family)
+    with numpy_arm():
+        exp = subject_sketch_pairs(seqs, k, w, ell, family)
+        eq = query_sketch_values(seqs, k, w, family)
     for g, e in zip(got, exp):
         assert np.array_equal(g, e)
-    gq = query_sketch_values(seqs, k, w, family)
-    eq = query_sketch_values_reference(seqs, k, w, family)
     assert np.array_equal(gq.has, eq.has)
     assert np.array_equal(gq.values[:, gq.has], eq.values[:, eq.has])
 
 
 # -- compiled fast path --------------------------------------------------------
 #
-# The parity tests above run against whichever backend is active (compiled
-# when a C compiler is present, numpy otherwise).  These tests pin down the
-# backend explicitly: the kill switch must route around the compiled path,
-# and on machines where it is available, the two backends must agree bit
-# for bit on the same direct kernel inputs.
+# The parity tests above go through the public entry points (S1 included).
+# These pin down the kernels themselves: the kill switch must route around
+# the compiled path — straight to the per-trial function, with no numpy tier
+# of its own in between — and where a compiler is available the two must
+# agree bit for bit on the same direct kernel inputs.
 
 def _kernel_inputs(seed, trials=5):
     rng = np.random.default_rng(seed)
@@ -502,35 +399,44 @@ def test_kill_switch_disables_native(monkeypatch):
 
 
 def test_numpy_fallback_matches_reference(monkeypatch):
-    """With the compiled path disabled, the numpy kernels must still agree."""
+    """With the compiled path disabled each kernel *is* its per-trial
+    function: one call in, the same arguments passed on once, its return
+    value handed back — a second numpy tier would break one of the three."""
     monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    for seed in (1, 2, 3):
-        values, ends, subject_ids, starts, family = _kernel_inputs(seed)
-        got = subject_kernel(values, ends, subject_ids, family)
-        exp = subject_kernel_reference(values, ends, subject_ids, family)
-        for g, e in zip(got, exp):
-            assert np.array_equal(g, e)
-        assert np.array_equal(
-            query_kernel(values, starts, family),
-            query_kernel_reference(values, starts, family),
-        )
+    calls = []
+
+    def spy_on(name):
+        real = getattr(jem_mod, name)
+
+        def spy(*args):
+            out = real(*args)
+            calls.append((name, args, out))
+            return out
+
+        monkeypatch.setattr(jem_mod, name, spy)
+
+    spy_on("subject_kernel_reference")
+    spy_on("query_kernel_reference")
+    values, ends, subject_ids, starts, family = _kernel_inputs(1)
+    got_subject = subject_kernel(values, ends, subject_ids, family, threads=2)
+    got_query = query_kernel(values, starts, family)
+    (name_s, args_s, out_s), (name_q, args_q, out_q) = calls
+    assert (name_s, name_q) == ("subject_kernel_reference", "query_kernel_reference")
+    assert all(a is b for a, b in zip(args_s, (values, ends, subject_ids, family)))
+    assert all(a is b for a, b in zip(args_q, (values, starts, family)))
+    assert got_subject is out_s and got_query is out_q
 
 
 @pytest.mark.skipif(_native.load() is None, reason="no C compiler available")
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_native_and_numpy_backends_bit_identical(seed):
-    import os
-
     values, ends, subject_ids, starts, family = _kernel_inputs(seed)
     nat_subject = subject_kernel(values, ends, subject_ids, family)
     nat_query = query_kernel(values, starts, family)
-    os.environ["REPRO_NO_NATIVE"] = "1"
-    try:
+    with numpy_arm():
         np_subject = subject_kernel(values, ends, subject_ids, family)
         np_query = query_kernel(values, starts, family)
-    finally:
-        del os.environ["REPRO_NO_NATIVE"]
     for a, b in zip(nat_subject, np_subject):
         assert np.array_equal(a, b)
     assert np.array_equal(nat_query, np_query)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SketchError
-from repro.sketch import sliding_window_argmin, sliding_window_min
+from repro.sketch import sliding_window_min
 
 
 def naive_window_min(values, w):
@@ -49,23 +49,3 @@ def test_matches_naive(values, w):
     if w > arr.size:
         return
     assert np.array_equal(sliding_window_min(arr, w), naive_window_min(arr, w))
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=(1 << 32) - 1), min_size=1, max_size=200),
-    st.integers(min_value=1, max_value=20),
-)
-def test_argmin_leftmost(values, w):
-    arr = np.array(values, dtype=np.uint64)
-    if w > arr.size:
-        return
-    pos, mins = sliding_window_argmin(arr, w)
-    for i in range(arr.size - w + 1):
-        window = arr[i : i + w]
-        assert mins[i] == window.min()
-        assert pos[i] == i + int(np.argmin(window))  # np.argmin is leftmost
-
-
-def test_argmin_rejects_large_values():
-    with pytest.raises(SketchError):
-        sliding_window_argmin(np.array([1 << 32], dtype=np.uint64), 1)
