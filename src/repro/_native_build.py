@@ -1,4 +1,4 @@
-"""The compiled kernels' C source, and how it becomes a shared library.
+"""How the compiled kernels' C source becomes a shared library.
 
 Numpy-free, and outside :mod:`repro.sketch` (whose package import pulls numpy
 in), on purpose: ``jem index`` / ``jem map`` / ``jem serve`` call
@@ -8,48 +8,21 @@ compiler — a child process — runs beside the imports instead of after them.
 compile if nobody has and waits for it, so there is one build path whoever
 began it.
 
-The library is cached by source hash under ``<repo>/.native_cache``
-(override with ``REPRO_NATIVE_CACHE``; a temp dir when unwritable).  Every
-file a build writes appears under a pid-unique temporary name and is renamed
-into place — the ``.c`` file all cold processes share is never seen
-half-written, concurrent builders race benignly — and a failed, timed-out or
-abandoned compile removes its temporary output.
-
-The four kernels (all **bit-identical** to the per-trial numpy functions
-in :mod:`repro.sketch.jem` and :mod:`repro.sketch.minimizers`; the test
-suite asserts the equivalence):
-
-* ``jem_minimizer_kernel`` — step 1 for S2 and S4 alike: per sequence, one
-  rolling pass over the 2-bit codes (forward and reverse-complement k-mer
-  updated in O(1) per base, a branch-free block-scan window minimum) to
-  the concatenated minimizer block — ranks, positions, per-sequence counts;
-* ``jem_query_kernel`` — per trial, one sequential sweep hashing each
-  minimizer with a Barrett-reduced LCG and tracking the packed
-  ``(hash << 32) | index`` minimum per segment;
-* ``jem_subject_kernel`` — per trial, the same Barrett hash plus an O(n)
-  monotone-deque sliding-window minimum over the ℓ-interval ends, keeping
-  a packed ``(value << 32) | subject`` key only where it differs from the
-  previous interval's and radix-sorting what is kept into the trial's key
-  list;
-* ``jem_map_kernel`` — the whole S4 query pipeline fused: per segment and
-  per trial, sketch (Barrett hash + packed-key minimum), branchless binary
-  search over the columnar store's sorted per-trial value columns, and the
-  paper's lazy-update vote counter A[1..n] — one C pass from minimizer
-  ranks to per-segment best hits, with a pthread loop over contiguous
-  segment blocks.  Segments are independent, so the output is
-  bit-identical for any thread count.
-
-The minimizer pass packs the same ``(canon << 32) | position`` keys as
-:func:`~repro.sketch.minimizers.minimizers_set`, Barrett reduction computes
-the exact ``x mod p`` (one conditional subtract corrects the floor
-estimate), and tie-breaking uses the same packed keys.  The minimizer and
-subject kernels keep no state between calls and write only the buffers they
-are handed, which is what lets the bindings run several calls at once.
+The source is one file, ``sketch/jem_kernels.c`` (:data:`SOURCE_PATH`,
+shipped as package data; its header says what each kernel computes), read
+once.  The library is cached under ``<repo>/.native_cache`` (override with
+``REPRO_NATIVE_CACHE``; a temp dir when unwritable) by the hash of that
+file's bytes and the compiler flags.  Every file a build writes appears
+under a pid-unique temporary name and is renamed into place — the ``.c``
+file all cold processes share is never seen half-written, concurrent
+builders race benignly — and a failed, timed-out or abandoned compile
+removes its temporary output.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import hashlib
 import os
 import subprocess
@@ -57,574 +30,13 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["SOURCE", "affinity", "start", "library"]
+__all__ = ["SOURCE_PATH", "affinity", "start", "library"]
 
-SOURCE = r"""
-#include <pthread.h>
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
+#: The kernels' source: what ``cc``, the tests and the sanitizer drivers read.
+SOURCE_PATH = Path(__file__).resolve().parent / "sketch" / "jem_kernels.c"
 
-typedef unsigned __int128 u128;
-
-/* Exact x mod p for p in [2, 2^63) via Barrett reduction: with
-   m = floor(2^64 / p) the estimate q = (x * m) >> 64 is either the true
-   quotient or one less, so a single conditional subtract corrects r. */
-static inline uint64_t barrett_mod(uint64_t x, uint64_t p, uint64_t m) {
-    uint64_t q = (uint64_t)(((u128)x * m) >> 64);
-    uint64_t r = x - q * p;
-    if (r >= p) r -= p;
-    return r;
-}
-
-/* h_t(x) = (a * (x mod p) + b) mod p — the product stays below 2^62
-   because a < p < 2^31 and (x mod p) < p < 2^31. */
-static inline uint64_t lcg_hash(uint64_t x, uint64_t a, uint64_t b,
-                                uint64_t p, uint64_t m) {
-    return barrett_mod(a * barrett_mod(x, p, m) + b, p, m);
-}
-
-/* S4: per trial and per segment [starts[j], starts[j+1]), the minimizer
-   value minimising (hash << 32) | index.  out is (trials, nseg). */
-void jem_query_kernel(const uint64_t *values, int64_t n,
-                      const int64_t *starts, int64_t nseg,
-                      const uint64_t *a, const uint64_t *b,
-                      const uint64_t *p, int64_t trials,
-                      uint64_t *out) {
-    for (int64_t t = 0; t < trials; t++) {
-        const uint64_t at = a[t], bt = b[t], pt = p[t];
-        const uint64_t mt = (uint64_t)((((u128)1) << 64) / pt);
-        uint64_t *row = out + t * nseg;
-        for (int64_t j = 0; j < nseg; j++) {
-            const int64_t lo = starts[j];
-            const int64_t hi = (j + 1 < nseg) ? starts[j + 1] : n;
-            uint64_t best = UINT64_MAX;
-            for (int64_t i = lo; i < hi; i++) {
-                uint64_t key = (lcg_hash(values[i], at, bt, pt, mt) << 32)
-                               | (uint64_t)i;
-                if (key < best) best = key;
-            }
-            row[j] = values[best & 0xffffffffu];
-        }
-    }
-}
-
-/* LSD radix sort of uint64 keys by the bytes from bit `shift` up (32: the
-   value half of a packed (value << 32) | index key); stable, so ties keep
-   their input order.  Returns whichever scratch holds the sorted data.
-   Passes where every key shares the same byte (common for narrow key
-   spaces) are skipped. */
-static uint64_t *radix_sort_u64(uint64_t *src, uint64_t *dst, int64_t n,
-                                int shift) {
-    for (int sh = shift; sh < 64; sh += 8) {
-        int64_t count[256];
-        memset(count, 0, sizeof(count));
-        for (int64_t i = 0; i < n; i++) count[(src[i] >> sh) & 0xff]++;
-        int uniform = 0;
-        for (int b = 0; b < 256; b++)
-            if (count[b] == n) { uniform = 1; break; }
-        if (uniform) continue;
-        int64_t offs[256];
-        int64_t acc = 0;
-        for (int b = 0; b < 256; b++) { offs[b] = acc; acc += count[b]; }
-        for (int64_t i = 0; i < n; i++)
-            dst[offs[(src[i] >> sh) & 0xff]++] = src[i];
-        uint64_t *tmp = src; src = dst; dst = tmp;
-    }
-    return src;
-}
-
-/* S2: per trial, a monotone-deque sliding minimum of the packed keys
-   (hash << 32) | index over the half-open index intervals [i, ends[i])
-   (ends is non-decreasing and ends[i] > i).  Hashing is fused into the
-   deque push — every element is pushed exactly once — and the deque
-   stores the packed keys themselves, so the hot compare loop has no
-   indirection.  The packed sketch key (values[argmin] << 32) |
-   subject_ids[i] is kept only when it differs from the previous
-   interval's (overlapping intervals mostly share their minimum); the kept
-   keys are then radix-sorted and deduped, leaving counts[t] sorted
-   distinct keys in row t of out (trials, n).  deque_scratch and
-   sort_scratch hold n entries each. */
-void jem_subject_kernel(const uint64_t *values, const int64_t *ends,
-                        int64_t n, const uint64_t *subject_ids,
-                        const uint64_t *a, const uint64_t *b,
-                        const uint64_t *p, int64_t trials,
-                        uint64_t *deque_scratch, uint64_t *sort_scratch,
-                        uint64_t *out, int64_t *counts) {
-    for (int64_t t = 0; t < trials; t++) {
-        const uint64_t at = a[t], bt = b[t], pt = p[t];
-        const uint64_t mt = (uint64_t)((((u128)1) << 64) / pt);
-        uint64_t *row = out + t * n;
-        int64_t head = 0, tail = 0, r = 0, m = 0;
-        for (int64_t i = 0; i < n; i++) {
-            while (r < ends[i]) {
-                const uint64_t k = (lcg_hash(values[r], at, bt, pt, mt) << 32)
-                                   | (uint64_t)r;
-                while (tail > head && deque_scratch[tail - 1] > k)
-                    tail--;
-                deque_scratch[tail++] = k;
-                r++;
-            }
-            while ((int64_t)(deque_scratch[head] & 0xffffffffu) < i)
-                head++;
-            const uint64_t win = deque_scratch[head];
-            const uint64_t key =
-                (values[win & 0xffffffffu] << 32) | subject_ids[i];
-            if (m == 0 || key != row[m - 1]) row[m++] = key;
-        }
-        const uint64_t *sorted = radix_sort_u64(row, sort_scratch, m, 0);
-        int64_t kept = 0;
-        for (int64_t i = 0; i < m; i++) {
-            const uint64_t key = sorted[i];
-            if (kept == 0 || key != row[kept - 1]) row[kept++] = key;
-        }
-        counts[t] = kept;
-    }
-}
-
-/* ---- fused S4 map kernel: sketch -> lookup -> vote ---------------------- */
-
-/* Branchless lower bound over a sorted uint32 column: first index whose
-   value is >= key.  The classic half-interval form — the conditional add
-   compiles to a cmov, so the loop has no unpredictable branch. */
-static inline int64_t lower_bound_u32(const uint32_t *arr, int64_t n,
-                                      uint32_t key) {
-    int64_t lo = 0;
-    while (n > 1) {
-        const int64_t half = n >> 1;
-        if (arr[lo + half - 1] < key) lo += half;
-        n -= half;
-    }
-    if (n == 1 && arr[lo] < key) lo++;
-    return lo;
-}
-
-/* First index whose value is > key (upper bound). */
-static inline int64_t upper_bound_u32(const uint32_t *arr, int64_t n,
-                                      uint32_t key) {
-    int64_t lo = 0;
-    while (n > 1) {
-        const int64_t half = n >> 1;
-        if (arr[lo + half - 1] <= key) lo += half;
-        n -= half;
-    }
-    if (n == 1 && arr[lo] <= key) lo++;
-    return lo;
-}
-
-/* Segments per phase block: the (trials x MAP_BLOCK) sketch matrix stays
-   L1/L2-resident, and the trial-outer sketch phase touches one hashed row
-   at a time for a whole block of segments. */
-#define MAP_BLOCK 128
-
-/* One-Barrett LCG for 32-bit inputs: a * (x mod p) + b ≡ a * x + b
-   (mod p), and with a < p < 2^31 and x < 2^32 the product a * x + b
-   stays below 2^64, where the single-correction Barrett estimate is
-   still exact — so this equals lcg_hash bit for bit at half the cost. */
-static inline uint64_t lcg_hash32(uint64_t x, uint64_t a, uint64_t b,
-                                  uint64_t p, uint64_t m) {
-    return barrett_mod(a * x + b, p, m);
-}
-
-/* Dedupe the query block: fill uniq with the sorted distinct values and
-   inverse with each occurrence's slot in it.  Returns n_uniq, or -1 when
-   any value overflows 32 bits (caller hashes inline instead). */
-static int64_t dedupe_values(const uint64_t *qvalues, int64_t n,
-                             uint64_t *uniq, int32_t *inverse,
-                             uint64_t *scratch_a, uint64_t *scratch_b) {
-    uint64_t seen = 0;
-    for (int64_t i = 0; i < n; i++) {
-        seen |= qvalues[i];
-        scratch_a[i] = (qvalues[i] << 32) | (uint64_t)i;
-    }
-    if (seen >> 32) return -1;
-    const uint64_t *sorted = radix_sort_u64(scratch_a, scratch_b, n, 32);
-    int64_t uid = -1;
-    uint64_t prev = 0;
-    for (int64_t k = 0; k < n; k++) {
-        const uint64_t v = sorted[k] >> 32;
-        if (uid < 0 || v != prev) { prev = v; uniq[++uid] = v; }
-        inverse[sorted[k] & 0xffffffffu] = (int32_t)uid;
-    }
-    return uid + 1;
-}
-
-/* Per-trial 256-bucket index over the sorted value column: bucket
-   b = value >> bucket_shift[t] of trial t covers rows [bk[b], bk[b+1])
-   with bk = bucket_lo + t * 257.  The shift is sized to the column's max
-   value so narrow key spaces (small k) still spread across buckets; a
-   binary search then probes ~clen/256 entries instead of clen. */
-static void build_bucket_index(const uint32_t *col_values,
-                               const int64_t *col_offsets, int64_t trials,
-                               int64_t *bucket_lo, int64_t *bucket_shift) {
-    for (int64_t t = 0; t < trials; t++) {
-        const int64_t base = col_offsets[t];
-        const int64_t clen = col_offsets[t + 1] - base;
-        const uint32_t *cv = col_values + base;
-        int64_t *bk = bucket_lo + t * 257;
-        int64_t shift = 0;
-        if (clen > 0) {
-            const uint32_t maxv = cv[clen - 1];
-            while ((maxv >> shift) > 255) shift++;
-        }
-        bucket_shift[t] = shift;
-        int64_t count[257];
-        memset(count, 0, sizeof(count));
-        for (int64_t i = 0; i < clen; i++) count[(cv[i] >> shift) + 1]++;
-        bk[0] = 0;
-        for (int b = 1; b <= 256; b++) bk[b] = bk[b - 1] + count[b];
-    }
-}
-
-typedef struct {
-    const uint64_t *qvalues;     /* concatenated minimizer ranks          */
-    int64_t n;                   /* total minimizers                      */
-    const int64_t *starts;       /* per-segment offsets into qvalues      */
-    int64_t nseg;
-    const uint64_t *a, *b, *p;   /* hash family rows                      */
-    const uint64_t *m;           /* precomputed Barrett constants         */
-    int64_t trials;
-    const uint32_t *col_values;  /* flattened sorted value columns        */
-    const uint32_t *col_subjects;/* flattened parallel contig-id columns  */
-    const int64_t *col_offsets;  /* trials + 1 offsets into the flats     */
-    int64_t n_subjects;
-    int64_t min_hits;
-    const uint32_t *hashed_uniq; /* (trials, n_uniq) precomputed hashes,  */
-    const int32_t *inverse;      /* rank -> uniq row index; NULL = direct */
-    int64_t n_uniq;
-    const int64_t *bucket_lo;    /* (trials, 257) bucket run starts       */
-    const int64_t *bucket_shift; /* per-trial bucket shift                */
-    int64_t seg_lo, seg_hi;      /* this worker's block of segments       */
-    int64_t *best_subject;       /* out: (nseg,)                          */
-    int64_t *best_count;         /* out: (nseg,)                          */
-    int rc;                      /* 0 ok, 1 allocation failure            */
-} map_task;
-
-/* Sketch phase over one block of segments, trial-outer: per trial, per
-   segment, the minimizer minimising (hash << 32) | index — the same
-   packed tie-break as jem_query_kernel.  With a dedupe table the hash is
-   a gather from the trial's precomputed row (overlapping read segments
-   repeat minimizer values heavily, so each distinct value is hashed once
-   per trial instead of once per occurrence); without, it is computed
-   inline.  An empty segment leaves UINT64_MAX (sketch values fit 32
-   bits, so that can never collide with a real one). */
-static void sketch_block(const map_task *task, int64_t blk_lo, int64_t blk_hi,
-                         uint64_t *sketch) {
-    for (int64_t t = 0; t < task->trials; t++) {
-        uint64_t *row = sketch + t * MAP_BLOCK;
-        if (task->inverse != NULL) {
-            const uint32_t *hu = task->hashed_uniq + t * task->n_uniq;
-            for (int64_t j = blk_lo; j < blk_hi; j++) {
-                const int64_t lo = task->starts[j];
-                const int64_t hi =
-                    (j + 1 < task->nseg) ? task->starts[j + 1] : task->n;
-                uint64_t best = UINT64_MAX;
-                for (int64_t i = lo; i < hi; i++) {
-                    const uint64_t key =
-                        ((uint64_t)hu[task->inverse[i]] << 32) | (uint64_t)i;
-                    if (key < best) best = key;
-                }
-                row[j - blk_lo] =
-                    (hi > lo) ? task->qvalues[best & 0xffffffffu] : UINT64_MAX;
-            }
-        } else {
-            const uint64_t at = task->a[t], bt = task->b[t];
-            const uint64_t pt = task->p[t], mt = task->m[t];
-            for (int64_t j = blk_lo; j < blk_hi; j++) {
-                const int64_t lo = task->starts[j];
-                const int64_t hi =
-                    (j + 1 < task->nseg) ? task->starts[j + 1] : task->n;
-                uint64_t best = UINT64_MAX;
-                for (int64_t i = lo; i < hi; i++) {
-                    const uint64_t key =
-                        (lcg_hash(task->qvalues[i], at, bt, pt, mt) << 32)
-                        | (uint64_t)i;
-                    if (key < best) best = key;
-                }
-                row[j - blk_lo] =
-                    (hi > lo) ? task->qvalues[best & 0xffffffffu] : UINT64_MAX;
-            }
-        }
-    }
-}
-
-/* The paper's Algorithm 2 with the lazy-update counter array A[1..n]
-   (Section III-C): counters are never cleared between queries — a stale
-   entry is detected by its stored query id and re-seeded to (1, j).  Ties
-   on the maximum count break toward the smallest subject id, matching
-   count_hits_lazy / count_hits_vectorised bit for bit. */
-static void map_segment_range(map_task *task) {
-    const int64_t n_subjects = task->n_subjects;
-    int64_t *counter_u = (int64_t *)malloc((size_t)n_subjects * sizeof(int64_t));
-    int64_t *counter_v = (int64_t *)malloc((size_t)n_subjects * sizeof(int64_t));
-    uint64_t *sketch =
-        (uint64_t *)malloc((size_t)task->trials * MAP_BLOCK * sizeof(uint64_t));
-    if (((counter_u == NULL || counter_v == NULL) && n_subjects > 0) ||
-        sketch == NULL) {
-        free(counter_u);
-        free(counter_v);
-        free(sketch);
-        task->rc = 1;
-        return;
-    }
-    /* all-ones bytes == -1 in two's complement: no query id matches */
-    if (n_subjects > 0)
-        memset(counter_v, 0xff, (size_t)n_subjects * sizeof(int64_t));
-    for (int64_t blk_lo = task->seg_lo; blk_lo < task->seg_hi;
-         blk_lo += MAP_BLOCK) {
-        const int64_t blk_hi = (blk_lo + MAP_BLOCK < task->seg_hi)
-                                   ? blk_lo + MAP_BLOCK
-                                   : task->seg_hi;
-        sketch_block(task, blk_lo, blk_hi, sketch);
-        for (int64_t j = blk_lo; j < blk_hi; j++) {
-            int64_t top_count = 0, top_subject = -1;
-            for (int64_t t = 0; t < task->trials; t++) {
-                const uint64_t sk = sketch[t * MAP_BLOCK + (j - blk_lo)];
-                if (sk == UINT64_MAX) continue; /* empty segment */
-                const uint32_t key = (uint32_t)sk;
-                /* lookup: narrow to the key's bucket, then binary search
-                   the run of matching entries in trial t's column */
-                const int64_t base = task->col_offsets[t];
-                if (task->col_offsets[t + 1] == base) continue;
-                const uint32_t *cv = task->col_values + base;
-                const uint64_t bidx = (uint64_t)key >> task->bucket_shift[t];
-                if (bidx > 255) continue; /* above every stored value */
-                const int64_t *bk = task->bucket_lo + t * 257;
-                const int64_t blo = bk[bidx], bhi = bk[bidx + 1];
-                if (blo == bhi) continue;
-                const int64_t run_lo =
-                    blo + lower_bound_u32(cv + blo, bhi - blo, key);
-                if (run_lo >= bhi || cv[run_lo] != key) continue;
-                const int64_t run_hi =
-                    run_lo + upper_bound_u32(cv + run_lo, bhi - run_lo, key);
-                const uint32_t *cs = task->col_subjects + base;
-                /* vote: lazy-update counters over the colliding subjects */
-                for (int64_t r = run_lo; r < run_hi; r++) {
-                    const int64_t s = (int64_t)cs[r];
-                    if (counter_v[s] != j) {
-                        counter_v[s] = j;
-                        counter_u[s] = 0;
-                    }
-                    const int64_t u = ++counter_u[s];
-                    if (u > top_count || (u == top_count && s < top_subject)) {
-                        top_count = u;
-                        top_subject = s;
-                    }
-                }
-            }
-            if (top_count >= task->min_hits && top_count > 0) {
-                task->best_subject[j] = top_subject;
-                task->best_count[j] = top_count;
-            } else {
-                task->best_subject[j] = -1;
-                task->best_count[j] = 0;
-            }
-        }
-    }
-    free(counter_u);
-    free(counter_v);
-    free(sketch);
-    task->rc = 0;
-}
-
-static void *map_thread_main(void *arg) {
-    map_segment_range((map_task *)arg);
-    return NULL;
-}
-
-/* Entry point: fused sketch -> lookup -> vote over all segments, split
-   into contiguous blocks across nthreads POSIX threads (inline when
-   nthreads <= 1).  Before the segment loop runs, two shared read-only
-   accelerations are built once: a 256-bucket index per trial column, and
-   a hash-once dedupe table — the query block's distinct values (radix
-   sorted) hashed once per trial, turning the sketch phase into gathers.
-   Dedupe is skipped for tiny blocks, 33-bit values, low duplication
-   (< 1/4 of occurrences) or allocation failure; inline hashing is always
-   correct, just slower.  Returns 0 on success, 1 on allocation failure. */
-int64_t jem_map_kernel(const uint64_t *qvalues, int64_t n,
-                       const int64_t *starts, int64_t nseg,
-                       const uint64_t *a, const uint64_t *b,
-                       const uint64_t *p, int64_t trials,
-                       const uint32_t *col_values,
-                       const uint32_t *col_subjects,
-                       const int64_t *col_offsets,
-                       int64_t n_subjects, int64_t min_hits,
-                       int64_t nthreads,
-                       int64_t *best_subject, int64_t *best_count) {
-    uint64_t *m = (uint64_t *)malloc((size_t)trials * sizeof(uint64_t));
-    int64_t *bucket_lo =
-        (int64_t *)malloc((size_t)trials * 257 * sizeof(int64_t));
-    int64_t *bucket_shift =
-        (int64_t *)malloc((size_t)trials * sizeof(int64_t));
-    if ((m == NULL || bucket_lo == NULL || bucket_shift == NULL)
-        && trials > 0) {
-        free(m);
-        free(bucket_lo);
-        free(bucket_shift);
-        return 1;
-    }
-    for (int64_t t = 0; t < trials; t++)
-        m[t] = (uint64_t)((((u128)1) << 64) / p[t]);
-    build_bucket_index(col_values, col_offsets, trials, bucket_lo,
-                       bucket_shift);
-    uint32_t *hu = NULL;
-    int32_t *inverse = NULL;
-    int64_t n_uniq = 0;
-    if (n >= 64 && n < ((int64_t)1 << 31)) {
-        uint64_t *sa = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-        uint64_t *sb = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-        uint64_t *uniq = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-        inverse = (int32_t *)malloc((size_t)n * sizeof(int32_t));
-        if (sa != NULL && sb != NULL && uniq != NULL && inverse != NULL) {
-            const int64_t nu = dedupe_values(qvalues, n, uniq, inverse, sa, sb);
-            if (nu > 0 && nu <= n - (n >> 2)) {
-                hu = (uint32_t *)malloc((size_t)trials * (size_t)nu
-                                        * sizeof(uint32_t));
-                if (hu != NULL) {
-                    for (int64_t t = 0; t < trials; t++) {
-                        const uint64_t at = a[t], bt = b[t];
-                        const uint64_t pt = p[t], mt = m[t];
-                        uint32_t *row = hu + t * nu;
-                        for (int64_t u = 0; u < nu; u++)
-                            row[u] =
-                                (uint32_t)lcg_hash32(uniq[u], at, bt, pt, mt);
-                    }
-                    n_uniq = nu;
-                }
-            }
-        }
-        free(sa);
-        free(sb);
-        free(uniq);
-        if (n_uniq == 0) {
-            free(inverse);
-            inverse = NULL;
-            free(hu);
-            hu = NULL;
-        }
-    }
-    if (nthreads > nseg) nthreads = nseg;
-    if (nthreads < 1) nthreads = 1;
-    map_task proto = {qvalues, n, starts, nseg, a, b, p, m, trials,
-                      col_values, col_subjects, col_offsets, n_subjects,
-                      min_hits, hu, inverse, n_uniq, bucket_lo, bucket_shift,
-                      0, nseg, best_subject, best_count, 0};
-    int64_t rc = 0;
-    if (nthreads == 1) {
-        map_segment_range(&proto);
-        rc = proto.rc;
-    } else {
-        map_task *tasks = (map_task *)malloc((size_t)nthreads * sizeof(map_task));
-        pthread_t *threads =
-            (pthread_t *)malloc((size_t)nthreads * sizeof(pthread_t));
-        if (tasks == NULL || threads == NULL) {
-            free(tasks);
-            free(threads);
-            free(hu);
-            free(inverse);
-            free(bucket_lo);
-            free(bucket_shift);
-            free(m);
-            return 1;
-        }
-        const int64_t block = (nseg + nthreads - 1) / nthreads;
-        int64_t spawned = 0;
-        for (int64_t k = 0; k < nthreads; k++) {
-            tasks[k] = proto;
-            tasks[k].seg_lo = k * block;
-            tasks[k].seg_hi = (k + 1) * block < nseg ? (k + 1) * block : nseg;
-            if (tasks[k].seg_lo >= tasks[k].seg_hi) break;
-            if (pthread_create(&threads[k], NULL, map_thread_main, &tasks[k])) {
-                /* fall back to running the remainder inline */
-                tasks[k].seg_hi = nseg;
-                map_segment_range(&tasks[k]);
-                if (tasks[k].rc) rc = tasks[k].rc;
-                spawned = k;
-                break;
-            }
-            spawned = k + 1;
-        }
-        for (int64_t k = 0; k < spawned; k++) {
-            pthread_join(threads[k], NULL);
-            if (tasks[k].rc) rc = tasks[k].rc;
-        }
-        free(tasks);
-        free(threads);
-    }
-    free(hu);
-    free(inverse);
-    free(bucket_lo);
-    free(bucket_shift);
-    free(m);
-    return rc;
-}
-
-/* ---- S1: rolling canonical (w, k)-minimizers ----------------------------- */
-
-/* Sequences [seq_lo, seq_hi) of the concatenated 2-bit code buffer, one
-   pass each: the forward and reverse-complement k-mers roll in O(1) per
-   base, `run` counts the valid bases ending here (a k-mer is valid iff
-   run >= k; code 4 resets it), and the minimum of every window of
-   weff = min(w, nk) packed keys (canon << 32) | position comes from the
-   van Herk block scan minimizers_set uses — a running prefix minimum of
-   the current weff-block and in-place suffix minima of the previous one —
-   which, unlike a deque, has no data-dependent branch.  A key is emitted
-   when the window minimum changes; windows of only invalid k-mers carry
-   the sentinel rank and are dropped after the change test, so the output
-   equals minimizers_set bit for bit.  block holds min(w, longest
-   sequence) keys.  Appends to ranks/positions from index 0, writes
-   counts[s] per sequence, returns the number emitted (at most one per
-   base of the range). */
-int64_t jem_minimizer_kernel(const uint8_t *codes, const int64_t *offsets,
-                             int64_t seq_lo, int64_t seq_hi,
-                             int64_t k, int64_t w, uint64_t *block,
-                             uint64_t *ranks, int64_t *positions,
-                             int64_t *counts) {
-    const uint64_t sentinel = 0xffffffffu;
-    const uint64_t kmask = (((uint64_t)1) << (2 * k)) - 1;
-    const int rc_shift = (int)(2 * (k - 1));
-    int64_t m = 0;
-    for (int64_t s = seq_lo; s < seq_hi; s++) {
-        const uint8_t *seq = codes + offsets[s];
-        const int64_t len = offsets[s + 1] - offsets[s];
-        const int64_t nk = len - k + 1;
-        const int64_t weff = w < nk ? w : nk;
-        const int64_t first = m;
-        uint64_t fwd = 0, rc = 0, prefix = UINT64_MAX, prev = UINT64_MAX;
-        int64_t run = 0, b = 0; /* b: slot of k-mer j in its block */
-        for (int64_t i = 0; i < len; i++) {
-            const uint64_t c = seq[i] & 3;
-            run = (seq[i] == 4) ? 0 : run + 1;
-            fwd = ((fwd << 2) | c) & kmask;
-            rc = (rc >> 2) | ((c ^ 3) << rc_shift);
-            const int64_t j = i - k + 1; /* k-mer index */
-            if (j < 0) continue;
-            const uint64_t canon = run >= k ? (fwd < rc ? fwd : rc) : sentinel;
-            const uint64_t key = (canon << 32) | (uint64_t)j;
-            /* slot b's suffix minimum was read one step ago: reuse it */
-            block[b] = key;
-            if (key < prefix) prefix = key;
-            uint64_t cur = prefix;
-            if (++b < weff) {
-                if (j < weff) continue; /* first block: no full window yet */
-                if (block[b] < cur) cur = block[b];
-            } else { /* block full: its suffix minima serve the next one */
-                for (int64_t q = weff - 1; q > 0; q--)
-                    if (block[q] < block[q - 1]) block[q - 1] = block[q];
-                b = 0;
-                prefix = UINT64_MAX;
-            }
-            if (cur == prev) continue;
-            prev = cur;
-            if ((cur >> 32) == sentinel) continue;
-            ranks[m] = cur >> 32;
-            positions[m++] = (int64_t)(cur & sentinel);
-        }
-        counts[s] = m - first;
-    }
-    return m;
-}
-"""
+#: No ``-pthread``: the C starts no thread (:func:`repro.sketch._native.thread_map` does).
+_FLAGS = ("-O3", "-shared", "-fPIC")
 
 #: Seconds a compile may take before it is killed and reported as failed.
 _TIMEOUT_S = 120
@@ -677,13 +89,18 @@ def _mine() -> _Compile | None:
     return _running if _running is not None and _running.pid == os.getpid() else None
 
 
+@functools.cache
+def _source() -> bytes:
+    return SOURCE_PATH.read_bytes()
+
+
 def _spawn(cache: Path, stem: str) -> _Compile:
     global _running
     pid = os.getpid()
     c_path = cache / f"{stem}.c"
     tmp_c = cache / f".{stem}.{pid}.c"
     try:
-        tmp_c.write_text(SOURCE)
+        tmp_c.write_bytes(_source())
         os.replace(tmp_c, c_path)  # every cold process shares this name: whole or absent
     except BaseException:
         tmp_c.unlink(missing_ok=True)
@@ -691,8 +108,7 @@ def _spawn(cache: Path, stem: str) -> _Compile:
     tmp_so = cache / f".{stem}.{pid}.so"
     child = subprocess.Popen(
         [
-            os.environ.get("CC", "cc"), "-O3", "-shared", "-fPIC", "-pthread",
-            "-o", os.fspath(tmp_so), os.fspath(c_path),
+            os.environ.get("CC", "cc"), *_FLAGS, "-o", os.fspath(tmp_so), os.fspath(c_path),
         ],
         stdin=subprocess.DEVNULL,
         stdout=subprocess.DEVNULL,
@@ -744,7 +160,8 @@ atexit.register(_abandon)
 
 
 def _locate() -> tuple[Path, str]:
-    stem = "jem_kernels_" + hashlib.sha256(SOURCE.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(_source() + " ".join(_FLAGS).encode())
+    stem = "jem_kernels_" + digest.hexdigest()[:16]
     return _cache_dir(), stem
 
 

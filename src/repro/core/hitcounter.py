@@ -10,9 +10,9 @@ Three interchangeable implementations:
   pairs; processes the entire query set at once.
 * :func:`count_hits_fused` — the fused native path: hands the *pre-sketch*
   minimizer block to :meth:`ColumnarSketchStore.lookup_fused`, which runs
-  sketch → per-trial binary search → lazy-update vote in one multi-threaded
-  C pass.  Available only for columnar stores with the compiled kernels
-  loaded; returns ``None`` otherwise so callers fall back.
+  sketch → per-trial binary search → lazy-update vote in one C pass.
+  Available only for columnar stores with the compiled kernels loaded;
+  returns ``None`` otherwise so callers fall back.
 
 All return identical results (unit tests enforce parity); ties on the
 maximum hit count are broken toward the smallest subject id so output is
@@ -120,7 +120,6 @@ def count_hits_fused(
     min_hits: int = 1,
     n_queries: int | None = None,
     nonempty: np.ndarray | None = None,
-    threads: int | None = None,
 ) -> BestHits | None:
     """Fused native best-hit selection, or ``None`` when unsupported.
 
@@ -140,10 +139,7 @@ def count_hits_fused(
     lookup_fused = getattr(table, "lookup_fused", None)
     if lookup_fused is None:
         return None
-    fused = lookup_fused(
-        minimizer_values, segment_starts, family,
-        min_hits=min_hits, threads=threads,
-    )
+    fused = lookup_fused(minimizer_values, segment_starts, family, min_hits=min_hits)
     if fused is None:
         return None
     subject, count = fused

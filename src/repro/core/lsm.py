@@ -229,19 +229,19 @@ class IndexGeneration:
         family,
         *,
         min_hits: int = 1,
-        threads: int | None = None,
     ):
         """Fused native S4 pass — only on the clean (compacted) shape.
 
         A dirty generation returns ``None`` so callers fall back to the
         numpy merge path; after :meth:`MutableSketchStore.compact` the
-        single sealed segment answers through its cached ``flat_columns``
-        exactly as an immutable index would.
+        single sealed segment answers exactly as an immutable index would,
+        through the native context it opens at its first fused lookup —
+        once per installed generation, the segment being new with it.
         """
         if not self.is_clean:
             return None
         return self.segments[0].lookup_fused(
-            query_values, query_starts, family, min_hits=min_hits, threads=threads
+            query_values, query_starts, family, min_hits=min_hits
         )
 
     def values_of_trial(self, t: int) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..errors import MappingError
 from ..seq.records import SequenceSet
+from ..sketch import _native
 from ..sketch.hashing import HashFamily
 from ..sketch.jem import (
     query_kernel,
@@ -101,32 +102,54 @@ def map_segment_batch(
     The one place sketch + lookup + vote happens: :class:`JEMMapper`, the
     parallel driver's per-block S4 stage and the service's inline path all
     call this, so every frontend takes the same route.  When the store is
-    columnar and the compiled kernels are loaded, the whole pipeline runs
-    as one fused multi-threaded C pass
-    (:func:`~repro.core.hitcounter.count_hits_fused`); otherwise the numpy
-    path — the per-trial sketch kernel feeding
+    columnar and the compiled kernels are loaded, each range of segments
+    is one minimizer pass and then one fused C pass on the store's open
+    native context (:func:`~repro.core.hitcounter.count_hits_fused`);
+    otherwise the numpy path — the per-trial sketch kernel feeding
     :func:`~repro.core.hitcounter.count_hits_vectorised` — runs on the
     *same* pre-extracted minimizer block, so the fallback never re-extracts
     minimizers.  Both routes are bit-identical (the parity oracle contract;
-    ``REPRO_NO_NATIVE=1`` forces the numpy route), at any ``threads`` count
-    of the minimizer and fused passes (None:
-    :func:`~repro.sketch._native.thread_count`).
+    ``REPRO_NO_NATIVE=1`` forces the numpy route).
+
+    A batch whose segments are worth it
+    (:data:`~repro.sketch._native.MIN_THREAD_MAP_BASES` a thread) is cut
+    into one range per thread, S1 then S4 of a range being one item of
+    :func:`~repro.sketch._native.thread_map` on ``threads`` threads (None:
+    :func:`~repro.sketch._native.thread_count`); segments are independent,
+    so the rows are the same at any count.  A served batch, a one-CPU mask
+    and the numpy route are one range, mapped inline.
     """
-    has, nonempty, values, starts = query_minimizer_concat(
-        segments, config.k, config.w, threads=threads
-    )
-    hits = count_hits_fused(
-        table, values, starts, family,
-        min_hits=config.min_hits, n_queries=len(segments), nonempty=nonempty,
-        threads=threads,
-    )
-    if hits is None:
-        sketch_values = np.zeros((family.size, len(segments)), dtype=np.uint64)
-        if nonempty.size:
-            sketch_values[:, nonempty] = query_kernel(values, starts, family)
-        hits = count_hits_vectorised(
-            table, sketch_values, min_hits=config.min_hits, query_mask=has
+    shares = 1
+    if hasattr(table, "lookup_fused") and _native.load() is not None:
+        shares = _native.thread_shares(
+            segments.total_bases, _native.MIN_THREAD_MAP_BASES, threads
         )
+    # one range a thread: every further one is ≈ 0.1 ms of Python under the GIL
+    ranges = _native.thread_ranges(len(segments), shares, per_thread=1)
+
+    def map_range(bounds: tuple[int, int]) -> BestHits:
+        part = segments if len(ranges) == 1 else segments.slice(*bounds)
+        has, nonempty, values, starts = query_minimizer_concat(
+            part, config.k, config.w, threads=1 if shares > 1 else threads
+        )
+        hits = count_hits_fused(
+            table, values, starts, family,
+            min_hits=config.min_hits, n_queries=len(part), nonempty=nonempty,
+        )
+        if hits is None:
+            sketch_values = np.zeros((family.size, len(part)), dtype=np.uint64)
+            if nonempty.size:
+                sketch_values[:, nonempty] = query_kernel(values, starts, family)
+            hits = count_hits_vectorised(
+                table, sketch_values, min_hits=config.min_hits, query_mask=has
+            )
+        return hits
+
+    parts = _native.thread_map(map_range, ranges, shares)
+    hits = parts[0] if len(parts) == 1 else BestHits(
+        np.concatenate([part.subject for part in parts]),
+        np.concatenate([part.count for part in parts]),
+    )
     return MappingResult.from_best_hits(segments.names, hits, infos)
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import SequenceError
-from ..seq.records import SequenceSet, SequenceSetBuilder
+from ..seq.records import SequenceSet
 
 __all__ = ["PREFIX", "SUFFIX", "SegmentInfo", "extract_end_segments"]
 
@@ -63,7 +65,9 @@ def extract_end_segments(
 
     Reads shorter than ℓ contribute their full sequence as both prefix and
     suffix (the two segments then coincide, which is what mapping the "ends"
-    of such a read degenerates to).  Empty reads are rejected.
+    of such a read degenerates to).  Empty reads are rejected.  The 2m
+    source ranges are worked out from the offsets at once and copied out
+    of the read buffer by one concatenate.
 
     Returns
     -------
@@ -73,19 +77,30 @@ def extract_end_segments(
     """
     if ell < 1:
         raise SequenceError(f"segment length must be >= 1, got {ell}")
-    builder = SequenceSetBuilder()
-    infos: list[SegmentInfo] = []
-    for i in range(len(reads)):
-        codes = reads.codes_of(i)
-        if codes.size == 0:
-            raise SequenceError(f"read {reads.names[i]!r} is empty")
-        name = reads.names[i]
-        meta = reads.metas[i]
-        n = codes.size
-        prefix = codes[: min(ell, n)]
-        suffix = codes[max(0, n - ell) :]
-        builder.add(f"{name}/{PREFIX}", prefix, _segment_meta(meta, PREFIX, n, ell))
-        infos.append(SegmentInfo(read_index=i, kind=PREFIX))
-        builder.add(f"{name}/{SUFFIX}", suffix, _segment_meta(meta, SUFFIX, n, ell))
-        infos.append(SegmentInfo(read_index=i, kind=SUFFIX))
-    return builder.build(), infos
+    lengths = reads.lengths
+    seg_len = np.minimum(lengths, ell)
+    if not seg_len.all():
+        raise SequenceError(f"read {reads.names[int(np.argmin(seg_len))]!r} is empty")
+    m = len(reads)
+    lo = np.empty(2 * m, dtype=np.int64)
+    lo[0::2] = reads.offsets[:-1]
+    lo[1::2] = reads.offsets[1:] - seg_len
+    seg_lens = np.repeat(seg_len, 2)
+    offsets = np.zeros(2 * m + 1, dtype=np.int64)
+    np.cumsum(seg_lens, out=offsets[1:])
+    ends = zip(lo.tolist(), (lo + seg_lens).tolist())
+    buffer = np.concatenate([reads.buffer[a:b] for a, b in ends]) if m else reads.buffer[:0]
+    kinds = (PREFIX, SUFFIX)
+    return (
+        SequenceSet(
+            buffer,
+            offsets,
+            [f"{name}/{kind}" for name in reads.names for kind in kinds],
+            [
+                _segment_meta(meta, kind, n, ell)
+                for meta, n in zip(reads.metas, lengths.tolist())
+                for kind in kinds
+            ],
+        ),
+        [SegmentInfo(read_index=i, kind=kind) for i in range(m) for kind in kinds],
+    )

@@ -30,6 +30,7 @@ the invariant the cross-frontend parity suite pins down.
 from __future__ import annotations
 
 import sys
+import threading
 from collections.abc import Iterable, Iterator
 from typing import Protocol, runtime_checkable
 
@@ -59,6 +60,15 @@ STORE_KINDS = ("columnar", "dict")
 DEFAULT_STORE_KIND = "columnar"
 
 _LOW32 = np.uint64(0xFFFFFFFF)
+
+#: Held while a store folds its columns and opens its native map context.
+_OPEN_LOCK = threading.Lock()
+
+
+def _same_family(held, family) -> bool:
+    return held is family or all(
+        np.array_equal(getattr(held, c), getattr(family, c)) for c in "abp"
+    )
 
 
 class TrialHits:
@@ -226,7 +236,7 @@ class ColumnarSketchStore:
     ready for zero-copy publication in shared memory.
     """
 
-    __slots__ = ("values", "subjects", "n_subjects", "_flat")
+    __slots__ = ("values", "subjects", "n_subjects", "_flat", "_ctx")
 
     def __init__(
         self,
@@ -245,6 +255,15 @@ class ColumnarSketchStore:
                 raise SketchError("value columns must be sorted")
         self.n_subjects = int(n_subjects)
         self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._ctx = None  # the open native map context, see lookup_fused
+
+    def __getstate__(self) -> tuple:
+        """The columns only: a native context is a pointer into this process."""
+        return self.values, self.subjects, self.n_subjects
+
+    def __setstate__(self, state: tuple) -> None:
+        self.values, self.subjects, self.n_subjects = state
+        self._flat = self._ctx = None
 
     @classmethod
     def from_trial_keys(
@@ -301,10 +320,11 @@ class ColumnarSketchStore:
         Returns ``(values, subjects, offsets)`` where trial ``t`` occupies
         ``values[offsets[t]:offsets[t+1]]`` (and the same slice of
         ``subjects``) — the columns concatenated on the first call and
-        cached.  The per-trial lists are re-pointed at views of the flat
-        arrays, so the store holds its columns once.  (Not done at
-        construction: a shared-memory shard or a generation that never maps
-        fused would pay a private copy for nothing.)
+        cached; the native map context opened over them is cached by
+        :meth:`lookup_fused`, not here.  The per-trial lists are re-pointed
+        at views of the flat arrays, so the store holds its columns once.
+        (Not done at construction: a shared-memory shard or a generation
+        that never maps fused would pay a private copy for nothing.)
         """
         if self._flat is None:
             offsets = np.zeros(self.trials + 1, dtype=np.int64)
@@ -325,7 +345,6 @@ class ColumnarSketchStore:
         family,
         *,
         min_hits: int = 1,
-        threads: int | None = None,
     ) -> "tuple[np.ndarray, np.ndarray] | None":
         """Fused native S4: sketch → lookup → vote in one C pass.
 
@@ -334,12 +353,19 @@ class ColumnarSketchStore:
         :func:`~repro.sketch.jem.query_kernel` layout — *pre-sketch*, so
         the native kernel hashes, binary-searches the value columns and
         runs the paper's lazy-update vote without ever materialising the
-        (T, n) sketch matrix in Python).  Returns per-segment
-        ``(best_subject, best_count)`` int64 arrays (-1/0 unmapped),
-        bit-identical to sketching with :func:`query_kernel` and voting
-        with :func:`~repro.core.hitcounter.count_hits_vectorised`; or
+        (T, n) sketch matrix in Python; a segment may be empty).  Returns
+        per-segment ``(best_subject, best_count)`` int64 arrays (-1/0
+        unmapped), bit-identical to sketching with :func:`query_kernel` and
+        voting with :func:`~repro.core.hitcounter.count_hits_vectorised`; or
         ``None`` when the native library is unavailable (callers fall
         back to the numpy path).
+
+        The first call opens the store's native context
+        (:meth:`~repro.sketch._native.NativeKernels.map_open`: the kernel's
+        set-up, a pass over every entry) over :meth:`flat_columns`; later
+        calls — from any thread — reuse it, and a call with another hash
+        family replaces it.  It is never pickled or shared: every process,
+        and every store attached to one shared segment, opens its own.
         """
         from ..sketch import _native
 
@@ -350,18 +376,18 @@ class ColumnarSketchStore:
             raise SketchError(
                 f"{family.size} hash trials vs store with {self.trials}"
             )
-        query_values = np.ascontiguousarray(_check_query_values(query_values))
-        flat_values, flat_subjects, offsets = self.flat_columns()
-        return native.map_block(
-            query_values,
+        ctx = self._ctx
+        if ctx is None or not _same_family(ctx.family, family):
+            with _OPEN_LOCK:  # threads that arrive together: one fold, one open
+                ctx = self._ctx
+                if ctx is None or not _same_family(ctx.family, family):
+                    ctx = self._ctx = native.map_open(
+                        *self.flat_columns(), family, self.n_subjects
+                    )
+        return ctx.map(
+            np.ascontiguousarray(_check_query_values(query_values)),
             np.ascontiguousarray(query_starts, dtype=np.int64),
-            family,
-            flat_values,
-            flat_subjects,
-            offsets,
-            self.n_subjects,
-            min_hits=min_hits,
-            threads=threads,
+            min_hits,
         )
 
     # -- protocol ----------------------------------------------------------

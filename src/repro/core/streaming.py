@@ -23,8 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BATCH_BASES", "iter_records", "iter_batches", "map_reads_stream", "map_file"]
 
-#: Bases per batch (≈ 200 HiFi reads, ≈ 800 contigs): per-batch kernel set-up
-#: is ≈ 1 ms, and a batch — resident twice while it is concatenated — is 4 MB.
+#: Bases per batch (≈ 200 HiFi reads, ≈ 800 contigs): enough kernel work —
+#: ≈ 4 ms of S1 + S4 over the reads' end segments — to be worth a second
+#: thread, and a batch, resident twice while it is concatenated, is 4 MB.
 #: No command has a flag for it; a sequence longer than this is a batch alone.
 BATCH_BASES = 1 << 21
 

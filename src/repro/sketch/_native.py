@@ -10,10 +10,10 @@ and binds it (:class:`NativeKernels`).
 
 ctypes releases the GIL for every call, so kernel calls on different
 threads run on different cores.  :func:`thread_count` says how many to use:
-``jem_map_kernel`` loops over segment blocks on that many pthreads itself,
-and the minimizer (S1) and subject-sketch (S2) passes are cut into that
-many independent calls whose results are joined in input order
-(:func:`thread_map`) — the paper's block partition in shared memory.
+the minimizer (S1), subject-sketch (S2) and map (S1 then S4 per range of
+segments) passes are each cut into independent calls whose results are
+joined in input order (:func:`thread_map`) — the paper's block partition
+in shared memory, and the only threading there is: the C starts no thread.
 Every kernel's output is bit-identical at any thread count.
 
 Availability is strictly optional: if no compiler is present, compilation
@@ -28,6 +28,7 @@ import os
 import subprocess
 import threading
 import warnings
+import weakref
 from collections.abc import Callable, Sequence
 from typing import TypeVar
 
@@ -36,8 +37,8 @@ import numpy as np
 from .. import _native_build
 
 __all__ = [
-    "load", "load_error", "thread_count", "thread_shares", "thread_map",
-    "availability", "NativeKernels",
+    "load", "load_error", "thread_count", "thread_shares", "thread_ranges", "thread_map",
+    "availability", "NativeKernels", "MapContext",
 ]
 
 _T = TypeVar("_T")
@@ -51,13 +52,15 @@ _R = TypeVar("_R")
 #: (w = 100 fills 2 %) would make a whole 2 MiB resident per array touched.
 _BLOCK_BASES = 1 << 18
 
-#: Least work worth a thread of its own, ≈ 1 ms of kernel either way — bases
-#: for S1 (≈ 4 ns each), trial-row entries for S2 (≈ 40 ns each).  Starting,
-#: binding and joining a thread costs ≈ 0.15 ms and each further call
-#: ≈ 0.04 ms, so a served batch, a read batch's end segments and an added
-#: contig stay inline; a 2-Mi-base block of contigs does not.
+#: Least work worth a thread of its own, ≈ 1 ms of kernel each way — bases
+#: for S1 (≈ 4 ns each), trial-row entries for S2 (≈ 40 ns each), end-segment
+#: bases for a map batch's S1 + S4 (≈ 10 ns each).  Starting, binding and
+#: joining a thread costs ≈ 0.15 ms and each further call ≈ 0.04 ms, so a
+#: served batch and an added contig stay inline; a 2-Mi-base block of contigs
+#: or of reads (≈ 0.4 Mi bases of end segments) does not.
 MIN_THREAD_BASES = 1 << 18
 MIN_THREAD_ENTRIES = 1 << 15
+MIN_THREAD_MAP_BASES = 1 << 17
 
 #: Kernel calls a threaded pass is cut into, per thread: :func:`thread_map`
 #: hands them out one at a time, so this is how finely a slow thread's work
@@ -76,6 +79,17 @@ def thread_shares(work: int, least: int, threads: int | None) -> int:
     too little for two (a served batch: the count is not even looked up)."""
     most = work // least
     return 1 if most < 2 else min(thread_count(threads), most)
+
+
+def thread_ranges(
+    n: int, shares: int, per_thread: int = _CALLS_PER_THREAD
+) -> list[tuple[int, int]]:
+    """``[0, n)`` cut into the ``(lo, hi)`` calls of a pass on ``shares``
+    threads: whole for one thread, else ``per_thread`` even ranges a
+    thread (fewer when ``n`` is)."""
+    calls = max(min(shares * per_thread, n), 1) if shares > 1 else 1
+    cuts = [n * i // calls for i in range(calls + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def thread_map(fn: Callable[[_T], _R], items: Sequence[_T], threads: int) -> list[_R]:
@@ -142,14 +156,19 @@ class NativeKernels:
             u64p, i64p, i64, u64p, u64p, u64p, u64p, i64, u64p, u64p, u64p, i64p,
         ]
         dll.jem_subject_kernel.restype = None
-        dll.jem_map_kernel.argtypes = [
-            u64p, i64, i64p, i64,          # qvalues, n, starts, nseg
-            u64p, u64p, u64p, i64,         # a, b, p, trials
-            u32p, u32p, i64p,              # col_values, col_subjects, col_offsets
-            i64, i64, i64,                 # n_subjects, min_hits, nthreads
-            i64p, i64p,                    # best_subject, best_count
+        void_p = ctypes.c_void_p
+        dll.jem_ctx_open.argtypes = [
+            u32p, u32p, i64p, i64,         # col_values, col_subjects, col_offsets, trials
+            u64p, u64p, u64p, i64,         # a, b, p, n_subjects
         ]
-        dll.jem_map_kernel.restype = ctypes.c_int64
+        dll.jem_ctx_open.restype = void_p
+        dll.jem_map_ctx.argtypes = [       # arrays by address: bound per call, not converted
+            void_p, void_p, i64, void_p, i64,  # handle, qvalues, n, starts, nseg
+            i64, void_p, void_p,               # min_hits, best_subject, best_count
+        ]
+        dll.jem_map_ctx.restype = i64
+        dll.jem_ctx_close.argtypes = [void_p]
+        dll.jem_ctx_close.restype = None
         dll.jem_minimizer_kernel.argtypes = [
             ctypes.POINTER(ctypes.c_uint8), i64p, i64, i64,  # codes, offsets, lo, hi
             i64, i64, u64p,                                  # k, w, block
@@ -287,8 +306,6 @@ class NativeKernels:
         )
 
         shares = min(thread_shares(trials * n, MIN_THREAD_ENTRIES, threads), trials)
-        calls = min(shares * _CALLS_PER_THREAD, trials) if shares > 1 else 1
-        cuts = [trials * i // calls for i in range(calls + 1)]
         # deque and radix-sort scratch: one pair per thread, taken for a call
         scratch = [np.empty((2, n), dtype=u64) for _ in range(shares)]
 
@@ -307,63 +324,83 @@ class NativeKernels:
             )
             scratch.append(mine)
 
-        thread_map(sketch_rows, [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])], shares)
+        thread_map(sketch_rows, [slice(*r) for r in thread_ranges(trials, shares)], shares)
         return counts
 
-    def map_block(
+    def map_open(
         self,
-        values: np.ndarray,
-        starts: np.ndarray,
-        family,
         col_values: np.ndarray,
         col_subjects: np.ndarray,
         col_offsets: np.ndarray,
+        family,
         n_subjects: int,
-        *,
-        min_hits: int = 1,
-        threads: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused S4 over one query block: sketch → lookup → vote in C.
+    ) -> "MapContext":
+        """Open the fused S4 context of one store and hash family.
 
-        ``values``/``starts`` are the concatenated minimizer ranks and
-        per-segment offsets (the :func:`query_kernel` layout); the three
-        column arrays are the columnar store's flattened per-trial sorted
-        value/subject columns with ``col_offsets`` (trials + 1) marking the
-        trial boundaries.  Returns per-segment ``(best_subject, best_count)``
-        int64 arrays (-1/0 for unmapped).  ``threads`` defaults to
-        :func:`thread_count`; ctypes releases the GIL for the call, and the
-        pthread block loop inside the extension is real parallelism.
-
-        Overlapping read segments repeat minimizer values heavily, so the
-        kernel radix-sorts the block's values and hashes each distinct one
-        once per trial (a gather table) instead of once per occurrence,
-        and probes each trial column through a 256-bucket index rather
-        than a full-width binary search.
+        The three column arrays are the columnar store's flattened per-trial
+        sorted value/subject columns with ``col_offsets`` (trials + 1)
+        marking the trial boundaries.  S4's set-up — the Barrett constants
+        and a 256-bucket index per trial column, a pass over every store
+        entry — is paid here, not per :meth:`MapContext.map` call.
         """
-        u64, u32, i64 = np.uint64, np.uint32, np.int64
-        nseg = starts.size
-        best_subject = np.empty(nseg, dtype=i64)
-        best_count = np.empty(nseg, dtype=i64)
-        rc = self._dll.jem_map_kernel(
-            self._ptr(values, u64, ctypes.c_uint64),
-            ctypes.c_int64(values.size),
-            self._ptr(starts, i64, ctypes.c_int64),
-            ctypes.c_int64(nseg),
-            self._ptr(family.a, u64, ctypes.c_uint64),
-            self._ptr(family.b, u64, ctypes.c_uint64),
-            self._ptr(family.p, u64, ctypes.c_uint64),
-            ctypes.c_int64(family.size),
-            self._ptr(col_values, u32, ctypes.c_uint32),
-            self._ptr(col_subjects, u32, ctypes.c_uint32),
-            self._ptr(col_offsets, i64, ctypes.c_int64),
-            ctypes.c_int64(n_subjects),
-            ctypes.c_int64(min_hits),
-            ctypes.c_int64(thread_count(threads)),
-            self._ptr(best_subject, i64, ctypes.c_int64),
-            self._ptr(best_count, i64, ctypes.c_int64),
+        handle = self._dll.jem_ctx_open(
+            self._ptr(col_values, np.uint32, ctypes.c_uint32),
+            self._ptr(col_subjects, np.uint32, ctypes.c_uint32),
+            self._ptr(col_offsets, np.int64, ctypes.c_int64),
+            family.size,
+            self._ptr(family.a, np.uint64, ctypes.c_uint64),
+            self._ptr(family.b, np.uint64, ctypes.c_uint64),
+            self._ptr(family.p, np.uint64, ctypes.c_uint64),
+            n_subjects,
+        )
+        if not handle:  # pragma: no cover - only on malloc failure
+            raise MemoryError("jem_ctx_open: allocation failure")
+        return MapContext(self._dll, handle, family, (col_values, col_subjects, col_offsets))
+
+
+class MapContext:
+    """One store's open ``jem_ctx``: fused S4 — sketch → lookup → vote in C.
+
+    Read-only once open, so calls on several threads may share it.  It
+    keeps the column arrays it points into alive and is closed when the
+    last reference to it goes — with the store that owns it, or after a
+    call still running on another thread when the store replaced it.
+    """
+
+    def __init__(self, dll: ctypes.CDLL, handle: int, family, columns: tuple) -> None:
+        self.family = family
+        self._columns = columns
+        self._handle = handle
+        self._map = dll.jem_map_ctx
+        weakref.finalize(self, dll.jem_ctx_close, handle)
+
+    def map(
+        self, values: np.ndarray, starts: np.ndarray, min_hits: int = 1
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-segment ``(best_subject, best_count)`` int64 arrays (-1/0 for
+        unmapped, as for a segment with no minimizer) of one query block:
+        ``values``/``starts`` are the concatenated minimizer ranks and
+        per-segment offsets (the :func:`~repro.sketch.jem.query_kernel`
+        layout).  Overlapping read segments repeat minimizer values heavily,
+        so the kernel radix-sorts the block's values and hashes each distinct
+        one once per trial (a gather table) instead of once per occurrence.
+        """
+        n, nseg = values.size, starts.size
+        if (
+            values.dtype != np.uint64 or starts.dtype != np.int64
+            or not (values.flags.c_contiguous and starts.flags.c_contiguous)
+        ):
+            raise ValueError("native kernel inputs must be contiguous and typed")
+        if nseg and (starts[0] < 0 or starts[-1] > n or (starts[1:] < starts[:-1]).any()):
+            raise ValueError("segment starts must be non-decreasing and inside values")
+        best_subject = np.empty(nseg, dtype=np.int64)
+        best_count = np.empty(nseg, dtype=np.int64)
+        rc = self._map(
+            self._handle, values.ctypes.data, n, starts.ctypes.data, nseg,
+            min_hits, best_subject.ctypes.data, best_count.ctypes.data,
         )
         if rc != 0:  # pragma: no cover - only on malloc failure
-            raise MemoryError("jem_map_kernel: allocation failure")
+            raise MemoryError("jem_map_ctx: allocation failure")
         return best_subject, best_count
 
 
@@ -419,8 +456,8 @@ def thread_count(requested: int | None = None) -> int:
     where the platform has one, else the machine's count) — a server
     pinned to one core sketches and maps inline instead of starting
     threads that share that core.  Read per call so tests and operators
-    can change it without reloading modules.  It counts the map kernel's
-    pthreads and the concurrent S1/S2 kernel calls (:func:`thread_map`).
+    can change it without reloading modules.  It counts the concurrent
+    kernel calls of a pass (:func:`thread_map`).
     """
     if requested is not None:
         return max(int(requested), 1)

@@ -1,0 +1,516 @@
+/* The compiled sketch kernels — built and cached by repro/_native_build.py,
+   bound by repro/sketch/_native.py, and all bit-identical to the per-trial
+   numpy functions in repro/sketch/jem.py and repro/sketch/minimizers.py (the
+   test suite asserts the equivalence):
+
+   jem_minimizer_kernel — step 1 for S2 and S4 alike: per sequence, one
+     rolling pass over the 2-bit codes (forward and reverse-complement k-mer
+     updated in O(1) per base, a branch-free block-scan window minimum) to
+     the concatenated minimizer block — ranks, positions, per-sequence counts;
+   jem_query_kernel — per trial, one sequential sweep hashing each minimizer
+     with a Barrett-reduced LCG and tracking the packed (hash << 32) | index
+     minimum per segment;
+   jem_subject_kernel — per trial, the same Barrett hash plus an O(n)
+     monotone-deque sliding-window minimum over the l-interval ends, keeping
+     a packed (value << 32) | subject key only where it differs from the
+     previous interval's and radix-sorting what is kept into the trial's list;
+   jem_ctx_open / jem_map_ctx / jem_ctx_close — the whole S4 query pipeline
+     fused, on a context opened once per store: per segment and per trial,
+     sketch (Barrett hash + packed-key minimum), bucketed branchless binary
+     search over the columnar store's sorted per-trial value columns, and the
+     paper's lazy-update vote counter A[1..n] — one pass from minimizer ranks
+     to per-segment best hits.
+
+   The minimizer pass packs the same (canon << 32) | position keys as
+   minimizers_set, Barrett reduction computes the exact x mod p (one
+   conditional subtract corrects the floor estimate), and tie-breaking uses
+   the same packed keys.  No kernel starts a thread or keeps state between
+   calls beyond the read-only context, and each writes only the buffers it is
+   handed, which is what lets the bindings run several calls at once. */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef unsigned __int128 u128;
+
+/* Exact x mod p for p in [2, 2^63) via Barrett reduction: with
+   m = floor(2^64 / p) the estimate q = (x * m) >> 64 is either the true
+   quotient or one less, so a single conditional subtract corrects r. */
+static inline uint64_t barrett_mod(uint64_t x, uint64_t p, uint64_t m) {
+    uint64_t q = (uint64_t)(((u128)x * m) >> 64);
+    uint64_t r = x - q * p;
+    if (r >= p) r -= p;
+    return r;
+}
+
+/* h_t(x) = (a * (x mod p) + b) mod p — the product stays below 2^62
+   because a < p < 2^31 and (x mod p) < p < 2^31. */
+static inline uint64_t lcg_hash(uint64_t x, uint64_t a, uint64_t b,
+                                uint64_t p, uint64_t m) {
+    return barrett_mod(a * barrett_mod(x, p, m) + b, p, m);
+}
+
+/* S4: per trial and per segment [starts[j], starts[j+1]), the minimizer
+   value minimising (hash << 32) | index.  out is (trials, nseg). */
+void jem_query_kernel(const uint64_t *values, int64_t n,
+                      const int64_t *starts, int64_t nseg,
+                      const uint64_t *a, const uint64_t *b,
+                      const uint64_t *p, int64_t trials,
+                      uint64_t *out) {
+    for (int64_t t = 0; t < trials; t++) {
+        const uint64_t at = a[t], bt = b[t], pt = p[t];
+        const uint64_t mt = (uint64_t)((((u128)1) << 64) / pt);
+        uint64_t *row = out + t * nseg;
+        for (int64_t j = 0; j < nseg; j++) {
+            const int64_t lo = starts[j];
+            const int64_t hi = (j + 1 < nseg) ? starts[j + 1] : n;
+            uint64_t best = UINT64_MAX;
+            for (int64_t i = lo; i < hi; i++) {
+                uint64_t key = (lcg_hash(values[i], at, bt, pt, mt) << 32)
+                               | (uint64_t)i;
+                if (key < best) best = key;
+            }
+            row[j] = values[best & 0xffffffffu];
+        }
+    }
+}
+
+/* LSD radix sort of uint64 keys by the bytes from bit `shift` up (32: the
+   value half of a packed (value << 32) | index key); stable, so ties keep
+   their input order.  Returns whichever scratch holds the sorted data.
+   Passes where every key shares the same byte (common for narrow key
+   spaces) are skipped. */
+static uint64_t *radix_sort_u64(uint64_t *src, uint64_t *dst, int64_t n,
+                                int shift) {
+    for (int sh = shift; sh < 64; sh += 8) {
+        int64_t count[256];
+        memset(count, 0, sizeof(count));
+        for (int64_t i = 0; i < n; i++) count[(src[i] >> sh) & 0xff]++;
+        int uniform = 0;
+        for (int b = 0; b < 256; b++)
+            if (count[b] == n) { uniform = 1; break; }
+        if (uniform) continue;
+        int64_t offs[256];
+        int64_t acc = 0;
+        for (int b = 0; b < 256; b++) { offs[b] = acc; acc += count[b]; }
+        for (int64_t i = 0; i < n; i++)
+            dst[offs[(src[i] >> sh) & 0xff]++] = src[i];
+        uint64_t *tmp = src; src = dst; dst = tmp;
+    }
+    return src;
+}
+
+/* S2: per trial, a monotone-deque sliding minimum of the packed keys
+   (hash << 32) | index over the half-open index intervals [i, ends[i])
+   (ends is non-decreasing and ends[i] > i).  Hashing is fused into the
+   deque push — every element is pushed exactly once — and the deque
+   stores the packed keys themselves, so the hot compare loop has no
+   indirection.  The packed sketch key (values[argmin] << 32) |
+   subject_ids[i] is kept only when it differs from the previous
+   interval's (overlapping intervals mostly share their minimum); the kept
+   keys are then radix-sorted and deduped, leaving counts[t] sorted
+   distinct keys in row t of out (trials, n).  deque_scratch and
+   sort_scratch hold n entries each. */
+void jem_subject_kernel(const uint64_t *values, const int64_t *ends,
+                        int64_t n, const uint64_t *subject_ids,
+                        const uint64_t *a, const uint64_t *b,
+                        const uint64_t *p, int64_t trials,
+                        uint64_t *deque_scratch, uint64_t *sort_scratch,
+                        uint64_t *out, int64_t *counts) {
+    for (int64_t t = 0; t < trials; t++) {
+        const uint64_t at = a[t], bt = b[t], pt = p[t];
+        const uint64_t mt = (uint64_t)((((u128)1) << 64) / pt);
+        uint64_t *row = out + t * n;
+        int64_t head = 0, tail = 0, r = 0, m = 0;
+        for (int64_t i = 0; i < n; i++) {
+            while (r < ends[i]) {
+                const uint64_t k = (lcg_hash(values[r], at, bt, pt, mt) << 32)
+                                   | (uint64_t)r;
+                while (tail > head && deque_scratch[tail - 1] > k)
+                    tail--;
+                deque_scratch[tail++] = k;
+                r++;
+            }
+            while ((int64_t)(deque_scratch[head] & 0xffffffffu) < i)
+                head++;
+            const uint64_t win = deque_scratch[head];
+            const uint64_t key =
+                (values[win & 0xffffffffu] << 32) | subject_ids[i];
+            if (m == 0 || key != row[m - 1]) row[m++] = key;
+        }
+        const uint64_t *sorted = radix_sort_u64(row, sort_scratch, m, 0);
+        int64_t kept = 0;
+        for (int64_t i = 0; i < m; i++) {
+            const uint64_t key = sorted[i];
+            if (kept == 0 || key != row[kept - 1]) row[kept++] = key;
+        }
+        counts[t] = kept;
+    }
+}
+
+/* ---- fused S4 map kernel: sketch -> lookup -> vote ---------------------- */
+
+/* Branchless lower bound over a sorted uint32 column: first index whose
+   value is >= key.  The classic half-interval form — the conditional add
+   compiles to a cmov, so the loop has no unpredictable branch. */
+static inline int64_t lower_bound_u32(const uint32_t *arr, int64_t n,
+                                      uint32_t key) {
+    int64_t lo = 0;
+    while (n > 1) {
+        const int64_t half = n >> 1;
+        if (arr[lo + half - 1] < key) lo += half;
+        n -= half;
+    }
+    if (n == 1 && arr[lo] < key) lo++;
+    return lo;
+}
+
+/* First index whose value is > key (upper bound). */
+static inline int64_t upper_bound_u32(const uint32_t *arr, int64_t n,
+                                      uint32_t key) {
+    int64_t lo = 0;
+    while (n > 1) {
+        const int64_t half = n >> 1;
+        if (arr[lo + half - 1] <= key) lo += half;
+        n -= half;
+    }
+    if (n == 1 && arr[lo] <= key) lo++;
+    return lo;
+}
+
+/* Segments per phase block: the (trials x MAP_BLOCK) sketch matrix stays
+   L1/L2-resident, and the trial-outer sketch phase touches one hashed row
+   at a time for a whole block of segments. */
+#define MAP_BLOCK 128
+
+/* One-Barrett LCG for 32-bit inputs: a * (x mod p) + b ≡ a * x + b
+   (mod p), and with a < p < 2^31 and x < 2^32 the product a * x + b
+   stays below 2^64, where the single-correction Barrett estimate is
+   still exact — so this equals lcg_hash bit for bit at half the cost. */
+static inline uint64_t lcg_hash32(uint64_t x, uint64_t a, uint64_t b,
+                                  uint64_t p, uint64_t m) {
+    return barrett_mod(a * x + b, p, m);
+}
+
+/* Dedupe the query block: fill uniq with the sorted distinct values and
+   inverse with each occurrence's slot in it.  Returns n_uniq, or -1 when
+   any value overflows 32 bits (caller hashes inline instead). */
+static int64_t dedupe_values(const uint64_t *qvalues, int64_t n,
+                             uint64_t *uniq, int32_t *inverse,
+                             uint64_t *scratch_a, uint64_t *scratch_b) {
+    uint64_t seen = 0;
+    for (int64_t i = 0; i < n; i++) {
+        seen |= qvalues[i];
+        scratch_a[i] = (qvalues[i] << 32) | (uint64_t)i;
+    }
+    if (seen >> 32) return -1;
+    const uint64_t *sorted = radix_sort_u64(scratch_a, scratch_b, n, 32);
+    int64_t uid = -1;
+    uint64_t prev = 0;
+    for (int64_t k = 0; k < n; k++) {
+        const uint64_t v = sorted[k] >> 32;
+        if (uid < 0 || v != prev) { prev = v; uniq[++uid] = v; }
+        inverse[sorted[k] & 0xffffffffu] = (int32_t)uid;
+    }
+    return uid + 1;
+}
+
+/* What jem_ctx_open builds once per store and jem_map_ctx only reads — so
+   any number of calls may run on one context at once: the hash family rows
+   with their Barrett constants, and per trial a 256-bucket index over the
+   sorted value column.  Bucket b = value >> bucket_shift[t] of trial t
+   covers rows [bk[b], bk[b+1]) with bk = bucket_lo + t * 257; the shift is
+   sized to the column's max value so narrow key spaces (small k) still
+   spread across buckets, and a binary search then probes ~clen/256 entries
+   instead of clen.  The columns stay the caller's, who keeps them alive. */
+typedef struct {
+    const uint32_t *col_values;  /* flattened sorted value columns        */
+    const uint32_t *col_subjects;/* flattened parallel contig-id columns  */
+    const int64_t *col_offsets;  /* trials + 1 offsets into the flats     */
+    int64_t trials, n_subjects;
+    uint64_t *a, *b, *p, *m;     /* hash family rows, Barrett constants   */
+    int64_t *bucket_lo;          /* (trials, 257) bucket run starts       */
+    int64_t *bucket_shift;       /* per-trial bucket shift                */
+} jem_ctx;
+
+/* Returns the context (one allocation; jem_ctx_close frees it), or NULL
+   when it cannot be allocated. */
+void *jem_ctx_open(const uint32_t *col_values, const uint32_t *col_subjects,
+                   const int64_t *col_offsets, int64_t trials,
+                   const uint64_t *a, const uint64_t *b, const uint64_t *p,
+                   int64_t n_subjects) {
+    jem_ctx *ctx = (jem_ctx *)malloc(
+        sizeof(jem_ctx) + (size_t)trials * (4 + 257 + 1) * sizeof(uint64_t));
+    if (ctx == NULL) return NULL;
+    ctx->col_values = col_values;
+    ctx->col_subjects = col_subjects;
+    ctx->col_offsets = col_offsets;
+    ctx->trials = trials;
+    ctx->n_subjects = n_subjects;
+    ctx->a = (uint64_t *)(ctx + 1);
+    ctx->b = ctx->a + trials;
+    ctx->p = ctx->b + trials;
+    ctx->m = ctx->p + trials;
+    ctx->bucket_shift = (int64_t *)(ctx->m + trials);
+    ctx->bucket_lo = ctx->bucket_shift + trials;
+    for (int64_t t = 0; t < trials; t++) {
+        ctx->a[t] = a[t];
+        ctx->b[t] = b[t];
+        ctx->p[t] = p[t];
+        ctx->m[t] = (uint64_t)((((u128)1) << 64) / p[t]);
+        const int64_t clen = col_offsets[t + 1] - col_offsets[t];
+        const uint32_t *cv = col_values + col_offsets[t];
+        int64_t *bk = ctx->bucket_lo + t * 257;
+        int64_t shift = 0;
+        if (clen > 0) {
+            const uint32_t maxv = cv[clen - 1];
+            while ((maxv >> shift) > 255) shift++;
+        }
+        ctx->bucket_shift[t] = shift;
+        int64_t count[257];
+        memset(count, 0, sizeof(count));
+        for (int64_t i = 0; i < clen; i++) count[(cv[i] >> shift) + 1]++;
+        bk[0] = 0;
+        for (int b = 1; b <= 256; b++) bk[b] = bk[b - 1] + count[b];
+    }
+    return ctx;
+}
+
+void jem_ctx_close(void *ctx) { free(ctx); }
+
+typedef struct {                 /* one call's query block                */
+    const uint64_t *qvalues;     /* concatenated minimizer ranks          */
+    int64_t n;                   /* total minimizers                      */
+    const int64_t *starts;       /* per-segment offsets into qvalues      */
+    int64_t nseg;
+    const uint32_t *hashed_uniq; /* (trials, n_uniq) precomputed hashes,  */
+    const int32_t *inverse;      /* rank -> uniq row index; NULL = direct */
+    int64_t n_uniq;
+} map_query;
+
+/* Sketch phase over one block of segments, trial-outer: per trial, per
+   segment, the minimizer minimising (hash << 32) | index — the same
+   packed tie-break as jem_query_kernel.  With a dedupe table the hash is
+   a gather from the trial's precomputed row (overlapping read segments
+   repeat minimizer values heavily, so each distinct value is hashed once
+   per trial instead of once per occurrence); without, it is computed
+   inline.  An empty segment leaves UINT64_MAX (sketch values fit 32
+   bits, so that can never collide with a real one). */
+static void sketch_block(const jem_ctx *ctx, const map_query *q,
+                         int64_t blk_lo, int64_t blk_hi, uint64_t *sketch) {
+    for (int64_t t = 0; t < ctx->trials; t++) {
+        uint64_t *row = sketch + t * MAP_BLOCK;
+        const uint32_t *hu =
+            q->inverse != NULL ? q->hashed_uniq + t * q->n_uniq : NULL;
+        const uint64_t at = ctx->a[t], bt = ctx->b[t];
+        const uint64_t pt = ctx->p[t], mt = ctx->m[t];
+        for (int64_t j = blk_lo; j < blk_hi; j++) {
+            const int64_t lo = q->starts[j];
+            const int64_t hi = (j + 1 < q->nseg) ? q->starts[j + 1] : q->n;
+            uint64_t best = UINT64_MAX;
+            if (hu != NULL) {
+                for (int64_t i = lo; i < hi; i++) {
+                    const uint64_t key =
+                        ((uint64_t)hu[q->inverse[i]] << 32) | (uint64_t)i;
+                    if (key < best) best = key;
+                }
+            } else {
+                for (int64_t i = lo; i < hi; i++) {
+                    const uint64_t key =
+                        (lcg_hash(q->qvalues[i], at, bt, pt, mt) << 32)
+                        | (uint64_t)i;
+                    if (key < best) best = key;
+                }
+            }
+            row[j - blk_lo] =
+                (hi > lo) ? q->qvalues[best & 0xffffffffu] : UINT64_MAX;
+        }
+    }
+}
+
+/* The hash-once dedupe table of one call: the block's distinct values
+   (radix sorted) hashed once per trial, turning the sketch phase into
+   gathers.  Skipped — q->inverse stays NULL — for tiny blocks, 33-bit
+   values, low duplication (< 1/4 of occurrences) or allocation failure;
+   inline hashing is always correct, just slower. */
+static void dedupe_block(const jem_ctx *ctx, map_query *q) {
+    const int64_t n = q->n;
+    if (n < 64 || n >= ((int64_t)1 << 31)) return;
+    uint64_t *sa = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
+    uint64_t *sb = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
+    uint64_t *uniq = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
+    int32_t *inverse = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+    uint32_t *hu = NULL;
+    if (sa != NULL && sb != NULL && uniq != NULL && inverse != NULL) {
+        const int64_t nu = dedupe_values(q->qvalues, n, uniq, inverse, sa, sb);
+        if (nu > 0 && nu <= n - (n >> 2))
+            hu = (uint32_t *)malloc((size_t)ctx->trials * (size_t)nu
+                                    * sizeof(uint32_t));
+        if (hu != NULL) {
+            for (int64_t t = 0; t < ctx->trials; t++) {
+                uint32_t *row = hu + t * nu;
+                for (int64_t u = 0; u < nu; u++)
+                    row[u] = (uint32_t)lcg_hash32(uniq[u], ctx->a[t], ctx->b[t],
+                                                  ctx->p[t], ctx->m[t]);
+            }
+            q->hashed_uniq = hu;
+            q->inverse = inverse;
+            q->n_uniq = nu;
+        }
+    }
+    free(sa);
+    free(sb);
+    free(uniq);
+    if (hu == NULL) free(inverse);
+}
+
+/* The one S4 entry point: fused sketch -> lookup -> vote over the nseg
+   segments of a query block, on the calling thread.  The vote is the
+   paper's Algorithm 2 with the lazy-update counter array A[1..n]
+   (Section III-C): counters are never cleared between queries — a stale
+   entry is detected by its stored query id and re-seeded to (1, j).  Ties
+   on the maximum count break toward the smallest subject id, matching
+   count_hits_lazy / count_hits_vectorised bit for bit.  All scratch —
+   counters, sketch matrix, dedupe table — lives inside the call, and
+   segments are independent, so a block cut into several calls (on several
+   threads) gives the same output.  Returns 0, or 1 on allocation failure. */
+int64_t jem_map_ctx(const void *handle, const uint64_t *qvalues, int64_t n,
+                    const int64_t *starts, int64_t nseg, int64_t min_hits,
+                    int64_t *best_subject, int64_t *best_count) {
+    const jem_ctx *ctx = (const jem_ctx *)handle;
+    const int64_t n_subjects = ctx->n_subjects, trials = ctx->trials;
+    int64_t *counter_u = (int64_t *)malloc((size_t)n_subjects * sizeof(int64_t));
+    int64_t *counter_v = (int64_t *)malloc((size_t)n_subjects * sizeof(int64_t));
+    uint64_t *sketch =
+        (uint64_t *)malloc((size_t)trials * MAP_BLOCK * sizeof(uint64_t));
+    if (((counter_u == NULL || counter_v == NULL) && n_subjects > 0) ||
+        (sketch == NULL && trials > 0)) {
+        free(counter_u);
+        free(counter_v);
+        free(sketch);
+        return 1;
+    }
+    /* all-ones bytes == -1 in two's complement: no query id matches */
+    if (n_subjects > 0)
+        memset(counter_v, 0xff, (size_t)n_subjects * sizeof(int64_t));
+    map_query q = {qvalues, n, starts, nseg, NULL, NULL, 0};
+    dedupe_block(ctx, &q);
+    for (int64_t blk_lo = 0; blk_lo < nseg; blk_lo += MAP_BLOCK) {
+        const int64_t blk_hi =
+            (blk_lo + MAP_BLOCK < nseg) ? blk_lo + MAP_BLOCK : nseg;
+        sketch_block(ctx, &q, blk_lo, blk_hi, sketch);
+        for (int64_t j = blk_lo; j < blk_hi; j++) {
+            int64_t top_count = 0, top_subject = -1;
+            for (int64_t t = 0; t < trials; t++) {
+                const uint64_t sk = sketch[t * MAP_BLOCK + (j - blk_lo)];
+                if (sk == UINT64_MAX) continue; /* empty segment */
+                const uint32_t key = (uint32_t)sk;
+                /* lookup: narrow to the key's bucket, then binary search
+                   the run of matching entries in trial t's column */
+                const int64_t base = ctx->col_offsets[t];
+                if (ctx->col_offsets[t + 1] == base) continue;
+                const uint32_t *cv = ctx->col_values + base;
+                const uint64_t bidx = (uint64_t)key >> ctx->bucket_shift[t];
+                if (bidx > 255) continue; /* above every stored value */
+                const int64_t *bk = ctx->bucket_lo + t * 257;
+                const int64_t blo = bk[bidx], bhi = bk[bidx + 1];
+                if (blo == bhi) continue;
+                const int64_t run_lo =
+                    blo + lower_bound_u32(cv + blo, bhi - blo, key);
+                if (run_lo >= bhi || cv[run_lo] != key) continue;
+                const int64_t run_hi =
+                    run_lo + upper_bound_u32(cv + run_lo, bhi - run_lo, key);
+                const uint32_t *cs = ctx->col_subjects + base;
+                /* vote: lazy-update counters over the colliding subjects */
+                for (int64_t r = run_lo; r < run_hi; r++) {
+                    const int64_t s = (int64_t)cs[r];
+                    if (counter_v[s] != j) {
+                        counter_v[s] = j;
+                        counter_u[s] = 0;
+                    }
+                    const int64_t u = ++counter_u[s];
+                    if (u > top_count || (u == top_count && s < top_subject)) {
+                        top_count = u;
+                        top_subject = s;
+                    }
+                }
+            }
+            const int mapped = top_count >= min_hits && top_count > 0;
+            best_subject[j] = mapped ? top_subject : -1;
+            best_count[j] = mapped ? top_count : 0;
+        }
+    }
+    free((void *)q.hashed_uniq);
+    free((void *)q.inverse);
+    free(counter_u);
+    free(counter_v);
+    free(sketch);
+    return 0;
+}
+
+/* ---- S1: rolling canonical (w, k)-minimizers ----------------------------- */
+
+/* Sequences [seq_lo, seq_hi) of the concatenated 2-bit code buffer, one
+   pass each: the forward and reverse-complement k-mers roll in O(1) per
+   base, `run` counts the valid bases ending here (a k-mer is valid iff
+   run >= k; code 4 resets it), and the minimum of every window of
+   weff = min(w, nk) packed keys (canon << 32) | position comes from the
+   van Herk block scan minimizers_set uses — a running prefix minimum of
+   the current weff-block and in-place suffix minima of the previous one —
+   which, unlike a deque, has no data-dependent branch.  A key is emitted
+   when the window minimum changes; windows of only invalid k-mers carry
+   the sentinel rank and are dropped after the change test, so the output
+   equals minimizers_set bit for bit.  block holds min(w, longest
+   sequence) keys.  Appends to ranks/positions from index 0, writes
+   counts[s] per sequence, returns the number emitted (at most one per
+   base of the range). */
+int64_t jem_minimizer_kernel(const uint8_t *codes, const int64_t *offsets,
+                             int64_t seq_lo, int64_t seq_hi,
+                             int64_t k, int64_t w, uint64_t *block,
+                             uint64_t *ranks, int64_t *positions,
+                             int64_t *counts) {
+    const uint64_t sentinel = 0xffffffffu;
+    const uint64_t kmask = (((uint64_t)1) << (2 * k)) - 1;
+    const int rc_shift = (int)(2 * (k - 1));
+    int64_t m = 0;
+    for (int64_t s = seq_lo; s < seq_hi; s++) {
+        const uint8_t *seq = codes + offsets[s];
+        const int64_t len = offsets[s + 1] - offsets[s];
+        const int64_t nk = len - k + 1;
+        const int64_t weff = w < nk ? w : nk;
+        const int64_t first = m;
+        uint64_t fwd = 0, rc = 0, prefix = UINT64_MAX, prev = UINT64_MAX;
+        int64_t run = 0, b = 0; /* b: slot of k-mer j in its block */
+        for (int64_t i = 0; i < len; i++) {
+            const uint64_t c = seq[i] & 3;
+            run = (seq[i] == 4) ? 0 : run + 1;
+            fwd = ((fwd << 2) | c) & kmask;
+            rc = (rc >> 2) | ((c ^ 3) << rc_shift);
+            const int64_t j = i - k + 1; /* k-mer index */
+            if (j < 0) continue;
+            const uint64_t canon = run >= k ? (fwd < rc ? fwd : rc) : sentinel;
+            const uint64_t key = (canon << 32) | (uint64_t)j;
+            /* slot b's suffix minimum was read one step ago: reuse it */
+            block[b] = key;
+            if (key < prefix) prefix = key;
+            uint64_t cur = prefix;
+            if (++b < weff) {
+                if (j < weff) continue; /* first block: no full window yet */
+                if (block[b] < cur) cur = block[b];
+            } else { /* block full: its suffix minima serve the next one */
+                for (int64_t q = weff - 1; q > 0; q--)
+                    if (block[q] < block[q - 1]) block[q - 1] = block[q];
+                b = 0;
+                prefix = UINT64_MAX;
+            }
+            if (cur == prev) continue;
+            prev = cur;
+            if ((cur >> 32) == sentinel) continue;
+            ranks[m] = cur >> 32;
+            positions[m++] = (int64_t)(cur & sentinel);
+        }
+        counts[s] = m - first;
+    }
+    return m;
+}

@@ -6,7 +6,8 @@ fuzzed bit-identity against *both* retained oracles — ``count_hits_lazy``
 (the paper's Algorithm 2) and ``count_hits_vectorised`` — across misses,
 empty segments, duplicate values spanning column runs, min_hits
 thresholds and single-trial stores, plus a thread-invariance gate: the
-output must not depend on ``REPRO_NATIVE_THREADS``.
+output must not depend on ``REPRO_NATIVE_THREADS`` — on how many calls,
+running at once on the store's one native context, a block is cut into.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.hitcounter import (
+    BestHits,
     count_hits_fused,
     count_hits_lazy,
     count_hits_vectorised,
@@ -71,24 +73,35 @@ def oracle_hits(store, family, values, starts, lengths, min_hits):
 
 def fused_hits(store, family, values, starts, lengths, min_hits, threads=1):
     """Compact the block to its non-empty segments (the production layout
-    produced by query_minimizer_concat) and run the fused path."""
+    produced by query_minimizer_concat) and run the fused path — cut, as
+    ``map_segment_batch`` cuts a batch, into one range of segments per
+    thread (None: ``thread_count()``), the ranges mapped at once on the
+    store's one native context."""
     nonempty = np.flatnonzero(lengths > 0)
+    bounds = np.concatenate([[0], np.cumsum(lengths[nonempty])]).astype(np.int64)
     keep = np.concatenate(
         [np.arange(starts[j], starts[j] + lengths[j]) for j in nonempty]
     ) if nonempty.size else np.empty(0, dtype=np.int64)
-    compact_starts = np.zeros(nonempty.size, dtype=np.int64)
-    if nonempty.size:
-        np.cumsum(lengths[nonempty][:-1], out=compact_starts[1:])
-    return count_hits_fused(
-        store,
-        values[keep],
-        compact_starts,
-        family,
-        min_hits=min_hits,
-        n_queries=starts.size,
-        nonempty=nonempty,
-        threads=threads,
+    compact = values[keep]
+    shares = _native.thread_count(threads)
+
+    def one_range(cut):
+        lo, hi = cut
+        return count_hits_fused(
+            store, compact[bounds[lo]:bounds[hi]], bounds[lo:hi] - bounds[lo], family,
+            min_hits=min_hits,
+        )
+
+    parts = _native.thread_map(
+        one_range, _native.thread_ranges(nonempty.size, shares, per_thread=1), shares
     )
+    if any(part is None for part in parts):
+        return None
+    subject = np.full(starts.size, -1, dtype=np.int64)
+    count = np.zeros(starts.size, dtype=np.int64)
+    subject[nonempty] = np.concatenate([part.subject for part in parts])
+    count[nonempty] = np.concatenate([part.count for part in parts])
+    return BestHits(subject, count)
 
 
 @needs_native
@@ -245,7 +258,7 @@ class TestThreadInvariance:
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_explicit_thread_counts_bit_identical(self, threads):
         """The contract behind REPRO_NATIVE_THREADS: output never depends
-        on the thread count — segments are independent and each worker
+        on the thread count — segments are independent and each call
         owns a private counter array."""
         rng = np.random.default_rng(31)
         family = HashFamily.generate(6, seed=8)

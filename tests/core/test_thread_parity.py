@@ -1,10 +1,12 @@
 """The index and the mapping are the same at every thread count.
 
 ``JEMMapper(threads=...)`` and ``REPRO_NATIVE_THREADS`` choose how many
-threads each block's S1 and S2 (and each read batch's S1 and S4) are split
-over; the per-trial keys of an index built over 1, 2 and 5 blocks and the
-arrays ``map_file`` returns must equal the one-thread run's and the oracles'.
-With one thread — a one-CPU affinity mask — no helper thread is ever created.
+threads each block's S1 and S2 are split over, and into how many ranges of
+segments — S1 then S4 each, one per thread — a read batch is cut; the
+per-trial keys of an index built over 1, 2 and 5 blocks, the arrays
+``map_file`` returns and the TSV body ``jem map`` writes must equal the
+one-thread run's and the oracles'.  With one thread — a one-CPU affinity
+mask — no helper thread is ever created.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ def tiny_shares(monkeypatch):
     """Inputs of a few kilobases are cut as tier L's megabases are."""
     monkeypatch.setattr(_native, "MIN_THREAD_BASES", 1)
     monkeypatch.setattr(_native, "MIN_THREAD_ENTRIES", 1)
+    monkeypatch.setattr(_native, "MIN_THREAD_MAP_BASES", 1)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +125,61 @@ def test_map_file_is_the_same_at_every_thread_count(world, monkeypatch):
             assert np.array_equal(subject, want[1]) and np.array_equal(hits, want[2])
 
 
+def test_a_read_batch_is_cut_into_one_s1_then_s4_range_per_thread(world, monkeypatch):
+    """The parity above is of a split that happened: every batch of the file
+    goes to ``thread_map`` as ``threads`` ranges — fewer when it has fewer
+    segments, one when the store cannot map fused — on one open context."""
+    contigs, reads_path = world
+    calls = []
+    real = _native.thread_map
+
+    def spy(fn, items, threads):
+        if getattr(fn, "__name__", "") == "map_range":
+            calls.append((len(items), threads))
+        return real(fn, items, threads)
+
+    monkeypatch.setattr(_native, "thread_map", spy)
+    mapper = JEMMapper(CFG, threads=3)
+    mapper.index(contigs)
+    results = list(map_file(mapper, reads_path, batch_bases=9_000))
+    if _native.load() is None:
+        assert set(calls) == {(1, 1)}
+        return
+    assert calls == [(min(3, len(r)), 3) for r in results] and (3, 3) in calls
+    assert mapper.table._ctx is not None
+    calls.clear()
+    oracle_store = JEMMapper(CFG, threads=3, store_kind="dict")
+    oracle_store.index(contigs)
+    again = list(map_file(oracle_store, reads_path, batch_bases=9_000))
+    assert set(calls) == {(1, 1)}  # no fused entry point: nothing to hand a thread
+    for got, want in zip(again, results):
+        assert np.array_equal(got.subject, want.subject)
+        assert np.array_equal(got.hit_count, want.hit_count)
+
+
+def test_jem_map_writes_the_same_tsv_body_at_every_thread_count(world, tmp_path, monkeypatch):
+    from repro.cli import main
+
+    contigs, reads_path = world
+    contigs_path, index_path = tmp_path / "contigs.fasta", tmp_path / "i.npz"
+    write_fasta(str(contigs_path), contigs)
+    flags = ["--k", "12", "--w", "20", "--ell", "500", "--trials", "6"]
+    assert main(["index", "-s", str(contigs_path), "-o", str(index_path), *flags]) == 0
+
+    def body(label: str) -> list[str]:
+        out = tmp_path / f"{label}.tsv"
+        assert main(["map", "-q", reads_path, "--index", str(index_path), "-o", str(out)]) == 0
+        return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    want = body("numpy")
+    monkeypatch.delenv("REPRO_NO_NATIVE")
+    assert len(want) == 1 + 32 and sum("\tc" in line for line in want) >= 20  # header + rows
+    for threads in THREADS:
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", str(threads))
+        assert body(f"t{threads}") == want
+
+
 def test_one_thread_creates_no_thread(world, monkeypatch):
     """At one thread every path is the inline one."""
     contigs, reads_path = world
@@ -148,7 +206,7 @@ def test_under_a_one_cpu_mask_the_cli_round_never_starts_a_thread(world, tmp_pat
 import os, sys, threading
 os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
 from repro.sketch import _native
-_native.MIN_THREAD_BASES = _native.MIN_THREAD_ENTRIES = 1
+_native.MIN_THREAD_BASES = _native.MIN_THREAD_ENTRIES = _native.MIN_THREAD_MAP_BASES = 1
 peak = [threading.active_count()]
 real = threading.Thread.start
 def start(self):

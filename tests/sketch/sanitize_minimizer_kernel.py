@@ -6,8 +6,8 @@ Not collected by pytest: CI's ``kernels`` job runs it as
 ``PYTHONPATH=src python tests/sketch/sanitize_minimizer_kernel.py`` and again
 with ``--sanitize thread``.
 
-The kernel source is taken from ``repro._native_build.SOURCE`` as shipped
-and built, with the small C driver below, under ``-fsanitize=address,undefined``
+The kernel source is the shipped ``repro/sketch/jem_kernels.c``
+(``repro._native_build.SOURCE_PATH``), built, with the small C driver below, under ``-fsanitize=address,undefined``
 (or ``thread``).  The driver calls the kernel the way
 ``NativeKernels.minimizer_block`` does at 1, 2 and 3 threads: the sequences cut
 into one run per thread, the runs sketched at once on POSIX threads, each into
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -115,8 +116,7 @@ def sanitizers(argv: list[str]) -> str:
 
 def build(workdir: str, driver: str = _DRIVER, sanitize: str = "address,undefined") -> str:
     """Compile ``driver`` (which includes the shipped kernel source) under the sanitizers."""
-    with open(os.path.join(workdir, "kernels.c"), "w") as fh:
-        fh.write(_native_build.SOURCE)
+    shutil.copyfile(_native_build.SOURCE_PATH, os.path.join(workdir, "kernels.c"))
     with open(os.path.join(workdir, "driver.c"), "w") as fh:
         fh.write(driver)
     exe = os.path.join(workdir, "driver")

@@ -1,12 +1,15 @@
 """Bit parity at every thread count.
 
-S1 (``minimizer_block``) and S2 (``subject_keys``) are cut into independent
-kernel calls that ``thread_map`` spreads over ``thread_count()`` threads and
-joins in input order, so nothing about the output may depend on the count:
-every result here is held equal to the one-thread run and to the numpy /
-per-trial oracles, for ``REPRO_NATIVE_THREADS`` in {1, 2, 3, 7} and for an
-explicit ``threads=``.  ``MIN_THREAD_BASES`` / ``MIN_THREAD_ENTRIES`` are
-shrunk to one element so that inputs of a few hundred bases really are cut.
+S1 (``minimizer_block``), S2 (``subject_keys``) and a segment batch's map
+(``map_segment_batch``: S1 then S4 per range of segments, every range on the
+store's one open context) are cut into independent kernel calls that
+``thread_map`` spreads over ``thread_count()`` threads and joins in input
+order, so nothing about the output may depend on the count: every result
+here is held equal to the one-thread run and to the numpy / per-trial
+oracles, for ``REPRO_NATIVE_THREADS`` in {1, 2, 3, 7} and for an explicit
+``threads=``.  ``MIN_THREAD_BASES`` / ``MIN_THREAD_ENTRIES`` /
+``MIN_THREAD_MAP_BASES`` are shrunk to one element so that inputs of a few
+hundred bases really are cut.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import numpy as np
 import pytest
 
 from repro import _native_build
+from repro.core import JEMConfig, JEMMapper
+from repro.core.mapper import map_segment_batch
 from repro.seq import SequenceSet
 from repro.sketch import _native, kernels
 from repro.sketch.hashing import HashFamily
@@ -36,6 +41,7 @@ def tiny_shares(monkeypatch):
     """Any input is worth cutting: one element per thread is enough."""
     monkeypatch.setattr(_native, "MIN_THREAD_BASES", 1)
     monkeypatch.setattr(_native, "MIN_THREAD_ENTRIES", 1)
+    monkeypatch.setattr(_native, "MIN_THREAD_MAP_BASES", 1)
 
 
 def as_set(sequences: list[np.ndarray]) -> SequenceSet:
@@ -155,6 +161,23 @@ def test_thread_shares_follow_the_work_not_just_the_count(monkeypatch):
     # what does not: a 2-Mi-base block of contigs, a trial chunk of its minimizers
     assert _native.thread_shares(1 << 21, _native.MIN_THREAD_BASES, None) == 4
     assert _native.thread_shares(12 * 41_000, _native.MIN_THREAD_ENTRIES, None) == 4
+    # S1 + S4 of a range is one hand-off, worth a thread at half the bases: a
+    # read batch's end segments are cut, a served batch of 64 reads' still not
+    assert _native.thread_shares(400 * 1000, _native.MIN_THREAD_MAP_BASES, None) == 3
+    assert _native.thread_shares(375 * 1000, _native.MIN_THREAD_MAP_BASES, 2) == 2
+    assert _native.thread_shares(64 * 2 * 1000, _native.MIN_THREAD_MAP_BASES, None) == 1
+
+
+def test_thread_ranges_cover_the_input_once_in_order():
+    assert _native.thread_ranges(10, 1) == [(0, 10)]
+    assert _native.thread_ranges(0, 1) == [(0, 0)] == _native.thread_ranges(0, 3)
+    assert _native.thread_ranges(10, 3, per_thread=1) == [(0, 3), (3, 6), (6, 10)]
+    assert _native.thread_ranges(2, 7, per_thread=1) == [(0, 1), (1, 2)]
+    for n, shares in [(30, 2), (5, 3), (256, 7)]:
+        ranges = _native.thread_ranges(n, shares)
+        assert len(ranges) == min(n, shares * _native._CALLS_PER_THREAD)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(ranges, ranges[1:]))
 
 
 def test_thread_count_takes_an_explicit_request_over_the_environment(monkeypatch):
@@ -264,6 +287,96 @@ def test_subject_rows_share_one_key_scratch(monkeypatch, tiny_shares):
     assert sizes == one_thread and max(sizes) <= kernels.SUBJECT_SCRATCH_ELEMS
 
 
+# -- S1 then S4 ----------------------------------------------------------------
+
+MAP_CFG = JEMConfig(k=12, w=20, ell=300, trials=6, seed=3)
+
+
+def map_world(rng):
+    """An index over eight contigs, and every edge set's sequences as
+    segments: some from a contig, some random, some empty or all-N."""
+    contigs = as_set([dna(rng, 2_000) for _ in range(8)])
+    mapper = JEMMapper(MAP_CFG)
+    mapper.index(contigs)
+    for label, sset in edge_sets(rng):
+        hits = [contigs.codes_of(i % 8)[100 : 100 + 400] for i in range(6)]
+        yield label, mapper, as_set([sset.codes_of(i) for i in range(len(sset))] + hits)
+
+
+def same_result(got, want):
+    return (
+        got.segment_names == want.segment_names
+        and got.subject.dtype == want.subject.dtype
+        and np.array_equal(got.subject, want.subject)
+        and np.array_equal(got.hit_count, want.hit_count)
+    )
+
+
+@needs_native
+def test_map_segment_batch_is_the_same_at_every_thread_count(monkeypatch, tiny_shares):
+    family = MAP_CFG.hash_family()
+    for label, mapper, segments in map_world(np.random.default_rng(41)):
+        with monkeypatch.context() as numpy_arm:
+            numpy_arm.setenv("REPRO_NO_NATIVE", "1")
+            want = map_segment_batch(mapper.table, segments, MAP_CFG, family)
+        assert want.n_mapped >= 6, label
+        for threads in THREADS:
+            got = map_segment_batch(mapper.table, segments, MAP_CFG, family, threads=threads)
+            assert same_result(got, want), (label, threads)
+            monkeypatch.setenv("REPRO_NATIVE_THREADS", str(threads))
+            assert same_result(map_segment_batch(mapper.table, segments, MAP_CFG, family), want)
+            monkeypatch.delenv("REPRO_NATIVE_THREADS")
+
+
+@needs_native
+def test_map_ranges_really_run_s1_then_s4_each_on_the_one_context(monkeypatch, tiny_shares):
+    """Three threads, three ranges: a minimizer pass and a map call each, in
+    that order on the thread that took the range, all on one handle."""
+    events = []  # (thread name, stage, segments in the call, what it ran on)
+    real_s1 = _native.NativeKernels.minimizer_block
+    real_s4 = _native.MapContext.map
+
+    def s1(self, codes, offsets, k, w, *, threads=None):
+        events.append((threading.current_thread().name, "S1", offsets.size - 1, threads))
+        return real_s1(self, codes, offsets, k, w, threads=threads)
+
+    def s4(self, values, starts, min_hits=1):
+        events.append((threading.current_thread().name, "S4", starts.size, id(self)))
+        return real_s4(self, values, starts, min_hits)
+
+    rng = np.random.default_rng(42)
+    _, mapper, _ = next(map_world(rng))
+    segments = as_set([dna(rng, 300) for _ in range(10)])
+    family = MAP_CFG.hash_family()
+    monkeypatch.setattr(_native.NativeKernels, "minimizer_block", s1)
+    monkeypatch.setattr(_native.MapContext, "map", s4)
+    map_segment_batch(mapper.table, segments, MAP_CFG, family, threads=3)
+    for name in {name for name, *_ in events}:
+        stages = [stage for thread, stage, *_ in events if thread == name]
+        assert stages == ["S1", "S4"] * (len(stages) // 2)
+    assert sorted(n for _, stage, n, _ in events if stage == "S1") == [3, 3, 4]
+    assert {on for _, stage, _, on in events if stage == "S1"} == {1}  # inline inside a range
+    assert len({on for _, stage, _, on in events if stage == "S4"}) == 1  # one handle
+    events.clear()
+    map_segment_batch(mapper.table, segments, MAP_CFG, family, threads=1)
+    assert [event[1:3] for event in events] == [("S1", 10), ("S4", 10)]
+
+
+@needs_native
+def test_a_served_batch_is_mapped_inline_whatever_the_thread_count(monkeypatch):
+    """With the real threshold 64 reads' end segments are one S1 call and one
+    S4 call on the caller's thread."""
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread was created")
+
+    rng = np.random.default_rng(43)
+    _, mapper, _ = next(map_world(rng))
+    segments = as_set([dna(rng, 1_000) for _ in range(128)])
+    monkeypatch.setattr(threading, "Thread", no_threads)
+    got = map_segment_batch(mapper.table, segments, MAP_CFG, MAP_CFG.hash_family(), threads=8)
+    assert len(got) == 128
+
+
 @needs_native
 def test_oversubscribed_threads_under_a_short_switch_interval(tiny_shares):
     """More threads than cores, the interpreter switching between them as
@@ -279,6 +392,9 @@ def test_oversubscribed_threads_under_a_short_switch_interval(tiny_shares):
     family = HashFamily.generate(12, seed=5)
     want_block = lib.minimizer_block(sset.buffer, sset.offsets, 12, 20, threads=1)
     want_keys = subject_sketch_pairs(sset, 12, 20, 300, family, threads=1)
+    _, mapper, segments = next(map_world(rng))
+    map_family = MAP_CFG.hash_family()
+    want_map = map_segment_batch(mapper.table, segments, MAP_CFG, map_family, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -287,6 +403,9 @@ def test_oversubscribed_threads_under_a_short_switch_interval(tiny_shares):
         while rounds < 3 or time.monotonic() < deadline:
             assert_same(lib.minimizer_block(sset.buffer, sset.offsets, 12, 20, threads=7), want_block)
             assert_same(subject_sketch_pairs(sset, 12, 20, 300, family, threads=7), want_keys)
+            assert same_result(
+                map_segment_batch(mapper.table, segments, MAP_CFG, map_family, threads=7), want_map
+            )
             rounds += 1
     finally:
         sys.setswitchinterval(interval)

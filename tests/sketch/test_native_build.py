@@ -1,4 +1,5 @@
-"""How the kernels' C source becomes a shared library (``repro._native_build``).
+"""How the kernels' C source — the one file ``repro/sketch/jem_kernels.c`` —
+becomes a shared library (``repro._native_build``).
 
 Everything here runs the real compiler in fresh interpreters against an empty
 ``REPRO_NATIVE_CACHE``: concurrent cold processes, a compiler that fails, a
@@ -94,15 +95,36 @@ def test_the_shared_source_file_is_never_seen_half_written(tmp_path, monkeypatch
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
 
-    def dies(self, text):
-        with open(self, "w") as fh:
-            fh.write(text[:100])
+    def dies(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[:100])
         raise OSError("disk full")
 
-    monkeypatch.setattr(type(tmp_path), "write_text", dies)
+    monkeypatch.setattr(type(tmp_path), "write_bytes", dies)
     with pytest.raises(OSError, match="disk full"):
         _native_build.library()
     assert cache_files(tmp_path) == []
+
+
+@needs_compiler
+def test_the_cache_holds_the_shipped_source_under_a_stem_of_its_bytes_and_the_flags(
+    tmp_path, monkeypatch
+):
+    """One file is what ``cc``, an editor and the sanitizer drivers read; an
+    edit to it, or to the flags, is a new library, never a stale one."""
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    shipped = _native_build.SOURCE_PATH.read_bytes()
+    assert _native_build.SOURCE_PATH.name == "jem_kernels.c" and b"jem_map_ctx" in shipped
+    library = _native_build.library()
+    assert library.with_suffix(".c").read_bytes() == shipped
+    assert_one_library_and_no_temp_file(tmp_path)
+    with monkeypatch.context() as other_flags:
+        other_flags.setattr(_native_build, "_FLAGS", (*_native_build._FLAGS, "-DNDEBUG"))
+        assert _native_build._locate()[1] != library.stem
+    assert _native_build._locate()[1] == library.stem
+    monkeypatch.setattr(_native_build, "_source", lambda: shipped + b"\n")
+    assert _native_build._locate()[1] != library.stem
 
 
 def test_a_failing_compiler_warns_once_leaves_no_temp_file_and_maps_on_numpy(tmp_path):
