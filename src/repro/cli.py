@@ -158,8 +158,8 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                              "the circuit breaker into degraded single-trial "
                              "mapping (0 = breaker disabled, default)")
     parser.add_argument("--watchdog-interval-ms", type=float, default=0.0,
-                        help="self-healing watchdog period (orphaned-shm sweep, "
-                             "scheduled index compaction); "
+                        help="self-healing watchdog period (readiness "
+                             "refresh, scheduled index compaction); "
                              "0 = disabled (default)")
     parser.add_argument("--memtable-flush-entries", type=int, default=0,
                         help="auto-flush the mutable index's memtable once an "
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--placement", choices=("scatter", "replicate"),
                          default="scatter",
                          help="replica index ownership: scatter = key-range "
-                              "shards + central vote, replicate = full copies "
+                              "shards + central vote, replicate = whole index "
                               "+ round-robin (default scatter)")
     p_serve.add_argument("--tenant-quota", type=int, default=None,
                          help="max in-flight maps per tenant tag across all "

@@ -323,8 +323,9 @@ class ColumnarSketchStore:
         cached; the native map context opened over them is cached by
         :meth:`lookup_fused`, not here.  The per-trial lists are re-pointed
         at views of the flat arrays, so the store holds its columns once.
-        (Not done at construction: a shared-memory shard or a generation
-        that never maps fused would pay a private copy for nothing.)
+        (Not done at construction: a scatter shard — column views of its
+        root — or a generation that never maps fused would pay a private
+        copy for nothing.)
         """
         if self._flat is None:
             offsets = np.zeros(self.trials + 1, dtype=np.int64)
@@ -364,8 +365,9 @@ class ColumnarSketchStore:
         (:meth:`~repro.sketch._native.NativeKernels.map_open`: the kernel's
         set-up, a pass over every entry) over :meth:`flat_columns`; later
         calls — from any thread — reuse it, and a call with another hash
-        family replaces it.  It is never pickled or shared: every process,
-        and every store attached to one shared segment, opens its own.
+        family replaces it.  It is never pickled: every process opens its
+        own, and so does every store object — serving replicas that hold
+        one store object share its context.
         """
         from ..sketch import _native
 

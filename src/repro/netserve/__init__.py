@@ -10,11 +10,11 @@ quotas — and behind ``--listen`` hands every read to a
 decided by a pluggable :class:`PlacementPolicy`:
 
 * ``scatter`` — each replica owns one key-range shard of the columnar
-  store (``ColumnarSketchStore.shard`` + shm ``export_columns``); a
+  store (``ColumnarSketchStore.restrict``: column views, no copy); a
   scatter/gather router fans per-trial lookups to shard owners and runs
   the vote centrally, bit-identical to single-session serving.
-* ``replicate`` — every replica attaches the full store from one shared
-  segment; whole reads round-robin across healthy replicas.
+* ``replicate`` — every replica holds the one root store object; whole
+  reads round-robin across healthy replicas.
 
 A :class:`FleetSupervisor` keeps the topology honest under failure:
 heartbeat probes detect dead or wedged members, hedged retry serves

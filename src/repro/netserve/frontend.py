@@ -553,8 +553,8 @@ class NetFrontend:
             elif entry[0] == "mutation":
                 _kind, op, message = entry
                 try:
-                    # blocking work (sketching, segment rebuild, shm
-                    # re-publish, rolling restart) runs off the loop
+                    # blocking work (sketching, segment rebuild,
+                    # re-sharding, rolling restart) runs off the loop
                     reply = await asyncio.get_running_loop().run_in_executor(
                         None, mutation_response, self.backend, op, message
                     )

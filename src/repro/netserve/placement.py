@@ -8,12 +8,12 @@ that spawns the workers.  Two policies cover the serving design space:
 
 * :class:`ScatterPlacement` — key-range sharding.  Replica *i* owns shard
   *i* of :meth:`~repro.core.store.ColumnarSketchStore.shard`'s
-  equal-frequency split, so per-replica memory is ~1/N of the index
+  equal-frequency split — column views of the store, so each replica
+  answers for ~1/N of the index and the shards together cost no copy
   (minimap2-style index partitioning).  Queries scatter by key ownership.
 * :class:`ReplicatedPlacement` — full replication.  Every replica owns
   the whole value space and whole reads round-robin across replicas;
-  memory stays bounded because all replicas attach the *same* shared
-  segment.
+  every replica holds the *same* store object.
 """
 
 from __future__ import annotations

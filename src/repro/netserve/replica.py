@@ -1,12 +1,12 @@
 """Replicated mapping workers behind one front door.
 
 A :class:`ReplicaSet` spawns N :class:`~repro.service.MappingService`
-workers.  Each worker *attaches* its owned store — the placement policy's
-shard, or the full store under replication — from a shared-memory segment
-published once with :func:`~repro.parallel.shm.share_store` (the columnar
-store's ``export_columns`` travels zero-copy), so per-replica index
-memory is bounded: N scatter replicas together hold ~one copy of the
-index, and N full replicas all map the *same* segment.
+workers, threads of the serving process, and hands each its owned store
+by reference: under replication every replica holds the set's root store
+object itself, and under scatter replica *i* holds
+``root.restrict(lo, hi)`` — column views into the root, no bytes copied.
+The process holds one copy of the index however many replicas serve it,
+and replicas sharing one store object share its native map context too.
 
 Every replica keeps its own admission queue, circuit breaker, and
 labelled metrics registry (all inside its ``MappingService``), so one
@@ -39,7 +39,6 @@ from ..core.store import ColumnarSketchStore
 from ..errors import ServiceClosedError, ServiceError, ServiceOverloadError
 from ..parallel.faults import FaultPlan
 from ..parallel.retry import RetryPolicy
-from ..parallel.shm import SharedStore, release, share_store
 from ..seq.records import SequenceSet
 from ..service.config import ServiceConfig
 from ..service.health import OPEN
@@ -53,12 +52,12 @@ __all__ = ["Replica", "ReplicaSet"]
 
 
 class Replica:
-    """One worker: a :class:`MappingService` over its shm-attached store."""
+    """One worker: a :class:`MappingService` over the store it is handed."""
 
     def __init__(
         self,
         replica_id: int,
-        shared,
+        store,
         lo: int,
         hi: int,
         subject_names: list[str],
@@ -73,12 +72,7 @@ class Replica:
         self.id = int(replica_id)
         self.lo = int(lo)
         self.hi = int(hi)
-        # ``shared`` is a SharedStore to attach zero-copy — or, for a
-        # replicate-placement respawn after an online mutation, the
-        # in-memory IndexGeneration every member already serves
-        self.store = (
-            shared.materialise() if isinstance(shared, SharedStore) else shared
-        )
+        self.store = store
         mapper = JEMMapper(jem_config)
         mapper.adopt_store(self.store, subject_names)
         self.service = MappingService(
@@ -93,8 +87,8 @@ class Replica:
             },
         )
         if generation != self.service.index_generation:
-            # a shard or shm copy carries no generation of its own: stamp
-            # the fleet's, so healthz agreement and the lane stamp line up
+            # a shard carries no generation of its own: stamp the
+            # fleet's, so healthz agreement and the lane stamp line up
             self.service.install_index(
                 self.store, subject_names, generation=generation
             )
@@ -135,9 +129,11 @@ class ReplicaSet:
         self._mutable = MutableSketchStore.wrap(
             store, self._jem_config, subject_names
         )
-        # sharding and column export are columnar-only; fold once
+        # sharding is columnar-only; fold once
         store = self._mutable.current.as_columnar()
-        self._root = store  # current unsharded index (follows mutations)
+        #: the current unsharded index (follows mutations): the object
+        #: every replicate member holds, the one scatter shards view
+        self._root = store
         self._subject_names = self._mutable.subject_names
         self._faults = faults
         self._retry = retry
@@ -145,26 +141,11 @@ class ReplicaSet:
         self._mutation_lock = threading.Lock()
         self._drained = False
         self._respawns = 0
-        #: segments whose old lane thread outlived the respawn join —
-        #: kept mapped until drain rather than risk unmapping under it
-        self._deferred_segments: list[str] = []
         self.supervisor = None  # set by FleetSupervisor.attach
         self._extra_registries: list = []
-        shards = placement.plan(store)
-        if placement.kind == ReplicatedPlacement.kind:
-            # one segment, every replica attaches it: memory stays ~1 copy
-            shared = share_store(store)
-            shared_per_replica = [shared] * placement.n_replicas
-        else:
-            shared_per_replica = [share_store(s.store) for s in shards]
-        #: per-replica attachment source — SharedStore, or the in-memory
-        #: generation after a replicate-placement mutation.  Respawn
-        #: rebuilds replica i from exactly this slot.
-        self._shared: list = list(shared_per_replica)
-        self._segments = sorted({s.ref.name for s in shared_per_replica})
         self.replicas = [
-            self._spawn(i, shared_per_replica[i], shards[i].lo, shards[i].hi)
-            for i in range(placement.n_replicas)
+            self._spawn(i, shard.store, shard.lo, shard.hi)
+            for i, shard in enumerate(placement.plan(store))
         ]
         self._lanes: list[LookupLane] = []
         self._frontdoor: MappingService | None = None
@@ -193,11 +174,11 @@ class ReplicaSet:
         self._cursor = 0
         self._cursor_lock = threading.Lock()
 
-    def _spawn(self, i: int, source, lo: int, hi: int) -> Replica:
-        """Replica ``i`` over ``source``, stamped with the fleet's generation."""
+    def _spawn(self, i: int, store, lo: int, hi: int) -> Replica:
+        """Replica ``i`` over ``store``, stamped with the fleet's generation."""
         replicated = self.placement.kind == ReplicatedPlacement.kind
         return Replica(
-            i, source, lo, hi,
+            i, store, lo, hi,
             self._subject_names, self._jem_config, self.config,
             placement_kind=self.placement.kind,
             generation=self.index_generation,
@@ -309,74 +290,56 @@ class ReplicaSet:
     def _install_generation(self) -> dict:
         """Publish the handle's latest generation across the whole set.
 
-        ``replicate``: every replica's service adopts the *same*
-        :class:`~repro.core.lsm.IndexGeneration` object (memory stays ~1
-        copy) — in-flight batches finish on the view they captured.
+        ``replicate``: the generation becomes the root, and every
+        replica's service adopts that *same*
+        :class:`~repro.core.lsm.IndexGeneration` object — in-flight
+        batches finish on the view they captured.
 
-        ``scatter``: the generation is folded to one columnar store, a
+        ``scatter``: the generation is folded to one columnar root, a
         fresh placement re-derives the equal-frequency ``shard_bounds``
-        of the *new* key distribution, each shard is re-published over
-        shared memory behind a new :class:`LookupLane` (reusing the
+        of the *new* key distribution, each replica adopts its shard's
+        column views behind a new :class:`LookupLane` (reusing the
         replica's breaker and metrics, stamped with the new generation),
         and a new :class:`ScatterGatherStore` is installed in the front
-        door atomically.  Old lanes are then closed and old segments
-        released: an in-flight batch still holding the previous router
-        sees closed lanes (or a generation mismatch) and falls back to
-        its own generation's root store inline — fail closed, never a
-        mixed-generation answer.  Called under the mutation lock.
+        door atomically.  Old lanes are then closed: an in-flight batch
+        still holding the previous router sees closed lanes (or a
+        generation mismatch) and falls back to its own generation's root
+        store inline — fail closed, never a mixed-generation answer.
+        Called under the mutation lock.
         """
         handle = self._mutable
         generation = handle.current
         names = list(handle.subject_names)
         self._subject_names = names
-        old_lanes: list[LookupLane] = []
         if self._frontdoor is None:
-            for i, replica in enumerate(self.replicas):
+            self._root = generation
+            for replica in self.replicas:
                 replica.store = generation
                 replica.service.install_index(generation, names)
-                # respawns after this point re-adopt the generation object
-                self._shared[i] = generation
-            old_segments = self._segments
-            self._segments = []
-        else:
-            merged = generation.as_columnar()
-            placement = ScatterPlacement(self.placement.n_replicas)
-            shards = placement.plan(merged)
-            shared_per_replica = [
-                share_store(s.store) for s in shards
-            ]
-            new_lanes = []
-            for i, replica in enumerate(self.replicas):
-                replica.store = shared_per_replica[i].materialise()
-                replica.lo, replica.hi = shards[i].lo, shards[i].hi
-                replica.service.install_index(
-                    replica.store, names, generation=generation.generation
-                )
-                new_lanes.append(self._lane(replica))
-            virtual = ScatterGatherStore(
-                new_lanes, placement, merged,
-                stats=self.scatter_stats,
-                hedge_timeout_s=self._hedge_timeout_s,
-                metrics=self._frontdoor.metrics,
-                generation=generation.generation,
+            return self.store_stats()
+        merged = generation.as_columnar()
+        placement = ScatterPlacement(self.placement.n_replicas)
+        new_lanes = []
+        for replica, shard in zip(self.replicas, placement.plan(merged)):
+            replica.store, replica.lo, replica.hi = shard.store, shard.lo, shard.hi
+            replica.service.install_index(
+                shard.store, names, generation=generation.generation
             )
-            old_lanes, self._lanes = self._lanes, new_lanes
-            old_segments = self._segments
-            self._shared = list(shared_per_replica)
-            self._segments = sorted({s.ref.name for s in shared_per_replica})
-            self.placement = placement
-            self._root = merged
-            self._router = virtual
-            self._frontdoor.install_index(virtual, names)
-            for lane in old_lanes:
-                lane.close()
-        if all(lane.join(10.0) for lane in old_lanes):
-            for name in old_segments:
-                release(name)
-        else:
-            # a lane thread outlived its close join: releasing would
-            # unmap the store it may still touch — defer to drain
-            self._deferred_segments.extend(old_segments)
+            new_lanes.append(self._lane(replica))
+        virtual = ScatterGatherStore(
+            new_lanes, placement, merged,
+            stats=self.scatter_stats,
+            hedge_timeout_s=self._hedge_timeout_s,
+            metrics=self._frontdoor.metrics,
+            generation=generation.generation,
+        )
+        old_lanes, self._lanes = self._lanes, new_lanes
+        self.placement = placement
+        self._root = merged
+        self._router = virtual
+        self._frontdoor.install_index(virtual, names)
+        for lane in old_lanes:
+            lane.close()
         return self.store_stats()
 
     def add_contigs(self, contigs: SequenceSet) -> dict:
@@ -421,10 +384,9 @@ class ReplicaSet:
         """Chaos door: replica ``i`` dies abruptly, SIGKILL-style.
 
         Its lookup lane (scatter) stops answering — in-flight shares hit
-        the hedge deadline and are served inline — its service fails
-        queued work typed and reports dead, and its shm attachment is
-        left orphaned.  Nothing is repaired here: detection, sweep, and
-        respawn are the supervisor's job.
+        the hedge deadline and are served inline — and its service fails
+        queued work typed and reports dead.  Nothing is repaired here:
+        detection and respawn are the supervisor's job.
         """
         replica = self.replicas[i]
         if self._lanes:
@@ -445,8 +407,8 @@ class ReplicaSet:
         range boundaries is looked up *through the lane* (worker thread
         and all) for every trial and compared bit-for-bit against the
         root store over the same queries — the root covers ``[lo, hi)``
-        completely, so any disagreement means the rebuilt shard or its
-        shm attachment is wrong and the replica must not rejoin.
+        completely, so any disagreement means the rebuilt shard is wrong
+        and the replica must not rejoin.
         """
         boundary = np.array(
             [replica.lo, max(replica.lo, replica.hi - 1)], dtype=np.uint64
@@ -484,13 +446,13 @@ class ReplicaSet:
 
         ``graceful`` drains the old member first (rolling restart: its
         accepted work completes); otherwise whatever is left of a corpse
-        is killed off.  The dead attachment's shm segment is reclaimed
-        exactly once, the shard is rebuilt from the *current* root store
-        at the current placement bounds, re-published over fresh shared
-        memory, and the new member passes :meth:`_parity_probe` through
-        its new lane *before* the in-place lane swap re-admits it to the
-        scatter path.  Runs under the mutation lock so a concurrent
-        generation install can never interleave.
+        is killed off.  The new member adopts the *current* root — the
+        root object itself (replicate) or a fresh column view of it at
+        the current placement bounds (scatter); nothing is copied or
+        reclaimed — and a scatter member passes :meth:`_parity_probe`
+        through its new lane *before* the in-place lane swap re-admits it
+        to the scatter path.  Runs under the mutation lock so a
+        concurrent generation install can never interleave.
         """
         with self._mutation_lock:
             if self._drained:
@@ -508,26 +470,12 @@ class ReplicaSet:
                 if not old.service.drained:
                     old.service.kill()
             generation = self.index_generation
-            source = self._shared[i]
-            if self._frontdoor is not None:
-                # scatter: reclaim the orphaned segment (exactly once —
-                # release() forgets the name) and re-publish a fresh shard.
-                # The old worker thread must be confirmed gone first: its
-                # store is zero-copy views on the segment, and unmapping
-                # under a thread still wedged mid-stall is a segfault.  A
-                # thread that will not exit defers the release to drain.
-                if isinstance(source, SharedStore):
-                    if old_lane is None or old_lane.join(10.0):
-                        release(source.ref.name)
-                    else:
-                        self._deferred_segments.append(source.ref.name)
-                shard = self._root.restrict(old.lo, old.hi)
-                source = share_store(shard.store)
-                self._shared[i] = source
-                self._segments = sorted(
-                    {s.ref.name for s in self._shared if isinstance(s, SharedStore)}
-                )
-            replica = self._spawn(i, source, old.lo, old.hi)
+            store = (
+                self._root
+                if self._frontdoor is None
+                else self._root.restrict(old.lo, old.hi).store
+            )
+            replica = self._spawn(i, store, old.lo, old.hi)
             if self._frontdoor is not None:
                 lane = self._lane(replica)
                 try:
@@ -630,12 +578,10 @@ class ReplicaSet:
         return self._drained
 
     def drain(self, timeout: float | None = None) -> None:
-        """Stop admission, finish accepted work, release the shared index.
+        """Stop admission and finish accepted work.
 
-        Order matters: the central door drains first (no new lookups),
-        then the lanes, then the replica services, and only then are the
-        shm segments released — the attached stores are zero-copy views
-        into them and must not outlive the unlink.
+        The central door drains first (no new lookups), then the lanes,
+        then the replica services.
         """
         if self._drained:
             return
@@ -647,9 +593,6 @@ class ReplicaSet:
             lane.close()
         for replica in self.replicas:
             replica.service.drain(timeout)
-        for name in self._segments + self._deferred_segments:
-            release(name)
-        self._deferred_segments = []
         self._drained = True
 
     close = drain

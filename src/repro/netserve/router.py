@@ -120,17 +120,6 @@ class LookupLane:
         self._queue.close()
         self._thread.join(timeout=10.0)
 
-    def join(self, timeout: float) -> bool:
-        """Wait for the worker thread to exit; True when it has.
-
-        The respawn path must not release a dead owner's shm segment
-        while this thread could still touch the store views built on it
-        — join first, and only a confirmed-exited lane's segment may be
-        unmapped.
-        """
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
-
     # -- chaos doors ---------------------------------------------------------
 
     def kill(self) -> None:
@@ -139,9 +128,8 @@ class LookupLane:
         Everything already queued is abandoned with its future left
         unresolved (a killed process never replies; the gather side's
         hedge deadline is what bounds the wait), the worker thread exits,
-        and later submits are refused.  The replica's store attachment is
-        deliberately *not* released — the orphaned shm segment is the
-        supervisor's to sweep.
+        and later submits are refused.  Detection and respawn are the
+        supervisor's job.
         """
         self._killed = True
         self._queue.dump()  # abandoned: futures stay pending forever
@@ -163,9 +151,8 @@ class LookupLane:
             if not batch:
                 return  # closed and drained
             # honour a wedge in short slices so kill()/close() still
-            # bound this thread's lifetime: the store views are built on
-            # a shm mapping, and a stalled worker that outlives the
-            # segment's release would fault on its next lookup
+            # bound this thread's lifetime: a stalled worker must not
+            # outlive its lane by the rest of the stall
             while not self._killed and not self._draining:
                 stall = self._wedge_until - time.monotonic()
                 if stall <= 0:

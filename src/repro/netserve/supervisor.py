@@ -2,8 +2,8 @@
 
 The :class:`ReplicaSet` keeps serving *around* a dead member — hedged
 retry re-computes the corpse's scatter shares inline from the root store
-— but nothing in the set itself notices the corpse, reclaims its
-orphaned shm segment, or restores full scatter throughput.  That is the
+— but nothing in the set itself notices the corpse or restores full
+scatter throughput.  That is the
 :class:`FleetSupervisor`'s job, in a loop of three verdicts:
 
 ``probe → verdict → repair``
@@ -21,11 +21,11 @@ orphaned shm segment, or restores full scatter throughput.  That is the
       brief GC-style stall never triggers a pointless respawn.
     * ``dead`` — the lane or service is gone.  Repair is immediate.
 
-Repair delegates to :meth:`ReplicaSet.respawn_replica`: reclaim the
-orphaned segment exactly once, rebuild the shard from the current root
-store at the current placement bounds and generation, re-publish it over
-fresh shared memory, and re-admit the member only after a bit-identical
-parity probe through its new lane.  Requests in flight during the whole
+Repair delegates to :meth:`ReplicaSet.respawn_replica`: rebuild the
+member over the current root store — a fresh column view at the current
+placement bounds and generation under scatter — and re-admit it only
+after a bit-identical parity probe through its new lane.  Requests in
+flight during the whole
 episode are served via the router's hedged fallback — bit-identical by
 construction — so recovery is zero-downtime *and* zero-drift.
 

@@ -92,9 +92,8 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     process exits.  Suppressing registration (rather than unregistering
     afterwards) avoids a race in the tracker's shared name cache when
     several workers attach the same segment.  The swap is a process-wide
-    patch, so it is serialised: two interleaved callers (every replica's
-    watchdog sweeps on the same period) would otherwise save the no-op as
-    "original" and leave it installed for good.
+    patch, so it is serialised: two interleaved callers would otherwise
+    save the no-op as "original" and leave it installed for good.
     """
     with _attach_lock:
         original = resource_tracker.register
@@ -328,9 +327,8 @@ def orphan_segment_names() -> list[str]:
 def sweep_orphan_segments() -> list[str]:
     """Unlink every orphaned ``jem-*`` segment; returns the names removed.
 
-    Run at process-backend startup and by the service watchdog, so shared
-    memory leaked by a SIGKILLed run is reclaimed by the next one instead
-    of accumulating until reboot.  Safe to call concurrently: a segment
+    Run at process-backend startup, so shared memory leaked by a SIGKILLed
+    run is reclaimed by the next one instead of accumulating until reboot.  Safe to call concurrently: a segment
     already gone is skipped.
     """
     removed: list[str] = []

@@ -293,8 +293,8 @@ class ServeChaosEvent:
     """One fleet fault, fired once ``after_mapped`` reads have answered.
 
     ``kill`` is the SIGKILL analogue for an in-process replica: the
-    lookup lane dies with its queued futures unresolved and the member's
-    shm segment is orphaned.  ``wedge`` stalls the lane for ``wedge_s``
+    lookup lane dies with its queued futures unresolved and its service
+    fails queued work.  ``wedge`` stalls the lane for ``wedge_s``
     seconds — alive but silent, the failure mode heartbeats exist for.
     """
 
@@ -458,7 +458,7 @@ def run_serve_chaos(
     C. *Recovery* — wait until every member probes healthy, then
        re-stream: the scattered count must grow while inline fallbacks
        stay flat, proving full scatter throughput returned (no permanent
-       inline serving), and draining must leave zero shm segments.
+       inline serving), and the fleet must leave no shm segment behind.
     """
     import threading
     import time as _time

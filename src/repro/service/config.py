@@ -56,8 +56,8 @@ class ServiceConfig:
         Degraded batches served while open before a half-open probe of
         the primary path.
     watchdog_interval_ms:
-        Period of the self-healing watchdog (orphaned-shm sweep,
-        readiness refresh, scheduled index compaction).
+        Period of the self-healing watchdog (readiness refresh,
+        scheduled index compaction).
         ``0`` (the default) disables the watchdog thread.
     memtable_flush_entries:
         Auto-flush threshold for the mutable index: once an

@@ -11,9 +11,9 @@ Two pieces, both deliberately free of mapping knowledge:
   exactly one batch probe the primary path: success closes it
   (recovered), failure re-opens it.  All transitions are returned as
   events so the service can count them in its metrics.
-* :class:`Watchdog` — a daemon thread that periodically sweeps orphaned
-  shared-memory segments, compacts a mutable index that has grown past
-  its segment limit, and refreshes the service's readiness gauge.
+* :class:`Watchdog` — a daemon thread that periodically compacts a
+  mutable index that has grown past its segment limit and refreshes the
+  service's readiness gauge.
 
 Neither piece ever changes mapping output on a healthy service: the
 breaker only routes *after* failures, and a breaker with
@@ -161,8 +161,8 @@ class Watchdog:
     """Periodic keeper of the service's crash-prone resources.
 
     Every ``interval_s`` the tick callback runs on a daemon thread; the
-    service's tick sweeps orphaned shm segments, runs scheduled index
-    compaction, and refreshes the readiness gauge.  :meth:`stop` is
+    service's tick runs scheduled index compaction and refreshes the
+    readiness gauge.  :meth:`stop` is
     idempotent and joins the thread.
     """
 

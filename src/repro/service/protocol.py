@@ -33,7 +33,7 @@ One JSON object per line, in both directions.  Requests:
 * ``{"op": "stats"}`` → the current store stats block (generation,
   segments, memtable entries, tombstones, nbytes breakdown).
 * ``{"op": "restart"}`` — rolling restart of a replica-set backend: each
-  member is drained, respawned over fresh shared memory, parity-probed,
+  member is drained, respawned over the current index, parity-probed,
   and re-admitted in turn, so the fleet never drops below N-1 members.
   Answers ``{"op": "restart", "restarted": [...], ...}``; a single
   service answers a typed refusal.

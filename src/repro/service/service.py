@@ -49,7 +49,6 @@ from ..parallel.driver import map_partitioned_queries, resolve_partial
 from ..parallel.faults import FaultPlan
 from ..parallel.partition import partition_bounds, partition_set
 from ..parallel.retry import RetryPolicy
-from ..parallel.shm import sweep_orphan_segments
 from ..seq.encode import encode
 from ..seq.records import SequenceSet, SequenceSetBuilder
 from .cache import SketchCacheEntry, SketchLRUCache, read_content_key
@@ -380,9 +379,8 @@ class MappingService:
         simply never answer, but in-process futures must not hang), the
         scheduler thread exits on the emptied queue, and the service
         reports ``live`` False.  Unlike :meth:`drain`, no accepted work is
-        completed and nothing is cleaned up — dangling shm attachments and
-        all.  That mess is exactly what the fleet supervisor exists to
-        detect and repair.
+        completed.  Detecting and replacing the corpse is the fleet
+        supervisor's job.
         """
         for request in self._queue.dump():
             if not request.future.done():
@@ -560,7 +558,6 @@ class MappingService:
         }
 
     def _watchdog_tick(self) -> None:
-        sweep_orphan_segments()
         limit = self.config.compact_segments
         if limit:
             table = self._mapper.table

@@ -17,6 +17,7 @@ from repro.netserve import ReplicaSet, make_placement
 from repro.parallel.faults import FaultPlan
 from repro.service import ServiceConfig
 from repro.service.health import OPEN
+from repro.sketch import _native
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
@@ -204,12 +205,34 @@ class TestLifecycle:
         with pytest.raises(ServiceClosedError):
             replica_set.submit("r", "ACGT" * 300)
 
-    def test_replicate_drain_releases_shared_segment_once(self, indexed):
-        replica_set = make_set(indexed, "replicate", 3)
-        assert len(replica_set._segments) == 1  # one segment, three attachments
-        replica_set.drain()
 
-    def test_scatter_has_one_segment_per_shard(self, indexed):
-        replica_set = make_set(indexed, "scatter", 3)
-        assert len(replica_set._segments) == 3
-        replica_set.drain()
+class TestSharing:
+    """Replicas are threads of one process: they hold the index by reference."""
+
+    def test_replicate_members_hold_the_root_object(
+        self, indexed, clean_reads, monkeypatch
+    ):
+        opens = []
+        real = _native.NativeKernels.map_open
+
+        def spy(self, *args):
+            opens.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(_native.NativeKernels, "map_open", spy)
+        with make_set(indexed, "replicate", 3) as replica_set:
+            assert all(r.store is indexed.table for r in replica_set.replicas)
+            replica_set.map_reads(clean_reads)
+        # one store object, so one native context however many members map
+        assert len(opens) == (0 if _native.load() is None else 1)
+
+    def test_scatter_shards_are_views_of_the_root(self, indexed):
+        root = indexed.table
+        with make_set(indexed, "scatter", 3) as replica_set:
+            for replica in replica_set.replicas:
+                store = replica.store
+                assert store.total_entries > 0
+                for t in range(root.trials):
+                    if store.values[t].size:
+                        assert np.shares_memory(store.values[t], root.values[t])
+                        assert np.shares_memory(store.subjects[t], root.subjects[t])

@@ -1,4 +1,4 @@
-"""Service self-healing: breaker routing, deadline shedding, watchdog.
+"""Service self-healing: breaker routing and deadline shedding.
 
 The scenario behind the design: every worker dies and stays dead.  The
 service must fail the affected batch *typed* (never hang), flip
@@ -9,11 +9,8 @@ half-open probe and report it in the metrics.
 
 from __future__ import annotations
 
-import subprocess
-import sys
 import time
 from dataclasses import replace
-from multiprocessing import shared_memory
 
 import pytest
 from conftest import TRANSPORTS, serve_session
@@ -24,7 +21,6 @@ from repro.core.segments import extract_end_segments
 from repro.core.store import ColumnarSketchStore
 from repro.errors import DeadlineExceededError, ReproError, ServiceError
 from repro.parallel.faults import FaultPlan
-from repro.parallel.shm import SEGMENT_PREFIX, segment_exists, sweep_orphan_segments
 from repro.service import MappingService, ServiceConfig
 from repro.service.health import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.sketch import query_sketch_values
@@ -354,19 +350,3 @@ class TestHealthSurface:
             assert lines[1] == {"op": "pong"}
             assert lines[-1]["op"] == "drained"
 
-
-class TestWatchdog:
-    def test_watchdog_tick_reclaims_a_dead_owners_segment(self, tiling_contigs):
-        owner = subprocess.Popen([sys.executable, "-c", "pass"])
-        owner.wait()
-        name = f"{SEGMENT_PREFIX}{owner.pid}-leaked-0"
-        shared_memory.SharedMemory(name=name, create=True, size=64).close()
-        try:
-            with MappingService.from_contigs(tiling_contigs, CONFIG) as service:
-                assert segment_exists(name)
-                service._watchdog_tick()
-                assert not segment_exists(name)
-                assert service.metrics.ready.value == 1.0
-        finally:
-            if segment_exists(name):  # pragma: no cover - cleanup on failure
-                sweep_orphan_segments()
