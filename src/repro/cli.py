@@ -292,10 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="mapping service workers behind --listen "
                               "(default 1)")
     p_serve.add_argument("--placement", choices=("scatter", "replicate"),
-                         default="scatter",
-                         help="replica index ownership: scatter = key-range "
-                              "shards + central vote, replicate = whole index "
-                              "+ round-robin (default scatter)")
+                         default="replicate",
+                         help="replica index ownership: replicate = every "
+                              "replica maps whole reads on the one shared "
+                              "index through the fused kernel, round-robin; "
+                              "scatter = key-range shards + central numpy "
+                              "vote (default replicate)")
     p_serve.add_argument("--tenant-quota", type=int, default=None,
                          help="max in-flight maps per tenant tag across all "
                               "sessions (default: unlimited)")
@@ -306,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="supervisor heartbeat interval behind --listen "
                               "(default 500; probe deadline is half of it)")
     p_serve.add_argument("--hedge-timeout-ms", type=float, default=2000.0,
-                         help="scatter share deadline before the gather stage "
-                              "hedges the answer inline from the root store "
-                              "(0 disables hedging; default 2000)")
+                         help="--placement scatter only: share deadline "
+                              "before the gather stage hedges the answer "
+                              "inline from the root store (0 disables "
+                              "hedging; default 2000)")
     p_serve.add_argument("--max-line-bytes", type=int, default=1 << 20,
                          help="longest accepted NDJSON request line; an "
                               "oversized line is skipped and answered with "
@@ -644,6 +647,19 @@ def _require_one_source(args: argparse.Namespace) -> bool:
     return True
 
 
+def _fleet_from(args: argparse.Namespace, engine: MappingEngine):
+    """The replica fleet ``serve --listen`` puts behind its TCP door."""
+    from .netserve import ReplicaSet, make_placement
+
+    return ReplicaSet.from_engine(
+        engine, make_placement(args.placement, args.replicas),
+        _service_config_from(args),
+        hedge_timeout_s=(
+            args.hedge_timeout_ms / 1000.0 if args.hedge_timeout_ms > 0 else None
+        ),
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``jem serve``: one NDJSON front-end — over stdin/stdout, or with
     ``--listen`` over TCP in front of a replica fleet."""
@@ -651,14 +667,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     import signal
 
-    from .netserve import (
-        FleetSupervisor,
-        NetFrontend,
-        ReplicaSet,
-        SupervisorConfig,
-        make_placement,
-        parse_hostport,
-    )
+    from .netserve import FleetSupervisor, NetFrontend, SupervisorConfig, parse_hostport
 
     if not _require_one_source(args):
         return 2
@@ -673,13 +682,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         idle_timeout_s = None
     else:
         host, port = parse_hostport(args.listen)
-        placement = make_placement(args.placement, args.replicas)
-        backend = ReplicaSet.from_engine(
-            engine, placement, _service_config_from(args),
-            hedge_timeout_s=(
-                args.hedge_timeout_ms / 1000.0 if args.hedge_timeout_ms > 0 else None
-            ),
-        )
+        backend = _fleet_from(args, engine)
+        placement = backend.placement
         idle_timeout_s = args.idle_timeout if args.idle_timeout > 0 else None
         if not args.no_supervise:
             interval_s = max(args.probe_interval_ms, 1.0) / 1000.0

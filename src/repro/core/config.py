@@ -7,11 +7,20 @@ Defaults are the paper's: k = 16, w = 100, ℓ = 1000, T = 30
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from ..errors import ConfigError
 from ..sketch.hashing import HashFamily
 
 __all__ = ["JEMConfig"]
+
+
+@cache
+def _hash_family(trials: int, seed: int) -> HashFamily:
+    family = HashFamily.generate(trials, seed)
+    for arr in (family.a, family.b, family.p):
+        arr.flags.writeable = False
+    return family
 
 
 @dataclass(frozen=True)
@@ -57,8 +66,12 @@ class JEMConfig:
             raise ConfigError(f"min_hits must be >= 1, got {self.min_hits}")
 
     def hash_family(self) -> HashFamily:
-        """The T-function hash family determined by (trials, seed)."""
-        return HashFamily.generate(self.trials, self.seed)
+        """The T-function hash family determined by (trials, seed).
+
+        Drawn once per ``(trials, seed)`` in a process (the prime search
+        costs milliseconds) and shared: its arrays are read-only.
+        """
+        return _hash_family(self.trials, self.seed)
 
     def with_trials(self, trials: int) -> "JEMConfig":
         """Copy with a different T (used by the Fig. 6 sweep)."""

@@ -65,7 +65,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-import zlib
+import zipfile
 from itertools import chain
 from typing import Iterable
 
@@ -763,26 +763,26 @@ class MutableSketchStore:
         return rel, write_bundle(os.path.join(self._dir, rel), members, file_crc=True)
 
     def _load_segment_file(self, meta: dict) -> ColumnarSketchStore | None:
+        """The segment ``meta`` names, or None when it is missing or damaged.
+
+        The file's CRC is checked in 1 MiB pieces first; then its trial
+        members are read straight into the segment's flat columns, as a
+        v3 bundle loads — the segment is resident once.
+        """
+        from .persist import file_crc32, read_trial_columns
+
         path = os.path.join(self._dir, meta["file"])
         try:
             with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError:
-            return None
-        if (zlib.crc32(raw) & 0xFFFFFFFF) != int(meta["crc32"]):
-            return None
-        import io
-
-        try:
-            with np.load(io.BytesIO(raw), allow_pickle=False) as data:
+                if file_crc32(fh) != int(meta["crc32"]):
+                    return None
+            with np.load(path, allow_pickle=False) as data:
                 trials = int(data["trials"])
                 n_subjects = int(data["n_subjects"])
-                stacked = [data[f"trial_{t:03d}"] for t in range(trials)]
-        except (KeyError, ValueError, OSError, EOFError):  # pragma: no cover
+                values, subjects, offsets, _ = read_trial_columns(data.zip, trials)
+        except (KeyError, ValueError, OSError, EOFError, zipfile.BadZipFile):
             return None
-        return ColumnarSketchStore(
-            [arr[0] for arr in stacked], [arr[1] for arr in stacked], n_subjects
-        )
+        return ColumnarSketchStore.from_flat(values, subjects, offsets, n_subjects)
 
     def _write_manifest(self) -> None:
         from ..resilience.checkpoint import atomic_write_bytes

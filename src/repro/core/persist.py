@@ -17,11 +17,12 @@ never a torn bundle under the index's name.
 
 **Format v3** stores the columnar layout natively: each ``trial_{t:03d}``
 entry is a ``(2, n)`` ``uint32`` array — row 0 the sorted sketch-value
-column, row 1 the parallel contig-id column — exactly the resident form of
-:class:`~repro.core.store.ColumnarSketchStore`, so loading builds the
-store without repacking.  Older single-file formats (v2 wrote packed
-``uint64`` keys) are rejected with a typed error telling the user to
-rebuild.  See ``docs/architecture.md`` for the layout.
+column, row 1 the parallel contig-id column.  Loading copies every row
+into its slice of the two flat arrays the fused kernel maps over
+(:func:`read_trial_columns`), so the store is built over views of them
+and the index is resident once.  Older single-file formats (v2 wrote
+packed ``uint64`` keys) are rejected with a typed error telling the user
+to rebuild.  See ``docs/architecture.md`` for the layout.
 """
 
 from __future__ import annotations
@@ -30,15 +31,27 @@ import os
 import zipfile
 import zlib
 from collections.abc import Iterable, Iterator
+from typing import BinaryIO
 
 import numpy as np
+from numpy.lib import format as npy
 
 from ..errors import IndexCorruptError, MappingError, SketchError
 from .config import JEMConfig
 from .mapper import JEMMapper
 from .store import ColumnarSketchStore
 
-__all__ = ["save_index", "load_index", "write_bundle", "INDEX_FORMAT_VERSION"]
+__all__ = [
+    "save_index",
+    "load_index",
+    "write_bundle",
+    "read_trial_columns",
+    "file_crc32",
+    "INDEX_FORMAT_VERSION",
+]
+
+#: ``.npy`` header readers by format version.
+_NPY_HEADERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
 
 #: Bumped on any incompatible change to the on-disk layout.
 #: v4 is the *mutable* layout — a directory holding a manifest of segment
@@ -85,6 +98,64 @@ def stacked_trials(store: ColumnarSketchStore) -> Iterator[tuple[str, np.ndarray
         yield f"trial_{t:03d}", np.stack([store.values[t], store.subjects[t]])
 
 
+def file_crc32(fh: BinaryIO) -> int:
+    """CRC32 of an open binary file from its position on, read in 1 MiB pieces."""
+    crc = 0
+    while piece := fh.read(1 << 20):
+        crc = zlib.crc32(piece, crc)
+    return crc
+
+
+def _trial_width(bundle: zipfile.ZipFile, name: str) -> int:
+    """``n`` of trial member ``name``, whose header must say ``(2, n)`` native uint32, C order."""
+    with bundle.open(name) as fh:
+        version = npy.read_magic(fh)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f"{name}: .npy format {version} unsupported")
+        shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+    if dtype != np.uint32 or fortran_order or len(shape) != 2 or shape[0] != 2:
+        order = "Fortran" if fortran_order else "C"
+        raise ValueError(
+            f"{name}: expected (2, n) uint32 columns in C order, "
+            f"got {shape} {dtype.str} in {order} order"
+        )
+    return shape[1]
+
+
+def read_trial_columns(
+    bundle: zipfile.ZipFile, trials: int, crc: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The ``trial_NNN`` members of an open bundle, read into the flat layout.
+
+    Returns ``(values, subjects, offsets, crc)``: trial ``t``'s two rows
+    land in ``values[offsets[t]:offsets[t+1]]`` and the same slice of
+    ``subjects`` — what :meth:`ColumnarSketchStore.from_flat` takes and
+    the fused kernel maps over — and ``crc`` is the given CRC32 continued
+    over each member's array bytes, as :func:`_content_checksum` covers
+    them.  The headers are read first to size the two arrays; then each
+    member is read whole and copied into its slices, so a load holds the
+    index plus one trial.  Every member is read to its end, so the zip
+    CRC of each is checked.  A member that is not ``(2, n)`` uint32, or
+    holds fewer or more bytes than its header says, raises ``ValueError``.
+    """
+    names = [f"trial_{t:03d}.npy" for t in range(trials)]
+    offsets = np.zeros(trials + 1, dtype=np.int64)
+    np.cumsum([_trial_width(bundle, name) for name in names], out=offsets[1:])
+    values = np.empty(int(offsets[-1]), dtype=np.uint32)
+    subjects = np.empty_like(values)
+    for name, lo, hi in zip(names, offsets[:-1].tolist(), offsets[1:].tolist()):
+        with bundle.open(name) as fh:
+            try:
+                columns = npy.read_array(fh, allow_pickle=False)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+            if fh.read(1):
+                raise ValueError(f"{name}: bytes past its (2, {hi - lo}) columns")
+        values[lo:hi], subjects[lo:hi] = columns
+        crc = zlib.crc32(columns, crc)
+    return values, subjects, offsets, crc
+
+
 def write_bundle(
     final: str, members: Iterable[tuple[str, np.ndarray]], *, file_crc: bool = False
 ) -> int | None:
@@ -109,9 +180,7 @@ def write_bundle(
                     np.lib.format.write_array(member, np.asanyarray(arr), allow_pickle=False)
         if file_crc:
             fh.seek(0)
-            crc = 0
-            while piece := fh.read(1 << 20):
-                crc = zlib.crc32(piece, crc)
+            crc = file_crc32(fh)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, final)
@@ -164,9 +233,11 @@ def save_index(mapper: JEMMapper, path: str | os.PathLike) -> str:
 def load_index(path: str | os.PathLike) -> JEMMapper:
     """Reconstruct a ready-to-map :class:`JEMMapper` from a saved index.
 
-    A v3 bundle's columns become the resident columnar store without
-    conversion.  Truncated, corrupted, older- or future-format files raise
-    :class:`~repro.errors.MappingError` with the root cause chained.
+    A v3 bundle's columns are read into the flat arrays of the resident
+    columnar store (:func:`read_trial_columns`), which the fused kernel
+    maps over with no further copy.  Truncated, corrupted, older- or
+    future-format files raise :class:`~repro.errors.MappingError` with the
+    root cause chained.
     """
     path = os.fspath(path)
     if os.path.isdir(path):
@@ -198,18 +269,21 @@ def load_index(path: str | os.PathLike) -> JEMMapper:
             config = JEMConfig(
                 k=k, w=w, ell=ell, trials=trials, seed=seed, min_hits=min_hits
             )
-            trial_arrays = [data[f"trial_{t:03d}"] for t in range(trials)]
             n_subjects = int(data["n_subjects"])
             names_arr = data["subject_names"]
             names = [str(n) for n in names_arr]
             stored = int(data["checksum"])
+            values, subjects, offsets, actual = read_trial_columns(
+                data.zip,
+                trials,
+                _content_checksum(config_arr, n_subjects, names_arr, []),
+            )
     except MappingError:
         raise
     except FileNotFoundError as exc:
         raise MappingError(f"no such index: {path!r}") from exc
     except _CORRUPTION_ERRORS as exc:
         raise _corrupt_error(path, str(exc)) from exc
-    actual = _content_checksum(config_arr, n_subjects, names_arr, trial_arrays)
     if actual != stored:
         raise _corrupt_error(
             path,
@@ -217,11 +291,7 @@ def load_index(path: str | os.PathLike) -> JEMMapper:
             f"computed {actual:#010x})",
         )
     try:
-        resident = ColumnarSketchStore(
-            [arr[0] for arr in trial_arrays],
-            [arr[1] for arr in trial_arrays],
-            n_subjects,
-        )
+        resident = ColumnarSketchStore.from_flat(values, subjects, offsets, n_subjects)
     except (SketchError, *_CORRUPTION_ERRORS) as exc:
         raise _corrupt_error(path, str(exc)) from exc
     mapper = JEMMapper(config)

@@ -306,6 +306,30 @@ class ColumnarSketchStore:
             raise SketchError("column list must pair values with subjects")
         return cls(columns[0::2], columns[1::2], n_subjects)
 
+    @classmethod
+    def from_flat(
+        cls,
+        values: np.ndarray,
+        subjects: np.ndarray,
+        offsets: np.ndarray,
+        n_subjects: int,
+    ) -> "ColumnarSketchStore":
+        """A store over the :meth:`flat_columns` layout, holding it as given.
+
+        ``values``/``subjects`` are flat ``uint32`` arrays and ``offsets``
+        (trials + 1, ``int64``) marks the trial boundaries; every trial's
+        columns are views of them, so :meth:`flat_columns` returns these
+        very arrays and copies nothing.  This is how a saved bundle loads.
+        """
+        bounds = _trial_bounds(offsets)
+        store = cls(
+            [values[lo:hi] for lo, hi in bounds],
+            [subjects[lo:hi] for lo, hi in bounds],
+            n_subjects,
+        )
+        store._flat = (values, subjects, offsets)
+        return store
+
     def export_columns(self) -> list[np.ndarray]:
         """Flat [values_0, subjects_0, values_1, subjects_1, ...] list."""
         out: list[np.ndarray] = []
@@ -319,18 +343,19 @@ class ColumnarSketchStore:
 
         Returns ``(values, subjects, offsets)`` where trial ``t`` occupies
         ``values[offsets[t]:offsets[t+1]]`` (and the same slice of
-        ``subjects``) — the columns concatenated on the first call and
-        cached; the native map context opened over them is cached by
-        :meth:`lookup_fused`, not here.  The per-trial lists are re-pointed
-        at views of the flat arrays, so the store holds its columns once.
-        (Not done at construction: a scatter shard — column views of its
-        root — or a generation that never maps fused would pay a private
-        copy for nothing.)
+        ``subjects``); the native map context opened over them is cached by
+        :meth:`lookup_fused`, not here.  A store built by :meth:`from_flat`
+        (a loaded bundle or segment) already is this layout.  Any other
+        store concatenates its columns on the first call and re-points the
+        per-trial lists at views of the flat arrays, so it too holds its
+        columns once.  (Not done at construction: a scatter shard — column
+        views of its root — or a generation that never maps fused would
+        pay a private copy for nothing.)
         """
         if self._flat is None:
             offsets = np.zeros(self.trials + 1, dtype=np.int64)
             np.cumsum([v.size for v in self.values], out=offsets[1:])
-            bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+            bounds = _trial_bounds(offsets)
             # one side at a time: its old columns are freed before the next is copied
             flat_values = np.concatenate(self.values)
             self.values = [flat_values[lo:hi] for lo, hi in bounds]
@@ -580,6 +605,11 @@ def lookup_trial_sharded(
     subjects = np.concatenate(sub_chunks)
     order = np.lexsort((subjects, query_index))
     return TrialHits(query_index[order], subjects[order])
+
+
+def _trial_bounds(offsets: np.ndarray) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of each trial in a flat column, from its trials + 1 offsets."""
+    return list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
 
 
 def _split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from repro.core import JEMConfig
@@ -17,6 +18,23 @@ def test_hash_family_size_and_determinism():
     f1, f2 = cfg.hash_family(), cfg.hash_family()
     assert f1.size == 7
     assert (f1.a == f2.a).all()
+
+
+def test_hash_family_is_drawn_once_per_trials_and_seed():
+    from repro.sketch.hashing import HashFamily
+
+    family = JEMConfig(trials=9, seed=5).hash_family()
+    # an equal config elsewhere gets the same object: the primes are not redrawn
+    assert JEMConfig(trials=9, seed=5, k=12).hash_family() is family
+    assert JEMConfig(trials=9, seed=6).hash_family() is not family
+    fresh = HashFamily.generate(9, 5)
+    for name in "abp":
+        arr = getattr(family, name)
+        assert not arr.flags.writeable
+        assert arr.dtype == getattr(fresh, name).dtype
+        assert np.array_equal(arr, getattr(fresh, name))
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_with_trials():

@@ -32,7 +32,7 @@ from repro.core.lsm import (
     store_stats,
 )
 from repro.core.store import DictSketchStore
-from repro.errors import MappingError, SketchError
+from repro.errors import IndexCorruptError, MappingError, SketchError
 from repro.resilience.chaos import ChaosPlan
 from repro.seq.records import SequenceSet
 from repro.sketch.jem import subject_sketch_pairs
@@ -316,6 +316,30 @@ class TestDurability:
             assert reopened.generation == generation
             assert reopened.current.is_clean
             assert_key_parity(reopened, model)
+            # the segment file was read into the fused kernel's flat columns
+            segment = reopened.current.segments[0]
+            values, subjects, offsets = segment.flat_columns()
+            for t in range(segment.trials):
+                lo, hi = int(offsets[t]), int(offsets[t + 1])
+                assert np.shares_memory(segment.values[t], values[lo:hi]) or lo == hi
+                assert np.shares_memory(segment.subjects[t], subjects[lo:hi]) or lo == hi
+
+    @pytest.mark.parametrize("damage", ["bitflip", "missing"])
+    def test_damaged_manifest_segment_is_refused_typed(self, rng, tmp_path, damage):
+        run_dir, handle, _ = self.seeded_durable(rng, tmp_path)
+        handle.close()
+        with open(os.path.join(run_dir, MANIFEST_NAME)) as fh:
+            seg_path = os.path.join(run_dir, json.load(fh)["segments"][0]["file"])
+        if damage == "missing":
+            os.unlink(seg_path)
+        else:
+            with open(seg_path, "r+b") as fh:
+                fh.seek(os.path.getsize(seg_path) // 2)
+                byte = fh.read(1)
+                fh.seek(-1, os.SEEK_CUR)
+                fh.write(bytes([byte[0] ^ 0xFF]))
+        with pytest.raises(IndexCorruptError, match="missing or fails its CRC"):
+            MutableSketchStore.open(run_dir)
 
     def test_reopen_replays_wal_suffix_without_flush(self, rng, tmp_path):
         """Adds and removes that never flushed must survive via the WAL."""

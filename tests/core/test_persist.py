@@ -375,6 +375,123 @@ def test_writer_killed_mid_bundle_leaves_the_previous_bundle_intact(
     assert len(load_index(path).subject_names) == 3
 
 
+def _tiled_bundle(tmp_path, genome_bp: int) -> str:
+    """A default-config index over a random genome cut into 2.5 kbp contigs
+    (100 kbp so tiled is a 58 KB index, 300 kbp a 174 KB one)."""
+    from repro.seq import SequenceSetBuilder, random_codes
+
+    genome = random_codes(genome_bp, np.random.default_rng(7))
+    builder = SequenceSetBuilder()
+    for i, start in enumerate(range(0, genome_bp - 2_500 + 1, 2_600)):
+        builder.add(f"ctg_{i:06d}", genome[start : start + 2_500])
+    mapper = JEMMapper(JEMConfig())
+    mapper.index(builder.build())
+    return save_index(mapper, tmp_path / f"tiled_{genome_bp}")
+
+
+class TestFlatLoad:
+    """A loaded bundle is held once: its rows land in the fused kernel's flat arrays."""
+
+    def test_trial_columns_are_views_of_the_flat_columns(self, tmp_path, tiling_contigs):
+        import tracemalloc
+
+        store = load_index(_saved_bundle(tmp_path, tiling_contigs)).table
+        tracemalloc.start()
+        try:
+            values, subjects, offsets = store.flat_columns()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024  # nothing folded: the arrays already exist
+        assert store.flat_columns()[0] is values
+        for t in range(store.trials):
+            lo, hi = int(offsets[t]), int(offsets[t + 1])
+            assert store.values[t].size == hi - lo
+            assert np.shares_memory(store.values[t], values[lo:hi])
+            assert np.shares_memory(store.subjects[t], subjects[lo:hi])
+
+    def test_load_peak_is_one_index(self, tmp_path):
+        """Loading and folding hold the index once: each further byte of
+        index raises the peak by at most 1.4 bytes.
+
+        The slope, not the ratio: what a load holds besides the index —
+        the zip directory, header parses, the contig names, one member read
+        whole — is ≈ 110 KB, as much as a tier-S index, so peak / index
+        says little at that size.  The slope reads 1.1 (the index, plus
+        the names and the one-member buffer that grow with it); loading
+        every trial whole and then folding them, as the loader once did,
+        reads 1.8.
+        """
+        import tracemalloc
+
+        def load_peak(path: str) -> tuple[int, int]:
+            load_index(path)  # imports and one-time caches out of the window
+            tracemalloc.start()
+            try:
+                store = load_index(path).table
+                store.flat_columns()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak, store.nbytes
+
+        small, large = (load_peak(_tiled_bundle(tmp_path, bp)) for bp in (100_000, 300_000))
+        slope = (large[0] - small[0]) / (large[1] - small[1])
+        assert slope <= 1.4, (small, large)
+
+    @pytest.mark.parametrize("damage", ["short", "long"])
+    def test_member_with_the_wrong_length_is_typed(self, tmp_path, tiling_contigs, damage):
+        """A member whose zip entry is intact but holds fewer (or more)
+        bytes than its ``.npy`` header says is corrupt, never half-read."""
+        import io
+
+        path = _saved_bundle(tmp_path, tiling_contigs)
+        damaged = str(tmp_path / "damaged.npz")
+        with zipfile.ZipFile(path) as src, zipfile.ZipFile(damaged, "w") as dst:
+            for info in src.infolist():
+                raw = src.read(info)
+                if info.filename == "trial_002.npy":
+                    buf = io.BytesIO()
+                    np.lib.format.write_array(buf, np.load(io.BytesIO(raw)))
+                    raw = buf.getvalue()
+                    raw = raw[:-5] if damage == "short" else raw + b"\x00" * 8
+                dst.writestr(info, raw)
+        with pytest.raises(IndexCorruptError, match="trial_002") as excinfo:
+            load_index(damaged)
+        assert excinfo.value.path == damaged
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda cols: cols.astype(np.int64),
+            lambda cols: cols.astype(">u4"),
+            lambda cols: np.asfortranarray(cols),
+            lambda cols: cols[0],
+            lambda cols: np.vstack([cols, cols[:1]]),
+        ],
+        ids=["int64", "big-endian", "fortran", "one-row", "three-rows"],
+    )
+    def test_member_with_the_wrong_dtype_or_shape_is_typed(
+        self, tmp_path, tiling_contigs, bad
+    ):
+        """Even under a checksum recomputed over it, a trial member that is
+        not (2, n) native uint32 in C order is refused, not cast."""
+        path = _saved_bundle(tmp_path, tiling_contigs)
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files}
+        payload["trial_001"] = bad(payload["trial_001"])
+        trials = [payload[f"trial_{t:03d}"] for t in range(CFG.trials)]
+        payload["checksum"] = np.uint32(
+            _content_checksum(
+                payload["config"], int(payload["n_subjects"]),
+                payload["subject_names"], trials,
+            )
+        )
+        np.savez(path, **payload)
+        with pytest.raises(IndexCorruptError, match="trial_001"):
+            load_index(path)
+
+
 def test_version_check(tmp_path, tiling_contigs):
     mapper = JEMMapper(CFG)
     mapper.index(tiling_contigs)
