@@ -132,7 +132,9 @@ def _engine_from(args: argparse.Namespace) -> MappingEngine:
 
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
-    """Scheduling/admission/caching knobs shared by ``serve`` and ``client``."""
+    """Knobs of both ``serve`` and ``client``: a stdio client forwards the
+    batching/admission/caching four to the ``serve`` it spawns, and each
+    command writes its own ``--metrics-out``."""
     parser.add_argument("--max-batch", type=int, default=64,
                         help="most reads coalesced into one micro-batch (default 64)")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
@@ -143,19 +145,15 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-capacity", type=int, default=4096,
                         help="query-sketch LRU result cache entries; 0 disables "
                              "(default 4096)")
-    parser.add_argument("-p", "--processes", type=int, default=1,
-                        help="simulated ranks for the fault-tolerant batch "
-                             "dispatch (1 = inline fast path)")
-    parser.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
-                        help="fail a whole batch on unrecoverable faults "
-                             "(--no-strict fails only the lost reads)")
-    parser.add_argument("--inject-faults", type=int, default=None, metavar="SEED",
-                        help="inject a seeded recoverable fault plan (testing/demo)")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the final metrics snapshot as JSON")
+
+
+def _add_serve_only_args(parser: argparse.ArgumentParser) -> None:
+    """Self-healing and index-maintenance knobs of ``serve`` alone."""
     parser.add_argument("--breaker-failures", type=int, default=0,
                         help="failed batches in the rolling window that trip "
-                             "the circuit breaker into degraded single-trial "
+                             "the circuit breaker into degraded reduced-trial "
                              "mapping (0 = breaker disabled, default)")
     parser.add_argument("--watchdog-interval-ms", type=float, default=0.0,
                         help="self-healing watchdog period (readiness "
@@ -178,12 +176,10 @@ def _service_config_from(args: argparse.Namespace):
         max_wait_ms=args.max_wait_ms,
         queue_capacity=args.queue_capacity,
         cache_capacity=args.cache_capacity,
-        processes=args.processes,
-        strict=args.strict,
-        breaker_failures=getattr(args, "breaker_failures", 0),
-        watchdog_interval_ms=getattr(args, "watchdog_interval_ms", 0.0),
-        memtable_flush_entries=getattr(args, "memtable_flush_entries", 0),
-        compact_segments=getattr(args, "compact_segments", 0),
+        breaker_failures=args.breaker_failures,
+        watchdog_interval_ms=args.watchdog_interval_ms,
+        memtable_flush_entries=args.memtable_flush_entries,
+        compact_segments=args.compact_segments,
     )
 
 
@@ -324,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "none, its parent owns the pipe and may idle")
     _add_config_args(p_serve)
     _add_service_args(p_serve)
+    _add_serve_only_args(p_serve)
 
     p_client = sub.add_parser(
         "client",
@@ -844,11 +841,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
             "--max-wait-ms", str(args.max_wait_ms),
             "--queue-capacity", str(args.queue_capacity),
             "--cache-capacity", str(args.cache_capacity),
-            "--processes", str(args.processes),
-            "--strict" if args.strict else "--no-strict",
         ]
-        if args.inject_faults is not None:
-            command += ["--inject-faults", str(args.inject_faults)]
     t0 = time.perf_counter()
     proc = subprocess.Popen(
         command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True

@@ -564,11 +564,7 @@ class MappingEngine:
         service_config: "ServiceConfig | None" = None,
         **kwargs: Any,
     ) -> "MappingService":
-        """A resident :class:`MappingService` over this engine's index.
-
-        The pipeline's fault plan is injected unless the caller passes an
-        explicit ``faults=`` keyword.
-        """
+        """A resident :class:`MappingService` over this engine's index."""
         from ..service.service import MappingService
 
         if self.pipeline.mapper != "jem":
@@ -576,7 +572,6 @@ class MappingEngine:
                 f"the mapping service is jem-only; pipeline requests "
                 f"{self.pipeline.mapper!r}"
             )
-        kwargs.setdefault("faults", self.pipeline.fault_plan())
         mapper = self.mapper
         if not isinstance(mapper, JEMMapper):  # pragma: no cover - registry misuse
             raise MappingError("service requires a JEMMapper instance")

@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 from ..errors import ReproError, ServiceOverloadError
 from ..service.protocol import (
     ADMIN_OPS,
-    MAX_PENDING,
     MUTATION_OPS,
     mutation_response,
     response_for_mapping,
@@ -69,6 +68,10 @@ _ORDERED_OPS = ("map", "ping", "metrics", *MUTATION_OPS, *ADMIN_OPS)
 
 #: Messages the dispatcher drains from one connection per fairness cycle.
 FAIR_CHUNK = 16
+
+#: Unanswered maps a session may hold before the front-end stops reading
+#: it.  Bounds server memory while still letting batches fill.
+MAX_PENDING = 512
 
 #: retry hint for tenant-quota rejections (the tenant's own responses
 #: drain the quota, so a short client-side pause is enough).

@@ -28,7 +28,6 @@ sick replica sheds or degrades alone while the set keeps serving:
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from ..service.health import OPEN
 from ..service.metrics import aggregate_metrics
 from ..service.queue import MapFuture
 from ..service.service import MappingService, map_reads_through
-from .placement import PlacementPolicy, ReplicatedPlacement, ScatterPlacement
+from .placement import PlacementPolicy, ScatterPlacement
 from .router import LookupLane, ScatterGatherStore
 
 __all__ = ["Replica", "ReplicaSet"]
@@ -66,8 +65,6 @@ class Replica:
         *,
         placement_kind: str,
         generation: int = 0,
-        faults: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
     ) -> None:
         self.id = int(replica_id)
         self.lo = int(lo)
@@ -78,8 +75,6 @@ class Replica:
         self.service = MappingService(
             mapper,
             service_config,
-            faults=faults,
-            retry=retry,
             metrics_labels={
                 "replica": str(self.id),
                 "placement": placement_kind,
@@ -101,7 +96,13 @@ class Replica:
 
 
 class ReplicaSet:
-    """N placement-assigned mapping workers behind one ``submit`` door."""
+    """N placement-assigned mapping workers behind one ``submit`` door.
+
+    ``faults`` / ``retry`` reach only the scatter placement's lookup lanes
+    (:class:`~repro.netserve.router.LookupLane`): an injected fault strikes
+    a lane's per-trial lookup, and a replica service always maps its
+    batch in one call.
+    """
 
     def __init__(
         self,
@@ -162,12 +163,9 @@ class ReplicaSet:
             self.scatter_stats = virtual.stats
             central = JEMMapper(jem_config)
             central.adopt_store(virtual, self._subject_names)
-            # the central service votes over the virtual store inline; a
-            # process pool cannot ship a virtual store, and lane faults
-            # already model the failure surface
             self._frontdoor = MappingService(
                 central,
-                replace(self.config, processes=1),
+                self.config,
                 metrics_labels={"replica": "front", "placement": placement.kind},
             )
             virtual.bind_metrics(self._frontdoor.metrics)
@@ -176,16 +174,11 @@ class ReplicaSet:
 
     def _spawn(self, i: int, store, lo: int, hi: int) -> Replica:
         """Replica ``i`` over ``store``, stamped with the fleet's generation."""
-        replicated = self.placement.kind == ReplicatedPlacement.kind
         return Replica(
             i, store, lo, hi,
             self._subject_names, self._jem_config, self.config,
             placement_kind=self.placement.kind,
             generation=self.index_generation,
-            # replicate: faults strike a replica's own dispatch path;
-            # scatter: faults strike the lookup lanes instead
-            faults=self._faults if replicated else None,
-            retry=self._retry,
         )
 
     def _lane(self, replica: Replica) -> LookupLane:
@@ -215,7 +208,6 @@ class ReplicaSet:
         mapper = engine.mapper
         if not isinstance(mapper, JEMMapper):
             raise ServiceError("netserve requires a JEMMapper index")
-        kwargs.setdefault("faults", engine.pipeline.fault_plan())
         return cls(
             mapper.table, mapper.subject_names, mapper.config,
             placement=placement, service_config=service_config, **kwargs,

@@ -195,9 +195,9 @@ def map_partitioned_queries(
 ) -> QueryMapOutcome:
     """Map per-rank query blocks against a resident sketch table (step S4).
 
-    This is the query half of :func:`run_parallel_jem`, factored out so a
-    long-lived service with a resident index reuses the exact same
-    fault-tolerant dispatch: every block runs under the
+    This is the query half of :func:`run_parallel_jem`, factored out so
+    the checkpointed runner (:mod:`repro.resilience.runner`) reuses the
+    exact same fault-tolerant dispatch: every block runs under the
     :class:`~repro.parallel.faults.FaultPlan` / retry policy, and a block
     whose own rank is beyond saving is re-dispatched to the surviving
     ranks.  Blocks that fail everywhere land in ``failed_blocks``;

@@ -2,8 +2,8 @@
 
 Turns the one-shot JEM-mapper pipeline into a resident server: index
 loaded once, bounded admission queue with backpressure, dynamic
-micro-batching through the fault-tolerant parallel dispatch, an LRU
-result cache keyed by query-sketch content, and live metrics.  See
+micro-batching with one S4 call per batch, an LRU result cache keyed by
+query-sketch content, and live metrics.  See
 ``docs/serving.md`` for the architecture and contracts.
 """
 

@@ -34,20 +34,11 @@ class ServiceConfig:
         ``retry_after`` hint (admission control / backpressure).
     cache_capacity:
         Entries in the query-sketch LRU result cache; 0 disables caching.
-    processes:
-        Simulated ranks for the fault-tolerant parallel dispatch path.
-        1 = map batches inline (fastest on one core); > 1 partitions each
-        batch across ranks through the S4 driver, which is also the path
-        that supports fault injection and re-dispatch recovery.
-    strict:
-        Strict-mode contract for unrecoverable faults: ``True`` fails the
-        whole batch, ``False`` degrades gracefully — only the lost reads'
-        requests error, naming the cause.
     metrics_window:
         Reservoir size of each latency histogram.
     breaker_failures:
         Failed batches within ``breaker_window`` recorded batches that
-        trip the circuit breaker into degraded single-trial mapping.
+        trip the circuit breaker into degraded reduced-trial mapping.
         ``0`` (the default) disables the breaker entirely — a clean or
         default-configured service can never change routing.
     breaker_window:
@@ -75,8 +66,6 @@ class ServiceConfig:
     max_wait_ms: float = 2.0
     queue_capacity: int = 1024
     cache_capacity: int = 4096
-    processes: int = 1
-    strict: bool = True
     metrics_window: int = 4096
     breaker_failures: int = 0
     breaker_window: int = 16
@@ -94,8 +83,6 @@ class ServiceConfig:
             raise ConfigError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
         if self.cache_capacity < 0:
             raise ConfigError(f"cache_capacity must be >= 0, got {self.cache_capacity}")
-        if self.processes < 1:
-            raise ConfigError(f"processes must be >= 1, got {self.processes}")
         if self.metrics_window < 1:
             raise ConfigError(f"metrics_window must be >= 1, got {self.metrics_window}")
         if self.breaker_failures < 0:

@@ -3,12 +3,12 @@
 Two pieces, both deliberately free of mapping knowledge:
 
 * :class:`CircuitBreaker` — a rolling-window breaker over per-batch
-  outcomes.  A spike of post-recovery batch failures (workers dying
-  faster than retry/re-dispatch can absorb) trips it **open**; while
-  open the service re-routes batches to the degraded single-trial
-  mapping path, which needs no parallel dispatch at all.  After a
-  cooldown of degraded batches the breaker goes **half-open** and lets
-  exactly one batch probe the primary path: success closes it
+  outcomes.  A spike of batch failures (the batch's S4 call raising)
+  trips it **open**; while open the service re-routes batches to the
+  degraded reduced-trial mapping path, a cheaper answer over a smaller
+  store.  After a cooldown of degraded batches the breaker goes
+  **half-open** and lets exactly one batch probe the primary path:
+  success closes it
   (recovered), failure re-opens it.  All transitions are returned as
   events so the service can count them in its metrics.
 * :class:`Watchdog` — a daemon thread that periodically compacts a

@@ -187,7 +187,7 @@ class ServiceMetrics:
     Counters
         ``requests_total``, ``responses_total``, ``rejected_total``
         (admission-control rejections), ``errors_total`` (requests failed
-        by faults), ``cache_hits_total``, ``cache_misses_total``,
+        with their batch, or killed while queued), ``cache_hits_total``, ``cache_misses_total``,
         ``batches_total``, ``reads_mapped_total``; self-healing:
         ``shed_total`` (requests dropped because their deadline expired
         before dispatch), ``degraded_total`` (reads served by the

@@ -84,10 +84,6 @@ MUTATION_OPS = ("add_contigs", "remove_contigs", "flush", "compact", "stats")
 #: mutations — ordered after every read the session already submitted.
 ADMIN_OPS = ("restart",)
 
-#: Unanswered maps a session may hold before the front-end stops reading
-#: it.  Bounds server memory while still letting batches fill.
-MAX_PENDING = 512
-
 
 def response_for_mapping(header: dict, mapping) -> dict:
     """Render one completed mapping as its wire response object.
@@ -109,6 +105,15 @@ def response_for_mapping(header: dict, mapping) -> dict:
     return response
 
 
+def _strings(message: dict, key: str) -> list[str]:
+    """``message[key]`` as a list of strings (absent: empty).  Any other
+    shape is refused: a JSON ``null`` must never become the name ``'None'``."""
+    values = message.get(key) or []
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ReproError(f"{key} must be a list of strings")
+    return values
+
+
 def mutation_response(backend, op: str, message: dict) -> dict:
     """Execute one index-mutation/stats op on ``backend``; render the reply.
 
@@ -128,22 +133,20 @@ def mutation_response(backend, op: str, message: dict) -> dict:
                 )
             return {"op": op, **backend.rolling_restart()}
         if op == "add_contigs":
-            names = message.get("names") or []
-            seqs = message.get("seqs") or []
+            names = _strings(message, "names")
+            seqs = _strings(message, "seqs")
             if not names or len(names) != len(seqs):
                 raise ReproError(
                     "add_contigs needs parallel non-empty names/seqs lists"
                 )
             stats = backend.add_contigs(
-                SequenceSet.from_strings(
-                    [(str(n), str(s)) for n, s in zip(names, seqs)]
-                )
+                SequenceSet.from_strings(list(zip(names, seqs)))
             )
         elif op == "remove_contigs":
-            names = message.get("names") or []
+            names = _strings(message, "names")
             if not names:
                 raise ReproError("remove_contigs needs a non-empty names list")
-            stats = backend.remove_contigs([str(n) for n in names])
+            stats = backend.remove_contigs(names)
         elif op == "flush":
             stats = backend.flush_index()
         elif op == "compact":

@@ -10,8 +10,7 @@ tests assert.
 
 A dispatch failure fails that batch's requests (their futures carry the
 exception) but never kills the scheduler: the service keeps serving
-subsequent batches, mirroring the parallel driver's graceful-degradation
-contract.
+subsequent batches.
 """
 
 from __future__ import annotations

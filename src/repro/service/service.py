@@ -3,16 +3,17 @@
 A :class:`MappingService` turns the one-shot JEM mapping pipeline into a
 resident server: the contig index is loaded (or built) **once**, the
 per-trial sketch tables stay in memory, and query reads stream through a
-bounded admission queue into dynamically coalesced micro-batches that are
-dispatched through the same fault-tolerant S4 path as the parallel
-driver.  An LRU cache keyed by the content of a read's end segments lets
-duplicate reads bypass sketching and table lookup entirely.
+bounded admission queue into dynamically coalesced micro-batches, each
+mapped by one S4 call (:func:`~repro.core.mapper.map_segment_batch`,
+which splits the batch over the native kernel's threads).  An LRU cache
+keyed by the content of a read's end segments lets duplicate reads
+bypass sketching and table lookup entirely.
 
 Scheduling is invisible in the output: for any submission order, batch
-shape, cache state, or recoverable fault plan, the per-read results are
-bit-identical to a sequential :meth:`~repro.core.mapper.JEMMapper.map_reads`
-over the same reads — the service changes *when* work happens, never
-*what* is computed.
+shape or cache state, the per-read results are bit-identical to a
+sequential :meth:`~repro.core.mapper.JEMMapper.map_reads` over the same
+reads — the service changes *when* work happens, never *what* is
+computed.
 
 Public usage::
 
@@ -45,10 +46,6 @@ from ..errors import (
     ServiceError,
     ServiceOverloadError,
 )
-from ..parallel.driver import map_partitioned_queries, resolve_partial
-from ..parallel.faults import FaultPlan
-from ..parallel.partition import partition_bounds, partition_set
-from ..parallel.retry import RetryPolicy
 from ..seq.encode import encode
 from ..seq.records import SequenceSet, SequenceSetBuilder
 from .cache import SketchCacheEntry, SketchLRUCache, read_content_key
@@ -184,8 +181,6 @@ class MappingService:
         mapper: JEMMapper,
         service_config: ServiceConfig | None = None,
         *,
-        faults: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
         auto_start: bool = True,
         metrics_labels: dict[str, str] | None = None,
     ) -> None:
@@ -200,8 +195,6 @@ class MappingService:
         self.jem_config: JEMConfig = mapper.config
         self.config = service_config if service_config is not None else ServiceConfig()
         self._family = mapper.config.hash_family()
-        self._faults = faults
-        self._retry = retry
         self.metrics = ServiceMetrics(
             window=self.config.metrics_window, labels=metrics_labels
         )
@@ -362,10 +355,6 @@ class MappingService:
     @property
     def breaker(self) -> CircuitBreaker:
         return self._breaker
-
-    def set_fault_plan(self, faults: FaultPlan | None) -> None:
-        """Chaos hook: swap the injected fault plan of future batches."""
-        self._faults = faults
 
     @property
     def killed(self) -> bool:
@@ -708,18 +697,19 @@ class MappingService:
             )
         )
 
-    def _entries_from_result(
-        self, result: MappingResult, count: int, base: int = 0
-    ) -> list[SketchCacheEntry]:
+    @staticmethod
+    def _entries(result: MappingResult) -> list[SketchCacheEntry]:
         """Per-read cache entries from a 2-segments-per-read mapping block."""
+        subjects = result.subject.tolist()
+        hits = result.hit_count.tolist()
         return [
             SketchCacheEntry(
-                prefix_subject=int(result.subject[2 * j]),
-                prefix_hits=int(result.hit_count[2 * j]),
-                suffix_subject=int(result.subject[2 * j + 1]),
-                suffix_hits=int(result.hit_count[2 * j + 1]),
+                prefix_subject=subjects[j],
+                prefix_hits=hits[j],
+                suffix_subject=subjects[j + 1],
+                suffix_hits=hits[j + 1],
             )
-            for j in range(base, base + count)
+            for j in range(0, len(subjects), 2)
         ]
 
     def _reads_of(self, requests: list[_MapRequest]) -> SequenceSet:
@@ -744,7 +734,7 @@ class MappingService:
 
     def _map_degraded(
         self, requests: list[_MapRequest], view: _IndexView
-    ) -> list[tuple[SketchCacheEntry | None, str | None]]:
+    ) -> list[SketchCacheEntry]:
         """Best-effort reduced-trial mapping — the open-breaker fallback.
 
         Uses the first :meth:`degraded_trials` trials of the batch's index
@@ -752,9 +742,10 @@ class MappingService:
         regenerating, so the trials are the same ones the full mapping
         uses).  ``min_hits`` scales with the kept fraction (floored at 1:
         with few trials a subject collects few hits, so the configured
-        multi-trial threshold would unmap everything).  Needs no parallel
-        dispatch and no retry machinery, which is the point: it cannot be
-        taken down by the worker failures that opened the breaker.
+        multi-trial threshold would unmap everything).  It is the same
+        one S4 call as :meth:`_map_misses`, over a reduced store cached per
+        (generation, trial budget): the breaker's cheaper answer while the
+        full-trial call keeps failing.
         Results are never cached — they are lower-sensitivity answers.
         """
         reads = self._reads_of(requests)
@@ -777,49 +768,22 @@ class MappingService:
         result = map_segment_batch(
             table, segments, replace(cfg, trials=t_eff, min_hits=min_hits), family
         )
-        return [(e, None) for e in self._entries_from_result(result, len(requests))]
+        return self._entries(result)
 
     def _map_misses(
         self, requests: list[_MapRequest], view: _IndexView
-    ) -> list[tuple[SketchCacheEntry | None, str | None]]:
-        """Map uncached reads; one (entry, failure-cause) pair per request.
+    ) -> list[SketchCacheEntry]:
+        """Map uncached reads: one S4 call over the batch, one entry per read.
 
-        With ``processes == 1`` and no fault plan the batch is mapped
-        inline (exactly :meth:`JEMMapper.map_segments`); otherwise it is
-        partitioned and dispatched through the parallel driver's
-        fault-tolerant S4 stage, inheriting retry, re-dispatch, and the
-        strict/no-strict degradation contract.
+        Exactly :meth:`JEMMapper.map_segments` over the batch's view — the
+        fused native kernel when the view's store is columnar (or a clean
+        single-segment generation, which delegates to its segment).
         """
-        reads = self._reads_of(requests)
         cfg = self.jem_config
-        if self.config.processes == 1 and self._faults is None:
-            segments, _ = extract_end_segments(reads, cfg.ell)
-            # fused native when the view's store is columnar (or a clean
-            # single-segment generation, which delegates to its segment)
-            result = map_segment_batch(view.table, segments, cfg, self._family)
-            return [(e, None) for e in self._entries_from_result(result, len(requests))]
-        p = max(1, min(self.config.processes, len(reads)))
-        read_parts = partition_set(reads, p)
-        bounds = partition_bounds(reads.offsets, p)
-        outcome = map_partitioned_queries(
-            view.table, read_parts, cfg, self._family,
-            faults=self._faults, retry=self._retry,
+        segments, _ = extract_end_segments(self._reads_of(requests), cfg.ell)
+        return self._entries(
+            map_segment_batch(view.table, segments, cfg, self._family)
         )
-        # strict mode raises here -> the scheduler's error hook fails the batch
-        resolve_partial(outcome.failed_blocks, read_parts, strict=self.config.strict)
-        out: list[tuple[SketchCacheEntry | None, str | None]] = []
-        for b in range(p):
-            start, stop = int(bounds[b]), int(bounds[b + 1])
-            block = outcome.rank_results[b]
-            if block is None:
-                cause = outcome.failed_blocks.get(b, "unknown fault")
-                out.extend((None, cause) for _ in range(stop - start))
-            else:
-                out.extend(
-                    (e, None)
-                    for e in self._entries_from_result(block, stop - start)
-                )
-        return out
 
     def _process_batch(self, batch: list[_MapRequest]) -> None:
         t0 = time.perf_counter()
@@ -851,7 +815,7 @@ class MappingService:
             else:
                 self.metrics.cache_misses_total.inc()
                 misses.append(request)
-        mapped: list[tuple[SketchCacheEntry | None, str | None]] = []
+        mapped: list[SketchCacheEntry] = []
         degraded = False
         if misses:
             if self._breaker.decide() == "degraded":
@@ -859,29 +823,19 @@ class MappingService:
                 mapped = self._map_degraded(misses, view)
                 self.metrics.degraded_total.inc(len(misses))
             else:
-                # a strict-mode failure propagates to _fail_batch, which
-                # records the breaker failure for this batch
+                # a raise propagates to _fail_batch, which fails the batch's
+                # futures and records the breaker failure for this batch
                 mapped = self._map_misses(misses, view)
-                if any(entry is None for entry, _ in mapped):
-                    self._note_breaker(self._breaker.record_failure())
-                else:
-                    self._note_breaker(self._breaker.record_success())
-                for request, (entry, _cause) in zip(misses, mapped):
-                    if entry is not None:
-                        self.cache.put(view.prefix + request.key, entry)
+                self._note_breaker(self._breaker.record_success())
+                for request, entry in zip(misses, mapped):
+                    self.cache.put(view.prefix + request.key, entry)
         self.metrics.map_latency.observe(time.perf_counter() - t0)
         self.metrics.batches_total.inc()
         self.metrics.cache_size.set(len(self.cache))
         for request, entry in hits:
             self._resolve(request, entry, view, cached=True)
-        for request, (entry, cause) in zip(misses, mapped):
-            if entry is None:
-                self._fail(
-                    request,
-                    ServiceError(f"read {request.name!r} lost to faults: {cause}"),
-                )
-            else:
-                self._resolve(request, entry, view, cached=False, degraded=degraded)
+        for request, entry in zip(misses, mapped):
+            self._resolve(request, entry, view, cached=False, degraded=degraded)
         elapsed = time.perf_counter() - t0
         alpha = 0.3
         per_read = elapsed / len(batch)

@@ -1,6 +1,8 @@
 """CLI integration tests driving ``repro.cli.main`` in-process."""
 
+import argparse
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -367,6 +369,48 @@ def test_transport_flag_is_gone(capsys):
         )
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --transport" in capsys.readouterr().err
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices[name]
+
+
+def test_client_forwards_every_service_flag_it_accepts(tmp_path, monkeypatch):
+    """A stdio `client` spawns `serve`: every option the two commands share
+    reaches the spawned command line, except the client's own input/output
+    options — so the client accepts no flag it silently drops."""
+    reads = tmp_path / "reads.fasta"
+    reads.write_text(">r0\nACGT\n")
+    spawned = []
+
+    class Spawned(Exception):
+        pass
+
+    def fake_popen(command, **kwargs):
+        spawned.append(command)
+        raise Spawned
+
+    monkeypatch.setattr(subprocess, "Popen", fake_popen)
+    with pytest.raises(Spawned):
+        main(["client", "-q", str(reads), "--index", "contigs.idx.npz",
+              "--max-batch", "16"])
+    argv = spawned[0]
+    assert argv[argv.index("--max-batch") + 1] == "16"
+    own = {"help", "on_error", "metrics_out", "subjects"}  # -s: --index given
+    serve_dests = {a.dest for a in _subcommand("serve")._actions}
+    shared = [
+        a for a in _subcommand("client")._actions
+        if a.option_strings and a.dest in serve_dests and a.dest not in own
+    ]
+    assert shared
+    dropped = [
+        a.option_strings[-1] for a in shared if not set(a.option_strings) & set(argv)
+    ]
+    assert dropped == []
 
 
 def test_saved_index_process_backend_maps_on_kernel_threads(tmp_path, capsys):

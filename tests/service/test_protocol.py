@@ -121,6 +121,34 @@ class TestServeTCP(SessionContract):
     transport = "tcp"
 
 
+#: mutations whose names/seqs hold a non-string element
+NON_STRING_MUTATIONS = [
+    {"op": "add_contigs", "names": ["x"], "seqs": [None]},
+    {"op": "add_contigs", "names": [None], "seqs": ["ACGT" * 200]},
+    {"op": "add_contigs", "names": [7], "seqs": ["ACGT" * 200]},
+    {"op": "remove_contigs", "names": [None]},
+    {"op": "remove_contigs", "names": ["contig_0", 0]},
+]
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_non_string_contig_fields_are_a_typed_refusal(transport, tiling_contigs):
+    """A JSON null or number among ``names``/``seqs`` is refused in band and
+    leaves the index untouched: never the contig ``'None'``."""
+    with MappingService.from_contigs(tiling_contigs, CONFIG, SERVICE) as service:
+        replies = serve_session(
+            transport, service, [*NON_STRING_MUTATIONS, {"op": "stats"}]
+        )
+        names = list(service.subject_names)
+        generation = service.index_generation
+    for request, reply in zip(NON_STRING_MUTATIONS, replies):
+        assert set(reply) == {"op", "error"} and reply["op"] == request["op"]
+        assert "list of strings" in reply["error"]
+    assert replies[len(NON_STRING_MUTATIONS)]["generation"] == 0
+    assert generation == 0
+    assert names == list(tiling_contigs.names)
+
+
 #: timing-valued reply fields: latencies, and a gauge two threads set
 #: (submit and the scheduler); nothing else may differ between two runs
 _TIMED = {"histograms", "queue_depth"}

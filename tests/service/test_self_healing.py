@@ -1,14 +1,17 @@
 """Service self-healing: breaker routing and deadline shedding.
 
-The scenario behind the design: every worker dies and stays dead.  The
-service must fail the affected batch *typed* (never hang), flip
-readiness, open the breaker, keep answering through the degraded
-single-trial path, and — once the workers heal — recover through one
-half-open probe and report it in the metrics.
+The scenario behind the design: every primary batch fails and keeps
+failing.  The service must fail the affected batch *typed* (never hang),
+flip readiness, open the breaker, keep answering through the degraded
+reduced-trial path, and — once the failure clears — recover through one
+half-open probe and report it in the metrics.  The failure source is
+:func:`failing_batches`: the service's one S4 call raises while a flag
+is set.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import replace
 
@@ -20,7 +23,6 @@ from repro.core.hitcounter import count_hits_vectorised
 from repro.core.segments import extract_end_segments
 from repro.core.store import ColumnarSketchStore
 from repro.errors import DeadlineExceededError, ReproError, ServiceError
-from repro.parallel.faults import FaultPlan
 from repro.service import MappingService, ServiceConfig
 from repro.service.health import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.sketch import query_sketch_values
@@ -28,8 +30,6 @@ from repro.sketch import query_sketch_values
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
 BREAKER_CFG = ServiceConfig(
-    processes=2,
-    strict=False,
     breaker_failures=1,
     breaker_window=4,
     breaker_cooldown_batches=1,
@@ -37,6 +37,23 @@ BREAKER_CFG = ServiceConfig(
     max_wait_ms=1.0,
     cache_capacity=0,
 )
+
+
+def failing_batches(service: MappingService) -> threading.Event:
+    """Make every primary batch of ``service`` raise a typed error while
+    the returned flag is set; clearing it heals the service.  Degraded
+    batches map on regardless: they do not go through ``_map_misses``."""
+    failing = threading.Event()
+    failing.set()
+    real = service._map_misses
+
+    def map_misses(requests, view):
+        if failing.is_set():
+            raise ServiceError("injected batch failure")
+        return real(requests, view)
+
+    service._map_misses = map_misses
+    return failing
 
 
 class TestCircuitBreakerUnit:
@@ -141,11 +158,11 @@ class TestAdaptiveShedEndToEnd:
     def test_degraded_trials_halve_as_opens_repeat(
         self, tiling_contigs, clean_reads
     ):
-        plan = FaultPlan.kill_all_workers(2, once=False)
         config = replace(CONFIG, min_hits=4)  # scales to 2, then 1, down the ladder
         with MappingService.from_contigs(
-            tiling_contigs, config, BREAKER_CFG, faults=plan
+            tiling_contigs, config, BREAKER_CFG
         ) as service:
+            failing_batches(service)
             assert service.degraded_trials() == CONFIG.trials
             with pytest.raises(ServiceError):
                 service.submit("r0", clean_reads.codes_of(0)).result(60)
@@ -155,8 +172,9 @@ class TestAdaptiveShedEndToEnd:
             assert service.healthz()["shed_level"] == 1
             assert service.metrics.snapshot()["gauges"]["shed_level"] == 1.0
 
-            # every failed half-open probe steps the ladder again: T/4, ...
-            for expected in (2, 3):
+            # every failed half-open probe steps the ladder again: T/4, ...;
+            # each level's degraded answer is checked against the oracle
+            for expected in (1, 2, 3):
                 i = 0
                 while service.shed_level < expected and i < 64:
                     self.pump(service, clean_reads, i)
@@ -180,10 +198,10 @@ class TestAdaptiveShedEndToEnd:
     def test_recovery_steps_the_ladder_back_down(
         self, tiling_contigs, clean_reads
     ):
-        plan = FaultPlan.kill_all_workers(2, once=False)
         with MappingService.from_contigs(
-            tiling_contigs, CONFIG, BREAKER_CFG, faults=plan
+            tiling_contigs, CONFIG, BREAKER_CFG
         ) as service:
+            failing = failing_batches(service)
             with pytest.raises(ServiceError):
                 service.submit("r0", clean_reads.codes_of(0)).result(60)
             i = 0
@@ -192,7 +210,7 @@ class TestAdaptiveShedEndToEnd:
                 i += 1
             assert service.shed_level == 2
 
-            service.set_fault_plan(None)  # workers heal
+            failing.clear()  # the primary path heals
             i = 0
             while service.breaker.state != CLOSED and i < 64:
                 self.pump(service, clean_reads, i)
@@ -211,12 +229,12 @@ class TestBreakerEndToEnd:
     def test_dead_pool_opens_breaker_degrades_then_recovers(
         self, tiling_contigs, clean_reads
     ):
-        plan = FaultPlan.kill_all_workers(2, once=False)
         with MappingService.from_contigs(
-            tiling_contigs, CONFIG, BREAKER_CFG, faults=plan
+            tiling_contigs, CONFIG, BREAKER_CFG
         ) as service:
-            # 1. every rank dead and no donor alive: the batch fails TYPED
-            with pytest.raises(ServiceError, match="lost to faults"):
+            failing = failing_batches(service)
+            # 1. the primary batch raises: its future fails TYPED
+            with pytest.raises(ServiceError, match="injected batch failure"):
                 service.submit("r0", clean_reads.codes_of(0)).result(60)
             assert service.breaker.state == OPEN
             assert service.metrics.breaker_open_total.value == 1
@@ -224,14 +242,14 @@ class TestBreakerEndToEnd:
             assert health["live"] and not health["ready"]
             assert health["breaker"] == OPEN
 
-            # 2. while open, reads are answered degraded (single-trial)
+            # 2. while open, reads are answered degraded (reduced-trial)
             degraded = service.submit("r1", clean_reads.codes_of(1)).result(60)
             assert degraded.degraded is True
             assert service.metrics.degraded_total.value >= 1
             assert service.breaker.state == OPEN
 
-            # 3. workers heal; the half-open probe closes the breaker
-            service.set_fault_plan(None)
+            # 3. the primary path heals; the half-open probe closes the breaker
+            failing.clear()
             recovered = service.submit("r2", clean_reads.codes_of(2)).result(60)
             assert recovered.degraded is False
             assert service.breaker.state == CLOSED
@@ -249,10 +267,10 @@ class TestBreakerEndToEnd:
     def test_no_request_hangs_under_total_worker_loss(
         self, tiling_contigs, clean_reads
     ):
-        plan = FaultPlan.kill_all_workers(2, once=False)
         with MappingService.from_contigs(
-            tiling_contigs, CONFIG, BREAKER_CFG, faults=plan
+            tiling_contigs, CONFIG, BREAKER_CFG
         ) as service:
+            failing_batches(service)
             futures = [
                 service.submit(clean_reads.names[i], clean_reads.codes_of(i))
                 for i in range(len(clean_reads))
@@ -267,13 +285,10 @@ class TestBreakerEndToEnd:
 
     def test_degraded_results_are_not_cached(self, tiling_contigs, clean_reads):
         cfg = ServiceConfig(
-            processes=2, strict=False, breaker_failures=1,
-            breaker_cooldown_batches=8, cache_capacity=64,
+            breaker_failures=1, breaker_cooldown_batches=8, cache_capacity=64,
         )
-        plan = FaultPlan.kill_all_workers(2, once=False)
-        with MappingService.from_contigs(
-            tiling_contigs, CONFIG, cfg, faults=plan
-        ) as service:
+        with MappingService.from_contigs(tiling_contigs, CONFIG, cfg) as service:
+            failing_batches(service)
             with pytest.raises(ServiceError):
                 service.submit("r0", clean_reads.codes_of(0)).result(60)
             degraded = service.submit("dup", clean_reads.codes_of(1)).result(60)

@@ -1,8 +1,8 @@
-"""MappingService behaviour: determinism, caching, backpressure, faults.
+"""MappingService behaviour: determinism, caching, backpressure, drain.
 
-The load-bearing invariant: for any batching, caching, submission order,
-or recoverable fault plan, the service's per-read results are
-bit-identical to a sequential :class:`JEMMapper` over the same reads.
+The load-bearing invariant: for any batching, caching or submission
+order, the service's per-read results are bit-identical to a sequential
+:class:`JEMMapper` over the same reads.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ from repro import JEMConfig, JEMMapper, save_index
 from repro.errors import (
     SequenceError,
     ServiceClosedError,
-    ServiceError,
     ServiceOverloadError,
 )
-from repro.parallel.driver import run_parallel_jem
-from repro.parallel.faults import FaultPlan, FaultSpec
 from repro.service import MappingService, ServiceConfig
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
@@ -48,30 +45,6 @@ class TestDeterminism:
             result = service.map_reads(clean_reads)
         assert_same_mapping(result, sequential)
         assert result.infos == sequential.infos
-
-    def test_bit_identical_to_parallel_driver(
-        self, tiling_contigs, clean_reads, sequential
-    ):
-        parallel = run_parallel_jem(tiling_contigs, clean_reads, CONFIG, p=4)
-        with MappingService.from_contigs(
-            tiling_contigs, CONFIG, ServiceConfig(processes=4)
-        ) as service:
-            result = service.map_reads(clean_reads)
-        assert_same_mapping(result, parallel.mapping)
-        assert_same_mapping(result, sequential)
-
-    def test_bit_identical_under_seeded_fault_plan(
-        self, tiling_contigs, clean_reads, sequential
-    ):
-        for seed in (1, 2, 3):
-            plan = FaultPlan.seeded(seed, 4, delay=0.001)
-            with MappingService.from_contigs(
-                tiling_contigs, CONFIG,
-                ServiceConfig(processes=4, max_batch_size=8),
-                faults=plan,
-            ) as service:
-                result = service.map_reads(clean_reads)
-            assert_same_mapping(result, sequential)
 
     def test_cache_hits_do_not_change_results(
         self, tiling_contigs, clean_reads, sequential
@@ -191,50 +164,3 @@ class TestDrain:
         assert all(f.done() for f in futures)
         assert service.metrics.responses_total.value == len(futures)
 
-
-class TestFaultDegradation:
-    def plan(self) -> FaultPlan:
-        # permanent unit-scoped crash on query block 0: unrecoverable
-        return FaultPlan([
-            FaultSpec(kind="crash", phase="map", block=0, times=None, unit_scoped=True)
-        ])
-
-    def test_no_strict_fails_only_lost_reads(self, tiling_contigs, clean_reads):
-        with MappingService.from_contigs(
-            tiling_contigs, CONFIG,
-            ServiceConfig(processes=2, strict=False, max_batch_size=64,
-                          max_wait_ms=20.0),
-            faults=self.plan(),
-        ) as service:
-            futures = [
-                service.submit(clean_reads.names[i], clean_reads.codes_of(i))
-                for i in range(len(clean_reads))
-            ]
-            outcomes = []
-            for future in futures:
-                try:
-                    outcomes.append(future.result(30))
-                except ServiceError as exc:
-                    outcomes.append(exc)
-            errors = [o for o in outcomes if isinstance(o, ServiceError)]
-            mapped = [o for o in outcomes if not isinstance(o, ServiceError)]
-            assert errors, "block 0's reads must surface the fault"
-            assert mapped, "surviving blocks must still be served"
-            assert service.metrics.errors_total.value == len(errors)
-
-    def test_strict_fails_the_batch(self, tiling_contigs, clean_reads):
-        from repro.errors import PartialResultError
-
-        with MappingService.from_contigs(
-            tiling_contigs, CONFIG,
-            ServiceConfig(processes=2, strict=True, max_batch_size=64,
-                          max_wait_ms=20.0),
-            faults=self.plan(),
-        ) as service:
-            futures = [
-                service.submit(clean_reads.names[i], clean_reads.codes_of(i))
-                for i in range(4)
-            ]
-            for future in futures:
-                with pytest.raises(PartialResultError):
-                    future.result(30)
