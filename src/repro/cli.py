@@ -155,17 +155,14 @@ def _add_serve_only_args(parser: argparse.ArgumentParser) -> None:
                         help="failed batches in the rolling window that trip "
                              "the circuit breaker into degraded reduced-trial "
                              "mapping (0 = breaker disabled, default)")
-    parser.add_argument("--watchdog-interval-ms", type=float, default=0.0,
-                        help="self-healing watchdog period (readiness "
-                             "refresh, scheduled index compaction); "
-                             "0 = disabled (default)")
     parser.add_argument("--memtable-flush-entries", type=int, default=0,
                         help="auto-flush the mutable index's memtable once an "
                              "online add leaves this many entries in it "
                              "(0 = disabled, default)")
     parser.add_argument("--compact-segments", type=int, default=0,
-                        help="watchdog compacts the mutable index once it holds "
-                             "this many segments (0 = disabled, default)")
+                        help="most segments the mutable index keeps: a "
+                             "mutation that leaves more compacts it "
+                             "(0 = disabled, default)")
 
 
 def _service_config_from(args: argparse.Namespace):
@@ -177,7 +174,6 @@ def _service_config_from(args: argparse.Namespace):
         queue_capacity=args.queue_capacity,
         cache_capacity=args.cache_capacity,
         breaker_failures=args.breaker_failures,
-        watchdog_interval_ms=args.watchdog_interval_ms,
         memtable_flush_entries=args.memtable_flush_entries,
         compact_segments=args.compact_segments,
     )
@@ -285,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "stdin/stdout; port 0 picks a free port "
                               "(see docs/serving.md)")
     p_serve.add_argument("--replicas", type=int, default=1,
-                         help="mapping service workers behind --listen "
-                              "(default 1)")
+                         help="mapping service workers (default 1)")
     p_serve.add_argument("--placement", choices=("scatter", "replicate"),
                          default="replicate",
                          help="replica index ownership: replicate = every "
@@ -645,7 +640,7 @@ def _require_one_source(args: argparse.Namespace) -> bool:
 
 
 def _fleet_from(args: argparse.Namespace, engine: MappingEngine):
-    """The replica fleet ``serve --listen`` puts behind its TCP door."""
+    """The replica fleet behind either ``serve`` door, stdio or TCP."""
     from .netserve import ReplicaSet, make_placement
 
     return ReplicaSet.from_engine(
@@ -658,8 +653,8 @@ def _fleet_from(args: argparse.Namespace, engine: MappingEngine):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """``jem serve``: one NDJSON front-end — over stdin/stdout, or with
-    ``--listen`` over TCP in front of a replica fleet."""
+    """``jem serve``: one NDJSON front-end in front of a replica fleet —
+    over stdin/stdout, or with ``--listen`` over TCP."""
     import asyncio
     import json
     import signal
@@ -670,17 +665,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     t0 = time.perf_counter()
     engine = _engine_from(args)
+    backend = _fleet_from(args, engine)
     supervisor = None
     if args.listen is None:
         host, port = "", 0  # never bound: the session's streams are stdio
-        backend = engine.service(_service_config_from(args))
         # no slow-loris guard: the parent that owns the pipe may idle as
         # long as it likes, and cutting it loose would kill the service
         idle_timeout_s = None
     else:
         host, port = parse_hostport(args.listen)
-        backend = _fleet_from(args, engine)
-        placement = backend.placement
         idle_timeout_s = args.idle_timeout if args.idle_timeout > 0 else None
         if not args.no_supervise:
             interval_s = max(args.probe_interval_ms, 1.0) / 1000.0
@@ -716,7 +709,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # machine-parseable banner: CI and tests discover port 0 from it
         print(
             f"# jem-netserve listening on {bound_host}:{bound_port} "
-            f"({placement.kind} x{placement.n_replicas}, "
+            f"({backend.placement.kind} x{backend.placement.n_replicas}, "
             f"{len(backend.subject_names)} contigs, "
             f"ready in {time.perf_counter() - t0:.2f}s)",
             file=sys.stderr,
@@ -731,8 +724,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(sig, stop_requested.set)
 
         def request_rolling_restart() -> None:
-            # SIGHUP: drain → respawn → parity-probe → re-admit one member
-            # at a time off the event loop; the fleet never drops below N-1
+            # SIGHUP: replace one member at a time off the event loop, each
+            # successor admitted before its predecessor drains
             def run() -> None:
                 try:
                     out = backend.rolling_restart()

@@ -4,10 +4,10 @@ The network tier on top of :mod:`repro.service`: an asyncio front-end
 (:class:`NetFrontend`) is the server side of the NDJSON protocol — for
 the one stdio session of a plain ``jem serve`` and for many concurrent
 TCP clients alike, with per-client fairness and optional per-tenant
-quotas — and behind ``--listen`` hands every read to a
-:class:`ReplicaSet` — N
-:class:`~repro.service.MappingService` workers whose index ownership is
-decided by a pluggable :class:`PlacementPolicy`:
+quotas — and on either door hands every read to a :class:`ReplicaSet`:
+N :class:`~repro.service.MappingService` workers whose index ownership
+is decided by a pluggable :class:`PlacementPolicy`, and the one owner of
+the served index's mutable handle:
 
 * ``scatter`` — each replica owns one key-range shard of the columnar
   store (``ColumnarSketchStore.restrict``: column views, no copy); a

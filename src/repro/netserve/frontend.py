@@ -17,12 +17,11 @@ client:
   (the protocol's transcript-determinism contract), awaiting each
   mapping's completion as it reaches the head of the line.
 
-Thread boundary: the backend (:class:`~repro.netserve.ReplicaSet` or a
-bare :class:`~repro.service.MappingService`) completes futures on its
-scheduler threads; ``MapFuture.add_done_callback`` +
-``loop.call_soon_threadsafe`` bridge each completion to an
-``asyncio.Future``, so no executor thread is parked per in-flight
-request.
+Thread boundary: the backend (a :class:`~repro.netserve.ReplicaSet`)
+completes futures on its replicas' scheduler threads;
+``MapFuture.add_done_callback`` + ``loop.call_soon_threadsafe`` bridge
+each completion to an ``asyncio.Future``, so no executor thread is
+parked per in-flight request.
 
 Backpressure is layered: the admission queue rejects in-band with
 ``retry_after``; a connection with ``max_pending`` unanswered maps stops
@@ -254,10 +253,9 @@ class NetFrontend:
     ``backend`` needs ``submit(name, seq, *, deadline_s) -> MapFuture``,
     ``healthz() -> dict``, ``metrics_snapshot() -> dict`` and the mutation
     surface of :func:`~repro.service.protocol.mutation_response` — a
-    :class:`~repro.netserve.ReplicaSet` or a bare
-    :class:`~repro.service.MappingService`.  :meth:`start` serves TCP
-    connections; :meth:`serve_stdio` serves one session over a pair of
-    binary streams.
+    :class:`~repro.netserve.ReplicaSet`, whichever transport.
+    :meth:`start` serves TCP connections; :meth:`serve_stdio` serves one
+    session over a pair of binary streams.
     """
 
     def __init__(

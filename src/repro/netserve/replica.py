@@ -8,6 +8,11 @@ object itself, and under scatter replica *i* holds
 The process holds one copy of the index however many replicas serve it,
 and replicas sharing one store object share its native map context too.
 
+The set is the one owner of a served index's mutable handle: mutations,
+auto-flush and auto-compaction run here under one lock, and each
+published generation is installed into the replica services, which only
+read.  Both ``jem serve`` doors (stdio and ``--listen``) front a set.
+
 Every replica keeps its own admission queue, circuit breaker, and
 labelled metrics registry (all inside its ``MappingService``), so one
 sick replica sheds or degrades alone while the set keeps serving:
@@ -140,6 +145,11 @@ class ReplicaSet:
         self._retry = retry
         self._hedge_timeout_s = hedge_timeout_s
         self._mutation_lock = threading.Lock()
+        #: counted once per set, not per replica (a respawn must not reset
+        #: them), under the mutation lock; metrics_snapshot reports them
+        self._mutation_counts = {
+            "mutations_total": 0, "flushes_total": 0, "compactions_total": 0,
+        }
         self._drained = False
         self._respawns = 0
         self.supervisor = None  # set by FleetSupervisor.attach
@@ -219,28 +229,18 @@ class ReplicaSet:
     def subject_names(self) -> list[str]:
         return self._subject_names
 
-    def _route_order(self) -> list[int]:
-        """Round-robin order for this read, healthy replicas first.
+    def _route_order(self, start: int) -> list[MappingService]:
+        """Failover order from member ``start``, healthy members first.
 
         A replica with an open breaker answers from its degraded
         single-trial path, so it is only used when *every* breaker is
         open — one sick replica degrades alone, the set stays exact.
         """
         n = len(self.replicas)
-        with self._cursor_lock:
-            start = self._cursor
-            self._cursor = (self._cursor + 1) % n
-        order = [(start + j) % n for j in range(n)]
-        healthy = [
-            i
-            for i in order
-            if self.replicas[i].service.breaker.state != OPEN
-            and not self.replicas[i].service.draining
-        ]
-        if healthy:
-            return healthy
-        # all breakers open/draining: any replica still accepting work
-        return [i for i in order if not self.replicas[i].service.draining] or order
+        order = [self.replicas[(start + j) % n].service for j in range(n)]
+        admitting = [s for s in order if not s.draining]
+        healthy = [s for s in admitting if s.breaker.state != OPEN]
+        return healthy or admitting or order
 
     def submit(
         self,
@@ -249,18 +249,27 @@ class ReplicaSet:
         *,
         deadline_s: float | None = None,
     ) -> MapFuture:
-        """Admit one read through the placement-appropriate door."""
+        """Admit one read: the round-robin member unless its breaker is
+        open, it is draining or it refuses — only then the failover order."""
         if self._frontdoor is not None:
             return self._frontdoor.submit(name, sequence, deadline_s=deadline_s)
-        last: ServiceOverloadError | None = None
-        for i in self._route_order():
+        with self._cursor_lock:
+            start = self._cursor
+            self._cursor = (start + 1) % len(self.replicas)
+        first = self.replicas[start].service
+        last = tried = None
+        if first.breaker.state != OPEN and not first.draining:
             try:
-                return self.replicas[i].service.submit(
-                    name, sequence, deadline_s=deadline_s
-                )
-            except ServiceOverloadError as exc:  # failover before rejecting
-                last = exc
-        assert last is not None
+                return first.submit(name, sequence, deadline_s=deadline_s)
+            except (ServiceOverloadError, ServiceClosedError) as exc:
+                last, tried = exc, first
+        for service in self._route_order(start):
+            if service is tried:
+                continue
+            try:
+                return service.submit(name, sequence, deadline_s=deadline_s)
+            except (ServiceOverloadError, ServiceClosedError) as exc:
+                last = exc  # fail over (a closed member was replaced by a restart)
         raise last
 
     def map_reads(
@@ -334,36 +343,60 @@ class ReplicaSet:
             lane.close()
         return self.store_stats()
 
+    def _flush(self) -> bool:
+        """Seal the memtable; True (and counted) when that made a generation."""
+        before = self._mutable.generation
+        self._mutable.flush()
+        if self._mutable.generation == before:
+            return False
+        self._mutation_counts["flushes_total"] += 1
+        return True
+
+    def _publish(self) -> dict:
+        """Auto-compact, then install the handle's latest generation.
+
+        Segments change only under the mutation lock, so the end of a
+        mutation is the one place the ``compact_segments`` limit can be
+        crossed: a generation left holding more segments is folded into
+        one before any replica sees it.  Called under the mutation lock.
+        """
+        limit = self.config.compact_segments
+        if limit and len(self._mutable.current.segments) > limit:
+            self._mutable.compact()
+            self._mutation_counts["compactions_total"] += 1
+        return self._install_generation()
+
     def add_contigs(self, contigs: SequenceSet) -> dict:
-        """Add contigs online across the whole set; returns store stats."""
+        """Add contigs online across the whole set; returns store stats.
+
+        When ``memtable_flush_entries`` is configured and the memtable has
+        reached it, the same mutation also flushes.
+        """
         with self._mutation_lock:
-            handle = self._mutable
-            handle.add_contigs(contigs)
+            self._mutable.add_contigs(contigs)
+            self._mutation_counts["mutations_total"] += 1
             limit = self.config.memtable_flush_entries
-            if limit and handle.current.memtable_entries >= limit:
-                handle.flush()
-            return self._install_generation()
+            if limit and self._mutable.current.memtable_entries >= limit:
+                self._flush()
+            return self._publish()
 
     def remove_contigs(self, names: list[str]) -> dict:
         """Tombstone contigs across the whole set; returns store stats."""
         with self._mutation_lock:
             self._mutable.remove_contigs(names)
-            return self._install_generation()
+            self._mutation_counts["mutations_total"] += 1
+            return self._publish()
 
     def flush_index(self) -> dict:
         """Seal the set-level memtable into an immutable segment."""
         with self._mutation_lock:
-            handle = self._mutable
-            before = handle.generation
-            handle.flush()
-            if handle.generation == before:
-                return self.store_stats()
-            return self._install_generation()
+            return self._publish() if self._flush() else self.store_stats()
 
     def compact_index(self) -> dict:
         """Fold the set-level index into one clean segment."""
         with self._mutation_lock:
             self._mutable.compact()
+            self._mutation_counts["compactions_total"] += 1
             return self._install_generation()
 
     # -- fleet recovery (chaos doors + respawn) ------------------------------
@@ -434,29 +467,26 @@ class ReplicaSet:
     def respawn_replica(
         self, i: int, *, graceful: bool = False, timeout: float | None = None
     ) -> dict:
-        """Tear down replica ``i`` and rebuild it at the current generation.
+        """Replace replica ``i`` with a new member at the current generation.
 
-        ``graceful`` drains the old member first (rolling restart: its
-        accepted work completes); otherwise whatever is left of a corpse
-        is killed off.  The new member adopts the *current* root — the
-        root object itself (replicate) or a fresh column view of it at
-        the current placement bounds (scatter); nothing is copied or
-        reclaimed — and a scatter member passes :meth:`_parity_probe`
-        through its new lane *before* the in-place lane swap re-admits it
-        to the scatter path.  Runs under the mutation lock so a
-        concurrent generation install can never interleave.
+        ``graceful`` is make-before-break (rolling restart): the new member
+        is spawned and admitted first, then the old one drains, so its
+        accepted work completes and no read finds the slot closed.
+        Otherwise whatever is left of a corpse is killed off first.  The
+        new member adopts the *current* root — the root object itself
+        (replicate) or a fresh column view of it at the current placement
+        bounds (scatter); nothing is copied or reclaimed — and a scatter
+        member passes :meth:`_parity_probe` through its new lane *before*
+        the in-place lane swap admits it to the scatter path.  Runs under
+        the mutation lock so a concurrent generation install can never
+        interleave.
         """
         with self._mutation_lock:
             if self._drained:
                 raise ServiceClosedError("replica set is drained")
             old = self.replicas[i]
             old_lane = self._lanes[i] if self._lanes else None
-            if graceful:
-                if old_lane is not None:
-                    old_lane.close()
-                if not old.service.drained:
-                    old.service.drain(timeout)
-            else:
+            if not graceful:
                 if old_lane is not None:
                     old_lane.kill()
                 if not old.service.drained:
@@ -483,6 +513,11 @@ class ReplicaSet:
             self._respawns += 1
             if self._frontdoor is not None:
                 self._frontdoor.metrics.replica_respawns_total.inc()
+            if graceful:
+                if old_lane is not None:
+                    old_lane.close()
+                if not old.service.drained:
+                    old.service.drain(timeout)
             return {
                 "replica": i,
                 "generation": generation,
@@ -491,12 +526,12 @@ class ReplicaSet:
             }
 
     def rolling_restart(self, timeout: float | None = None) -> dict:
-        """Drain → respawn → re-admit each replica in turn.
+        """Replace each replica in turn, make-before-break.
 
-        Strictly sequential, so the fleet never runs below N-1 members
-        and scatter coverage stays complete throughout (the one draining
-        owner's shares are hedged inline).  Wired to SIGHUP and the
-        NDJSON ``restart`` op by the network front-end.
+        Strictly sequential, and each successor is admitted before its
+        predecessor drains, so the fleet never runs below N members and
+        no read is refused — a fleet of one included.  Wired to SIGHUP
+        and the NDJSON ``restart`` op by the front-end.
         """
         restarted = [
             self.respawn_replica(i, graceful=True, timeout=timeout)["replica"]
@@ -558,12 +593,12 @@ class ReplicaSet:
         return regs
 
     def metrics_snapshot(self) -> dict:
-        """Aggregated view plus each labelled per-replica snapshot."""
+        """Aggregated view plus each labelled per-replica snapshot; the
+        set's own mutation counters ride in the aggregate."""
         regs = self.metrics_registries()
-        return {
-            "aggregate": aggregate_metrics(regs),
-            "replicas": [m.snapshot() for m in regs],
-        }
+        aggregate = aggregate_metrics(regs)
+        aggregate["counters"].update(self._mutation_counts)
+        return {"aggregate": aggregate, "replicas": [m.snapshot() for m in regs]}
 
     @property
     def drained(self) -> bool:

@@ -46,20 +46,18 @@ class ServiceConfig:
     breaker_cooldown_batches:
         Degraded batches served while open before a half-open probe of
         the primary path.
-    watchdog_interval_ms:
-        Period of the self-healing watchdog (readiness refresh,
-        scheduled index compaction).
-        ``0`` (the default) disables the watchdog thread.
     memtable_flush_entries:
-        Auto-flush threshold for the mutable index: once an
+        Auto-flush threshold for a served mutable index: once an
         ``add_contigs`` leaves at least this many entries in the
-        memtable, the service flushes it into a sealed segment in the
-        same mutation.  ``0`` (the default) disables auto-flush.
+        memtable, the :class:`~repro.netserve.ReplicaSet` flushes it into
+        a sealed segment in the same mutation.  ``0`` (the default)
+        disables auto-flush.
     compact_segments:
-        Auto-compaction threshold: when the watchdog observes at least
-        this many live segments it folds the index into one compacted
-        segment (restoring the fused read path).  ``0`` (the default)
-        disables scheduled compaction.
+        Auto-compaction limit: the most segments a served mutable index
+        keeps.  A mutation that leaves more folds the index into one
+        compacted segment (restoring the fused read path) before its
+        generation is published, under the same lock.  ``0`` (the
+        default) disables auto-compaction.
     """
 
     max_batch_size: int = 64
@@ -70,7 +68,6 @@ class ServiceConfig:
     breaker_failures: int = 0
     breaker_window: int = 16
     breaker_cooldown_batches: int = 2
-    watchdog_interval_ms: float = 0.0
     memtable_flush_entries: int = 0
     compact_segments: int = 0
 
@@ -98,10 +95,6 @@ class ServiceConfig:
                 "breaker_cooldown_batches must be >= 1, got "
                 f"{self.breaker_cooldown_batches}"
             )
-        if self.watchdog_interval_ms < 0:
-            raise ConfigError(
-                f"watchdog_interval_ms must be >= 0, got {self.watchdog_interval_ms}"
-            )
         if self.memtable_flush_entries < 0:
             raise ConfigError(
                 "memtable_flush_entries must be >= 0, got "
@@ -115,7 +108,3 @@ class ServiceConfig:
     @property
     def max_wait_seconds(self) -> float:
         return self.max_wait_ms / 1000.0
-
-    @property
-    def watchdog_interval_seconds(self) -> float:
-        return self.watchdog_interval_ms / 1000.0

@@ -1,23 +1,18 @@
 """Self-healing machinery for the mapping service.
 
-Two pieces, both deliberately free of mapping knowledge:
+:class:`CircuitBreaker` is a rolling-window breaker over per-batch
+outcomes, deliberately free of mapping knowledge.  A spike of batch
+failures (the batch's S4 call raising) trips it **open**; while open the
+service re-routes batches to the degraded reduced-trial mapping path, a
+cheaper answer over a smaller store.  After a cooldown of degraded
+batches the breaker goes **half-open** and lets exactly one batch probe
+the primary path: success closes it (recovered), failure re-opens it.
+All transitions are returned as events so the service can count them in
+its metrics.
 
-* :class:`CircuitBreaker` — a rolling-window breaker over per-batch
-  outcomes.  A spike of batch failures (the batch's S4 call raising)
-  trips it **open**; while open the service re-routes batches to the
-  degraded reduced-trial mapping path, a cheaper answer over a smaller
-  store.  After a cooldown of degraded batches the breaker goes
-  **half-open** and lets exactly one batch probe the primary path:
-  success closes it
-  (recovered), failure re-opens it.  All transitions are returned as
-  events so the service can count them in its metrics.
-* :class:`Watchdog` — a daemon thread that periodically compacts a
-  mutable index that has grown past its segment limit and refreshes the
-  service's readiness gauge.
-
-Neither piece ever changes mapping output on a healthy service: the
-breaker only routes *after* failures, and a breaker with
-``failure_threshold`` 0 is permanently closed.
+The breaker never changes mapping output on a healthy service: it only
+routes *after* failures, and a breaker with ``failure_threshold`` 0 is
+permanently closed.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-__all__ = ["CircuitBreaker", "Watchdog", "CLOSED", "OPEN", "HALF_OPEN"]
+__all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
 CLOSED = "closed"
 OPEN = "open"
@@ -155,49 +150,3 @@ class CircuitBreaker:
                     self._shed_level += 1
                 return "opened"
             return None
-
-
-class Watchdog:
-    """Periodic keeper of the service's crash-prone resources.
-
-    Every ``interval_s`` the tick callback runs on a daemon thread; the
-    service's tick runs scheduled index compaction and refreshes the
-    readiness gauge.  :meth:`stop` is
-    idempotent and joins the thread.
-    """
-
-    def __init__(self, tick, interval_s: float) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
-        self._tick = tick
-        self._interval = float(interval_s)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.ticks = 0
-
-    @property
-    def alive(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> None:
-        if self.alive:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="jem-service-watchdog", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
-                self._tick()
-            except Exception:  # pragma: no cover - the watchdog must not die
-                pass
-            self.ticks += 1
-
-    def stop(self, timeout: float | None = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None

@@ -218,7 +218,6 @@ class ServiceMetrics:
         "cache_hits_total", "cache_misses_total", "batches_total",
         "reads_mapped_total", "shed_total", "degraded_total",
         "breaker_open_total", "recovered_total",
-        "mutations_total", "flushes_total", "compactions_total",
         "replica_respawns_total", "hedged_requests_total",
     )
     GAUGES = (
@@ -250,9 +249,6 @@ class ServiceMetrics:
         self.degraded_total = Counter()
         self.breaker_open_total = Counter()
         self.recovered_total = Counter()
-        self.mutations_total = Counter()
-        self.flushes_total = Counter()
-        self.compactions_total = Counter()
         self.replica_respawns_total = Counter()
         self.hedged_requests_total = Counter()
         self.queue_depth = Gauge()

@@ -32,11 +32,10 @@ One JSON object per line, in both directions.  Requests:
   segment / fold the whole index into one compacted segment.
 * ``{"op": "stats"}`` → the current store stats block (generation,
   segments, memtable entries, tombstones, nbytes breakdown).
-* ``{"op": "restart"}`` — rolling restart of a replica-set backend: each
-  member is drained, respawned over the current index, parity-probed,
-  and re-admitted in turn, so the fleet never drops below N-1 members.
-  Answers ``{"op": "restart", "restarted": [...], ...}``; a single
-  service answers a typed refusal.
+* ``{"op": "restart"}`` — rolling restart of the fleet: each member is
+  replaced in turn by a new one over the current index (parity-probed
+  under scatter) that is admitted before the old one drains, so no read
+  is refused.  Answers ``{"op": "restart", "restarted": [...], ...}``.
 * ``{"op": "drain"}`` — finish everything the session submitted, answer
   ``{"op": "drained", "mapped", "errors", "rejected", "metrics"}`` and
   end the session.  EOF on the input stream is an implicit drain.
@@ -80,8 +79,8 @@ __all__ = [
 #: :func:`mutation_response`.
 MUTATION_OPS = ("add_contigs", "remove_contigs", "flush", "compact", "stats")
 
-#: Fleet-administration ops (replica-set backends only); dispatched like
-#: mutations — ordered after every read the session already submitted.
+#: Fleet-administration ops; dispatched like mutations — ordered after
+#: every read the session already submitted.
 ADMIN_OPS = ("restart",)
 
 
@@ -115,22 +114,16 @@ def _strings(message: dict, key: str) -> list[str]:
 
 
 def mutation_response(backend, op: str, message: dict) -> dict:
-    """Execute one index-mutation/stats op on ``backend``; render the reply.
+    """Execute one index-mutation/stats/restart op on ``backend``; render
+    the reply.
 
-    ``backend`` is anything with the service mutation surface
-    (``add_contigs`` / ``remove_contigs`` / ``flush_index`` /
-    ``compact_index`` / ``store_stats``) — a
-    :class:`~repro.service.MappingService` or a
-    :class:`~repro.netserve.ReplicaSet`.  The single formatting path,
-    like :func:`response_for_mapping`.
+    ``backend`` is the :class:`~repro.netserve.ReplicaSet` that owns the
+    served index (``add_contigs`` / ``remove_contigs`` / ``flush_index``
+    / ``compact_index`` / ``store_stats`` / ``rolling_restart``).  The
+    single formatting path, like :func:`response_for_mapping`.
     """
     try:
         if op == "restart":
-            if not hasattr(backend, "rolling_restart"):
-                raise ReproError(
-                    "restart requires a replica-set backend "
-                    "(single-service sessions have nothing to roll)"
-                )
             return {"op": op, **backend.rolling_restart()}
         if op == "add_contigs":
             names = _strings(message, "names")

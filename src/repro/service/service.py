@@ -15,6 +15,11 @@ sequential :meth:`~repro.core.mapper.JEMMapper.map_reads` over the same
 reads — the service changes *when* work happens, never *what* is
 computed.
 
+A service only reads its index: the one way to change what it serves is
+:meth:`MappingService.install_index`, the generation-swap door of the
+:class:`~repro.netserve.ReplicaSet` that owns a served index's mutable
+handle.
+
 Public usage::
 
     from repro.service import MappingService, ServiceConfig
@@ -35,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.config import JEMConfig
-from ..core.lsm import MutableSketchStore, store_stats
+from ..core.lsm import store_stats
 from ..core.mapper import JEMMapper, MappingResult, map_segment_batch
 from ..core.segments import PREFIX, SUFFIX, SegmentInfo, extract_end_segments
 from ..core.store import ColumnarSketchStore
@@ -50,8 +55,8 @@ from ..seq.encode import encode
 from ..seq.records import SequenceSet, SequenceSetBuilder
 from .cache import SketchCacheEntry, SketchLRUCache, read_content_key
 from .config import ServiceConfig
-from .health import OPEN, CircuitBreaker, Watchdog
-from .metrics import ServiceMetrics, aggregate_metrics
+from .health import OPEN, CircuitBreaker
+from .metrics import ServiceMetrics
 from .queue import AdmissionQueue, MapFuture
 from .scheduler import MicroBatchScheduler
 
@@ -184,13 +189,11 @@ class MappingService:
         auto_start: bool = True,
         metrics_labels: dict[str, str] | None = None,
     ) -> None:
-        self._table = mapper.table  # raises MappingError when not indexed
+        table = mapper.table  # raises MappingError when not indexed
         self._mapper = mapper
-        self._mutation_lock = threading.Lock()
+        self._swap_lock = threading.Lock()
         self._view = _IndexView(
-            self._read_table(mapper.table),
-            tuple(mapper.subject_names),
-            getattr(mapper.table, "generation", 0),
+            table, tuple(mapper.subject_names), getattr(table, "generation", 0)
         )
         self.jem_config: JEMConfig = mapper.config
         self.config = service_config if service_config is not None else ServiceConfig()
@@ -218,11 +221,6 @@ class MappingService:
             failure_threshold=self.config.breaker_failures,
             cooldown_batches=self.config.breaker_cooldown_batches,
         )
-        self._watchdog: Watchdog | None = (
-            Watchdog(self._watchdog_tick, self.config.watchdog_interval_seconds)
-            if self.config.watchdog_interval_ms > 0
-            else None
-        )
         #: ((generation, trials kept), table, family slice) — rebuilt on swap
         #: and whenever the breaker's shed level moves the trial budget
         self._degraded_view: (
@@ -231,16 +229,6 @@ class MappingService:
         self._refresh_index_gauges()
         if auto_start:
             self.start()
-
-    @staticmethod
-    def _read_table(table):
-        """The immutable object batches read: a generation for mutable stores.
-
-        Capturing ``MutableSketchStore.current`` (instead of the handle)
-        is what pins a batch to the generation it started on — the handle
-        itself would follow mutations mid-batch.
-        """
-        return table.current if isinstance(table, MutableSketchStore) else table
 
     # -- construction --------------------------------------------------------
 
@@ -307,8 +295,6 @@ class MappingService:
 
     def start(self) -> None:
         self._scheduler.start()
-        if self._watchdog is not None:
-            self._watchdog.start()
         self.metrics.ready.set(1.0)
 
     @property
@@ -336,8 +322,6 @@ class MappingService:
                 f"service failed to drain within {timeout}s "
                 f"({self._queue.depth} requests still queued)"
             )
-        if self._watchdog is not None:
-            self._watchdog.stop()
         self._drained = True
         self.metrics.queue_depth.set(0)
         self.metrics.ready.set(0.0)
@@ -374,13 +358,11 @@ class MappingService:
         for request in self._queue.dump():
             if not request.future.done():
                 self._fail(request, ServiceClosedError("replica killed"))
-        if self._watchdog is not None:  # a killed process takes its threads
-            self._watchdog.stop()
         self._killed = True
         self._drained = True
         self.metrics.ready.set(0.0)
 
-    # -- online index mutation -----------------------------------------------
+    # -- the resident index ---------------------------------------------------
 
     @property
     def index_generation(self) -> int:
@@ -392,39 +374,6 @@ class MappingService:
         stats["generation"] = self._view.generation
         return stats
 
-    def _ensure_mutable(self) -> MutableSketchStore:
-        """The resident index as a mutable handle, wrapping it on first use
-        (:meth:`MutableSketchStore.wrap`).  Called under the mutation lock.
-        """
-        table = self._mapper.table
-        handle = MutableSketchStore.wrap(
-            table, self.jem_config, self._mapper.subject_names
-        )
-        if handle is not table:
-            self._mapper.adopt_store(handle, handle.subject_names)
-        return handle
-
-    def _install_view(self, handle: MutableSketchStore) -> dict:
-        """Atomically publish the handle's latest generation to new batches.
-
-        In-flight batches keep the view they captured; the result cache is
-        generation-namespaced (and cleared here, purely to release
-        memory), and the degraded single-trial view is invalidated so the
-        breaker fallback also reads the new generation.  Called under the
-        mutation lock.
-        """
-        generation = handle.current
-        self._mapper.adopt_store(handle, handle.subject_names)
-        self._table = handle
-        self._view = _IndexView(
-            generation, tuple(handle.subject_names), generation.generation
-        )
-        self._degraded_view = None
-        self.cache.clear()
-        self.metrics.cache_size.set(0)
-        self._refresh_index_gauges()
-        return self.store_stats()
-
     def _refresh_index_gauges(self) -> None:
         stats = store_stats(self._mapper.table)
         self.metrics.index_generation.set(self._view.generation)
@@ -432,75 +381,31 @@ class MappingService:
         self.metrics.index_tombstones.set(stats["tombstones"])
         self.metrics.index_segments.set(stats["segments"])
 
-    def add_contigs(self, contigs: SequenceSet) -> dict:
-        """Add contigs online; new batches map against them immediately.
-
-        Returns the post-mutation :meth:`store_stats` block.  When
-        ``memtable_flush_entries`` is configured and the memtable has
-        grown past it, the same mutation also flushes.
-        """
-        with self._mutation_lock:
-            handle = self._ensure_mutable()
-            handle.add_contigs(contigs)
-            self.metrics.mutations_total.inc()
-            limit = self.config.memtable_flush_entries
-            if limit and handle.current.memtable_entries >= limit:
-                handle.flush()
-                self.metrics.flushes_total.inc()
-            return self._install_view(handle)
-
-    def remove_contigs(self, names: list[str]) -> dict:
-        """Tombstone contigs online; they stop matching from the next batch."""
-        with self._mutation_lock:
-            handle = self._ensure_mutable()
-            handle.remove_contigs(names)
-            self.metrics.mutations_total.inc()
-            return self._install_view(handle)
-
-    def flush_index(self) -> dict:
-        """Seal the memtable into an immutable segment (durable when backed)."""
-        with self._mutation_lock:
-            handle = self._ensure_mutable()
-            before = handle.generation
-            handle.flush()
-            if handle.generation != before:
-                self.metrics.flushes_total.inc()
-                return self._install_view(handle)
-            return self.store_stats()
-
-    def compact_index(self) -> dict:
-        """Fold the index into one clean segment (restores the fused path)."""
-        with self._mutation_lock:
-            handle = self._ensure_mutable()
-            handle.compact()
-            self.metrics.compactions_total.inc()
-            return self._install_view(handle)
-
     def install_index(
         self, store, subject_names, *, generation: int | None = None
-    ) -> dict:
-        """Swap in an externally managed store as the resident index.
+    ) -> None:
+        """Swap in a new resident index: the service's one way to change it.
 
-        The generation-swap door used by :class:`~repro.netserve.ReplicaSet`,
-        whose mutable handle lives at the set level: each replica's service
-        gets the already-built generation (or shard) installed rather than
-        mutating its own.  ``generation`` overrides the number stamped on
-        the view when the store itself does not carry one (scatter shards).
-        In-flight batches finish on the view they captured.
+        The generation-swap door of :class:`~repro.netserve.ReplicaSet`,
+        which owns the mutable handle and installs each immutable
+        generation (or shard of one) it publishes.  ``generation``
+        overrides the number stamped on the view when the store itself
+        does not carry one (scatter shards).  In-flight batches finish on
+        the view they captured; the result cache is generation-namespaced
+        (and cleared here, purely to release memory), and the degraded
+        single-trial view is invalidated so the breaker fallback also
+        reads the new index.
         """
-        with self._mutation_lock:
+        with self._swap_lock:
             names = list(subject_names)
             self._mapper.adopt_store(store, names)
-            self._table = store
-            view_table = self._read_table(store)
             if generation is None:
-                generation = getattr(view_table, "generation", 0)
-            self._view = _IndexView(view_table, tuple(names), generation)
+                generation = getattr(store, "generation", 0)
+            self._view = _IndexView(store, tuple(names), generation)
             self._degraded_view = None
             self.cache.clear()
             self.metrics.cache_size.set(0)
             self._refresh_index_gauges()
-            return self.store_stats()
 
     def healthz(self) -> dict:
         """Liveness/readiness snapshot (also refreshes the ``ready`` gauge).
@@ -535,28 +440,6 @@ class MappingService:
             "native": _native.availability(),
         }
         return health
-
-    def metrics_snapshot(self) -> dict:
-        """The ``{"aggregate", "replicas"}`` shape of
-        :meth:`~repro.netserve.ReplicaSet.metrics_snapshot`, for a fleet of
-        one — what makes a bare service a front-end backend.
-        """
-        return {
-            "aggregate": aggregate_metrics([self.metrics]),
-            "replicas": [self.metrics.snapshot()],
-        }
-
-    def _watchdog_tick(self) -> None:
-        limit = self.config.compact_segments
-        if limit:
-            table = self._mapper.table
-            if (
-                isinstance(table, MutableSketchStore)
-                and not table.current.is_clean
-                and len(table.current.segments) >= limit
-            ):
-                self.compact_index()
-        self.healthz()  # refresh the readiness gauge
 
     def _note_breaker(self, event: str | None) -> None:
         if event == "opened":

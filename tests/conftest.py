@@ -64,6 +64,23 @@ def clean_reads(small_genome, rng) -> SequenceSet:
 TRANSPORTS = ("stdio", "tcp")
 
 
+def serve_fleet(contigs, jem_config, service_config=None, *, kind="replicate", n=1):
+    """A :class:`~repro.netserve.ReplicaSet` over freshly indexed ``contigs``.
+
+    The defaults build the replicate x1 fleet a plain ``jem serve`` runs
+    behind either door.
+    """
+    from repro import JEMMapper
+    from repro.netserve import ReplicaSet, make_placement
+
+    mapper = JEMMapper(jem_config)
+    mapper.index(contigs)
+    return ReplicaSet(
+        mapper.table, mapper.subject_names, jem_config,
+        placement=make_placement(kind, n), service_config=service_config,
+    )
+
+
 @contextlib.contextmanager
 def serving(backend, **kwargs):
     """Run a TCP NetFrontend on a fresh loop in a thread; yield its address."""

@@ -12,12 +12,12 @@ import threading
 import time
 
 import pytest
-from conftest import connect_lines, serve_session, serving
+from conftest import connect_lines, serve_fleet, serve_session, serving
 
-from repro import JEMConfig, JEMMapper
-from repro.netserve import ReplicaSet, make_placement, parse_hostport
+from repro import JEMConfig
+from repro.netserve import parse_hostport
 from repro.errors import ReproError
-from repro.service import MappingService, ServiceConfig
+from repro.service import ServiceConfig
 from repro.service.protocol import SocketTransport, run_session
 from repro.service.queue import MapFuture
 
@@ -56,11 +56,8 @@ def map_replies(stats):
 class TestEndToEnd:
     @pytest.fixture
     def backend(self, tiling_contigs):
-        mapper = JEMMapper(CONFIG)
-        mapper.index(tiling_contigs)
-        replica_set = ReplicaSet(
-            mapper.table, mapper.subject_names, CONFIG,
-            placement=make_placement("scatter", 3), service_config=SERVICE,
+        replica_set = serve_fleet(
+            tiling_contigs, CONFIG, SERVICE, kind="scatter", n=3
         )
         yield replica_set
         replica_set.drain()
@@ -69,9 +66,10 @@ class TestEndToEnd:
         self, backend, tiling_contigs, clean_reads
     ):
         """Two racing TCP clients each see exactly the one-session transcript."""
-        # the single-session reference: one stdio session over a bare service
-        with MappingService.from_contigs(tiling_contigs, CONFIG, SERVICE) as service:
-            replies = serve_session("stdio", service, [
+        # the single-session reference: one stdio session over the
+        # default fleet, what a plain `jem serve` runs
+        with serve_fleet(tiling_contigs, CONFIG, SERVICE) as fleet:
+            replies = serve_session("stdio", fleet, [
                 {"op": "map", "id": i, "name": clean_reads.names[i],
                  "seq": clean_reads[i].sequence}
                 for i in range(len(clean_reads))

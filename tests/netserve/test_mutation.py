@@ -1,16 +1,23 @@
-"""Online index mutation across a ReplicaSet: swap protocol, fail-closed.
+"""Online index mutation: the ReplicaSet is the one owner of a served index.
 
 Mutations land on the set-level LSM handle and the resulting generation
 is installed everywhere at once — adopted wholesale by every replica
-(replicate) or re-sharded behind fresh lookup lanes (scatter).  These
-tests pin the swap contract: answers match a monolithic rebuild on both
-placements and both lookup paths, a lane stamped with the wrong
-generation is refused (served inline instead — fail closed, never a
-mixed answer), and the TCP front door drives the same mutations through
-the shared NDJSON protocol.
+(replicate) or re-sharded behind fresh lookup lanes (scatter); the
+replica services only read.  These tests pin the contract on both
+fleets and both doors: answers match a monolithic rebuild, every
+response is computed against exactly one generation, the result cache
+never answers across generations, auto-flush and auto-compaction run
+inside the mutation that crosses their limit, the mutation counters are
+the set's, a lane stamped with the wrong generation is refused (served
+inline instead — fail closed, never a mixed answer), and the stdio and
+TCP doors drive the same mutations through the shared NDJSON protocol.
 """
 
 from __future__ import annotations
+
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +33,14 @@ from repro.service import ServiceConfig
 CONFIG = JEMConfig(k=12, w=20, ell=300, trials=5, seed=17)
 
 SERVICE = ServiceConfig(max_batch_size=8, max_wait_ms=1.0)
+
+#: the fleets every folded contract runs on: the default door (what a
+#: plain ``jem serve`` runs on either transport) and a key-range fleet
+FLEETS = [("replicate", 1), ("scatter", 2)]
+
+#: the auto-maintenance limits: every add flushes, and a generation may
+#: keep two segments
+MAINTAINED = replace(SERVICE, memtable_flush_entries=1, compact_segments=2)
 
 
 def _dna(rng, n: int) -> str:
@@ -74,6 +89,16 @@ def rebuilt_labels(live_pairs, world: dict) -> list[str | None]:
     return [
         mapper.subject_names[s] if s >= 0 else None for s in result.subject
     ]
+
+
+def counts(replica_set) -> tuple[int, int, int]:
+    """The set's (mutations, flushes, compactions) from its aggregate."""
+    counters = replica_set.metrics_snapshot()["aggregate"]["counters"]
+    return (
+        counters["mutations_total"],
+        counters["flushes_total"],
+        counters["compactions_total"],
+    )
 
 
 def mutate(replica_set, late: dict, removed: list[str]) -> None:
@@ -250,3 +275,213 @@ class TestDurableMutations:
         # re-added copy (still in the WAL, not yet flushed), never c0
         assert labels == ["p0", "p0", "p1", "p1"]
         reopened.table.close()
+
+
+# -- one owner, both fleets --------------------------------------------------
+
+
+class TestGenerations:
+    """What a generation swap promises on either fleet."""
+
+    @pytest.mark.parametrize("kind,n", FLEETS)
+    def test_static_index_is_wrapped_once_and_services_only_read(
+        self, indexed, rng, kind, n
+    ):
+        """The set decides mutability at construction, not on first use."""
+        with make_set(indexed, kind, n) as replica_set:
+            handle = replica_set._mutable
+            assert isinstance(handle, MutableSketchStore)
+            replica_set.add_contigs(
+                SequenceSet.from_strings([("w0", _dna(rng, 900))])
+            )
+            assert replica_set._mutable is handle
+            assert replica_set.index_generation == 1
+            for replica in replica_set.replicas:
+                table = replica.service._mapper.table
+                assert not isinstance(table, MutableSketchStore)
+                assert replica.service.index_generation == 1
+
+    @pytest.mark.parametrize("kind,n", FLEETS)
+    def test_cache_never_leaks_across_generations(self, indexed, genome, kind, n):
+        """The same read, before and after a removal, answers differently."""
+        world = {"c2": genome["c2"]}
+        with make_set(indexed, kind, n) as replica_set:
+            assert labels_of(replica_set, world) == ["c2", "c2"]
+            labels_of(replica_set, world)  # an identical resubmit is a hit
+            aggregate = replica_set.metrics_snapshot()["aggregate"]
+            assert aggregate["counters"]["cache_hits_total"] >= 1
+            replica_set.remove_contigs(["c2"])
+            assert "c2" not in labels_of(replica_set, world)
+
+    @pytest.mark.parametrize("kind,n", FLEETS)
+    def test_store_stats_health_and_metrics_report_generation(
+        self, indexed, rng, kind, n
+    ):
+        with make_set(indexed, kind, n) as replica_set:
+            stats = replica_set.store_stats()
+            assert stats["generation"] == 0 and stats["segments"] == 1
+            replica_set.add_contigs(
+                SequenceSet.from_strings([("h0", _dna(rng, 900))])
+            )
+            stats = replica_set.store_stats()
+            assert stats["generation"] == 1
+            assert stats["memtable_entries"] > 0
+            assert replica_set.healthz()["index_generation"] == 1
+            aggregate = replica_set.metrics_snapshot()["aggregate"]
+            assert aggregate["gauges"]["index_generation"] == 1.0
+            assert counts(replica_set) == (1, 0, 0)
+
+    @pytest.mark.parametrize("kind,n", FLEETS)
+    def test_sustained_load_no_mixed_generation_responses(
+        self, indexed, genome, rng, kind, n
+    ):
+        """Mutate under load; every response whole.
+
+        Each read is byte-identical to one contig, so within any single
+        generation its two end segments either both map to that contig
+        (live) or neither does (removed/never-added).  A split answer
+        would prove a response straddled a generation swap.
+        """
+        late = {f"n{i}": _dna(rng, 900) for i in range(3)}
+        world = {**genome, **late}
+        violations: list[tuple[str, tuple]] = []
+        errors: list[BaseException] = []
+        answered = [0]
+        stop = threading.Event()
+
+        with make_set(indexed, kind, n) as replica_set:
+
+            def hammer(tseed: int) -> None:
+                trng = np.random.default_rng(tseed)
+                names = list(world)
+                while not stop.is_set():
+                    target = names[int(trng.integers(0, len(names)))]
+                    try:
+                        mapping = replica_set.submit(
+                            f"read_{target}", world[target]
+                        ).result(30.0)
+                    except BaseException as exc:  # noqa: BLE001
+                        errors.append(exc)
+                        return
+                    prefix, suffix = mapping.subject_names
+                    if (prefix == target) != (suffix == target):
+                        violations.append((target, mapping.subject_names))
+                    answered[0] += 1
+
+            threads = [
+                threading.Thread(target=hammer, args=(100 + i,), daemon=True)
+                for i in range(3)
+            ]
+            for t in threads:
+                t.start()
+            # the mutation schedule runs while the hammers are going
+            for name, seq in late.items():
+                replica_set.add_contigs(SequenceSet.from_strings([(name, seq)]))
+                time.sleep(0.05)
+            replica_set.remove_contigs(["c1"])
+            time.sleep(0.05)
+            replica_set.flush_index()
+            replica_set.remove_contigs(["c4", "n1"])
+            time.sleep(0.05)
+            replica_set.compact_index()
+            time.sleep(0.2)
+            stop.set()
+            for t in threads:
+                t.join(timeout=30.0)
+
+            assert not errors, errors[:1]
+            assert not violations, violations[:5]
+            assert answered[0] > 0
+            # and the settled index answers exactly like a rebuild
+            live = [
+                (n, s) for n, s in world.items() if n not in ("c1", "c4", "n1")
+            ]
+            assert labels_of(replica_set, world) == rebuilt_labels(live, world)
+
+
+class TestAutoMaintenance:
+    """Auto-flush and auto-compaction run inside the mutation that crosses
+    their limit, under its lock — nothing is left for a later thread."""
+
+    @pytest.mark.parametrize("kind,n", FLEETS)
+    def test_memtable_flush_threshold_seals_segments(self, indexed, rng, kind, n):
+        config = replace(SERVICE, memtable_flush_entries=1)
+        with make_set(indexed, kind, n, service_config=config) as replica_set:
+            stats = replica_set.add_contigs(
+                SequenceSet.from_strings([("a0", _dna(rng, 900))])
+            )
+            assert stats["memtable_entries"] == 0
+            assert stats["segments"] == 2
+            assert counts(replica_set) == (1, 1, 0)
+
+    @pytest.mark.parametrize("kind,n", FLEETS)
+    def test_mutation_compacts_past_segment_limit(self, indexed, rng, kind, n):
+        """The first flushed add leaves two segments, at the limit; the
+        second would leave three, so that same mutation compacts before
+        its generation is published."""
+        late = {f"g{i}": _dna(rng, 900) for i in range(2)}
+        with make_set(indexed, kind, n, service_config=MAINTAINED) as replica_set:
+            first, second = (
+                replica_set.add_contigs(SequenceSet.from_strings([pair]))
+                for pair in late.items()
+            )
+            assert first["segments"] == 2
+            assert second["segments"] == 1 and second["tombstones"] == 0
+            assert replica_set.store_stats() == second
+            assert counts(replica_set) == (2, 2, 1)
+            assert labels_of(replica_set, late) == ["g0", "g0", "g1", "g1"]
+
+
+class TestWireMutations:
+    """Both doors mutate the same way: one script, either transport,
+    either fleet."""
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("kind,n", FLEETS)
+    def test_mutation_ops_over_the_wire(self, indexed, rng, transport, kind, n):
+        new_seq = _dna(rng, 900)
+        with make_set(indexed, kind, n) as replica_set:
+            replies = serve_session(transport, replica_set, [
+                {"op": "stats"},
+                {"op": "map", "id": 0, "name": "r0", "seq": new_seq},
+                {"op": "add_contigs", "names": ["p0"], "seqs": [new_seq]},
+                {"op": "map", "id": 1, "name": "r0", "seq": new_seq},
+                {"op": "remove_contigs", "names": ["c5"]},
+                {"op": "remove_contigs", "names": ["ghost"]},
+                {"op": "flush"},
+                {"op": "compact"},
+                {"op": "stats"},
+            ])
+        by_op: dict[str, list[dict]] = {}
+        maps = []
+        for reply in replies:
+            if "results" in reply:
+                maps.append(reply)
+            else:
+                by_op.setdefault(reply["op"], []).append(reply)
+        assert by_op["stats"][0]["generation"] == 0
+        assert by_op["add_contigs"][0]["generation"] == 1
+        # a bad mutation is an in-band error; the session keeps serving
+        assert "error" in by_op["remove_contigs"][1]
+        assert by_op["stats"][-1]["generation"] == 4
+        assert by_op["stats"][-1]["stats"]["segments"] == 1
+        # before the add the read is unmapped; after, both ends hit p0
+        assert [r["contig"] for r in maps[0]["results"]] == [None, None]
+        assert [r["contig"] for r in maps[1]["results"]] == ["p0", "p0"]
+        assert replies[-1]["op"] == "drained"
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("kind,n", FLEETS)
+    def test_auto_maintenance_over_the_wire(self, indexed, rng, transport, kind, n):
+        with make_set(indexed, kind, n, service_config=MAINTAINED) as replica_set:
+            replies = serve_session(transport, replica_set, [
+                {"op": "add_contigs", "names": [f"g{i}"], "seqs": [_dna(rng, 900)]}
+                for i in range(2)
+            ] + [{"op": "metrics"}])
+        assert [r["stats"]["segments"] for r in replies[:2]] == [2, 1]
+        counters = replies[2]["aggregate"]["counters"]
+        assert (
+            counters["mutations_total"],
+            counters["flushes_total"],
+            counters["compactions_total"],
+        ) == (2, 2, 1)

@@ -10,6 +10,7 @@ none of it publishes shared memory: replicas hold the index by reference.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import JEMConfig, JEMMapper
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.netserve import (
     FleetSupervisor,
     ReplicaSet,
@@ -213,6 +214,64 @@ class TestRollingRestart:
             assert_same_mapping(rs.map_reads(clean_reads), sequential)
             health = rs.healthz()
             assert health["ready"] and health["generations_agree"]
+
+    @pytest.mark.parametrize(
+        "kind,n", [("replicate", 1), ("replicate", 2), ("scatter", 2)]
+    )
+    def test_rolling_restart_under_load_drops_no_read(
+        self, indexed, clean_reads, sequential, kind, n
+    ):
+        """Make-before-break: each successor is admitted before its
+        predecessor drains, so reads submitted throughout five restarts
+        are all answered, exactly — a fleet of one included."""
+        refused: list[BaseException] = []
+        wrong: list[int] = []
+        answered = [0]
+        running = threading.Event()
+        stop = threading.Event()
+
+        with make_set(indexed, kind, n) as rs:
+
+            def hammer(offset: int) -> None:
+                j = offset
+                while not stop.is_set():
+                    j = (j + 1) % len(clean_reads)
+                    try:
+                        mapping = rs.submit(
+                            clean_reads.names[j], clean_reads.codes_of(j)
+                        ).result(30)
+                    except ReproError as exc:
+                        refused.append(exc)
+                        continue
+                    want = sequential.subject[2 * j:2 * j + 2].tolist()
+                    if list(mapping.subject) != want:
+                        wrong.append(j)
+                    answered[0] += 1
+                    running.set()
+
+            threads = [
+                threading.Thread(target=hammer, args=(k,), daemon=True)
+                for k in range(3)
+            ]
+            # frequent thread switches: a submit that picked a member just
+            # before the restart swapped it out must still find a door
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                assert running.wait(30.0)
+                for _ in range(5):
+                    assert rs.rolling_restart()["restarted"] == list(range(n))
+            finally:
+                stop.set()
+                sys.setswitchinterval(interval)
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+            assert rs.respawns == 5 * n
+        assert not refused, f"{len(refused)} reads refused, first: {refused[0]!r}"
+        assert not wrong and answered[0] > 0
 
     def test_respawn_readopts_current_generation(self, indexed, clean_reads):
         extra = SequenceSet.from_strings(

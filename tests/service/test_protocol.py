@@ -1,10 +1,11 @@
 """NDJSON protocol tests: one contract, bound to each transport, plus the CLI.
 
 The server side of the protocol is one state machine
-(:class:`repro.netserve.NetFrontend`); :class:`SessionContract` states
-what a session promises and is bound once per transport, and
+(:class:`repro.netserve.NetFrontend`) in front of one backend type, a
+:class:`repro.netserve.ReplicaSet`; :class:`SessionContract` states what
+a session promises and is bound once per transport, and
 :class:`TestOneWireContract` holds both transports to line-for-line equal
-transcripts over either backend.
+transcripts over either fleet.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ import subprocess
 import sys
 
 import pytest
-from conftest import TRANSPORTS, serve_session
+from conftest import TRANSPORTS, serve_fleet, serve_session
 
 from repro import JEMConfig, JEMMapper
 from repro.cli import main
-from repro.netserve import ReplicaSet, make_placement
-from repro.service import MappingService, ServiceConfig
+from repro.service import ServiceConfig
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
@@ -37,10 +37,9 @@ class SessionContract:
     transport: str
 
     def session(self, tiling_contigs, requests, **frontend_kwargs):
-        service = MappingService.from_contigs(tiling_contigs, CONFIG, SERVICE)
-        with service:
+        with serve_fleet(tiling_contigs, CONFIG, SERVICE) as fleet:
             return serve_session(
-                self.transport, service, requests, **frontend_kwargs
+                self.transport, fleet, requests, **frontend_kwargs
             )
 
     def test_map_responses_match_sequential_mapper(
@@ -135,12 +134,12 @@ NON_STRING_MUTATIONS = [
 def test_non_string_contig_fields_are_a_typed_refusal(transport, tiling_contigs):
     """A JSON null or number among ``names``/``seqs`` is refused in band and
     leaves the index untouched: never the contig ``'None'``."""
-    with MappingService.from_contigs(tiling_contigs, CONFIG, SERVICE) as service:
+    with serve_fleet(tiling_contigs, CONFIG, SERVICE) as fleet:
         replies = serve_session(
-            transport, service, [*NON_STRING_MUTATIONS, {"op": "stats"}]
+            transport, fleet, [*NON_STRING_MUTATIONS, {"op": "stats"}]
         )
-        names = list(service.subject_names)
-        generation = service.index_generation
+        names = list(fleet.subject_names)
+        generation = fleet.index_generation
     for request, reply in zip(NON_STRING_MUTATIONS, replies):
         assert set(reply) == {"op", "error"} and reply["op"] == request["op"]
         assert "list of strings" in reply["error"]
@@ -170,16 +169,13 @@ def masked(reply):
 class TestOneWireContract:
     """One request script, two transports: the transcripts must be equal."""
 
-    @pytest.fixture(params=["service", "scatter-x2"])
+    @pytest.fixture(params=["replicate-x1", "scatter-x2"])
     def make_backend(self, request, tiling_contigs):
-        def make():
-            mapper = JEMMapper(CONFIG)  # fresh: a service mutates its mapper
-            mapper.index(tiling_contigs)
-            if request.param == "service":
-                return MappingService(mapper, ONE_BY_ONE)
-            return ReplicaSet(
-                mapper.table, mapper.subject_names, CONFIG,
-                placement=make_placement("scatter", 2), service_config=ONE_BY_ONE,
+        kind, n = request.param.split("-x")
+
+        def make():  # fresh per transport: the script mutates the index
+            return serve_fleet(
+                tiling_contigs, CONFIG, ONE_BY_ONE, kind=kind, n=int(n)
             )
 
         return make

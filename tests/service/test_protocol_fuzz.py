@@ -19,11 +19,10 @@ import string
 import time
 
 import pytest
-from conftest import connect_lines, serve_session, serving
+from conftest import connect_lines, serve_fleet, serve_session, serving
 
-from repro import JEMConfig, JEMMapper
-from repro.netserve import ReplicaSet, make_placement
-from repro.service import MappingService, ServiceConfig
+from repro import JEMConfig
+from repro.service import ServiceConfig
 from repro.service.protocol import ADMIN_OPS, MUTATION_OPS
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
@@ -181,15 +180,22 @@ class TestPipeFuzz(FuzzContract):
 
     @pytest.fixture
     def backend(self, tiling_contigs):
-        with MappingService.from_contigs(tiling_contigs, CONFIG, SERVICE) as service:
-            yield service
+        with serve_fleet(tiling_contigs, CONFIG, SERVICE) as fleet:
+            yield fleet
 
-    def test_restart_without_a_fleet_is_a_typed_refusal(self, backend):
+    def test_restart_rolls_the_default_fleet_and_stays_exact(
+        self, backend, clean_reads
+    ):
+        """A stdio session reaches ``restart`` through the same fleet."""
         assert "restart" in ADMIN_OPS and "restart" not in MUTATION_OPS
-        replies = self.session(backend, [{"op": "restart"}])
-        refusal = [r for r in replies if r.get("op") == "restart"]
-        assert len(refusal) == 1
-        assert "replica-set" in refusal[0]["error"]
+        probe = probe_of(clean_reads)
+        before, rolled, after, drained = self.session(
+            backend, [probe, {"op": "restart"}, probe]
+        )
+        assert rolled["op"] == "restart" and rolled["restarted"] == [0]
+        assert backend.respawns == 1
+        assert after["results"] == before["results"]
+        assert drained["op"] == "drained" and drained["mapped"] == 2
 
 
 class TestTCPFuzz(FuzzContract):
@@ -197,11 +203,8 @@ class TestTCPFuzz(FuzzContract):
 
     @pytest.fixture
     def backend(self, tiling_contigs):
-        mapper = JEMMapper(CONFIG)
-        mapper.index(tiling_contigs)
-        with ReplicaSet(
-            mapper.table, mapper.subject_names, CONFIG,
-            placement=make_placement("scatter", 2), service_config=SERVICE,
+        with serve_fleet(
+            tiling_contigs, CONFIG, SERVICE, kind="scatter", n=2
         ) as replica_set:
             yield replica_set
 

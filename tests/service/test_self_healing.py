@@ -16,7 +16,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from conftest import TRANSPORTS, serve_session
+from conftest import TRANSPORTS, serve_fleet, serve_session
 
 from repro import JEMConfig, JEMMapper
 from repro.core.hitcounter import count_hits_vectorised
@@ -355,13 +355,13 @@ class TestHealthSurface:
 
     def test_protocol_health_op(self, tiling_contigs):
         for transport in TRANSPORTS:
-            with MappingService.from_contigs(tiling_contigs, CONFIG) as service:
+            with serve_fleet(tiling_contigs, CONFIG) as fleet:
                 lines = serve_session(
-                    transport, service, [{"op": "health"}, {"op": "ping"}]
+                    transport, fleet, [{"op": "health"}, {"op": "ping"}]
                 )
             assert lines[0]["op"] == "health"
             assert lines[0]["live"] is True and lines[0]["ready"] is True
-            assert lines[0]["breaker"] == CLOSED
+            assert lines[0]["replicas"][0]["breaker"] == CLOSED
             assert lines[1] == {"op": "pong"}
             assert lines[-1]["op"] == "drained"
 
