@@ -11,7 +11,7 @@ Quickstart::
     result = mapper.map_reads(long_reads)
 """
 
-from importlib import import_module
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -44,15 +44,4 @@ _EXPORTS = {
 }
 
 __all__ = [*_EXPORTS, "__version__"]
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(_EXPORTS[name], __name__), name)
-    globals()[name] = value  # later lookups find it without coming here
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

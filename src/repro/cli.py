@@ -133,12 +133,10 @@ def _engine_from(args: argparse.Namespace) -> MappingEngine:
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
     """Knobs of both ``serve`` and ``client``: a stdio client forwards the
-    batching/admission/caching four to the ``serve`` it spawns, and each
+    batching/admission/caching three to the ``serve`` it spawns, and each
     command writes its own ``--metrics-out``."""
     parser.add_argument("--max-batch", type=int, default=64,
                         help="most reads coalesced into one micro-batch (default 64)")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="longest a non-full batch waits for more reads (default 2)")
     parser.add_argument("--queue-capacity", type=int, default=1024,
                         help="admission queue bound; beyond it requests are "
                              "rejected with a retry-after hint (default 1024)")
@@ -170,7 +168,6 @@ def _service_config_from(args: argparse.Namespace):
 
     return ServiceConfig(
         max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_capacity=args.queue_capacity,
         cache_capacity=args.cache_capacity,
         breaker_failures=args.breaker_failures,
@@ -292,17 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--tenant-quota", type=int, default=None,
                          help="max in-flight maps per tenant tag across all "
                               "sessions (default: unlimited)")
-    p_serve.add_argument("--no-supervise", action="store_true",
-                         help="disable the fleet supervisor behind --listen "
-                              "(dead/wedged replicas are then never respawned)")
     p_serve.add_argument("--probe-interval-ms", type=float, default=500.0,
                          help="supervisor heartbeat interval behind --listen "
                               "(default 500; probe deadline is half of it)")
-    p_serve.add_argument("--hedge-timeout-ms", type=float, default=2000.0,
-                         help="--placement scatter only: share deadline "
-                              "before the gather stage hedges the answer "
-                              "inline from the root store (0 disables "
-                              "hedging; default 2000)")
     p_serve.add_argument("--max-line-bytes", type=int, default=1 << 20,
                          help="longest accepted NDJSON request line; an "
                               "oversized line is skipped and answered with "
@@ -646,9 +635,6 @@ def _fleet_from(args: argparse.Namespace, engine: MappingEngine):
     return ReplicaSet.from_engine(
         engine, make_placement(args.placement, args.replicas),
         _service_config_from(args),
-        hedge_timeout_s=(
-            args.hedge_timeout_ms / 1000.0 if args.hedge_timeout_ms > 0 else None
-        ),
     )
 
 
@@ -666,7 +652,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     engine = _engine_from(args)
     backend = _fleet_from(args, engine)
-    supervisor = None
     if args.listen is None:
         host, port = "", 0  # never bound: the session's streams are stdio
         # no slow-loris guard: the parent that owns the pipe may idle as
@@ -675,15 +660,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         host, port = parse_hostport(args.listen)
         idle_timeout_s = args.idle_timeout if args.idle_timeout > 0 else None
-        if not args.no_supervise:
-            interval_s = max(args.probe_interval_ms, 1.0) / 1000.0
-            supervisor = FleetSupervisor(
-                backend,
-                SupervisorConfig(
-                    probe_interval_s=interval_s,
-                    probe_deadline_s=interval_s / 2.0,
-                ),
-            )
+        interval_s = max(args.probe_interval_ms, 1.0) / 1000.0
+        supervisor = FleetSupervisor(
+            backend,
+            SupervisorConfig(
+                probe_interval_s=interval_s,
+                probe_deadline_s=interval_s / 2.0,
+            ),
+        )
     frontend = NetFrontend(
         backend, host=host, port=port, tenant_quota=args.tenant_quota,
         max_line_bytes=args.max_line_bytes, idle_timeout_s=idle_timeout_s,
@@ -715,8 +699,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
             flush=True,
         )
-        if supervisor is not None:
-            supervisor.start()
+        supervisor.start()
         stop_requested = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -831,7 +814,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
             "--k", str(args.k), "--w", str(args.w), "--ell", str(args.ell),
             "--trials", str(args.trials), "--seed", str(args.seed),
             "--max-batch", str(args.max_batch),
-            "--max-wait-ms", str(args.max_wait_ms),
             "--queue-capacity", str(args.queue_capacity),
             "--cache-capacity", str(args.cache_capacity),
         ]

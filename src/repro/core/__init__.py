@@ -1,6 +1,6 @@
 """JEM-mapper core: configuration, segments, sketch stores, engine, mapper."""
 
-from importlib import import_module
+from .._lazy import lazy_exports
 
 #: Public name -> submodule that defines it, imported on first access (PEP 562):
 #: ``jem index`` reaches ``repro.core.config`` through this file and must not
@@ -50,15 +50,4 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(_EXPORTS[name], __name__), name)
-    globals()[name] = value  # later lookups find it without coming here
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

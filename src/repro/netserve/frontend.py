@@ -209,10 +209,17 @@ class _StdioWriter:
 
 
 def parse_hostport(spec: str, *, default_host: str = "127.0.0.1") -> tuple[str, int]:
-    """``HOST:PORT`` / ``:PORT`` / ``PORT`` → (host, port)."""
+    """``HOST:PORT`` / ``[IPV6]:PORT`` / ``:PORT`` / ``PORT`` → (host, port)."""
     host, sep, port = spec.rpartition(":")
     if not sep:
         host, port = default_host, spec
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    elif ":" in host:
+        raise ReproError(
+            f"bad listen address {spec!r}: write an IPv6 host in brackets, "
+            "as in [::1]:7000"
+        )
     if not host:
         host = default_host
     try:

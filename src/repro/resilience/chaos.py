@@ -475,9 +475,7 @@ def run_serve_chaos(
     if service_config is None:
         # result cache off: every read must exercise the scatter path the
         # chaos is aimed at, not the front door's content-key cache
-        service_config = ServiceConfig(
-            max_batch_size=8, max_wait_ms=1.0, cache_capacity=0
-        )
+        service_config = ServiceConfig(max_batch_size=8, cache_capacity=0)
     if supervision is None:
         supervision = SupervisorConfig(
             probe_interval_s=0.05, probe_deadline_s=0.1, suspect_strikes=2

@@ -24,18 +24,12 @@ class ServiceConfig:
     ----------
     max_batch_size:
         Most reads coalesced into one dispatched batch.
-    max_wait_ms:
-        Longest the scheduler holds a non-full batch open waiting for more
-        arrivals before dispatching it (the latency half of the
-        batching trade-off).
     queue_capacity:
         Bound on queued-but-unscheduled requests; a submit beyond it is
         rejected with :class:`~repro.errors.ServiceOverloadError` and a
         ``retry_after`` hint (admission control / backpressure).
     cache_capacity:
         Entries in the query-sketch LRU result cache; 0 disables caching.
-    metrics_window:
-        Reservoir size of each latency histogram.
     breaker_failures:
         Failed batches within ``breaker_window`` recorded batches that
         trip the circuit breaker into degraded reduced-trial mapping.
@@ -61,10 +55,8 @@ class ServiceConfig:
     """
 
     max_batch_size: int = 64
-    max_wait_ms: float = 2.0
     queue_capacity: int = 1024
     cache_capacity: int = 4096
-    metrics_window: int = 4096
     breaker_failures: int = 0
     breaker_window: int = 16
     breaker_cooldown_batches: int = 2
@@ -74,14 +66,10 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ConfigError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_ms < 0:
-            raise ConfigError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.queue_capacity < 1:
             raise ConfigError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
         if self.cache_capacity < 0:
             raise ConfigError(f"cache_capacity must be >= 0, got {self.cache_capacity}")
-        if self.metrics_window < 1:
-            raise ConfigError(f"metrics_window must be >= 1, got {self.metrics_window}")
         if self.breaker_failures < 0:
             raise ConfigError(
                 f"breaker_failures must be >= 0, got {self.breaker_failures}"
@@ -104,7 +92,3 @@ class ServiceConfig:
             raise ConfigError(
                 f"compact_segments must be >= 0, got {self.compact_segments}"
             )
-
-    @property
-    def max_wait_seconds(self) -> float:
-        return self.max_wait_ms / 1000.0

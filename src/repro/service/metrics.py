@@ -30,6 +30,9 @@ __all__ = [
 #: Quantiles every histogram reports, in snapshot key order.
 QUANTILES = ((50, "p50"), (95, "p95"), (99, "p99"))
 
+#: Most recent observations each histogram keeps for its quantiles.
+WINDOW = 4096
+
 #: How each gauge combines across replicas in :func:`aggregate_metrics`.
 #: Levels add up (total queued work is the sum of per-replica queues) except
 #: readiness, where the set is only as ready as its least-ready member;
@@ -95,7 +98,7 @@ class LatencyHistogram:
     distributions without unbounded memory.
     """
 
-    def __init__(self, window: int = 4096) -> None:
+    def __init__(self, window: int = WINDOW) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self._recent: deque[float] = deque(maxlen=window)
@@ -234,7 +237,7 @@ class ServiceMetrics:
     )
 
     def __init__(
-        self, *, window: int = 4096, labels: dict[str, str] | None = None
+        self, *, window: int = WINDOW, labels: dict[str, str] | None = None
     ) -> None:
         self.labels = dict(labels or {})
         self.requests_total = Counter()

@@ -198,9 +198,7 @@ class MappingService:
         self.jem_config: JEMConfig = mapper.config
         self.config = service_config if service_config is not None else ServiceConfig()
         self._family = mapper.config.hash_family()
-        self.metrics = ServiceMetrics(
-            window=self.config.metrics_window, labels=metrics_labels
-        )
+        self.metrics = ServiceMetrics(labels=metrics_labels)
         self.cache = SketchLRUCache(self.config.cache_capacity)
         self._queue: AdmissionQueue[_MapRequest] = AdmissionQueue(
             self.config.queue_capacity
@@ -209,7 +207,6 @@ class MappingService:
             self._queue,
             self._process_batch,
             max_batch_size=self.config.max_batch_size,
-            max_wait_s=self.config.max_wait_seconds,
             on_batch_error=self._fail_batch,
         )
         self._ewma_read_seconds = _INITIAL_READ_SECONDS

@@ -371,6 +371,24 @@ def test_transport_flag_is_gone(capsys):
     assert "unrecognized arguments: --transport" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command, flag", [
+    ("serve", "--max-wait-ms"),
+    ("client", "--max-wait-ms"),
+    ("serve", "--no-supervise"),
+    ("serve", "--hedge-timeout-ms"),
+])
+def test_retired_service_flags_are_gone(capsys, command, flag):
+    """The scheduler sets its own batch window, `--listen` always
+    supervises, and scatter keeps the fleet's hedge deadline: each of these
+    flags is an argparse error."""
+    source = ["--index", "i.npz"] + (["-q", "r.fq"] if command == "client" else [])
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([command, *source, flag])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def _subcommand(name: str) -> argparse.ArgumentParser:
     sub = next(
         a for a in build_parser()._actions

@@ -33,7 +33,7 @@ def listen_fleet(index_path: str, *flags: str):
     """The fleet ``jem serve --index PATH --listen 127.0.0.1:0 FLAGS`` serves."""
     args = build_parser().parse_args(
         ["serve", "--index", index_path, "--listen", "127.0.0.1:0",
-         "--max-batch", "8", "--max-wait-ms", "1", *flags]
+         "--max-batch", "8", *flags]
     )
     return _fleet_from(args, _engine_from(args))
 

@@ -23,7 +23,7 @@ from repro.service.queue import MapFuture
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
-SERVICE = ServiceConfig(max_batch_size=8, max_wait_ms=1.0)
+SERVICE = ServiceConfig(max_batch_size=8)
 
 
 class TestParseHostport:
@@ -35,6 +35,19 @@ class TestParseHostport:
     def test_bad_port_rejected(self):
         with pytest.raises(ReproError, match="bad listen address"):
             parse_hostport("localhost:http")
+
+    @pytest.mark.parametrize("spec, expected", [
+        ("[::1]:7000", ("::1", 7000)),
+        ("[::]:0", ("::", 0)),
+        ("[fe80::1]:80", ("fe80::1", 80)),
+    ])
+    def test_bracketed_ipv6_host(self, spec, expected):
+        assert parse_hostport(spec) == expected
+
+    @pytest.mark.parametrize("spec", ["::1", "fe80::1:7000", "[::1]", "[::1:7000"])
+    def test_unbracketed_ipv6_host_refused(self, spec):
+        with pytest.raises(ReproError, match="bad listen address"):
+            parse_hostport(spec)
 
 
 def wait_until(predicate, timeout: float = 10.0) -> bool:

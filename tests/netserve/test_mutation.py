@@ -32,7 +32,7 @@ from repro.service import ServiceConfig
 
 CONFIG = JEMConfig(k=12, w=20, ell=300, trials=5, seed=17)
 
-SERVICE = ServiceConfig(max_batch_size=8, max_wait_ms=1.0)
+SERVICE = ServiceConfig(max_batch_size=8)
 
 #: the fleets every folded contract runs on: the default door (what a
 #: plain ``jem serve`` runs on either transport) and a key-range fleet

@@ -21,7 +21,7 @@ from repro.sketch import _native
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
-SERVICE = ServiceConfig(max_batch_size=8, max_wait_ms=1.0)
+SERVICE = ServiceConfig(max_batch_size=8)
 
 
 @pytest.fixture
@@ -116,7 +116,7 @@ class TestFusedPathParity:
 
 class TestSickReplicaIsolation:
     BREAKER = ServiceConfig(
-        max_batch_size=8, max_wait_ms=1.0,
+        max_batch_size=8,
         breaker_failures=1, breaker_cooldown_batches=10_000,
     )
 

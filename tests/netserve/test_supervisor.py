@@ -33,7 +33,7 @@ CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
 # cache off: every map must actually scatter, so the stats assertions
 # below observe the lookup path rather than the front door's result cache
-SERVICE = ServiceConfig(max_batch_size=8, max_wait_ms=1.0, cache_capacity=0)
+SERVICE = ServiceConfig(max_batch_size=8, cache_capacity=0)
 
 #: deterministic fast-probe supervision for test-driven ticks
 SUPERVISION = SupervisorConfig(

@@ -24,7 +24,7 @@ from repro.service import ServiceConfig
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
-SERVICE = ServiceConfig(max_batch_size=8, max_wait_ms=1.0)
+SERVICE = ServiceConfig(max_batch_size=8)
 
 
 def map_request(reads, i: int) -> dict:
@@ -154,7 +154,7 @@ _TIMED = {"histograms", "queue_depth"}
 
 #: one read a batch: batch, lane-lookup and cache counters of a script are
 #: then a function of the script alone, so the transcripts can be compared
-ONE_BY_ONE = ServiceConfig(max_batch_size=1, max_wait_ms=1.0)
+ONE_BY_ONE = ServiceConfig(max_batch_size=1)
 
 
 def masked(reply):
@@ -245,7 +245,7 @@ class TestClientCLI:
         assert main(["map", *args, "-o", str(one_shot)]) == 0
         assert main([
             "client", *args, "-o", str(served),
-            "--max-batch", "16", "--max-wait-ms", "1",
+            "--max-batch", "16",
             "--metrics-out", str(metrics),
         ]) == 0
         assert self.strip(one_shot) == self.strip(served)

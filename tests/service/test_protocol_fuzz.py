@@ -27,7 +27,7 @@ from repro.service.protocol import ADMIN_OPS, MUTATION_OPS
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
-SERVICE = ServiceConfig(max_batch_size=8, max_wait_ms=1.0)
+SERVICE = ServiceConfig(max_batch_size=8)
 
 #: frames that must each draw exactly one in-band error, session intact
 MALFORMED_LINES = [

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ServiceClosedError, ServiceOverloadError
 from repro.service import AdmissionQueue, MicroBatchScheduler
+from repro.service.scheduler import COALESCE_S
 
 
 class TestAdmissionQueue:
@@ -193,31 +194,32 @@ class TestMicroBatchScheduler:
         q = AdmissionQueue(64)
         for i in range(10):
             q.put(i)
-        batches, scheduler = self.drain_through(
-            q, max_batch_size=4, max_wait_s=0.0
-        )
+        batches, scheduler = self.drain_through(q, max_batch_size=4)
         assert [len(b) for b in batches] == [4, 4, 2]
         assert sorted(x for b in batches for x in b) == list(range(10))
         assert scheduler.batches_dispatched == 3
 
-    def test_max_wait_flushes_partial_batches(self):
-        q = AdmissionQueue(64)
+    def test_window_follows_the_last_batch(self):
+        """No wait at start or after a lone read, ``COALESCE_S`` after a
+        batch that found company: a fake queue records each call's window."""
+
+        class RecordingQueue:
+            def __init__(self, batches):
+                self.batches = list(batches)
+                self.waits = []
+
+            def take_batch(self, max_size, max_wait_s):
+                self.waits.append(max_wait_s)
+                return self.batches.pop(0) if self.batches else []
+
+        q = RecordingQueue([["a"], ["b", "c"], ["d"]])
         dispatched = []
-        first_batch = threading.Event()
-
-        def dispatch(batch):
-            dispatched.append(list(batch))
-            first_batch.set()
-
-        scheduler = MicroBatchScheduler(
-            q, dispatch, max_batch_size=100, max_wait_s=0.01
-        )
+        scheduler = MicroBatchScheduler(q, dispatched.append, max_batch_size=8)
         scheduler.start()
-        q.put("only")
-        assert first_batch.wait(timeout=5.0)  # flushed well before 100 arrivals
-        assert dispatched == [["only"]]
-        q.close()
         scheduler.join(timeout=5.0)
+        assert not scheduler.alive
+        assert dispatched == [["a"], ["b", "c"], ["d"]]
+        assert q.waits == [0.0, 0.0, COALESCE_S, 0.0]
 
     def test_dispatch_error_does_not_kill_the_loop(self):
         q = AdmissionQueue(64)
@@ -229,7 +231,7 @@ class TestMicroBatchScheduler:
             seen.append(list(batch))
 
         scheduler = MicroBatchScheduler(
-            q, dispatch, max_batch_size=1, max_wait_s=0.0,
+            q, dispatch, max_batch_size=1,
             on_batch_error=lambda batch, exc: failed.append((list(batch), exc)),
         )
         for item in ("bad", "good"):
@@ -246,5 +248,5 @@ class TestMicroBatchScheduler:
         q = AdmissionQueue(64)
         for i in range(7):
             q.put(i)
-        batches, _ = self.drain_through(q, max_batch_size=3, max_wait_s=0.0)
+        batches, _ = self.drain_through(q, max_batch_size=3)
         assert sorted(x for b in batches for x in b) == list(range(7))

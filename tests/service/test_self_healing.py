@@ -34,7 +34,6 @@ BREAKER_CFG = ServiceConfig(
     breaker_window=4,
     breaker_cooldown_batches=1,
     max_batch_size=4,
-    max_wait_ms=1.0,
     cache_capacity=0,
 )
 

@@ -40,7 +40,7 @@ def assert_same_mapping(actual, expected):
 class TestDeterminism:
     def test_bit_identical_to_sequential(self, tiling_contigs, clean_reads, sequential):
         with MappingService.from_contigs(
-            tiling_contigs, CONFIG, ServiceConfig(max_batch_size=7, max_wait_ms=1.0)
+            tiling_contigs, CONFIG, ServiceConfig(max_batch_size=7)
         ) as service:
             result = service.map_reads(clean_reads)
         assert_same_mapping(result, sequential)
@@ -104,7 +104,7 @@ class TestAdmissionControl:
         release = threading.Event()
         service = MappingService.from_contigs(
             tiling_contigs, CONFIG,
-            ServiceConfig(queue_capacity=1, max_batch_size=1, max_wait_ms=0.0),
+            ServiceConfig(queue_capacity=1, max_batch_size=1),
         )
         original = service._map_misses
 
@@ -154,7 +154,7 @@ class TestDrain:
 
     def test_accepted_work_is_never_dropped(self, tiling_contigs, clean_reads):
         service = MappingService.from_contigs(
-            tiling_contigs, CONFIG, ServiceConfig(max_batch_size=3, max_wait_ms=50.0)
+            tiling_contigs, CONFIG, ServiceConfig(max_batch_size=3)
         )
         futures = [
             service.submit(clean_reads.names[i], clean_reads.codes_of(i))

@@ -20,7 +20,7 @@ from repro.service import ServiceConfig
 
 CONFIG = JEMConfig(k=12, w=20, ell=300, trials=5, seed=17)
 
-SERVICE = ServiceConfig(max_batch_size=4, max_wait_ms=1.0)
+SERVICE = ServiceConfig(max_batch_size=4)
 
 
 def _dna(rng, n: int) -> str:
