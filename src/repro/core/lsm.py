@@ -14,7 +14,9 @@ consumer relies on, using the classic LSM-tree decomposition:
     * a stack of immutable sorted :class:`ColumnarSketchStore` **segments**
       (sealed batches of contigs),
     * a small **memtable** — the contigs added since the last flush, held
-      as a :class:`DictSketchStore` (the oracle store, reused as-is), and
+      as one more sorted :class:`ColumnarSketchStore` run (its lookups are
+      a segment's vectorised ``searchsorted``; a flush seals it unchanged
+      as the next segment), and
     * contig-level **tombstones** — ids masked out of every lookup, so a
       remove is O(1) and never rewrites a segment.
 
@@ -75,7 +77,7 @@ from ..errors import IndexCorruptError, MappingError
 from ..seq.records import SequenceSet
 from ..sketch.jem import subject_sketch_pairs
 from .config import JEMConfig
-from .store import ColumnarSketchStore, DictSketchStore, SketchStore, TrialHits
+from .store import ColumnarSketchStore, SketchStore, TrialHits
 
 __all__ = [
     "IndexGeneration",
@@ -112,13 +114,13 @@ class IndexGeneration:
         "n_subjects",
         "subject_names",
         "generation",
-        "_tomb_arr",
+        "_dead",
     )
 
     def __init__(
         self,
         segments: tuple[ColumnarSketchStore, ...],
-        memtable: DictSketchStore | None,
+        memtable: ColumnarSketchStore | None,
         tombstones: frozenset[int],
         n_subjects: int,
         subject_names: tuple[str, ...],
@@ -132,11 +134,12 @@ class IndexGeneration:
         self.n_subjects = int(n_subjects)
         self.subject_names = tuple(subject_names)
         self.generation = int(generation)
-        self._tomb_arr = (
-            np.fromiter(sorted(self.tombstones), dtype=np.int64, count=len(self.tombstones))
-            if self.tombstones
-            else None
-        )
+        #: ``_dead[id]`` marks a tombstoned subject id: one ``take`` masks a
+        #: column, however many tombstones there are
+        self._dead: np.ndarray | None = None
+        if self.tombstones:
+            self._dead = np.zeros(self.n_subjects, dtype=bool)
+            self._dead[list(self.tombstones)] = True
 
     # -- structure -----------------------------------------------------------
 
@@ -153,8 +156,8 @@ class IndexGeneration:
             and not self.tombstones
         )
 
-    def _sources(self) -> list[SketchStore]:
-        sources: list[SketchStore] = []
+    def _sources(self) -> list[ColumnarSketchStore]:
+        sources: list[ColumnarSketchStore] = []
         if self.memtable is not None:
             sources.append(self.memtable)
         sources.extend(self.segments)
@@ -198,7 +201,7 @@ class IndexGeneration:
         if not sources:
             empty = np.empty(0, dtype=np.int64)
             return TrialHits(empty, empty)
-        if len(sources) == 1 and self._tomb_arr is None:
+        if len(sources) == 1 and self._dead is None:
             return sources[0].lookup_trial(t, query_values)
         idx_chunks: list[np.ndarray] = []
         sub_chunks: list[np.ndarray] = []
@@ -212,8 +215,8 @@ class IndexGeneration:
             return TrialHits(empty, empty)
         query_index = np.concatenate(idx_chunks)
         subjects = np.concatenate(sub_chunks)
-        if self._tomb_arr is not None:
-            keep = np.isin(subjects, self._tomb_arr, invert=True)
+        if self._dead is not None:
+            keep = ~self._dead.take(subjects)
             query_index = query_index[keep]
             subjects = subjects[keep]
         order = np.lexsort((subjects, query_index))
@@ -245,48 +248,48 @@ class IndexGeneration:
         )
 
     def values_of_trial(self, t: int) -> np.ndarray:
-        values = np.unique(
-            np.concatenate(
-                [np.asarray(src.values_of_trial(t), dtype=np.uint64) for src in self._sources()]
-            )
-            if self._sources()
-            else np.empty(0, dtype=np.uint64)
-        )
-        if self._tomb_arr is None:
-            return values
-        # drop values whose only carriers are tombstoned
-        keep = np.fromiter(
-            (self.lookup_scalar(t, int(v)).size > 0 for v in values),
-            dtype=bool,
-            count=values.size,
-        )
-        return values[keep]
+        # a value whose only carriers are tombstoned has no surviving key
+        return np.unique(self.trial_keys(t) >> np.uint64(32))
 
     def trial_keys(self, t: int) -> np.ndarray:
         """Merged sorted packed keys of trial ``t``, tombstones filtered out."""
-        chunks = [
-            np.asarray(src.trial_keys(t), dtype=np.uint64) for src in self._sources()
-        ]
-        if not chunks:
+        sources = self._sources()
+        if not sources:
             return np.empty(0, dtype=np.uint64)
-        keys = np.concatenate(chunks)
-        if self._tomb_arr is not None and keys.size:
-            subjects = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
-            keys = keys[np.isin(subjects, self._tomb_arr, invert=True)]
-        return np.sort(keys)
+        chunks = [src.trial_keys(t) for src in sources]
+        if self._dead is not None:
+            chunks = [keys[self._survivors(src, t)] for keys, src in zip(chunks, sources)]
+        keys = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+        keys.sort(kind="stable")  # sorted runs: timsort merges them in linear time
+        return keys
+
+    def _survivors(self, src: ColumnarSketchStore, t: int) -> np.ndarray:
+        """Mask of ``src``'s trial-``t`` entries whose subject is not tombstoned."""
+        return ~self._dead.take(src.subjects[t])
+
+    def _live_entries(self, t: int) -> int:
+        """Trial ``t``'s entry count once tombstoned subjects are dropped."""
+        if self._dead is None:
+            return sum(src.values[t].size for src in self._sources())
+        return sum(np.count_nonzero(self._survivors(src, t)) for src in self._sources())
 
     def as_columnar(self) -> ColumnarSketchStore:
         """Fold this generation into one columnar store (same subject ids).
 
-        This *is* the compaction kernel: merged sorted keys minus
-        tombstones, repacked into sorted value/subject columns whose
-        ``flat_columns`` feed the fused kernel.  ``n_subjects`` stays the
-        allocated id count so live ids keep their meaning.
+        This *is* the compaction kernel, and it writes the fold once: the
+        surviving entry count of every trial sizes the flat columns, then
+        :meth:`ColumnarSketchStore.from_sized_keys` fills them from one
+        trial's merged sorted keys minus tombstones at a time.  The result
+        already is the ``flat_columns`` layout the fused kernel opens over.
+        ``n_subjects`` stays the allocated id count so live ids keep their
+        meaning.
         """
-        if len(self.segments) == 1 and self.memtable is None and not self.tombstones:
+        if self.is_clean:
             return self.segments[0]
-        return ColumnarSketchStore.from_trial_keys(
-            [self.trial_keys(t) for t in range(self.trials)], self.n_subjects
+        return ColumnarSketchStore.from_sized_keys(
+            [self._live_entries(t) for t in range(self.trials)],
+            (self.trial_keys(t) for t in range(self.trials)),
+            self.n_subjects,
         )
 
     def __repr__(self) -> str:
@@ -397,7 +400,8 @@ class MutableSketchStore:
         self._lock = threading.RLock()
         self._segments: list[ColumnarSketchStore] = []
         self._segment_files: list[dict] = []  # durable: {"file", "crc32", "entries"}
-        self._mem_chunks: list[list[np.ndarray]] = []  # per add: per-trial keys
+        #: the contigs added since the last flush, as one sorted run
+        self._memtable: ColumnarSketchStore | None = None
         self._names: list[str] = []  # allocated ids, index == subject id
         self._live: dict[str, int] = {}
         #: pending lookup mask — cleared when compaction drops the entries
@@ -577,17 +581,9 @@ class MutableSketchStore:
         return name in self._live
 
     def _snapshot(self) -> IndexGeneration:
-        memtable: DictSketchStore | None = None
-        if self._mem_chunks:
-            trials = self.config.trials
-            keys = [
-                np.sort(np.concatenate([chunk[t] for chunk in self._mem_chunks]))
-                for t in range(trials)
-            ]
-            memtable = DictSketchStore(keys, len(self._names))
         return IndexGeneration(
             segments=tuple(self._segments),
-            memtable=memtable,
+            memtable=self._memtable,
             tombstones=frozenset(self._tombstones),
             n_subjects=len(self._names),
             subject_names=tuple(self._names),
@@ -605,8 +601,9 @@ class MutableSketchStore:
         """Sketch and add new contigs; returns the new generation.
 
         New contigs get the next free subject ids (ids are never reused),
-        land in the memtable, and are WAL-logged (raw sequences — replay
-        re-sketches deterministically) before memory changes.
+        are merged into the memtable run, and are WAL-logged (raw
+        sequences — replay re-sketches deterministically) before memory
+        changes.  The cost is the memtable's, never the whole index's.
         """
         if len(contigs) == 0:
             raise MappingError("add_contigs: empty contig set")
@@ -636,10 +633,18 @@ class MutableSketchStore:
         keys = subject_sketch_pairs(
             contigs, cfg.k, cfg.w, cfg.ell, self._family, subject_id_offset=base
         )
-        self._mem_chunks.append([np.asarray(k, dtype=np.uint64) for k in keys])
         for i, name in enumerate(contigs.names):
             self._live[name] = base + i
         self._names.extend(contigs.names)
+        old = self._memtable
+        # each trial's keys come sorted: timsort merges them into the run in linear time
+        runs = (
+            added
+            if old is None
+            else np.sort(np.concatenate([old.trial_keys(t), added]), kind="stable")
+            for t, added in enumerate(keys)
+        )
+        self._memtable = ColumnarSketchStore.from_trial_keys(runs, len(self._names))
 
     def remove_contigs(self, names: Iterable[str]) -> IndexGeneration:
         """Tombstone live contigs by name; returns the new generation."""
@@ -664,7 +669,7 @@ class MutableSketchStore:
             self._removed.add(sid)
 
     def flush(self) -> IndexGeneration:
-        """Seal the memtable into a new immutable sorted segment.
+        """Seal the memtable: the current run becomes the newest segment.
 
         No-op when the memtable is empty.  Durable flushes commit the
         segment file before the WAL record, then checkpoint the manifest
@@ -672,62 +677,57 @@ class MutableSketchStore:
         manifest snapshot, so their records need never replay again).
         """
         with self._lock:
-            if not self._mem_chunks:
+            segment = self._memtable
+            if segment is None:
                 return self._current
-            segment = self._seal_memtable()
             if self._wal is not None:
                 self._seq += 1
                 rel, crc = self._write_segment_file(self._seq, segment)
                 self._wal.append(
                     {"op": "flush", "seq": self._seq, "file": rel, "crc32": crc}
                 )
-                self._segments.append(segment)
-                self._mem_chunks = []
                 self._segment_files.append(
                     {"file": rel, "crc32": crc, "entries": int(segment.total_entries)}
                 )
-                self._generation += 1
+            self._segments.append(segment)
+            self._memtable = None
+            self._generation += 1
+            if self._wal is not None:
                 self._checkpoint()
-            else:
-                self._segments.append(segment)
-                self._mem_chunks = []
-                self._generation += 1
             return self._publish()
-
-    def _seal_memtable(self) -> ColumnarSketchStore:
-        trials = self.config.trials
-        keys = [
-            np.sort(np.concatenate([chunk[t] for chunk in self._mem_chunks]))
-            for t in range(trials)
-        ]
-        return ColumnarSketchStore.from_trial_keys(keys, len(self._names))
 
     def compact(self) -> IndexGeneration:
         """Fold memtable + segments − tombstones into one fresh segment.
 
-        The resulting generation is *clean*: its single segment's
-        ``flat_columns`` are rebuilt, so the fused native kernel serves it
-        at full speed.  Durable compactions follow the full checkpoint
-        protocol (segment file → WAL record → manifest → WAL reset →
-        delete superseded files); a SIGKILL at any point replays back to
-        a state bit-identical to either before or after the compaction.
+        The resulting generation is *clean*: its single segment is born in
+        the flat layout, so the fused native kernel serves it at full speed
+        without a second copy.  With nothing to fold (no segment, empty
+        memtable) it is a no-op, like an empty flush.  Durable compactions
+        follow the full checkpoint protocol (segment file → WAL record →
+        manifest → WAL reset → delete superseded files); a SIGKILL at any
+        point replays back to a state bit-identical to either before or
+        after the compaction.
         """
         with self._lock:
-            merged = self._snapshot().as_columnar()
+            current = self._current
+            if not current.segments and current.memtable is None:
+                return current
+            merged = current.as_columnar()
+            old_files = [meta["file"] for meta in self._segment_files]
             if self._wal is not None:
                 self._seq += 1
                 rel, crc = self._write_segment_file(self._seq, merged)
                 self._wal.append(
                     {"op": "compact", "seq": self._seq, "file": rel, "crc32": crc}
                 )
-                old_files = [meta["file"] for meta in self._segment_files]
-                self._segments = [merged]
-                self._mem_chunks = []
-                self._tombstones = set()
                 self._segment_files = [
                     {"file": rel, "crc32": crc, "entries": int(merged.total_entries)}
                 ]
-                self._generation += 1
+            self._segments = [merged]
+            self._memtable = None
+            self._tombstones = set()
+            self._generation += 1
+            if self._wal is not None:
                 self._checkpoint()
                 for old in old_files:
                     if old != rel:
@@ -735,11 +735,6 @@ class MutableSketchStore:
                             os.unlink(os.path.join(self._dir, old))
                         except OSError:  # pragma: no cover - already gone
                             pass
-            else:
-                self._segments = [merged]
-                self._mem_chunks = []
-                self._tombstones = set()
-                self._generation += 1
             return self._publish()
 
     # -- durability ----------------------------------------------------------
@@ -880,9 +875,9 @@ class MutableSketchStore:
                 self._apply_remove([str(n) for n in record["names"]])
             elif op == "flush":
                 segment = self._load_segment_file(record)
-                if segment is not None and self._mem_chunks:
+                if segment is not None and self._memtable is not None:
                     self._segments.append(segment)
-                    self._mem_chunks = []
+                    self._memtable = None
                     self._segment_files.append(
                         {
                             "file": record["file"],
@@ -894,7 +889,7 @@ class MutableSketchStore:
                 segment = self._load_segment_file(record)
                 if segment is not None:
                     self._segments = [segment]
-                    self._mem_chunks = []
+                    self._memtable = None
                     self._tombstones = set()
                     self._segment_files = [
                         {

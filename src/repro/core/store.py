@@ -13,9 +13,10 @@ unpickling.
 
 :class:`DictSketchStore` answers the same :class:`SketchStore` protocol
 from per-trial Python dicts (``sketch value -> subject-id array``).  It is
-the LSM memtable (:mod:`repro.core.lsm`) and the *equivalence oracle*: a
+only the *equivalence oracle*, reached through ``build_store("dict")``: a
 maximally simple, obviously correct lookup path the columnar store is
-tested against bit for bit.
+tested against bit for bit.  Every LSM source — segment and memtable alike
+(:mod:`repro.core.lsm`) — is columnar.
 
 Packed ``uint64`` ``(value << 32) | subject`` key arrays exist only as the
 build-time intermediate: :func:`~repro.sketch.jem.subject_sketch_pairs`
@@ -133,12 +134,12 @@ def _check_query_values(qv: np.ndarray) -> np.ndarray:
 
 
 class DictSketchStore:
-    """Dict-backed store over sorted packed trial keys (memtable + oracle).
+    """Dict-backed store over sorted packed trial keys (the parity oracle).
 
     One Python dict per trial maps each distinct sketch value to the sorted
     array of subject ids carrying it.  Lookups walk the query batch in a
     Python loop — deliberately the simplest possible implementation, kept
-    as the equivalence oracle and the LSM memtable.
+    only as the equivalence oracle.
     """
 
     __slots__ = ("_keys", "n_subjects", "_maps")
@@ -330,6 +331,27 @@ class ColumnarSketchStore:
         store._flat = (values, subjects, offsets)
         return store
 
+    @classmethod
+    def from_sized_keys(
+        cls, sizes: list[int], keys: Iterable[np.ndarray], n_subjects: int
+    ) -> "ColumnarSketchStore":
+        """Write sorted packed-key arrays of known sizes into one flat copy.
+
+        ``sizes[t]`` is trial ``t``'s entry count and ``keys`` yields its
+        keys one trial at a time (any iterable: a generator keeps only one
+        trial's keys alive).  Each array is consumed — shifted in place —
+        as it is split into two preallocated ``uint32`` columns, and the
+        store is born in the :meth:`flat_columns` layout (:meth:`from_flat`).
+        """
+        offsets = _trial_offsets(sizes)
+        values = np.empty(int(offsets[-1]), dtype=np.uint32)
+        subjects = np.empty_like(values)
+        for (lo, hi), k in zip(_trial_bounds(offsets), keys):
+            subjects[lo:hi] = k & _LOW32
+            k >>= np.uint64(32)
+            values[lo:hi] = k
+        return cls.from_flat(values, subjects, offsets, n_subjects)
+
     def export_columns(self) -> list[np.ndarray]:
         """Flat [values_0, subjects_0, values_1, subjects_1, ...] list."""
         out: list[np.ndarray] = []
@@ -353,8 +375,7 @@ class ColumnarSketchStore:
         pay a private copy for nothing.)
         """
         if self._flat is None:
-            offsets = np.zeros(self.trials + 1, dtype=np.int64)
-            np.cumsum([v.size for v in self.values], out=offsets[1:])
+            offsets = _trial_offsets([v.size for v in self.values])
             bounds = _trial_bounds(offsets)
             # one side at a time: its old columns are freed before the next is copied
             flat_values = np.concatenate(self.values)
@@ -472,9 +493,10 @@ class ColumnarSketchStore:
         """Repack trial ``t`` into the sorted packed-key layout."""
         if not 0 <= t < self.trials:
             raise SketchError(f"trial {t} out of range [0, {self.trials})")
-        return (self.values[t].astype(np.uint64) << np.uint64(32)) | self.subjects[
-            t
-        ].astype(np.uint64)
+        keys = self.values[t].astype(np.uint64)
+        keys <<= np.uint64(32)
+        keys |= self.subjects[t]
+        return keys
 
     # -- key-range sharding -------------------------------------------------
 
@@ -550,30 +572,56 @@ def shard_bounds(store: ColumnarSketchStore, n_shards: int) -> np.ndarray:
 
     Returns ``n_shards + 1`` ascending bounds covering the full 32-bit
     value space (first is 0, last 2^32), chosen from quantiles of the
-    concatenated trial values so every shard holds a comparable share of
-    the entries regardless of how sketch values cluster.
+    trial values taken together — interior bound ``i`` is the
+    ``round(i * N / n_shards)``-th smallest of all ``N`` entries — so every
+    shard holds a comparable share of the entries regardless of how sketch
+    values cluster.  The quantiles are found by :func:`_kth_values` over
+    the sorted per-trial columns; no pooled copy is built.
     """
     if n_shards < 1:
         raise SketchError(f"n_shards must be >= 1, got {n_shards}")
-    pooled = (
-        np.concatenate(store.values)
-        if store.total_entries
-        else np.empty(0, dtype=np.uint32)
-    )
+    total = store.total_entries
     bounds = np.empty(n_shards + 1, dtype=np.int64)
     bounds[0] = 0
     bounds[-1] = 1 << 32
-    if pooled.size == 0:
+    if total == 0:
         interior = np.linspace(0, 1 << 32, n_shards + 1)[1:-1]
         bounds[1:-1] = interior.astype(np.int64)
         return bounds
-    pooled = np.sort(pooled)
-    for i in range(1, n_shards):
-        q = pooled[min(int(round(i * pooled.size / n_shards)), pooled.size - 1)]
-        bounds[i] = int(q)
-    # boundaries must be non-decreasing even for tiny/pathological inputs
-    np.maximum.accumulate(bounds, out=bounds)
+    # ranks never decrease in i, so neither do the bounds
+    ranks = [min(int(round(i * total / n_shards)), total - 1) for i in range(1, n_shards)]
+    bounds[1:-1] = _kth_values(store.values, np.array(ranks, dtype=np.int64))
     return bounds
+
+
+#: values :func:`_kth_values` probes per rank and round
+_KTH_PROBES = 256
+
+
+def _kth_values(columns: list[np.ndarray], ranks: np.ndarray) -> np.ndarray:
+    """The ``ranks``-th smallest (0-based) values of sorted ``columns`` pooled.
+
+    A search on the value, all ranks at once: the answer for rank ``k`` is
+    the least ``v`` with more than ``k`` entries ``<= v``, and counting
+    them is one ``searchsorted`` per column — no copy.  Each round probes
+    :data:`_KTH_PROBES` evenly spaced values of every rank's interval
+    ``[lo, hi]`` and keeps the gap where the count crosses ``k``, so five
+    rounds cover the 32-bit space; a binary search would take 32 rounds of
+    about the same cost.
+    """
+    lo = np.zeros(ranks.size, dtype=np.int64)
+    hi = np.full(ranks.size, (1 << 32) - 1, dtype=np.int64)
+    rows = np.arange(ranks.size)
+    steps = np.arange(1, _KTH_PROBES + 1, dtype=np.int64)
+    while (lo < hi).any():
+        # ascending probes in (lo, hi]; the last is hi, whose count exceeds k
+        probes = lo[:, None] + (hi - lo)[:, None] * steps // _KTH_PROBES
+        needles = probes.astype(np.uint32)
+        at_most = sum(np.searchsorted(col, needles, side="right") for col in columns)
+        first = (at_most > ranks[:, None]).argmax(axis=1)
+        lo = np.where(first > 0, probes[rows, first - 1] + 1, lo)
+        hi = probes[rows, first]
+    return lo
 
 
 def lookup_trial_sharded(
@@ -605,6 +653,13 @@ def lookup_trial_sharded(
     subjects = np.concatenate(sub_chunks)
     order = np.lexsort((subjects, query_index))
     return TrialHits(query_index[order], subjects[order])
+
+
+def _trial_offsets(sizes: list[int]) -> np.ndarray:
+    """The trials + 1 ``int64`` offsets of a flat column, from per-trial sizes."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
+    return offsets
 
 
 def _trial_bounds(offsets: np.ndarray) -> list[tuple[int, int]]:

@@ -22,7 +22,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..core.store import ColumnarSketchStore, StoreShard, shard_bounds
+from ..core.store import ColumnarSketchStore, StoreShard
 from ..errors import ServiceError
 
 __all__ = [
@@ -73,8 +73,10 @@ class ScatterPlacement(PlacementPolicy):
         self._bounds: np.ndarray | None = None
 
     def plan(self, store: ColumnarSketchStore) -> list[StoreShard]:
-        self._bounds = shard_bounds(store, self.n_replicas)
-        return store.shard(self.n_replicas)
+        shards = store.shard(self.n_replicas)
+        # the shards' own edges: one bounds pass, and owner_of agrees with owns
+        self._bounds = np.array([s.lo for s in shards] + [shards[-1].hi], dtype=np.int64)
+        return shards
 
     @property
     def bounds(self) -> np.ndarray:

@@ -14,26 +14,33 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import zipfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro import JEMConfig, JEMMapper, load_index, save_index
 from repro.core.lsm import (
     MANIFEST_NAME,
+    WAL_NAME,
     IndexGeneration,
     MutableSketchStore,
     store_stats,
 )
-from repro.core.store import DictSketchStore
+from repro.core.store import ColumnarSketchStore, DictSketchStore
 from repro.errors import IndexCorruptError, MappingError, SketchError
 from repro.resilience.chaos import ChaosPlan
+from repro.resilience.checkpoint import CheckpointLog
 from repro.seq.records import SequenceSet
 from repro.sketch.jem import subject_sketch_pairs
 
@@ -226,6 +233,12 @@ class TestMutateEqualsRebuild:
             assert np.array_equal(old.trial_keys(t), old_keys[t])
         assert isinstance(handle.current, IndexGeneration)
 
+    def test_compact_of_an_empty_index_is_a_no_op(self):
+        handle = MutableSketchStore.in_memory(JEMConfig())
+        before = handle.current
+        assert handle.compact() is before
+        assert handle.generation == 0 and handle.flush() is before
+
     def test_duplicate_and_missing_names_rejected(self, rng):
         handle, _ = seeded_handle(rng)
         with pytest.raises(MappingError, match="already in the index"):
@@ -264,6 +277,7 @@ class TestStoreStats:
         stats = store_stats(handle)
         assert stats["generation"] == 1
         assert stats["memtable_entries"] > 0
+        assert isinstance(handle.current.memtable, ColumnarSketchStore)
         assert stats["nbytes"]["total"] >= stats["nbytes"]["segments"]
 
 
@@ -323,6 +337,20 @@ class TestDurability:
                 lo, hi = int(offsets[t]), int(offsets[t + 1])
                 assert np.shares_memory(segment.values[t], values[lo:hi]) or lo == hi
                 assert np.shares_memory(segment.subjects[t], subjects[lo:hi]) or lo == hi
+
+    def test_compact_of_an_empty_directory_writes_nothing(self, tmp_path):
+        """No segment file, no WAL record, no generation bump — as an empty flush."""
+        run_dir = str(tmp_path / "empty")
+        with MutableSketchStore.create(run_dir, CONFIG) as handle:
+            before = handle.current
+            assert handle.compact() is before
+        assert os.listdir(os.path.join(run_dir, "segments")) == []
+        with open(os.path.join(run_dir, MANIFEST_NAME)) as fh:
+            manifest = json.load(fh)
+        assert manifest["generation"] == 0 and manifest["segments"] == []
+        assert CheckpointLog(os.path.join(run_dir, WAL_NAME)).replay() == []
+        with MutableSketchStore.open(run_dir) as reopened:
+            assert reopened.generation == 0
 
     @pytest.mark.parametrize("damage", ["bitflip", "missing"])
     def test_damaged_manifest_segment_is_refused_typed(self, rng, tmp_path, damage):
@@ -563,3 +591,126 @@ class TestChaosRecovery:
 
         with MutableSketchStore.open(run_dir) as recovered:
             assert_key_parity(recovered, model)
+
+
+class DurableLSMMachine(RuleBasedStateMachine):
+    """add / remove / flush / compact / reopen in any order on a durable handle.
+
+    After every step the current generation is held to a
+    :class:`DictSketchStore` rebuilt from the surviving contigs' keys: its
+    lookups match, its fold equals ``from_trial_keys`` of the merged keys
+    bit for bit, and a fold of a dirty generation is born flat.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tmp = tempfile.mkdtemp(prefix="lsm-machine-")
+        self.run_dir = os.path.join(self.tmp, "idx")
+        self.handle: MutableSketchStore | None = None
+        self.model = Model()
+        self.added = 0
+
+    def teardown(self) -> None:
+        if self.handle is not None:
+            self.handle.close()
+        shutil.rmtree(self.tmp, ignore_errors=True)
+
+    def _pairs(self, count: int, seed: int):
+        rng = np.random.default_rng(seed)
+        pairs = [(f"m{self.added + i}", _dna(rng, 600)) for i in range(count)]
+        self.added += count
+        return pairs
+
+    @initialize(base=st.integers(min_value=0, max_value=3), seed=st.integers(0, 2**32 - 1))
+    def create(self, base, seed):
+        if not base:
+            self.handle = MutableSketchStore.create(self.run_dir, CONFIG)
+            return
+        pairs = self._pairs(base, seed)
+        contigs = SequenceSet.from_strings(pairs)
+        mapper = JEMMapper(CONFIG)
+        mapper.index(contigs)
+        self.handle = MutableSketchStore.create(
+            self.run_dir, CONFIG, base_store=mapper.table, subject_names=contigs.names
+        )
+        self.model.add(pairs)
+
+    @rule(count=st.integers(min_value=1, max_value=2), seed=st.integers(0, 2**32 - 1))
+    def add(self, count, seed):
+        pairs = self._pairs(count, seed)
+        self.handle.add_contigs(SequenceSet.from_strings(pairs))
+        self.model.add(pairs)
+
+    @rule(data=st.data())
+    def remove(self, data):
+        live = self.model.live_names()
+        if live:
+            victim = data.draw(st.sampled_from(live))
+            self.handle.remove_contigs([victim])
+            self.model.remove(victim)
+
+    @rule()
+    def flush(self):
+        segments = len(self.handle.current.segments)
+        had_memtable = self.handle.current.memtable is not None
+        assert self.handle.flush().memtable is None
+        assert len(self.handle.current.segments) == segments + had_memtable
+
+    @rule()
+    def compact(self):
+        before = self.handle.current
+        after = self.handle.compact()
+        if before.trials:
+            assert after.is_clean and after.generation == before.generation + 1
+        else:  # nothing to fold: as an empty flush, no new generation
+            assert after is before
+
+    @rule()
+    def reopen(self):
+        generation = self.handle.generation
+        self.handle.close()
+        self.handle = MutableSketchStore.open(self.run_dir)
+        assert self.handle.generation == generation
+
+    @invariant()
+    def matches_the_rebuild(self):
+        if self.handle is None:
+            return
+        current = self.handle.current
+        keys = expected_trial_keys(self.model)
+        n_subjects = len(self.model.contigs)
+        assert current.n_subjects == n_subjects
+        assert self.handle.live_subject_names == self.model.live_names()
+        assert current.memtable is None or isinstance(current.memtable, ColumnarSketchStore)
+        oracle = DictSketchStore(keys, n_subjects)
+        for t in range(CONFIG.trials):
+            # every stored value, plus values no contig carries
+            queries = np.concatenate(
+                [oracle.values_of_trial(t), np.array([0, 1 << 31], dtype=np.uint64)]
+            )
+            got, want = current.lookup_trial(t, queries), oracle.lookup_trial(t, queries)
+            assert np.array_equal(got.query_index, want.query_index)
+            assert np.array_equal(got.subjects, want.subjects)
+        if current.trials == 0:  # nothing was ever stored: there is nothing to fold
+            return
+        before = None if current.is_clean else list(current.segments)
+        folded = current.as_columnar()
+        rebuilt = ColumnarSketchStore.from_trial_keys(keys, n_subjects)
+        assert folded.n_subjects == rebuilt.n_subjects
+        for t in range(CONFIG.trials):
+            assert np.array_equal(folded.values[t], rebuilt.values[t])
+            assert np.array_equal(folded.subjects[t], rebuilt.subjects[t])
+        if before is not None:  # a real fold: born in the flat layout
+            assert all(folded is not seg for seg in before)
+            # taken first: flat_columns() of a store not born flat re-points them
+            columns = list(zip(folded.values, folded.subjects))
+            flat_values, flat_subjects, _ = folded.flat_columns()
+            for t, (v, s) in enumerate(columns):
+                assert v.size == 0 or np.shares_memory(v, flat_values), t
+                assert s.size == 0 or np.shares_memory(s, flat_subjects), t
+
+
+TestDurableLSMMachine = DurableLSMMachine.TestCase
+TestDurableLSMMachine.settings = settings(
+    max_examples=25, stateful_step_count=12, deadline=None
+)

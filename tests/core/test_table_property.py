@@ -94,3 +94,41 @@ def test_merge_trial_keys_is_per_trial_unique_of_the_concatenation(data):
     for t, got in enumerate(iter_merged_trial_keys(copies)):
         assert np.array_equal(got, expected[t])
         assert all(part[t] is None for part in copies)  # dropped as soon as merged
+
+
+def _pooled_sort_bounds(columns: list[np.ndarray], n_shards: int) -> np.ndarray:
+    """Reference equal-frequency bounds: sort a pooled copy, read its quantiles."""
+    pooled = np.sort(np.concatenate(columns)) if columns else np.empty(0, np.uint32)
+    bounds = np.empty(n_shards + 1, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, 1 << 32
+    if pooled.size == 0:
+        bounds[1:-1] = np.linspace(0, 1 << 32, n_shards + 1)[1:-1].astype(np.int64)
+        return bounds
+    for i in range(1, n_shards):
+        bounds[i] = int(pooled[min(int(round(i * pooled.size / n_shards)), pooled.size - 1)])
+    np.maximum.accumulate(bounds, out=bounds)
+    return bounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shard_bounds_equal_the_pooled_sort(data):
+    """Empty stores, empty trials, duplicate-heavy columns and more shards than
+    distinct values: the k-th-value search returns the pooled sort's bounds."""
+    from repro.core.store import ColumnarSketchStore, shard_bounds
+
+    trials = data.draw(st.integers(min_value=1, max_value=4))
+    # few distinct values, so runs of duplicates are the rule; both ends of the space
+    value = st.one_of(
+        st.sampled_from([0, 1, 7, 7, 7, 1000, 1 << 31, (1 << 32) - 1]),
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+    )
+    columns = [
+        np.sort(np.array(data.draw(st.lists(value, max_size=15)), dtype=np.uint32))
+        for _ in range(trials)
+    ]
+    store = ColumnarSketchStore(columns, [np.zeros_like(c) for c in columns], 1)
+    n_shards = data.draw(st.integers(min_value=1, max_value=12))
+    got = shard_bounds(store, n_shards)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _pooled_sort_bounds(columns, n_shards))

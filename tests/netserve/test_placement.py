@@ -58,6 +58,25 @@ class TestScatterPlacement:
         assert placement.bounds[0] == 0 and placement.bounds[-1] == 1 << 32
         assert sum(s.store.total_entries for s in shards) == store.total_entries
 
+    def test_plan_derives_the_bounds_once(self, rng, monkeypatch):
+        """One ``shard_bounds`` pass per plan; shard i spans bounds i..i+1."""
+        import repro.core.store as store_mod
+
+        calls = []
+        real = store_mod.shard_bounds
+
+        def counted(store, n_shards):
+            calls.append(n_shards)
+            return real(store, n_shards)
+
+        monkeypatch.setattr(store_mod, "shard_bounds", counted)
+        store = store_of(rng.integers(0, 1 << 20, size=400, dtype=np.uint64))
+        placement = ScatterPlacement(4)
+        shards = placement.plan(store)
+        assert calls == [4]
+        bounds = placement.bounds.tolist()
+        assert [(s.lo, s.hi) for s in shards] == list(zip(bounds[:-1], bounds[1:]))
+
     def test_owner_of_agrees_with_shard_owns(self, rng):
         """The functor and the planned shards must never disagree on a key."""
         store = store_of(rng.integers(0, 1 << 16, size=300, dtype=np.uint64))
