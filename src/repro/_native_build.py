@@ -11,8 +11,12 @@ began it.
 The source is one file, ``sketch/jem_kernels.c`` (:data:`SOURCE_PATH`,
 shipped as package data; its header says what each kernel computes), read
 once.  The library is cached under ``<repo>/.native_cache`` (override with
-``REPRO_NATIVE_CACHE``; a temp dir when unwritable) by the hash of that
-file's bytes and the compiler flags.  Every file a build writes appears
+``REPRO_NATIVE_CACHE``; a temp dir when unwritable) under a 64-bit
+checksum of that file's bytes and the compiler flags (``zlib``'s CRC-32 and
+Adler-32: ``hashlib`` would load OpenSSL into every process for one digest),
+and trusted only while the ``.c`` copy beside it equals the shipped source
+byte for byte — a checksum collision recompiles, never loads a stale
+kernel.  Every file a build writes appears
 under a pid-unique temporary name and is renamed into place — the ``.c``
 file all cold processes share is never seen half-written, concurrent
 builders race benignly — and a failed, timed-out or abandoned compile
@@ -23,10 +27,10 @@ from __future__ import annotations
 
 import atexit
 import functools
-import hashlib
 import os
 import subprocess
 import tempfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,9 +164,18 @@ atexit.register(_abandon)
 
 
 def _locate() -> tuple[Path, str]:
-    digest = hashlib.sha256(_source() + " ".join(_FLAGS).encode())
-    stem = "jem_kernels_" + digest.hexdigest()[:16]
+    key = _source() + " ".join(_FLAGS).encode()
+    stem = f"jem_kernels_{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
     return _cache_dir(), stem
+
+
+def _cached(cache: Path, stem: str) -> bool:
+    """Whether ``{stem}.so`` was built from the shipped source: its ``.c``
+    copy (written before every compile) must match byte for byte."""
+    try:
+        return (cache / f"{stem}.so").exists() and (cache / f"{stem}.c").read_bytes() == _source()
+    except FileNotFoundError:
+        return False
 
 
 def start() -> None:
@@ -178,7 +191,7 @@ def start() -> None:
     if os.environ.get("REPRO_NO_NATIVE") or _mine() is not None or len(affinity()) < 2:
         return
     cache, stem = _locate()
-    if not (cache / f"{stem}.so").exists():
+    if not _cached(cache, stem):
         _spawn(cache, stem)
 
 
@@ -190,8 +203,7 @@ def library() -> Path:
     build = _mine()
     if build is None:
         cache, stem = _locate()
-        so_path = cache / f"{stem}.so"
-        if so_path.exists():
-            return so_path
+        if _cached(cache, stem):
+            return cache / f"{stem}.so"
         build = _spawn(cache, stem)
     return _collect(build)

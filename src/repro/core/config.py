@@ -39,8 +39,9 @@ class JEMConfig:
     trials:
         Number of MinHash trials T (paper: 30).
     seed:
-        Seed for the hash-constant generator; fixing it makes every run of
-        the mapper bit-reproducible.
+        Seed for the hash-constant generator, in ``[0, 2**63)`` (an index
+        stores it as ``int64``); fixing it makes every run of the mapper
+        bit-reproducible.
     min_hits:
         Minimum number of trial collisions required to report a mapping
         (1 = report any best hit, the paper's behaviour).
@@ -62,6 +63,8 @@ class JEMConfig:
             raise ConfigError(f"ell ({self.ell}) must be >= k ({self.k})")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed < 1 << 63:
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.min_hits < 1:
             raise ConfigError(f"min_hits must be >= 1, got {self.min_hits}")
 

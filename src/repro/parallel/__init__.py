@@ -1,52 +1,37 @@
 """Distributed-memory substrate: partitioning, cost model, driver, plus
 the fault-injection / recovery machinery."""
 
-from .costmodel import CostModel, StepTimes, modelled_runtime
-from .driver import ParallelRunResult, run_parallel_jem
-from .faults import (
-    FAULT_KINDS,
-    FAULT_PHASES,
-    FaultPlan,
-    FaultSpec,
-    PartialResult,
-    RecoveryReport,
-)
-from .mp_backend import map_reads_multiprocess
-from .partition import partition_bounds, partition_imbalance, partition_set
-from .retry import RetryPolicy, retry_call
-from .shm import (
-    SharedSeqBlock,
-    ShmArrayRef,
-    attach_arrays,
-    release,
-    release_all,
-    share_arrays,
-    share_sequence_set,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "StepTimes",
-    "modelled_runtime",
-    "ParallelRunResult",
-    "run_parallel_jem",
-    "map_reads_multiprocess",
-    "ShmArrayRef",
-    "SharedSeqBlock",
-    "share_arrays",
-    "attach_arrays",
-    "share_sequence_set",
-    "release",
-    "release_all",
-    "partition_bounds",
-    "partition_imbalance",
-    "partition_set",
-    "FAULT_KINDS",
-    "FAULT_PHASES",
-    "FaultPlan",
-    "FaultSpec",
-    "PartialResult",
-    "RecoveryReport",
-    "RetryPolicy",
-    "retry_call",
-]
+#: Public name -> submodule that defines it, imported on first access (PEP 562):
+#: ``jem serve`` reaches ``repro.parallel.partition`` through this file and
+#: must not load multiprocessing, shared memory or the worker pool.
+_EXPORTS = {
+    "CostModel": ".costmodel",
+    "StepTimes": ".costmodel",
+    "modelled_runtime": ".costmodel",
+    "ParallelRunResult": ".driver",
+    "run_parallel_jem": ".driver",
+    "map_reads_multiprocess": ".mp_backend",
+    "ShmArrayRef": ".shm",
+    "SharedSeqBlock": ".shm",
+    "share_arrays": ".shm",
+    "attach_arrays": ".shm",
+    "share_sequence_set": ".shm",
+    "release": ".shm",
+    "release_all": ".shm",
+    "partition_bounds": ".partition",
+    "partition_imbalance": ".partition",
+    "partition_set": ".partition",
+    "FAULT_KINDS": ".faults",
+    "FAULT_PHASES": ".faults",
+    "FaultPlan": ".faults",
+    "FaultSpec": ".faults",
+    "PartialResult": ".faults",
+    "RecoveryReport": ".faults",
+    "RetryPolicy": ".retry",
+    "retry_call": ".retry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -15,40 +15,28 @@ Two cooperating pieces (see ``docs/robustness.md``):
   on byte-identical serving output, full recovery, and zero shm leaks.
 """
 
-from .chaos import (
-    ChaosCycleResult,
-    ChaosPlan,
-    ChaosSpec,
-    ServeChaosEvent,
-    ServeChaosPlan,
-    ServeChaosReport,
-    run_kill_resume_cycle,
-    run_serve_chaos,
-)
-from .checkpoint import (
-    CheckpointContext,
-    CheckpointLog,
-    RunManifest,
-    fingerprint_file,
-    fingerprint_sequences,
-)
-from .runner import build_index_checkpointed, load_invocation, save_invocation
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CheckpointContext",
-    "CheckpointLog",
-    "RunManifest",
-    "fingerprint_file",
-    "fingerprint_sequences",
-    "ChaosPlan",
-    "ChaosSpec",
-    "ChaosCycleResult",
-    "run_kill_resume_cycle",
-    "ServeChaosEvent",
-    "ServeChaosPlan",
-    "ServeChaosReport",
-    "run_serve_chaos",
-    "build_index_checkpointed",
-    "save_invocation",
-    "load_invocation",
-]
+#: Public name -> submodule that defines it, imported on first access (PEP 562):
+#: a process that reaches one piece through this file does not load the other.
+_EXPORTS = {
+    "CheckpointContext": ".checkpoint",
+    "CheckpointLog": ".checkpoint",
+    "RunManifest": ".checkpoint",
+    "fingerprint_file": ".checkpoint",
+    "fingerprint_sequences": ".checkpoint",
+    "ChaosPlan": ".chaos",
+    "ChaosSpec": ".chaos",
+    "ChaosCycleResult": ".chaos",
+    "run_kill_resume_cycle": ".chaos",
+    "ServeChaosEvent": ".chaos",
+    "ServeChaosPlan": ".chaos",
+    "ServeChaosReport": ".chaos",
+    "run_serve_chaos": ".chaos",
+    "build_index_checkpointed": ".runner",
+    "save_invocation": ".runner",
+    "load_invocation": ".runner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

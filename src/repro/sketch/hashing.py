@@ -8,17 +8,27 @@ with per-trial random constants generated a priori (Section III-B,
 implementation notes).  ``P_t`` are random primes below 2^31, found with a
 deterministic Miller–Rabin test, so that ``A_t * (x mod P_t)`` never
 overflows ``uint64``.
+
+The constants are drawn from :class:`_Stream`, a pure-Python copy of what
+``numpy.random.default_rng(seed).integers(low, high, dtype=np.int64)``
+returns for the ranges used here.  Importing ``numpy.random`` would cost
+every process about 6 MB (its extension modules, and OpenSSL's libcrypto
+through ``secrets``) for 90 integers; and numpy does not promise its
+streams stay the same across versions, while a saved index stores only
+``(trials, seed)``.  ``tests/sketch/test_hashing.py`` pins the stream to
+numpy's and the default family to literal constants.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import SketchError
 
-__all__ = ["HashFamily", "is_prime_u64", "random_prime_below_2_31"]
+__all__ = ["HashFamily", "is_prime_u64"]
 
 # Deterministic Miller-Rabin witness set: correct for all n < 3.3e24,
 # comfortably covering the 64-bit range we use.
@@ -51,11 +61,94 @@ def is_prime_u64(n: int) -> bool:
     return True
 
 
-def random_prime_below_2_31(rng: np.random.Generator, *, low: int = 1 << 30) -> int:
-    """A uniform-ish random prime in ``[low, 2^31)`` via rejection sampling."""
-    high = (1 << 31) - 1
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+
+
+def _seed_words(seed: int) -> tuple[int, int, int, int]:
+    """``numpy.random.SeedSequence(seed).generate_state(4, np.uint64)``:
+    the seed's 32-bit words hashed into a pool of four, then drawn out."""
+    words = [seed & _M32]
+    while seed > _M32:
+        seed >>= 32
+        words.append(seed & _M32)
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        state.append(value ^ value >> 16)
+    return tuple(state[2 * i] | state[2 * i + 1] << 32 for i in range(4))
+
+
+class _Stream:
+    """numpy's ``default_rng(seed)``: a PCG64 (XSL-RR 128/64) generator
+    seeded through ``SeedSequence``, whose :meth:`integers` is
+    ``Generator.integers(low, high, dtype=np.int64)`` for ``high - low``
+    below 2^32 — numpy's 32-bit Lemire rejection on the bit generator's
+    buffered 32-bit halves — draw for draw."""
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int) -> None:
+        s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
+        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        self._state = (self._inc + (s_hi << 64 | s_lo)) * self._MULT + self._inc & _M128
+        self._half: int | None = None  # the unused high half of the last 64-bit draw
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            value, self._half = self._half, None
+            return value
+        self._state = self._state * self._MULT + self._inc & _M128
+        state = self._state
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        value = (x >> rot | x << (64 - rot)) & _M64
+        self._half = value >> 32
+        return value & _M32
+
+    def integers(self, low: int, high: int) -> int:
+        """One draw from ``[low, high)``."""
+        span = high - low  # Lemire's range: numpy's ``rng + 1``
+        if not 0 < span <= _M32:
+            raise SketchError(f"draw range [{low}, {high}) must hold 1 to 2^32 - 1 values")
+        if span == 1:
+            return low
+        m = self._next32() * span
+        if m & _M32 < span:
+            threshold = (_M32 + 1 - span) % span
+            while m & _M32 < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+
+def _random_prime(stream: _Stream) -> int:
+    """A uniform-ish random prime in ``[2^30, 2^31)`` via rejection sampling."""
     for _ in range(100_000):
-        candidate = int(rng.integers(low, high, dtype=np.int64)) | 1
+        candidate = stream.integers(1 << 30, (1 << 31) - 1) | 1
         if is_prime_u64(candidate):
             return candidate
     raise SketchError("failed to find a prime (rng exhausted)")  # pragma: no cover
@@ -91,15 +184,18 @@ class HashFamily:
 
     @classmethod
     def generate(cls, trials: int, seed: int) -> "HashFamily":
-        """Draw ``trials`` hash functions from a seeded generator (reproducible)."""
+        """Draw ``trials`` hash functions from a seeded generator (reproducible):
+        ``trials`` primes, then every ``a``, then every ``b``."""
         if trials < 1:
             raise SketchError(f"trials must be >= 1, got {trials}")
-        rng = np.random.default_rng(seed)
-        p = np.array([random_prime_below_2_31(rng) for _ in range(trials)], dtype=np.uint64)
-        a = (rng.integers(1, (1 << 31) - 1, size=trials, dtype=np.int64).astype(np.uint64)) % p
-        a = np.where(a == 0, np.uint64(1), a)
-        b = rng.integers(0, (1 << 31) - 1, size=trials, dtype=np.int64).astype(np.uint64) % p
-        return cls(a=a, b=b, p=p)
+        seed = operator.index(seed)
+        if seed < 0:
+            raise SketchError(f"seed must be >= 0, got {seed}")
+        stream = _Stream(seed)
+        p = [_random_prime(stream) for _ in range(trials)]
+        a = [stream.integers(1, (1 << 31) - 1) % p_t or 1 for p_t in p]
+        b = [stream.integers(0, (1 << 31) - 1) % p_t for p_t in p]
+        return cls(a=np.array(a), b=np.array(b), p=np.array(p))
 
     def apply(self, t: int, x: np.ndarray) -> np.ndarray:
         """Apply hash ``t`` to packed k-mer values ``x`` (vectorised).

@@ -52,6 +52,8 @@ def test_with_trials():
         {"w": 0},
         {"ell": 4, "k": 16},
         {"trials": 0},
+        {"seed": -1},
+        {"seed": 1 << 63},
         {"min_hits": 0},
     ],
 )

@@ -107,6 +107,15 @@ def test_round_trip(tmp_path, tiling_contigs, clean_reads):
     assert np.array_equal(got.subject, expected.subject)
 
 
+@pytest.mark.parametrize("seed", [0, (1 << 63) - 1])
+def test_every_seed_a_config_accepts_round_trips(tmp_path, tiling_contigs, seed):
+    """The bundle stores the config as int64: JEMConfig refuses what it
+    cannot hold (tests/core/test_config.py), and saves the rest."""
+    mapper = JEMMapper(JEMConfig(k=12, w=20, ell=500, trials=3, seed=seed))
+    mapper.index(tiling_contigs)
+    assert load_index(save_index(mapper, tmp_path / "idx")).config.seed == seed
+
+
 def test_bundle_members_are_stored_not_deflated(tmp_path, tiling_contigs):
     path = _saved_bundle(tmp_path, tiling_contigs)
     with zipfile.ZipFile(path) as zf:

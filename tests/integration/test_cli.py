@@ -207,10 +207,12 @@ def test_parser_builds_without_bench_or_eval():
 
 
 def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
-    """`jem index` and `jem map --index` import what they run: the package
-    ``__init__``s resolve their re-exports lazily, so the service, network,
-    scaffolding and alignment layers (and multiprocessing / asyncio with
-    them) stay out of the one-shot round."""
+    """`jem index`, `jem map --index` and `jem map -s -p 2 --backend process`
+    import what they run: the package ``__init__``s resolve their re-exports
+    lazily, so the service, network, scaffolding and alignment layers (and
+    multiprocessing / asyncio with them) stay out of the one-shot round, and
+    neither the hash constants nor the kernel cache's key load
+    ``numpy.random`` or OpenSSL (``hashlib``)."""
     import subprocess
     import sys
 
@@ -223,7 +225,8 @@ def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
     code = (
         "import sys; from repro.cli import main; rc = main(sys.argv[1:]); "
         "heavy = ('repro.service', 'repro.netserve', 'repro.scaffold', "
-        "'repro.align', 'multiprocessing', 'asyncio'); "
+        "'repro.align', 'multiprocessing', 'asyncio', 'numpy.random', 'hashlib', "
+        "'_hashlib'); "
         "bad = [m for m in heavy if m in sys.modules]; "
         "print(bad, file=sys.stderr); sys.exit(rc or len(bad))"
     )
@@ -232,6 +235,8 @@ def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
     for argv in (
         ["index", "-s", str(contigs), "-o", idx, "--trials", "4"],
         ["map", "-q", str(reads), "--index", idx, "-o", str(tmp_path / "out.tsv")],
+        ["map", "-q", str(reads), "-s", str(contigs), "--trials", "4", "-p", "2",
+         "--backend", "process", "-o", str(tmp_path / "out-p2.tsv")],
     ):
         done = subprocess.run(
             [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True

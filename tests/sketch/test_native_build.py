@@ -127,6 +127,26 @@ def test_the_cache_holds_the_shipped_source_under_a_stem_of_its_bytes_and_the_fl
     assert _native_build._locate()[1] != library.stem
 
 
+@needs_compiler
+def test_a_cached_library_whose_source_copy_differs_is_rebuilt_not_loaded(
+    tmp_path, monkeypatch
+):
+    """The stem is a 64-bit checksum, so a library under it is trusted only
+    while the ``.c`` beside it is the shipped source byte for byte: a
+    checksum collision recompiles instead of loading another source's code."""
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    cache, stem = _native_build._locate()
+    (cache / f"{stem}.c").write_bytes(b"int another_source;\n")
+    (cache / f"{stem}.so").write_bytes(b"a stale library")
+    library = _native_build.library()
+    assert library == cache / f"{stem}.so" and library.read_bytes()[:4] == b"\x7fELF"
+    assert library.with_suffix(".c").read_bytes() == _native_build.SOURCE_PATH.read_bytes()
+    assert_one_library_and_no_temp_file(tmp_path)
+    built = library.stat().st_mtime_ns
+    assert _native_build.library() == library and library.stat().st_mtime_ns == built
+
+
 def test_a_failing_compiler_warns_once_leaves_no_temp_file_and_maps_on_numpy(tmp_path):
     cache = tmp_path / "cache"
     code = """
