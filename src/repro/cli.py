@@ -21,9 +21,9 @@ Subcommands:
 * ``datasets`` — list the dataset registry.
 
 ``index`` and ``map`` accept ``--checkpoint-dir DIR`` to commit every
-completed S2 shard / S4 query block durably, and ``--resume DIR`` to
-re-run the recorded invocation, skipping finished units — the resumed
-output is bit-identical to an uninterrupted run.
+contig block / read batch of their streamed loop durably, and ``--resume
+DIR`` to re-run the recorded invocation, skipping finished units — the
+resumed output is bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -68,24 +68,57 @@ _KERNEL_COMMANDS = ("index", "map", "serve")
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=16, help="k-mer size (default 16)")
-    parser.add_argument("--w", type=int, default=100, help="minimizer window (default 100)")
-    parser.add_argument("--ell", type=int, default=1000, help="end-segment length (default 1000)")
-    parser.add_argument("--trials", type=int, default=30, help="MinHash trials T (default 30)")
-    parser.add_argument("--seed", type=int, default=20230157, help="hash-constant seed")
+    """The sketch flags.  Each is unset unless given — ``JEMConfig``'s default
+    then applies — so that next to ``--index`` a given one can be checked."""
+    parser.add_argument("--k", type=int, help="k-mer size (default 16)")
+    parser.add_argument("--w", type=int, help="minimizer window (default 100)")
+    parser.add_argument("--ell", type=int, help="end-segment length (default 1000)")
+    parser.add_argument("--trials", type=int, help="MinHash trials T (default 30)")
+    parser.add_argument("--seed", type=int, help="hash-constant seed (default 20230157)")
+
+
+def _sketch_flags(args: argparse.Namespace) -> dict[str, int]:
+    """The sketch flags the user gave, by ``JEMConfig`` field."""
+    from .core.engine import SKETCH_FLAGS
+
+    return {n: getattr(args, n) for n in SKETCH_FLAGS if getattr(args, n, None) is not None}
+
+
+def _sketch_argv(args: argparse.Namespace) -> list[str]:
+    """The given sketch flags again, as a command line forwards them."""
+    return [
+        item for name, value in _sketch_flags(args).items() for item in (f"--{name}", str(value))
+    ]
 
 
 def _config_from(args: argparse.Namespace) -> JEMConfig:
     from .core.config import JEMConfig
 
-    return JEMConfig(k=args.k, w=args.w, ell=args.ell, trials=args.trials, seed=args.seed)
+    return JEMConfig(**_sketch_flags(args))
+
+
+def _index_disagrees(args: argparse.Namespace, engine: MappingEngine) -> bool:
+    """Whether a sketch flag given beside ``--index`` differs from the value
+    the index was built with (then printed as an error: an index is mapped
+    with its own parameters, so such a flag would be silently ignored)."""
+    if not getattr(args, "index", None):
+        return False
+    config = engine.mapper.config
+    wrong = [
+        f"--{name} {value} (the index has {name} = {getattr(config, name)})"
+        for name, value in _sketch_flags(args).items() if value != getattr(config, name)
+    ]
+    if wrong:
+        print(f"error: {'; '.join(wrong)}: an index maps with the sketch parameters "
+              "it was built with; drop the flag or rebuild the index", file=sys.stderr)
+    return bool(wrong)
 
 
 def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="commit every completed work unit durably to DIR; "
-                             "a killed run restarted with the same command (or "
-                             "--resume DIR) skips finished units")
+                        help="commit every contig block and read batch durably "
+                             "to DIR; a killed run restarted with the same "
+                             "command (or --resume DIR) skips finished units")
     parser.add_argument("--resume", default=None, metavar="DIR",
                         help="re-run the invocation recorded in DIR by an "
                              "earlier --checkpoint-dir run, loading its "
@@ -119,6 +152,23 @@ def _invocation_payload(args: argparse.Namespace, command: str) -> dict:
             k: v for k, v in vars(args).items() if k not in ("command", "resume")
         },
     }
+
+
+@contextlib.contextmanager
+def _checkpointed(
+    args: argparse.Namespace, engine: MappingEngine, command: str, queries: str | None = None
+):
+    """Inside, ``engine``'s streamed loops commit their units to
+    ``--checkpoint-dir`` (nothing happens without one); the invocation is
+    recorded once the directory's manifest agrees."""
+    if not args.checkpoint_dir:
+        yield
+        return
+    from .resilience import checkpointed, save_invocation
+
+    with checkpointed(engine, command, queries):
+        save_invocation(args.checkpoint_dir, _invocation_payload(args, command))
+        yield
 
 
 def _engine_from(args: argparse.Namespace) -> MappingEngine:
@@ -194,10 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("-s", "--subjects", help="contigs FASTA")
     p_index.add_argument("-o", "--output", help="index file (.npz) or, with any "
                                                "mutable-index flag, a v4 directory")
-    p_index.add_argument("--shards", type=int, default=1,
-                         help="checkpoint units of a --checkpoint-dir build "
-                              "(no effect without one: a build always runs in "
-                              "bounded blocks)")
     p_index.add_argument("--mutable", action="store_true",
                          help="write a mutable (format v4) index directory "
                               "instead of a .npz bundle; -o names the directory")
@@ -243,18 +289,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--backend", choices=("simulated", "process"), default="simulated",
                        help="what -p > 1 means: instrumented SPMD simulation, "
                             "or mapping in-process on -p native threads (worker "
-                            "processes under --inject-faults / --checkpoint-dir)")
+                            "processes in fault-injected runs)")
     p_map.add_argument("--paf", action="store_true",
                        help="write PAF with coordinates instead of the TSV "
                             "(requires -s, not --index)")
     p_map.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
-                       help="fault-injected / checkpointed runs: abort on "
-                            "unrecoverable faults (--no-strict degrades to a "
-                            "partial mapping and reports the lost reads)")
+                       help="fault-injected runs: abort on unrecoverable "
+                            "faults (--no-strict degrades to a partial mapping "
+                            "and reports the lost reads)")
     p_map.add_argument("--timeout", type=float, default=60.0,
-                       help="per-work-unit timeout in seconds of worker-process "
-                            "(fault-injected, checkpointed) runs: dead/hung "
-                            "worker detection (default 60)")
+                       help="per-work-unit timeout in seconds of fault-injected "
+                            "worker-process runs: dead/hung worker detection "
+                            "(default 60)")
     p_map.add_argument("--on-error", choices=("raise", "skip"), default="raise",
                        help="input parser policy: abort on malformed records "
                             "or skip them with a counted warning")
@@ -345,10 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="most kills/wedges per serve plan (default 2)")
     p_chaos.add_argument("--seeds", default="1,2,3,4,5",
                          help="comma list of chaos plan seeds (default 1,2,3,4,5)")
-    p_chaos.add_argument("--shards", type=int, default=4,
-                         help="index shards for the index target (default 4)")
-    p_chaos.add_argument("-p", "--processes", type=int, default=2,
-                         help="simulated ranks for the map target (default 2)")
     p_chaos.add_argument("--max-damage", type=int, default=2,
                          help="most post-kill damage actions per plan (default 2)")
     p_chaos.add_argument("--workdir", default=None,
@@ -430,19 +472,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
     if args.subjects is None or args.output is None:
         print("error: index requires -s/--subjects and -o/--output", file=sys.stderr)
         return 2
-    config = _config_from(args)
     t0 = time.perf_counter()
-    if args.checkpoint_dir:
-        from .core.engine import read_sequences
-        from .resilience import build_index_checkpointed, save_invocation
-
-        save_invocation(args.checkpoint_dir, _invocation_payload(args, "index"))
-        mapper = build_index_checkpointed(  # shards are cut from the whole set
-            read_sequences(args.subjects), config, shards=args.shards,
-            run_dir=args.checkpoint_dir, subjects_path=args.subjects,
-        )
-    else:  # block by block from the file, as `jem map -s` builds it
-        mapper = _engine_from(args).mapper
+    engine = _engine_from(args)  # block by block from the file, as `jem map -s` builds it
+    with _checkpointed(args, engine, "index"):
+        mapper = engine.mapper
     table = mapper.table
     path = save_index(mapper, args.output)
     print(f"indexed {table.n_subjects} contigs in {time.perf_counter() - t0:.2f}s: "
@@ -580,11 +613,14 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if args.paf and args.index is not None:
         print("error: --paf needs contig sequences; use -s", file=sys.stderr)
         return 2
-    if args.checkpoint_dir:
-        from .resilience import save_invocation
-
-        save_invocation(args.checkpoint_dir, _invocation_payload(args, "map"))
+    if args.checkpoint_dir and (args.paf or args.inject_faults is not None):
+        flag = "--paf" if args.paf else "--inject-faults"
+        print(f"error: {flag} runs on whole sets and --checkpoint-dir commits the "
+              f"streamed batches; drop {flag} or --checkpoint-dir", file=sys.stderr)
+        return 2
     engine = _engine_from(args)
+    if _index_disagrees(args, engine):
+        return 2
     if args.paf:
         from .core.engine import read_sequences
         from .core.paf import write_paf
@@ -600,9 +636,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
                       trials=config.trials, k=config.k)
         print(f"wrote {n} PAF records", file=sys.stderr)
         return 0
-    subject_names = engine.subject_names
     mapped = total = 0
-    with _tsv_output(args.output) as out:
+    with _checkpointed(args, engine, "map", args.queries), _tsv_output(args.output) as out:
+        subject_names = engine.subject_names  # -s: builds the index, in units if checkpointed
         out.write(f"# jem-mapper {__version__} # {engine.describe()}\n")
         out.write("segment\tcontig\thits\n")
         # one batch at a time: in-process modes stream, whole-set modes yield one
@@ -651,6 +687,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     t0 = time.perf_counter()
     engine = _engine_from(args)
+    if _index_disagrees(args, engine):
+        return 2
     backend = _fleet_from(args, engine)
     if args.listen is None:
         host, port = "", 0  # never bound: the session's streams are stdio
@@ -811,8 +849,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
         command = [sys.executable, "-m", "repro.cli", "serve"]
         command += ["--index", args.index] if args.index else ["-s", args.subjects]
         command += [
-            "--k", str(args.k), "--w", str(args.w), "--ell", str(args.ell),
-            "--trials", str(args.trials), "--seed", str(args.seed),
+            *_sketch_argv(args),  # only those given: serve checks them against --index
             "--max-batch", str(args.max_batch),
             "--queue-capacity", str(args.queue_capacity),
             "--cache-capacity", str(args.cache_capacity),
@@ -821,14 +858,19 @@ def _cmd_client(args: argparse.Namespace) -> int:
     proc = subprocess.Popen(
         command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
     )
+    stats = None
     try:
         stats = run_session(queries, PipeTransport(proc))
+    except BrokenPipeError:
+        pass  # the server exited before it read every request
     finally:
         if proc.poll() is None:
             try:
                 proc.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 proc.kill()
+    if proc.returncode and (stats is None or stats.drained_reply is None):
+        return proc.returncode  # a server that failed to start says why on stderr
     return _client_report(args, queries, stats, time.perf_counter() - t0)
 
 
@@ -852,7 +894,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
     from .errors import ChaosError
-    from .resilience import ChaosPlan, run_kill_resume_cycle
+    from .resilience import ChaosPlan, run_kill_resume_cycle, unit_count
 
     if args.target in ("map", "serve") and args.queries is None:
         print(f"error: chaos {args.target} requires -q/--queries",
@@ -866,29 +908,22 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return _chaos_serve(args, seeds)
     workdir = args.workdir or tempfile.mkdtemp(prefix="jem-chaos-")
     os.makedirs(workdir, exist_ok=True)
-    config_argv = [
-        "--k", str(args.k), "--w", str(args.w), "--ell", str(args.ell),
-        "--trials", str(args.trials), "--seed", str(args.seed),
-    ]
 
     def victim_argv(out: str, run_dir: str | None = None) -> list[str]:
         if args.target == "index":
-            argv = ["index", "-s", args.subjects, "-o", out,
-                    "--shards", str(args.shards)]
+            argv = ["index", "-s", args.subjects, "-o", out]
         else:
-            argv = ["map", "-q", args.queries, "-s", args.subjects, "-o", out,
-                    "-p", str(args.processes)]
-        argv += config_argv
+            argv = ["map", "-q", args.queries, "-s", args.subjects, "-o", out]
+        argv += _sketch_argv(args)
         if run_dir is not None:
             argv += ["--checkpoint-dir", run_dir]
         return argv
 
-    # one checkpoint record lands per completed unit: S2 shards for index,
-    # S2 + S4 blocks for map
-    if args.target == "index":
-        total_units = max(args.shards, 1)
-    else:
-        total_units = 2 * max(args.processes, 1)
+    # one checkpoint record lands per completed unit: the contig blocks, and
+    # for map the read batches after them
+    total_units = unit_count(args.subjects)
+    if args.target == "map":
+        total_units += unit_count(args.queries)
 
     ext = ".npz" if args.target == "index" else ".tsv"
     ref_out = os.path.join(workdir, "reference" + ext)

@@ -15,7 +15,6 @@ _EXPORTS = {
     "EngineRun": ".engine",
     "Mapper": ".engine",
     "build_mapper": ".engine",
-    "register_mapper": ".engine",
     "read_sequences": ".engine",
     "SketchStore": ".store",
     "ColumnarSketchStore": ".store",

@@ -9,13 +9,13 @@ that owns the lifecycle:
   declare where the index comes from (sequences or a persisted bundle);
 * :meth:`MappingEngine.map_file` is the loop ``jem map`` runs: a read file
   mapped batch by batch as it is parsed (a whole-set mode is its
-  one-batch case);
+  one-batch case), each batch a unit of a checkpointed run;
 * :meth:`MappingEngine.map_queries` runs one resident batch through the
   configured execution mode — inline, instrumented SPMD simulation, or,
-  for fault-injected and checkpointed runs, worker processes — and returns
-  an :class:`EngineRun` carrying the mapping plus timing/fault telemetry;
-* :meth:`MappingEngine.map_tiled` and :meth:`MappingEngine.service` expose
-  the tiled and resident frontends over the same mapper instance.
+  for fault-injected runs, worker processes — and returns an
+  :class:`EngineRun` carrying the mapping plus timing/fault telemetry;
+* :meth:`MappingEngine.service` exposes the resident frontend over the same
+  mapper instance.
 
 The engine never changes *what* is computed — for any config, every
 execution mode yields the sequential mapper's output bit for bit (the
@@ -34,11 +34,12 @@ from ..seq.io_fasta import ParseReport
 from ..seq.records import SequenceSet, SequenceSetBuilder
 from .config import JEMConfig
 from .mapper import JEMMapper, MappingResult
-from .streaming import iter_batches, iter_records, map_file
+from .streaming import iter_batches, iter_records, map_file, unit_bases
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..parallel.costmodel import StepTimes
     from ..parallel.faults import FaultPlan, PartialResult, RecoveryReport
+    from ..resilience.checkpoint import CheckpointContext
     from ..service.config import ServiceConfig
     from ..service.service import MappingService
 
@@ -46,7 +47,6 @@ __all__ = [
     "PipelineConfig",
     "Mapper",
     "MAPPER_KINDS",
-    "register_mapper",
     "build_mapper",
     "MappingEngine",
     "EngineRun",
@@ -54,6 +54,10 @@ __all__ = [
     "native_summary",
     "read_sequences",
 ]
+
+#: The :class:`JEMConfig` fields the CLI's sketch flags set (``--k`` …
+#: ``--seed``); a flag left unset keeps the field's default.
+SKETCH_FLAGS = ("k", "w", "ell", "trials", "seed")
 
 #: Execution backends for ``processes > 1`` (jem only).
 BACKENDS = ("simulated", "process")
@@ -114,9 +118,10 @@ class PipelineConfig:
     @classmethod
     def from_args(cls, args: Any) -> "PipelineConfig":
         """Adapter from an argparse namespace (map/serve/client flags)."""
-        jem = JEMConfig(
-            k=args.k, w=args.w, ell=args.ell, trials=args.trials, seed=args.seed
-        )
+        jem = JEMConfig(**{
+            name: getattr(args, name) for name in SKETCH_FLAGS
+            if getattr(args, name, None) is not None
+        })
         return cls(
             jem=jem,
             mapper=getattr(args, "mapper", "jem"),
@@ -182,11 +187,6 @@ _REGISTRY: dict[str, Callable[[PipelineConfig], Mapper]] = {
 
 #: Mapper names the registry resolves (CLI ``--mapper`` choices).
 MAPPER_KINDS = tuple(_REGISTRY)
-
-
-def register_mapper(name: str, factory: Callable[[PipelineConfig], Mapper]) -> None:
-    """Register a custom mapper factory under ``name`` (overwrites)."""
-    _REGISTRY[name] = factory
 
 
 def build_mapper(pipeline: PipelineConfig) -> Mapper:
@@ -304,7 +304,7 @@ class MappingEngine:
     """Owns a mapper's lifecycle: source -> index -> map, on any backend.
 
     One engine instance wraps one mapper and one resident index; every
-    frontend (one-shot batch, stream, tiled, resident service) maps
+    frontend (one-shot batch, stream, resident service) maps
     through the same object, so the mapper choice is decided exactly
     once, in the :class:`PipelineConfig`.
     """
@@ -319,6 +319,10 @@ class MappingEngine:
         self._index_path: str | None = None
         #: telemetry of the last :meth:`map_file` run, set once it is exhausted
         self.last_run: RunTelemetry | None = None
+        #: the run directory a checkpointed run commits the index build's
+        #: blocks and :meth:`map_file`'s batches to, as
+        #: :func:`~repro.resilience.runner.checkpointed` sets it
+        self.checkpoint: CheckpointContext | None = None
 
     # -- source selection ---------------------------------------------------
 
@@ -379,9 +383,14 @@ class MappingEngine:
             mapper = build_mapper(self.pipeline)
             path = self._subjects_path
             if self._subjects is None and path and isinstance(mapper, JEMMapper):
-                pipe, report = self.pipeline, ParseReport()
+                pipe, report, ckpt = self.pipeline, ParseReport(), self.checkpoint
                 records = iter_records(path, on_error=pipe.on_error, report=report)
-                mapper.index_partitioned(iter_batches(records))
+                if ckpt is None:
+                    mapper.index_partitioned(iter_batches(records))
+                else:
+                    mapper.index_partitioned(
+                        iter_batches(records, unit_bases(path)), ckpt.sketch_unit
+                    )
                 _warn_skipped(report, path)
             else:  # other mappers index a whole set
                 mapper.index(self.subjects)
@@ -416,23 +425,21 @@ class MappingEngine:
 
     def _mode(self) -> str:
         """The execution path this pipeline takes (:attr:`RunTelemetry.mode`).
-        Worker processes run only where isolation is the point — a fault plan or
-        a checkpoint directory; else ``--backend process -p N`` is N kernel threads."""
+        Worker processes run only where isolation is the point — a fault plan;
+        else ``--backend process -p N`` is N kernel threads."""
         pipe = self.pipeline
-        checkpointed = pipe.checkpoint_dir is not None
         if self._from_saved_index:
             return "saved-index"
-        if not checkpointed and (pipe.mapper != "jem" or pipe.processes == 1):
+        if pipe.mapper != "jem" or pipe.processes == 1:
             return "inline"
-        if pipe.backend == "process" and pipe.processes > 1:
-            isolated = checkpointed or pipe.inject_faults is not None
-            return "process" if isolated else "inline"
+        if pipe.backend == "process":
+            return "inline" if pipe.inject_faults is None else "process"
         return "simulated"
 
     def _whole_set(self) -> bool:
         """Whether runs go through :meth:`map_queries` on whole read and contig
-        sets (the simulation, worker processes, any checkpointed run)."""
-        return self.pipeline.checkpoint_dir is not None or self._mode() not in _INLINE_MODES
+        sets (the simulation, worker processes)."""
+        return self._mode() not in _INLINE_MODES
 
     def _label(self, mode: str) -> str:
         pipe = self.pipeline
@@ -475,31 +482,17 @@ class MappingEngine:
         simulation, or the worker-process backend — all produce
         bit-identical mappings; the mode only changes telemetry.
         """
-        pipe = self.pipeline
         t0 = time.perf_counter()
         mode = self._mode()
-        if pipe.checkpoint_dir is not None:
-            if pipe.mapper != "jem":
-                raise MappingError(
-                    f"checkpointed runs are jem-only; pipeline requests "
-                    f"{pipe.mapper!r}"
-                )
-            from ..resilience.runner import map_queries_checkpointed
-
-            return map_queries_checkpointed(self, reads, mode=mode, t0=t0)
         if mode in _INLINE_MODES:
             mapping = self._inline_mapper(mode).map_reads(reads)
             return EngineRun(mapping=mapping, **self._telemetry(mode, t0))
         return self._map_whole_set(reads, mode, t0)
 
-    def _map_whole_set(
-        self, reads: SequenceSet, mode: str, t0: float, checkpoint: Any = None
-    ) -> EngineRun:
+    def _map_whole_set(self, reads: SequenceSet, mode: str, t0: float) -> EngineRun:
         """The worker-process backend or the SPMD simulation, from contig sequences."""
         pipe = self.pipeline
-        common: dict[str, Any] = {
-            "faults": pipe.fault_plan(), "strict": pipe.strict, "checkpoint": checkpoint,
-        }
+        common: dict[str, Any] = {"faults": pipe.fault_plan(), "strict": pipe.strict}
         if mode == "process":
             from ..parallel.faults import RecoveryReport
             from ..parallel.mp_backend import map_reads_multiprocess
@@ -517,16 +510,18 @@ class MappingEngine:
         telemetry = self._telemetry(mode, t0, partial=run.partial, steps=run.steps)
         return EngineRun(mapping=run.mapping, **telemetry)
 
-    # -- streaming / tiled frontends ----------------------------------------
+    # -- streaming / resident frontends -------------------------------------
 
     def map_file(self, path: str) -> Iterator[MappingResult]:
         """Map a FASTA/FASTQ file; yields one result per batch, in order.
 
         The loop behind ``jem map``.  In-process modes map the reads as
         the parser yields them, one :data:`~repro.core.streaming.BATCH_BASES`
-        batch resident at a time, and report skipped records after the
-        last; the whole-set modes (SPMD simulation, worker processes,
-        checkpointed runs) load the file and yield their one batch.
+        batch resident at a time (a checkpointed run's
+        :func:`~repro.core.streaming.unit_bases`, each batch loaded from
+        :attr:`checkpoint` or committed to it), and report skipped records
+        after the last; the whole-set modes (SPMD simulation, worker
+        processes) load the file and yield their one batch.
         :attr:`last_run` holds the telemetry once exhausted.
         """
         pipe = self.pipeline
@@ -538,26 +533,15 @@ class MappingEngine:
             yield run.mapping
             return
         t0 = time.perf_counter()
-        report = ParseReport()
+        report, ckpt = ParseReport(), self.checkpoint
+        units = {} if ckpt is None else {
+            "batch_bases": unit_bases(path), "unit": ckpt.map_unit,
+        }
         yield from map_file(
-            self._inline_mapper(mode), path, on_error=pipe.on_error, report=report
+            self._inline_mapper(mode), path, on_error=pipe.on_error, report=report, **units
         )
         _warn_skipped(report, path)
         self.last_run = RunTelemetry(**self._telemetry(mode, t0))
-
-    def map_tiled(
-        self,
-        reads: SequenceSet,
-        *,
-        stride: int | None = None,
-        min_tile_hits: int = 2,
-    ):
-        """Whole-read tiled mapping (ℓ-tiles, not just end segments)."""
-        from .tiling import map_reads_tiled
-
-        return map_reads_tiled(
-            self.mapper, reads, stride=stride, min_tile_hits=min_tile_hits
-        )
 
     def service(
         self,

@@ -14,8 +14,9 @@ Public usage::
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -208,7 +209,11 @@ class JEMMapper:
         """Sketch all subjects and build the per-trial tables S[1..T]."""
         return self.index_partitioned([contigs])
 
-    def index_partitioned(self, partitions: Iterable[SequenceSet]) -> SketchStore:
+    def index_partitioned(
+        self,
+        partitions: Iterable[SequenceSet],
+        unit: Callable[[int, Callable[[], list[np.ndarray]]], list[np.ndarray]] | None = None,
+    ) -> SketchStore:
         """Build the index from disjoint contig blocks, consumed one at a time.
 
         The paper's S1–S3 run in sequence: each block (any iterable — a
@@ -218,19 +223,20 @@ class JEMMapper:
         once, each trial's merged keys going straight into the store's
         columns.  The result is identical to :meth:`index` — its one-block
         case — on the concatenated set, at any :attr:`threads` count (each
-        block's S1 and S2 are split over them).
+        block's S1 and S2 are split over them).  ``unit(k, sketch)``, when
+        given, returns block k's keys in place of ``sketch()`` — a
+        checkpointed build's load-or-sketch-and-commit.
         """
         cfg = self.config
         parts: list[list[np.ndarray]] = []
         names: list[str] = []
         try:
-            for part in partitions:
-                parts.append(
-                    subject_sketch_pairs(
-                        part, cfg.k, cfg.w, cfg.ell, self._family,
-                        subject_id_offset=len(names), threads=self.threads,
-                    )
+            for k, part in enumerate(partitions):
+                sketch = partial(
+                    subject_sketch_pairs, part, cfg.k, cfg.w, cfg.ell, self._family,
+                    subject_id_offset=len(names), threads=self.threads,
                 )
+                parts.append(sketch() if unit is None else unit(k, sketch))
                 names.extend(part.names)
         finally:
             release_scratch()  # S2's working set, not the resident index's

@@ -6,11 +6,14 @@ consumed as the parser yields them, in batches cut by *bases*
 (:func:`iter_batches`): reads go to S4 (:func:`map_reads_stream` yields one
 result per batch, :func:`map_file` feeds it from a FASTA/FASTQ path) and
 contigs to S2 (:meth:`~repro.core.mapper.JEMMapper.index_partitioned`).
+A checkpointed run commits the same batches, cut at :func:`unit_bases`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import os
+from collections.abc import Callable, Iterable, Iterator
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..errors import MappingError
@@ -21,13 +24,31 @@ from .mapper import MappingResult
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Mapper
 
-__all__ = ["BATCH_BASES", "iter_records", "iter_batches", "map_reads_stream", "map_file"]
+__all__ = [
+    "BATCH_BASES", "MIN_UNITS", "unit_bases", "iter_records", "iter_batches",
+    "map_reads_stream", "map_file",
+]
 
 #: Bases per batch (≈ 200 HiFi reads, ≈ 800 contigs): enough kernel work —
 #: ≈ 4 ms of S1 + S4 over the reads' end segments — to be worth a second
 #: thread, and a batch, resident twice while it is concatenated, is 4 MB.
 #: No command has a flag for it; a sequence longer than this is a batch alone.
 BATCH_BASES = 1 << 21
+
+#: Fewest batches a checkpointed run cuts an input into, file size permitting:
+#: a large input checkpoints at the production batches, a small one still
+#: commits several units.
+MIN_UNITS = 8
+
+
+def unit_bases(path: str) -> int:
+    """Batch size of a checkpointed run over ``path``: :data:`BATCH_BASES`, or
+    less so that the file's bytes give at least :data:`MIN_UNITS` batches.
+
+    Output does not depend on it (blocks and batches are bit-identical at any
+    size); the run's manifest records it, and ``jem chaos`` counts units by it.
+    """
+    return max(1, min(BATCH_BASES, os.path.getsize(path) // MIN_UNITS))
 
 
 def iter_records(
@@ -72,18 +93,21 @@ def map_reads_stream(
     records: Iterable[SeqRecord],
     *,
     batch_bases: int | None = None,
+    unit: Callable[[int, Callable[[], MappingResult]], MappingResult] | None = None,
 ) -> Iterator[MappingResult]:
     """Yield one :class:`MappingResult` per :func:`iter_batches` batch of reads.
 
     ``mapper`` is any indexed :class:`~repro.core.engine.Mapper`.  Segment
     rows follow the usual layout (two per read, prefix first), in input
     order across batches; ``infos[i].read_index`` is the index *within the
-    batch*.
+    batch*.  ``unit(k, map_batch)``, when given, returns batch k's result in
+    place of ``map_batch()`` — a checkpointed run's load-or-map-and-commit.
     """
     if not getattr(mapper, "is_indexed", True):
         raise MappingError("index() must be called before streaming")
-    for batch in iter_batches(records, batch_bases):
-        yield mapper.map_reads(batch)
+    for k, batch in enumerate(iter_batches(records, batch_bases)):
+        map_batch = partial(mapper.map_reads, batch)
+        yield map_batch() if unit is None else unit(k, map_batch)
 
 
 def map_file(
@@ -93,11 +117,13 @@ def map_file(
     on_error: str = "raise",
     report: ParseReport | None = None,
     batch_bases: int | None = None,
+    unit: Callable[[int, Callable[[], MappingResult]], MappingResult] | None = None,
 ) -> Iterator[MappingResult]:
     """Stream-map a FASTA/FASTQ file (gzip ok) against an indexed mapper.
 
     ``on_error`` / ``report`` are the parser policy and skip tally of
-    :func:`~repro.seq.io_fasta.iter_fasta`.
+    :func:`~repro.seq.io_fasta.iter_fasta`; ``unit`` is
+    :func:`map_reads_stream`'s.
     """
     records = iter_records(path, on_error=on_error, report=report)
-    return map_reads_stream(mapper, records, batch_bases=batch_bases)
+    return map_reads_stream(mapper, records, batch_bases=batch_bases, unit=unit)

@@ -87,9 +87,9 @@ def map_reads_tiled(
     Returns one dict per read: ``{contig_id: supporting tiles}``.  A contig
     contained in the read interior shows up here even though neither end
     segment touches it.  ``mapper`` is any indexed
-    :class:`~repro.core.engine.Mapper` (the engine's
-    :meth:`~repro.core.engine.MappingEngine.map_tiled` passes its resident
-    one); ℓ comes from the mapper's config (or its ``ell`` attribute).
+    :class:`~repro.core.engine.Mapper` (an engine's resident
+    :attr:`~repro.core.engine.MappingEngine.mapper`, say); ℓ comes from the
+    mapper's config (or its ``ell`` attribute).
     """
     ell = int(getattr(getattr(mapper, "config", mapper), "ell"))
     segments, infos = extract_tiled_segments(reads, ell, stride=stride)

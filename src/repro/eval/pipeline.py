@@ -73,8 +73,8 @@ def run_mappers(
 
     ``mappers`` may contain any registered mapper name (``"jem"``,
     ``"mashmap"``, ``"minhash"``, ``"minimap-lite"``); construction goes
-    through the engine's mapper registry, so a custom
-    :func:`~repro.core.engine.register_mapper` entry works here too.
+    through the engine's mapper registry
+    (:func:`~repro.core.engine.build_mapper`).
     A pre-built benchmark/segment set can be passed to amortise truth
     construction across parameter sweeps (Fig. 6 reuses one benchmark for
     every T).

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.config import JEMConfig
 from ..core.mapper import MappingResult, map_segment_batch
 from ..core.segments import SegmentInfo, extract_end_segments
-from ..core.store import ColumnarSketchStore, SketchStore, merge_trial_keys
+from ..core.store import ColumnarSketchStore, merge_trial_keys
 from ..errors import CommError, FaultError, PartialResultError
 from ..seq.records import SequenceSet
 from ..sketch.jem import subject_sketch_pairs
@@ -48,16 +47,7 @@ from .faults import FaultPlan, PartialResult
 from .partition import partition_bounds, partition_set
 from .retry import RetryPolicy
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..resilience.checkpoint import CheckpointContext
-
-__all__ = [
-    "ParallelRunResult",
-    "QueryMapOutcome",
-    "map_partitioned_queries",
-    "resolve_partial",
-    "run_parallel_jem",
-]
+__all__ = ["ParallelRunResult", "resolve_partial", "run_parallel_jem"]
 
 #: Checksum-failed gathers are re-requested at most this many times.
 MAX_GATHER_ATTEMPTS = 4
@@ -165,123 +155,6 @@ def _simulate_unit(
     return None, measured, recovery, cause
 
 
-@dataclass
-class QueryMapOutcome:
-    """Result of the fault-tolerant S4 stage over partitioned queries.
-
-    ``rank_results[b]`` is block b's mapping (``None`` when the block was
-    lost on every rank); recovery seconds and re-dispatch counts are
-    accounted per executing rank exactly as :func:`run_parallel_jem` does.
-    """
-
-    rank_results: list[MappingResult | None]
-    map_times: np.ndarray
-    recovery: np.ndarray
-    redispatches: int
-    failed_blocks: dict[int, str]
-
-
-def map_partitioned_queries(
-    table: SketchStore,
-    read_parts: list[SequenceSet],
-    config: JEMConfig,
-    family=None,
-    *,
-    faults: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
-    first_stream_base: int | None = None,
-    redispatch_stream_base: int | None = None,
-    checkpoint: "CheckpointContext | None" = None,
-) -> QueryMapOutcome:
-    """Map per-rank query blocks against a resident sketch table (step S4).
-
-    This is the query half of :func:`run_parallel_jem`, factored out so
-    the checkpointed runner (:mod:`repro.resilience.runner`) reuses the
-    exact same fault-tolerant dispatch: every block runs under the
-    :class:`~repro.parallel.faults.FaultPlan` / retry policy, and a block
-    whose own rank is beyond saving is re-dispatched to the surviving
-    ranks.  Blocks that fail everywhere land in ``failed_blocks``;
-    :func:`resolve_partial` turns them into the strict/no-strict contract.
-
-    With a :class:`~repro.resilience.checkpoint.CheckpointContext`, a
-    block whose mapping is already on disk is loaded instead of computed
-    (its fault budget is not consumed — the unit never runs), and every
-    freshly computed block is committed before the next one starts, so a
-    crash between blocks resumes without losing finished work.
-    """
-    p = len(read_parts)
-    policy = retry if retry is not None else RetryPolicy()
-    if family is None:
-        family = config.hash_family()
-    if first_stream_base is None:
-        first_stream_base = 2 * p
-    if redispatch_stream_base is None:
-        redispatch_stream_base = 3 * p
-
-    def map_block(b: int):
-        def _run() -> MappingResult:
-            if len(read_parts[b]) == 0:
-                return MappingResult(
-                    [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), []
-                )
-            segments, infos = extract_end_segments(read_parts[b], config.ell)
-            # fused native when the table is columnar, numpy otherwise
-            return map_segment_batch(table, segments, config, family, infos)
-
-        return _run
-
-    map_times = np.zeros(p)
-    recovery = np.zeros(p)
-    redispatches = 0
-    rank_results: list[MappingResult | None] = [None] * p
-    map_failures: list[tuple[int, str]] = []
-    for r in range(p):
-        if checkpoint is not None:
-            saved = checkpoint.mapping_result(r)
-            if saved is not None:
-                rank_results[r] = saved
-                continue
-        result, dt, rec, cause = _simulate_unit(
-            faults, policy, "map", block=r, exec_rank=r,
-            stream=first_stream_base + r, fn=map_block(r),
-        )
-        map_times[r] = dt
-        recovery[r] += rec
-        if result is None:
-            map_failures.append((r, cause or "unknown fault"))
-        else:
-            rank_results[r] = result
-            if checkpoint is not None:
-                checkpoint.save_mapping(r, result)
-    failed_blocks: dict[int, str] = {}
-    for b, cause in map_failures:
-        recovered = False
-        for donor in range(p):
-            if donor == b:
-                continue
-            result, dt, rec, cause2 = _simulate_unit(
-                faults, policy, "map",
-                block=b, exec_rank=donor,
-                stream=redispatch_stream_base + b, fn=map_block(b),
-            )
-            map_times[donor] += dt
-            recovery[donor] += rec
-            redispatches += 1
-            if result is not None:
-                rank_results[b] = result
-                if checkpoint is not None:
-                    checkpoint.save_mapping(b, result)
-                recovered = True
-                break
-            cause = cause2 or cause
-        if not recovered:
-            failed_blocks[b] = cause
-    return QueryMapOutcome(
-        rank_results=rank_results, map_times=map_times, recovery=recovery,
-        redispatches=redispatches, failed_blocks=failed_blocks,
-    )
-
-
 def resolve_partial(
     failed_blocks: dict[int, str],
     read_parts: list[SequenceSet],
@@ -323,7 +196,6 @@ def run_parallel_jem(
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
     strict: bool = True,
-    checkpoint: "CheckpointContext | None" = None,
 ) -> ParallelRunResult:
     """Instrumented S1–S4 run on p simulated ranks.
 
@@ -334,12 +206,6 @@ def run_parallel_jem(
     table (measured).  The merged mapping is identical to a sequential
     :class:`~repro.core.mapper.JEMMapper` run — a property the test suite
     asserts, *including under any recoverable fault plan*.
-
-    With a :class:`~repro.resilience.checkpoint.CheckpointContext`, every
-    completed S2 shard and S4 query block is committed to the run
-    directory as it finishes, and units already on disk are loaded rather
-    than recomputed — a run killed at any boundary and resumed yields the
-    same bits as an uninterrupted one (the kill-resume parity tests).
     """
     config = config if config is not None else JEMConfig()
     cost_model = cost_model if cost_model is not None else CostModel()
@@ -379,11 +245,6 @@ def run_parallel_jem(
     local_keys: list[list[np.ndarray] | None] = [None] * p
     sketch_failures: list[tuple[int, str]] = []
     for r in range(p):
-        if checkpoint is not None:
-            saved = checkpoint.sketch_result(r)
-            if saved is not None:
-                local_keys[r] = saved
-                continue
         keys, dt, rec, cause = _simulate_unit(
             faults, policy, "sketch", block=r, exec_rank=r, stream=r, fn=sketch_block(r)
         )
@@ -393,8 +254,6 @@ def run_parallel_jem(
             sketch_failures.append((r, cause or "unknown fault"))
         else:
             local_keys[r] = keys
-            if checkpoint is not None:
-                checkpoint.save_sketch(r, keys)
     # Re-dispatch lost sketch blocks to surviving ranks.  A block no
     # survivor can sketch is fatal in every mode: an incomplete index
     # would silently corrupt all mappings, not one block's.
@@ -410,8 +269,6 @@ def run_parallel_jem(
             redispatches += 1
             if keys is not None:
                 local_keys[b] = keys
-                if checkpoint is not None:
-                    checkpoint.save_sketch(b, keys)
                 break
             cause = cause2 or cause
         if local_keys[b] is None:
@@ -449,16 +306,51 @@ def run_parallel_jem(
             )
 
     # -- S4: map local queries (measured per rank, retried / re-dispatched) ---
-    outcome = map_partitioned_queries(
-        table, read_parts, config, family, faults=faults, retry=policy,
-        first_stream_base=2 * p, redispatch_stream_base=3 * p,
-        checkpoint=checkpoint,
-    )
-    map_times = outcome.map_times
-    recovery += outcome.recovery
-    redispatches += outcome.redispatches
-    rank_results = outcome.rank_results
-    partial = resolve_partial(outcome.failed_blocks, read_parts, strict=strict)
+    def map_block(b: int):
+        def _run() -> MappingResult:
+            if len(read_parts[b]) == 0:
+                return MappingResult(
+                    [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), []
+                )
+            segments, infos = extract_end_segments(read_parts[b], config.ell)
+            # fused native when the table is columnar, numpy otherwise
+            return map_segment_batch(table, segments, config, family, infos)
+
+        return _run
+
+    map_times = np.zeros(p)
+    map_recovery = np.zeros(p)
+    rank_results: list[MappingResult | None] = [None] * p
+    map_failures: list[tuple[int, str]] = []
+    for r in range(p):
+        result, dt, rec, cause = _simulate_unit(
+            faults, policy, "map", block=r, exec_rank=r, stream=2 * p + r, fn=map_block(r)
+        )
+        map_times[r] = dt
+        map_recovery[r] += rec
+        if result is None:
+            map_failures.append((r, cause or "unknown fault"))
+        else:
+            rank_results[r] = result
+    # Re-dispatch lost query blocks; one no rank can map is a partial result.
+    failed_blocks: dict[int, str] = {}
+    for b, cause in map_failures:
+        for donor in (r for r in range(p) if r != b):
+            result, dt, rec, cause2 = _simulate_unit(
+                faults, policy, "map",
+                block=b, exec_rank=donor, stream=3 * p + b, fn=map_block(b),
+            )
+            map_times[donor] += dt
+            map_recovery[donor] += rec
+            redispatches += 1
+            if result is not None:
+                rank_results[b] = result
+                break
+            cause = cause2 or cause
+        else:
+            failed_blocks[b] = cause
+    recovery += map_recovery
+    partial = resolve_partial(failed_blocks, read_parts, strict=strict)
 
     surviving = [r for r in range(p) if rank_results[r] is not None]
     mapping = _merge_rank_results(

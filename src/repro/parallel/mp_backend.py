@@ -6,8 +6,8 @@ the two data-parallel phases — subject sketching (S2) and query mapping
 (S4) — across worker processes with ``multiprocessing``.  The gather (S3)
 happens in the parent, playing the role of the Allgatherv root.  It is
 the backend of runs where process isolation is the point (``jem map
---inject-faults`` / ``--checkpoint-dir`` with ``--backend process``); a
-plain ``-p N --backend process`` maps in-process on N kernel threads.
+--inject-faults`` with ``--backend process``); a plain ``-p N --backend
+process`` maps in-process on N kernel threads.
 
 Execution is fault-tolerant.  Work units are dispatched in rounds through
 a worker pool; a unit whose worker raises, dies hard (``os._exit``) or
@@ -155,8 +155,6 @@ def _run_phase(
     policy: RetryPolicy,
     timeout: float | None,
     report: RecoveryReport,
-    precomputed: dict[int, object] | None = None,
-    on_complete=None,
 ) -> tuple[list, dict[int, str]]:
     """Dispatch work units in rounds with retry, backoff and re-dispatch.
 
@@ -164,24 +162,13 @@ def _run_phase(
     unit index to the last cause.  The pool is rebuilt after any timeout
     (the slot may be held by a hung worker); dead workers are respawned by
     ``multiprocessing`` itself.
-
-    ``precomputed`` seeds unit results that need not run at all (resumed
-    checkpoint units); ``on_complete(idx, result)`` is invoked in the
-    parent as each fresh unit's result is collected — the checkpoint
-    layer's single-writer commit hook.
     """
     n = len(payloads)
     results: list = [None] * n
     attempts = [0] * n
     pending = list(range(n))
-    if precomputed:
-        for idx, value in precomputed.items():
-            results[idx] = value
-        pending = [i for i in pending if i not in precomputed]
     failures: dict[int, str] = {}
     delays = {i: policy.delays(stream=i) for i in range(n)}
-    if not pending:
-        return results, failures
     # An idle ``Pool`` worker sits in ``inqueue.get()`` holding the queue's
     # reader lock; SIGKILLed there, the lock dies held and ``Pool.terminate``
     # deadlocks taking it.  This pool (and its rebuild below) is safe only
@@ -205,8 +192,6 @@ def _run_phase(
                 t0 = time.perf_counter()
                 try:
                     results[idx] = async_result.get(timeout)
-                    if on_complete is not None:
-                        on_complete(idx, results[idx])
                     continue
                 except mp.TimeoutError:
                     cause = (
@@ -252,7 +237,6 @@ def map_reads_multiprocess(
     strict: bool = True,
     timeout: float | None = DEFAULT_UNIT_TIMEOUT,
     report: RecoveryReport | None = None,
-    checkpoint=None,
 ) -> MappingResult:
     """Full pipeline with worker-process parallelism; returns the mapping.
 
@@ -262,11 +246,6 @@ def map_reads_multiprocess(
     :class:`~repro.parallel.faults.RecoveryReport` to observe what the
     recovery machinery did (attempts, re-dispatches, recovery seconds,
     and — with ``strict=False`` — any :class:`PartialResult`).
-
-    ``checkpoint`` (a :class:`~repro.resilience.checkpoint.CheckpointContext`)
-    makes the run crash-safe: completed S2/S4 units are committed in the
-    parent as their results arrive (single writer — workers never touch
-    the log) and resumed units are fed back in as precomputed results.
     """
     config = config if config is not None else JEMConfig()
     policy = retry if retry is not None else RetryPolicy()
@@ -279,7 +258,7 @@ def map_reads_multiprocess(
     read_index_bounds = partition_bounds(reads.offsets, processes)
     read_offsets = read_index_bounds[:-1]
 
-    if processes == 1 and faults is None and checkpoint is None:
+    if processes == 1 and faults is None:
         local = _sketch_worker((contigs, config, 0, ()))
         store = ColumnarSketchStore.from_trial_keys(
             merge_trial_keys([local]), n_subjects=len(contigs)
@@ -302,18 +281,10 @@ def map_reads_multiprocess(
             (subject_blocks[r], config, int(subject_offsets[r]))
             for r in range(processes)
         ]
-        sketch_done: dict[int, object] = {}
-        sketch_commit = None
-        if checkpoint is not None:
-            for r in range(processes):
-                saved = checkpoint.sketch_result(r)
-                if saved is not None:
-                    sketch_done[r] = saved
-            sketch_commit = checkpoint.save_sketch
         per_rank_keys, sketch_failures = _run_phase(
             ctx, processes, _sketch_worker, sketch_jobs,
             plan=faults, phase="sketch", policy=policy, timeout=timeout,
-            report=report, precomputed=sketch_done, on_complete=sketch_commit,
+            report=report,
         )
         if sketch_failures:
             blocks = sorted(sketch_failures)
@@ -331,18 +302,9 @@ def map_reads_multiprocess(
         read_blocks = share_sequence_set(reads, "reads", _block_ranges(read_index_bounds))
         shared_refs.append(read_blocks[0].ref.name)
         map_jobs = [(read_blocks[r], config, table) for r in range(processes)]
-        map_done: dict[int, object] = {}
-        map_commit = None
-        if checkpoint is not None:
-            for r in range(processes):
-                saved = checkpoint.mapping_result(r)
-                if saved is not None:
-                    map_done[r] = saved
-            map_commit = checkpoint.save_mapping
         rank_results, map_failures = _run_phase(
             ctx, processes, _map_worker, map_jobs,
             plan=faults, phase="map", policy=policy, timeout=timeout, report=report,
-            precomputed=map_done, on_complete=map_commit,
         )
     finally:
         for name in shared_refs:

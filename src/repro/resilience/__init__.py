@@ -4,8 +4,8 @@ Two cooperating pieces (see ``docs/robustness.md``):
 
 * :mod:`~repro.resilience.checkpoint` — a durable, CRC32-framed
   :class:`CheckpointLog` plus :class:`RunManifest` identity records, so a
-  run SIGKILLed mid-flight resumes from its last completed S2 shard or S4
-  query block and still produces bit-identical output;
+  run SIGKILLed mid-flight resumes from its last completed S2 contig block
+  or S4 read batch and still produces bit-identical output;
 * :mod:`~repro.resilience.chaos` — a seeded, deterministic
   :class:`ChaosPlan` that kills live processes mid-unit, tears and
   corrupts checkpoint/index files, and drops shared-memory segments, with
@@ -24,7 +24,6 @@ _EXPORTS = {
     "CheckpointLog": ".checkpoint",
     "RunManifest": ".checkpoint",
     "fingerprint_file": ".checkpoint",
-    "fingerprint_sequences": ".checkpoint",
     "ChaosPlan": ".chaos",
     "ChaosSpec": ".chaos",
     "ChaosCycleResult": ".chaos",
@@ -33,7 +32,8 @@ _EXPORTS = {
     "ServeChaosPlan": ".chaos",
     "ServeChaosReport": ".chaos",
     "run_serve_chaos": ".chaos",
-    "build_index_checkpointed": ".runner",
+    "checkpointed": ".runner",
+    "unit_count": ".runner",
     "save_invocation": ".runner",
     "load_invocation": ".runner",
 }

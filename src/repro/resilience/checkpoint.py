@@ -1,23 +1,23 @@
 """Durable checkpoint/resume for the S1–S4 pipeline.
 
-The pipeline is naturally checkpointable at block granularity: S2 sketches
-subject shards independently, S4 maps query blocks independently, and S3
-is a pure, cheap reduction over the S2 outputs.  This module makes those
-unit boundaries *durable*, so a run killed hard (SIGKILL, OOM, power)
-resumes from its last completed unit instead of starting over — and
-produces bit-identical output to an uninterrupted run, because each unit's
-result is saved losslessly and the merge order is fixed by block index.
+The pipeline is naturally checkpointable at batch granularity: S2 sketches
+the contigs one streamed block at a time, S4 maps the reads one streamed
+batch at a time, and S3 is a pure, cheap reduction over the S2 outputs.
+This module makes those unit boundaries *durable*, so a run killed hard
+(SIGKILL, OOM, power) resumes from its last completed unit instead of
+starting over — and produces bit-identical output to an uninterrupted run,
+because each unit's result is saved losslessly and the merge order is fixed
+by block index.
 
 Three on-disk artifacts live in a *run directory*:
 
 ``manifest.json``
-    A :class:`RunManifest`: the full pipeline configuration (algorithm
-    constants, mapper, store kind, backend, unit partition) plus content
-    fingerprints of every input.  Written once via atomic rename; any
-    later open of the same directory must present an *identical* manifest
-    or resume is refused with :class:`~repro.errors.CheckpointError` —
-    mixing units computed under different configs would silently corrupt
-    the output.
+    A :class:`RunManifest`: the algorithm constants and the batch size of
+    each input's units, plus content fingerprints of every input file.
+    Written once via atomic rename; any later open of the same directory
+    must present an *identical* manifest or resume is refused with
+    :class:`~repro.errors.CheckpointError` — mixing units computed under
+    different configs would silently corrupt the output.
 
 ``checkpoint.log``
     A :class:`CheckpointLog`: append-only, CRC32-framed records, flushed
@@ -26,7 +26,7 @@ Three on-disk artifacts live in a *run directory*:
     never needs repair.
 
 ``units/``
-    One ``.npz`` payload per completed work unit (S2 shard keys, S4 block
+    One ``.npz`` payload per completed work unit (S2 block keys, S4 batch
     mappings), written to a temp name and committed with ``os.replace``.
     Each log record carries the payload's CRC32; a payload that fails its
     CRC on resume (chaos, partial write) is treated as *not done* and the
@@ -48,6 +48,7 @@ import os
 import signal
 import struct
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -64,7 +65,6 @@ __all__ = [
     "MANIFEST_NAME",
     "LOG_NAME",
     "fingerprint_file",
-    "fingerprint_sequences",
     "atomic_write_bytes",
     "CHAOS_KILL_AFTER_ENV",
     "CHAOS_TORN_ENV",
@@ -120,14 +120,6 @@ def fingerprint_file(path: str) -> dict:
             crc = zlib.crc32(chunk, crc)
             size += len(chunk)
     return {"size": size, "crc32": crc & 0xFFFFFFFF}
-
-
-def fingerprint_sequences(sequences) -> dict:
-    """Content identity of an in-memory :class:`SequenceSet`."""
-    crc = zlib.crc32(np.ascontiguousarray(sequences.buffer).tobytes())
-    crc = zlib.crc32(np.ascontiguousarray(sequences.offsets).tobytes(), crc)
-    crc = zlib.crc32("\x00".join(sequences.names).encode(), crc)
-    return {"n": len(sequences), "crc32": crc & 0xFFFFFFFF}
 
 
 class CheckpointLog:
@@ -234,8 +226,9 @@ class CheckpointLog:
 class RunManifest:
     """Identity of one checkpointed run: what is computed, over what.
 
-    Two manifests are *compatible* iff they are equal (``command``,
-    ``pipeline`` dict, ``units`` partition, and every input fingerprint).
+    Two manifests are *compatible* iff they are equal (``version``,
+    ``command``, ``pipeline`` dict, ``units`` batch sizes, and every input
+    fingerprint); version 1 cut whole sets into ``p`` shards.
     Resume against an incompatible manifest raises
     :class:`~repro.errors.CheckpointError` — the completed units in the
     directory were produced under different rules.
@@ -245,7 +238,7 @@ class RunManifest:
     pipeline: dict
     units: dict
     inputs: dict = field(default_factory=dict)
-    version: int = 1
+    version: int = 2
 
     def to_dict(self) -> dict:
         return {
@@ -269,6 +262,8 @@ class RunManifest:
     def mismatches(self, other: "RunManifest") -> list[str]:
         """Human-readable field paths where the two manifests disagree."""
         out: list[str] = []
+        if self.version != other.version:
+            out.append(f"version: {self.version!r} != {other.version!r}")
         if self.command != other.command:
             out.append(f"command: {self.command!r} != {other.command!r}")
         for label, mine, theirs in (
@@ -312,12 +307,13 @@ def _mapping_from_arrays(data) -> MappingResult:
 class CheckpointContext:
     """One run directory: manifest + log + unit payloads, ready for resume.
 
-    The context is what the execution backends talk to: they ask whether a
-    unit is already done (``sketch_result`` / ``mapping_result`` return the
-    saved payload or ``None``) and report completions (``save_sketch`` /
-    ``save_mapping`` persist the payload atomically, then commit a log
-    record).  A payload whose CRC no longer matches its log record — chaos
-    corruption, a torn rename — reads as "not done" and is recomputed.
+    The streamed loops talk to it through ``sketch_unit`` / ``map_unit``:
+    a unit already done (``sketch_result`` / ``mapping_result`` return the
+    saved payload or ``None``) is loaded, any other is computed and
+    committed (``save_sketch`` / ``save_mapping`` persist the payload
+    atomically, then append a log record).  A payload whose CRC no longer
+    matches its log record — chaos corruption, a torn rename — reads as
+    "not done" and is recomputed.
     """
 
     def __init__(self, run_dir: str, *, fsync: bool = True) -> None:
@@ -405,10 +401,10 @@ class CheckpointContext:
         self.log.append(record)
         self._done[(phase, int(block))] = record
 
-    # -- S2 shard payloads ---------------------------------------------------
+    # -- S2 block payloads ---------------------------------------------------
 
     def sketch_result(self, block: int) -> list[np.ndarray] | None:
-        """The saved per-trial key arrays of S2 shard ``block`` (or None)."""
+        """The saved per-trial key arrays of S2 block ``block`` (or None)."""
         data = self._payload_arrays("sketch", block)
         if data is None:
             return None
@@ -422,10 +418,20 @@ class CheckpointContext:
             {f"trial_{t:03d}": np.asarray(k) for t, k in enumerate(keys)},
         )
 
-    # -- S4 block payloads ---------------------------------------------------
+    def sketch_unit(
+        self, block: int, sketch: Callable[[], list[np.ndarray]]
+    ) -> list[np.ndarray]:
+        """Block ``block``'s saved keys, or ``sketch()``'s, committed first."""
+        keys = self.sketch_result(block)
+        if keys is None:
+            keys = sketch()
+            self.save_sketch(block, keys)
+        return keys
+
+    # -- S4 batch payloads ---------------------------------------------------
 
     def mapping_result(self, block: int) -> MappingResult | None:
-        """The saved mapping of S4 query block ``block`` (or None)."""
+        """The saved mapping of S4 read batch ``block`` (or None)."""
         data = self._payload_arrays("map", block)
         if data is None:
             return None
@@ -434,6 +440,14 @@ class CheckpointContext:
 
     def save_mapping(self, block: int, result: MappingResult) -> None:
         self._commit("map", block, _mapping_to_arrays(result))
+
+    def map_unit(self, block: int, map_batch: Callable[[], MappingResult]) -> MappingResult:
+        """Batch ``block``'s saved mapping, or ``map_batch()``'s, committed first."""
+        result = self.mapping_result(block)
+        if result is None:
+            result = map_batch()
+            self.save_mapping(block, result)
+        return result
 
     def close(self) -> None:
         self.log.close()

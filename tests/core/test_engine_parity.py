@@ -126,13 +126,12 @@ def test_streaming_parity(store, tmp_path, monkeypatch, tiling_contigs, clean_re
 
 @pytest.mark.parametrize("store", ("columnar", "dict"), indirect=True)
 def test_tiled_parity(store, tiling_contigs, clean_reads):
-    # min_tile_hits=2 is MappingEngine.map_tiled's default
     reference = map_reads_tiled(
         _oracle(tiling_contigs), clean_reads, min_tile_hits=2
     )
     engine = MappingEngine(PipelineConfig(jem=CFG))
     engine.use_subjects(tiling_contigs)
-    assert engine.map_tiled(clean_reads) == reference
+    assert map_reads_tiled(engine.mapper, clean_reads, min_tile_hits=2) == reference
 
 
 def _write_inputs(tmp_path, tiling_contigs, clean_reads):

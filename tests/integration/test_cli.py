@@ -1,6 +1,7 @@
 """CLI integration tests driving ``repro.cli.main`` in-process."""
 
 import argparse
+import contextlib
 import os
 import subprocess
 
@@ -209,9 +210,9 @@ def test_parser_builds_without_bench_or_eval():
 def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
     """`jem index`, `jem map --index` and `jem map -s -p 2 --backend process`
     import what they run: the package ``__init__``s resolve their re-exports
-    lazily, so the service, network, scaffolding and alignment layers (and
-    multiprocessing / asyncio with them) stay out of the one-shot round, and
-    neither the hash constants nor the kernel cache's key load
+    lazily, so the service, network, scaffolding, alignment and checkpoint
+    layers (and multiprocessing / asyncio with them) stay out of the one-shot
+    round, and neither the hash constants nor the kernel cache's key load
     ``numpy.random`` or OpenSSL (``hashlib``)."""
     import subprocess
     import sys
@@ -225,8 +226,8 @@ def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
     code = (
         "import sys; from repro.cli import main; rc = main(sys.argv[1:]); "
         "heavy = ('repro.service', 'repro.netserve', 'repro.scaffold', "
-        "'repro.align', 'multiprocessing', 'asyncio', 'numpy.random', 'hashlib', "
-        "'_hashlib'); "
+        "'repro.align', 'repro.resilience', 'multiprocessing', 'asyncio', "
+        "'numpy.random', 'hashlib', '_hashlib'); "
         "bad = [m for m in heavy if m in sys.modules]; "
         "print(bad, file=sys.stderr); sys.exit(rc or len(bad))"
     )
@@ -403,9 +404,11 @@ def _subcommand(name: str) -> argparse.ArgumentParser:
 
 
 def test_client_forwards_every_service_flag_it_accepts(tmp_path, monkeypatch):
-    """A stdio `client` spawns `serve`: every option the two commands share
-    reaches the spawned command line, except the client's own input/output
-    options — so the client accepts no flag it silently drops."""
+    """A stdio `client` spawns `serve`: every option the two commands share,
+    given, reaches the spawned command line, except the client's own
+    input/output options — so the client accepts no flag it silently drops.
+    (The sketch flags are forwarded only when given: `serve --index` checks
+    them against the index.)"""
     reads = tmp_path / "reads.fasta"
     reads.write_text(">r0\nACGT\n")
     spawned = []
@@ -417,21 +420,23 @@ def test_client_forwards_every_service_flag_it_accepts(tmp_path, monkeypatch):
         spawned.append(command)
         raise Spawned
 
-    monkeypatch.setattr(subprocess, "Popen", fake_popen)
-    with pytest.raises(Spawned):
-        main(["client", "-q", str(reads), "--index", "contigs.idx.npz",
-              "--max-batch", "16"])
-    argv = spawned[0]
-    assert argv[argv.index("--max-batch") + 1] == "16"
-    own = {"help", "on_error", "metrics_out", "subjects"}  # -s: --index given
+    own = {"help", "on_error", "metrics_out", "subjects", "index"}  # -s: --index given
     serve_dests = {a.dest for a in _subcommand("serve")._actions}
     shared = [
         a for a in _subcommand("client")._actions
         if a.option_strings and a.dest in serve_dests and a.dest not in own
     ]
     assert shared
+    given = [item for i, a in enumerate(shared) for item in (a.option_strings[-1], str(16 + i))]
+    monkeypatch.setattr(subprocess, "Popen", fake_popen)
+    with pytest.raises(Spawned):
+        main(["client", "-q", str(reads), "--index", "contigs.idx.npz", *given])
+    argv = spawned[0]
+    assert argv[argv.index("--index") + 1] == "contigs.idx.npz"
     dropped = [
-        a.option_strings[-1] for a in shared if not set(a.option_strings) & set(argv)
+        a.option_strings[-1] for i, a in enumerate(shared)
+        if not any(argv[j + 1] == str(16 + i) for j, x in enumerate(argv[:-1])
+                   if x in a.option_strings)
     ]
     assert dropped == []
 
@@ -468,3 +473,110 @@ def test_saved_index_process_backend_maps_on_kernel_threads(tmp_path, capsys):
     strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
     assert strip(threaded) == strip(plain) == strip(simulated)
     assert len(strip(plain)) > 10
+
+
+@pytest.fixture
+def indexed(tmp_path, tiling_contigs, clean_reads):
+    """A bundle built at --trials 8 --k 12, the reads, and their plain TSV body."""
+    from repro.seq import write_fasta
+
+    contigs, reads = str(tmp_path / "contigs.fasta"), str(tmp_path / "reads.fasta")
+    write_fasta(contigs, tiling_contigs)
+    write_fasta(reads, clean_reads)
+    idx = str(tmp_path / "t8.idx.npz")
+    assert main(["index", "-s", contigs, "-o", idx, "--trials", "8", "--k", "12"]) == 0
+    plain = tmp_path / "plain.tsv"
+    assert main(["map", "-q", reads, "--index", idx, "-o", str(plain)]) == 0
+    return idx, reads, _body(plain)
+
+
+def _body(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_map_refuses_sketch_flags_the_index_disagrees_with(tmp_path, indexed, capsys):
+    """Next to --index a sketch flag is checked, not ignored: a different
+    value exits 2 naming the flag and the index's value, an equal one maps."""
+    idx, reads, body = indexed
+    out = tmp_path / "out.tsv"
+    capsys.readouterr()
+    assert main(["map", "-q", reads, "--index", idx, "-o", str(out),
+                 "--trials", "4", "--k", "12"]) == 2
+    err = capsys.readouterr().err
+    assert "--trials 4 (the index has trials = 8)" in err and "--k" not in err
+    assert not out.exists()
+    assert main(["map", "-q", reads, "--index", idx, "-o", str(out),
+                 "--trials", "8", "--k", "12"]) == 0
+    assert _body(out) == body
+    # a --resume payload records the unset flags as unset
+    run_dir = str(tmp_path / "run")
+    assert main(["map", "-q", reads, "--index", idx, "-o", str(out),
+                 "--checkpoint-dir", run_dir]) == 0
+    assert main(["map", "--resume", run_dir]) == 0
+    assert _body(out) == body
+
+
+def test_serve_refuses_sketch_flags_the_index_disagrees_with(indexed, capsys):
+    idx, _, _ = indexed
+    capsys.readouterr()
+    assert main(["serve", "--index", idx, "--seed", "7"]) == 2
+    assert "--seed 7 (the index has seed = 20230157)" in capsys.readouterr().err
+
+
+def test_client_forwards_given_sketch_flags_for_serve_to_check(
+    tmp_path, indexed, monkeypatch, capfd
+):
+    """The stdio client forwards the sketch flags it was given, and only
+    those; the spawned `serve --index` refuses a disagreeing one and the
+    client exits with its status."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    monkeypatch.setenv("PYTHONPATH", src)
+    idx, reads, body = indexed
+    out = tmp_path / "out.tsv"
+    assert main(["client", "-q", reads, "--index", idx, "-o", str(out), "--w", "50"]) == 2
+    assert "--w 50 (the index has w = 100)" in capfd.readouterr().err
+    assert main(["client", "-q", reads, "--index", idx, "-o", str(out), "--k", "12"]) == 0
+    assert _body(out) == body
+
+
+def test_mutable_index_cli_round_trip(tmp_path, tiling_contigs, clean_reads):
+    """bundle -> --from-index DIR -> --append -> --remove -> store-stats: the
+    counts add up, and `map --index DIR` answers as a fresh build over the
+    surviving contigs does."""
+    import json
+
+    from repro.seq import write_fasta
+
+    cfg = ["--trials", "8", "--k", "12"]
+    first, extra = tiling_contigs.slice(0, 7), tiling_contigs.slice(7, len(tiling_contigs))
+    paths = {n: str(tmp_path / f"{n}.fasta") for n in ("first", "extra", "reads", "survivors")}
+    write_fasta(paths["first"], first)
+    write_fasta(paths["extra"], extra)
+    write_fasta(paths["reads"], clean_reads)
+    removed = [tiling_contigs.names[2], tiling_contigs.names[8]]
+    keep = [i for i, n in enumerate(tiling_contigs.names) if n not in removed]
+    write_fasta(paths["survivors"], tiling_contigs.subset(keep))
+    bundle, lsm = str(tmp_path / "first.npz"), str(tmp_path / "idx.lsm")
+    assert main(["index", "-s", paths["first"], "-o", bundle, *cfg]) == 0
+    assert main(["index", "--from-index", bundle, "-o", lsm]) == 0
+    assert main(["index", "--append", paths["extra"], "-o", lsm]) == 0
+    assert main(["index", "--remove", ",".join(removed), "-o", lsm]) == 0
+
+    stats_out = tmp_path / "stats.json"
+    with open(stats_out, "w") as fh, contextlib.redirect_stdout(fh):
+        assert main(["store-stats", "--index", lsm, "--json"]) == 0
+    stats = json.loads(stats_out.read_text())
+    assert stats["n_subjects"] == len(tiling_contigs)
+    assert stats["live_subjects"] == len(tiling_contigs) - 2
+    assert stats["tombstones"] == 2
+    assert stats["memtable_entries"] > 0  # the appended contigs, not yet flushed
+
+    fresh = str(tmp_path / "fresh.npz")
+    assert main(["index", "-s", paths["survivors"], "-o", fresh, *cfg]) == 0
+    got, want = tmp_path / "lsm.tsv", tmp_path / "fresh.tsv"
+    assert main(["map", "-q", paths["reads"], "--index", lsm, "-o", str(got)]) == 0
+    assert main(["map", "-q", paths["reads"], "--index", fresh, "-o", str(want)]) == 0
+    assert _body(got) == _body(want)
+    assert not {line.split("\t")[1] for line in _body(got)} & set(removed)

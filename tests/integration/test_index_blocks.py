@@ -151,17 +151,19 @@ def test_mutable_directory_built_in_blocks_equals_whole_set_seed(
     assert manifests[0] == manifests[1]
 
 
-def test_shards_without_a_checkpoint_dir_changes_nothing(contigs_path, tmp_path):
-    """`--shards N` names the checkpoint units of a `--checkpoint-dir` build; a
-    plain build is cut into blocks by bases, whatever N says."""
-    plain, sharded = str(tmp_path / "plain.npz"), str(tmp_path / "sharded.npz")
+def test_a_checkpointed_build_writes_the_plain_bundle(contigs_path, tmp_path):
+    """A `--checkpoint-dir` build commits smaller blocks than a plain one (at
+    least `MIN_UNITS` for the file's size) and writes the same bundle; its
+    resume, which loads every block, writes it again."""
+    plain = str(tmp_path / "plain.npz")
     assert main(["index", "-s", contigs_path, "-o", plain, *CONFIG_ARGV]) == 0
-    assert main(["index", "-s", contigs_path, "-o", sharded, "--shards", "3", *CONFIG_ARGV]) == 0
-    _assert_same_bundle(sharded, plain)
     run_dir = str(tmp_path / "run")
     checkpointed = str(tmp_path / "checkpointed.npz")
-    assert main(["index", "-s", contigs_path, "-o", checkpointed, "--shards", "3",
+    assert main(["index", "-s", contigs_path, "-o", checkpointed,
                  "--checkpoint-dir", run_dir, *CONFIG_ARGV]) == 0
+    assert len(list((tmp_path / "run" / "units").iterdir())) >= 2
+    _assert_same_bundle(checkpointed, plain)
+    assert main(["index", "--resume", run_dir]) == 0
     _assert_same_bundle(checkpointed, plain)
 
 

@@ -20,8 +20,8 @@ from repro.core.engine import PipelineConfig
 from repro.netserve import SupervisorConfig
 from repro.service import ServiceConfig
 
-#: 116 option flags + 7 environment variables + 28 config fields
-BUDGET = 151
+#: 113 option flags + 7 environment variables + 28 config fields
+BUDGET = 148
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 

@@ -17,7 +17,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.errors import ChaosError, CheckpointError
-from repro.resilience import ChaosPlan, ChaosSpec, run_kill_resume_cycle
+from repro.resilience import ChaosPlan, ChaosSpec, run_kill_resume_cycle, unit_count
 from repro.resilience.chaos import DAMAGE_KINDS, apply_damage, read_tsv_body
 from repro.resilience.checkpoint import (
     CHAOS_KILL_AFTER_ENV,
@@ -111,16 +111,17 @@ class TestKillResumeParity:
     def test_index_kill_resume_parity_across_seeds(self, tmp_path, fasta_world):
         contigs, _ = fasta_world
         reference = str(tmp_path / "reference.npz")
-        assert main(["index", "-s", contigs, "-o", reference,
-                     "--shards", "4", *CONFIG_ARGV]) == 0
+        assert main(["index", "-s", contigs, "-o", reference, *CONFIG_ARGV]) == 0
         expected = index_checksum(reference)
+        units = unit_count(contigs)  # the contig blocks
+        assert units >= 2
         for seed in SEEDS:
             run_dir = str(tmp_path / f"idx{seed}")
             out = os.path.join(run_dir, "out.npz")
             os.makedirs(run_dir, exist_ok=True)
-            plan = ChaosPlan.seeded(seed, total_units=4)
+            plan = ChaosPlan.seeded(seed, total_units=units)
             cycle = run_kill_resume_cycle(
-                ["index", "-s", contigs, "-o", out, "--shards", "4",
+                ["index", "-s", contigs, "-o", out,
                  "--checkpoint-dir", run_dir, *CONFIG_ARGV],
                 run_dir=run_dir, plan=plan,
                 resume_argv=["index", "--resume", run_dir],
@@ -136,11 +137,13 @@ class TestKillResumeParity:
                      "-p", "2", *CONFIG_ARGV]) == 0
         expected = read_tsv_body(reference)
         assert expected, "reference mapping produced no rows"
+        units = unit_count(contigs) + unit_count(reads)  # blocks, then batches
+        assert units >= 4
         for seed in SEEDS:
             run_dir = str(tmp_path / f"map{seed}")
             out = os.path.join(run_dir, "out.tsv")
             os.makedirs(run_dir, exist_ok=True)
-            plan = ChaosPlan.seeded(seed, total_units=4)
+            plan = ChaosPlan.seeded(seed, total_units=units)
             cycle = run_kill_resume_cycle(
                 ["map", "-q", reads, "-s", contigs, "-o", out, "-p", "2",
                  "--checkpoint-dir", run_dir, *CONFIG_ARGV],
@@ -159,22 +162,22 @@ class TestResumeCli:
         contigs, _ = fasta_world
         run_dir = str(tmp_path / "run")
         out = str(tmp_path / "out.npz")
-        argv = ["index", "-s", contigs, "-o", out, "--shards", "3",
+        argv = ["index", "-s", contigs, "-o", out,
                 "--checkpoint-dir", run_dir, *CONFIG_ARGV]
         assert main(argv) == 0
         first = index_checksum(out)
         os.unlink(out)
         assert main(["index", "--resume", run_dir]) == 0
         assert index_checksum(out) == first
-        # every shard was loaded from the checkpoint, not recomputed
+        # every block was loaded from the checkpoint, not recomputed
         records = CheckpointLog(os.path.join(run_dir, LOG_NAME)).replay()
-        assert len(records) == 3
+        assert len(records) == unit_count(contigs) > 1
 
     def test_resume_refuses_wrong_command(self, tmp_path, fasta_world):
         contigs, _ = fasta_world
         run_dir = str(tmp_path / "run")
         out = str(tmp_path / "out.npz")
-        assert main(["index", "-s", contigs, "-o", out, "--shards", "2",
+        assert main(["index", "-s", contigs, "-o", out,
                      "--checkpoint-dir", run_dir, *CONFIG_ARGV]) == 0
         with pytest.raises(CheckpointError, match="jem index"):
             main(["map", "--resume", run_dir])
@@ -186,7 +189,7 @@ class TestResumeCli:
     def test_chaos_subcommand_end_to_end(self, tmp_path, fasta_world, capsys):
         contigs, _ = fasta_world
         rc = main(["chaos", "index", "-s", contigs, "--seeds", "3",
-                   "--shards", "3", "--workdir", str(tmp_path / "chaos"),
+                   "--workdir", str(tmp_path / "chaos"),
                    "--keep", *CONFIG_ARGV])
         captured = capsys.readouterr()
         assert rc == 0, captured.err
