@@ -674,10 +674,30 @@ def _fleet_from(args: argparse.Namespace, engine: MappingEngine):
     )
 
 
+def _import_asyncio_without_tls():
+    """``asyncio``, imported the way CPython imports it on a build without
+    OpenSSL: the doors speak plain NDJSON and never TLS, and ``asyncio``'s
+    unconditional ``import ssl`` would otherwise map ``libcrypto`` and
+    ``libssl`` (≈ 4.8 MB) into every server.  A ``None`` in ``sys.modules``
+    makes that import fail, which ``asyncio`` handles by leaving TLS out; the
+    placeholder goes right after, so a later ``import ssl`` still works (that
+    process's ``asyncio`` stays without TLS).  A process that has already
+    loaded either module keeps what it has."""
+    blocked = "asyncio" not in sys.modules and "ssl" not in sys.modules
+    if blocked:
+        sys.modules["ssl"] = None
+    try:
+        import asyncio
+    finally:
+        if blocked:
+            del sys.modules["ssl"]
+    return asyncio
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``jem serve``: one NDJSON front-end in front of a replica fleet —
     over stdin/stdout, or with ``--listen`` over TCP."""
-    import asyncio
+    asyncio = _import_asyncio_without_tls()
     import json
     import signal
 

@@ -19,9 +19,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from hashlib import blake2b
 
 import numpy as np
+
+try:  # the same type ``hashlib`` re-exports, without loading OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - interpreters without the module
+    from hashlib import blake2b
 
 __all__ = ["SketchCacheEntry", "SketchLRUCache", "read_content_key"]
 

@@ -357,6 +357,29 @@ def test_one_shot_round_memory_grows_by_the_index_not_the_contig_set(tmp_path):
     assert sum(1 for _ in open(out)) == 3 + 2 * len(reads)
 
 
+def test_checkpointed_map_peaks_like_the_plain_streamed_map(tmp_path):
+    """`jem map -s … --checkpoint-dir D` is the streamed run plus one unit
+    file a batch: on 20 Mbp of reads it peaks within 6 MB of plain `jem map
+    -s` — room for the ≈ 3.8 MB huge-page jitter of S2's 4-MiB scratch, not
+    for the read set.  The whole-set checkpoint path it replaced held every
+    read and peaked 30 MB higher here."""
+    from repro.seq import random_codes, write_fasta
+
+    rng = np.random.default_rng(19)
+    genome = random_codes(500_000, rng)
+    contigs_path, reads_path = str(tmp_path / "contigs.fasta"), str(tmp_path / "reads.fasta")
+    write_fasta(contigs_path, _tiled_contigs(genome))
+    write_fasta(reads_path, _sampled_reads(genome, rng, 2_000), width=0)
+
+    argv = ["map", "-q", reads_path, "-s", contigs_path]
+    plain_mb, _ = _peak_mb(*argv, "-o", str(tmp_path / "plain.tsv"))
+    checkpointed_mb, _ = _peak_mb(
+        *argv, "-o", str(tmp_path / "ck.tsv"), "--checkpoint-dir", str(tmp_path / "ck")
+    )
+    assert checkpointed_mb < plain_mb + 6.0, (plain_mb, checkpointed_mb)
+    assert _body(tmp_path / "ck.tsv") == _body(tmp_path / "plain.tsv")
+
+
 def test_store_flag_is_gone(capsys):
     """The resident layout is not a CLI choice: `--store` is an argparse error."""
     with pytest.raises(SystemExit) as excinfo:
@@ -521,6 +544,42 @@ def test_serve_refuses_sketch_flags_the_index_disagrees_with(indexed, capsys):
     capsys.readouterr()
     assert main(["serve", "--index", idx, "--seed", "7"]) == 2
     assert "--seed 7 (the index has seed = 20230157)" in capsys.readouterr().err
+
+
+def test_serve_imports_asyncio_without_ssl_and_leaves_ssl_importable(indexed):
+    """`jem serve` imports ``asyncio`` with ``ssl`` blocked, so no server maps
+    OpenSSL, and takes the block away again: a caller that runs ``main`` in
+    its own process can still ``import ssl`` afterwards, and one that had
+    already imported it keeps its module."""
+    import subprocess
+    import sys
+
+    import repro
+
+    idx, _, _ = indexed
+    argv = ["serve", "--index", idx, "--seed", "7"]  # exits 2 after the import
+    loaded = sys.modules["ssl"]  # the suite's conftest imports asyncio
+    assert main(argv) == 2
+    assert sys.modules["ssl"] is loaded
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    after_main = {
+        # a fresh process: asyncio loaded without ssl, ssl importable after
+        "": "assert 'asyncio' in sys.modules and 'ssl' not in sys.modules, rc; "
+            "import ssl; ssl.create_default_context(); ",
+        # ssl loaded first, asyncio not: the guard leaves ssl as it was
+        "import ssl; ": "assert sys.modules['ssl'] is ssl, rc; ",
+    }
+    for before, check in after_main.items():
+        code = (
+            f"{before}import sys; from repro.cli import main; "
+            f"rc = main(sys.argv[1:]); {check}sys.exit(rc)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert done.returncode == 2, (before, done.stderr)
 
 
 def test_client_forwards_given_sketch_flags_for_serve_to_check(

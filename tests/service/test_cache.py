@@ -32,6 +32,54 @@ class TestContentKey:
         bc = np.array([1, 2], dtype=np.uint8)
         assert read_content_key(ab, c) != read_content_key(a, bc)
 
+    def test_key_is_hashlib_blake2b_of_the_framed_segments(self):
+        """The key is BLAKE2b-128 of prefix, separator, suffix — whichever
+        module the cache takes the hash from — so keys and hits match any
+        process that keys reads with ``hashlib``."""
+        import hashlib
+
+        def expected(prefix, suffix) -> bytes:
+            framed = bytes(prefix.tolist()) + b"\x00|\x00" + bytes(suffix.tolist())
+            return hashlib.blake2b(framed, digest_size=16).digest()
+
+        rng = np.random.default_rng(33)
+        pairs = [
+            (rng.integers(0, 4, size=int(n), dtype=np.uint8),
+             rng.integers(0, 4, size=int(m), dtype=np.uint8))
+            for n, m in rng.integers(0, 3_000, size=(20, 2))
+        ]
+        empty = np.zeros(0, dtype=np.uint8)
+        one = np.array([2], dtype=np.uint8)
+        codes = rng.integers(0, 4, size=4_001, dtype=np.uint8)
+        strided = codes[::3]  # a non-contiguous uint8 view
+        assert not strided.flags.c_contiguous
+        pairs += [
+            (empty, empty), (empty, one), (one, empty), (one, one),
+            (strided, codes[1::7]), (codes[::-1], strided),
+        ]
+        for prefix, suffix in pairs:
+            assert read_content_key(prefix, suffix) == expected(prefix, suffix)
+
+    def test_module_keys_reads_without_hashlib(self):
+        """``hashlib`` imports ``_hashlib`` — OpenSSL — for a hash ``_blake2``
+        already provides: the cache must not be what maps it into a server."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import sys, repro.service.cache; "
+            "sys.exit(sorted({'hashlib', '_hashlib'} & set(sys.modules)) or 0)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+
 
 class TestSketchLRUCache:
     def test_put_get_roundtrip(self):
