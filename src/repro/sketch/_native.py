@@ -44,13 +44,21 @@ __all__ = [
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
+#: The size from which numpy asks the kernel for transparent huge pages
+#: (``madvise``) for an array.  The kernels write their fixed scratch
+#: sparsely — S1's at w = 100 fills 2 % of it, S2's only the front of each
+#: row — and a huge page makes a whole 2 MiB resident wherever one byte is
+#: touched, so both scratches are sized to half this line: S1's per-call
+#: arrays through ``_BLOCK_BASES``, S2's key scratch through
+#: :data:`~repro.sketch.kernels.SUBJECT_SCRATCH_ELEMS` (a power of two,
+#: which the geometrically grown buffer reaches exactly).
+NUMPY_HUGEPAGE_BYTES = 1 << 22
+
 #: Most bases handed to ``jem_minimizer_kernel`` per call.  The kernel can
 #: emit one minimizer per base (w = 1), so its output scratch is sized to
-#: one call's bases, not the whole set's, and each call's result is trimmed.
-#: A thread's two scratch arrays are then 2 MiB each — under the 4 MiB from
-#: which numpy asks the kernel for huge pages, of which a sparse writer
-#: (w = 100 fills 2 %) would make a whole 2 MiB resident per array touched.
-_BLOCK_BASES = 1 << 18
+#: one call's bases, not the whole set's, and each call's result is trimmed:
+#: two 8-byte arrays a thread, each under ``NUMPY_HUGEPAGE_BYTES``.
+_BLOCK_BASES = NUMPY_HUGEPAGE_BYTES // 2 // 8
 
 #: Least work worth a thread of its own, ≈ 1 ms of kernel each way — bases
 #: for S1 (≈ 4 ns each), trial-row entries for S2 (≈ 40 ns each), end-segment

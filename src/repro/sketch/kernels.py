@@ -24,6 +24,7 @@ import threading
 import numpy as np
 
 from ..errors import SketchError
+from ._native import NUMPY_HUGEPAGE_BYTES
 
 __all__ = [
     "LOW32",
@@ -43,11 +44,13 @@ LOW32 = np.uint64(0xFFFFFFFF)
 #: list cannot blow up memory T-fold.
 MAX_BATCH_ELEMS = 1 << 24
 
-#: Key-scratch budget (uint64 entries, 4 MiB) of the native subject kernel,
-#: which writes each trial's *compacted* row: however many minimizers a
-#: contig set has, its trials go through the kernel a few rows at a time
-#: (one row, of n entries, once n alone exceeds the budget).
-SUBJECT_SCRATCH_ELEMS = 1 << 19
+#: Key-scratch budget (uint64 entries, 2 MiB: under
+#: :data:`~repro.sketch._native.NUMPY_HUGEPAGE_BYTES`, for the reason given
+#: there) of the native subject kernel, which writes each trial's
+#: *compacted* row: however many minimizers a contig set has, its trials go
+#: through the kernel a few rows at a time (one row, of n entries, once n
+#: alone exceeds the budget; a 2-Mi-base block at w = 100 is ≈ 6 rows).
+SUBJECT_SCRATCH_ELEMS = NUMPY_HUGEPAGE_BYTES // 2 // 8
 
 _scratch = threading.local()
 

@@ -297,7 +297,7 @@ def test_one_shot_round_memory_does_not_grow_with_the_read_set(tmp_path):
     allowance of an import-only process on a 2-Mbp contig set and a 24-Mbp read
     set, and never import multiprocessing.  The allowance is what one round
     needs at any read-set size — one 2-Mi-base block of contigs or reads twice
-    over while it is assembled (4 MB), S2's minimizer block and its 4-MiB key
+    over while it is assembled (4 MB), S2's minimizer block and its 2-MiB key
     scratch, the index — and is less than the read set held once: loading it
     whole (twice over while concatenating, as `read_sequences` does) or
     publishing a copy in shared memory cannot fit."""
@@ -349,7 +349,7 @@ def test_one_shot_round_memory_grows_by_the_index_not_the_contig_set(tmp_path):
         "index": (18.0, lambda contigs: ["index", "-s", contigs, "-o", str(tmp_path / "idx.npz")]),
         "map": (30.0, lambda contigs: ["map", "-q", reads_path, "-s", contigs, "-p", "2",
                                        "--backend", "process", "-o", str(out)]),
-    }  # measured growth: index +12..13 MB, map +22..24 MB
+    }  # measured growth: index +11.6..11.7 MB, map +22.0..22.3 MB
     for name, (allowance_mb, argv) in legs.items():
         (small_mb, mp_small), (large_mb, mp_large) = _peak_mb(*argv(small)), _peak_mb(*argv(large))
         assert not (mp_small or mp_large), name
@@ -359,10 +359,10 @@ def test_one_shot_round_memory_grows_by_the_index_not_the_contig_set(tmp_path):
 
 def test_checkpointed_map_peaks_like_the_plain_streamed_map(tmp_path):
     """`jem map -s … --checkpoint-dir D` is the streamed run plus one unit
-    file a batch: on 20 Mbp of reads it peaks within 6 MB of plain `jem map
-    -s` — room for the ≈ 3.8 MB huge-page jitter of S2's 4-MiB scratch, not
-    for the read set.  The whole-set checkpoint path it replaced held every
-    read and peaked 30 MB higher here."""
+    file a batch: on 20 Mbp of reads it peaks within 2 MB of plain `jem map
+    -s` (measured: +0.25..0.46 MB in ten runs) — less than one more batch
+    held, let alone the read set.  The whole-set checkpoint path it replaced
+    held every read and peaked 30 MB higher here."""
     from repro.seq import random_codes, write_fasta
 
     rng = np.random.default_rng(19)
@@ -376,7 +376,7 @@ def test_checkpointed_map_peaks_like_the_plain_streamed_map(tmp_path):
     checkpointed_mb, _ = _peak_mb(
         *argv, "-o", str(tmp_path / "ck.tsv"), "--checkpoint-dir", str(tmp_path / "ck")
     )
-    assert checkpointed_mb < plain_mb + 6.0, (plain_mb, checkpointed_mb)
+    assert checkpointed_mb < plain_mb + 2.0, (plain_mb, checkpointed_mb)
     assert _body(tmp_path / "ck.tsv") == _body(tmp_path / "plain.tsv")
 
 

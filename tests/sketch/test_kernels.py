@@ -330,6 +330,47 @@ def test_native_subject_kernel_scratch_stays_under_its_budget():
     assert seen["scratch"] == kernels_mod.SUBJECT_SCRATCH_ELEMS
 
 
+@pytest.mark.skipif(_native.load() is None, reason="no C compiler available")
+def test_fixed_scratches_stay_under_numpys_huge_page_line(monkeypatch):
+    """Numpy asks for transparent huge pages from NUMPY_HUGEPAGE_BYTES on,
+    and a sparsely written huge page is resident whole: every array S1
+    takes for one full ``_BLOCK_BASES`` run, and S2's key scratch at its
+    budget, stay below that line."""
+    line = _native.NUMPY_HUGEPAGE_BYTES
+    sizes = []
+
+    class SpyNumpy:  # what ``_native`` sees as ``np``: ``empty`` records sizes
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            arr = np.empty(*args, **kwargs)
+            sizes.append(arr.nbytes)
+            return arr
+
+    monkeypatch.setattr(_native, "np", SpyNumpy())
+    rng = np.random.default_rng(4)
+    count = 2 * _native._BLOCK_BASES // 1_000
+    contigs = SequenceSet(
+        random_codes(1_000 * count, rng),
+        np.arange(0, 1_000 * (count + 1), 1_000, dtype=np.int64),
+        [f"c{i}" for i in range(count)],
+    )
+    _native.load().minimizer_block(contigs.buffer, contigs.offsets, 16, 100, threads=1)
+    assert (_native._BLOCK_BASES - 1_000) * 8 <= max(sizes) < line  # a full run's
+
+    seen = {}
+
+    def grow():  # a fresh thread has a fresh scratch buffer
+        kernels_mod.key_scratch(1, kernels_mod.SUBJECT_SCRATCH_ELEMS)
+        seen["bytes"] = kernels_mod._scratch.buf.nbytes
+
+    thread = threading.Thread(target=grow)
+    thread.start()
+    thread.join()
+    assert seen["bytes"] == kernels_mod.SUBJECT_SCRATCH_ELEMS * 8 < line
+
+
 def test_empty_and_degenerate_sets():
     empty = SequenceSet.empty()
     pairs = subject_sketch_pairs(empty, 12, 20, 500, FAMILY)
