@@ -516,8 +516,9 @@ class MappingEngine:
         """Map a FASTA/FASTQ file; yields one result per batch, in order.
 
         The loop behind ``jem map``.  In-process modes map the reads as
-        the parser yields them, one :data:`~repro.core.streaming.BATCH_BASES`
-        batch resident at a time (a checkpointed run's
+        the parser yields them, trimmed to their two ℓ-base ends, one
+        :data:`~repro.core.streaming.BATCH_BASES` batch resident at a time
+        (a checkpointed run's
         :func:`~repro.core.streaming.unit_bases`, each batch loaded from
         :attr:`checkpoint` or committed to it), and report skipped records
         after the last; the whole-set modes (SPMD simulation, worker
@@ -537,8 +538,11 @@ class MappingEngine:
         units = {} if ckpt is None else {
             "batch_bases": unit_bases(path), "unit": ckpt.map_unit,
         }
+        mapper = self._inline_mapper(mode)
+        # a saved index maps at its own ℓ, whatever the pipeline's default
+        ell = mapper.config.ell if mode == "saved-index" else pipe.jem.ell
         yield from map_file(
-            self._inline_mapper(mode), path, on_error=pipe.on_error, report=report, **units
+            mapper, path, ell=ell, on_error=pipe.on_error, report=report, **units
         )
         _warn_skipped(report, path)
         self.last_run = RunTelemetry(**self._telemetry(mode, t0))

@@ -67,7 +67,9 @@ def extract_end_segments(
     suffix (the two segments then coincide, which is what mapping the "ends"
     of such a read degenerates to).  Empty reads are rejected.  The 2m
     source ranges are worked out from the offsets at once and copied out
-    of the read buffer by one concatenate.
+    of the read buffer by one concatenate.  A read the parser trimmed to
+    its two ℓ-base ends (``iter_fasta(..., ends=ℓ)``) gives the same
+    segments and metas: a length enters only as ``min(ℓ, n)``.
 
     Returns
     -------

@@ -7,6 +7,12 @@ consumed as the parser yields them, in batches cut by *bases*
 result per batch, :func:`map_file` feeds it from a FASTA/FASTQ path) and
 contigs to S2 (:meth:`~repro.core.mapper.JEMMapper.index_partitioned`).
 A checkpointed run commits the same batches, cut at :func:`unit_bases`.
+
+:func:`map_file` has the parser keep only each read's two ℓ-base ends
+(``iter_fasta(..., ends=ℓ)``): a batch holds at most 2ℓ codes a read, while
+its boundaries are still cut at the reads' full base counts
+(:attr:`~repro.seq.records.SeqRecord.bases`), so batches, checkpoint units
+and output are the same as over whole reads.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ __all__ = [
 
 #: Bases per batch (≈ 200 HiFi reads, ≈ 800 contigs): enough kernel work —
 #: ≈ 4 ms of S1 + S4 over the reads' end segments — to be worth a second
-#: thread, and a batch, resident twice while it is concatenated, is 4 MB.
+#: thread.  A contig block, resident twice while it is concatenated, is 4 MB;
+#: a read batch holds only its reads' ends (2ℓ codes a read, ≈ 0.4 MB).
 #: No command has a flag for it; a sequence longer than this is a batch alone.
 BATCH_BASES = 1 << 21
 
@@ -52,14 +59,19 @@ def unit_bases(path: str) -> int:
 
 
 def iter_records(
-    path: str, *, on_error: str = "raise", report: ParseReport | None = None
+    path: str,
+    *,
+    on_error: str = "raise",
+    report: ParseReport | None = None,
+    ends: int | None = None,
 ) -> Iterator[SeqRecord]:
-    """Records of a FASTA or FASTQ file (by extension; gzip ok), streaming."""
+    """Records of a FASTA or FASTQ file (by extension; gzip ok), streaming;
+    ``ends`` is the parsers' (:func:`~repro.seq.io_fasta.iter_fasta`)."""
     if path.endswith((".fq", ".fastq", ".fq.gz", ".fastq.gz")):
         from ..seq.io_fastq import iter_fastq
 
-        return iter_fastq(path, on_error=on_error, report=report)
-    return iter_fasta(path, on_error=on_error, report=report)
+        return iter_fastq(path, on_error=on_error, report=report, ends=ends)
+    return iter_fasta(path, on_error=on_error, report=report, ends=ends)
 
 
 def iter_batches(
@@ -68,7 +80,9 @@ def iter_batches(
     """Cut a record stream into :class:`SequenceSet` batches, in input order.
 
     A batch is closed before the record that would take it past
-    ``batch_bases`` (default :data:`BATCH_BASES`), so one batch is resident
+    ``batch_bases`` (default :data:`BATCH_BASES`) — counted in the records'
+    full :attr:`~repro.seq.records.SeqRecord.bases`, so a stream of trimmed
+    reads is cut where the whole reads would be — and one batch is resident
     at a time whatever the file holds.
     """
     if batch_bases is None:
@@ -78,12 +92,12 @@ def iter_batches(
     builder = SequenceSetBuilder()
     bases = 0
     for record in records:
-        if len(builder) and bases + len(record) > batch_bases:
+        if len(builder) and bases + record.bases > batch_bases:
             yield builder.build()
             builder = SequenceSetBuilder()
             bases = 0
         builder.add(record.name, record.codes, record.meta)
-        bases += len(record)
+        bases += record.bases
     if len(builder):
         yield builder.build()
 
@@ -114,6 +128,7 @@ def map_file(
     mapper: "Mapper",
     path: str,
     *,
+    ell: int,
     on_error: str = "raise",
     report: ParseReport | None = None,
     batch_bases: int | None = None,
@@ -121,9 +136,11 @@ def map_file(
 ) -> Iterator[MappingResult]:
     """Stream-map a FASTA/FASTQ file (gzip ok) against an indexed mapper.
 
-    ``on_error`` / ``report`` are the parser policy and skip tally of
-    :func:`~repro.seq.io_fasta.iter_fasta`; ``unit`` is
+    ``ell`` is the mapper's segment length ℓ: the parser keeps only each
+    read's two ℓ-base ends, and the mapper's end segments of them are those
+    of the whole read.  ``on_error`` / ``report`` are the parser policy and
+    skip tally of :func:`~repro.seq.io_fasta.iter_fasta`; ``unit`` is
     :func:`map_reads_stream`'s.
     """
-    records = iter_records(path, on_error=on_error, report=report)
+    records = iter_records(path, on_error=on_error, report=report, ends=ell)
     return map_reads_stream(mapper, records, batch_bases=batch_bases, unit=unit)

@@ -8,6 +8,12 @@ in one ``bytes.translate`` pass.  No ``str`` is built for sequence data,
 and a byte outside ASCII is a :class:`~repro.errors.ParseError`, never a
 silently coded base.
 
+A mapper reads only the two ℓ-base ends of a read (Section III-B.1), so
+``iter_fasta(path, ends=ℓ)`` translates only those: a record of more than
+2ℓ bases keeps the codes of its first and last ℓ bases, found by walking in
+from the body's two ends past the ``\n`` bytes, and carries its full base
+count in :attr:`SeqRecord.bases`.  Every check still reads the whole record.
+
 Real-world inputs are partially damaged more often than they are clean;
 ``on_error="skip"`` turns malformed records into counted warnings (see
 :class:`ParseReport`) instead of aborting the whole file, so one truncated
@@ -57,9 +63,11 @@ class ParseReport:
         warnings.warn(f"skipping malformed record: {err}", stacklevel=4)
 
 
-def _check_on_error(on_error: str) -> None:
+def _check_options(on_error: str, ends: int | None) -> None:
     if on_error not in ("raise", "skip"):
         raise ValueError(f'on_error must be "raise" or "skip", got {on_error!r}')
+    if ends is not None and ends < 1:
+        raise ValueError(f"ends must be >= 1, got {ends}")
 
 
 def _open_text(path: str | os.PathLike, mode: str) -> IO[str]:
@@ -129,12 +137,38 @@ def _iter_record_texts(handle: IO[bytes]) -> Iterator[bytes]:
     yield b"".join(pending)
 
 
-def _parse_record(text: bytes, path: str, lineno: int) -> SeqRecord | None:
+def _head_stop(text: bytes, start: int, ell: int) -> int:
+    r"""Offset in ``text`` just past the first ``ell`` bases from ``start``,
+    ``\n`` bytes skipped (``text`` holds more than ``ell`` bases there)."""
+    stop = start + ell
+    newlines = text.count(b"\n", start, stop)
+    while (want := start + ell + newlines) != stop:
+        newlines += text.count(b"\n", stop, want)
+        stop = want
+    return stop
+
+
+def _tail_start(text: bytes, stop: int, ell: int) -> int:
+    r"""Offset in ``text`` of the last ``ell`` bases before ``stop``, ``\n``
+    bytes skipped: :func:`_head_stop` walking backward."""
+    start = stop - ell
+    newlines = text.count(b"\n", start, stop)
+    while (want := stop - ell - newlines) != start:
+        newlines += text.count(b"\n", want, start)
+        start = want
+    return start
+
+
+def _parse_record(
+    text: bytes, path: str, lineno: int, ends: int | None = None
+) -> SeqRecord | None:
     r"""One record's lines (``\n``-terminated, the first one ``lineno``) to a record.
 
     ``text`` is either everything from one line-start ``>`` up to the next, or
     whatever precedes the first ``>`` of the file (``None`` when that is blank).
-    Raises :class:`ParseError` for a malformed record.
+    With ``ends``, a body of more than ``2 * ends`` bases keeps the codes of
+    its first and last ``ends`` bases only.  Raises :class:`ParseError` for a
+    malformed record.
     """
     if not text.isascii():
         bad = _NON_ASCII.search(text).start()
@@ -159,10 +193,17 @@ def _parse_record(text: bytes, path: str, lineno: int) -> SeqRecord | None:
     if not header:
         raise ParseError("empty FASTA header", path=path, line=lineno)
     name, _, description = header.partition(" ")
+    start = min(eol + 1, len(text))
+    bases = len(text) - start - text.count(b"\n", start)
+    if ends is not None and bases > 2 * ends:
+        head, tail = _head_stop(text, start, ends), _tail_start(text, len(text), ends)
+        body = text[start:head] + text[tail:]
+    else:
+        body = text[start:]
     # newline removal and the BYTE_TO_CODE lookup in one pass; no str is built
-    codes = np.frombuffer(text[eol + 1 :].translate(_CODE_TABLE, b"\n"), dtype=np.uint8)
+    codes = np.frombuffer(body.translate(_CODE_TABLE, b"\n"), dtype=np.uint8)
     meta = {"description": description} if description else {}
-    return SeqRecord(name=name, codes=codes, meta=meta)
+    return SeqRecord(name=name, codes=codes, meta=meta, bases=bases)
 
 
 def iter_fasta(
@@ -170,6 +211,7 @@ def iter_fasta(
     *,
     on_error: str = "raise",
     report: ParseReport | None = None,
+    ends: int | None = None,
 ) -> Iterator[SeqRecord]:
     """Yield :class:`SeqRecord` objects from a FASTA file, streaming.
 
@@ -180,11 +222,16 @@ def iter_fasta(
     sequence data, non-ASCII bytes) with a counted warning instead of
     raising; pass a :class:`ParseReport` to collect the tally.
 
+    ``ends=ℓ`` keeps, of a record of more than 2ℓ bases, the codes of its
+    first ℓ and last ℓ bases — all a read's end segments use — and its full
+    base count in :attr:`SeqRecord.bases`; the checks above still cover the
+    whole record.
+
     The file is read as bytes in blocks of at most ``_BLOCK_BYTES`` and cut
     into records at every ``>`` that opens a line; at any time one block and
     one record are resident, whatever the file size.
     """
-    _check_on_error(on_error)
+    _check_options(on_error, ends)
     report = report if report is not None else ParseReport()
     path = os.fspath(path)
     next_line = 1
@@ -192,7 +239,7 @@ def iter_fasta(
         for text in _iter_record_texts(handle):
             lineno, next_line = next_line, next_line + text.count(b"\n")
             try:
-                record = _parse_record(text, path, lineno)
+                record = _parse_record(text, path, lineno, ends)
             except ParseError as err:
                 if on_error == "raise":
                     raise

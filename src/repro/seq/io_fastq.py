@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import ParseError
 from .encode import encode
-from .io_fasta import ParseReport, _check_on_error, _open_binary, _open_text
+from .io_fasta import ParseReport, _check_options, _open_binary, _open_text
 from .records import SeqRecord, SequenceSet, SequenceSetBuilder
 
 __all__ = ["read_fastq", "iter_fastq", "write_fastq", "PHRED_OFFSET"]
@@ -38,6 +38,7 @@ def iter_fastq(
     *,
     on_error: str = "raise",
     report: ParseReport | None = None,
+    ends: int | None = None,
 ) -> Iterator[SeqRecord]:
     """Yield records from a FASTQ file, streaming, with quality arrays.
 
@@ -46,8 +47,13 @@ def iter_fastq(
     truncated final record) with a counted warning and resynchronises on
     the next header line instead of aborting the file; pass a
     :class:`ParseReport` to collect the tally.
+
+    ``ends=ℓ`` is :func:`~repro.seq.io_fasta.iter_fasta`'s: once the checks
+    have read the full lines, a record of more than 2ℓ bases keeps the codes
+    and qualities of its first and last ℓ bases, and its full base count in
+    :attr:`SeqRecord.bases`.
     """
-    _check_on_error(on_error)
+    _check_options(on_error, ends)
     report = report if report is not None else ParseReport()
     path = os.fspath(path)
     # surrogateescape: a byte >= 0x80 reaches the checks below, as a typed and
@@ -97,11 +103,17 @@ def iter_fastq(
                 report.record(err)
                 continue
             name, _, description = header[1:].partition(" ")
+            bases = len(seq_line)
+            if ends is not None and bases > 2 * ends:
+                seq_line = seq_line[:ends] + seq_line[-ends:]
+                qual_line = qual_line[:ends] + qual_line[-ends:]
             quality = (
                 np.frombuffer(qual_line.encode("ascii"), dtype=np.uint8) - PHRED_OFFSET
             )
             meta = {"description": description} if description else {}
-            yield SeqRecord(name=name, codes=encode(seq_line), quality=quality, meta=meta)
+            yield SeqRecord(
+                name=name, codes=encode(seq_line), quality=quality, meta=meta, bases=bases
+            )
 
 
 def read_fastq(

@@ -36,15 +36,21 @@ class SeqRecord:
     meta:
         Free-form annotations.  The simulators use this to attach ground
         truth (e.g. ``ref_start``/``ref_end`` coordinates).
+    bases:
+        The sequence's full base count: ``codes.size`` unless the reader
+        kept only the two ends of the sequence (``iter_fasta(ends=ℓ)``).
     """
 
     name: str
     codes: np.ndarray
     quality: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    bases: int | None = None
 
     def __post_init__(self) -> None:
         self.codes = np.asarray(self.codes, dtype=np.uint8)
+        if self.bases is None:
+            self.bases = int(self.codes.size)
         if self.quality is not None:
             self.quality = np.asarray(self.quality, dtype=np.uint8)
             if self.quality.shape != self.codes.shape:

@@ -476,11 +476,17 @@ class MappingService:
         future fails with :class:`~repro.errors.DeadlineExceededError`
         before any mapping work is spent on it.
 
+        Only the read's two ℓ-base ends are encoded and queued — all its end
+        segments use — so a long read costs 2ℓ codes from here on.
+
         Raises :class:`~repro.errors.ServiceOverloadError` (with a
         ``retry_after`` hint) when the admission queue is full and
         :class:`~repro.errors.ServiceClosedError` once draining started.
         """
+        ell = self.jem_config.ell
         if isinstance(sequence, str):
+            if len(sequence) > 2 * ell:
+                sequence = sequence[:ell] + sequence[-ell:]
             codes = encode(sequence)
         elif isinstance(sequence, np.ndarray):
             codes = np.ascontiguousarray(sequence, dtype=np.uint8)
@@ -500,7 +506,8 @@ class MappingService:
             raise SequenceError(f"read {name!r} is empty")
         if deadline_s is not None and deadline_s <= 0:
             raise ServiceError(f"deadline_s must be > 0, got {deadline_s}")
-        ell = self.jem_config.ell
+        if codes.size > 2 * ell:
+            codes = np.concatenate((codes[:ell], codes[-ell:]))
         n = codes.size
         key = read_content_key(codes[: min(ell, n)], codes[max(0, n - ell):])
         request = _MapRequest(name, codes, key, deadline_s)

@@ -81,7 +81,7 @@ def test_map_file_fastq(tmp_path, mapper, clean_reads):
     write_fastq(path, clean_reads)
     bulk = mapper.map_reads(clean_reads)
     got = np.concatenate(
-        [batch.subject for batch in map_file(mapper, str(path), batch_bases=15_000)]
+        [batch.subject for batch in map_file(mapper, str(path), ell=CFG.ell, batch_bases=15_000)]
     )
     assert np.array_equal(got, bulk.subject)
 
@@ -114,7 +114,7 @@ def test_map_file_fasta_asks_for_blocks_lazily(tmp_path, monkeypatch, mapper, cl
     open_binary = io_fasta._open_binary
     monkeypatch.setattr(io_fasta, "_BLOCK_BYTES", block)
     monkeypatch.setattr(io_fasta, "_open_binary", lambda p: CountingFile(open_binary(p)))
-    batches = map_file(mapper, str(path), batch_bases=25_000)
+    batches = map_file(mapper, str(path), ell=CFG.ell, batch_bases=25_000)
     assert asked == []  # nothing is read before the first batch is asked for
     subjects = []
     asked_per_batch = []

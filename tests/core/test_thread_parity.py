@@ -68,7 +68,7 @@ def trial_keys(mapper: JEMMapper) -> list[np.ndarray]:
 
 
 def mapped(mapper: JEMMapper, path: str):
-    results = list(map_file(mapper, path, batch_bases=9_000))
+    results = list(map_file(mapper, path, ell=CFG.ell, batch_bases=9_000))
     assert len(results) >= 5 and results[-1].n_mapped == 0  # the all-n batch came last
     return (
         [name for r in results for name in r.segment_names],
@@ -141,7 +141,7 @@ def test_a_read_batch_is_cut_into_one_s1_then_s4_range_per_thread(world, monkeyp
     monkeypatch.setattr(_native, "thread_map", spy)
     mapper = JEMMapper(CFG, threads=3)
     mapper.index(contigs)
-    results = list(map_file(mapper, reads_path, batch_bases=9_000))
+    results = list(map_file(mapper, reads_path, ell=CFG.ell, batch_bases=9_000))
     if _native.load() is None:
         assert set(calls) == {(1, 1)}
         return
@@ -150,7 +150,7 @@ def test_a_read_batch_is_cut_into_one_s1_then_s4_range_per_thread(world, monkeyp
     calls.clear()
     oracle_store = JEMMapper(CFG, threads=3, store_kind="dict")
     oracle_store.index(contigs)
-    again = list(map_file(oracle_store, reads_path, batch_bases=9_000))
+    again = list(map_file(oracle_store, reads_path, ell=CFG.ell, batch_bases=9_000))
     assert set(calls) == {(1, 1)}  # no fused entry point: nothing to hand a thread
     for got, want in zip(again, results):
         assert np.array_equal(got.subject, want.subject)

@@ -293,35 +293,40 @@ def _sampled_reads(genome, rng, count, size=10_000):
 
 
 def test_one_shot_round_memory_does_not_grow_with_the_read_set(tmp_path):
-    """`jem index` and `jem map -s … -p 2 --backend process` stay within a fixed
-    allowance of an import-only process on a 2-Mbp contig set and a 24-Mbp read
-    set, and never import multiprocessing.  The allowance is what one round
-    needs at any read-set size — one 2-Mi-base block of contigs or reads twice
-    over while it is assembled (4 MB), S2's minimizer block and its 2-MiB key
-    scratch, the index — and is less than the read set held once: loading it
-    whole (twice over while concatenating, as `read_sequences` does) or
-    publishing a copy in shared memory cannot fit."""
+    """`jem index`, `jem map --index` and `jem map -s … -p 2 --backend process`
+    stay within a fixed allowance of an import-only process on a 2-Mbp contig
+    set and a 24-Mbp read set, and never import multiprocessing.  The allowance
+    is what one round needs at any read-set size — one 2-Mi-base block of
+    contigs twice over while it is assembled (4 MB), S2's minimizer block and
+    its 2-MiB key scratch, the index — and is far less than the read set held
+    once: a map batch keeps only each read's two ℓ-base ends (0.4 MB for the
+    ≈ 200 reads of a batch), so loading the reads whole, or publishing a copy
+    in shared memory, cannot fit."""
     from repro.seq import random_codes, write_fasta
 
-    allowance_mb = 20.0  # measured: index +11 MB, map +14..16 MB (+64 MB before batching)
+    # measured in ten runs: index +7.0..7.6 MB, map -p 2 +7.0..7.7 MB (+10.1..10.5
+    # while S4 read whole reads), map --index +4.4..4.6 MB (+9.0..9.3 then)
+    allowance_mb = {"index": 9.0, "map --index": 6.0, "map -p 2": 9.0}
     rng = np.random.default_rng(17)
     genome = random_codes(2_000_000, rng)
     reads = _sampled_reads(genome, rng, 2_400)
-    assert reads.total_bases / 1e6 > allowance_mb
+    assert reads.total_bases / 1e6 > max(allowance_mb.values())
     contigs_path, reads_path = str(tmp_path / "contigs.fasta"), str(tmp_path / "reads.fasta")
     write_fasta(contigs_path, _tiled_contigs(genome))
     write_fasta(reads_path, reads, width=0)
 
     baseline_mb, _ = _peak_mb()
-    out = tmp_path / "out.tsv"
-    for argv in (
-        ["index", "-s", contigs_path, "-o", str(tmp_path / "idx.npz")],
-        ["map", "-q", reads_path, "-s", contigs_path, "-p", "2", "--backend", "process",
-         "-o", str(out)],
-    ):
+    index_path, out = str(tmp_path / "idx.npz"), tmp_path / "out.tsv"
+    legs = {
+        "index": ["index", "-s", contigs_path, "-o", index_path],
+        "map --index": ["map", "-q", reads_path, "--index", index_path, "-o", str(out)],
+        "map -p 2": ["map", "-q", reads_path, "-s", contigs_path, "-p", "2",
+                     "--backend", "process", "-o", str(out)],
+    }
+    for name, argv in legs.items():
         peak_mb, has_mp = _peak_mb(*argv)
-        assert not has_mp, argv[0]
-        assert peak_mb < baseline_mb + allowance_mb, (argv[0], baseline_mb, peak_mb)
+        assert not has_mp, name
+        assert peak_mb < baseline_mb + allowance_mb[name], (name, baseline_mb, peak_mb)
     assert sum(1 for _ in open(out)) == 3 + 2 * len(reads)
 
 

@@ -47,8 +47,8 @@ def files(tmp_path, tiling_contigs, clean_reads, small_genome):
     return contigs, paths, tiling_contigs
 
 
-def _whole_set_rows(kind, contigs, reads_path, on_error="raise"):
-    mapper = build_mapper(PipelineConfig(jem=CFG, mapper=kind))
+def _whole_set_rows(kind, contigs, reads_path, on_error="raise", jem=CFG):
+    mapper = build_mapper(PipelineConfig(jem=jem, mapper=kind))
     mapper.index(contigs)
     result = mapper.map_reads(read_sequences(reads_path, on_error=on_error))
     names = mapper.subject_names
@@ -86,6 +86,49 @@ def test_streamed_equals_whole_set(kind, suffix, files, tmp_path, monkeypatch):
         assert sum(batches) == 23
         n_batches.append(len(batches))
     assert n_batches[0] == 23 and 1 < n_batches[1] < 23 and n_batches[2] == 1
+
+
+@pytest.mark.parametrize("checkpoint", [False, True])
+@pytest.mark.parametrize("suffix", [".fasta", ".fastq"])
+def test_s4_is_handed_only_the_read_ends(files, tmp_path, monkeypatch, suffix, checkpoint):
+    """A streamed `jem map` — plain or checkpointed — hands S4 reads of at most
+    2ℓ codes, cut into the batches `iter_batches` makes of the full parse, and
+    writes the whole-set answer."""
+    from repro.core import JEMMapper
+
+    contigs_path, paths, contigs = files
+    path = paths[suffix]
+    handed, real = [], JEMMapper.map_reads
+
+    def spy(mapper, reads):
+        handed.append((len(reads), int(reads.lengths.max())))
+        return real(mapper, reads)
+
+    monkeypatch.setattr(JEMMapper, "map_reads", spy)
+    monkeypatch.setattr(streaming, "BATCH_BASES", 12_000)
+    out = str(tmp_path / "out.tsv")
+    run = ["--checkpoint-dir", str(tmp_path / "run")] if checkpoint else []
+    assert main(["map", "-q", path, "-s", contigs_path, "-o", out, *CFG_FLAGS, *run]) == 0
+    full = list(streaming.iter_records(path))
+    assert max(len(r) for r in full) > 2 * CFG.ell  # the ends are a real cut
+    budget = streaming.unit_bases(path) if checkpoint else streaming.BATCH_BASES
+    assert [n for n, _ in handed] == [len(b) for b in streaming.iter_batches(full, budget)]
+    assert max(longest for _, longest in handed) <= 2 * CFG.ell
+    assert _body(out) == _whole_set_rows("jem", contigs, path)
+
+
+def test_a_saved_index_trims_reads_at_its_own_ell(files, tmp_path):
+    """`map --index` keeps the ends at the index's ℓ (here above the default
+    one, which would cut into the segments), with no sketch flag given."""
+    from dataclasses import replace
+
+    contigs_path, paths, contigs = files
+    index, out = str(tmp_path / "idx.npz"), str(tmp_path / "out.tsv")
+    flags = ["--k", "12", "--w", "20", "--ell", "1200", "--trials", "10", "--seed", "99"]
+    assert main(["index", "-s", contigs_path, "-o", index, *flags]) == 0
+    assert main(["map", "-q", paths[".fasta"], "--index", index, "-o", out]) == 0
+    want = _whole_set_rows("jem", contigs, paths[".fasta"], jem=replace(CFG, ell=1_200))
+    assert _body(out) == want
 
 
 def test_skip_policy_reaches_the_stream_and_warns_once(files, tmp_path, monkeypatch, capsys):

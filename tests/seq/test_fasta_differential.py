@@ -93,15 +93,17 @@ def _make_record(name, description, parts):
 BLOCK_SIZES = (1, 7, 64, io_fasta._BLOCK_BYTES)
 
 
-def outcome(reader, path, on_error):
-    """Everything a caller can observe of one read of ``path``."""
+def outcome(reader, path, on_error, *, cut=None, **kwargs):
+    """Everything a caller can observe of one read of ``path`` (``cut``, when
+    given, is applied to each record's codes first)."""
     report = ParseReport()
     records, raised = [], None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            for rec in reader(path, on_error=on_error, report=report):
-                records.append((rec.name, rec.meta, rec.codes.tobytes()))
+            for rec in reader(path, on_error=on_error, report=report, **kwargs):
+                codes = rec.codes if cut is None else cut(rec.codes)
+                records.append((rec.name, rec.meta, codes.tobytes(), rec.bases))
         except ParseError as exc:
             raised = (str(exc), exc.path, exc.line)
     skipped = [(str(err), err.path, err.line) for err in report.errors]
@@ -260,3 +262,109 @@ def test_bom_is_never_coded_as_sequence(tmp_path):
         loaded = read_fasta(path, on_error="skip", report=report)
     # the BOM hides the first '>': that record goes, the next survives
     assert loaded.names == ["b"] and report.skipped == 1
+
+
+# -- the ends reader held to "translate all, then cut" --------------------------
+
+
+def keep_ends(codes, ell):
+    """What a mapper reads of a read: its first and last ``ell`` codes."""
+    return codes if codes.size <= 2 * ell else np.concatenate((codes[:ell], codes[-ell:]))
+
+
+def assert_ends_match_full_parse(path, ell):
+    """``iter_fasta(..., ends=ell)`` sees what the full parse sees, cut to the
+    ends afterwards: names, metas, kept codes, full base counts, the error
+    raised and the skip tally, at every block size."""
+    path = str(path)
+    for on_error in ("raise", "skip"):
+        want = outcome(iter_fasta, path, on_error, cut=lambda codes: keep_ends(codes, ell))
+        for size in BLOCK_SIZES:
+            with mock.patch.object(io_fasta, "_BLOCK_BYTES", size):
+                got = outcome(iter_fasta, path, on_error, ends=ell)
+            assert got == want, (on_error, size, ell)
+
+
+_ELLS = (1, 2, 5, 13, 61, 100)
+_BASE_BYTES = np.frombuffer(b"acgtACGTNn", dtype=np.uint8)
+
+
+@st.composite
+def long_read_fasta(draw):
+    """(file bytes, ℓ): records of ℓ±1, 2ℓ±1 and other lengths, wrapped at
+    1/7/60/80 bases or not at all, with any line ending, blank lines, ``N``,
+    lower case and — now and then — a non-ASCII byte anywhere in a body."""
+    ell = draw(st.sampled_from(_ELLS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    around = [ell - 1, ell, ell + 1, 2 * ell - 1, 2 * ell, 2 * ell + 1]
+    ending = draw(_ending)
+    chunks = []
+    for i in range(draw(st.integers(1, 4))):
+        size = draw(st.one_of(st.sampled_from(around), st.integers(0, 6 * ell + 3)))
+        body = rng.choice(_BASE_BYTES, size=size).tobytes()
+        if body and draw(st.integers(0, 5)) == 0:
+            at = int(rng.integers(0, len(body)))
+            body = body[:at] + b"\xe9" + body[at + 1 :]
+        width = draw(st.sampled_from([1, 7, 60, 80, 0]))
+        lines = [body[j : j + width] for j in range(0, len(body), width)] if width else [body]
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), b"")
+        header = b">r%d" % i + draw(st.sampled_from([b"", b" desc x"]))
+        chunks.append(ending.join([header, *lines]))
+    data = ending.join(chunks)
+    if draw(st.booleans()):
+        data += ending
+    return data, ell
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=long_read_fasta(), gz=st.booleans())
+def test_ends_reader_matches_the_full_parse_cut_afterwards(tmp_path_factory, case, gz):
+    data, ell = case
+    assert_ends_match_full_parse(write_case(tmp_path_factory.mktemp("ends"), data, gz), ell)
+
+
+@pytest.mark.parametrize("ell", [1, 3, 1000])
+@pytest.mark.parametrize("width", [1, 7, 60, 80, 0])
+def test_every_length_around_l_and_2l_at_every_width(tmp_path, ell, width):
+    rng = np.random.default_rng(ell * 100 + width)
+    sizes = [ell - 1, ell, ell + 1, 2 * ell - 1, 2 * ell, 2 * ell + 1, 7 * ell]
+    parts = []
+    for i, size in enumerate(sizes):
+        body = "".join(rng.choice(list("acgtACGTNn"), size=size))
+        lines = [body[j : j + width] for j in range(0, len(body), width)] if width else [body]
+        parts.append("\n".join([f">r{i} len {size}", *lines]))
+    text = "\r\n".join(parts) + "\r\n"
+    for gz in (False, True):
+        path = write_case(tmp_path, text.encode(), gz)
+        assert_ends_match_full_parse(path, ell)
+        records = list(iter_fasta(path, ends=ell))
+        assert [r.bases for r in records] == sizes
+        assert max(len(r) for r in records) == 2 * ell
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_non_ascii_in_the_dropped_middle_is_still_an_error(tmp_path, size):
+    """The middle of a long read is never translated, but it is still checked:
+    the same ParseError at the same line, and the same skip tally."""
+    body = b"acgt" * 50  # 200 bases, ends=10 keeps 20 of them
+    lines = [body[j : j + 7] for j in range(0, len(body), 7)]
+    lines[14] = lines[14][:3] + b"\xe9" + lines[14][4:]
+    path = tmp_path / "middle.fasta"
+    path.write_bytes(b">a\nacgt\n>long\n" + b"\n".join(lines) + b"\n>c\ntt\n")
+    with mock.patch.object(io_fasta, "_BLOCK_BYTES", size):
+        with pytest.raises(ParseError, match="non-ASCII byte 0xe9") as info:
+            list(iter_fasta(path, ends=10))
+        assert info.value.line == 4 + 14
+        report = ParseReport()
+        with pytest.warns(UserWarning):
+            records = list(iter_fasta(path, on_error="skip", report=report, ends=10))
+    assert [r.name for r in records] == ["a", "c"] and report.skipped == 1
+    assert [err.line for err in report.errors] == [18]
+    assert_ends_match_full_parse(path, 10)
+
+
+def test_ends_must_be_positive(tmp_path):
+    path = write_case(tmp_path, b">a\nacgt\n", gz=False)
+    with pytest.raises(ValueError, match="ends must be >= 1"):
+        list(iter_fasta(path, ends=0))
