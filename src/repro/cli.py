@@ -5,8 +5,8 @@ Subcommands:
 * ``simulate`` — generate one of the Table I datasets to FASTA/FASTQ files;
 * ``map``      — map long reads (FASTA/FASTQ) to contigs (FASTA) and write
   a TSV of ⟨segment, contig, hits⟩, batch by batch as the reads are parsed
-  (mapper: jem / mashmap / minhash; ``-p`` > 1 runs the simulated-SPMD
-  parallel driver, or N kernel threads with ``--backend process``);
+  (mapper: jem / mashmap / minhash / minimap-lite; ``-p N`` maps on N
+  native kernel threads);
 * ``store-stats`` — inspect a saved index (bundle or mutable directory):
   generation, segments, memtable, tombstones, byte breakdown;
 * ``serve``    — long-lived mapping service speaking NDJSON over
@@ -281,32 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--index", help="saved JEM index (alternative to -s)")
     p_map.add_argument("-o", "--output", default="-", help="output TSV ('-' = stdout)")
     p_map.add_argument("--mapper", choices=_MAPPER_KINDS, default="jem")
-    p_map.add_argument("-p", "--processes", type=int, default=1,
-                       help="ranks of the simulated parallel driver, or with "
-                            "--backend process the threads every native kernel "
-                            "(minimizers, sketch, map) runs on, in place of one "
-                            "per CPU (jem only)")
-    p_map.add_argument("--backend", choices=("simulated", "process"), default="simulated",
-                       help="what -p > 1 means: instrumented SPMD simulation, "
-                            "or mapping in-process on -p native threads (worker "
-                            "processes in fault-injected runs)")
+    p_map.add_argument("-p", "--processes", type=int, default=None,
+                       help="threads every native kernel (minimizers, sketch, "
+                            "map) runs on (default: one per CPU, or "
+                            "REPRO_NATIVE_THREADS; jem only)")
+    # hidden and ignored: kept only because ledger/workloads.py's p2 leg still
+    # passes `--backend process`, until ROADMAP item 1 drops it there
+    p_map.add_argument("--backend", choices=("process",), help=argparse.SUPPRESS)
     p_map.add_argument("--paf", action="store_true",
                        help="write PAF with coordinates instead of the TSV "
                             "(requires -s, not --index)")
-    p_map.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
-                       help="fault-injected runs: abort on unrecoverable "
-                            "faults (--no-strict degrades to a partial mapping "
-                            "and reports the lost reads)")
-    p_map.add_argument("--timeout", type=float, default=60.0,
-                       help="per-work-unit timeout in seconds of fault-injected "
-                            "worker-process runs: dead/hung worker detection "
-                            "(default 60)")
     p_map.add_argument("--on-error", choices=("raise", "skip"), default="raise",
                        help="input parser policy: abort on malformed records "
                             "or skip them with a counted warning")
-    p_map.add_argument("--inject-faults", type=int, default=None, metavar="SEED",
-                       help="inject a seeded recoverable fault plan "
-                            "(testing/demo; recovery shows up in the timing line)")
     _add_checkpoint_args(p_map)
     _add_config_args(p_map)
 
@@ -576,14 +563,6 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_partial(partial) -> None:
-    """Warn (stderr) when a run degraded to a partial mapping."""
-    if partial is not None:
-        print(f"warning: partial result — {partial.describe()}", file=sys.stderr)
-        for name in partial.failed_reads:
-            print(f"warning: unmapped read {name}", file=sys.stderr)
-
-
 @contextlib.contextmanager
 def _tsv_output(path: str):
     """The handle `jem map` writes: stdout for ``-``, else a file next to
@@ -613,10 +592,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if args.paf and args.index is not None:
         print("error: --paf needs contig sequences; use -s", file=sys.stderr)
         return 2
-    if args.checkpoint_dir and (args.paf or args.inject_faults is not None):
-        flag = "--paf" if args.paf else "--inject-faults"
-        print(f"error: {flag} runs on whole sets and --checkpoint-dir commits the "
-              f"streamed batches; drop {flag} or --checkpoint-dir", file=sys.stderr)
+    if args.checkpoint_dir and args.paf:
+        print("error: --paf runs on whole sets and --checkpoint-dir commits the "
+              "streamed batches; drop --paf or --checkpoint-dir", file=sys.stderr)
         return 2
     engine = _engine_from(args)
     if _index_disagrees(args, engine):
@@ -629,10 +607,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
         config = engine.pipeline.jem
         subjects = engine.subjects  # coordinates need the sequences: read before indexing
         queries = read_sequences(args.queries, on_error=args.on_error)
-        run = engine.map_queries(queries)
-        _report_partial(run.partial)
+        mapping = engine.mapper.map_reads(queries)
         segments, _ = extract_end_segments(queries, config.ell)
-        n = write_paf(args.output, run.mapping, segments, subjects,
+        n = write_paf(args.output, mapping, segments, subjects,
                       trials=config.trials, k=config.k)
         print(f"wrote {n} PAF records", file=sys.stderr)
         return 0
@@ -641,17 +618,14 @@ def _cmd_map(args: argparse.Namespace) -> int:
         subject_names = engine.subject_names  # -s: builds the index, in units if checkpointed
         out.write(f"# jem-mapper {__version__} # {engine.describe()}\n")
         out.write("segment\tcontig\thits\n")
-        # one batch at a time: in-process modes stream, whole-set modes yield one
-        for result in engine.map_file(args.queries):
+        for result in engine.map_file(args.queries):  # one batch at a time
             for name, sid, hits in zip(
                 result.segment_names, result.subject.tolist(), result.hit_count.tolist()
             ):
                 out.write(f"{name}\t{subject_names[sid] if sid >= 0 else '*'}\t{hits}\n")
             mapped += result.n_mapped
             total += len(result)
-        run = engine.last_run
-        out.write(run.timing_line() + "\n")
-    _report_partial(run.partial)
+        out.write(engine.last_run.timing_line() + "\n")
     print(f"mapped {mapped}/{total} segments ({100 * mapped / max(total, 1):.1f}%)",
           file=sys.stderr)
     return 0

@@ -12,7 +12,6 @@ _EXPORTS = {
     "MappingResult": ".mapper",
     "MappingEngine": ".engine",
     "PipelineConfig": ".engine",
-    "EngineRun": ".engine",
     "Mapper": ".engine",
     "build_mapper": ".engine",
     "read_sequences": ".engine",

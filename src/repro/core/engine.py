@@ -1,25 +1,24 @@
 """One engine, five frontends — the build-index / map-queries lifecycle.
 
 One typed :class:`PipelineConfig` (algorithm constants + mapper choice +
-execution backend), a :class:`Mapper` protocol with a registry (``jem``,
+kernel thread count), a :class:`Mapper` protocol with a registry (``jem``,
 ``minhash``, ``mashmap``, ``minimap-lite``), and a :class:`MappingEngine`
 that owns the lifecycle:
 
 * :meth:`MappingEngine.use_subjects` / :meth:`MappingEngine.use_index`
   declare where the index comes from (sequences or a persisted bundle);
 * :meth:`MappingEngine.map_file` is the loop ``jem map`` runs: a read file
-  mapped batch by batch as it is parsed (a whole-set mode is its
-  one-batch case), each batch a unit of a checkpointed run;
-* :meth:`MappingEngine.map_queries` runs one resident batch through the
-  configured execution mode — inline, instrumented SPMD simulation, or,
-  for fault-injected runs, worker processes — and returns an
-  :class:`EngineRun` carrying the mapping plus timing/fault telemetry;
+  mapped batch by batch as it is parsed, in this process on the resident
+  mapper, each batch a unit of a checkpointed run;
+* :attr:`MappingEngine.mapper` is that resident mapper, whose
+  ``map_reads`` maps a whole read set (what ``--paf`` calls);
 * :meth:`MappingEngine.service` exposes the resident frontend over the same
   mapper instance.
 
-The engine never changes *what* is computed — for any config, every
-execution mode yields the sequential mapper's output bit for bit (the
-cross-frontend parity suite pins this down against the dict-store oracle).
+The engine never changes *what* is computed — for any config, at any
+thread count, every frontend yields the sequential mapper's output bit for
+bit (the cross-frontend parity suite pins this down against the dict-store
+oracle).
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from .mapper import JEMMapper, MappingResult
 from .streaming import iter_batches, iter_records, map_file, unit_bases
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..parallel.costmodel import StepTimes
-    from ..parallel.faults import FaultPlan, PartialResult, RecoveryReport
     from ..resilience.checkpoint import CheckpointContext
     from ..service.config import ServiceConfig
     from ..service.service import MappingService
@@ -49,7 +46,6 @@ __all__ = [
     "MAPPER_KINDS",
     "build_mapper",
     "MappingEngine",
-    "EngineRun",
     "RunTelemetry",
     "native_summary",
     "read_sequences",
@@ -58,9 +54,6 @@ __all__ = [
 #: The :class:`JEMConfig` fields the CLI's sketch flags set (``--k`` …
 #: ``--seed``); a flag left unset keeps the field's default.
 SKETCH_FLAGS = ("k", "w", "ell", "trials", "seed")
-
-#: Execution backends for ``processes > 1`` (jem only).
-BACKENDS = ("simulated", "process")
 
 
 @runtime_checkable
@@ -96,23 +89,17 @@ class PipelineConfig:
 
     jem: JEMConfig = field(default_factory=JEMConfig)
     mapper: str = "jem"
-    processes: int = 1
-    backend: str = "simulated"
-    strict: bool = True
-    timeout: float = 60.0
+    #: threads every native kernel runs on (``-p N``, jem only); None: their
+    #: own :func:`~repro.sketch._native.thread_count`
+    processes: int | None = None
     on_error: str = "raise"
-    inject_faults: int | None = None
     #: run directory for durable checkpoint/resume (jem only); None = off.
     #: Excluded from the manifest's config identity — the same logical run
     #: may live in different directories.
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise MappingError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.processes < 1:
+        if self.processes is not None and self.processes < 1:
             raise MappingError(f"processes must be >= 1, got {self.processes}")
 
     @classmethod
@@ -125,37 +112,17 @@ class PipelineConfig:
         return cls(
             jem=jem,
             mapper=getattr(args, "mapper", "jem"),
-            processes=getattr(args, "processes", 1),
-            backend=getattr(args, "backend", "simulated"),
-            strict=getattr(args, "strict", True),
-            timeout=getattr(args, "timeout", 60.0),
+            processes=getattr(args, "processes", None),
             on_error=getattr(args, "on_error", "raise"),
-            inject_faults=getattr(args, "inject_faults", None),
             checkpoint_dir=getattr(args, "checkpoint_dir", None),
         )
-
-    def fault_plan(self) -> "FaultPlan | None":
-        """The seeded fault plan of ``inject_faults`` (None when unset)."""
-        if self.inject_faults is None:
-            return None
-        from ..parallel.faults import FaultPlan
-
-        return FaultPlan.seeded(self.inject_faults, max(self.processes, 1))
-
-    @property
-    def kernel_threads(self) -> int | None:
-        """Threads ``-p N --backend process`` asks of the native kernels
-        (None: their own :func:`~repro.sketch._native.thread_count`)."""
-        if self.backend == "process" and self.processes > 1:
-            return self.processes
-        return None
 
 
 # -- mapper registry ---------------------------------------------------------
 
 
 def _make_jem(pipeline: PipelineConfig) -> Mapper:
-    return JEMMapper(pipeline.jem, threads=pipeline.kernel_threads)
+    return JEMMapper(pipeline.jem, threads=pipeline.processes)
 
 
 def _make_minhash(pipeline: PipelineConfig) -> Mapper:
@@ -214,7 +181,7 @@ def _warn_skipped(report: ParseReport, path: str) -> None:
 
 def read_sequences(path: str, *, on_error: str = "raise") -> SequenceSet:
     """Load a whole FASTA or FASTQ file (by extension), with the shared
-    skip-warning: what `client`/`scaffold`/`chaos` and `map`'s whole-set modes use."""
+    skip-warning: what `client`/`scaffold`/`chaos` and `map --paf` use."""
     report = ParseReport()
     builder = SequenceSetBuilder()
     for rec in iter_records(path, on_error=on_error, report=report):
@@ -244,64 +211,25 @@ def native_summary(threads: int | None = None) -> str:
     return f"native=off({reason.splitlines()[0][:60]})"
 
 
-#: :attr:`RunTelemetry.mode` values that map in this process, on the resident mapper.
-_INLINE_MODES = ("inline", "saved-index")
-
-#: How TSV comment lines spell each mode.
-_LABELS = {
-    "inline": "{mapper}",
-    "saved-index": "jem (saved index)",
-    "simulated": "parallel p={processes}",
-    "process": "process backend p={processes}",
-}
-
-
 @dataclass(kw_only=True)
 class RunTelemetry:
-    """What a finished run reports, mapping aside.
+    """What a finished :meth:`MappingEngine.map_file` run reports, mapping aside.
 
-    ``mode`` names the execution path taken (``inline``, ``saved-index``,
-    ``simulated``, ``process``) and ``label`` is how TSV comment lines
-    spell it; ``steps`` carries the simulation's modelled S1–S4 breakdown
-    and ``report`` the worker-process backend's recovery accounting (each
-    ``None`` on the other paths).
+    ``mode`` names where the index came from (``inline`` or ``saved-index``)
+    and ``label`` is how TSV comment lines spell it.
     """
 
     mode: str
     elapsed: float
     label: str = "jem"
-    partial: "PartialResult | None" = None
-    steps: "StepTimes | None" = None
-    report: "RecoveryReport | None" = None
 
     def timing_line(self) -> str:
         """The ``#``-comment timing summary the CLI writes below the TSV."""
-        if self.steps is not None:
-            line = (
-                f"# {self.label}: modelled time {self.steps.total_time:.3f}s, "
-                f"comm {100 * self.steps.comm_fraction:.1f}%"
-            )
-            if self.steps.recovery_time > 0:
-                line += f", recovery {self.steps.recovery_time:.3f}s"
-            return line
-        line = f"# {self.label}: {self.elapsed:.3f}s wall"
-        if self.report is not None and self.report.faults_encountered:
-            line += (
-                f", recovery {self.report.recovery_seconds:.3f}s "
-                f"({self.report.redispatches} re-dispatches)"
-            )
-        return line
-
-
-@dataclass(kw_only=True)
-class EngineRun(RunTelemetry):
-    """One :meth:`MappingEngine.map_queries` batch: the mapping and its telemetry."""
-
-    mapping: MappingResult
+        return f"# {self.label}: {self.elapsed:.3f}s wall"
 
 
 class MappingEngine:
-    """Owns a mapper's lifecycle: source -> index -> map, on any backend.
+    """Owns a mapper's lifecycle: source -> index -> map.
 
     One engine instance wraps one mapper and one resident index; every
     frontend (one-shot batch, stream, resident service) maps
@@ -361,7 +289,7 @@ class MappingEngine:
         from .persist import load_index
 
         mapper = load_index(path)
-        mapper.threads = self.pipeline.kernel_threads
+        mapper.threads = self.pipeline.processes
         self._use_source(None, None)
         self._mapper = mapper
         self._from_saved_index = True
@@ -400,16 +328,16 @@ class MappingEngine:
     @property
     def subject_names(self) -> list[str]:
         """Contig names by subject id — from the sequences while no index is
-        built and they are held, or the mode is one that never builds it."""
-        if self._mapper is None and (self._subjects is not None or self._whole_set()):
+        built and they are held."""
+        if self._mapper is None and self._subjects is not None:
             return self.subjects.names
         return self.mapper.subject_names
 
     @property
     def subjects(self) -> SequenceSet:
         """The contig sequences, read from :meth:`load_subjects`' file on first
-        touch: what the SPMD simulation, worker-process runs, ``--paf`` and the
-        non-jem mappers need, and the plain jem path never asks for."""
+        touch: what ``--paf`` and the non-jem mappers need, and the plain jem
+        path never asks for."""
         if self._subjects is None:
             if self._subjects_path is None:
                 raise MappingError(
@@ -421,131 +349,50 @@ class MappingEngine:
             )
         return self._subjects
 
-    # -- batch mapping ------------------------------------------------------
+    # -- mapping ------------------------------------------------------------
 
     def _mode(self) -> str:
-        """The execution path this pipeline takes (:attr:`RunTelemetry.mode`).
-        Worker processes run only where isolation is the point — a fault plan;
-        else ``--backend process -p N`` is N kernel threads."""
-        pipe = self.pipeline
-        if self._from_saved_index:
-            return "saved-index"
-        if pipe.mapper != "jem" or pipe.processes == 1:
-            return "inline"
-        if pipe.backend == "process":
-            return "inline" if pipe.inject_faults is None else "process"
-        return "simulated"
-
-    def _whole_set(self) -> bool:
-        """Whether runs go through :meth:`map_queries` on whole read and contig
-        sets (the simulation, worker processes)."""
-        return self._mode() not in _INLINE_MODES
+        """Where the index came from (:attr:`RunTelemetry.mode`)."""
+        return "saved-index" if self._from_saved_index else "inline"
 
     def _label(self, mode: str) -> str:
-        pipe = self.pipeline
-        return _LABELS[mode].format(mapper=pipe.mapper, processes=pipe.processes)
+        return "jem (saved index)" if mode == "saved-index" else self.pipeline.mapper
 
     def describe(self) -> str:
-        """Execution mode and native-kernel state: what a TSV header records
-        (``threads`` is per process: worker processes run one kernel thread each)."""
+        """Mode and native-kernel state: what a TSV header records."""
         mode = self._mode()
-        threads = self.pipeline.kernel_threads
-        if mode == "process":
-            from ..parallel.mp_backend import WORKER_KERNEL_THREADS
-
-            threads = WORKER_KERNEL_THREADS
-        return f"{self._label(mode)} [{native_summary(threads)}]"
-
-    def _inline_mapper(self, mode: str) -> Mapper:
-        """The resident mapper, for an in-process run (which says what it ignores)."""
-        pipe = self.pipeline
-        if mode == "saved-index" and pipe.processes > 1 and pipe.backend == "simulated":
-            print(
-                "warning: the simulated backend needs contig sequences; a saved "
-                f"index maps inline, ignoring -p/--processes {pipe.processes}",
-                file=sys.stderr,
-            )
-        return self.mapper
-
-    def _telemetry(self, mode: str, t0: float, **extra: Any) -> dict[str, Any]:
-        """The :class:`RunTelemetry` fields of a run that started at ``t0``."""
-        return {
-            "mode": mode, "elapsed": time.perf_counter() - t0,
-            "label": self._label(mode), **extra,
-        }
-
-    def map_queries(self, reads: SequenceSet) -> EngineRun:
-        """Map one read batch through the configured execution mode.
-
-        Inline (``processes == 1``, any mapper, a saved index, or the
-        process backend without a fault plan), the instrumented SPMD
-        simulation, or the worker-process backend — all produce
-        bit-identical mappings; the mode only changes telemetry.
-        """
-        t0 = time.perf_counter()
-        mode = self._mode()
-        if mode in _INLINE_MODES:
-            mapping = self._inline_mapper(mode).map_reads(reads)
-            return EngineRun(mapping=mapping, **self._telemetry(mode, t0))
-        return self._map_whole_set(reads, mode, t0)
-
-    def _map_whole_set(self, reads: SequenceSet, mode: str, t0: float) -> EngineRun:
-        """The worker-process backend or the SPMD simulation, from contig sequences."""
-        pipe = self.pipeline
-        common: dict[str, Any] = {"faults": pipe.fault_plan(), "strict": pipe.strict}
-        if mode == "process":
-            from ..parallel.faults import RecoveryReport
-            from ..parallel.mp_backend import map_reads_multiprocess
-
-            report = RecoveryReport()
-            mapping = map_reads_multiprocess(
-                self.subjects, reads, pipe.jem, processes=pipe.processes,
-                timeout=pipe.timeout, report=report, **common,
-            )
-            telemetry = self._telemetry(mode, t0, partial=report.partial, report=report)
-            return EngineRun(mapping=mapping, **telemetry)
-        from ..parallel.driver import run_parallel_jem
-
-        run = run_parallel_jem(self.subjects, reads, pipe.jem, p=pipe.processes, **common)
-        telemetry = self._telemetry(mode, t0, partial=run.partial, steps=run.steps)
-        return EngineRun(mapping=run.mapping, **telemetry)
-
-    # -- streaming / resident frontends -------------------------------------
+        return f"{self._label(mode)} [{native_summary(self.pipeline.processes)}]"
 
     def map_file(self, path: str) -> Iterator[MappingResult]:
         """Map a FASTA/FASTQ file; yields one result per batch, in order.
 
-        The loop behind ``jem map``.  In-process modes map the reads as
-        the parser yields them, trimmed to their two ℓ-base ends, one
+        The loop behind ``jem map``: the reads are mapped as the parser
+        yields them, trimmed to their two ℓ-base ends, one
         :data:`~repro.core.streaming.BATCH_BASES` batch resident at a time
         (a checkpointed run's
         :func:`~repro.core.streaming.unit_bases`, each batch loaded from
-        :attr:`checkpoint` or committed to it), and report skipped records
-        after the last; the whole-set modes (SPMD simulation, worker
-        processes) load the file and yield their one batch.
-        :attr:`last_run` holds the telemetry once exhausted.
+        :attr:`checkpoint` or committed to it), and skipped records are
+        reported after the last.  :attr:`last_run` holds the telemetry
+        once exhausted.
         """
         pipe = self.pipeline
         mode = self._mode()
         self.last_run = None
-        if self._whole_set():
-            run = self.map_queries(read_sequences(path, on_error=pipe.on_error))
-            self.last_run = run
-            yield run.mapping
-            return
         t0 = time.perf_counter()
         report, ckpt = ParseReport(), self.checkpoint
         units = {} if ckpt is None else {
             "batch_bases": unit_bases(path), "unit": ckpt.map_unit,
         }
-        mapper = self._inline_mapper(mode)
+        mapper = self.mapper
         # a saved index maps at its own ℓ, whatever the pipeline's default
         ell = mapper.config.ell if mode == "saved-index" else pipe.jem.ell
         yield from map_file(
             mapper, path, ell=ell, on_error=pipe.on_error, report=report, **units
         )
         _warn_skipped(report, path)
-        self.last_run = RunTelemetry(**self._telemetry(mode, t0))
+        self.last_run = RunTelemetry(
+            mode=mode, elapsed=time.perf_counter() - t0, label=self._label(mode)
+        )
 
     def service(
         self,

@@ -97,9 +97,10 @@ class FaultError(ReproError):
 class PartialResultError(ReproError):
     """Strict-mode signal that part of the query set could not be mapped.
 
-    ``failed_reads`` names the reads whose blocks were lost; with
-    ``strict=False`` the same information is returned as a
-    :class:`~repro.parallel.faults.PartialResult` instead of raised.
+    ``failed_reads`` names the reads whose blocks were lost; the parallel
+    driver and the worker-process backend, called with ``strict=False``,
+    return the same information as a
+    :class:`~repro.parallel.faults.PartialResult` instead.
     """
 
     def __init__(self, message: str, *, failed_reads: tuple[str, ...] = ()):

@@ -4,10 +4,10 @@ The in-process driver (:func:`~repro.parallel.driver.run_parallel_jem`)
 *simulates* p ranks to measure per-rank costs; this module actually runs
 the two data-parallel phases — subject sketching (S2) and query mapping
 (S4) — across worker processes with ``multiprocessing``.  The gather (S3)
-happens in the parent, playing the role of the Allgatherv root.  It is
-the backend of runs where process isolation is the point (``jem map
---inject-faults`` with ``--backend process``); a plain ``-p N --backend
-process`` maps in-process on N kernel threads.
+happens in the parent, playing the role of the Allgatherv root.  It is a
+library backend, for runs where process isolation is the point (seeded
+fault plans, the ledger's per-layer probe); ``jem map -p N`` maps
+in-process on N kernel threads instead.
 
 Execution is fault-tolerant.  Work units are dispatched in rounds through
 a worker pool; a unit whose worker raises, dies hard (``os._exit``) or

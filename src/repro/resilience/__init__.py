@@ -8,7 +8,7 @@ Two cooperating pieces (see ``docs/robustness.md``):
   or S4 read batch and still produces bit-identical output;
 * :mod:`~repro.resilience.chaos` — a seeded, deterministic
   :class:`ChaosPlan` that kills live processes mid-unit, tears and
-  corrupts checkpoint/index files, and drops shared-memory segments, with
+  corrupts checkpoint/index files, and drops their temporary files, with
   a kill→resume→verify cycle runner behind ``jem chaos``; its serve
   flavour (:class:`ServeChaosPlan` + :func:`run_serve_chaos`, ``jem
   chaos serve``) kills and wedges supervised replicas mid-load and gates

@@ -3,7 +3,7 @@
 :mod:`repro.parallel.faults` injects *in-band* compute faults — a work
 unit raises, sleeps, or its worker exits.  This module injects the faults
 that kill whole *runs*: the process is SIGKILLed mid-unit, checkpoint and
-index files are torn or bit-flipped mid-write, shared-memory segments are
+index files are torn or bit-flipped mid-write, leftover temporary files are
 dropped.  Everything is driven by one seed, so a failing chaos cycle is
 replayable exactly.
 
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ChaosError
-from ..parallel.shm import sweep_orphan_segments
 from .checkpoint import (
     CHAOS_KILL_AFTER_ENV,
     CHAOS_TORN_ENV,
@@ -61,7 +60,7 @@ __all__ = [
 ]
 
 #: Post-kill vandalism a plan may order on the run directory.
-DAMAGE_KINDS = ("truncate_log", "corrupt_unit", "drop_tmp", "drop_shm")
+DAMAGE_KINDS = ("truncate_log", "corrupt_unit", "drop_tmp")
 
 
 @dataclass(frozen=True)
@@ -190,9 +189,6 @@ def apply_damage(run_dir: str, plan: ChaosPlan) -> list[str]:
                         os.unlink(os.path.join(root, name))
                         dropped += 1
             done.append(f"drop_tmp: {dropped} file(s)")
-        elif spec.kind == "drop_shm":
-            removed = sweep_orphan_segments()
-            done.append(f"drop_shm: {len(removed)} orphan segment(s)")
     return done
 
 

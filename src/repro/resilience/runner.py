@@ -17,7 +17,6 @@ import contextlib
 import dataclasses
 import json
 import os
-import sys
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
@@ -45,8 +44,8 @@ def _manifest(
     """A run's identity: the algorithm constants, each input file's
     fingerprint and the batch size its units are cut at.
 
-    Scheduling (``-p``, ``--backend``) is left out: units are the same bits
-    on any thread count, so a run may resume with different ones.
+    The thread count (``-p``) is left out: units are the same bits on any
+    thread count, so a run may resume with a different one.
     """
     inputs: dict = {}
     units: dict = {}
@@ -74,25 +73,15 @@ def checkpointed(
     The manifest is installed, or verified, before any unit runs: a changed
     input or configuration — or a directory that cut whole sets into shards
     (manifest version 1) — raises :class:`~repro.errors.CheckpointError`
-    rather than mixing units.  The simulated backend needs whole sets, so a
-    checkpointed run on it maps inline, with one warning.
+    rather than mixing units.
     """
     pipe = engine.pipeline
     if pipe.mapper != "jem":
         raise MappingError(
             f"checkpointed runs are jem-only; pipeline requests {pipe.mapper!r}"
         )
-    if pipe.inject_faults is not None:
-        raise MappingError("a checkpointed run streams; fault injection needs whole sets")
     if engine._index_path is None and engine._subjects_path is None:
         raise MappingError("a checkpointed run reads its contigs from a file or an index")
-    if pipe.backend == "simulated" and pipe.processes > 1:
-        print(
-            "warning: the simulated backend needs whole sequence sets; a checkpointed "
-            f"run maps inline, ignoring -p/--processes {pipe.processes}",
-            file=sys.stderr,
-        )
-        engine.pipeline = dataclasses.replace(pipe, processes=1)
     with CheckpointContext(pipe.checkpoint_dir) as ctx:
         ctx.ensure_manifest(_manifest(engine, command, queries))
         engine.checkpoint = ctx

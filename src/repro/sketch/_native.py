@@ -457,8 +457,8 @@ def load_error() -> str | None:
 def thread_count(requested: int | None = None) -> int:
     """How many threads the kernels of this process work on.
 
-    ``requested`` (what ``jem map -p N --backend process`` or a worker
-    process, which asks for 1, passes down) wins when given.  Otherwise
+    ``requested`` (what ``jem map -p N`` or a worker process, which asks
+    for 1, passes down) wins when given.  Otherwise
     ``REPRO_NATIVE_THREADS`` (clamped to >= 1, junk ignored), and by
     default the number of CPUs this process may run on (its affinity mask
     where the platform has one, else the machine's count) — a server

@@ -1,17 +1,17 @@
 """Cross-frontend bit-identity: every frontend, one output.
 
-The MappingEngine promises that the execution mode never changes *what* is
+The MappingEngine promises that the frontend never changes *what* is
 computed.  This suite pins that down by running the same dataset through
-the CLI, the engine API (inline and simulated-parallel, with and without
-seeded faults), the resident service, the streaming frontend and the tiled
-frontend, and asserting the mappings are bit-identical to the reference: a
-``JEMMapper`` over the dict-store oracle, called directly.
+the CLI, the engine API, the resident service, the streaming frontend and
+the tiled frontend, and asserting the mappings are bit-identical to the
+reference: a ``JEMMapper`` over the dict-store oracle, called directly.
+(``tests/parallel/`` holds the SPMD driver and its seeded fault plans to
+the same reference.)
 
 The store kind is not a pipeline option; the one seam left is the
 ``JEMMapper`` constructor.  Frontends that build their mapper through the
 engine's registry are therefore run twice — on the resident columnar store
-and with the oracle injected through that seam; the parallel driver builds
-its own (columnar) store and is run once.
+and with the oracle injected through that seam.
 """
 
 import numpy as np
@@ -62,35 +62,7 @@ def test_engine_inline_parity(store, tiling_contigs, clean_reads):
     engine = MappingEngine(PipelineConfig(jem=CFG))
     engine.use_subjects(tiling_contigs)
     assert engine.mapper.store_kind == store
-    run = engine.map_queries(clean_reads)
-    assert run.mode == "inline"
-    _assert_same(run.mapping, reference)
-
-
-@pytest.mark.parametrize("store", ("columnar",), indirect=True)  # the driver builds its own store
-def test_engine_simulated_parity(store, tiling_contigs, clean_reads):
-    reference = _reference(tiling_contigs, clean_reads)
-    engine = MappingEngine(
-        PipelineConfig(jem=CFG, processes=4, backend="simulated")
-    )
-    engine.use_subjects(tiling_contigs)
-    run = engine.map_queries(clean_reads)
-    assert run.mode == "simulated"
-    assert run.timing_line().startswith("# parallel p=4:")
-    _assert_same(run.mapping, reference)
-
-
-@pytest.mark.parametrize("store", ("columnar",), indirect=True)  # the driver builds its own store
-def test_engine_seeded_faults_parity(store, tiling_contigs, clean_reads):
-    """A seeded recoverable fault plan must not change the mapping."""
-    reference = _reference(tiling_contigs, clean_reads)
-    engine = MappingEngine(
-        PipelineConfig(jem=CFG, processes=4, inject_faults=7)
-    )
-    engine.use_subjects(tiling_contigs)
-    run = engine.map_queries(clean_reads)
-    assert run.partial is None
-    _assert_same(run.mapping, reference)
+    _assert_same(engine.mapper.map_reads(clean_reads), reference)
 
 
 @pytest.mark.parametrize("store", ("columnar", "dict"), indirect=True)

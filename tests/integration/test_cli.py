@@ -208,9 +208,9 @@ def test_parser_builds_without_bench_or_eval():
 
 
 def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
-    """`jem index`, `jem map --index` and `jem map -s -p 2 --backend process`
-    import what they run: the package ``__init__``s resolve their re-exports
-    lazily, so the service, network, scaffolding, alignment and checkpoint
+    """`jem index`, `jem map --index` and `jem map -s -p 2` import what they
+    run: the package ``__init__``s resolve their re-exports lazily, so the
+    service, network, scaffolding, alignment and checkpoint
     layers (and multiprocessing / asyncio with them) stay out of the one-shot
     round, and neither the hash constants nor the kernel cache's key load
     ``numpy.random`` or OpenSSL (``hashlib``)."""
@@ -237,7 +237,7 @@ def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
         ["index", "-s", str(contigs), "-o", idx, "--trials", "4"],
         ["map", "-q", str(reads), "--index", idx, "-o", str(tmp_path / "out.tsv")],
         ["map", "-q", str(reads), "-s", str(contigs), "--trials", "4", "-p", "2",
-         "--backend", "process", "-o", str(tmp_path / "out-p2.tsv")],
+         "-o", str(tmp_path / "out-p2.tsv")],
     ):
         done = subprocess.run(
             [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
@@ -293,9 +293,9 @@ def _sampled_reads(genome, rng, count, size=10_000):
 
 
 def test_one_shot_round_memory_does_not_grow_with_the_read_set(tmp_path):
-    """`jem index`, `jem map --index` and `jem map -s … -p 2 --backend process`
-    stay within a fixed allowance of an import-only process on a 2-Mbp contig
-    set and a 24-Mbp read set, and never import multiprocessing.  The allowance
+    """`jem index`, `jem map --index` and `jem map -s … -p 2` stay within a
+    fixed allowance of an import-only process on a 2-Mbp contig set and a
+    24-Mbp read set, and never import multiprocessing.  The allowance
     is what one round needs at any read-set size — one 2-Mi-base block of
     contigs twice over while it is assembled (4 MB), S2's minimizer block and
     its 2-MiB key scratch, the index — and is far less than the read set held
@@ -321,7 +321,7 @@ def test_one_shot_round_memory_does_not_grow_with_the_read_set(tmp_path):
         "index": ["index", "-s", contigs_path, "-o", index_path],
         "map --index": ["map", "-q", reads_path, "--index", index_path, "-o", str(out)],
         "map -p 2": ["map", "-q", reads_path, "-s", contigs_path, "-p", "2",
-                     "--backend", "process", "-o", str(out)],
+                     "-o", str(out)],
     }
     for name, argv in legs.items():
         peak_mb, has_mp = _peak_mb(*argv)
@@ -334,7 +334,7 @@ def test_one_shot_round_memory_grows_by_the_index_not_the_contig_set(tmp_path):
     """The other axis: 6 Mbp against 24 Mbp of 2.5-kbp contigs.  `jem index`
     grows by less than the 18 MB of added contig bases held once — it holds one
     block of them, so what grows is the index (0.6 bytes a base: the packed
-    keys, then the columns) — and `jem map -s … -p 2 --backend process` by less
+    keys, then the columns) — and `jem map -s … -p 2` by less
     than 30 MB: the index, and half of it again while `flat_columns` folds one
     side at a time.  Reading the set whole (twice over while it is assembled)
     grew them by 58 and 44 MB."""
@@ -353,7 +353,7 @@ def test_one_shot_round_memory_grows_by_the_index_not_the_contig_set(tmp_path):
     legs = {
         "index": (18.0, lambda contigs: ["index", "-s", contigs, "-o", str(tmp_path / "idx.npz")]),
         "map": (30.0, lambda contigs: ["map", "-q", reads_path, "-s", contigs, "-p", "2",
-                                       "--backend", "process", "-o", str(out)]),
+                                       "-o", str(out)]),
     }  # measured growth: index +11.6..11.7 MB, map +22.0..22.3 MB
     for name, (allowance_mb, argv) in legs.items():
         (small_mb, mp_small), (large_mb, mp_large) = _peak_mb(*argv(small)), _peak_mb(*argv(large))
@@ -469,38 +469,61 @@ def test_client_forwards_every_service_flag_it_accepts(tmp_path, monkeypatch):
     assert dropped == []
 
 
-def test_saved_index_process_backend_maps_on_kernel_threads(tmp_path, capsys):
+def test_saved_index_process_backend_maps_on_kernel_threads(tmp_path):
     """`map --index X -p N --backend process` maps on N kernel threads and says
-    so; only the simulated backend, which needs contig sequences, still warns."""
+    so in its header."""
     data = tmp_path / "data"
     main(["simulate", "e_coli", "--scale", "0.0002", "--seed", "3", "--out", str(data)])
     idx = tmp_path / "contigs.idx.npz"
     main(["index", "-s", str(data / "e_coli_contigs.fasta"), "-o", str(idx),
           "--trials", "8"])
     reads = str(data / "e_coli_reads.fastq")
-    plain, threaded, simulated = (tmp_path / f"{n}.tsv" for n in ("plain", "p3", "sim"))
-    capsys.readouterr()
+    plain, threaded = (tmp_path / f"{n}.tsv" for n in ("plain", "p3"))
     assert main(["map", "-q", reads, "--index", str(idx), "-o", str(plain)]) == 0
     assert main(["map", "-q", reads, "--index", str(idx), "-o", str(threaded),
                  "-p", "3", "--backend", "process"]) == 0
-    assert "warning" not in capsys.readouterr().err
-    assert main(["map", "-q", reads, "--index", str(idx), "-o", str(simulated),
-                 "-p", "3"]) == 0
-    warnings = [
-        line for line in capsys.readouterr().err.splitlines() if "warning" in line
-    ]
-    assert len(warnings) == 1
-    assert "simulated backend" in warnings[0] and "-p/--processes 3" in warnings[0]
     header = threaded.read_text().splitlines()[0]
     assert header.startswith("# jem-mapper") and "(saved index)" in header
     from repro.sketch import _native
 
     if _native.load() is not None:
         assert header.endswith("[native=fused,threads=3]")
-    assert "process backend" not in threaded.read_text()
     strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
-    assert strip(threaded) == strip(plain) == strip(simulated)
+    assert strip(threaded) == strip(plain)
     assert len(strip(plain)) > 10
+
+
+def test_map_runs_one_way_at_any_thread_count(tmp_path, capsys):
+    """`-p N` is N kernel threads — `-p 1` one, not one per CPU — and the
+    hidden `--backend process` changes nothing; the simulated backend and the
+    fault-injection knobs are gone from `jem map`."""
+    data = tmp_path / "data"
+    main(["simulate", "e_coli", "--scale", "0.0002", "--seed", "3", "--out", str(data)])
+    base = ["map", "-q", str(data / "e_coli_reads.fastq"),
+            "-s", str(data / "e_coli_contigs.fasta"), "--trials", "8"]
+    runs = {"p1": ["-p", "1"], "p2": ["-p", "2"], "p2-process": ["-p", "2", "--backend", "process"]}
+    bodies, headers = {}, {}
+    for name, flags in runs.items():
+        out = tmp_path / f"{name}.tsv"
+        assert main([*base, *flags, "-o", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        headers[name] = lines[0]
+        bodies[name] = [line for line in lines if not line.startswith("#")]
+    assert bodies["p1"] == bodies["p2"] == bodies["p2-process"] and len(bodies["p1"]) > 10
+    from repro.sketch import _native
+
+    if _native.load() is not None:
+        assert headers["p1"].endswith("# jem [native=fused,threads=1]")
+        assert headers["p2"].endswith("# jem [native=fused,threads=2]")
+        assert headers["p2-process"].endswith("# jem [native=fused,threads=2]")
+    capsys.readouterr()
+    for flags in (["--backend", "simulated"], ["--inject-faults", "7"],
+                  ["--timeout", "5"], ["--no-strict"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*base, *flags, "-o", str(tmp_path / "gone.tsv")])
+        assert excinfo.value.code == 2, flags
+        assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "gone.tsv").exists()
 
 
 @pytest.fixture

@@ -208,8 +208,9 @@ def test_index_build_releases_the_sketch_scratch(contigs_path):
 def test_engine_builds_from_the_file_without_holding_the_contig_set(
     contigs_path, monkeypatch, tmp_path
 ):
-    """`load_subjects(path)` only remembers the path: the inline jem path — the
-    build, then a whole `map_file` — never reads the contig set into memory."""
+    """`load_subjects(path)` only remembers the path: the jem path — the build,
+    then a whole `map_file`, on any thread count — never reads the contig set
+    into memory."""
     rng = np.random.default_rng(5)
     contigs = read_fasta(contigs_path)
     reads = SequenceSet.from_strings(
@@ -229,7 +230,7 @@ def test_engine_builds_from_the_file_without_holding_the_contig_set(
     assert engine.subject_names == contigs.names
 
     whole = MappingEngine(PipelineConfig(jem=CFG)).use_subjects(contigs)
-    want = whole.map_queries(reads).mapping
+    want = whole.mapper.map_reads(reads)
     assert np.array_equal(np.concatenate([r.subject for r in results]), want.subject)
     assert int((want.subject == 5).sum()) == len(want)  # every end maps to `long`
     for t in range(CFG.trials):
@@ -238,10 +239,10 @@ def test_engine_builds_from_the_file_without_holding_the_contig_set(
     # the callers that need sequences read the file on first touch
     assert engine.subjects.names == contigs.names
     assert np.array_equal(engine.subjects.buffer, contigs.buffer)
-    simulated = MappingEngine(PipelineConfig(jem=CFG, processes=2)).load_subjects(contigs_path)
-    assert simulated.subject_names == contigs.names
-    assert simulated._mapper is None  # names came from the sequences, no index was built
-    assert np.array_equal(simulated.map_queries(reads).mapping.subject, want.subject)
+    threaded = MappingEngine(PipelineConfig(jem=CFG, processes=2)).load_subjects(contigs_path)
+    results = list(threaded.map_file(reads_path))  # -p 2 is two kernel threads, same loop
+    assert threaded._subjects is None
+    assert np.array_equal(np.concatenate([r.subject for r in results]), want.subject)
     other = MappingEngine(PipelineConfig(jem=CFG, mapper="minhash")).load_subjects(contigs_path)
     assert other.mapper.subject_names == contigs.names
     with pytest.raises(MappingError, match="no contig sequences"):

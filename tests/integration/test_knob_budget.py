@@ -20,8 +20,10 @@ from repro.core.engine import PipelineConfig
 from repro.netserve import SupervisorConfig
 from repro.service import ServiceConfig
 
-#: 113 option flags + 7 environment variables + 28 config fields
-BUDGET = 148
+#: 110 option flags + 7 environment variables + 24 config fields (`jem map`'s
+#: fault knobs and PipelineConfig's backend/strict/timeout/inject_faults went
+#: with the simulated and worker-process modes)
+BUDGET = 141
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 

@@ -189,40 +189,3 @@ def test_timing_moves_to_the_last_line(files, tmp_path):
     assert lines[-1].startswith("# jem: ") and lines[-1].endswith("s wall")
     assert not any(line.startswith("#") for line in lines[1:-1])
 
-
-def test_isolated_runs_still_use_worker_processes(files, tmp_path, monkeypatch):
-    """A fault plan is what `--backend process` keeps its worker processes for;
-    without one — a checkpointed run too — -p N is N kernel threads."""
-    from repro.parallel import mp_backend
-
-    contigs_path, paths, contigs = files
-    want = _whole_set_rows("jem", contigs, paths[".fasta"])
-    calls = []
-    real = mp_backend.map_reads_multiprocess
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs["processes"])
-        return real(*args, mp_context="fork", **kwargs)
-
-    monkeypatch.setattr(mp_backend, "map_reads_multiprocess", spy)
-    base = ["map", "-q", paths[".fasta"], "-s", contigs_path, "-p", "2",
-            "--backend", "process", "--timeout", "20", *CFG_FLAGS]
-    outs = {n: tmp_path / f"{n}.tsv" for n in ("plain", "faults", "checkpoint")}
-    assert main([*base, "-o", str(outs["plain"])]) == 0
-    assert calls == []
-    assert main([*base, "-o", str(outs["faults"]), "--inject-faults", "7"]) == 0
-    assert calls == [2]
-    assert main([*base, "-o", str(outs["checkpoint"]),
-                 "--checkpoint-dir", str(tmp_path / "run")]) == 0
-    assert calls == [2]
-    for name, out in outs.items():
-        assert _body(out) == want, name
-    plain, faults = (outs[n].read_text().splitlines() for n in ("plain", "faults"))
-    assert plain[0].split(" [")[0].endswith("# jem") and plain[-1].startswith("# jem: ")
-    assert "# process backend p=2 [" in faults[0]
-    assert faults[-1].startswith("# process backend p=2: ") and "(shm)" not in faults[-1]
-    from repro.sketch import _native
-
-    if _native.load() is not None:  # -p 2 is two kernel threads, or two one-thread workers
-        assert plain[0].endswith("[native=fused,threads=2]")
-        assert faults[0].endswith("[native=fused,threads=1]")

@@ -84,7 +84,7 @@ class TestChaosPlan:
         plan = ChaosPlan(
             seed=11,
             specs=(ChaosSpec("kill", 1),)
-            + tuple(ChaosSpec(kind) for kind in DAMAGE_KINDS if kind != "drop_shm"),
+            + tuple(ChaosSpec(kind) for kind in DAMAGE_KINDS),
         )
         dirs = []
         for name in ("a", "b"):

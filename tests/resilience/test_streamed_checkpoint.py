@@ -77,13 +77,11 @@ def test_checkpointed_outputs_equal_plain_ones(tmp_path, world, capsys):
     assert _checksum(bundle) == _checksum(index)
     for name, source in (("s", ["-s", contigs]), ("index", ["--index", index])):
         out = str(tmp_path / f"{name}.tsv")
-        # -p 2 on the simulated backend: a checkpointed run maps inline
+        # -p 2 is two kernel threads: the same loop, the same units
         assert main(["map", "-q", reads, *source, "-o", out, "-p", "2",
                      "--checkpoint-dir", str(tmp_path / name), *CONFIG_ARGV]) == 0
         assert read_tsv_body(out) == body, name
-    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
-    assert len(warnings) == 2
-    assert all("checkpointed run maps inline" in w and "-p/--processes 2" in w for w in warnings)
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_units_are_the_streamed_batches_at_unit_bases(tmp_path, world):
@@ -145,9 +143,29 @@ def test_checkpointed_runs_never_hold_an_input_whole(tmp_path, world, monkeypatc
                  "--checkpoint-dir", str(tmp_path / "idx"), *CONFIG_ARGV]) == 0
     for name, source in (("s", ["-s", contigs]), ("index", ["--index", index])):
         out = str(tmp_path / f"{name}.tsv")
-        assert main(["map", "-q", reads, *source, "-o", out, "-p", "2", "--backend",
-                     "process", "--checkpoint-dir", str(tmp_path / name), *CONFIG_ARGV]) == 0
+        assert main(["map", "-q", reads, *source, "-o", out, "-p", "2",
+                     "--checkpoint-dir", str(tmp_path / name), *CONFIG_ARGV]) == 0
         assert read_tsv_body(out) == body
+
+
+def test_resume_ignores_the_retired_keys_of_an_older_invocation(tmp_path, world, calls):
+    """An `invocation.json` recorded while `jem map` still had the simulated
+    backend and the fault knobs carries their keys; `--resume` rebuilds the
+    command from every recorded key, ignores those, and writes the plain body."""
+    contigs, reads, _, body = world
+    run_dir, out = tmp_path / "run", str(tmp_path / "out.tsv")
+    assert main(["map", "-q", reads, "-s", contigs, "-o", out,
+                 "--checkpoint-dir", str(run_dir), *CONFIG_ARGV]) == 0
+    os.unlink(run_dir / "units" / "map_0001.npz")
+    os.unlink(out)
+    invocation = json.loads((run_dir / "invocation.json").read_text())
+    invocation["args"].update(processes=2, backend="simulated", strict=True,
+                              timeout=60.0, inject_faults=None)
+    (run_dir / "invocation.json").write_text(json.dumps(invocation))
+    calls.update(sketch=0, map=0)
+    assert main(["map", "--resume", str(run_dir)]) == 0
+    assert calls == {"sketch": 0, "map": 1}
+    assert read_tsv_body(out) == body
 
 
 def test_a_run_directory_cut_into_shards_is_refused(tmp_path, world):
@@ -178,7 +196,7 @@ def test_a_run_directory_cut_into_shards_is_refused(tmp_path, world):
     assert os.listdir(run_dir / "units") == []
 
 
-@pytest.mark.parametrize("flag", [["--paf"], ["--inject-faults", "3"]])
+@pytest.mark.parametrize("flag", [["--paf"]])
 def test_whole_set_flags_refuse_a_checkpoint_dir(tmp_path, world, capsys, flag):
     contigs, reads, _, _ = world
     assert main(["map", "-q", reads, "-s", contigs, "-o", str(tmp_path / "out"), *flag,
