@@ -279,8 +279,8 @@ class IndexGeneration:
         This *is* the compaction kernel, and it writes the fold once: the
         surviving entry count of every trial sizes the flat columns, then
         :meth:`ColumnarSketchStore.from_sized_keys` fills them from one
-        trial's merged sorted keys minus tombstones at a time.  The result
-        already is the ``flat_columns`` layout the fused kernel opens over.
+        trial's merged sorted keys minus tombstones at a time.  The fused
+        kernel maps over the result's columns as they are.
         ``n_subjects`` stays the allocated id count so live ids keep their
         meaning.
         """
@@ -699,9 +699,9 @@ class MutableSketchStore:
     def compact(self) -> IndexGeneration:
         """Fold memtable + segments − tombstones into one fresh segment.
 
-        The resulting generation is *clean*: its single segment is born in
-        the flat layout, so the fused native kernel serves it at full speed
-        without a second copy.  With nothing to fold (no segment, empty
+        The resulting generation is *clean*: its single segment is written
+        once, and the fused native kernel serves it at full speed without a
+        second copy.  With nothing to fold (no segment, empty
         memtable) it is a no-op, like an empty flush.  Durable compactions
         follow the full checkpoint protocol (segment file → WAL record →
         manifest → WAL reset → delete superseded files); a SIGKILL at any
@@ -761,7 +761,7 @@ class MutableSketchStore:
         """The segment ``meta`` names, or None when it is missing or damaged.
 
         The file's CRC is checked in 1 MiB pieces first; then its trial
-        members are read straight into the segment's flat columns, as a
+        members are read straight into the segment's columns, as a
         v3 bundle loads — the segment is resident once.
         """
         from .persist import file_crc32, read_trial_columns

@@ -18,8 +18,8 @@ never a torn bundle under the index's name.
 **Format v3** stores the columnar layout natively: each ``trial_{t:03d}``
 entry is a ``(2, n)`` ``uint32`` array — row 0 the sorted sketch-value
 column, row 1 the parallel contig-id column.  Loading copies every row
-into its slice of the two flat arrays the fused kernel maps over
-(:func:`read_trial_columns`), so the store is built over views of them
+into its slice of two arrays that hold every trial back to back
+(:func:`read_trial_columns`), so the store's columns are views of them
 and the index is resident once.  Older single-file formats (v2 wrote
 packed ``uint64`` keys) are rejected with a typed error telling the user
 to rebuild.  See ``docs/architecture.md`` for the layout.
@@ -125,12 +125,12 @@ def _trial_width(bundle: zipfile.ZipFile, name: str) -> int:
 def read_trial_columns(
     bundle: zipfile.ZipFile, trials: int, crc: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The ``trial_NNN`` members of an open bundle, read into the flat layout.
+    """The ``trial_NNN`` members of an open bundle, read into two arrays.
 
     Returns ``(values, subjects, offsets, crc)``: trial ``t``'s two rows
     land in ``values[offsets[t]:offsets[t+1]]`` and the same slice of
-    ``subjects`` — what :meth:`ColumnarSketchStore.from_flat` takes and
-    the fused kernel maps over — and ``crc`` is the given CRC32 continued
+    ``subjects`` — what :meth:`ColumnarSketchStore.from_flat` takes —
+    and ``crc`` is the given CRC32 continued
     over each member's array bytes, as :func:`_content_checksum` covers
     them.  The headers are read first to size the two arrays; then each
     member is read whole and copied into its slices, so a load holds the
@@ -233,9 +233,9 @@ def save_index(mapper: JEMMapper, path: str | os.PathLike) -> str:
 def load_index(path: str | os.PathLike) -> JEMMapper:
     """Reconstruct a ready-to-map :class:`JEMMapper` from a saved index.
 
-    A v3 bundle's columns are read into the flat arrays of the resident
-    columnar store (:func:`read_trial_columns`), which the fused kernel
-    maps over with no further copy.  Truncated, corrupted, older- or
+    A v3 bundle's columns are read into two arrays whose views are the
+    resident columnar store's columns (:func:`read_trial_columns`), which
+    the fused kernel maps over with no further copy.  Truncated, corrupted, older- or
     future-format files raise :class:`~repro.errors.MappingError` with the
     root cause chained.
     """

@@ -5,9 +5,9 @@ following Minimap2's sorted-seed-array design (Li 2016, 2018): per trial,
 one **sorted** ``uint32`` sketch-value array plus a parallel ``uint32``
 contig-id array.  Batch lookup is a pair of ``np.searchsorted`` calls over
 the value column feeding
-:func:`~repro.core.hitcounter.count_hits_vectorised`, and the flat columns
-feed the fused native kernel.  The store supports key-range sharding for
-partitioned lookup and zero-copy export over the
+:func:`~repro.core.hitcounter.count_hits_vectorised`, and the fused native
+kernel maps over the same per-trial columns in place.  The store supports
+key-range sharding for partitioned lookup and zero-copy export over the
 :mod:`repro.parallel.shm` segments so worker processes attach instead of
 unpickling.
 
@@ -62,7 +62,7 @@ DEFAULT_STORE_KIND = "columnar"
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 
-#: Held while a store folds its columns and opens its native map context.
+#: Held while a store opens its native map context.
 _OPEN_LOCK = threading.Lock()
 
 
@@ -237,7 +237,7 @@ class ColumnarSketchStore:
     ready for zero-copy publication in shared memory.
     """
 
-    __slots__ = ("values", "subjects", "n_subjects", "_flat", "_ctx")
+    __slots__ = ("values", "subjects", "n_subjects", "_ctx")
 
     def __init__(
         self,
@@ -255,7 +255,6 @@ class ColumnarSketchStore:
             if v.size > 1 and (v[1:] < v[:-1]).any():
                 raise SketchError("value columns must be sorted")
         self.n_subjects = int(n_subjects)
-        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._ctx = None  # the open native map context, see lookup_fused
 
     def __getstate__(self) -> tuple:
@@ -264,7 +263,7 @@ class ColumnarSketchStore:
 
     def __setstate__(self, state: tuple) -> None:
         self.values, self.subjects, self.n_subjects = state
-        self._flat = self._ctx = None
+        self._ctx = None
 
     @classmethod
     def from_trial_keys(
@@ -315,41 +314,47 @@ class ColumnarSketchStore:
         offsets: np.ndarray,
         n_subjects: int,
     ) -> "ColumnarSketchStore":
-        """A store over the :meth:`flat_columns` layout, holding it as given.
+        """A store whose trials are views of two shared ``uint32`` arrays.
 
-        ``values``/``subjects`` are flat ``uint32`` arrays and ``offsets``
-        (trials + 1, ``int64``) marks the trial boundaries; every trial's
-        columns are views of them, so :meth:`flat_columns` returns these
-        very arrays and copies nothing.  This is how a saved bundle loads.
+        ``values``/``subjects`` hold every trial back to back and
+        ``offsets`` (trials + 1, ``int64``) marks the trial boundaries;
+        trial ``t``'s columns are the views ``[offsets[t]:offsets[t+1]]``,
+        so nothing is copied.  This is how a saved bundle or segment loads.
         """
         bounds = _trial_bounds(offsets)
-        store = cls(
+        return cls(
             [values[lo:hi] for lo, hi in bounds],
             [subjects[lo:hi] for lo, hi in bounds],
             n_subjects,
         )
-        store._flat = (values, subjects, offsets)
-        return store
 
     @classmethod
     def from_sized_keys(
         cls, sizes: list[int], keys: Iterable[np.ndarray], n_subjects: int
     ) -> "ColumnarSketchStore":
-        """Write sorted packed-key arrays of known sizes into one flat copy.
+        """Write sorted packed-key arrays of known sizes into one copy.
 
         ``sizes[t]`` is trial ``t``'s entry count and ``keys`` yields its
         keys one trial at a time (any iterable: a generator keeps only one
         trial's keys alive).  Each array is consumed — shifted in place —
-        as it is split into two preallocated ``uint32`` columns, and the
-        store is born in the :meth:`flat_columns` layout (:meth:`from_flat`).
+        as it is split into its slices of two preallocated ``uint32``
+        arrays (:meth:`from_flat`).  A trial whose key count is not its
+        size, or more or fewer trials than sizes, is a :class:`SketchError`.
         """
         offsets = _trial_offsets(sizes)
         values = np.empty(int(offsets[-1]), dtype=np.uint32)
         subjects = np.empty_like(values)
-        for (lo, hi), k in zip(_trial_bounds(offsets), keys):
+        trials = iter(keys)
+        for t, (lo, hi) in enumerate(_trial_bounds(offsets)):
+            k = next(trials, None)
+            if k is None or k.size != hi - lo:
+                got = "no" if k is None else k.size
+                raise SketchError(f"trial {t}: {got} keys for a size of {hi - lo}")
             subjects[lo:hi] = k & _LOW32
             k >>= np.uint64(32)
             values[lo:hi] = k
+        if next(trials, None) is not None:
+            raise SketchError(f"keys for more trials than the {len(sizes)} sizes")
         return cls.from_flat(values, subjects, offsets, n_subjects)
 
     def export_columns(self) -> list[np.ndarray]:
@@ -359,31 +364,6 @@ class ColumnarSketchStore:
             out.append(v)
             out.append(s)
         return out
-
-    def flat_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The fused kernel's view: all trials in two flat arrays.
-
-        Returns ``(values, subjects, offsets)`` where trial ``t`` occupies
-        ``values[offsets[t]:offsets[t+1]]`` (and the same slice of
-        ``subjects``); the native map context opened over them is cached by
-        :meth:`lookup_fused`, not here.  A store built by :meth:`from_flat`
-        (a loaded bundle or segment) already is this layout.  Any other
-        store concatenates its columns on the first call and re-points the
-        per-trial lists at views of the flat arrays, so it too holds its
-        columns once.  (Not done at construction: a scatter shard — column
-        views of its root — or a generation that never maps fused would
-        pay a private copy for nothing.)
-        """
-        if self._flat is None:
-            offsets = _trial_offsets([v.size for v in self.values])
-            bounds = _trial_bounds(offsets)
-            # one side at a time: its old columns are freed before the next is copied
-            flat_values = np.concatenate(self.values)
-            self.values = [flat_values[lo:hi] for lo, hi in bounds]
-            flat_subjects = np.concatenate(self.subjects)
-            self.subjects = [flat_subjects[lo:hi] for lo, hi in bounds]
-            self._flat = (flat_values, flat_subjects, offsets)
-        return self._flat
 
     def lookup_fused(
         self,
@@ -409,7 +389,8 @@ class ColumnarSketchStore:
 
         The first call opens the store's native context
         (:meth:`~repro.sketch._native.NativeKernels.map_open`: the kernel's
-        set-up, a pass over every entry) over :meth:`flat_columns`; later
+        set-up, a pass over every entry) over ``values`` / ``subjects`` as
+        they are — each trial's pair where it lives, nothing copied; later
         calls — from any thread — reuse it, and a call with another hash
         family replaces it.  It is never pickled: every process opens its
         own, and so does every store object — serving replicas that hold
@@ -426,11 +407,11 @@ class ColumnarSketchStore:
             )
         ctx = self._ctx
         if ctx is None or not _same_family(ctx.family, family):
-            with _OPEN_LOCK:  # threads that arrive together: one fold, one open
+            with _OPEN_LOCK:  # threads that arrive together: one open
                 ctx = self._ctx
                 if ctx is None or not _same_family(ctx.family, family):
                     ctx = self._ctx = native.map_open(
-                        *self.flat_columns(), family, self.n_subjects
+                        self.values, self.subjects, family, self.n_subjects
                     )
         return ctx.map(
             np.ascontiguousarray(_check_query_values(query_values)),

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -164,8 +165,9 @@ def attach_arrays(ref: ShmArrayRef) -> list[np.ndarray]:
         except FileNotFoundError as exc:
             raise CommError(f"shared segment {ref.name!r} has vanished") from exc
         _attached[ref.name] = shm
+    # frombuffer holds an export on the mapping, so a view outlives a release
     return [
-        np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=off)
+        np.frombuffer(shm.buf, np.dtype(dtype), math.prod(shape), off).reshape(shape)
         for off, dtype, shape in ref.specs
     ]
 
@@ -257,8 +259,9 @@ def release(name: str) -> None:
     shm, creator = entry
     try:
         shm.close()
-    except BufferError:  # pragma: no cover - live views keep the mmap open
-        pass
+    except BufferError:
+        # live views keep the mapping open: it is unmapped with the last of them
+        shm._mmap = None
     if creator == os.getpid():
         try:
             shm.unlink()

@@ -166,8 +166,9 @@ class NativeKernels:
         dll.jem_subject_kernel.restype = None
         void_p = ctypes.c_void_p
         dll.jem_ctx_open.argtypes = [
-            u32p, u32p, i64p, i64,         # col_values, col_subjects, col_offsets, trials
-            u64p, u64p, u64p, i64,         # a, b, p, n_subjects
+            ctypes.POINTER(u32p), ctypes.POINTER(u32p),  # per-trial col_values, col_subjects
+            i64p, i64,                                   # per-trial col_len, trials
+            u64p, u64p, u64p, i64,                       # a, b, p, n_subjects
         ]
         dll.jem_ctx_open.restype = void_p
         dll.jem_map_ctx.argtypes = [       # arrays by address: bound per call, not converted
@@ -337,25 +338,32 @@ class NativeKernels:
 
     def map_open(
         self,
-        col_values: np.ndarray,
-        col_subjects: np.ndarray,
-        col_offsets: np.ndarray,
+        col_values: Sequence[np.ndarray],
+        col_subjects: Sequence[np.ndarray],
         family,
         n_subjects: int,
     ) -> "MapContext":
         """Open the fused S4 context of one store and hash family.
 
-        The three column arrays are the columnar store's flattened per-trial
-        sorted value/subject columns with ``col_offsets`` (trials + 1)
-        marking the trial boundaries.  S4's set-up — the Barrett constants
-        and a 256-bucket index per trial column, a pass over every store
-        entry — is paid here, not per :meth:`MapContext.map` call.
+        ``col_values[t]`` / ``col_subjects[t]`` are trial ``t``'s sorted
+        value column and its parallel subject column — the columnar store's
+        own arrays, wherever each lives: the context points into them and
+        copies none.  S4's set-up — the Barrett constants and a 256-bucket
+        index per trial column, a pass over every store entry — is paid
+        here, not per :meth:`MapContext.map` call.
         """
+        trials = family.size
+        if len(col_values) != trials or len(col_subjects) != trials or any(
+            v.shape != s.shape for v, s in zip(col_values, col_subjects)
+        ):
+            raise ValueError("map context needs one value/subject column pair per trial")
+        u32, u32p = ctypes.c_uint32, ctypes.POINTER(ctypes.c_uint32)
+        lengths = np.array([v.size for v in col_values], dtype=np.int64)
         handle = self._dll.jem_ctx_open(
-            self._ptr(col_values, np.uint32, ctypes.c_uint32),
-            self._ptr(col_subjects, np.uint32, ctypes.c_uint32),
-            self._ptr(col_offsets, np.int64, ctypes.c_int64),
-            family.size,
+            (u32p * trials)(*(self._ptr(v, np.uint32, u32) for v in col_values)),
+            (u32p * trials)(*(self._ptr(s, np.uint32, u32) for s in col_subjects)),
+            self._ptr(lengths, np.int64, ctypes.c_int64),
+            trials,
             self._ptr(family.a, np.uint64, ctypes.c_uint64),
             self._ptr(family.b, np.uint64, ctypes.c_uint64),
             self._ptr(family.p, np.uint64, ctypes.c_uint64),
@@ -363,7 +371,7 @@ class NativeKernels:
         )
         if not handle:  # pragma: no cover - only on malloc failure
             raise MemoryError("jem_ctx_open: allocation failure")
-        return MapContext(self._dll, handle, family, (col_values, col_subjects, col_offsets))
+        return MapContext(self._dll, handle, family, (tuple(col_values), tuple(col_subjects)))
 
 
 class MapContext:

@@ -218,34 +218,36 @@ static int64_t dedupe_values(const uint64_t *qvalues, int64_t n,
 
 /* What jem_ctx_open builds once per store and jem_map_ctx only reads — so
    any number of calls may run on one context at once: the hash family rows
-   with their Barrett constants, and per trial a 256-bucket index over the
-   sorted value column.  Bucket b = value >> bucket_shift[t] of trial t
-   covers rows [bk[b], bk[b+1]) with bk = bucket_lo + t * 257; the shift is
-   sized to the column's max value so narrow key spaces (small k) still
-   spread across buckets, and a binary search then probes ~clen/256 entries
-   instead of clen.  The columns stay the caller's, who keeps them alive. */
+   with their Barrett constants, each trial's two column pointers and length,
+   and per trial a 256-bucket index over the sorted value column.  Bucket
+   b = value >> bucket_shift[t] of trial t covers rows [bk[b], bk[b+1]) with
+   bk = bucket_lo + t * 257; the shift is sized to the column's max value so
+   narrow key spaces (small k) still spread across buckets, and a binary
+   search then probes ~clen/256 entries instead of clen.  The columns stay
+   the caller's, who keeps them alive. */
 typedef struct {
-    const uint32_t *col_values;  /* flattened sorted value columns        */
-    const uint32_t *col_subjects;/* flattened parallel contig-id columns  */
-    const int64_t *col_offsets;  /* trials + 1 offsets into the flats     */
+    const uint32_t **col_values;   /* per trial: sorted value column     */
+    const uint32_t **col_subjects; /* per trial: parallel contig ids     */
+    int64_t *col_len;              /* per trial: both columns' length    */
     int64_t trials, n_subjects;
-    uint64_t *a, *b, *p, *m;     /* hash family rows, Barrett constants   */
-    int64_t *bucket_lo;          /* (trials, 257) bucket run starts       */
-    int64_t *bucket_shift;       /* per-trial bucket shift                */
+    uint64_t *a, *b, *p, *m;       /* hash family rows, Barrett constants */
+    int64_t *bucket_lo;            /* (trials, 257) bucket run starts     */
+    int64_t *bucket_shift;         /* per-trial bucket shift              */
 } jem_ctx;
 
-/* Returns the context (one allocation; jem_ctx_close frees it), or NULL
-   when it cannot be allocated. */
-void *jem_ctx_open(const uint32_t *col_values, const uint32_t *col_subjects,
-                   const int64_t *col_offsets, int64_t trials,
+/* Trial t's columns are col_values[t] / col_subjects[t], col_len[t] entries
+   each; the three arrays are copied, the columns are not.  Returns the
+   context (one allocation; jem_ctx_close frees it), or NULL when it cannot
+   be allocated. */
+void *jem_ctx_open(const uint32_t *const *col_values,
+                   const uint32_t *const *col_subjects,
+                   const int64_t *col_len, int64_t trials,
                    const uint64_t *a, const uint64_t *b, const uint64_t *p,
                    int64_t n_subjects) {
     jem_ctx *ctx = (jem_ctx *)malloc(
-        sizeof(jem_ctx) + (size_t)trials * (4 + 257 + 1) * sizeof(uint64_t));
+        sizeof(jem_ctx) + (size_t)trials * ((4 + 257 + 1 + 1) * sizeof(uint64_t)
+                                            + 2 * sizeof(uint32_t *)));
     if (ctx == NULL) return NULL;
-    ctx->col_values = col_values;
-    ctx->col_subjects = col_subjects;
-    ctx->col_offsets = col_offsets;
     ctx->trials = trials;
     ctx->n_subjects = n_subjects;
     ctx->a = (uint64_t *)(ctx + 1);
@@ -254,13 +256,17 @@ void *jem_ctx_open(const uint32_t *col_values, const uint32_t *col_subjects,
     ctx->m = ctx->p + trials;
     ctx->bucket_shift = (int64_t *)(ctx->m + trials);
     ctx->bucket_lo = ctx->bucket_shift + trials;
+    ctx->col_len = ctx->bucket_lo + trials * 257;
+    ctx->col_values = (const uint32_t **)(ctx->col_len + trials);
+    ctx->col_subjects = ctx->col_values + trials;
     for (int64_t t = 0; t < trials; t++) {
         ctx->a[t] = a[t];
         ctx->b[t] = b[t];
         ctx->p[t] = p[t];
         ctx->m[t] = (uint64_t)((((u128)1) << 64) / p[t]);
-        const int64_t clen = col_offsets[t + 1] - col_offsets[t];
-        const uint32_t *cv = col_values + col_offsets[t];
+        const int64_t clen = ctx->col_len[t] = col_len[t];
+        const uint32_t *cv = ctx->col_values[t] = col_values[t];
+        ctx->col_subjects[t] = col_subjects[t];
         int64_t *bk = ctx->bucket_lo + t * 257;
         int64_t shift = 0;
         if (clen > 0) {
@@ -408,9 +414,8 @@ int64_t jem_map_ctx(const void *handle, const uint64_t *qvalues, int64_t n,
                 const uint32_t key = (uint32_t)sk;
                 /* lookup: narrow to the key's bucket, then binary search
                    the run of matching entries in trial t's column */
-                const int64_t base = ctx->col_offsets[t];
-                if (ctx->col_offsets[t + 1] == base) continue;
-                const uint32_t *cv = ctx->col_values + base;
+                if (ctx->col_len[t] == 0) continue;
+                const uint32_t *cv = ctx->col_values[t];
                 const uint64_t bidx = (uint64_t)key >> ctx->bucket_shift[t];
                 if (bidx > 255) continue; /* above every stored value */
                 const int64_t *bk = ctx->bucket_lo + t * 257;
@@ -421,7 +426,7 @@ int64_t jem_map_ctx(const void *handle, const uint64_t *qvalues, int64_t n,
                 if (run_lo >= bhi || cv[run_lo] != key) continue;
                 const int64_t run_hi =
                     run_lo + upper_bound_u32(cv + run_lo, bhi - run_lo, key);
-                const uint32_t *cs = ctx->col_subjects + base;
+                const uint32_t *cs = ctx->col_subjects[t];
                 /* vote: lazy-update counters over the colliding subjects */
                 for (int64_t r = run_lo; r < run_hi; r++) {
                     const int64_t s = (int64_t)cs[r];

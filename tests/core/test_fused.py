@@ -23,7 +23,7 @@ from repro.core.hitcounter import (
     count_hits_lazy,
     count_hits_vectorised,
 )
-from repro.core.store import ColumnarSketchStore
+from repro.core.store import ColumnarSketchStore, DictSketchStore
 from repro.sketch import _native
 from repro.sketch.jem import HashFamily, query_kernel
 
@@ -296,52 +296,50 @@ def _all_lookups(store, rng):
     return [(h.query_index.tolist(), h.subjects.tolist()) for h in hits]
 
 
-def test_flat_columns_fold_the_per_trial_columns_into_views():
-    """The first fused use concatenates the columns and re-points the per-trial
-    lists at views of the flat arrays: one copy resident, equal lookups."""
+def test_the_per_trial_columns_are_held_once():
+    """Each trial's value and subject column owns its own buffer — no flat
+    copy, no column a view of another — so the store holds its entries
+    once, 8 bytes each, and its lookups are the dict oracle's."""
     rng = np.random.default_rng(21)
     store = random_store(rng, trials=5, n_subjects=12, n_entries=300, value_range=500)
-    originals = list(store.values) + list(store.subjects)
-    before = _all_lookups(store, np.random.default_rng(3))
-    keys = [store.trial_keys(t) for t in range(store.trials)]
-    assert store._flat is None  # nothing is copied at construction
-
-    flat_values, flat_subjects, offsets = store.flat_columns()
-    assert store.flat_columns()[0] is flat_values  # cached
-    for t in range(store.trials):
-        lo, hi = int(offsets[t]), int(offsets[t + 1])
-        assert np.shares_memory(store.values[t], flat_values)
-        assert np.shares_memory(store.subjects[t], flat_subjects)
-        assert np.array_equal(store.values[t], flat_values[lo:hi])
-        assert np.array_equal(store.subjects[t], flat_subjects[lo:hi])
-        assert np.array_equal(store.trial_keys(t), keys[t])
+    columns = list(store.values) + list(store.subjects)
+    assert all(column.base is None for column in columns)
     assert not any(
-        np.shares_memory(old, flat) for old in originals for flat in (flat_values, flat_subjects)
+        np.shares_memory(a, b) for i, a in enumerate(columns) for b in columns[i + 1:]
     )
-    assert _all_lookups(store, np.random.default_rng(3)) == before
-    assert store.nbytes == flat_values.nbytes + flat_subjects.nbytes
+    assert store.nbytes == 8 * store.total_entries
+    oracle = DictSketchStore(
+        [store.trial_keys(t) for t in range(store.trials)], store.n_subjects
+    )
+    assert _all_lookups(store, np.random.default_rng(3)) == _all_lookups(
+        oracle, np.random.default_rng(3)
+    )
 
 
 @needs_native
-def test_fused_lookup_is_what_folds_the_columns():
+def test_the_fused_lookup_maps_each_trial_where_it_lives():
+    """The first fused lookup copies no column: the open context pins the
+    store's own per-trial arrays — the same objects before and after it,
+    each still owning its buffer — and lookups and bytes are unchanged."""
     rng = np.random.default_rng(22)
     family = HashFamily.generate(4, seed=9)
     store = random_store(rng, trials=4, n_subjects=9, n_entries=200, value_range=400)
     values, starts, lengths = random_query_block(rng, 30, 8, 400)
-    before = _all_lookups(store, np.random.default_rng(4))
+    columns = list(store.values), list(store.subjects)
+    before, nbytes = _all_lookups(store, np.random.default_rng(4)), store.nbytes
     want = oracle_hits(store, family, values, starts, lengths, 1)
-    assert store._flat is None
     got = count_hits_fused(store, values, starts, family, min_hits=1, n_queries=starts.size)
-    assert store._flat is not None
-    assert all(np.shares_memory(store.values[t], store._flat[0]) for t in range(4))
-    assert all(np.shares_memory(store.subjects[t], store._flat[1]) for t in range(4))
     assert np.array_equal(got.subject, want.subject) and np.array_equal(got.count, want.count)
+    for held, now, pinned in zip(columns, (store.values, store.subjects), store._ctx._columns):
+        assert all(a is b is c for a, b, c in zip(held, now, pinned, strict=True))
+        assert all(column.base is None for column in now)  # no shared flat buffer
     assert _all_lookups(store, np.random.default_rng(4)) == before
+    assert store.nbytes == nbytes
 
 
-def test_shm_attached_store_is_not_copied_until_its_first_fused_use():
-    """A worker's shard is views of the shared segment — no private copy at
-    construction, none for numpy lookups — until it first maps fused."""
+def test_shm_attached_store_maps_the_shared_segment_in_place():
+    """A worker's shard is views of the shared segment — at construction, for
+    numpy lookups and for its fused lookups alike: nothing is copied out."""
     from repro.parallel import shm
 
     rng = np.random.default_rng(23)
@@ -352,14 +350,11 @@ def test_shm_attached_store_is_not_copied_until_its_first_fused_use():
         attached = shared.materialise()
         segment = shm.attach_arrays(shared.ref)
         before = _all_lookups(attached, np.random.default_rng(5))
-        assert attached._flat is None
+        values, starts, _ = random_query_block(rng, 20, 8, 300)
+        attached.lookup_fused(values, starts, HashFamily.generate(3, seed=4))
         for t in range(attached.trials):
             assert np.shares_memory(attached.values[t], segment[2 * t])
             assert np.shares_memory(attached.subjects[t], segment[2 * t + 1])
-        attached.flat_columns()
-        for t in range(attached.trials):
-            assert not np.shares_memory(attached.values[t], segment[2 * t])
-            assert np.shares_memory(attached.values[t], attached._flat[0])
         assert _all_lookups(attached, np.random.default_rng(5)) == before
         del attached, segment
     finally:

@@ -113,6 +113,14 @@ def assert_key_parity(handle: MutableSketchStore, model: Model) -> None:
     assert handle.live_subject_names == model.live_names()
 
 
+def assert_one_array_a_side(store) -> None:
+    """Every trial's value (subject) column is a view of one shared array."""
+    for side in (store.values, store.subjects):
+        owner = side[0].base
+        assert owner is not None and all(column.base is owner for column in side)
+        assert all(np.shares_memory(column, owner) for column in side if column.size)
+
+
 def assert_mapping_parity(handle: MutableSketchStore, model: Model, reads) -> None:
     """Map through the handle vs a monolithic rebuild; compare by name."""
     live = model.live()
@@ -330,13 +338,8 @@ class TestDurability:
             assert reopened.generation == generation
             assert reopened.current.is_clean
             assert_key_parity(reopened, model)
-            # the segment file was read into the fused kernel's flat columns
-            segment = reopened.current.segments[0]
-            values, subjects, offsets = segment.flat_columns()
-            for t in range(segment.trials):
-                lo, hi = int(offsets[t]), int(offsets[t + 1])
-                assert np.shares_memory(segment.values[t], values[lo:hi]) or lo == hi
-                assert np.shares_memory(segment.subjects[t], subjects[lo:hi]) or lo == hi
+            # the segment file was read into one array a side, held once
+            assert_one_array_a_side(reopened.current.segments[0])
 
     def test_compact_of_an_empty_directory_writes_nothing(self, tmp_path):
         """No segment file, no WAL record, no generation bump — as an empty flush."""
@@ -700,14 +703,9 @@ class DurableLSMMachine(RuleBasedStateMachine):
         for t in range(CONFIG.trials):
             assert np.array_equal(folded.values[t], rebuilt.values[t])
             assert np.array_equal(folded.subjects[t], rebuilt.subjects[t])
-        if before is not None:  # a real fold: born in the flat layout
+        if before is not None:  # a real fold: written once, one array a side
             assert all(folded is not seg for seg in before)
-            # taken first: flat_columns() of a store not born flat re-points them
-            columns = list(zip(folded.values, folded.subjects))
-            flat_values, flat_subjects, _ = folded.flat_columns()
-            for t, (v, s) in enumerate(columns):
-                assert v.size == 0 or np.shares_memory(v, flat_values), t
-                assert s.size == 0 or np.shares_memory(s, flat_subjects), t
+            assert_one_array_a_side(folded)
 
 
 TestDurableLSMMachine = DurableLSMMachine.TestCase

@@ -50,13 +50,13 @@ def random_block(rng, n_segments=25, max_len=12, value_range=300):
 
 @pytest.fixture
 def opens(monkeypatch):
-    """Every ``map_open`` of this process, as the columns it was handed."""
+    """Every ``map_open`` of this process, as the value columns it was handed."""
     seen = []
     real = _native.NativeKernels.map_open
 
-    def spy(self, col_values, col_subjects, col_offsets, family, n_subjects):
+    def spy(self, col_values, col_subjects, family, n_subjects):
         seen.append(col_values)
-        return real(self, col_values, col_subjects, col_offsets, family, n_subjects)
+        return real(self, col_values, col_subjects, family, n_subjects)
 
     monkeypatch.setattr(_native.NativeKernels, "map_open", spy)
     return seen
@@ -78,7 +78,11 @@ def test_opened_at_the_first_fused_lookup_and_reused_by_the_next_hundred(opens):
         again = store.lookup_fused(values, starts, family, min_hits=1)
         assert np.array_equal(again[0], first[0]) and np.array_equal(again[1], first[1])
     assert len(opens) == 1 and store._ctx is ctx
-    assert opens[0] is store.flat_columns()[0]  # it points into the store's one copy
+    # it was handed the store's own per-trial columns, and pins those very arrays
+    assert opens[0] is store.values
+    pinned_values, pinned_subjects = ctx._columns
+    assert all(a is b for a, b in zip(pinned_values, store.values, strict=True))
+    assert all(a is b for a, b in zip(pinned_subjects, store.subjects, strict=True))
 
 
 def test_an_equal_family_reuses_it_and_another_replaces_it(opens):
@@ -146,10 +150,10 @@ def test_the_context_is_not_in_the_pickle(opens):
     cold = pickle.dumps(store)
     want = store.lookup_fused(values, starts, family)
     warm = pickle.dumps(store)
-    assert store._ctx is not None and store._flat is not None
+    assert store._ctx is not None
     assert len(warm) < len(cold) + 256  # neither the handle nor a second copy of the columns
     clone = pickle.loads(warm)
-    assert clone._ctx is None and clone._flat is None
+    assert clone._ctx is None
     assert all(np.array_equal(a, b) for a, b in zip(clone.values, store.values))
     got = clone.lookup_fused(values, starts, family)
     assert len(opens) == 2 and clone._ctx is not store._ctx
@@ -158,8 +162,10 @@ def test_the_context_is_not_in_the_pickle(opens):
 
 def test_every_store_attached_to_a_shared_segment_opens_its_own(opens):
     """A lane maps on its attached store, is joined, and the segment is
-    released under the store that still holds an open context: closing a
-    context touches nothing but its own allocation."""
+    released under the store that still holds an open context.  Both contexts
+    point into the segment itself — no column is copied out of it — closing
+    one touches nothing but its own allocation, and the other still maps
+    after the release."""
     rng = np.random.default_rng(6)
     source, family = random_store(rng), HashFamily.generate(5, seed=2)
     values, starts = random_block(rng)
@@ -176,12 +182,22 @@ def test_every_store_attached_to_a_shared_segment_opens_its_own(opens):
         assert not lane.is_alive()
         got.append(mine.lookup_fused(values, starts, family))
         assert len(opens) == 3 and mine._ctx is not lanes._ctx is not source._ctx
+        segment = shm.attach_arrays(shared.ref)
+        for store in (mine, lanes):
+            for t in range(store.trials):
+                assert np.shares_memory(store.values[t], segment[2 * t])
+                assert np.shares_memory(store.subjects[t], segment[2 * t + 1])
+        del mine, segment  # one context closed while the segment is mapped
+        gc.collect()
     finally:
         shm.release(shared.ref.name)
     assert not shm.created_segment_names()
-    got.append(lanes.lookup_fused(values, starts, family))  # its columns were copied out
+    # the pinned views keep the mapping open: a released segment still serves
+    # the store that holds it, through the context that points into it
+    got.append(lanes.lookup_fused(values, starts, family))
+    assert len(got) == 3
     assert all(np.array_equal(g[0], want[0]) and np.array_equal(g[1], want[1]) for g in got)
-    del mine, lanes
+    del lanes
     gc.collect()
 
 

@@ -384,44 +384,49 @@ def test_writer_killed_mid_bundle_leaves_the_previous_bundle_intact(
     assert len(load_index(path).subject_names) == 3
 
 
-def _tiled_bundle(tmp_path, genome_bp: int) -> str:
-    """A default-config index over a random genome cut into 2.5 kbp contigs
-    (100 kbp so tiled is a 58 KB index, 300 kbp a 174 KB one)."""
+def _tiled_contigs(genome_bp: int):
+    """A random genome cut into 2.5 kbp contigs: under the default config
+    100 kbp of it is a 58 KB index, 300 kbp a 174 KB one."""
     from repro.seq import SequenceSetBuilder, random_codes
 
     genome = random_codes(genome_bp, np.random.default_rng(7))
     builder = SequenceSetBuilder()
     for i, start in enumerate(range(0, genome_bp - 2_500 + 1, 2_600)):
         builder.add(f"ctg_{i:06d}", genome[start : start + 2_500])
+    return builder.build()
+
+
+def _tiled_bundle(tmp_path, genome_bp: int) -> str:
+    """A default-config index over :func:`_tiled_contigs`, saved."""
     mapper = JEMMapper(JEMConfig())
-    mapper.index(builder.build())
+    mapper.index(_tiled_contigs(genome_bp))
     return save_index(mapper, tmp_path / f"tiled_{genome_bp}")
 
 
 class TestFlatLoad:
-    """A loaded bundle is held once: its rows land in the fused kernel's flat arrays."""
+    """A loaded bundle is held once: its rows land in two arrays, every
+    trial's columns are views of them, and the fused kernel maps them there.
+    A built index, whose trials are separate arrays, is mapped in place too."""
 
-    def test_trial_columns_are_views_of_the_flat_columns(self, tmp_path, tiling_contigs):
-        import tracemalloc
-
-        store = load_index(_saved_bundle(tmp_path, tiling_contigs)).table
-        tracemalloc.start()
-        try:
-            values, subjects, offsets = store.flat_columns()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1024  # nothing folded: the arrays already exist
-        assert store.flat_columns()[0] is values
-        for t in range(store.trials):
-            lo, hi = int(offsets[t]), int(offsets[t + 1])
-            assert store.values[t].size == hi - lo
-            assert np.shares_memory(store.values[t], values[lo:hi])
-            assert np.shares_memory(store.subjects[t], subjects[lo:hi])
+    def test_trial_columns_are_views_of_one_array_a_side(self, tmp_path, tiling_contigs):
+        mapper = load_index(_saved_bundle(tmp_path, tiling_contigs))
+        store = mapper.table
+        columns = list(store.values), list(store.subjects)
+        for side in columns:
+            owner = side[0].base
+            assert owner is not None and all(column.base is owner for column in side)
+            assert all(np.shares_memory(column, owner) for column in side if column.size)
+        values = np.arange(1, 65, dtype=np.uint64) * np.uint64(65_537)
+        starts = np.arange(0, 64, 8, dtype=np.int64)
+        if store.lookup_fused(values, starts, mapper.config.hash_family()) is not None:
+            # the context pins those very views: nothing was folded or copied
+            pinned = store._ctx._columns
+            for held, now, kept in zip(columns, (store.values, store.subjects), pinned):
+                assert all(a is b is c for a, b, c in zip(held, now, kept, strict=True))
 
     def test_load_peak_is_one_index(self, tmp_path):
-        """Loading and folding hold the index once: each further byte of
-        index raises the peak by at most 1.4 bytes.
+        """Loading and the first fused lookup hold the index once: each
+        further byte of index raises the peak by at most 1.4 bytes.
 
         The slope, not the ratio: what a load holds besides the index —
         the zip directory, header parses, the contig names, one member read
@@ -433,20 +438,59 @@ class TestFlatLoad:
         """
         import tracemalloc
 
+        values = np.arange(1, 65, dtype=np.uint64) * np.uint64(65_537)
+        starts = np.arange(0, 64, 8, dtype=np.int64)
+
         def load_peak(path: str) -> tuple[int, int]:
             load_index(path)  # imports and one-time caches out of the window
             tracemalloc.start()
             try:
-                store = load_index(path).table
-                store.flat_columns()
+                mapper = load_index(path)
+                mapper.table.lookup_fused(values, starts, mapper.config.hash_family())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak, mapper.table.nbytes
+
+        small, large = (load_peak(_tiled_bundle(tmp_path, bp)) for bp in (100_000, 300_000))
+        slope = (large[0] - small[0]) / (large[1] - small[1])
+        assert slope <= 1.4, (small, large)
+
+    def test_a_built_index_is_held_once_through_its_first_fused_lookup(self):
+        """The pair of :meth:`test_load_peak_is_one_index` for an index
+        ``JEMMapper.index`` has just built: each further byte of index
+        raises what its first fused lookup holds at its peak by at most
+        1.3 bytes.  The slope reads 1.02 (the index, plus the query and
+        per-call scratch); folding the trials into two flat arrays at the
+        first lookup, one side at a time, read 1.51.  One kernel thread,
+        so the build's scratch is the same on every host.
+        """
+        import tracemalloc
+
+        config = JEMConfig()
+        family = config.hash_family()
+        values = np.arange(1, 65, dtype=np.uint64) * np.uint64(65_537)
+        starts = np.arange(0, 64, 8, dtype=np.int64)
+        # imports and one-time caches out of the window
+        warm = JEMMapper(config, threads=1).index(_tiled_contigs(30_000))
+        if warm.lookup_fused(values, starts, family) is None:
+            pytest.skip("native kernels unavailable")
+
+        def lookup_peak(genome_bp: int) -> tuple[int, int]:
+            contigs = _tiled_contigs(genome_bp)
+            tracemalloc.start()
+            try:
+                store = JEMMapper(config, threads=1).index(contigs)
+                tracemalloc.reset_peak()  # the build's own scratch is not the question
+                store.lookup_fused(values, starts, family)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             return peak, store.nbytes
 
-        small, large = (load_peak(_tiled_bundle(tmp_path, bp)) for bp in (100_000, 300_000))
+        small, large = lookup_peak(100_000), lookup_peak(300_000)
         slope = (large[0] - small[0]) / (large[1] - small[1])
-        assert slope <= 1.4, (small, large)
+        assert slope <= 1.3, (small, large)
 
     @pytest.mark.parametrize("damage", ["short", "long"])
     def test_member_with_the_wrong_length_is_typed(self, tmp_path, tiling_contigs, damage):

@@ -320,6 +320,21 @@ def test_mismatched_columns_rejected():
         ColumnarSketchStore.from_columns([np.array([1], dtype=np.uint32)], 2)
 
 
+def test_sized_keys_that_do_not_match_their_sizes_are_rejected():
+    """One key for a trial of three used to be broadcast over its slice, and a
+    trial with no keys left as uninitialised memory: both passed as sorted."""
+    key = np.array([5 << 32 | 1], dtype=np.uint64)
+    with pytest.raises(SketchError, match="trial 0: 1 keys for a size of 3"):
+        ColumnarSketchStore.from_sized_keys([3, 2], [key], 4)
+    with pytest.raises(SketchError, match="trial 1: no keys"):
+        ColumnarSketchStore.from_sized_keys([1, 2], [key.copy()], 4)
+    with pytest.raises(SketchError, match="more trials than the 1 sizes"):
+        ColumnarSketchStore.from_sized_keys([1], [key.copy(), key.copy()], 4)
+    store = ColumnarSketchStore.from_sized_keys([1, 0], [key.copy(), key[:0]], 4)
+    assert store.values[0].tolist() == [5] and store.subjects[0].tolist() == [1]
+    assert store.values[1].size == 0
+
+
 def test_empty_lookup(trial_keys):
     for kind in STORE_KINDS:
         store = build_store(kind, trial_keys, N_SUBJECTS)

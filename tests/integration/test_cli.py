@@ -334,10 +334,11 @@ def test_one_shot_round_memory_grows_by_the_index_not_the_contig_set(tmp_path):
     """The other axis: 6 Mbp against 24 Mbp of 2.5-kbp contigs.  `jem index`
     grows by less than the 18 MB of added contig bases held once — it holds one
     block of them, so what grows is the index (0.6 bytes a base: the packed
-    keys, then the columns) — and `jem map -s … -p 2` by less
-    than 30 MB: the index, and half of it again while `flat_columns` folds one
-    side at a time.  Reading the set whole (twice over while it is assembled)
-    grew them by 58 and 44 MB."""
+    keys, then the columns) — and so does `jem map -s … -p 2`, by less than
+    15 MB: it builds the same index once and maps over its per-trial columns
+    where they are.  Folding them into two flat arrays at the first lookup
+    grew the map by 22 MB; reading the set whole (twice over while it is
+    assembled) grew them by 58 and 44 MB."""
     from repro.seq import random_codes, write_fasta
 
     rng = np.random.default_rng(18)
@@ -352,9 +353,9 @@ def test_one_shot_round_memory_grows_by_the_index_not_the_contig_set(tmp_path):
     out = tmp_path / "out.tsv"
     legs = {
         "index": (18.0, lambda contigs: ["index", "-s", contigs, "-o", str(tmp_path / "idx.npz")]),
-        "map": (30.0, lambda contigs: ["map", "-q", reads_path, "-s", contigs, "-p", "2",
+        "map": (15.0, lambda contigs: ["map", "-q", reads_path, "-s", contigs, "-p", "2",
                                        "-o", str(out)]),
-    }  # measured growth: index +11.6..11.7 MB, map +22.0..22.3 MB
+    }  # measured growth: index +11.5..12.0 MB, map +11.4..11.9 MB (+21.5..22.3 folding)
     for name, (allowance_mb, argv) in legs.items():
         (small_mb, mp_small), (large_mb, mp_large) = _peak_mb(*argv(small)), _peak_mb(*argv(large))
         assert not (mp_small or mp_large), name

@@ -225,8 +225,10 @@ class TestSharing:
         with make_set(indexed, "replicate", 3) as replica_set:
             assert all(r.store is indexed.table for r in replica_set.replicas)
             replica_set.map_reads(clean_reads)
-        # one store object, so one native context however many members map
+        # one store object, so one native context however many members map,
+        # opened over the root's own per-trial columns
         assert len(opens) == (0 if _native.load() is None else 1)
+        assert all(args[0] is indexed.table.values for args in opens)
 
     def test_scatter_shards_are_views_of_the_root(self, indexed):
         root = indexed.table

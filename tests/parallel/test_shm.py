@@ -2,6 +2,7 @@
 and — most importantly — segment lifecycle (nothing may outlive the call,
 even when workers die or the phase raises)."""
 
+import gc
 import glob
 import multiprocessing as mp
 import os
@@ -100,6 +101,23 @@ def test_segment_exists_reports_lifecycle():
     assert shm.segment_exists(ref.name)
     shm.release(ref.name)
     assert not shm.segment_exists(ref.name)
+
+
+def test_a_view_outlives_the_release_of_its_segment():
+    """Release unlinks the segment; the mapping goes with the last view."""
+    ref = shm.share_arrays([np.arange(6, dtype=np.uint64).reshape(2, 3)], "test")
+    (view,) = shm.attach_arrays(ref)
+
+    def mapped():
+        with open("/proc/self/maps") as maps:
+            return ref.name in maps.read()
+
+    shm.release(ref.name)
+    assert not shm.segment_exists(ref.name) and mapped()
+    assert np.array_equal(view, np.arange(6).reshape(2, 3))
+    del view
+    gc.collect()
+    assert not mapped()
 
 
 def test_shared_sequence_block_materialises_slices(world):

@@ -8,7 +8,10 @@ Not collected by pytest: CI's ``kernels`` job runs it as
 step it shares.
 
 The contract worth a sanitizer is the context's: built once, read-only
-afterwards, pointing into columns it does not own.  The C driver opens a
+afterwards, pointing into columns it does not own.  The C driver gives every
+trial's value column and subject column an exact-size allocation of its own,
+as a store built trial by trial holds them, so a read one past any trial's
+column aborts the ASan run instead of landing in the next trial.  It opens a
 context and closes it without a call, then opens two on the one store.  The
 block's segments are cut into one range per thread, as ``map_segment_batch``
 cuts a batch, and the ranges are mapped at once on POSIX threads — every
@@ -19,7 +22,8 @@ share aborts the TSan run.  The second handle then maps the whole block in
 one call and must agree byte for byte; both are closed (a leak fails the ASan
 run).  The joined output is compared with the numpy sketch
 (``query_kernel_reference``) voted by ``count_hits_vectorised``.  Shapes:
-T = 1 and T = 256, an empty store, 0 segments, fewer segments than threads,
+T = 1 and T = 256, an empty store, empty trials between non-empty ones, a
+store written by ``from_sized_keys``, 0 segments, fewer segments than threads,
 empty segments, a block under 64 values (no dedupe table), a duplicate-heavy
 block (table built), an all-distinct block (table tried and dropped), store
 and query values of 2^32 - 1, and a ``min_hits`` nothing reaches.
@@ -79,25 +83,33 @@ int main(int argc, char **argv) {
     if (argc != 3) return 2;
     FILE *in = fopen(argv[1], "rb");
     const int64_t threads = atoll(argv[2]);
-    int64_t head[6]; /* segments, values, trials, subjects, store entries, min_hits */
-    if (in == NULL || threads < 1 || fread(head, 8, 6, in) != 6) return 2;
+    int64_t head[5]; /* segments, values, trials, subjects, min_hits */
+    if (in == NULL || threads < 1 || fread(head, 8, 5, in) != 5) return 2;
     const int64_t nseg = head[0], n = head[1], trials = head[2];
-    const int64_t n_subjects = head[3], entries = head[4], min_hits = head[5];
+    const int64_t n_subjects = head[3], min_hits = head[4];
     uint64_t *values = load(in, n, 8);
     int64_t *starts = load(in, nseg, 8);
     uint64_t *a = load(in, trials, 8), *b = load(in, trials, 8), *p = load(in, trials, 8);
-    int64_t *col_offsets = load(in, trials + 1, 8);
-    uint32_t *col_values = load(in, entries, 4), *col_subjects = load(in, entries, 4);
+    int64_t *col_len = load(in, trials, 8);
+    uint32_t **col_values = exact(trials, sizeof(uint32_t *));
+    uint32_t **col_subjects = exact(trials, sizeof(uint32_t *));
+    for (int64_t t = 0; t < trials; t++) { /* one exact-size block per column */
+        col_values[t] = load(in, col_len[t], 4);
+        col_subjects[t] = load(in, col_len[t], 4);
+    }
     fclose(in);
 
-    void *unused = jem_ctx_open(col_values, col_subjects, col_offsets, trials, a, b, p, n_subjects);
+#define OPEN() jem_ctx_open((const uint32_t *const *)col_values, \
+                            (const uint32_t *const *)col_subjects, col_len, trials, \
+                            a, b, p, n_subjects)
+    void *unused = OPEN();
     if (unused == NULL) return 3;
     jem_ctx_close(unused); /* open -> close without a call */
-    void *ctx = jem_ctx_open(col_values, col_subjects, col_offsets, trials, a, b, p, n_subjects);
-    void *twin = jem_ctx_open(col_values, col_subjects, col_offsets, trials, a, b, p, n_subjects);
+    void *ctx = OPEN(), *twin = OPEN();
     if (ctx == NULL || twin == NULL) return 3;
-    /* the family is copied at open: the caller's may go (ASan sees a later read) */
-    free(a); free(b); free(p);
+    /* the family and the column table are copied at open: the caller's may
+       go (ASan sees a later read); the columns themselves stay */
+    free(a); free(b); free(p); free(col_len);
 
     range_t *ranges = exact(threads, sizeof(range_t));
     pthread_t *tids = exact(threads, sizeof(pthread_t));
@@ -135,7 +147,8 @@ int main(int argc, char **argv) {
         free(ranges[t].subject); free(ranges[t].count);
     }
     free(ranges); free(tids); free(subject); free(count);
-    free(values); free(starts); free(col_offsets); free(col_values); free(col_subjects);
+    for (int64_t t = 0; t < trials; t++) { free(col_values[t]); free(col_subjects[t]); }
+    free(values); free(starts); free(col_values); free(col_subjects);
     return 0;
 }
 """
@@ -143,14 +156,20 @@ int main(int argc, char **argv) {
 TOP = (1 << 32) - 1
 
 
-def store_of(rng, trials, n_subjects, entries, pool) -> ColumnarSketchStore:
+def keys_of(rng, trials, n_subjects, entries, pool) -> list[np.ndarray]:
     """``entries`` random (value from ``pool``, subject) keys per trial."""
     keys = []
     for _ in range(trials):
         values = rng.choice(pool, size=entries).astype(np.uint64)
         subjects = rng.integers(0, n_subjects, size=entries).astype(np.uint64)
         keys.append(np.unique((values << np.uint64(32)) | subjects))
-    return ColumnarSketchStore.from_trial_keys(keys, n_subjects)
+    return keys
+
+
+def store_of(rng, trials, n_subjects, entries, pool) -> ColumnarSketchStore:
+    return ColumnarSketchStore.from_trial_keys(
+        keys_of(rng, trials, n_subjects, entries, pool), n_subjects
+    )
 
 
 def block_of(rng, lengths, pool) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +187,15 @@ def shapes(rng: np.random.Generator):
     yield "T = 256", store_of(rng, 256, 7, 60, small), *block_of(rng, [5] * 12, small), 2
     yield ("an empty store", ColumnarSketchStore.from_trial_keys([np.empty(0, np.uint64)] * 3, 4),
            *block_of(rng, [6] * 20, small), 1)
+    gaps = keys_of(rng, 5, 6, 150, small)
+    gaps[1] = gaps[3] = np.empty(0, dtype=np.uint64)
+    yield ("empty trials between non-empty ones", ColumnarSketchStore.from_trial_keys(gaps, 6),
+           *block_of(rng, [7] * 25, small), 1)
+    sized = keys_of(rng, 6, 8, 250, wide[:60])
+    sized[4] = np.empty(0, dtype=np.uint64)
+    yield ("a store written by from_sized_keys",
+           ColumnarSketchStore.from_sized_keys([k.size for k in sized], sized, 8),
+           *block_of(rng, rng.integers(0, 15, size=60), wide[:60]), 1)
     yield "0 segments", store_of(rng, 4, 5, 100, small), *block_of(rng, [], small), 1
     yield "two segments, three threads", store_of(rng, 4, 5, 100, small), \
         *block_of(rng, [4, 3], small), 1
@@ -197,14 +225,15 @@ def oracle(store, family, values, starts, min_hits):
 
 
 def run(exe, workdir, store, family, values, starts, min_hits, threads):
-    flat_values, flat_subjects, offsets = store.flat_columns()
     path = os.path.join(workdir, "case.bin")
+    lengths = np.array([v.size for v in store.values], dtype=np.int64)
     with open(path, "wb") as fh:
         fh.write(np.array([starts.size, values.size, family.size, store.n_subjects,
-                           flat_values.size, min_hits], dtype=np.int64).tobytes())
-        for arr in (values, starts, family.a, family.b, family.p,
-                    offsets, flat_values, flat_subjects):
+                           min_hits], dtype=np.int64).tobytes())
+        for arr in (values, starts, family.a, family.b, family.p, lengths):
             fh.write(np.ascontiguousarray(arr).tobytes())
+        for v, s in zip(store.values, store.subjects):
+            fh.write(v.tobytes() + s.tobytes())
     raw = subprocess.run([exe, path, str(threads)], check=True, capture_output=True).stdout
     assert len(raw) == 16 * starts.size
     return (np.frombuffer(raw, dtype=np.int64, count=starts.size),
