@@ -101,7 +101,7 @@ def _index_disagrees(args: argparse.Namespace, engine: MappingEngine) -> bool:
     """Whether a sketch flag given beside ``--index`` differs from the value
     the index was built with (then printed as an error: an index is mapped
     with its own parameters, so such a flag would be silently ignored)."""
-    if not getattr(args, "index", None):
+    if not args.index:
         return False
     config = engine.mapper.config
     wrong = [
@@ -182,9 +182,8 @@ def _engine_from(args: argparse.Namespace) -> MappingEngine:
 
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
-    """Knobs of both ``serve`` and ``client``: a stdio client forwards the
-    batching/admission/caching three to the ``serve`` it spawns, and each
-    command writes its own ``--metrics-out``."""
+    """The knobs of the fleet ``serve`` fronts: batching, admission, caching,
+    self-healing and index maintenance."""
     parser.add_argument("--max-batch", type=int, default=64,
                         help="most reads coalesced into one micro-batch (default 64)")
     parser.add_argument("--queue-capacity", type=int, default=1024,
@@ -195,10 +194,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                              "(default 4096)")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the final metrics snapshot as JSON")
-
-
-def _add_serve_only_args(parser: argparse.ArgumentParser) -> None:
-    """Self-healing and index-maintenance knobs of ``serve`` alone."""
     parser.add_argument("--breaker-failures", type=int, default=0,
                         help="failed batches in the rolling window that trip "
                              "the circuit breaker into degraded reduced-trial "
@@ -302,10 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="long-lived mapping service: NDJSON requests and responses over "
              "stdin/stdout or, with --listen, TCP (see docs/serving.md)",
     )
-    p_serve.add_argument("-s", "--subjects", help="contigs FASTA (indexed at startup)")
-    p_serve.add_argument("--index", help="saved JEM index (alternative to -s)")
-    p_serve.add_argument("--on-error", choices=("raise", "skip"), default="raise",
-                         help="contig parser policy")
+    p_serve.add_argument("--index", required=True,
+                         help="saved JEM index: a bundle (.npz) or a mutable "
+                              "index directory, as `jem index` writes them")
     p_serve.add_argument("--listen", default=None, metavar="HOST:PORT",
                          help="serve the NDJSON protocol over TCP instead of "
                               "stdin/stdout; port 0 picks a free port "
@@ -335,29 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
                               "completes no request line in this long (0 "
                               "disables, default 300); a stdio session has "
                               "none, its parent owns the pipe and may idle")
-    _add_config_args(p_serve)
     _add_service_args(p_serve)
-    _add_serve_only_args(p_serve)
 
     p_client = sub.add_parser(
         "client",
-        help="stream a FASTA/FASTQ file through a `jem serve` process and "
-             "write the same TSV as `map`",
+        help="stream a FASTA/FASTQ file through a running `jem serve "
+             "--listen` and write the same TSV as `map`",
     )
     p_client.add_argument("-q", "--queries", required=True, help="long reads FASTA/FASTQ")
-    p_client.add_argument("-s", "--subjects", help="contigs FASTA")
-    p_client.add_argument("--index", help="saved JEM index (alternative to -s)")
+    p_client.add_argument("--connect", required=True, metavar="HOST:PORT",
+                          help="address of a running `jem serve --listen`")
     p_client.add_argument("-o", "--output", default="-", help="output TSV ('-' = stdout)")
     p_client.add_argument("--on-error", choices=("raise", "skip"), default="raise",
                           help="input parser policy")
-    p_client.add_argument("--server-cmd", default=None,
-                          help="shell command for the server (default: spawn "
-                               "`%(prog)s serve` with the matching flags)")
-    p_client.add_argument("--connect", default=None, metavar="HOST:PORT",
-                          help="connect to a running `jem serve --listen` "
-                               "server instead of spawning a stdio one")
-    _add_config_args(p_client)
-    _add_service_args(p_client)
+    p_client.add_argument("--metrics-out", default=None, metavar="PATH",
+                          help="write the server's metrics snapshot, from its "
+                               "`drained` reply, as JSON")
 
     p_chaos = sub.add_parser(
         "chaos",
@@ -374,12 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--replicas", type=int, default=3,
                          help="scatter fleet size for the serve target "
                               "(default 3)")
-    p_chaos.add_argument("--max-events", type=int, default=2,
-                         help="most kills/wedges per serve plan (default 2)")
     p_chaos.add_argument("--seeds", default="1,2,3,4,5",
                          help="comma list of chaos plan seeds (default 1,2,3,4,5)")
-    p_chaos.add_argument("--max-damage", type=int, default=2,
-                         help="most post-kill damage actions per plan (default 2)")
     p_chaos.add_argument("--workdir", default=None,
                          help="where per-seed run directories land "
                               "(default: a fresh temp dir)")
@@ -587,7 +570,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if args.queries is None:
         print("error: map requires -q/--queries", file=sys.stderr)
         return 2
-    if not _require_one_source(args):
+    if (args.subjects is None) == (args.index is None):
+        print("error: provide exactly one of -s/--subjects or --index", file=sys.stderr)
         return 2
     if args.paf and args.index is not None:
         print("error: --paf needs contig sequences; use -s", file=sys.stderr)
@@ -631,13 +615,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_one_source(args: argparse.Namespace) -> bool:
-    if (args.subjects is None) == (args.index is None):
-        print("error: provide exactly one of -s/--subjects or --index", file=sys.stderr)
-        return False
-    return True
-
-
 def _fleet_from(args: argparse.Namespace, engine: MappingEngine):
     """The replica fleet behind either ``serve`` door, stdio or TCP."""
     from .netserve import ReplicaSet, make_placement
@@ -677,20 +654,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .netserve import FleetSupervisor, NetFrontend, SupervisorConfig, parse_hostport
 
-    if not _require_one_source(args):
-        return 2
+    # a bad address fails before the index loads and the fleet's threads start
+    address = None if args.listen is None else parse_hostport(args.listen)
     t0 = time.perf_counter()
     engine = _engine_from(args)
-    if _index_disagrees(args, engine):
-        return 2
     backend = _fleet_from(args, engine)
-    if args.listen is None:
+    if address is None:
         host, port = "", 0  # never bound: the session's streams are stdio
         # no slow-loris guard: the parent that owns the pipe may idle as
         # long as it likes, and cutting it loose would kill the service
         idle_timeout_s = None
     else:
-        host, port = parse_hostport(args.listen)
+        host, port = address
         idle_timeout_s = args.idle_timeout if args.idle_timeout > 0 else None
         interval_s = max(args.probe_interval_ms, 1.0) / 1000.0
         supervisor = FleetSupervisor(
@@ -775,10 +750,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _client_report(args: argparse.Namespace, queries, stats, elapsed: float) -> int:
-    """Write the client TSV + summary for any transport (pipe or socket)."""
+def _cmd_client(args: argparse.Namespace) -> int:
+    """``jem client``: stream reads through a running ``serve --listen`` and
+    write the TSV ``map`` writes, then the summary."""
     import json
 
+    from .core.engine import read_sequences
+    from .netserve import parse_hostport
+    from .service import SocketTransport, run_session
+
+    host, port = parse_hostport(args.connect)
+    queries = read_sequences(args.queries, on_error=args.on_error)
+    t0 = time.perf_counter()
+    stats = run_session(queries, SocketTransport.connect(host, port))
+    elapsed = time.perf_counter() - t0
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     mapped_segments = 0
     total_segments = 0
@@ -814,58 +799,6 @@ def _client_report(args: argparse.Namespace, queries, stats, elapsed: float) -> 
     if not drained or stats.errors:
         return 1
     return 0
-
-
-def _cmd_client(args: argparse.Namespace) -> int:
-    import shlex
-    import subprocess
-
-    from .core.engine import read_sequences
-    from .service import PipeTransport, SocketTransport, run_session
-
-    if (
-        args.server_cmd is None
-        and args.connect is None
-        and not _require_one_source(args)
-    ):
-        return 2
-    queries = read_sequences(args.queries, on_error=args.on_error)
-    if args.connect is not None:
-        from .netserve import parse_hostport
-
-        host, port = parse_hostport(args.connect)
-        t0 = time.perf_counter()
-        stats = run_session(queries, SocketTransport.connect(host, port))
-        return _client_report(args, queries, stats, time.perf_counter() - t0)
-    if args.server_cmd is not None:
-        command = shlex.split(args.server_cmd)
-    else:
-        command = [sys.executable, "-m", "repro.cli", "serve"]
-        command += ["--index", args.index] if args.index else ["-s", args.subjects]
-        command += [
-            *_sketch_argv(args),  # only those given: serve checks them against --index
-            "--max-batch", str(args.max_batch),
-            "--queue-capacity", str(args.queue_capacity),
-            "--cache-capacity", str(args.cache_capacity),
-        ]
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(
-        command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-    )
-    stats = None
-    try:
-        stats = run_session(queries, PipeTransport(proc))
-    except BrokenPipeError:
-        pass  # the server exited before it read every request
-    finally:
-        if proc.poll() is None:
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-    if proc.returncode and (stats is None or stats.drained_reply is None):
-        return proc.returncode  # a server that failed to start says why on stderr
-    return _client_report(args, queries, stats, time.perf_counter() - t0)
 
 
 def _chaos_fingerprint(target: str, path: str):
@@ -931,9 +864,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         run_dir = os.path.join(workdir, f"seed{seed}")
         os.makedirs(run_dir, exist_ok=True)
         out = os.path.join(run_dir, "output" + ext)
-        plan = ChaosPlan.seeded(
-            seed, total_units=total_units, max_damage=args.max_damage
-        )
+        plan = ChaosPlan.seeded(seed, total_units=total_units)
         try:
             cycle = run_kill_resume_cycle(
                 victim_argv(out, run_dir), run_dir=run_dir, plan=plan,
@@ -990,8 +921,7 @@ def _chaos_serve(args: argparse.Namespace, seeds: list[int]) -> int:
     failures = 0
     for seed in seeds:
         plan = ServeChaosPlan.seeded(
-            seed, n_replicas=args.replicas, total_reads=len(reads),
-            max_events=args.max_events,
+            seed, n_replicas=args.replicas, total_reads=len(reads)
         )
         try:
             report = run_serve_chaos(

@@ -11,9 +11,8 @@ that owns the lifecycle:
   mapped batch by batch as it is parsed, in this process on the resident
   mapper, each batch a unit of a checkpointed run;
 * :attr:`MappingEngine.mapper` is that resident mapper, whose
-  ``map_reads`` maps a whole read set (what ``--paf`` calls);
-* :meth:`MappingEngine.service` exposes the resident frontend over the same
-  mapper instance.
+  ``map_reads`` maps a whole read set (what ``--paf`` calls) and which a
+  served fleet fronts.
 
 The engine never changes *what* is computed — for any config, at any
 thread count, every frontend yields the sequential mapper's output bit for
@@ -37,8 +36,6 @@ from .streaming import iter_batches, iter_records, map_file, unit_bases
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.checkpoint import CheckpointContext
-    from ..service.config import ServiceConfig
-    from ..service.service import MappingService
 
 __all__ = [
     "PipelineConfig",
@@ -104,7 +101,7 @@ class PipelineConfig:
 
     @classmethod
     def from_args(cls, args: Any) -> "PipelineConfig":
-        """Adapter from an argparse namespace (map/serve/client flags)."""
+        """Adapter from an argparse namespace (map/serve flags)."""
         jem = JEMConfig(**{
             name: getattr(args, name) for name in SKETCH_FLAGS
             if getattr(args, name, None) is not None
@@ -393,21 +390,3 @@ class MappingEngine:
         self.last_run = RunTelemetry(
             mode=mode, elapsed=time.perf_counter() - t0, label=self._label(mode)
         )
-
-    def service(
-        self,
-        service_config: "ServiceConfig | None" = None,
-        **kwargs: Any,
-    ) -> "MappingService":
-        """A resident :class:`MappingService` over this engine's index."""
-        from ..service.service import MappingService
-
-        if self.pipeline.mapper != "jem":
-            raise MappingError(
-                f"the mapping service is jem-only; pipeline requests "
-                f"{self.pipeline.mapper!r}"
-            )
-        mapper = self.mapper
-        if not isinstance(mapper, JEMMapper):  # pragma: no cover - registry misuse
-            raise MappingError("service requires a JEMMapper instance")
-        return MappingService(mapper, service_config, **kwargs)

@@ -223,9 +223,13 @@ def parse_hostport(spec: str, *, default_host: str = "127.0.0.1") -> tuple[str, 
     if not host:
         host = default_host
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError as exc:
         raise ReproError(f"bad listen address {spec!r}: {exc}") from None
+    # getaddrinfo would wrap a larger number modulo 65536, and bind() refuses it
+    if not 0 <= number <= 65535:
+        raise ReproError(f"bad listen address {spec!r}: port {number} is not in 0-65535")
+    return host, number
 
 
 @dataclass

@@ -55,6 +55,9 @@ WEDGED = "wedged"
 DEAD = "dead"
 RESPAWNING = "respawning"
 
+#: Most state transitions ``healthz`` reports (the oldest fall off first).
+HISTORY = 64
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
@@ -71,7 +74,6 @@ class SupervisorConfig:
     probe_deadline_s: float = 0.25
     suspect_strikes: int = 2
     max_respawns: int = 0
-    history: int = 64
 
     def __post_init__(self) -> None:
         if self.probe_interval_s <= 0:
@@ -107,7 +109,7 @@ class FleetSupervisor:
         n = len(replica_set.replicas)
         self._states = [HEALTHY] * n
         self._strikes = [0] * n
-        self._history: deque[dict] = deque(maxlen=self.config.history)
+        self._history: deque[dict] = deque(maxlen=HISTORY)
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None

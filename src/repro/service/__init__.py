@@ -16,7 +16,7 @@ from .metrics import (
     ServiceMetrics,
     aggregate_metrics,
 )
-from .protocol import ClientStats, PipeTransport, SocketTransport, run_session
+from .protocol import ClientStats, SocketTransport, run_session
 from .queue import AdmissionQueue, MapFuture
 from .scheduler import MicroBatchScheduler
 from .service import MappingService, ReadMapping
@@ -37,7 +37,6 @@ __all__ = [
     "MapFuture",
     "MicroBatchScheduler",
     "run_session",
-    "PipeTransport",
     "SocketTransport",
     "ClientStats",
 ]

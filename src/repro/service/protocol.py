@@ -3,7 +3,7 @@
 This module holds the wire contract's two ends that are *not* the server
 state machine: the reply formatters (:func:`response_for_mapping`,
 :func:`mutation_response`) and the client (:func:`run_session` over a
-:class:`PipeTransport` or :class:`SocketTransport`).  The server side —
+:class:`SocketTransport`).  The server side —
 parse, route, order, answer — is :class:`repro.netserve.NetFrontend`,
 the same code for a TCP connection and for the stdin/stdout session of a
 plain ``jem serve``; ``docs/serving.md`` is the protocol reference.
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import json
 import socket
-import subprocess
 import threading
 import time
 from dataclasses import dataclass, field
@@ -70,7 +69,6 @@ __all__ = [
     "mutation_response",
     "MUTATION_OPS",
     "ADMIN_OPS",
-    "PipeTransport",
     "SocketTransport",
     "ClientStats",
 ]
@@ -153,35 +151,6 @@ def mutation_response(backend, op: str, message: dict) -> dict:
     return {"op": op, "stats": stats, "generation": stats["generation"]}
 
 
-class PipeTransport:
-    """Client transport over a ``jem serve`` subprocess's stdio pipes.
-
-    The transport layer is the only difference between a spawned stdio
-    server and ``jem client --connect``: both run the same
-    :func:`run_session` over either this or :class:`SocketTransport`, so
-    protocol behaviour (pipelining, backpressure retries, drain) cannot
-    drift between them.
-    """
-
-    def __init__(self, proc: subprocess.Popen) -> None:
-        self._proc = proc
-
-    def lines(self):
-        """Iterable of response lines (the session's reader consumes it)."""
-        return self._proc.stdout
-
-    def send_line(self, line: str) -> None:
-        self._proc.stdin.write(line + "\n")
-        self._proc.stdin.flush()
-
-    def close_send(self) -> None:
-        """Signal EOF on the request direction (implicit drain server-side)."""
-        self._proc.stdin.close()
-
-    def close(self) -> None:  # the Popen's lifetime belongs to the caller
-        pass
-
-
 class SocketTransport:
     """Client transport over a TCP connection to ``jem serve --listen``."""
 
@@ -243,9 +212,8 @@ def run_session(
 ) -> ClientStats:
     """Drive one serve session over ``transport``: pipeline, honour backpressure.
 
-    The single session implementation behind both a spawned stdio server
-    (a :class:`PipeTransport`) and ``jem client --connect`` (a
-    :class:`SocketTransport`).  A reader thread collects responses
+    The session ``jem client`` runs over a :class:`SocketTransport`; any
+    object with the same four methods carries it.  A reader thread collects responses
     concurrently (the server writes in request order; without it both
     sides could block on full buffers).  ``overloaded`` rejections are
     resubmitted after sleeping out the server's ``retry_after`` hint;

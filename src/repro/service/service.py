@@ -31,11 +31,9 @@ Public usage::
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,9 +57,6 @@ from .health import OPEN, CircuitBreaker
 from .metrics import ServiceMetrics
 from .queue import AdmissionQueue, MapFuture
 from .scheduler import MicroBatchScheduler
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.engine import PipelineConfig
 
 __all__ = ["MappingService", "ReadMapping", "map_reads_through"]
 
@@ -230,45 +225,13 @@ class MappingService:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_pipeline(
-        cls,
-        pipeline: "PipelineConfig",
-        *,
-        subjects: SequenceSet | None = None,
-        index: str | None = None,
-        service_config: ServiceConfig | None = None,
-        **kwargs,
-    ) -> "MappingService":
-        """Service from one typed :class:`~repro.core.engine.PipelineConfig`.
-
-        Exactly one of ``subjects`` (contig sequences, indexed at startup)
-        or ``index`` (a saved bundle path) selects the index source; the
-        pipeline decides the mapper constants.  This is the
-        single construction path — :meth:`from_index` and
-        :meth:`from_contigs` are convenience wrappers over it.
-        """
-        from ..core.engine import MappingEngine
-
-        if (subjects is None) == (index is None):
-            raise ServiceError("provide exactly one of subjects= or index=")
-        engine = MappingEngine(pipeline)
-        if index is not None:
-            engine.use_index(index)
-        else:
-            engine.use_subjects(subjects)
-        return engine.service(service_config, **kwargs)
-
-    @classmethod
     def from_index(
         cls, path, service_config: ServiceConfig | None = None, **kwargs
     ) -> "MappingService":
         """Service over a saved (checksummed) index bundle — loaded once."""
-        from ..core.engine import PipelineConfig
+        from ..core.persist import load_index
 
-        return cls.from_pipeline(
-            PipelineConfig(), index=os.fspath(path),
-            service_config=service_config, **kwargs,
-        )
+        return cls(load_index(path), service_config, **kwargs)
 
     @classmethod
     def from_contigs(
@@ -279,14 +242,9 @@ class MappingService:
         **kwargs,
     ) -> "MappingService":
         """Service that indexes ``contigs`` at startup and keeps it resident."""
-        from ..core.engine import PipelineConfig
-
-        pipeline = (
-            PipelineConfig(jem=jem_config) if jem_config is not None else PipelineConfig()
-        )
-        return cls.from_pipeline(
-            pipeline, subjects=contigs, service_config=service_config, **kwargs
-        )
+        mapper = JEMMapper(jem_config)
+        mapper.index(contigs)
+        return cls(mapper, service_config, **kwargs)
 
     # -- lifecycle -----------------------------------------------------------
 

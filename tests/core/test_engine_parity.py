@@ -10,9 +10,12 @@ the same reference.)
 
 The store kind is not a pipeline option; the one seam left is the
 ``JEMMapper`` constructor.  Frontends that build their mapper through the
-engine's registry are therefore run twice — on the resident columnar store
-and with the oracle injected through that seam.
+engine's registry, and the service that builds its own, are therefore run
+twice — on the resident columnar store and with the oracle injected through
+that seam.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -66,13 +69,17 @@ def test_engine_inline_parity(store, tiling_contigs, clean_reads):
 
 
 @pytest.mark.parametrize("store", ("columnar", "dict"), indirect=True)
-def test_service_parity(store, tiling_contigs, clean_reads):
+def test_service_parity(store, monkeypatch, tiling_contigs, clean_reads):
     from repro.service import MappingService
+    from repro.service import service as service_module
 
+    # the service builds its own mapper: the same seam, injected there
+    monkeypatch.setattr(
+        service_module, "JEMMapper", functools.partial(JEMMapper, store_kind=store)
+    )
     reference = _reference(tiling_contigs, clean_reads)
-    with MappingService.from_pipeline(
-        PipelineConfig(jem=CFG), subjects=tiling_contigs
-    ) as service:
+    with MappingService.from_contigs(tiling_contigs, CFG) as service:
+        assert service._mapper.store_kind == store
         result = service.map_reads(clean_reads, timeout=60)
     _assert_same(result, reference)
 

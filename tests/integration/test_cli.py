@@ -1,9 +1,7 @@
 """CLI integration tests driving ``repro.cli.main`` in-process."""
 
-import argparse
 import contextlib
 import os
-import subprocess
 
 import numpy as np
 import pytest
@@ -407,67 +405,39 @@ def test_transport_flag_is_gone(capsys):
 
 
 
+#: the arguments each command needs before a flag can be judged alone
+_REQUIRED = {
+    "serve": ["--index", "i.npz"],
+    "client": ["-q", "r.fq", "--connect", "127.0.0.1:7000"],
+    "chaos": ["serve", "-s", "c.fa"],
+}
+
+
 @pytest.mark.parametrize("command, flag", [
     ("serve", "--max-wait-ms"),
     ("client", "--max-wait-ms"),
     ("serve", "--no-supervise"),
     ("serve", "--hedge-timeout-ms"),
+    *(("serve", flag) for flag in (
+        "-s", "--subjects", "--on-error", "--k", "--w", "--ell", "--trials", "--seed",
+    )),
+    *(("client", flag) for flag in (
+        "-s", "--subjects", "--index", "--server-cmd", "--k", "--w", "--ell",
+        "--trials", "--seed", "--max-batch", "--queue-capacity", "--cache-capacity",
+    )),
+    ("chaos", "--max-events"),
+    ("chaos", "--max-damage"),
 ])
 def test_retired_service_flags_are_gone(capsys, command, flag):
     """The scheduler sets its own batch window, `--listen` always
-    supervises, and scatter keeps the fleet's hedge deadline: each of these
-    flags is an argparse error."""
-    source = ["--index", "i.npz"] + (["-q", "r.fq"] if command == "client" else [])
+    supervises, scatter keeps the fleet's hedge deadline, `serve` opens only
+    a built index (whose sketch parameters are its own), `client` only
+    connects to a running `serve --listen`, and `chaos` draws its plans at
+    their own bounds: each of these flags is an argparse error."""
     with pytest.raises(SystemExit) as excinfo:
-        build_parser().parse_args([command, *source, flag])
+        build_parser().parse_args([command, *_REQUIRED[command], flag])
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-
-def _subcommand(name: str) -> argparse.ArgumentParser:
-    sub = next(
-        a for a in build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    )
-    return sub.choices[name]
-
-
-def test_client_forwards_every_service_flag_it_accepts(tmp_path, monkeypatch):
-    """A stdio `client` spawns `serve`: every option the two commands share,
-    given, reaches the spawned command line, except the client's own
-    input/output options — so the client accepts no flag it silently drops.
-    (The sketch flags are forwarded only when given: `serve --index` checks
-    them against the index.)"""
-    reads = tmp_path / "reads.fasta"
-    reads.write_text(">r0\nACGT\n")
-    spawned = []
-
-    class Spawned(Exception):
-        pass
-
-    def fake_popen(command, **kwargs):
-        spawned.append(command)
-        raise Spawned
-
-    own = {"help", "on_error", "metrics_out", "subjects", "index"}  # -s: --index given
-    serve_dests = {a.dest for a in _subcommand("serve")._actions}
-    shared = [
-        a for a in _subcommand("client")._actions
-        if a.option_strings and a.dest in serve_dests and a.dest not in own
-    ]
-    assert shared
-    given = [item for i, a in enumerate(shared) for item in (a.option_strings[-1], str(16 + i))]
-    monkeypatch.setattr(subprocess, "Popen", fake_popen)
-    with pytest.raises(Spawned):
-        main(["client", "-q", str(reads), "--index", "contigs.idx.npz", *given])
-    argv = spawned[0]
-    assert argv[argv.index("--index") + 1] == "contigs.idx.npz"
-    dropped = [
-        a.option_strings[-1] for i, a in enumerate(shared)
-        if not any(argv[j + 1] == str(16 + i) for j, x in enumerate(argv[:-1])
-                   if x in a.option_strings)
-    ]
-    assert dropped == []
 
 
 def test_saved_index_process_backend_maps_on_kernel_threads(tmp_path):
@@ -568,13 +538,6 @@ def test_map_refuses_sketch_flags_the_index_disagrees_with(tmp_path, indexed, ca
     assert _body(out) == body
 
 
-def test_serve_refuses_sketch_flags_the_index_disagrees_with(indexed, capsys):
-    idx, _, _ = indexed
-    capsys.readouterr()
-    assert main(["serve", "--index", idx, "--seed", "7"]) == 2
-    assert "--seed 7 (the index has seed = 20230157)" in capsys.readouterr().err
-
-
 def test_serve_imports_asyncio_without_ssl_and_leaves_ssl_importable(indexed):
     """`jem serve` imports ``asyncio`` with ``ssl`` blocked, so no server maps
     OpenSSL, and takes the block away again: a caller that runs ``main`` in
@@ -584,11 +547,13 @@ def test_serve_imports_asyncio_without_ssl_and_leaves_ssl_importable(indexed):
     import sys
 
     import repro
+    from repro.errors import ReproError
 
     idx, _, _ = indexed
-    argv = ["serve", "--index", idx, "--seed", "7"]  # exits 2 after the import
+    argv = ["serve", "--index", idx, "--listen", ":70000"]  # fails after the import
     loaded = sys.modules["ssl"]  # the suite's conftest imports asyncio
-    assert main(argv) == 2
+    with pytest.raises(ReproError, match="port 70000"):
+        main(argv)
     assert sys.modules["ssl"] is loaded
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -601,32 +566,17 @@ def test_serve_imports_asyncio_without_ssl_and_leaves_ssl_importable(indexed):
     }
     for before, check in after_main.items():
         code = (
-            f"{before}import sys; from repro.cli import main; "
-            f"rc = main(sys.argv[1:]); {check}sys.exit(rc)"
+            f"{before}import sys; from repro.cli import main\n"
+            "from repro.errors import ReproError\n"
+            "try:\n    rc = main(sys.argv[1:])\n"
+            "except ReproError as exc:\n    rc = 2 if 'port 70000' in str(exc) else 1\n"
+            f"{check}sys.exit(rc)"
         )
         done = subprocess.run(
             [sys.executable, "-c", code, *argv],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
         assert done.returncode == 2, (before, done.stderr)
-
-
-def test_client_forwards_given_sketch_flags_for_serve_to_check(
-    tmp_path, indexed, monkeypatch, capfd
-):
-    """The stdio client forwards the sketch flags it was given, and only
-    those; the spawned `serve --index` refuses a disagreeing one and the
-    client exits with its status."""
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    monkeypatch.setenv("PYTHONPATH", src)
-    idx, reads, body = indexed
-    out = tmp_path / "out.tsv"
-    assert main(["client", "-q", reads, "--index", idx, "-o", str(out), "--w", "50"]) == 2
-    assert "--w 50 (the index has w = 100)" in capfd.readouterr().err
-    assert main(["client", "-q", reads, "--index", idx, "-o", str(out), "--k", "12"]) == 0
-    assert _body(out) == body
 
 
 def test_mutable_index_cli_round_trip(tmp_path, tiling_contigs, clean_reads):

@@ -20,10 +20,11 @@ from repro.core.engine import PipelineConfig
 from repro.netserve import SupervisorConfig
 from repro.service import ServiceConfig
 
-#: 110 option flags + 7 environment variables + 24 config fields (`jem map`'s
-#: fault knobs and PipelineConfig's backend/strict/timeout/inject_faults went
-#: with the simulated and worker-process modes)
-BUDGET = 141
+#: 90 option flags + 7 environment variables + 23 config fields (`serve`
+#: takes only a built index, `client` only connects to a `serve --listen`,
+#: `chaos` draws its plans at their own bounds, and the supervisor's history
+#: length is a constant)
+BUDGET = 120
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 

@@ -8,6 +8,7 @@ tests exercise the exact client/server pairing shipped to users.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 
@@ -33,8 +34,10 @@ class TestParseHostport:
         assert parse_hostport("9000") == ("127.0.0.1", 9000)
 
     def test_bad_port_rejected(self):
-        with pytest.raises(ReproError, match="bad listen address"):
-            parse_hostport("localhost:http")
+        # a port past 65535 would reach getaddrinfo, which wraps it
+        for spec in ("localhost:http", "70000", ":-1", "[::1]:99999"):
+            with pytest.raises(ReproError, match=f"bad listen address {re.escape(repr(spec))}"):
+                parse_hostport(spec)
 
     @pytest.mark.parametrize("spec, expected", [
         ("[::1]:7000", ("::1", 7000)),

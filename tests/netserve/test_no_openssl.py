@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import shlex
 import socket
 import subprocess
 import sys
@@ -116,29 +115,3 @@ def test_stdio_server_maps_no_openssl(sources):
         out, err = proc.communicate(timeout=30)  # EOF on stdin: drain, exit
     assert proc.returncode == 0, err.decode()
     assert json.loads(out.splitlines()[-1])["op"] == "drained"
-
-
-def test_server_the_client_spawns_maps_no_openssl(tmp_path, sources, monkeypatch):
-    """The stdio door as `jem client` drives it, with the spawned server's
-    own mappings read after its session drained, and the client's TSV body
-    that of `jem map --index`."""
-    indexes, _, _ = sources
-    reads = str(tmp_path / "reads.fasta")
-    maps_out = tmp_path / "server-openssl.json"
-    server = (
-        "import json, re, sys; from repro.cli import main; rc = main(sys.argv[1:]); "
-        f"found = sorted({{l.split()[-1] for l in open('/proc/self/maps') "
-        f"if re.search({OPENSSL.pattern!r}, l)}}); "
-        f"json.dump(found, open({str(maps_out)!r}, 'w')); sys.exit(rc)"
-    )
-    command = shlex.join([sys.executable, "-c", server, "serve", "--index", indexes["bundle"]])
-    monkeypatch.setenv("PYTHONPATH", SRC)
-    served, mapped = tmp_path / "client.tsv", tmp_path / "map.tsv"
-    assert main(["client", "-q", reads, "--server-cmd", command, "-o", str(served)]) == 0
-    assert json.loads(maps_out.read_text()) == []
-    assert main(["map", "-q", reads, "--index", indexes["bundle"], "-o", str(mapped)]) == 0
-
-    def body(path):
-        return [line for line in path.read_text().splitlines() if not line.startswith("#")]
-
-    assert body(served) == body(mapped)

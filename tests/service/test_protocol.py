@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -225,29 +226,54 @@ class TestOneWireContract:
 
 class TestClientCLI:
     def simulate(self, tmp_path):
+        """A simulated data set and an index of its contigs at 8 trials."""
         data = tmp_path / "data"
         assert main([
             "simulate", "e_coli", "--scale", "0.0002", "--seed", "3",
             "--out", str(data),
         ]) == 0
-        return data
+        index = str(data / "contigs.idx.npz")
+        assert main([
+            "index", "-s", str(data / "e_coli_contigs.fasta"), "-o", index,
+            "--trials", "8",
+        ]) == 0
+        return data, index
 
     def strip(self, path):
         return [l for l in path.read_text().splitlines() if not l.startswith("#")]
 
+    def serve(self, *args):
+        """The ``jem serve`` command line and its environment."""
+        command = [sys.executable, "-m", "repro.cli", "serve", *args]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        return command, env
+
     def test_client_tsv_matches_one_shot_map(self, tmp_path):
-        data = self.simulate(tmp_path)
-        args = ["-q", str(data / "e_coli_reads.fastq"),
-                "-s", str(data / "e_coli_contigs.fasta"), "--trials", "8"]
+        data, index = self.simulate(tmp_path)
+        reads = str(data / "e_coli_reads.fastq")
         one_shot = tmp_path / "map.tsv"
         served = tmp_path / "client.tsv"
         metrics = tmp_path / "metrics.json"
-        assert main(["map", *args, "-o", str(one_shot)]) == 0
-        assert main([
-            "client", *args, "-o", str(served),
-            "--max-batch", "16",
-            "--metrics-out", str(metrics),
-        ]) == 0
+        assert main(["map", "-q", reads, "--index", index, "-o", str(one_shot)]) == 0
+        command, env = self.serve(
+            "--index", index, "--listen", "127.0.0.1:0", "--max-batch", "16"
+        )
+        server = subprocess.Popen(command, env=env, stderr=subprocess.PIPE, text=True)
+        try:
+            port = None
+            for line in server.stderr:  # until the banner names the bound port
+                port = re.search(r"listening on [^:]+:(\d+)", line)
+                if port:
+                    break
+            assert port, "jem serve --listen exited before it listened"
+            assert main([
+                "client", "-q", reads, "--connect", f"127.0.0.1:{port.group(1)}",
+                "-o", str(served), "--metrics-out", str(metrics),
+            ]) == 0
+        finally:
+            server.terminate()
+            server.communicate(timeout=30)
+        assert server.returncode == 0
         assert self.strip(one_shot) == self.strip(served)
 
         snapshot = json.loads(metrics.read_text())
@@ -261,13 +287,11 @@ class TestClientCLI:
     @pytest.mark.parametrize("stdin_kind", ["file", "pipe-eof", "devnull"])
     def test_serve_ends_drained_whatever_stdin_is(self, tmp_path, stdin_kind):
         """A regular file, a pipe closed without ``drain``, and /dev/null."""
-        data = self.simulate(tmp_path)
+        _, index = self.simulate(tmp_path)
         request = json.dumps({"op": "ping"}) + "\n"
         script = tmp_path / "requests.ndjson"
         script.write_text(request)
-        command = [sys.executable, "-m", "repro.cli", "serve", "--trials", "8",
-                   "-s", str(data / "e_coli_contigs.fasta")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        command, env = self.serve("--index", index)
         if stdin_kind == "pipe-eof":
             done = subprocess.run(command, input=request, env=env, text=True,
                                   capture_output=True, timeout=120)
