@@ -827,7 +827,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"error: chaos {args.target} requires -q/--queries",
               file=sys.stderr)
         return 2
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        print(f"error: --seeds: {exc}", file=sys.stderr)
+        return 2
     if not seeds:
         print("error: --seeds is empty", file=sys.stderr)
         return 2

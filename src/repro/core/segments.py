@@ -32,10 +32,6 @@ class SegmentInfo:
     read_index: int
     kind: str  # PREFIX or SUFFIX
 
-    @property
-    def suffix_flag(self) -> int:
-        return 1 if self.kind == SUFFIX else 0
-
 
 def _segment_meta(read_meta: dict, kind: str, read_len: int, ell: int) -> dict:
     """Segment meta, including projected reference coordinates when known."""

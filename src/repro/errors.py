@@ -82,7 +82,8 @@ class IndexCorruptError(MappingError):
 
 
 class CommError(ReproError):
-    """Misuse of, or an unrecoverable gather failure in, the SPMD engine."""
+    """A bad rank count or cost constant, or a vanished shared segment, in the
+    parallel layer."""
 
 
 class FaultError(ReproError):
@@ -97,10 +98,9 @@ class FaultError(ReproError):
 class PartialResultError(ReproError):
     """Strict-mode signal that part of the query set could not be mapped.
 
-    ``failed_reads`` names the reads whose blocks were lost; the parallel
-    driver and the worker-process backend, called with ``strict=False``,
-    return the same information as a
-    :class:`~repro.parallel.faults.PartialResult` instead.
+    ``failed_reads`` names the reads whose blocks were lost; the
+    worker-process backend, called with ``strict=False``, returns the same
+    information as a :class:`~repro.parallel.faults.PartialResult` instead.
     """
 
     def __init__(self, message: str, *, failed_reads: tuple[str, ...] = ()):

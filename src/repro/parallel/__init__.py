@@ -9,7 +9,6 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     "CostModel": ".costmodel",
     "StepTimes": ".costmodel",
-    "modelled_runtime": ".costmodel",
     "ParallelRunResult": ".driver",
     "run_parallel_jem": ".driver",
     "map_reads_multiprocess": ".mp_backend",

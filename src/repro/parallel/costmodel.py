@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import CommError
 
-__all__ = ["CostModel", "StepTimes", "modelled_runtime"]
+__all__ = ["CostModel", "StepTimes"]
 
 
 @dataclass(frozen=True)
@@ -71,35 +71,16 @@ class CostModel:
         log_p = int(np.ceil(np.log2(p)))
         return self.tau * log_p + self.mu * total_bytes * (p - 1) / p
 
-    def input_load_time(self, p: int, total_bytes: int) -> float:
-        """Parallel input read: total bytes split across p readers."""
-        return total_bytes / (self.io_bandwidth * p)
-
 
 @dataclass
 class StepTimes:
-    """Per-rank measured compute seconds for the four steps S1..S4.
-
-    ``recovery`` is per-rank time lost to fault handling (failed attempts,
-    backoff, straggler delays, re-dispatched blocks); ``regather_comm`` is
-    modelled communication spent re-requesting checksum-failed gather
-    payloads, and ``gather_retries`` counts those re-requests.  All three
-    are zero on a fault-free run, so Fig. 7/8-style breakdowns are
-    unchanged unless faults actually fired.
-    """
+    """Per-rank measured compute seconds for the four steps S1..S4."""
 
     load: np.ndarray
     sketch: np.ndarray
     map: np.ndarray
     gather_comm: float = 0.0
     comm_bytes: int = 0
-    recovery: np.ndarray | None = None
-    regather_comm: float = 0.0
-    gather_retries: int = 0
-
-    def __post_init__(self) -> None:
-        if self.recovery is None:
-            self.recovery = np.zeros_like(np.asarray(self.load, dtype=float))
 
     @property
     def p(self) -> int:
@@ -111,36 +92,20 @@ class StepTimes:
         return float(self.load.max() + self.sketch.max() + self.map.max())
 
     @property
-    def recovery_time(self) -> float:
-        """Fault-recovery makespan: slowest rank's recovery plus re-gathers."""
-        return float(self.recovery.max()) + self.regather_comm
-
-    @property
     def total_time(self) -> float:
-        return self.compute_time + self.gather_comm + self.recovery_time
+        """Compute makespan plus gather: the Fig. 7a bars stacked."""
+        return sum(self.breakdown().values())
 
     @property
     def comm_fraction(self) -> float:
         total = self.total_time
-        return (self.gather_comm + self.regather_comm) / total if total > 0 else 0.0
+        return self.gather_comm / total if total > 0 else 0.0
 
     def breakdown(self) -> dict[str, float]:
-        """Step makespans — the Fig. 7a stacked bars.
-
-        The ``recovery`` entry appears only when faults fired, keeping
-        fault-free tables identical to the paper's four-step shape.
-        """
-        out = {
+        """Step makespans — the Fig. 7a stacked bars."""
+        return {
             "input_load": float(self.load.max()),
             "subject_sketch": float(self.sketch.max()),
             "sketch_gather": float(self.gather_comm),
             "query_map": float(self.map.max()),
         }
-        if self.recovery_time > 0:
-            out["recovery"] = self.recovery_time
-        return out
-
-
-def modelled_runtime(steps: StepTimes, model: CostModel) -> float:
-    """Total modelled parallel runtime for a measured run."""
-    return steps.compute_time + model.allgatherv_time(steps.p, steps.comm_bytes)

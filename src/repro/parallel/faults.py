@@ -6,9 +6,6 @@ fully deterministic description of which faults fire where:
 
 * ``crash``        — the work unit raises :class:`~repro.errors.FaultError`;
 * ``straggler``    — the work unit is delayed by ``delay`` seconds;
-* ``corrupt``      — a rank's Allgatherv payload is flipped in transit
-  (caught by the checksum layer and re-requested);
-* ``drop``         — a rank's Allgatherv payload is lost in transit;
 * ``worker_death`` — the worker *process* dies hard (``os._exit``) in the
   multiprocessing backend; equivalent to ``crash`` elsewhere.
 
@@ -45,11 +42,8 @@ __all__ = [
     "inject_compute_faults",
 ]
 
-FAULT_KINDS = ("crash", "straggler", "corrupt", "drop", "worker_death")
-FAULT_PHASES = ("sketch", "gather", "map")
-
-#: Kinds that only make sense on the gather path.
-_GATHER_KINDS = frozenset({"corrupt", "drop"})
+FAULT_KINDS = ("crash", "straggler", "worker_death")
+FAULT_PHASES = ("sketch", "map")
 
 
 @dataclass(frozen=True)
@@ -61,8 +55,7 @@ class FaultSpec:
     kind:
         One of :data:`FAULT_KINDS`.
     phase:
-        Pipeline phase the fault strikes (``sketch`` = S2, ``gather`` = S3,
-        ``map`` = S4).
+        Pipeline phase the fault strikes (``sketch`` = S2, ``map`` = S4).
     block:
         Targeted work unit / rank index.
     times:
@@ -87,8 +80,6 @@ class FaultSpec:
             raise ReproError(f"unknown fault kind {self.kind!r}")
         if self.phase not in FAULT_PHASES:
             raise ReproError(f"unknown fault phase {self.phase!r}")
-        if self.kind in _GATHER_KINDS and self.phase != "gather":
-            raise ReproError(f"{self.kind!r} faults only apply to the gather phase")
         if self.times is not None and self.times < 1:
             raise ReproError(f"times must be >= 1 or None, got {self.times}")
 
@@ -119,86 +110,39 @@ class FaultPlan:
         p: int,
         *,
         n_faults: int = 3,
-        kinds: tuple[str, ...] = ("crash", "straggler", "corrupt", "worker_death"),
+        kinds: tuple[str, ...] = ("crash", "straggler", "worker_death"),
         max_times: int = 2,
         delay: float = 0.01,
-        recoverable: bool = True,
     ) -> "FaultPlan":
-        """Draw a random fault plan from a seed (the property-test source).
+        """Draw a random recoverable fault plan from a seed (the property-test
+        source).
 
-        With ``recoverable=True`` every fault clears within ``max_times``
-        firings (keep ``max_times < RetryPolicy.max_attempts``), so
-        recovery must reproduce the sequential mapping exactly.  With
-        ``recoverable=False`` one extra permanent unit-scoped ``crash`` is
-        planted on a random S4 (map) block — the canonical unrecoverable
-        fault that triggers graceful degradation.
+        Every fault clears within ``max_times`` firings (keep ``max_times <
+        RetryPolicy.max_attempts``), so recovery must reproduce the
+        sequential mapping exactly.
         """
         rng = np.random.default_rng(seed)
         specs: list[FaultSpec] = []
         for _ in range(n_faults):
-            kind = str(rng.choice(list(kinds)))
-            if kind in _GATHER_KINDS:
-                phase = "gather"
-            else:
-                phase = str(rng.choice(["sketch", "map"]))
             specs.append(
                 FaultSpec(
-                    kind=kind,
-                    phase=phase,
+                    kind=str(rng.choice(list(kinds))),
+                    phase=str(rng.choice(["sketch", "map"])),
                     block=int(rng.integers(0, p)),
                     times=int(rng.integers(1, max_times + 1)),
                     delay=delay,
                 )
             )
-        if not recoverable:
-            specs.append(
-                FaultSpec(
-                    kind="crash",
-                    phase="map",
-                    block=int(rng.integers(0, p)),
-                    times=None,
-                    unit_scoped=True,
-                )
-            )
         return cls(specs)
-
-    @classmethod
-    def kill_all_workers(
-        cls, p: int, *, phase: str = "map", once: bool = True
-    ) -> "FaultPlan":
-        """Every worker dies — the chaos scenario behind the circuit breaker.
-
-        ``once=True`` plants one ``worker_death`` per rank (each worker
-        dies exactly once; retry and re-dispatch can still recover).
-        ``once=False`` makes the deaths permanent on every rank, so no
-        donor survives either: the whole dispatch fails until the plan is
-        cleared — modelling a pool that stays dead until the watchdog
-        rebuilds it.
-        """
-        if p < 1:
-            raise ReproError(f"p must be >= 1, got {p}")
-        return cls(
-            [
-                FaultSpec(
-                    kind="worker_death",
-                    phase=phase,
-                    block=r,
-                    times=1 if once else None,
-                )
-                for r in range(p)
-            ]
-        )
 
     @property
     def recoverable(self) -> bool:
         """Whether recovery can still yield the exact sequential mapping.
 
-        Permanent rank-scoped compute faults are recoverable (re-dispatch
-        escapes them); permanent unit-scoped or gather faults are not.
+        Permanent rank-scoped faults are recoverable (re-dispatch escapes
+        them); permanent unit-scoped faults are not.
         """
-        return not any(
-            s.permanent and (s.unit_scoped or s.phase == "gather") for s in self.specs
-        )
+        return not any(s.permanent and s.unit_scoped for s in self.specs)
 
     @property
     def total_fired(self) -> int:
@@ -247,8 +191,7 @@ def inject_compute_faults(
     """Fire matching compute faults for real: sleep stragglers, raise crashes.
 
     Used where execution is genuinely concurrent (the scatter lanes of
-    :mod:`repro.netserve.router`); the simulated driver accounts the same
-    faults arithmetically instead.
+    :mod:`repro.netserve.router`).
     """
     if plan is None:
         return
@@ -291,21 +234,10 @@ class RecoveryReport:
     """Mutable recovery accounting filled in by a resilient run.
 
     Pass an instance to :func:`~repro.parallel.mp_backend.map_reads_multiprocess`
-    to observe what the recovery machinery did; the simulated driver
-    surfaces the same numbers through ``ParallelRunResult``.
+    to observe what the recovery machinery did.
     """
 
     attempts: int = 0
     redispatches: int = 0
-    gather_retries: int = 0
     recovery_seconds: float = 0.0
     partial: PartialResult | None = None
-
-    @property
-    def faults_encountered(self) -> bool:
-        return (
-            self.redispatches > 0
-            or self.gather_retries > 0
-            or self.recovery_seconds > 0
-            or self.partial is not None
-        )

@@ -1,6 +1,6 @@
 """Bounded retry with exponential backoff + deterministic jitter.
 
-The recovery machinery retries failed S2/S4 work units a bounded number of
+The recovery machinery retries failed work units a bounded number of
 times.  Delays follow the usual ``base * backoff**attempt`` curve, capped
 at ``max_delay``, with jitter drawn from a *seeded* generator so a given
 ``(policy, seed)`` pair always produces the same schedule — a requirement
@@ -11,9 +11,8 @@ Two execution styles share the schedule:
 
 * :func:`retry_call` — really sleep between attempts (the scatter lanes of
   :mod:`repro.netserve.router`, where recovery cost is wall time);
-* :meth:`RetryPolicy.delays` — just enumerate the delays (the simulated
-  SPMD driver, which *accounts* recovery time in the cost model instead of
-  burning it).
+* :meth:`RetryPolicy.delays` — just enumerate the delays (the worker-process
+  backend, which waits on them between dispatch rounds).
 """
 
 from __future__ import annotations
@@ -97,15 +96,6 @@ class RetryPolicy:
             if self.jitter > 0:
                 delay += float(rng.uniform(0.0, self.jitter * delay))
             yield delay
-
-    def total_backoff(self, failures: int, *, stream: int = 0) -> float:
-        """Sum of the first ``failures`` backoff delays (modelled recovery)."""
-        total = 0.0
-        for i, delay in enumerate(self.delays(stream=stream)):
-            if i >= failures:
-                break
-            total += delay
-        return total
 
 
 def retry_call(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CommError
-from repro.parallel import CostModel, StepTimes, modelled_runtime
+from repro.parallel import CostModel, StepTimes
 
 
 def test_allgatherv_p1_free():
@@ -26,11 +26,6 @@ def test_bandwidth_term_scaling():
     m = CostModel(tau=0.0, mu=1e-6)
     t = m.allgatherv_time(4, 1_000_000)
     assert abs(t - 1e-6 * 1_000_000 * 3 / 4) < 1e-9
-
-
-def test_input_load_time():
-    m = CostModel(io_bandwidth=1e6)
-    assert m.input_load_time(2, 2_000_000) == 1.0
 
 
 def test_invalid_constants():
@@ -66,9 +61,3 @@ def test_steptimes_breakdown_keys():
     b = make_steps().breakdown()
     assert set(b) == {"input_load", "subject_sketch", "sketch_gather", "query_map"}
     assert b["query_map"] == 5.0
-
-
-def test_modelled_runtime_consistent():
-    s = make_steps()
-    m = CostModel(tau=0.0, mu=0.0)
-    assert modelled_runtime(s, m) == s.compute_time

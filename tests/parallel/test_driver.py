@@ -37,6 +37,8 @@ def test_step_times_recorded(tiling_contigs, clean_reads):
     assert (run.steps.map > 0).any()
     assert run.steps.comm_bytes > 0
     assert run.total_time > 0
+    # Fig. 7a stacks the breakdown; Table II prints the total
+    assert sum(run.steps.breakdown().values()) == run.steps.total_time
 
 
 def test_comm_bytes_grow_with_table(tiling_contigs, clean_reads):

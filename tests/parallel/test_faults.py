@@ -1,21 +1,18 @@
-"""Fault matrix: crash / straggler / corrupt / drop / worker-death across
-the simulated SPMD driver and the multiprocessing backend.  The invariant
-under test: any *recoverable* fault plan yields a mapping bit-identical to
-the sequential JEMMapper's, and recovery cost is visible in the
-accounting."""
+"""Fault matrix: crash / straggler / worker-death on the multiprocessing
+backend.  The invariant under test: any *recoverable* fault plan yields a
+mapping bit-identical to the sequential JEMMapper's."""
 
 import numpy as np
 import pytest
 
 from repro.core import JEMConfig, JEMMapper
-from repro.errors import CommError, FaultError, PartialResultError
+from repro.errors import FaultError, PartialResultError, ReproError
 from repro.parallel import (
     FaultPlan,
     FaultSpec,
     RecoveryReport,
     RetryPolicy,
     map_reads_multiprocess,
-    run_parallel_jem,
 )
 
 CFG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=21)
@@ -55,125 +52,6 @@ def assert_identical(got, want):
     assert np.array_equal(got.subject, want.subject)
     assert np.array_equal(got.hit_count, want.hit_count)
     assert got.segment_names == want.segment_names
-
-
-# -- simulated SPMD driver -----------------------------------------------------
-
-SIM_PLANS = {
-    "crash_sketch": [FaultSpec("crash", "sketch", 1, times=1)],
-    "crash_map": [FaultSpec("crash", "map", 2, times=2)],
-    "straggler": [FaultSpec("straggler", "map", 0, times=1, delay=0.02)],
-    "corrupt_gather": [FaultSpec("corrupt", "gather", 0, times=1)],
-    "drop_gather": [FaultSpec("drop", "gather", 3, times=1)],
-    "dead_rank_redispatch": [FaultSpec("worker_death", "map", 1, times=None)],
-    "mixed": [
-        FaultSpec("crash", "sketch", 0, times=1),
-        FaultSpec("straggler", "sketch", 2, times=1, delay=0.01),
-        FaultSpec("corrupt", "gather", 1, times=1),
-        FaultSpec("crash", "map", 3, times=None),  # permanent but rank-scoped
-    ],
-}
-
-
-@pytest.mark.parametrize("name", sorted(SIM_PLANS))
-def test_simulated_fault_matrix(world, expected, name):
-    contigs, reads = world
-    plan = FaultPlan(SIM_PLANS[name])
-    assert plan.recoverable
-    run = run_parallel_jem(contigs, reads, CFG, p=4, faults=plan, retry=POLICY)
-    assert_identical(run.mapping, expected)
-    assert run.complete
-    assert plan.total_fired > 0
-    assert run.recovery_time > 0  # acceptance: faults leave a timing trace
-    assert run.steps.total_time >= run.steps.compute_time + run.steps.gather_comm
-    assert "recovery" in run.steps.breakdown()
-
-
-def test_simulated_clean_run_has_no_recovery(world, expected):
-    contigs, reads = world
-    run = run_parallel_jem(contigs, reads, CFG, p=4)
-    assert_identical(run.mapping, expected)
-    assert run.recovery_time == 0.0
-    assert "recovery" not in run.steps.breakdown()
-
-
-def test_simulated_gather_retries_counted(world):
-    contigs, reads = world
-    plan = FaultPlan([FaultSpec("corrupt", "gather", 2, times=2)])
-    run = run_parallel_jem(contigs, reads, CFG, p=4, faults=plan, retry=POLICY)
-    assert run.steps.gather_retries == 2
-    assert run.steps.regather_comm > 0
-
-
-def test_simulated_permanent_gather_corruption_fatal(world):
-    contigs, reads = world
-    plan = FaultPlan([FaultSpec("corrupt", "gather", 0, times=None)])
-    with pytest.raises(CommError):
-        run_parallel_jem(contigs, reads, CFG, p=4, faults=plan, retry=POLICY)
-
-
-def test_simulated_unrecoverable_strict_raises(world):
-    contigs, reads = world
-    plan = FaultPlan([FaultSpec("crash", "map", 1, times=None, unit_scoped=True)])
-    assert not plan.recoverable
-    with pytest.raises(PartialResultError) as excinfo:
-        run_parallel_jem(contigs, reads, CFG, p=4, faults=plan, retry=POLICY)
-    assert len(excinfo.value.failed_reads) > 0
-
-
-def test_simulated_unrecoverable_degrades_gracefully(world, expected):
-    from repro.parallel.partition import partition_set
-
-    contigs, reads = world
-    plan = FaultPlan([FaultSpec("crash", "map", 1, times=None, unit_scoped=True)])
-    run = run_parallel_jem(
-        contigs, reads, CFG, p=4, faults=plan, retry=POLICY, strict=False
-    )
-    lost = tuple(partition_set(reads, 4)[1].names)
-    assert not run.complete
-    assert run.partial.failed_blocks == (1,)
-    assert run.partial.failed_reads == lost  # exactly the affected reads
-    # surviving blocks still match the sequential mapping for their reads
-    lost_set = set(lost)
-    kept = [
-        i for i, name in enumerate(expected.segment_names)
-        if name.rsplit("/", 1)[0] not in lost_set
-    ]
-    assert kept and len(kept) == len(expected) - 2 * len(lost)
-    assert run.mapping.segment_names == [expected.segment_names[i] for i in kept]
-    assert np.array_equal(run.mapping.subject, expected.subject[kept])
-    assert np.array_equal(run.mapping.hit_count, expected.hit_count[kept])
-
-
-def test_simulated_sketch_block_lost_everywhere_is_fatal(world):
-    contigs, reads = world
-    plan = FaultPlan([FaultSpec("crash", "sketch", 0, times=None, unit_scoped=True)])
-    with pytest.raises(FaultError):
-        run_parallel_jem(
-            contigs, reads, CFG, p=4, faults=plan, retry=POLICY, strict=False
-        )
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_property_seeded_recoverable_plans(world, expected, seed):
-    """Any seeded recoverable FaultPlan yields output identical to sequential."""
-    contigs, reads = world
-    plan = FaultPlan.seeded(seed, 5, delay=0.005)
-    assert plan.recoverable
-    run = run_parallel_jem(contigs, reads, CFG, p=5, faults=plan, retry=POLICY)
-    assert_identical(run.mapping, expected)
-    assert run.recovery_time > 0
-
-
-def test_seeded_unrecoverable_plan_degrades(world):
-    contigs, reads = world
-    plan = FaultPlan.seeded(11, 4, recoverable=False)
-    assert not plan.recoverable
-    run = run_parallel_jem(
-        contigs, reads, CFG, p=4, faults=plan, retry=POLICY, strict=False
-    )
-    assert run.partial is not None
-    assert run.partial.n_failed > 0
 
 
 # -- multiprocessing backend ---------------------------------------------------
@@ -264,8 +142,6 @@ def test_retry_jitter_from_explicit_generator():
 
 
 def test_retry_seed_and_rng_are_mutually_exclusive():
-    from repro.errors import ReproError
-
     with pytest.raises(ReproError, match="not both"):
         RetryPolicy(seed=5, rng=np.random.default_rng(1))
 
@@ -312,3 +188,17 @@ def test_fault_plan_consume_is_scoped():
     assert plan.consume("map", block=2, exec_rank=-1)
     # other phases untouched
     assert not plan.consume("sketch", block=2, exec_rank=2)
+
+
+@pytest.mark.parametrize(
+    "kind, phase, times, match",
+    [
+        ("corrupt", "gather", 1, "kind"),
+        ("crash", "gather", 1, "phase"),
+        ("crash", "map", 0, "times"),
+    ],
+    ids=["retired_kind", "retired_phase", "zero_times"],
+)
+def test_fault_spec_validation(kind, phase, times, match):
+    with pytest.raises(ReproError, match=match):
+        FaultSpec(kind, phase, 0, times=times)

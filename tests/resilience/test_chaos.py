@@ -194,3 +194,12 @@ class TestResumeCli:
         captured = capsys.readouterr()
         assert rc == 0, captured.err
         assert "1/1 chaos cycles reproduced" in captured.out
+
+    @pytest.mark.parametrize("seeds", ["", "1,x"])
+    def test_chaos_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
+        rc = main(["chaos", "index", "-s", str(tmp_path / "contigs.fasta"),
+                   "--seeds", seeds])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --seeds")
+        assert ("'x'" in err) if seeds else ("empty" in err)
