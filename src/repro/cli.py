@@ -9,9 +9,8 @@ Subcommands:
   native kernel threads);
 * ``store-stats`` — inspect a saved index (bundle or mutable directory):
   generation, segments, memtable, tombstones, byte breakdown;
-* ``serve``    — long-lived mapping service speaking NDJSON over
-  stdin/stdout or, with ``--listen``, TCP (index resident, micro-batched,
-  cached; see ``docs/serving.md``);
+* ``serve``    — long-lived mapping service speaking NDJSON over TCP
+  (index resident, micro-batched, cached; see ``docs/serving.md``);
 * ``client``   — drive a ``serve`` process from a FASTA/FASTQ file and
   write the same TSV as ``map``;
 * ``chaos``    — seeded kill-resume chaos cycles against ``index``/``map``
@@ -36,6 +35,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__, _native_build
+from .errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.config import JEMConfig
@@ -295,15 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="long-lived mapping service: NDJSON requests and responses over "
-             "stdin/stdout or, with --listen, TCP (see docs/serving.md)",
+             "TCP (see docs/serving.md)",
     )
     p_serve.add_argument("--index", required=True,
                          help="saved JEM index: a bundle (.npz) or a mutable "
                               "index directory, as `jem index` writes them")
-    p_serve.add_argument("--listen", default=None, metavar="HOST:PORT",
-                         help="serve the NDJSON protocol over TCP instead of "
-                              "stdin/stdout; port 0 picks a free port "
-                              "(see docs/serving.md)")
+    p_serve.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
+                         help="TCP address to serve the NDJSON protocol on; "
+                              "port 0 picks a free port, named in the stderr "
+                              "banner (default 127.0.0.1:0)")
     p_serve.add_argument("--replicas", type=int, default=1,
                          help="mapping service workers (default 1)")
     p_serve.add_argument("--placement", choices=("scatter", "replicate"),
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max in-flight maps per tenant tag across all "
                               "sessions (default: unlimited)")
     p_serve.add_argument("--probe-interval-ms", type=float, default=500.0,
-                         help="supervisor heartbeat interval behind --listen "
+                         help="supervisor heartbeat interval "
                               "(default 500; probe deadline is half of it)")
     p_serve.add_argument("--max-line-bytes", type=int, default=1 << 20,
                          help="longest accepted NDJSON request line; an "
@@ -325,20 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "a typed error (default 1MiB)")
     p_serve.add_argument("--idle-timeout", type=float, default=300.0,
                          metavar="SECONDS",
-                         help="TCP slow-loris guard: cut a connection that "
+                         help="slow-loris guard: cut a connection that "
                               "completes no request line in this long (0 "
-                              "disables, default 300); a stdio session has "
-                              "none, its parent owns the pipe and may idle")
+                              "disables, default 300)")
     _add_service_args(p_serve)
 
     p_client = sub.add_parser(
         "client",
-        help="stream a FASTA/FASTQ file through a running `jem serve "
-             "--listen` and write the same TSV as `map`",
+        help="stream a FASTA/FASTQ file through a running `jem serve` "
+             "and write the same TSV as `map`",
     )
     p_client.add_argument("-q", "--queries", required=True, help="long reads FASTA/FASTQ")
     p_client.add_argument("--connect", required=True, metavar="HOST:PORT",
-                          help="address of a running `jem serve --listen`")
+                          help="address of a running `jem serve`")
     p_client.add_argument("-o", "--output", default="-", help="output TSV ('-' = stdout)")
     p_client.add_argument("--on-error", choices=("raise", "skip"), default="raise",
                           help="input parser policy")
@@ -616,7 +615,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _fleet_from(args: argparse.Namespace, engine: MappingEngine):
-    """The replica fleet behind either ``serve`` door, stdio or TCP."""
+    """The replica fleet ``serve`` fronts."""
     from .netserve import ReplicaSet, make_placement
 
     return ReplicaSet.from_engine(
@@ -627,7 +626,7 @@ def _fleet_from(args: argparse.Namespace, engine: MappingEngine):
 
 def _import_asyncio_without_tls():
     """``asyncio``, imported the way CPython imports it on a build without
-    OpenSSL: the doors speak plain NDJSON and never TLS, and ``asyncio``'s
+    OpenSSL: the server speaks plain NDJSON and never TLS, and ``asyncio``'s
     unconditional ``import ssl`` would otherwise map ``libcrypto`` and
     ``libssl`` (≈ 4.8 MB) into every server.  A ``None`` in ``sys.modules``
     makes that import fail, which ``asyncio`` handles by leaving TLS out; the
@@ -646,8 +645,8 @@ def _import_asyncio_without_tls():
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """``jem serve``: one NDJSON front-end in front of a replica fleet —
-    over stdin/stdout, or with ``--listen`` over TCP."""
+    """``jem serve``: one NDJSON front-end over TCP in front of a replica
+    fleet, until SIGINT or SIGTERM."""
     asyncio = _import_asyncio_without_tls()
     import json
     import signal
@@ -655,47 +654,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .netserve import FleetSupervisor, NetFrontend, SupervisorConfig, parse_hostport
 
     # a bad address fails before the index loads and the fleet's threads start
-    address = None if args.listen is None else parse_hostport(args.listen)
+    host, port = parse_hostport(args.listen)
     t0 = time.perf_counter()
-    engine = _engine_from(args)
-    backend = _fleet_from(args, engine)
-    if address is None:
-        host, port = "", 0  # never bound: the session's streams are stdio
-        # no slow-loris guard: the parent that owns the pipe may idle as
-        # long as it likes, and cutting it loose would kill the service
-        idle_timeout_s = None
-    else:
-        host, port = address
-        idle_timeout_s = args.idle_timeout if args.idle_timeout > 0 else None
-        interval_s = max(args.probe_interval_ms, 1.0) / 1000.0
-        supervisor = FleetSupervisor(
-            backend,
-            SupervisorConfig(
-                probe_interval_s=interval_s,
-                probe_deadline_s=interval_s / 2.0,
-            ),
-        )
+    backend = _fleet_from(args, _engine_from(args))
+    interval_s = max(args.probe_interval_ms, 1.0) / 1000.0
+    supervisor = FleetSupervisor(
+        backend,
+        SupervisorConfig(probe_interval_s=interval_s, probe_deadline_s=interval_s / 2.0),
+    )
     frontend = NetFrontend(
         backend, host=host, port=port, tenant_quota=args.tenant_quota,
-        max_line_bytes=args.max_line_bytes, idle_timeout_s=idle_timeout_s,
+        max_line_bytes=args.max_line_bytes,
+        idle_timeout_s=args.idle_timeout if args.idle_timeout > 0 else None,
     )
 
-    async def stdio() -> str:
-        mapper = engine.mapper
-        print(
-            f"# serving {len(mapper.subject_names)} contigs "
-            f"({mapper.table.total_entries:,} sketch entries, "
-            f"ready in {time.perf_counter() - t0:.2f}s); NDJSON on stdin",
-            file=sys.stderr,
-            flush=True,
-        )
-        session = await frontend.serve_stdio(sys.stdin.buffer, sys.stdout.buffer)
-        return (
-            f"# drained: {session.mapped} mapped, {session.errors} errors, "
-            f"{session.rejected} rejected"
-        )
-
-    async def listen() -> str:
+    async def listen() -> None:
         bound_host, bound_port = await frontend.start()
         # machine-parseable banner: CI and tests discover port 0 from it
         print(
@@ -737,22 +710,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(signal.SIGHUP, request_rolling_restart)
         await stop_requested.wait()
         await frontend.stop()
-        return "# jem-netserve stopped"
 
     try:
-        summary = asyncio.run(stdio() if args.listen is None else listen())
+        asyncio.run(listen())
     finally:
         backend.drain()
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             json.dump(backend.metrics_snapshot(), fh, indent=2)
-    print(summary, file=sys.stderr)
+    print("# jem-netserve stopped", file=sys.stderr)
     return 0
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
-    """``jem client``: stream reads through a running ``serve --listen`` and
-    write the TSV ``map`` writes, then the summary."""
+    """``jem client``: stream reads through a running ``serve`` and write the
+    TSV ``map`` writes, then the summary."""
     import json
 
     from .core.engine import read_sequences
@@ -1072,7 +1044,11 @@ def main(argv: list[str] | None = None) -> int:
         "bench": _cmd_bench,
         "datasets": _cmd_datasets,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ReproError, OSError) as exc:  # expected failures: one line, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

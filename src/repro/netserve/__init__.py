@@ -1,10 +1,9 @@
 """repro.netserve — concurrent network serving over replicated shard workers.
 
 The network tier on top of :mod:`repro.service`: an asyncio front-end
-(:class:`NetFrontend`) is the server side of the NDJSON protocol — for
-the one stdio session of a plain ``jem serve`` and for many concurrent
-TCP clients alike, with per-client fairness and optional per-tenant
-quotas — and on either door hands every read to a :class:`ReplicaSet`:
+(:class:`NetFrontend`) is the server side of the NDJSON protocol for
+many concurrent TCP clients, with per-client fairness and optional
+per-tenant quotas, and hands every read to a :class:`ReplicaSet`:
 N :class:`~repro.service.MappingService` workers whose index ownership
 is decided by a pluggable :class:`PlacementPolicy`, and the one owner of
 the served index's mutable handle:

@@ -1,10 +1,8 @@
 """Asyncio front-end: the one server side of the NDJSON protocol.
 
-Every session — each TCP connection behind ``jem serve --listen`` and the
-single stdin/stdout session of a plain ``jem serve``
-(:meth:`NetFrontend.serve_stdio`) — runs the same connection handler, so
-a request line is parsed, routed, ordered and answered in exactly one
-place whichever transport carried it.  One event loop multiplexes every
+Every session is a TCP connection behind ``jem serve``, and every one runs
+the same connection handler, so a request line is parsed, routed, ordered
+and answered in exactly one place.  One event loop multiplexes every
 client:
 
 * a per-connection **reader** task parses NDJSON lines into the
@@ -25,15 +23,14 @@ parked per in-flight request.
 
 Backpressure is layered: the admission queue rejects in-band with
 ``retry_after``; a connection with ``max_pending`` unanswered maps stops
-being read (TCP, or the pipe, pushes back); an optional
-**per-tenant quota** caps in-flight maps per ``tenant`` tag across all
-connections, rejecting the excess in-band so one tenant cannot occupy
-the whole admission queue.
+being read (TCP pushes back); an optional **per-tenant quota** caps
+in-flight maps per ``tenant`` tag across all connections, rejecting the
+excess in-band so one tenant cannot occupy the whole admission queue.
 
 Hostile or broken clients are contained per frame, not per connection:
 request lines are bounded by ``max_line_bytes`` (an oversized line is
 discarded through its newline and answered with a typed ``error``
-frame), a TCP connection that cannot complete one line within
+frame), a connection that cannot complete one line within
 ``idle_timeout_s`` is cut loose (slow-loris), and any exception a
 malformed payload provokes during dispatch is answered in-band — the
 shared dispatcher task serving every other connection never dies for
@@ -45,8 +42,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import os
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -144,70 +139,6 @@ class _LineReader:
                 return True
 
 
-class _StdioReader:
-    """``read()`` for :class:`_LineReader` off a blocking file descriptor.
-
-    A daemon thread does the blocking ``os.read`` — which works whether
-    stdin is a pipe, a regular file, a tty or ``/dev/null``
-    (``loop.connect_read_pipe`` refuses regular files) — and hands each
-    chunk to the loop.  It reads the descriptor, not the buffered stream
-    over it: a thread parked in a ``BufferedReader`` holds its lock, and
-    the interpreter aborts at exit when it cannot take it.  ``_slots``
-    bounds the chunks in flight, so a large request file is read at the
-    pace the session consumes it.
-    """
-
-    def __init__(self, fd: int) -> None:
-        loop = asyncio.get_running_loop()
-        self._chunks: asyncio.Queue = asyncio.Queue()
-        self._slots = threading.Semaphore(4)
-
-        def feed() -> None:
-            while True:
-                try:
-                    chunk = os.read(fd, 65536)
-                except OSError:  # a vanished tty, a closed descriptor
-                    chunk = b""  # the input is over: an implicit drain
-                self._slots.acquire()
-                try:
-                    loop.call_soon_threadsafe(self._chunks.put_nowait, chunk)
-                except RuntimeError:  # loop closed: `drain` ended the session
-                    return
-                if not chunk:
-                    return
-
-        threading.Thread(target=feed, name="jem-stdin", daemon=True).start()
-
-    async def read(self, _n: int) -> bytes:
-        chunk = await self._chunks.get()
-        self._slots.release()
-        return chunk
-
-
-class _StdioWriter:
-    """The ``StreamWriter`` surface a session uses, over a blocking binary stream.
-
-    A write blocks the loop while the parent does not read — for the one
-    session of a stdio process that *is* the backpressure — and it works
-    on a regular file, which ``loop.connect_write_pipe`` refuses.
-    """
-
-    def __init__(self, stream) -> None:
-        self._stream = stream
-
-    def write(self, data: bytes) -> None:
-        self._stream.write(data)
-
-    async def drain(self) -> None:
-        self._stream.flush()
-
-    def close(self) -> None:  # the stream's lifetime belongs to the caller
-        pass
-
-    async def wait_closed(self) -> None:
-        pass
-
-
 def parse_hostport(spec: str, *, default_host: str = "127.0.0.1") -> tuple[str, int]:
     """``HOST:PORT`` / ``[IPV6]:PORT`` / ``:PORT`` / ``PORT`` → (host, port)."""
     host, sep, port = spec.rpartition(":")
@@ -236,7 +167,7 @@ def parse_hostport(spec: str, *, default_host: str = "127.0.0.1") -> tuple[str, 
 class _Connection:
     """Per-client state shared by the reader/dispatcher/writer tasks."""
 
-    reader: asyncio.StreamReader  # or the stdio pair, same surface
+    reader: asyncio.StreamReader
     writer: asyncio.StreamWriter
     intake: deque = field(default_factory=deque)
     #: ordered responses: ("map", header, afut, tenant) | ("ready", dict)
@@ -264,9 +195,8 @@ class NetFrontend:
     ``backend`` needs ``submit(name, seq, *, deadline_s) -> MapFuture``,
     ``healthz() -> dict``, ``metrics_snapshot() -> dict`` and the mutation
     surface of :func:`~repro.service.protocol.mutation_response` — a
-    :class:`~repro.netserve.ReplicaSet`, whichever transport.
-    :meth:`start` serves TCP connections; :meth:`serve_stdio` serves one
-    session over a pair of binary streams.
+    :class:`~repro.netserve.ReplicaSet`.  :meth:`start` binds and serves
+    TCP connections until :meth:`stop`.
     """
 
     def __init__(
@@ -318,25 +248,6 @@ class NetFrontend:
         )
         return self.address
 
-    async def serve_stdio(self, stdin, stdout) -> "_Connection":
-        """Run one session over binary ``stdin`` / ``stdout`` streams.
-
-        The same handler a TCP connection gets; returns the finished
-        session (its ``mapped`` / ``errors`` / ``rejected`` counts) once
-        ``drain`` or EOF has ended it.
-        """
-        dispatcher = asyncio.create_task(
-            self._dispatch_loop(), name="jem-net-dispatch"
-        )
-        try:
-            return await self._handle_connection(
-                _StdioReader(stdin.fileno()), _StdioWriter(stdout)
-            )
-        finally:
-            dispatcher.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await dispatcher
-
     async def stop(self, *, session_grace_s: float = 10.0) -> None:
         """Stop accepting, let open sessions finish their pending work."""
         if self._server is not None:
@@ -358,7 +269,7 @@ class NetFrontend:
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> "_Connection":
+    async def _handle_connection(self, reader, writer) -> None:
         conn = _Connection(reader=reader, writer=writer)
         conn.resume_read.set()
         self._connections.append(conn)
@@ -377,7 +288,6 @@ class NetFrontend:
             with contextlib.suppress(ConnectionError):
                 conn.writer.close()
                 await conn.writer.wait_closed()
-        return conn
 
     async def _read_loop(self, conn: _Connection) -> None:
         lines = _LineReader(conn.reader, self.max_line_bytes)

@@ -11,7 +11,7 @@ and replicas sharing one store object share its native map context too.
 The set is the one owner of a served index's mutable handle: mutations,
 auto-flush and auto-compaction run here under one lock, and each
 published generation is installed into the replica services, which only
-read.  Both ``jem serve`` doors (stdio and ``--listen``) front a set.
+read.  ``jem serve`` fronts a set.
 
 Every replica keeps its own admission queue, circuit breaker, and
 labelled metrics registry (all inside its ``MappingService``), so one

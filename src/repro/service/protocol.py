@@ -5,8 +5,8 @@ state machine: the reply formatters (:func:`response_for_mapping`,
 :func:`mutation_response`) and the client (:func:`run_session` over a
 :class:`SocketTransport`).  The server side —
 parse, route, order, answer — is :class:`repro.netserve.NetFrontend`,
-the same code for a TCP connection and for the stdin/stdout session of a
-plain ``jem serve``; ``docs/serving.md`` is the protocol reference.
+the same code for every TCP connection of ``jem serve``;
+``docs/serving.md`` is the protocol reference.
 
 One JSON object per line, in both directions.  Requests:
 
@@ -38,12 +38,12 @@ One JSON object per line, in both directions.  Requests:
   is refused.  Answers ``{"op": "restart", "restarted": [...], ...}``.
 * ``{"op": "drain"}`` — finish everything the session submitted, answer
   ``{"op": "drained", "mapped", "errors", "rejected", "metrics"}`` and
-  end the session.  EOF on the input stream is an implicit drain.
+  end the session.  The client's half-close (EOF) is an implicit drain.
 
 Malformed frames (unparseable JSON, lines over ``--max-line-bytes``,
 unknown ops, non-string payload fields) are answered with a typed
 in-band ``{"type": "error", "error": ...}`` object; the session — and
-every *other* session of a TCP server — keeps serving.
+every *other* session of the server — keeps serving.
 
 Backpressure surfaces in-band: an admission rejection produces
 ``{"id": ..., "error": "overloaded", "retry_after": <seconds>}`` and the
@@ -86,7 +86,7 @@ def response_for_mapping(header: dict, mapping) -> dict:
     """Render one completed mapping as its wire response object.
 
     The single formatting path: a read's response bytes are identical
-    whichever transport its session runs on.
+    whichever session and fleet answered it.
     """
     response = {
         **header,
@@ -152,7 +152,7 @@ def mutation_response(backend, op: str, message: dict) -> dict:
 
 
 class SocketTransport:
-    """Client transport over a TCP connection to ``jem serve --listen``."""
+    """Client transport over a TCP connection to ``jem serve``."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock

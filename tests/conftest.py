@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import io
 import json
 import socket
-import tempfile
 import threading
 
 import numpy as np
@@ -57,18 +55,14 @@ def clean_reads(small_genome, rng) -> SequenceSet:
     return builder.build()
 
 
-# -- serve-session harness: one NetFrontend, either transport ----------------
+# -- serve-session harness: one NetFrontend over TCP -------------------------
 # (imported by the protocol tests: ``from conftest import serve_session``)
-
-#: the transports a serve session runs on; the protocol is the same on both
-TRANSPORTS = ("stdio", "tcp")
 
 
 def serve_fleet(contigs, jem_config, service_config=None, *, kind="replicate", n=1):
     """A :class:`~repro.netserve.ReplicaSet` over freshly indexed ``contigs``.
 
-    The defaults build the replicate x1 fleet a plain ``jem serve`` runs
-    behind either door.
+    The defaults build the replicate x1 fleet a plain ``jem serve`` runs.
     """
     from repro import JEMMapper
     from repro.netserve import ReplicaSet, make_placement
@@ -145,35 +139,20 @@ def connect_lines(address):
     return send, readline, close
 
 
-def serve_session(transport, backend, lines, **frontend_kwargs) -> list[dict]:
-    """One scripted session over ``transport``: every line, EOF, every reply.
-
-    ``stdio`` runs :meth:`NetFrontend.serve_stdio` with a regular file as
-    stdin and an in-memory stdout; ``tcp`` sends the same bytes down one
-    connection of a listening front-end.  ``lines`` are what
-    :func:`_frame` takes.
-    """
-    from repro.netserve import NetFrontend
-
+def serve_session(backend, lines, **frontend_kwargs) -> list[dict]:
+    """One scripted session: every line down one connection of a listening
+    front-end, then EOF; every reply.  ``lines`` are what :func:`_frame`
+    takes."""
     payload = b"".join(_frame(line) for line in lines)
-    if transport == "stdio":
-        frontend = NetFrontend(backend, idle_timeout_s=None, **frontend_kwargs)
-        stdout = io.BytesIO()
-        with tempfile.TemporaryFile() as stdin:
-            stdin.write(payload)
-            stdin.seek(0)
-            asyncio.run(frontend.serve_stdio(stdin, stdout))
-        raw = stdout.getvalue()
-    else:
-        with serving(backend, **frontend_kwargs) as address:
-            with socket.create_connection(address, timeout=30.0) as sock:
-                def send() -> None:  # beside the read: neither side's buffer fills
-                    sock.sendall(payload)
-                    sock.shutdown(socket.SHUT_WR)
+    with serving(backend, **frontend_kwargs) as address:
+        with socket.create_connection(address, timeout=30.0) as sock:
+            def send() -> None:  # beside the read: neither side's buffer fills
+                sock.sendall(payload)
+                sock.shutdown(socket.SHUT_WR)
 
-                sender = threading.Thread(target=send)
-                sender.start()
-                with sock.makefile("rb") as rfile:
-                    raw = rfile.read()  # to EOF: the server closes after `drained`
-                sender.join(timeout=30.0)
+            sender = threading.Thread(target=send)
+            sender.start()
+            with sock.makefile("rb") as rfile:
+                raw = rfile.read()  # to EOF: the server closes after `drained`
+            sender.join(timeout=30.0)
     return [json.loads(line) for line in raw.splitlines()]

@@ -2,6 +2,8 @@
 
 import contextlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -538,22 +540,18 @@ def test_map_refuses_sketch_flags_the_index_disagrees_with(tmp_path, indexed, ca
     assert _body(out) == body
 
 
-def test_serve_imports_asyncio_without_ssl_and_leaves_ssl_importable(indexed):
+def test_serve_imports_asyncio_without_ssl_and_leaves_ssl_importable(indexed, capsys):
     """`jem serve` imports ``asyncio`` with ``ssl`` blocked, so no server maps
     OpenSSL, and takes the block away again: a caller that runs ``main`` in
     its own process can still ``import ssl`` afterwards, and one that had
     already imported it keeps its module."""
-    import subprocess
-    import sys
-
     import repro
-    from repro.errors import ReproError
 
     idx, _, _ = indexed
     argv = ["serve", "--index", idx, "--listen", ":70000"]  # fails after the import
     loaded = sys.modules["ssl"]  # the suite's conftest imports asyncio
-    with pytest.raises(ReproError, match="port 70000"):
-        main(argv)
+    assert main(argv) == 1
+    assert "port 70000" in capsys.readouterr().err
     assert sys.modules["ssl"] is loaded
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -567,16 +565,43 @@ def test_serve_imports_asyncio_without_ssl_and_leaves_ssl_importable(indexed):
     for before, check in after_main.items():
         code = (
             f"{before}import sys; from repro.cli import main\n"
-            "from repro.errors import ReproError\n"
-            "try:\n    rc = main(sys.argv[1:])\n"
-            "except ReproError as exc:\n    rc = 2 if 'port 70000' in str(exc) else 1\n"
-            f"{check}sys.exit(rc)"
+            f"rc = main(sys.argv[1:])\n{check}sys.exit(rc)"
         )
         done = subprocess.run(
             [sys.executable, "-c", code, *argv],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
-        assert done.returncode == 2, (before, done.stderr)
+        # a failed check would exit 1 too, but with a traceback
+        assert done.returncode == 1, (before, done.stderr)
+        assert "Traceback" not in done.stderr, (before, done.stderr)
+        assert "port 70000" in done.stderr, (before, done.stderr)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["serve", "--index", "{idx}", "--replicas", "0"], "n_replicas must be >= 1"),
+    (["map", "-q", "{reads}", "--index", "{missing}.npz"], "no such index"),
+    (["map", "-q", "{reads}", "--index", "{idx}", "-p", "0"], "processes must be >= 1"),
+    (["map", "-q", "{missing}.fq", "--index", "{idx}"], "No such file or directory"),
+    (["client", "-q", "{reads}", "--connect", "127.0.0.1:1"], "Connection refused"),
+], ids=["serve-replicas-0", "map-missing-index", "map-p-0", "map-missing-reads",
+        "client-refused"])
+def test_expected_failures_are_one_error_line(tmp_path, indexed, argv, message):
+    """A typed library error or an OS error is one ``error:`` line on
+    stderr and exit 1, never a traceback."""
+    import repro
+
+    idx, reads, _ = indexed
+    paths = {"idx": idx, "reads": reads, "missing": str(tmp_path / "missing")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *(a.format(**paths) for a in argv)],
+        env={**os.environ, "PYTHONPATH": src}, stdin=subprocess.DEVNULL,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr, done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and message in errors[0], done.stderr
 
 
 def test_mutable_index_cli_round_trip(tmp_path, tiling_contigs, clean_reads):

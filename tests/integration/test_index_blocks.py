@@ -167,7 +167,7 @@ def test_a_checkpointed_build_writes_the_plain_bundle(contigs_path, tmp_path):
     _assert_same_bundle(checkpointed, plain)
 
 
-def test_no_partitions_and_empty_contig_sets_are_typed_errors(tmp_path):
+def test_no_partitions_and_empty_contig_sets_are_typed_errors(tmp_path, capsys):
     mapper = JEMMapper(CFG)
     with pytest.raises(MappingError, match="no partitions"):
         mapper.index_partitioned(iter([]))
@@ -178,8 +178,8 @@ def test_no_partitions_and_empty_contig_sets_are_typed_errors(tmp_path):
     assert not mapper.is_indexed
     empty = tmp_path / "empty.fasta"
     empty.write_text("")
-    with pytest.raises(MappingError):
-        main(["index", "-s", str(empty), "-o", str(tmp_path / "idx.npz"), *CONFIG_ARGV])
+    assert main(["index", "-s", str(empty), "-o", str(tmp_path / "idx.npz"), *CONFIG_ARGV]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "idx.npz").exists()
 
 

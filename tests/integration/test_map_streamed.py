@@ -9,6 +9,7 @@ whole-set.  A failed run must not leave a plausible TSV behind.
 
 import gzip
 import os
+import re
 import shutil
 
 import pytest
@@ -16,7 +17,6 @@ import pytest
 from repro.cli import main
 from repro.core import JEMConfig, MappingEngine, PipelineConfig, build_mapper, streaming
 from repro.core.engine import MAPPER_KINDS, read_sequences
-from repro.errors import ParseError
 from repro.seq import SeqRecord, write_fasta, write_fastq
 
 CFG = JEMConfig(k=12, w=20, ell=500, trials=10, seed=99)
@@ -157,7 +157,7 @@ def test_skip_policy_reaches_the_stream_and_warns_once(files, tmp_path, monkeypa
     assert err[-1].startswith("mapped ")  # the tally comes after the last batch
 
 
-def test_failed_streamed_run_leaves_no_tsv(files, tmp_path, monkeypatch):
+def test_failed_streamed_run_leaves_no_tsv(files, tmp_path, monkeypatch, capsys):
     """Under the default policy a malformed *last* record fails the run after
     every earlier batch was written — to a temporary file, which is removed."""
     contigs_path, paths, _ = files
@@ -168,8 +168,8 @@ def test_failed_streamed_run_leaves_no_tsv(files, tmp_path, monkeypatch):
     monkeypatch.setattr(streaming, "BATCH_BASES", 12_000)
     out = tmp_path / "out.tsv"
     out.write_text("the previous run's answer\n")
-    with pytest.raises(ParseError, match="empty FASTA header"):
-        main(["map", "-q", bad, "-s", contigs_path, "-o", str(out), *CFG_FLAGS])
+    assert main(["map", "-q", bad, "-s", contigs_path, "-o", str(out), *CFG_FLAGS]) == 1
+    assert re.search(r"^error: .*empty FASTA header", capsys.readouterr().err, re.M)
     assert out.read_text() == "the previous run's answer\n"
     assert sorted(os.listdir(tmp_path)) == sorted(
         ["bad.fasta", "contigs.fasta", "out.tsv",

@@ -1,4 +1,4 @@
-"""What ``jem serve --listen`` builds when ``--placement`` is not given.
+"""What ``jem serve`` builds when ``--placement`` is not given.
 
 The default door is ``replicate`` x1: the one replica maps every batch on
 the store it shares with the fleet, through the fused kernel
@@ -30,10 +30,9 @@ def index_path(tmp_path, tiling_contigs):
 
 
 def listen_fleet(index_path: str, *flags: str):
-    """The fleet ``jem serve --index PATH --listen 127.0.0.1:0 FLAGS`` serves."""
+    """The fleet ``jem serve --index PATH FLAGS`` serves."""
     args = build_parser().parse_args(
-        ["serve", "--index", index_path, "--listen", "127.0.0.1:0",
-         "--max-batch", "8", *flags]
+        ["serve", "--index", index_path, "--max-batch", "8", *flags]
     )
     return _fleet_from(args, _engine_from(args))
 
@@ -85,7 +84,7 @@ def test_default_door_is_replicate_x1_and_votes_fused(
 
     with listen_fleet(index_path) as fleet:
         assert fleet.healthz()["placement"] == {"kind": "replicate", "replicas": 1}
-        replies = answers(serve_session("tcp", fleet, map_requests(clean_reads)))
+        replies = answers(serve_session(fleet, map_requests(clean_reads)))
         store = fleet.replicas[0].store
     assert len(replies) == len(clean_reads) and all("results" in r for r in replies)
     assert built == []
@@ -98,12 +97,12 @@ def test_default_door_is_replicate_x1_and_votes_fused(
 def test_scatter_answers_the_same_bytes(index_path, clean_reads, replicas):
     requests = map_requests(clean_reads)
     with listen_fleet(index_path) as fleet:
-        default = answers(serve_session("tcp", fleet, requests))
+        default = answers(serve_session(fleet, requests))
     with listen_fleet(
         index_path, "--placement", "scatter", "--replicas", replicas
     ) as fleet:
         assert fleet.healthz()["placement"] == {
             "kind": "scatter", "replicas": int(replicas)
         }
-        scatter = answers(serve_session("tcp", fleet, requests))
+        scatter = answers(serve_session(fleet, requests))
     assert scatter == default

@@ -82,10 +82,10 @@ class TestEndToEnd:
         self, backend, tiling_contigs, clean_reads
     ):
         """Two racing TCP clients each see exactly the one-session transcript."""
-        # the single-session reference: one stdio session over the
-        # default fleet, what a plain `jem serve` runs
+        # the single-session reference: one session over the default
+        # fleet, what a plain `jem serve` runs
         with serve_fleet(tiling_contigs, CONFIG, SERVICE) as fleet:
-            replies = serve_session("stdio", fleet, [
+            replies = serve_session(fleet, [
                 {"op": "map", "id": i, "name": clean_reads.names[i],
                  "seq": clean_reads[i].sequence}
                 for i in range(len(clean_reads))
@@ -193,15 +193,17 @@ class TestTenantQuota:
         backend = StubBackend()
         with serving(backend, tenant_quota=1) as address:
             send, readline, close = connect_lines(address)
-            send({"op": "map", "id": 0, "seq": "ACGT", "tenant": "acme"})
-            send({"op": "map", "id": 1, "seq": "ACGT", "tenant": "acme"})
-            # the first is admitted; the second must be rejected without
-            # ever reaching the backend
-            assert wait_until(lambda: backend.futures)
-            assert len(backend.futures) == 1
-            backend.futures[0].set_result(StubMapping())
-            first = readline()
-            second = readline()
+            send({"op": "map", "id": 0, "name": "a0", "seq": "ACGT", "tenant": "acme"})
+            send({"op": "map", "id": 1, "name": "a1", "seq": "ACGT", "tenant": "acme"})
+            send({"op": "map", "id": 2, "name": "o2", "seq": "ACGT", "tenant": "other"})
+            # a session's lines are dispatched in order: once the other
+            # tenant's read reaches the backend, the second acme read was
+            # refused while the first still held acme's quota
+            assert wait_until(lambda: len(backend.futures) == 2)
+            assert backend.names == ["a0", "o2"]
+            for future in backend.futures:
+                future.set_result(StubMapping())
+            first, second, third = readline(), readline(), readline()
             send({"op": "drain"})
             summary = readline()
             close()
@@ -209,6 +211,7 @@ class TestTenantQuota:
         assert second["id"] == 1 and second["error"] == "overloaded"
         assert second["retry_after"] > 0
         assert second["tenant"] == "acme"
+        assert third["id"] == 2 and "results" in third
         assert summary["op"] == "drained" and summary["rejected"] == 1
 
     def test_quota_is_per_tenant_not_global(self):

@@ -4,13 +4,13 @@ Mutations land on the set-level LSM handle and the resulting generation
 is installed everywhere at once — adopted wholesale by every replica
 (replicate) or re-sharded behind fresh lookup lanes (scatter); the
 replica services only read.  These tests pin the contract on both
-fleets and both doors: answers match a monolithic rebuild, every
-response is computed against exactly one generation, the result cache
-never answers across generations, auto-flush and auto-compaction run
-inside the mutation that crosses their limit, the mutation counters are
-the set's, a lane stamped with the wrong generation is refused (served
-inline instead — fail closed, never a mixed answer), and the stdio and
-TCP doors drive the same mutations through the shared NDJSON protocol.
+fleets: answers match a monolithic rebuild, every response is computed
+against exactly one generation, the result cache never answers across
+generations, auto-flush and auto-compaction run inside the mutation that
+crosses their limit, the mutation counters are the set's, a lane stamped
+with the wrong generation is refused (served inline instead — fail
+closed, never a mixed answer), and a TCP session drives the same
+mutations through the NDJSON protocol.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import TRANSPORTS, serve_session
+from conftest import serve_session
 
 from repro import JEMConfig, JEMMapper
 from repro.core.lsm import MutableSketchStore
@@ -34,8 +34,8 @@ CONFIG = JEMConfig(k=12, w=20, ell=300, trials=5, seed=17)
 
 SERVICE = ServiceConfig(max_batch_size=8)
 
-#: the fleets every folded contract runs on: the default door (what a
-#: plain ``jem serve`` runs on either transport) and a key-range fleet
+#: the fleets every folded contract runs on: the default one (what a
+#: plain ``jem serve`` runs) and a key-range fleet
 FLEETS = [("replicate", 1), ("scatter", 2)]
 
 #: the auto-maintenance limits: every add flushes, and a generation may
@@ -206,7 +206,7 @@ class TestFrontendMutations:
             # one pipelined script: a mutation is a barrier in its session,
             # so each read sees exactly the mutations sent before it
             stats, first, added, second, removed, third, _drained = serve_session(
-                "tcp", replica_set, [
+                replica_set, [
                     {"op": "stats"},
                     {**probe, "id": 0},
                     {"op": "add_contigs", "names": ["p0"], "seqs": [new_seq]},
@@ -225,7 +225,7 @@ class TestFrontendMutations:
 
     def test_bad_mutation_op_is_an_error_reply(self, indexed):
         with make_set(indexed, "replicate", 2) as replica_set:
-            replies = serve_session("tcp", replica_set, [
+            replies = serve_session(replica_set, [
                 {"op": "remove_contigs", "names": ["ghost"]},
                 {"op": "stats"},  # session must survive the error
             ])
@@ -235,12 +235,11 @@ class TestFrontendMutations:
 
 class TestDurableMutations:
     """Every mutation op acknowledged over the wire is in the ``.lsm``
-    directory the server was given — whichever transport, whichever fleet."""
+    directory the server was given — whichever fleet."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("kind,n", [("replicate", 1), ("scatter", 2)])
     def test_acknowledged_mutations_survive_a_restart(
-        self, tmp_path, indexed, genome, rng, transport, kind, n
+        self, tmp_path, indexed, genome, rng, kind, n
     ):
         new_seq = _dna(rng, 900)
         run_dir = str(tmp_path / "idx.lsm")
@@ -253,7 +252,7 @@ class TestDurableMutations:
             served.table, served.subject_names, CONFIG,
             placement=make_placement(kind, n), service_config=SERVICE,
         ) as replica_set:
-            replies = serve_session(transport, replica_set, [
+            replies = serve_session(replica_set, [
                 {"op": "add_contigs", "names": ["p0"], "seqs": [new_seq]},
                 {"op": "remove_contigs", "names": ["c0"]},
                 {"op": "flush"},
@@ -433,15 +432,13 @@ class TestAutoMaintenance:
 
 
 class TestWireMutations:
-    """Both doors mutate the same way: one script, either transport,
-    either fleet."""
+    """Both fleets mutate the same way over the wire: one script."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("kind,n", FLEETS)
-    def test_mutation_ops_over_the_wire(self, indexed, rng, transport, kind, n):
+    def test_mutation_ops_over_the_wire(self, indexed, rng, kind, n):
         new_seq = _dna(rng, 900)
         with make_set(indexed, kind, n) as replica_set:
-            replies = serve_session(transport, replica_set, [
+            replies = serve_session(replica_set, [
                 {"op": "stats"},
                 {"op": "map", "id": 0, "name": "r0", "seq": new_seq},
                 {"op": "add_contigs", "names": ["p0"], "seqs": [new_seq]},
@@ -470,11 +467,10 @@ class TestWireMutations:
         assert [r["contig"] for r in maps[1]["results"]] == ["p0", "p0"]
         assert replies[-1]["op"] == "drained"
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("kind,n", FLEETS)
-    def test_auto_maintenance_over_the_wire(self, indexed, rng, transport, kind, n):
+    def test_auto_maintenance_over_the_wire(self, indexed, rng, kind, n):
         with make_set(indexed, kind, n, service_config=MAINTAINED) as replica_set:
-            replies = serve_session(transport, replica_set, [
+            replies = serve_session(replica_set, [
                 {"op": "add_contigs", "names": [f"g{i}"], "seqs": [_dna(rng, 900)]}
                 for i in range(2)
             ] + [{"op": "metrics"}])

@@ -1,9 +1,9 @@
 """A served process maps no OpenSSL.
 
-Both ``jem serve`` doors speak plain NDJSON and never TLS, so nothing a
-server does may map ``libcrypto`` or ``libssl`` into it: not ``asyncio``'s
-``ssl`` import, not ``hashlib``'s ``_hashlib`` behind the result cache's
-key, on a bundle or a mutable index, after any kind of request.  The
+``jem serve`` speaks plain NDJSON and never TLS, so nothing a server does
+may map ``libcrypto`` or ``libssl`` into it: not ``asyncio``'s ``ssl``
+import, not ``hashlib``'s ``_hashlib`` behind the result cache's key, on a
+bundle or a mutable index, after any kind of request.  The
 evidence is ``/proc/<pid>/maps``, so these tests run where ``/proc`` does.
 """
 
@@ -66,7 +66,7 @@ def every_op(reads, contigs) -> list[dict]:
 def spawn_serve(index: str, *flags: str) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--index", index, *flags],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": SRC},
     )
 
@@ -85,8 +85,9 @@ def drive(wfile, rfile, requests) -> None:
 
 
 @pytest.mark.parametrize("kind, flags", [
-    ("bundle", []),  # the default door: replicate x1
+    ("bundle", []),  # the default fleet: replicate x1
     ("mutable", ["--replicas", "2", "--placement", "scatter"]),  # serve-churn-M's fleet
+    ("mutable", []),  # the default fleet owns the mutable handle
 ])
 def test_tcp_server_maps_no_openssl(sources, kind, flags):
     indexes, reads, contigs = sources
@@ -103,15 +104,3 @@ def test_tcp_server_maps_no_openssl(sources, kind, flags):
         proc.terminate()
         _, err = proc.communicate(timeout=30)
     assert proc.returncode == 0, err.decode()
-
-
-def test_stdio_server_maps_no_openssl(sources):
-    indexes, reads, contigs = sources
-    proc = spawn_serve(indexes["mutable"])
-    try:
-        drive(proc.stdin, proc.stdout, every_op(reads, contigs))
-        assert openssl_mappings(proc.pid) == []
-    finally:
-        out, err = proc.communicate(timeout=30)  # EOF on stdin: drain, exit
-    assert proc.returncode == 0, err.decode()
-    assert json.loads(out.splitlines()[-1])["op"] == "drained"

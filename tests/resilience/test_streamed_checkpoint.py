@@ -20,7 +20,6 @@ from repro.cli import main
 from repro.core import engine as engine_module
 from repro.core import mapper as mapper_module
 from repro.core.mapper import JEMMapper
-from repro.errors import CheckpointError
 from repro.parallel import driver, mp_backend, partition
 from repro.resilience import ChaosPlan, ChaosSpec, unit_count
 from repro.resilience.chaos import apply_damage, read_tsv_body
@@ -168,7 +167,7 @@ def test_resume_ignores_the_retired_keys_of_an_older_invocation(tmp_path, world,
     assert read_tsv_body(out) == body
 
 
-def test_a_run_directory_cut_into_shards_is_refused(tmp_path, world):
+def test_a_run_directory_cut_into_shards_is_refused(tmp_path, world, capsys):
     """A directory whose units were base-balanced shards of whole sets
     (manifest version 1) is not resumed as if its units were batches."""
     contigs, reads, _, _ = world
@@ -190,8 +189,8 @@ def test_a_run_directory_cut_into_shards_is_refused(tmp_path, world):
         "on_error": "raise", "inject_faults": None, "checkpoint_dir": str(run_dir),
         **config,
     }}))
-    with pytest.raises(CheckpointError, match="version: 1 != 2"):
-        main(["map", "--resume", str(run_dir)])
+    assert main(["map", "--resume", str(run_dir)]) == 1
+    assert re.search(r"^error: .*version: 1 != 2", capsys.readouterr().err, re.M)
     assert not (tmp_path / "out.tsv").exists()
     assert os.listdir(run_dir / "units") == []
 

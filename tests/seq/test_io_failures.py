@@ -1,6 +1,7 @@
 """Failure injection for the I/O layer: malformed and unusual files."""
 
 import gzip
+import re
 
 import pytest
 
@@ -140,8 +141,8 @@ def test_map_skips_a_non_ascii_fastq_read(tmp_path, capsys):
     out = tmp_path / "out.tsv"
     argv = ["map", "-q", str(reads), "-s", str(contigs), "-o", str(out),
             "--k", "12", "--w", "10", "--ell", "300", "--trials", "4"]
-    with pytest.raises(ParseError, match="non-ASCII byte 0xe9"):
-        main(argv)
+    assert main(argv) == 1
+    assert re.search(r"^error: .*non-ASCII byte 0xe9", capsys.readouterr().err, re.M)
     assert not out.exists()
     with pytest.warns(UserWarning):
         assert main([*argv, "--on-error", "skip"]) == 0

@@ -1,11 +1,11 @@
-"""NDJSON protocol tests: one contract, bound to each transport, plus the CLI.
+"""NDJSON protocol tests: what one TCP session promises, plus the CLI.
 
 The server side of the protocol is one state machine
 (:class:`repro.netserve.NetFrontend`) in front of one backend type, a
-:class:`repro.netserve.ReplicaSet`; :class:`SessionContract` states what
-a session promises and is bound once per transport, and
-:class:`TestOneWireContract` holds both transports to line-for-line equal
-transcripts over either fleet.
+:class:`repro.netserve.ReplicaSet`; :class:`TestServeTCP` states what a
+session promises, and :class:`TestOneWireContract` holds one script's
+transcript to its invariants, and two runs of it to line-for-line equal
+transcripts, over either fleet.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 import os
 import re
+import signal
+import socket
 import subprocess
 import sys
 
 import pytest
-from conftest import TRANSPORTS, serve_fleet, serve_session
+from conftest import serve_fleet, serve_session
 
 from repro import JEMConfig, JEMMapper
 from repro.cli import main
@@ -32,16 +34,12 @@ def map_request(reads, i: int) -> dict:
     return {"op": "map", "id": i, "name": reads.names[i], "seq": reads[i].sequence}
 
 
-class SessionContract:
-    """What one serve session promises, whichever transport carries it."""
-
-    transport: str
+class TestServeTCP:
+    """What one serve session promises."""
 
     def session(self, tiling_contigs, requests, **frontend_kwargs):
         with serve_fleet(tiling_contigs, CONFIG, SERVICE) as fleet:
-            return serve_session(
-                self.transport, fleet, requests, **frontend_kwargs
-            )
+            return serve_session(fleet, requests, **frontend_kwargs)
 
     def test_map_responses_match_sequential_mapper(
         self, tiling_contigs, clean_reads
@@ -111,16 +109,6 @@ class SessionContract:
         assert "aggregate" in replies[-1]["metrics"]
 
 
-class TestServeLoop(SessionContract):
-    """The stdio binding (class name kept: its test ids are the suite's floor)."""
-
-    transport = "stdio"
-
-
-class TestServeTCP(SessionContract):
-    transport = "tcp"
-
-
 #: mutations whose names/seqs hold a non-string element
 NON_STRING_MUTATIONS = [
     {"op": "add_contigs", "names": ["x"], "seqs": [None]},
@@ -131,14 +119,11 @@ NON_STRING_MUTATIONS = [
 ]
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_non_string_contig_fields_are_a_typed_refusal(transport, tiling_contigs):
+def test_non_string_contig_fields_are_a_typed_refusal(tiling_contigs):
     """A JSON null or number among ``names``/``seqs`` is refused in band and
     leaves the index untouched: never the contig ``'None'``."""
     with serve_fleet(tiling_contigs, CONFIG, SERVICE) as fleet:
-        replies = serve_session(
-            transport, fleet, [*NON_STRING_MUTATIONS, {"op": "stats"}]
-        )
+        replies = serve_session(fleet, [*NON_STRING_MUTATIONS, {"op": "stats"}])
         names = list(fleet.subject_names)
         generation = fleet.index_generation
     for request, reply in zip(NON_STRING_MUTATIONS, replies):
@@ -168,20 +153,20 @@ def masked(reply):
 
 
 class TestOneWireContract:
-    """One request script, two transports: the transcripts must be equal."""
+    """One request script, run twice: the transcripts must be equal."""
 
     @pytest.fixture(params=["replicate-x1", "scatter-x2"])
     def make_backend(self, request, tiling_contigs):
         kind, n = request.param.split("-x")
 
-        def make():  # fresh per transport: the script mutates the index
+        def make():  # fresh per run: the script mutates the index
             return serve_fleet(
                 tiling_contigs, CONFIG, ONE_BY_ONE, kind=kind, n=int(n)
             )
 
         return make
 
-    def test_transcripts_are_equal_on_both_transports(
+    def test_transcript_is_deterministic(
         self, make_backend, clean_reads, rng
     ):
         late = "".join("ACGT"[c] for c in rng.integers(0, 4, size=900))
@@ -208,20 +193,20 @@ class TestOneWireContract:
             {"op": "drain"},
             {"op": "ping"},  # after drain: never read
         ]
-        transcripts = {}
-        for transport in TRANSPORTS:
+        transcripts = []
+        for _ in range(2):
             with make_backend() as backend:
-                transcripts[transport] = [
-                    masked(r) for r in serve_session(transport, backend, script)
-                ]
-        stdio, tcp = transcripts["stdio"], transcripts["tcp"]
-        assert len(stdio) == len(script) - 1  # one reply a line; `drained` last
-        for line, (a, b) in enumerate(zip(stdio, tcp)):
-            assert a == b, f"reply {line} differs between stdio and tcp"
-        assert len(stdio) == len(tcp)
-        assert [r["contig"] for r in stdio[13]["results"]] == [None, None]
-        assert [r["contig"] for r in stdio[15]["results"]] == ["late0", "late0"]
-        assert stdio[-1]["op"] == "drained" and stdio[-1]["mapped"] == 8
+                transcripts.append(
+                    [masked(r) for r in serve_session(backend, script)]
+                )
+        first, second = transcripts
+        assert len(first) == len(script) - 1  # one reply a line; `drained` last
+        for line, (a, b) in enumerate(zip(first, second)):
+            assert a == b, f"reply {line} differs between two runs"
+        assert len(first) == len(second)
+        assert [r["contig"] for r in first[13]["results"]] == [None, None]
+        assert [r["contig"] for r in first[15]["results"]] == ["late0", "late0"]
+        assert first[-1]["op"] == "drained" and first[-1]["mapped"] == 8
 
 
 class TestClientCLI:
@@ -284,26 +269,29 @@ class TestClientCLI:
         assert "histograms" in snapshot["aggregate"]
         assert "gauges" in snapshot["replicas"][0]
 
-    @pytest.mark.parametrize("stdin_kind", ["file", "pipe-eof", "devnull"])
-    def test_serve_ends_drained_whatever_stdin_is(self, tmp_path, stdin_kind):
-        """A regular file, a pipe closed without ``drain``, and /dev/null."""
+    def test_bare_serve_listens_on_a_free_localhost_port(self, tmp_path):
+        """No ``--listen``: the server binds 127.0.0.1 on a free port, names
+        it in the banner, answers over TCP whatever stdin is, and exits 0
+        on SIGTERM."""
         _, index = self.simulate(tmp_path)
-        request = json.dumps({"op": "ping"}) + "\n"
-        script = tmp_path / "requests.ndjson"
-        script.write_text(request)
         command, env = self.serve("--index", index)
-        if stdin_kind == "pipe-eof":
-            done = subprocess.run(command, input=request, env=env, text=True,
-                                  capture_output=True, timeout=120)
-        else:
-            source = script if stdin_kind == "file" else os.devnull
-            with open(source, "rb") as stdin:
-                done = subprocess.run(command, stdin=stdin, env=env, text=True,
-                                      capture_output=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        replies = [json.loads(line) for line in done.stdout.splitlines()]
-        assert replies[-1]["op"] == "drained"
-        assert [r["op"] for r in replies[:-1]] == (
-            [] if stdin_kind == "devnull" else ["pong"]
+        server = subprocess.Popen(
+            command, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
         )
-        assert "# drained: 0 mapped, 0 errors, 0 rejected" in done.stderr
+        try:
+            banner = server.stderr.readline()
+            bound = re.search(r"listening on 127\.0\.0\.1:(\d+) ", banner)
+            assert bound, banner
+            port = int(bound.group(1))
+            assert port > 0
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b'{"op": "ping"}\n')
+                with sock.makefile("rb") as rfile:
+                    assert json.loads(rfile.readline()) == {"op": "pong"}
+        finally:
+            server.send_signal(signal.SIGTERM)
+            out, err = server.communicate(timeout=30)
+        assert server.returncode == 0, err
+        assert out == ""
+        assert "# jem-netserve stopped" in err

@@ -1,4 +1,4 @@
-"""Protocol fuzzing: a session survives hostile and broken frames, on either transport.
+"""Protocol fuzzing: a session survives hostile and broken frames.
 
 The contract under test — one malformed frame costs at most one typed
 in-band error, never a session, and on a TCP server never *another
@@ -7,8 +7,7 @@ dispatch catch one connection's garbage ``seq`` killed every
 connection's admissions.  Frames covered: truncated JSON, garbage bytes,
 non-object lines, wrong-typed payload fields, oversized lines,
 slow-loris half-lines, unknown ops, and admin/mutation ops interleaved
-with maps.  :class:`FuzzContract` is bound once per transport; what only
-many connections can show stays in the TCP class.
+with maps.
 """
 
 from __future__ import annotations
@@ -84,13 +83,19 @@ def probe_of(clean_reads) -> dict:
             "seq": clean_reads[0].sequence}
 
 
-class FuzzContract:
-    """Hostile input one scripted session must survive, on any transport."""
+class TestTCPFuzz:
+    """Hostile input one scripted session, or one of many connections,
+    must survive."""
 
-    transport: str
+    @pytest.fixture
+    def backend(self, tiling_contigs):
+        with serve_fleet(
+            tiling_contigs, CONFIG, SERVICE, kind="scatter", n=2
+        ) as replica_set:
+            yield replica_set
 
     def session(self, backend, lines, **frontend_kwargs) -> list[dict]:
-        return serve_session(self.transport, backend, lines, **frontend_kwargs)
+        return serve_session(backend, lines, **frontend_kwargs)
 
     def test_malformed_lines_each_answer_typed_and_session_survives(
         self, backend, clean_reads
@@ -174,40 +179,6 @@ class FuzzContract:
         # the backend survives to serve the next session
         assert self.session(backend, [{"op": "health"}])[0]["ready"]
 
-
-class TestPipeFuzz(FuzzContract):
-    transport = "stdio"
-
-    @pytest.fixture
-    def backend(self, tiling_contigs):
-        with serve_fleet(tiling_contigs, CONFIG, SERVICE) as fleet:
-            yield fleet
-
-    def test_restart_rolls_the_default_fleet_and_stays_exact(
-        self, backend, clean_reads
-    ):
-        """A stdio session reaches ``restart`` through the same fleet."""
-        assert "restart" in ADMIN_OPS and "restart" not in MUTATION_OPS
-        probe = probe_of(clean_reads)
-        before, rolled, after, drained = self.session(
-            backend, [probe, {"op": "restart"}, probe]
-        )
-        assert rolled["op"] == "restart" and rolled["restarted"] == [0]
-        assert backend.respawns == 1
-        assert after["results"] == before["results"]
-        assert drained["op"] == "drained" and drained["mapped"] == 2
-
-
-class TestTCPFuzz(FuzzContract):
-    transport = "tcp"
-
-    @pytest.fixture
-    def backend(self, tiling_contigs):
-        with serve_fleet(
-            tiling_contigs, CONFIG, SERVICE, kind="scatter", n=2
-        ) as replica_set:
-            yield replica_set
-
     def test_garbage_then_valid_request_on_same_connection(
         self, backend, clean_reads
     ):
@@ -255,6 +226,7 @@ class TestTCPFuzz(FuzzContract):
     def test_restart_op_rolls_the_fleet_and_stays_exact(
         self, backend, clean_reads
     ):
+        assert "restart" in ADMIN_OPS and "restart" not in MUTATION_OPS
         probe = probe_of(clean_reads)
         with serving(backend) as address:
             send, readline, close = connect_lines(address)

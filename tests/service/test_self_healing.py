@@ -16,7 +16,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from conftest import TRANSPORTS, serve_fleet, serve_session
+from conftest import serve_fleet, serve_session
 
 from repro import JEMConfig, JEMMapper
 from repro.core.hitcounter import count_hits_vectorised
@@ -353,14 +353,11 @@ class TestHealthSurface:
         assert service.metrics.ready.value == 0.0
 
     def test_protocol_health_op(self, tiling_contigs):
-        for transport in TRANSPORTS:
-            with serve_fleet(tiling_contigs, CONFIG) as fleet:
-                lines = serve_session(
-                    transport, fleet, [{"op": "health"}, {"op": "ping"}]
-                )
-            assert lines[0]["op"] == "health"
-            assert lines[0]["live"] is True and lines[0]["ready"] is True
-            assert lines[0]["replicas"][0]["breaker"] == CLOSED
-            assert lines[1] == {"op": "pong"}
-            assert lines[-1]["op"] == "drained"
+        with serve_fleet(tiling_contigs, CONFIG) as fleet:
+            lines = serve_session(fleet, [{"op": "health"}, {"op": "ping"}])
+        assert lines[0]["op"] == "health"
+        assert lines[0]["live"] is True and lines[0]["ready"] is True
+        assert lines[0]["replicas"][0]["breaker"] == CLOSED
+        assert lines[1] == {"op": "pong"}
+        assert lines[-1]["op"] == "drained"
 

@@ -1,12 +1,12 @@
-"""Online index mutation behind the stdio door's default backend.
+"""Online index mutation behind ``jem serve``'s default backend.
 
-A plain ``jem serve`` fronts a replicate x1 :class:`ReplicaSet` on either
-door; the set owns the mutable index and its one service only reads.
-These tests pin what a stdio session relies on: a mutated index answers
-exactly like a rebuild (native and pure-numpy paths), the mutation ops
-drive it over the pipe protocol, and a bad mutation is an in-band error
-that leaves the session serving.  The same contracts on both fleets and
-both transports are in ``tests/netserve/test_mutation.py``.
+A plain ``jem serve`` fronts a replicate x1 :class:`ReplicaSet`; the set
+owns the mutable index and its one service only reads.  These tests pin
+what a session relies on: a mutated index answers exactly like a rebuild
+(native and pure-numpy paths), the mutation ops drive it over the wire
+protocol, and a bad mutation is an in-band error that leaves the session
+serving.  The same contracts on both fleets are in
+``tests/netserve/test_mutation.py``.
 """
 
 from __future__ import annotations
@@ -100,15 +100,12 @@ class TestMutationParity:
 
 
 class TestServeLoopOps:
-    """Mutations over the wire of a stdio session on the default fleet."""
-
-    def run_session(self, backend, messages) -> list[dict]:
-        return serve_session("stdio", backend, messages)
+    """Mutations over the wire of one session on the default fleet."""
 
     def test_mutation_ops_over_the_pipe_protocol(self, genome, contigs, rng):
         new_seq = _dna(rng, 900)
         with serve_fleet(contigs, CONFIG, SERVICE) as fleet:
-            replies = self.run_session(fleet, [
+            replies = serve_session(fleet, [
                 {"op": "stats"},
                 {"op": "map", "id": 0, "name": "r0", "seq": new_seq},
                 {"op": "add_contigs", "names": ["p0"], "seqs": [new_seq]},
@@ -135,7 +132,7 @@ class TestServeLoopOps:
 
     def test_bad_mutation_is_an_error_reply_not_a_crash(self, contigs):
         with serve_fleet(contigs, CONFIG, SERVICE) as fleet:
-            replies = self.run_session(fleet, [
+            replies = serve_session(fleet, [
                 {"op": "remove_contigs", "names": ["ghost"]},
                 {"op": "stats"},
             ])
