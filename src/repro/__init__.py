@@ -17,7 +17,7 @@ __version__ = "1.0.0"
 
 #: Public name -> subpackage that defines it, imported on first access
 #: (PEP 562): ``python -m repro.cli index`` runs this file and must not pay
-#: for ``repro.service`` or ``repro.scaffold`` (multiprocessing, sockets).
+#: for ``repro.service`` (threads, sockets) or the packages it never calls.
 _EXPORTS = {
     "JEMConfig": ".core",
     "JEMMapper": ".core",
@@ -28,7 +28,6 @@ _EXPORTS = {
     "DictSketchStore": ".core",
     "save_index": ".core",
     "load_index": ".core",
-    "Scaffolder": ".scaffold",
     "ReproError": ".errors",
     "SeqRecord": ".seq",
     "SequenceSet": ".seq",

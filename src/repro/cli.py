@@ -369,14 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="keep the run directories for inspection")
     _add_config_args(p_chaos)
 
-    p_scaf = sub.add_parser("scaffold", help="hybrid scaffolding from reads + contigs")
-    p_scaf.add_argument("-q", "--queries", required=True, help="long reads FASTA/FASTQ")
-    p_scaf.add_argument("-s", "--subjects", required=True, help="contigs FASTA")
-    p_scaf.add_argument("-o", "--output", required=True, help="scaffolds FASTA")
-    p_scaf.add_argument("--min-support", type=int, default=2,
-                        help="reads required to accept a contig link")
-    _add_config_args(p_scaf)
-
     p_eval = sub.add_parser("eval", help="quality evaluation on a generated dataset")
     p_eval.add_argument("dataset", choices=_DATASET_NAMES)
     p_eval.add_argument("--scale", type=float, default=_DEFAULT_SCALE)
@@ -918,33 +910,6 @@ def _chaos_serve(args: argparse.Namespace, seeds: list[int]) -> int:
     return 1 if failures else 0
 
 
-def _cmd_scaffold(args: argparse.Namespace) -> int:
-    from .core.engine import read_sequences
-    from .scaffold import Scaffolder
-    from .seq.io_fasta import read_fasta, write_fasta
-
-    config = _config_from(args)
-    contigs = read_fasta(args.subjects)
-    reads = read_sequences(args.queries)
-    scaffolder = Scaffolder(config, min_support=args.min_support)
-    t0 = time.perf_counter()
-    result = scaffolder.scaffold(contigs, reads)
-    write_fasta(args.output, result.sequences)
-    print(
-        f"{len(contigs)} contigs + {len(reads)} reads -> "
-        f"{result.n_scaffolds} scaffolds ({result.n_links_used} links) "
-        f"in {time.perf_counter() - t0:.1f}s; span "
-        f"{result.span(contigs.lengths):,} bp -> {args.output}"
-    )
-    for i, path in enumerate(result.paths[:5]):
-        chain = " - ".join(
-            f"{contigs.names[c]}{'+' if o == 1 else '-'}"
-            for c, o in zip(path.order, path.orientations)
-        )
-        print(f"  scaffold_{i:04d}: {chain}")
-    return 0
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     from .eval.datasets import load_or_generate
     from .eval.pipeline import run_mappers
@@ -1039,7 +1004,6 @@ def main(argv: list[str] | None = None) -> int:
         "serve": _cmd_serve,
         "client": _cmd_client,
         "chaos": _cmd_chaos,
-        "scaffold": _cmd_scaffold,
         "eval": _cmd_eval,
         "bench": _cmd_bench,
         "datasets": _cmd_datasets,

@@ -4,7 +4,7 @@ from .._lazy import lazy_exports
 
 #: Public name -> submodule that defines it, imported on first access (PEP 562):
 #: ``jem index`` reaches ``repro.core.config`` through this file and must not
-#: load the LSM, PAF (``repro.align``) or tiling code it never calls.
+#: load the LSM or PAF (``repro.align``) code it never calls.
 _EXPORTS = {
     "JEMConfig": ".config",
     "JEMMapper": ".mapper",
@@ -37,9 +37,6 @@ _EXPORTS = {
     "write_paf": ".paf",
     "map_file": ".streaming",
     "map_reads_stream": ".streaming",
-    "TileInfo": ".tiling",
-    "extract_tiled_segments": ".tiling",
-    "map_reads_tiled": ".tiling",
     "PREFIX": ".segments",
     "SUFFIX": ".segments",
     "SegmentInfo": ".segments",

@@ -240,9 +240,7 @@ class JEMMapper:
                 names.extend(part.names)
         finally:
             release_scratch()  # S2's working set, not the resident index's
-        if not parts:
-            raise MappingError("no partitions given")
-        if not names:
+        if not names:  # no block, or only empty ones
             raise MappingError("cannot index an empty contig set")
         self._table = build_store(
             self.store_kind, iter_merged_trial_keys(parts), n_subjects=len(names)

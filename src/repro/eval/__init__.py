@@ -10,7 +10,6 @@ from .datasets import (
     generate_dataset,
     load_or_generate,
 )
-from .coverage import ContigCoverage, contig_coverage
 from .metrics import QualityReport, evaluate_mapping, recall_at_x, threshold_sweep
 from .pipeline import ExperimentResult, MapperRun, prepare_benchmark, run_mappers
 from .report import format_seconds, render_series, render_table
@@ -29,8 +28,6 @@ __all__ = [
     "evaluate_mapping",
     "recall_at_x",
     "threshold_sweep",
-    "ContigCoverage",
-    "contig_coverage",
     "ExperimentResult",
     "MapperRun",
     "prepare_benchmark",

@@ -1,6 +1,5 @@
 """Sketching substrate: k-mers, hash families, minimizers, MinHash, JEM."""
 
-from .diagnostics import SketchStats, observed_minimizer_density, table_stats
 from .hashing import HashFamily, is_prime_u64
 from .jem import (
     QuerySketches,
@@ -35,9 +34,6 @@ from .minimizers import MinimizerList, minimizer_density, minimizers, minimizers
 from .windowmin import sliding_window_min
 
 __all__ = [
-    "SketchStats",
-    "observed_minimizer_density",
-    "table_stats",
     "HashFamily",
     "is_prime_u64",
     "QuerySketches",

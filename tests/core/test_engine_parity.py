@@ -2,8 +2,8 @@
 
 The MappingEngine promises that the frontend never changes *what* is
 computed.  This suite pins that down by running the same dataset through
-the CLI, the engine API, the resident service, the streaming frontend and
-the tiled frontend, and asserting the mappings are bit-identical to the
+the CLI, the engine API, the resident service and the streaming frontend,
+and asserting the mappings are bit-identical to the
 reference: a ``JEMMapper`` over the dict-store oracle, called directly.
 (``tests/parallel/`` holds the SPMD driver and its seeded fault plans to
 the same reference.)
@@ -23,7 +23,6 @@ import pytest
 from repro.cli import main
 from repro.core import JEMConfig, JEMMapper, MappingEngine, PipelineConfig
 from repro.core import engine as engine_module
-from repro.core.tiling import map_reads_tiled
 from repro.seq import write_fasta, write_fastq
 
 CFG = JEMConfig(k=12, w=20, ell=500, trials=10, seed=99)
@@ -101,16 +100,6 @@ def test_streaming_parity(store, tmp_path, monkeypatch, tiling_contigs, clean_re
     assert names == reference.segment_names
     assert np.array_equal(subjects, reference.subject)
     assert np.array_equal(hit_counts, reference.hit_count)
-
-
-@pytest.mark.parametrize("store", ("columnar", "dict"), indirect=True)
-def test_tiled_parity(store, tiling_contigs, clean_reads):
-    reference = map_reads_tiled(
-        _oracle(tiling_contigs), clean_reads, min_tile_hits=2
-    )
-    engine = MappingEngine(PipelineConfig(jem=CFG))
-    engine.use_subjects(tiling_contigs)
-    assert map_reads_tiled(engine.mapper, clean_reads, min_tile_hits=2) == reference
 
 
 def _write_inputs(tmp_path, tiling_contigs, clean_reads):

@@ -153,19 +153,17 @@ def test_paf_incompatible_with_index(tmp_path):
     assert rc == 2
 
 
-def test_scaffold_command(tmp_path, capsys):
-    data = tmp_path / "data"
-    main(["simulate", "e_coli", "--scale", "0.0002", "--seed", "3", "--out", str(data)])
-    out = tmp_path / "scaffolds.fasta"
-    assert main([
-        "scaffold", "-q", str(data / "e_coli_reads.fastq"),
-        "-s", str(data / "e_coli_contigs.fasta"),
-        "-o", str(out), "--trials", "12",
-    ]) == 0
-    text = out.read_text()
-    assert text.startswith(">scaffold_")
-    assert "n" in text  # gap fill present
-    assert "scaffolds" in capsys.readouterr().out
+def test_scaffolder_is_gone(capsys):
+    """Hybrid scaffolding is the paper's motivating use, not its mapper: no
+    `jem scaffold` subcommand, no `repro.Scaffolder` export."""
+    import repro
+
+    with pytest.raises(SystemExit) as exc:
+        main(["scaffold", "-q", "r.fq", "-s", "c.fa", "-o", "s.fa"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'scaffold'" in capsys.readouterr().err
+    with pytest.raises(AttributeError):
+        repro.Scaffolder
 
 
 def test_parser_rejects_unknown_dataset():
@@ -210,7 +208,7 @@ def test_parser_builds_without_bench_or_eval():
 def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
     """`jem index`, `jem map --index` and `jem map -s -p 2` import what they
     run: the package ``__init__``s resolve their re-exports lazily, so the
-    service, network, scaffolding, alignment and checkpoint
+    service, network, alignment and checkpoint
     layers (and multiprocessing / asyncio with them) stay out of the one-shot
     round, and neither the hash constants nor the kernel cache's key load
     ``numpy.random`` or OpenSSL (``hashlib``)."""
@@ -225,8 +223,8 @@ def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
     reads.write_text(">r1\n" + "acgtgcatta" * 40 + "\n")
     code = (
         "import sys; from repro.cli import main; rc = main(sys.argv[1:]); "
-        "heavy = ('repro.service', 'repro.netserve', 'repro.scaffold', "
-        "'repro.align', 'repro.resilience', 'multiprocessing', 'asyncio', "
+        "heavy = ('repro.service', 'repro.netserve', 'repro.align', "
+        "'repro.resilience', 'multiprocessing', 'asyncio', "
         "'numpy.random', 'hashlib', '_hashlib'); "
         "bad = [m for m in heavy if m in sys.modules]; "
         "print(bad, file=sys.stderr); sys.exit(rc or len(bad))"

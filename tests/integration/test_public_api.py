@@ -25,7 +25,6 @@ def test_top_level_exports():
         "repro.assembly",
         "repro.align",
         "repro.eval",
-        "repro.scaffold",
         "repro.bench",
         "repro.resilience",
         "repro.service",

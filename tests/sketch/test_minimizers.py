@@ -156,3 +156,35 @@ def test_density_estimate_sane():
     d = minimizer_density(100_000, 16, 100)
     assert 0.01 < d < 0.03  # ~2/(w+1)
     assert minimizer_density(5, 16, 100) == 0.0
+
+
+def _observed_density(sequences, k, w):
+    """Minimizers per base, from S1's own per-sequence counts."""
+    from repro.sketch.jem import _minimizer_block
+
+    _, _, counts = _minimizer_block(sequences, k, w)
+    bases = int(sequences.lengths.sum())
+    return counts, (int(counts.sum()) / bases if bases else 0.0)
+
+
+def test_observed_density_tracks_theory(rng):
+    """Random sequences keep ~2/(w+1) of their positions (docs/algorithms.md
+    §2), counted by the S1 pass itself, native or numpy."""
+    from repro.seq import SequenceSet, decode, random_codes
+
+    contigs = SequenceSet.from_strings(
+        [(f"c{i}", decode(random_codes(20_000, rng))) for i in range(4)]
+    )
+    w = 30
+    counts, density = _observed_density(contigs, 12, w)
+    expected = 2.0 / (w + 1)
+    assert counts.shape == (4,)
+    assert all(0.5 * expected < c / 20_000 < 2.0 * expected for c in counts)
+    assert 0.5 * expected < density < 2.0 * expected
+
+
+def test_density_empty_set():
+    from repro.seq import SequenceSet
+
+    counts, density = _observed_density(SequenceSet.empty(), 12, 10)
+    assert counts.size == 0 and density == 0.0
