@@ -81,17 +81,6 @@ class BenchContext:
     cost_model: CostModel = field(default_factory=CostModel)
     thread_model: ThreadScalingModel = field(default_factory=ThreadScalingModel)
 
-    @classmethod
-    def from_env(cls, **overrides) -> "BenchContext":
-        """Context honouring REPRO_BENCH_SCALE / REPRO_BENCH_DATASETS."""
-        kwargs: dict = {}
-        if "REPRO_BENCH_SCALE" in os.environ:
-            kwargs["scale"] = float(os.environ["REPRO_BENCH_SCALE"])
-        if "REPRO_BENCH_DATASETS" in os.environ:
-            kwargs["datasets"] = tuple(os.environ["REPRO_BENCH_DATASETS"].split(","))
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
     def pick(self, default: tuple[str, ...]) -> tuple[str, ...]:
         if self.datasets is None:
             return default

@@ -79,9 +79,9 @@ class Mapper(Protocol):
 class PipelineConfig:
     """Everything needed to assemble a mapping pipeline, in one place.
 
-    The CLI's argparse namespace, the service's startup wiring and direct
-    API use all collapse into this object; :meth:`from_args` is the single
-    argparse adapter that used to be duplicated per subcommand.
+    The CLI's argparse namespace (through ``repro.cli.common.engine_from``),
+    the service's startup wiring and direct API use all collapse into this
+    object.
     """
 
     jem: JEMConfig = field(default_factory=JEMConfig)
@@ -98,21 +98,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.processes is not None and self.processes < 1:
             raise MappingError(f"processes must be >= 1, got {self.processes}")
-
-    @classmethod
-    def from_args(cls, args: Any) -> "PipelineConfig":
-        """Adapter from an argparse namespace (map/serve flags)."""
-        jem = JEMConfig(**{
-            name: getattr(args, name) for name in SKETCH_FLAGS
-            if getattr(args, name, None) is not None
-        })
-        return cls(
-            jem=jem,
-            mapper=getattr(args, "mapper", "jem"),
-            processes=getattr(args, "processes", None),
-            on_error=getattr(args, "on_error", "raise"),
-            checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        )
 
 
 # -- mapper registry ---------------------------------------------------------

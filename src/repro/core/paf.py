@@ -12,8 +12,8 @@ residue_matches alignment_length mapq (+ optional tags).
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable
+from typing import TextIO
 
 from ..align.identity import locate_segment
 from ..errors import MappingError
@@ -79,7 +79,7 @@ def paf_records(
 
 
 def write_paf(
-    path: str | os.PathLike,
+    handle: TextIO,
     result: MappingResult,
     segments: SequenceSet,
     contigs: SequenceSet,
@@ -88,17 +88,9 @@ def write_paf(
     k: int = 16,
     w: int = 20,
 ) -> int:
-    """Write PAF to a file ('-' = stdout); returns the record count."""
-    import sys
-
-    lines = paf_records(result, segments, contigs, trials=trials, k=k, w=w)
+    """Write PAF lines to an open text handle; returns the record count."""
     count = 0
-    handle = sys.stdout if os.fspath(path) == "-" else open(path, "w", encoding="ascii")
-    try:
-        for line in lines:
-            handle.write(line + "\n")
-            count += 1
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+    for line in paf_records(result, segments, contigs, trials=trials, k=k, w=w):
+        handle.write(line + "\n")
+        count += 1
     return count

@@ -209,16 +209,14 @@ class NetFrontend:
         fair_chunk: int = FAIR_CHUNK,
         max_pending: int = MAX_PENDING,
         max_line_bytes: int = MAX_LINE_BYTES,
-        idle_timeout_s: float | None = IDLE_TIMEOUT_S,
+        idle_timeout_s: float = IDLE_TIMEOUT_S,
     ) -> None:
         if tenant_quota is not None and tenant_quota < 1:
             raise ReproError(f"tenant_quota must be >= 1, got {tenant_quota}")
         if max_line_bytes < 1:
             raise ReproError(f"max_line_bytes must be >= 1, got {max_line_bytes}")
-        if idle_timeout_s is not None and idle_timeout_s <= 0:
-            raise ReproError(
-                f"idle_timeout_s must be > 0 or None, got {idle_timeout_s}"
-            )
+        if idle_timeout_s <= 0:
+            raise ReproError(f"idle_timeout_s must be > 0, got {idle_timeout_s}")
         self.backend = backend
         self.host = host
         self.port = int(port)
@@ -294,12 +292,7 @@ class NetFrontend:
         while True:
             await conn.resume_read.wait()  # pending-cap backpressure
             try:
-                if self.idle_timeout_s is not None:
-                    line = await asyncio.wait_for(
-                        lines.readline(), self.idle_timeout_s
-                    )
-                else:
-                    line = await lines.readline()
+                line = await asyncio.wait_for(lines.readline(), self.idle_timeout_s)
             except asyncio.TimeoutError:
                 # slow-loris: the client held the connection without ever
                 # completing a request line — cut it loose

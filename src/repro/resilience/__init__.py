@@ -34,8 +34,6 @@ _EXPORTS = {
     "run_serve_chaos": ".chaos",
     "checkpointed": ".runner",
     "unit_count": ".runner",
-    "save_invocation": ".runner",
-    "load_invocation": ".runner",
 }
 
 __all__ = list(_EXPORTS)

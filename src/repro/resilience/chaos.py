@@ -9,9 +9,9 @@ replayable exactly.
 
 Determinism without races: instead of an external monitor trying to time
 a kill, the victim kills **itself**.  The :class:`~.checkpoint.CheckpointLog`
-honours two environment hooks — ``REPRO_CHAOS_KILL_AFTER=N`` (SIGKILL the
-process right after its N-th durable log append) and ``REPRO_CHAOS_TORN=1``
-(leave a half-written frame behind first).  A :class:`ChaosPlan` draws the
+honours one environment hook — ``REPRO_CHAOS_KILL_AFTER=N`` (SIGKILL the
+process right after its N-th durable log append), or ``N:torn`` (leave a
+half-written frame behind first).  A :class:`ChaosPlan` draws the
 kill point and the post-mortem file damage from its seed;
 :func:`run_kill_resume_cycle` executes one full cycle: run the victim
 under the plan, confirm the SIGKILL, vandalise the run directory, resume,
@@ -37,12 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ChaosError
-from .checkpoint import (
-    CHAOS_KILL_AFTER_ENV,
-    CHAOS_TORN_ENV,
-    LOG_NAME,
-    CheckpointLog,
-)
+from .checkpoint import CHAOS_KILL_AFTER_ENV, LOG_NAME, CheckpointLog
 
 __all__ = [
     "DAMAGE_KINDS",
@@ -133,10 +128,8 @@ class ChaosPlan:
         kill = self.kill
         if kill is None:
             return {}
-        overlay = {CHAOS_KILL_AFTER_ENV: str(kill.after_records)}
-        if kill.kind == "torn_kill":
-            overlay[CHAOS_TORN_ENV] = "1"
-        return overlay
+        torn = ":torn" if kill.kind == "torn_kill" else ""
+        return {CHAOS_KILL_AFTER_ENV: f"{kill.after_records}{torn}"}
 
 
 def apply_damage(run_dir: str, plan: ChaosPlan) -> list[str]:
@@ -202,7 +195,6 @@ class ChaosCycleResult:
     damage_applied: list[str] = field(default_factory=list)
     records_surviving: int = 0
     resume_returncode: int | None = None
-    resume_stdout: str = ""
     resume_stderr: str = ""
 
     @property
@@ -215,7 +207,6 @@ def run_kill_resume_cycle(
     *,
     run_dir: str,
     plan: ChaosPlan,
-    resume_argv: list[str] | None = None,
     timeout: float = 300.0,
 ) -> ChaosCycleResult:
     """Execute one chaos cycle against the ``jem`` CLI.
@@ -225,8 +216,9 @@ def run_kill_resume_cycle(
     the plan's kill hook armed and must die by SIGKILL (a run that
     finishes first is reported with ``killed=False`` — the plan's kill
     point exceeded the run's unit count).  The run directory is then
-    vandalised per the plan and ``resume_argv`` (default: ``argv`` again)
-    is run to completion without chaos hooks.
+    vandalised per the plan and ``argv`` is run again, without the hook, to
+    completion: the run directory's manifest lets it reuse the surviving
+    units.
     """
     base = [sys.executable, "-m", "repro.cli"]
     env = {**os.environ, **plan.env()}
@@ -246,24 +238,17 @@ def run_kill_resume_cycle(
             )
         # finished before the kill point: nothing to resume
         result.resume_returncode = 0
-        result.resume_stdout = victim.stdout
         result.resume_stderr = victim.stderr
         return result
     result.damage_applied = apply_damage(run_dir, plan)
     result.records_surviving = len(
         CheckpointLog(os.path.join(run_dir, LOG_NAME)).replay()
     )
-    clean_env = {
-        k: v
-        for k, v in os.environ.items()
-        if k not in (CHAOS_KILL_AFTER_ENV, CHAOS_TORN_ENV)
-    }
+    clean_env = {k: v for k, v in os.environ.items() if k != CHAOS_KILL_AFTER_ENV}
     resumed = subprocess.run(
-        base + (resume_argv if resume_argv is not None else argv),
-        env=clean_env, capture_output=True, text=True, timeout=timeout,
+        base + argv, env=clean_env, capture_output=True, text=True, timeout=timeout,
     )
     result.resume_returncode = resumed.returncode
-    result.resume_stdout = resumed.stdout
     result.resume_stderr = resumed.stderr
     return result
 

@@ -35,8 +35,8 @@ Three on-disk artifacts live in a *run directory*:
 The module also hosts the deterministic crash-injection hook the chaos
 harness uses: with ``REPRO_CHAOS_KILL_AFTER=N`` in the environment, the
 process SIGKILLs *itself* immediately after committing its N-th log
-record (``REPRO_CHAOS_TORN=1`` additionally leaves a torn half-frame
-behind).  Self-kill makes "SIGKILL at checkpoint boundary k" exactly
+record (``N:torn`` additionally leaves a torn half-frame behind first).
+Self-kill makes "SIGKILL at checkpoint boundary k" exactly
 reproducible — no racy external monitor required.
 """
 
@@ -67,7 +67,7 @@ __all__ = [
     "fingerprint_file",
     "atomic_write_bytes",
     "CHAOS_KILL_AFTER_ENV",
-    "CHAOS_TORN_ENV",
+    "chaos_kill_point",
 ]
 
 #: One frame: magic + payload length + CRC32(payload), then the payload.
@@ -78,9 +78,21 @@ MANIFEST_NAME = "manifest.json"
 LOG_NAME = "checkpoint.log"
 _UNITS_DIR = "units"
 
-#: Environment hooks for the deterministic self-SIGKILL chaos injection.
+#: Environment hook for the deterministic self-SIGKILL chaos injection:
+#: ``N`` (die after the N-th appended record) or ``N:torn`` (write half a
+#: frame first).
 CHAOS_KILL_AFTER_ENV = "REPRO_CHAOS_KILL_AFTER"
-CHAOS_TORN_ENV = "REPRO_CHAOS_TORN"
+
+
+def chaos_kill_point(value: str | None) -> tuple[int, bool]:
+    """The kill hook's ``(after_records, torn)``; ``(0, False)`` when unset.
+    A malformed value raises :class:`ValueError` rather than reading as off."""
+    if not value:
+        return 0, False
+    count, sep, mode = value.partition(":")
+    if sep and mode != "torn":
+        raise ValueError(f"{CHAOS_KILL_AFTER_ENV}={value!r}: expected N or N:torn")
+    return int(count), bool(sep)
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -137,8 +149,7 @@ class CheckpointLog:
         self._fsync = fsync
         self._fh: io.BufferedWriter | None = None
         self._appended = 0
-        self._kill_after = int(os.environ.get(CHAOS_KILL_AFTER_ENV, 0) or 0)
-        self._torn = os.environ.get(CHAOS_TORN_ENV, "") == "1"
+        self._kill_after, self._torn = chaos_kill_point(os.environ.get(CHAOS_KILL_AFTER_ENV))
 
     # -- writing -------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Checkpointed runs: the run manifest, the engine's unit hooks, resume records.
+"""Checkpointed runs: the run manifest and the engine's unit hooks.
 
 A ``--checkpoint-dir`` run is the streamed run.  ``jem index`` sketches its
 contig blocks and ``jem map`` maps its read batches through the loops a plain
@@ -6,36 +6,26 @@ run takes; :func:`checkpointed` hands those loops the run directory's
 :class:`CheckpointContext` as their per-unit hook, so block k is loaded from
 ``sketch_k`` and batch k from ``map_k`` when that unit is valid, and
 committed when it is computed.  This module also pins a run's identity (its
-:class:`RunManifest`) and owns the ``invocation.json`` record that lets
-``jem map --resume <dir>`` / ``jem index --resume <dir>`` reconstruct the
-original command line from nothing but the run directory.
+:class:`RunManifest`): a killed run is resumed by running its command again,
+and the manifest refuses a directory that another command, other inputs or
+other parameters started.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
-import os
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from ..core.streaming import iter_batches, iter_records, unit_bases
-from ..errors import CheckpointError, MappingError
-from .checkpoint import CheckpointContext, RunManifest, atomic_write_bytes, fingerprint_file
+from ..errors import MappingError
+from .checkpoint import CheckpointContext, RunManifest, fingerprint_file
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import MappingEngine
 
-__all__ = [
-    "checkpointed",
-    "unit_count",
-    "save_invocation",
-    "load_invocation",
-    "INVOCATION_NAME",
-]
-
-INVOCATION_NAME = "invocation.json"
+__all__ = ["checkpointed", "unit_count"]
 
 
 def _manifest(
@@ -95,32 +85,3 @@ def unit_count(path: str) -> int:
     """How many units a checkpointed run cuts ``path`` into."""
     return sum(1 for _ in iter_batches(iter_records(path), unit_bases(path)))
 
-
-# -- CLI resume records -------------------------------------------------------
-
-
-def save_invocation(run_dir: str, payload: dict) -> str:
-    """Persist the CLI arguments of a checkpointed run (atomic write).
-
-    ``jem ... --resume <dir>`` reads this back to re-run the identical
-    command without the operator re-typing (and possibly mistyping) it.
-    """
-    path = os.path.join(run_dir, INVOCATION_NAME)
-    os.makedirs(run_dir, exist_ok=True)
-    atomic_write_bytes(path, json.dumps(payload, indent=2, sort_keys=True).encode())
-    return path
-
-
-def load_invocation(run_dir: str) -> dict:
-    """Read a run directory's saved CLI arguments; typed error when absent."""
-    path = os.path.join(run_dir, INVOCATION_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise CheckpointError(
-            f"{run_dir!r} has no {INVOCATION_NAME}; was this directory "
-            "created by a --checkpoint-dir run?"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"unreadable {path!r}: {exc}") from exc

@@ -40,10 +40,11 @@ One JSON object per line, in both directions.  Requests:
   ``{"op": "drained", "mapped", "errors", "rejected", "metrics"}`` and
   end the session.  The client's half-close (EOF) is an implicit drain.
 
-Malformed frames (unparseable JSON, lines over ``--max-line-bytes``,
-unknown ops, non-string payload fields) are answered with a typed
-in-band ``{"type": "error", "error": ...}`` object; the session — and
-every *other* session of the server — keeps serving.
+Malformed frames (unparseable JSON, lines over
+:data:`repro.netserve.frontend.MAX_LINE_BYTES`, unknown ops, non-string
+payload fields) are answered with a typed in-band
+``{"type": "error", "error": ...}`` object; the session — and every
+*other* session of the server — keeps serving.
 
 Backpressure surfaces in-band: an admission rejection produces
 ``{"id": ..., "error": "overloaded", "retry_after": <seconds>}`` and the

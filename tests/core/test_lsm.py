@@ -585,7 +585,7 @@ class TestChaosRecovery:
         """Explicit torn-write kill: the half-frame must not poison replay."""
         script, run_dir, payload_path, model = self.chaos_case(rng, tmp_path, "t", "c0")
 
-        overlay = {"REPRO_CHAOS_KILL_AFTER": "2", "REPRO_CHAOS_TORN": "1"}
+        overlay = {"REPRO_CHAOS_KILL_AFTER": "2:torn"}
         first = self.run_child(script, run_dir, payload_path, overlay)
         assert first.returncode == -signal.SIGKILL, first.stderr
 

@@ -60,7 +60,8 @@ def test_paf_suffix_on_second_contig(mapped_world):
 def test_write_paf_file(tmp_path, mapped_world):
     cfg, contigs, segments, result = mapped_world
     path = tmp_path / "out.paf"
-    n = write_paf(path, result, segments, contigs, trials=cfg.trials, k=cfg.k)
+    with open(path, "w", encoding="utf-8") as handle:
+        n = write_paf(handle, result, segments, contigs, trials=cfg.trials, k=cfg.k)
     assert n == result.n_mapped
     assert len(path.read_text().splitlines()) == n
 

@@ -88,8 +88,18 @@ def test_index_then_map(tmp_path, capsys):
 def test_map_requires_exactly_one_source(tmp_path, capsys):
     data = tmp_path / "data"
     main(["simulate", "e_coli", "--scale", "0.0002", "--seed", "3", "--out", str(data)])
-    rc = main(["map", "-q", str(data / "e_coli_reads.fastq")])
-    assert rc == 2
+    reads, contigs = str(data / "e_coli_reads.fastq"), str(data / "e_coli_contigs.fasta")
+    capsys.readouterr()
+    for argv, message in (
+        (["map", "-q", reads], "one of the arguments -s/--subjects --index is required"),
+        (["map", "-q", reads, "-s", contigs, "--index", "i.npz"], "not allowed with argument"),
+        (["map", "-s", contigs], "the following arguments are required: -q/--queries"),
+        (["index", "-s", contigs], "the following arguments are required: -o/--output"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_eval_command(tmp_path, capsys):
@@ -123,6 +133,28 @@ def test_bench_rejects_the_deleted_experiments(capsys):
         main(["bench", "kernels"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_paf_interrupted_mid_body_leaves_no_file(tmp_path, monkeypatch):
+    """`map --paf` writes through the same temp-and-rename writer as the
+    TSV: a failure after the first record leaves nothing at -o."""
+    from repro.core import paf
+
+    data = tmp_path / "data"
+    main(["simulate", "e_coli", "--scale", "0.0002", "--seed", "3", "--out", str(data)])
+    records = paf.paf_records
+
+    def one_then_fail(*args, **kwargs):
+        yield next(iter(records(*args, **kwargs)))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(paf, "paf_records", one_then_fail)
+    out = tmp_path / "out.paf"
+    with pytest.raises(KeyboardInterrupt):
+        main(["map", "-q", str(data / "e_coli_reads.fastq"),
+              "-s", str(data / "e_coli_contigs.fasta"),
+              "-o", str(out), "--paf", "--trials", "8"])
+    assert sorted(os.listdir(tmp_path)) == ["data"]
 
 
 def test_map_paf_output(tmp_path):
@@ -174,35 +206,44 @@ def test_parser_rejects_unknown_dataset():
 def test_parser_name_lists_match_the_registries():
     """The parser spells its choices out so that building it imports neither
     repro.bench nor repro.eval; the spelled-out lists must not drift."""
-    from repro import cli
     from repro.bench import ALL_EXPERIMENTS
+    from repro.cli import common, paper
     from repro.core.engine import MAPPER_KINDS
     from repro.eval.datasets import DEFAULT_SCALE, dataset_names
 
-    assert list(cli._EXPERIMENT_NAMES) == list(ALL_EXPERIMENTS)
-    assert list(cli._DATASET_NAMES) == dataset_names()
-    assert cli._DEFAULT_SCALE == DEFAULT_SCALE
-    assert cli._MAPPER_KINDS == MAPPER_KINDS
+    assert list(paper.EXPERIMENT_NAMES) == list(ALL_EXPERIMENTS)
+    assert list(paper.DATASET_NAMES) == dataset_names()
+    assert paper.DEFAULT_SCALE == DEFAULT_SCALE
+    assert common.MAPPER_KINDS == MAPPER_KINDS
 
 
 def test_parser_builds_without_bench_or_eval():
-    """`jem index | map | serve` start-up does not pay for the harnesses."""
+    """`jem index | map | serve` start-up does not pay for the harnesses:
+    `build_parser()` in a fresh interpreter loads, of this project, only the
+    package root, its lazy-export and compile helpers, the error types and
+    the `repro.cli` modules."""
     import subprocess
     import sys
 
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    # ... nor, yet, for numpy and the engine: main() starts a cold cache's
+    # ... nor, yet, numpy and the engine: main() starts a cold cache's
     # kernel compile first, and the handlers import what they run
     code = (
         "import sys; from repro.cli import build_parser; build_parser(); "
-        "bad = [m for m in sys.modules if m.startswith(('repro.bench', 'repro.eval', "
-        "'repro.core', 'repro.sketch', 'numpy'))]; "
-        "sys.exit(1 if bad else 0)"
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('repro', 'numpy'))))"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    allowed = {"repro", "repro._lazy", "repro._native_build", "repro.errors", "repro.cli"}
+    assert {m for m in loaded if not m.startswith("repro.cli.")} <= allowed, loaded
+    assert {"repro.cli", "repro.cli.common", "repro.cli.mapping"} <= loaded
 
 
 def test_one_shot_commands_load_no_serving_or_scaffolding_code(tmp_path):
@@ -410,6 +451,8 @@ _REQUIRED = {
     "serve": ["--index", "i.npz"],
     "client": ["-q", "r.fq", "--connect", "127.0.0.1:7000"],
     "chaos": ["serve", "-s", "c.fa"],
+    "index": ["-s", "c.fa", "-o", "i.npz"],
+    "map": ["-q", "r.fq", "-s", "c.fa"],
 }
 
 
@@ -427,13 +470,21 @@ _REQUIRED = {
     )),
     ("chaos", "--max-events"),
     ("chaos", "--max-damage"),
+    ("chaos", "--keep"),
+    ("index", "--resume"),
+    ("map", "--resume"),
+    ("serve", "--max-line-bytes"),
+    ("serve", "--idle-timeout"),
+    ("serve", "--queue-capacity"),
 ])
 def test_retired_service_flags_are_gone(capsys, command, flag):
     """The scheduler sets its own batch window, `--listen` always
     supervises, scatter keeps the fleet's hedge deadline, `serve` opens only
     a built index (whose sketch parameters are its own), `client` only
     connects to a running `serve --listen`, and `chaos` draws its plans at
-    their own bounds: each of these flags is an argparse error."""
+    their own bounds, a killed run resumes by running it again, the serve
+    guards keep their constants and `--workdir` alone keeps chaos run
+    directories: each of these flags is an argparse error."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args([command, *_REQUIRED[command], flag])
     assert excinfo.value.code == 2
@@ -530,11 +581,14 @@ def test_map_refuses_sketch_flags_the_index_disagrees_with(tmp_path, indexed, ca
     assert main(["map", "-q", reads, "--index", idx, "-o", str(out),
                  "--trials", "8", "--k", "12"]) == 0
     assert _body(out) == body
-    # a --resume payload records the unset flags as unset
+    # a checkpointed run, and the same command run again over its finished
+    # units, map with the index's own parameters
     run_dir = str(tmp_path / "run")
-    assert main(["map", "-q", reads, "--index", idx, "-o", str(out),
-                 "--checkpoint-dir", run_dir]) == 0
-    assert main(["map", "--resume", run_dir]) == 0
+    argv = ["map", "-q", reads, "--index", idx, "-o", str(out), "--checkpoint-dir", run_dir]
+    assert main(argv) == 0
+    assert _body(out) == body
+    os.unlink(out)
+    assert main(argv) == 0
     assert _body(out) == body
 
 

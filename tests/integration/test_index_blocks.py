@@ -5,6 +5,7 @@ member for member, name for name — wherever the blocks are cut."""
 from __future__ import annotations
 
 import gzip
+import os
 import shutil
 
 import numpy as np
@@ -153,17 +154,19 @@ def test_mutable_directory_built_in_blocks_equals_whole_set_seed(
 
 def test_a_checkpointed_build_writes_the_plain_bundle(contigs_path, tmp_path):
     """A `--checkpoint-dir` build commits smaller blocks than a plain one (at
-    least `MIN_UNITS` for the file's size) and writes the same bundle; its
-    resume, which loads every block, writes it again."""
+    least `MIN_UNITS` for the file's size) and writes the same bundle; the
+    same command run again, which loads every block, writes it again."""
     plain = str(tmp_path / "plain.npz")
     assert main(["index", "-s", contigs_path, "-o", plain, *CONFIG_ARGV]) == 0
     run_dir = str(tmp_path / "run")
     checkpointed = str(tmp_path / "checkpointed.npz")
-    assert main(["index", "-s", contigs_path, "-o", checkpointed,
-                 "--checkpoint-dir", run_dir, *CONFIG_ARGV]) == 0
+    argv = ["index", "-s", contigs_path, "-o", checkpointed,
+            "--checkpoint-dir", run_dir, *CONFIG_ARGV]
+    assert main(argv) == 0
     assert len(list((tmp_path / "run" / "units").iterdir())) >= 2
     _assert_same_bundle(checkpointed, plain)
-    assert main(["index", "--resume", run_dir]) == 0
+    os.unlink(checkpointed)
+    assert main(argv) == 0
     _assert_same_bundle(checkpointed, plain)
 
 

@@ -13,7 +13,9 @@ import pytest
 from conftest import serve_session
 
 from repro import JEMConfig, JEMMapper
-from repro.cli import _engine_from, _fleet_from, build_parser
+from repro.cli import build_parser
+from repro.cli.common import engine_from
+from repro.cli.serve import _fleet_from
 from repro.core.persist import save_index
 from repro.core.store import ColumnarSketchStore
 from repro.netserve import router
@@ -34,7 +36,7 @@ def listen_fleet(index_path: str, *flags: str):
     args = build_parser().parse_args(
         ["serve", "--index", index_path, "--max-batch", "8", *flags]
     )
-    return _fleet_from(args, _engine_from(args))
+    return _fleet_from(args, engine_from(args))
 
 
 def map_requests(reads) -> list[dict]:

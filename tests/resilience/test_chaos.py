@@ -1,8 +1,8 @@
 """Kill-resume chaos cycles: real SIGKILLs, deterministic plans, parity.
 
 The acceptance bar: over seeded plans that SIGKILL ``jem index`` and
-``jem map`` mid-unit (and then vandalise the run directory), a
-``--resume`` run completes and its output is bit-identical to an
+``jem map`` mid-unit (and then vandalise the run directory), the same
+command run again completes and its output is bit-identical to an
 uninterrupted run — the index by content checksum, the mapping by TSV
 body.
 """
@@ -22,9 +22,9 @@ from repro.resilience import ChaosPlan, ChaosSpec, run_kill_resume_cycle, unit_c
 from repro.resilience.chaos import DAMAGE_KINDS, apply_damage, read_tsv_body
 from repro.resilience.checkpoint import (
     CHAOS_KILL_AFTER_ENV,
-    CHAOS_TORN_ENV,
     LOG_NAME,
     CheckpointLog,
+    chaos_kill_point,
 )
 from repro.seq.io_fasta import write_fasta
 
@@ -67,11 +67,15 @@ class TestChaosPlan:
 
     def test_env_overlay_arms_the_hooks(self):
         plan = ChaosPlan(seed=0, specs=(ChaosSpec("torn_kill", 3),))
-        env = plan.env()
-        assert env[CHAOS_KILL_AFTER_ENV] == "3"
-        assert env[CHAOS_TORN_ENV] == "1"
+        assert plan.env() == {CHAOS_KILL_AFTER_ENV: "3:torn"}
         plain = ChaosPlan(seed=0, specs=(ChaosSpec("kill", 2),))
-        assert CHAOS_TORN_ENV not in plain.env()
+        assert plain.env() == {CHAOS_KILL_AFTER_ENV: "2"}
+        assert chaos_kill_point("3:torn") == (3, True)
+        assert chaos_kill_point("2") == (2, False)
+        assert chaos_kill_point(None) == chaos_kill_point("") == (0, False)
+        for malformed in ("x", "3:tron", "3:"):  # never read as "off"
+            with pytest.raises(ValueError):
+                chaos_kill_point(malformed)
 
     def test_spec_validation(self):
         with pytest.raises(ChaosError, match="unknown chaos kind"):
@@ -125,7 +129,6 @@ class TestKillResumeParity:
                 ["index", "-s", contigs, "-o", out,
                  "--checkpoint-dir", run_dir, *CONFIG_ARGV],
                 run_dir=run_dir, plan=plan,
-                resume_argv=["index", "--resume", run_dir],
             )
             assert cycle.killed, f"seed {seed}: victim was not killed"
             assert cycle.resumed_ok, f"seed {seed}: {cycle.resume_stderr}"
@@ -149,7 +152,6 @@ class TestKillResumeParity:
                 ["map", "-q", reads, "-s", contigs, "-o", out, "-p", "2",
                  "--checkpoint-dir", run_dir, *CONFIG_ARGV],
                 run_dir=run_dir, plan=plan,
-                resume_argv=["map", "--resume", run_dir],
             )
             assert cycle.killed, f"seed {seed}: victim was not killed"
             assert cycle.resumed_ok, f"seed {seed}: {cycle.resume_stderr}"
@@ -168,34 +170,48 @@ class TestResumeCli:
         assert main(argv) == 0
         first = index_checksum(out)
         os.unlink(out)
-        assert main(["index", "--resume", run_dir]) == 0
+        assert main(argv) == 0  # the same command again
         assert index_checksum(out) == first
         # every block was loaded from the checkpoint, not recomputed
         records = CheckpointLog(os.path.join(run_dir, LOG_NAME)).replay()
         assert len(records) == unit_count(contigs) > 1
 
     def test_resume_refuses_wrong_command(self, tmp_path, fasta_world, capsys):
-        contigs, _ = fasta_world
+        """`jem map` pointed at an index run's directory is refused on the
+        manifest's `command`, and writes nothing."""
+        contigs, reads = fasta_world
         run_dir = str(tmp_path / "run")
         out = str(tmp_path / "out.npz")
         assert main(["index", "-s", contigs, "-o", out,
                      "--checkpoint-dir", run_dir, *CONFIG_ARGV]) == 0
         capsys.readouterr()
-        assert main(["map", "--resume", run_dir]) == 1
-        assert re.search(r"^error: .*jem index", capsys.readouterr().err, re.M)
-
-    def test_resume_of_nonexistent_dir_is_typed(self, tmp_path, capsys):
-        assert main(["index", "--resume", str(tmp_path / "nope")]) == 1
-        assert re.search(r"^error: .*invocation\.json", capsys.readouterr().err, re.M)
+        mapped = str(tmp_path / "out.tsv")
+        assert main(["map", "-q", reads, "-s", contigs, "-o", mapped,
+                     "--checkpoint-dir", run_dir, *CONFIG_ARGV]) == 1
+        assert re.search(r"^error: .*command: 'index' != 'map'",
+                         capsys.readouterr().err, re.M)
+        assert not os.path.exists(mapped)
+        assert not os.path.exists(os.path.join(run_dir, "invocation.json"))
 
     def test_chaos_subcommand_end_to_end(self, tmp_path, fasta_world, capsys):
         contigs, _ = fasta_world
         rc = main(["chaos", "index", "-s", contigs, "--seeds", "3",
-                   "--workdir", str(tmp_path / "chaos"),
-                   "--keep", *CONFIG_ARGV])
+                   "--workdir", str(tmp_path / "chaos"), *CONFIG_ARGV])
         captured = capsys.readouterr()
         assert rc == 0, captured.err
         assert "1/1 chaos cycles reproduced" in captured.out
+        assert (tmp_path / "chaos" / "seed3" / LOG_NAME).exists()  # --workdir keeps
+
+    def test_chaos_removes_its_temp_workdir(self, tmp_path, fasta_world, capsys, monkeypatch):
+        import tempfile
+
+        contigs, _ = fasta_world
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        assert main(["chaos", "index", "-s", contigs, "--seeds", "3", *CONFIG_ARGV]) == 0
+        assert "run dirs removed; --workdir to inspect" in capsys.readouterr().out
+        assert list(scratch.iterdir()) == []
 
     @pytest.mark.parametrize("seeds", ["", "1,x"])
     def test_chaos_bad_seeds_exit_2(self, tmp_path, capsys, seeds):

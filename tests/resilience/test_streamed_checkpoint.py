@@ -3,8 +3,8 @@
 `jem index --checkpoint-dir` commits the contig blocks of the one index
 build, `jem map --checkpoint-dir` the read batches of the one mapping loop:
 outputs equal a plain run's, neither input is ever held whole, a resume
-computes exactly the units that are missing or damaged, and a run directory
-that cut whole sets into shards is refused.
+(the same command run again) computes exactly the units that are missing or
+damaged, and a run directory that cut whole sets into shards is refused.
 """
 
 from __future__ import annotations
@@ -105,12 +105,14 @@ def test_resume_computes_only_missing_and_damaged_units(tmp_path, world, calls):
     contigs, reads, _, body = world
     run_dir = str(tmp_path / "run")
     out = str(tmp_path / "out.tsv")
-    assert main(["map", "-q", reads, "-s", contigs, "-o", out,
-                 "--checkpoint-dir", run_dir, *CONFIG_ARGV]) == 0
+    argv = ["map", "-q", reads, "-s", contigs, "-o", out, "--checkpoint-dir", run_dir,
+            *CONFIG_ARGV]
+    assert main(argv) == 0
     assert calls == {"sketch": unit_count(contigs), "map": unit_count(reads)}
+    assert not os.path.exists(os.path.join(run_dir, "invocation.json"))
 
     calls.update(sketch=0, map=0)
-    assert main(["map", "--resume", run_dir]) == 0
+    assert main(argv) == 0
     assert calls == {"sketch": 0, "map": 0}  # a complete directory maps nothing
     assert read_tsv_body(out) == body
 
@@ -121,7 +123,7 @@ def test_resume_computes_only_missing_and_damaged_units(tmp_path, world, calls):
     os.unlink(os.path.join(run_dir, "units", "map_0001.npz"))
     damaged.add("map_0001.npz")
     calls.update(sketch=0, map=0)
-    assert main(["map", "--resume", run_dir]) == 0
+    assert main(argv) == 0
     assert calls == {
         "sketch": sum(name.startswith("sketch_") for name in damaged),
         "map": sum(name.startswith("map_") for name in damaged),
@@ -147,26 +149,6 @@ def test_checkpointed_runs_never_hold_an_input_whole(tmp_path, world, monkeypatc
         assert read_tsv_body(out) == body
 
 
-def test_resume_ignores_the_retired_keys_of_an_older_invocation(tmp_path, world, calls):
-    """An `invocation.json` recorded while `jem map` still had the simulated
-    backend and the fault knobs carries their keys; `--resume` rebuilds the
-    command from every recorded key, ignores those, and writes the plain body."""
-    contigs, reads, _, body = world
-    run_dir, out = tmp_path / "run", str(tmp_path / "out.tsv")
-    assert main(["map", "-q", reads, "-s", contigs, "-o", out,
-                 "--checkpoint-dir", str(run_dir), *CONFIG_ARGV]) == 0
-    os.unlink(run_dir / "units" / "map_0001.npz")
-    os.unlink(out)
-    invocation = json.loads((run_dir / "invocation.json").read_text())
-    invocation["args"].update(processes=2, backend="simulated", strict=True,
-                              timeout=60.0, inject_faults=None)
-    (run_dir / "invocation.json").write_text(json.dumps(invocation))
-    calls.update(sketch=0, map=0)
-    assert main(["map", "--resume", str(run_dir)]) == 0
-    assert calls == {"sketch": 0, "map": 1}
-    assert read_tsv_body(out) == body
-
-
 def test_a_run_directory_cut_into_shards_is_refused(tmp_path, world, capsys):
     """A directory whose units were base-balanced shards of whole sets
     (manifest version 1) is not resumed as if its units were batches."""
@@ -182,14 +164,8 @@ def test_a_run_directory_cut_into_shards_is_refused(tmp_path, world, capsys):
         "units": {"mode": "simulated", "sketch_blocks": 2, "map_blocks": 2},
         "inputs": {"subjects": {"n": 11, "crc32": 1}, "reads": {"n": 20, "crc32": 2}},
     }))
-    (run_dir / "invocation.json").write_text(json.dumps({"command": "map", "args": {
-        "queries": reads, "subjects": contigs, "index": None,
-        "output": str(tmp_path / "out.tsv"), "mapper": "jem", "processes": 2,
-        "backend": "simulated", "paf": False, "strict": True, "timeout": 60.0,
-        "on_error": "raise", "inject_faults": None, "checkpoint_dir": str(run_dir),
-        **config,
-    }}))
-    assert main(["map", "--resume", str(run_dir)]) == 1
+    assert main(["map", "-q", reads, "-s", contigs, "-o", str(tmp_path / "out.tsv"),
+                 "-p", "2", "--checkpoint-dir", str(run_dir), *CONFIG_ARGV]) == 1
     assert re.search(r"^error: .*version: 1 != 2", capsys.readouterr().err, re.M)
     assert not (tmp_path / "out.tsv").exists()
     assert os.listdir(run_dir / "units") == []
