@@ -32,7 +32,7 @@ from ..seq.io_fasta import ParseReport
 from ..seq.records import SequenceSet, SequenceSetBuilder
 from .config import JEMConfig
 from .mapper import JEMMapper, MappingResult
-from .streaming import iter_batches, iter_records, map_file, unit_bases
+from .streaming import iter_file_batches, iter_records, map_file, unit_bases
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.checkpoint import CheckpointContext
@@ -294,13 +294,11 @@ class MappingEngine:
             path = self._subjects_path
             if self._subjects is None and path and isinstance(mapper, JEMMapper):
                 pipe, report, ckpt = self.pipeline, ParseReport(), self.checkpoint
-                records = iter_records(path, on_error=pipe.on_error, report=report)
-                if ckpt is None:
-                    mapper.index_partitioned(iter_batches(records))
-                else:
-                    mapper.index_partitioned(
-                        iter_batches(records, unit_bases(path)), ckpt.sketch_unit
-                    )
+                batches = iter_file_batches(
+                    path, on_error=pipe.on_error, report=report,
+                    batch_bases=None if ckpt is None else unit_bases(path),
+                )
+                mapper.index_partitioned(batches, None if ckpt is None else ckpt.sketch_unit)
                 _warn_skipped(report, path)
             else:  # other mappers index a whole set
                 mapper.index(self.subjects)

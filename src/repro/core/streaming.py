@@ -9,10 +9,12 @@ contigs to S2 (:meth:`~repro.core.mapper.JEMMapper.index_partitioned`).
 A checkpointed run commits the same batches, cut at :func:`unit_bases`.
 
 :func:`map_file` has the parser keep only each read's two ℓ-base ends
-(``iter_fasta(..., ends=ℓ)``): a batch holds at most 2ℓ codes a read, while
-its boundaries are still cut at the reads' full base counts
+(``iter_file_batches(..., ends=ℓ)``): a batch holds at most 2ℓ codes a read,
+while its boundaries are still cut at the reads' full base counts
 (:attr:`~repro.seq.records.SeqRecord.bases`), so batches, checkpoint units
-and output are the same as over whole reads.
+and output are the same as over whole reads.  A FASTA file's batches are
+cut from the compiled parser's record blocks, with no record object per
+sequence; FASTQ and record iterables go through :func:`iter_batches`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from ..errors import MappingError
-from ..seq.io_fasta import ParseReport, iter_fasta
+from ..seq.io_fasta import ParseReport, RecordBlock, iter_fasta, iter_fasta_blocks
 from ..seq.records import SeqRecord, SequenceSet, SequenceSetBuilder
 from .mapper import MappingResult
 
@@ -32,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BATCH_BASES", "MIN_UNITS", "unit_bases", "iter_records", "iter_batches",
-    "map_reads_stream", "map_file",
+    "iter_file_batches", "map_reads_stream", "map_file",
 ]
 
 #: Bases per batch (≈ 200 HiFi reads, ≈ 800 contigs): enough kernel work —
@@ -58,6 +60,10 @@ def unit_bases(path: str) -> int:
     return max(1, min(BATCH_BASES, os.path.getsize(path) // MIN_UNITS))
 
 
+def _is_fastq(path: str) -> bool:
+    return path.endswith((".fq", ".fastq", ".fq.gz", ".fastq.gz"))
+
+
 def iter_records(
     path: str,
     *,
@@ -67,11 +73,19 @@ def iter_records(
 ) -> Iterator[SeqRecord]:
     """Records of a FASTA or FASTQ file (by extension; gzip ok), streaming;
     ``ends`` is the parsers' (:func:`~repro.seq.io_fasta.iter_fasta`)."""
-    if path.endswith((".fq", ".fastq", ".fq.gz", ".fastq.gz")):
+    if _is_fastq(path):
         from ..seq.io_fastq import iter_fastq
 
         return iter_fastq(path, on_error=on_error, report=report, ends=ends)
     return iter_fasta(path, on_error=on_error, report=report, ends=ends)
+
+
+def _budget(batch_bases: int | None) -> int:
+    if batch_bases is None:
+        return BATCH_BASES
+    if batch_bases < 1:
+        raise MappingError(f"batch_bases must be >= 1, got {batch_bases}")
+    return batch_bases
 
 
 def iter_batches(
@@ -85,10 +99,7 @@ def iter_batches(
     reads is cut where the whole reads would be — and one batch is resident
     at a time whatever the file holds.
     """
-    if batch_bases is None:
-        batch_bases = BATCH_BASES
-    if batch_bases < 1:
-        raise MappingError(f"batch_bases must be >= 1, got {batch_bases}")
+    batch_bases = _budget(batch_bases)
     builder = SequenceSetBuilder()
     bases = 0
     for record in records:
@@ -100,6 +111,48 @@ def iter_batches(
         bases += record.bases
     if len(builder):
         yield builder.build()
+
+
+def _cut_blocks(blocks: Iterable[RecordBlock], batch_bases: int) -> Iterator[SequenceSet]:
+    """:func:`iter_batches` over the records of ``blocks``: the same cuts,
+    each batch joined from slices of the blocks it spans."""
+    pieces: list[SequenceSet] = []
+    bases = count = 0
+    for block in blocks:
+        lo = 0
+        for i, size in enumerate(block.bases.tolist()):
+            if count and bases + size > batch_bases:
+                if lo < i:
+                    pieces.append(block.sequences.slice(lo, i))
+                batch, pieces, bases, count, lo = SequenceSet.join(pieces), [], 0, 0, i
+                yield batch  # its pieces are let go first
+            bases += size
+            count += 1
+        if lo < len(block.bases):
+            pieces.append(block.sequences.slice(lo, len(block.bases)) if lo else block.sequences)
+    if count:
+        batch, pieces, block = SequenceSet.join(pieces), [], None
+        yield batch
+
+
+def iter_file_batches(
+    path: str,
+    *,
+    on_error: str = "raise",
+    report: ParseReport | None = None,
+    ends: int | None = None,
+    batch_bases: int | None = None,
+) -> Iterator[SequenceSet]:
+    """``iter_batches(iter_records(path, ...), batch_bases)``, the same
+    batches; a FASTA file's are cut from the parser's record blocks
+    (:func:`~repro.seq.io_fasta.iter_fasta_blocks`), with no record object
+    per sequence."""
+    batch_bases = _budget(batch_bases)
+    if _is_fastq(path):
+        return iter_batches(iter_records(path, on_error=on_error, report=report, ends=ends),
+                            batch_bases)
+    blocks = iter_fasta_blocks(path, on_error=on_error, report=report, ends=ends)
+    return _cut_blocks(blocks, batch_bases)
 
 
 def map_reads_stream(
@@ -117,9 +170,17 @@ def map_reads_stream(
     batch*.  ``unit(k, map_batch)``, when given, returns batch k's result in
     place of ``map_batch()`` — a checkpointed run's load-or-map-and-commit.
     """
+    return _map_batches(mapper, iter_batches(records, batch_bases), unit)
+
+
+def _map_batches(
+    mapper: "Mapper",
+    batches: Iterable[SequenceSet],
+    unit: Callable[[int, Callable[[], MappingResult]], MappingResult] | None,
+) -> Iterator[MappingResult]:
     if not getattr(mapper, "is_indexed", True):
         raise MappingError("index() must be called before streaming")
-    for k, batch in enumerate(iter_batches(records, batch_bases)):
+    for k, batch in enumerate(batches):
         map_batch = partial(mapper.map_reads, batch)
         yield map_batch() if unit is None else unit(k, map_batch)
 
@@ -142,5 +203,7 @@ def map_file(
     skip tally of :func:`~repro.seq.io_fasta.iter_fasta`; ``unit`` is
     :func:`map_reads_stream`'s.
     """
-    records = iter_records(path, on_error=on_error, report=report, ends=ell)
-    return map_reads_stream(mapper, records, batch_bases=batch_bases, unit=unit)
+    batches = iter_file_batches(
+        path, on_error=on_error, report=report, ends=ell, batch_bases=batch_bases
+    )
+    return _map_batches(mapper, batches, unit)

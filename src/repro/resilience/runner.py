@@ -18,7 +18,7 @@ import dataclasses
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from ..core.streaming import iter_batches, iter_records, unit_bases
+from ..core.streaming import iter_file_batches, unit_bases
 from ..errors import MappingError
 from .checkpoint import CheckpointContext, RunManifest, fingerprint_file
 
@@ -83,5 +83,5 @@ def checkpointed(
 
 def unit_count(path: str) -> int:
     """How many units a checkpointed run cuts ``path`` into."""
-    return sum(1 for _ in iter_batches(iter_records(path), unit_bases(path)))
+    return sum(1 for _ in iter_file_batches(path, batch_bases=unit_bases(path)))
 

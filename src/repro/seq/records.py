@@ -182,10 +182,33 @@ class SequenceSet:
         )
 
     def concat(self, other: "SequenceSet") -> "SequenceSet":
-        """Concatenate two sets (copies)."""
-        buffer = np.concatenate([self.buffer, other.buffer])
-        offsets = np.concatenate([self.offsets, other.offsets[1:] + self.buffer.size])
-        return SequenceSet(buffer, offsets, self.names + other.names, self.metas + other.metas)
+        """Concatenate two sets (:meth:`join`)."""
+        return SequenceSet.join([self, other])
+
+    @classmethod
+    def join(cls, sets: Sequence["SequenceSet"]) -> "SequenceSet":
+        """One set of ``sets``' sequences in order: a copy, unless there is
+        only one set, or their buffers lie back to back in one array."""
+        if len(sets) == 1:
+            return sets[0]
+        if not sets:
+            return cls.empty()
+        at = np.cumsum([0] + [s.buffer.size for s in sets])
+        first, owner = sets[0].buffer, sets[0].buffer.base
+        if isinstance(owner, np.ndarray) and owner.dtype == np.uint8 and owner.ndim == 1 and all(
+            s.buffer.base is owner and s.buffer.ctypes.data == first.ctypes.data + lo
+            for s, lo in zip(sets, at.tolist())
+        ):
+            lo = first.ctypes.data - owner.ctypes.data
+            buffer = owner[lo : lo + at[-1]]
+        else:
+            buffer = np.concatenate([s.buffer for s in sets])
+        return cls(
+            buffer,
+            np.concatenate([[0]] + [s.offsets[1:] + base for s, base in zip(sets, at)]),
+            [name for s in sets for name in s.names],
+            [meta for s in sets for meta in s.metas],
+        )
 
     def __repr__(self) -> str:
         return f"SequenceSet(n={len(self)}, total_bases={self.total_bases})"

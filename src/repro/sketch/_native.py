@@ -3,8 +3,9 @@
 The per-trial numpy kernels in :mod:`repro.sketch.jem` are bound by
 64-bit hardware division: every trial pays two ``uint64`` modulos
 per minimizer, and numpy cannot fuse the hash, the packed-key min and the
-interval reduction into one pass.  Four small C kernels do exactly that —
-their source, what each computes and how it is compiled and cached live in
+interval reduction into one pass.  Four small C kernels do exactly that,
+and a fifth parses FASTA records (S1's load) — their source, what each
+computes and how it is compiled and cached live in
 :mod:`repro._native_build`; this module loads the library (:func:`load`)
 and binds it (:class:`NativeKernels`).
 
@@ -184,6 +185,8 @@ class NativeKernels:
             u64p, i64p, i64p,                                # ranks, positions, counts
         ]
         dll.jem_minimizer_kernel.restype = i64
+        dll.jem_parse_block.argtypes = [void_p, i64, ctypes.c_char_p, i64, void_p, i64, void_p]
+        dll.jem_parse_block.restype = i64
 
     @staticmethod
     def _ptr(arr: np.ndarray, dtype, ctype):
@@ -268,6 +271,40 @@ class NativeKernels:
             np.concatenate([positions for _, positions in parts]),
             counts,
         )
+
+    def parse_block(
+        self, text: bytes | memoryview, table: bytes, ends: int | None,
+        codes: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        r"""The FASTA records of ``text`` — whole records, ``\n`` line ends —
+        in one call (S1's load): ``(recs, codes)``, or None when ``text`` is
+        not all ASCII.  Row i of the ``int64`` ``recs[(n, 6)]`` is record i's
+        start, header-line end, base count and "needs the reference parser"
+        flag, then the ``\n`` bytes and the codes from the text's start
+        through record i; ``codes`` holds the unflagged records' bases
+        through ``table``, back to back — all of them, or with ``ends=ℓ`` a
+        record's first and last ℓ once it has more than 2ℓ.  Room for a
+        record per 256 bytes is tried first, and doubled until the records
+        fit.  The codes are written into ``codes`` when it is given room for
+        one a byte of ``text``."""
+        data = np.frombuffer(text, dtype=np.uint8)  # a view: the text is not copied
+        if data.size and data.max() > 0x7F:
+            return None
+        rows = data.size // 256 + 64
+        if codes is not None and codes.size < data.size:
+            codes = None
+        while True:
+            room = data.size if ends is None else min(data.size, 2 * ends * rows)
+            recs = np.empty((rows, 6), dtype=np.int64)
+            if codes is None or codes.size < room:
+                codes = np.empty(room, dtype=np.uint8)
+            n = self._dll.jem_parse_block(
+                data.ctypes.data, data.size, table, ends or 0, recs.ctypes.data, rows,
+                codes.ctypes.data,
+            )
+            if n >= 0:
+                return recs[:n], codes
+            rows *= 2
 
     def query_values(
         self, values: np.ndarray, starts: np.ndarray, family, out: np.ndarray
@@ -397,9 +434,9 @@ class MapContext:
         unmapped, as for a segment with no minimizer) of one query block:
         ``values``/``starts`` are the concatenated minimizer ranks and
         per-segment offsets (the :func:`~repro.sketch.jem.query_kernel`
-        layout).  Overlapping read segments repeat minimizer values heavily,
-        so the kernel radix-sorts the block's values and hashes each distinct
-        one once per trial (a gather table) instead of once per occurrence.
+        layout).  Every occurrence is hashed inline: a batch's values are
+        96-99 % distinct, too few repeats for a hash-once table to pay for
+        its sort.
         """
         n, nseg = values.size, starts.size
         if (

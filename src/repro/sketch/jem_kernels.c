@@ -1,8 +1,13 @@
-/* The compiled sketch kernels — built and cached by repro/_native_build.py,
-   bound by repro/sketch/_native.py, and all bit-identical to the per-trial
-   numpy functions in repro/sketch/jem.py and repro/sketch/minimizers.py (the
-   test suite asserts the equivalence):
+/* The compiled kernels — built and cached by repro/_native_build.py, bound
+   by repro/sketch/_native.py, and all bit-identical to their Python
+   references: the per-trial numpy functions in repro/sketch/jem.py and
+   repro/sketch/minimizers.py, and _parse_record in repro/seq/io_fasta.py
+   (the test suite asserts the equivalence):
 
+   jem_parse_block — S1's load: a block of whole FASTA records in one pass
+     each to header bounds, base and line counts and 2-bit codes (all of
+     them, or a read's two l-base ends), flagging the records only the
+     reference parser may judge, so every ParseError is raised there;
    jem_minimizer_kernel — step 1 for S2 and S4 alike: per sequence, one
      rolling pass over the 2-bit codes (forward and reverse-complement k-mer
      updated in O(1) per base, a branch-free block-scan window minimum) to
@@ -16,10 +21,10 @@
      previous interval's and radix-sorting what is kept into the trial's list;
    jem_ctx_open / jem_map_ctx / jem_ctx_close — the whole S4 query pipeline
      fused, on a context opened once per store: per segment and per trial,
-     sketch (Barrett hash + packed-key minimum), bucketed branchless binary
-     search over the columnar store's sorted per-trial value columns, and the
-     paper's lazy-update vote counter A[1..n] — one pass from minimizer ranks
-     to per-segment best hits.
+     sketch (Barrett hash + packed-key minimum, every occurrence hashed
+     inline), bucketed branchless binary search over the columnar store's
+     sorted per-trial value columns, and the paper's lazy-update vote
+     counter A[1..n] — one pass from minimizer ranks to per-segment best hits.
 
    The minimizer pass packs the same (canon << 32) | position keys as
    minimizers_set, Barrett reduction computes the exact x mod p (one
@@ -76,14 +81,11 @@ void jem_query_kernel(const uint64_t *values, int64_t n,
     }
 }
 
-/* LSD radix sort of uint64 keys by the bytes from bit `shift` up (32: the
-   value half of a packed (value << 32) | index key); stable, so ties keep
-   their input order.  Returns whichever scratch holds the sorted data.
-   Passes where every key shares the same byte (common for narrow key
-   spaces) are skipped. */
-static uint64_t *radix_sort_u64(uint64_t *src, uint64_t *dst, int64_t n,
-                                int shift) {
-    for (int sh = shift; sh < 64; sh += 8) {
+/* LSD radix sort of uint64 keys; returns whichever scratch holds the
+   sorted data.  Passes where every key shares the same byte (common for
+   narrow key spaces) are skipped. */
+static uint64_t *radix_sort_u64(uint64_t *src, uint64_t *dst, int64_t n) {
+    for (int sh = 0; sh < 64; sh += 8) {
         int64_t count[256];
         memset(count, 0, sizeof(count));
         for (int64_t i = 0; i < n; i++) count[(src[i] >> sh) & 0xff]++;
@@ -139,7 +141,7 @@ void jem_subject_kernel(const uint64_t *values, const int64_t *ends,
                 (values[win & 0xffffffffu] << 32) | subject_ids[i];
             if (m == 0 || key != row[m - 1]) row[m++] = key;
         }
-        const uint64_t *sorted = radix_sort_u64(row, sort_scratch, m, 0);
+        const uint64_t *sorted = radix_sort_u64(row, sort_scratch, m);
         int64_t kept = 0;
         for (int64_t i = 0; i < m; i++) {
             const uint64_t key = sorted[i];
@@ -183,38 +185,6 @@ static inline int64_t upper_bound_u32(const uint32_t *arr, int64_t n,
    L1/L2-resident, and the trial-outer sketch phase touches one hashed row
    at a time for a whole block of segments. */
 #define MAP_BLOCK 128
-
-/* One-Barrett LCG for 32-bit inputs: a * (x mod p) + b ≡ a * x + b
-   (mod p), and with a < p < 2^31 and x < 2^32 the product a * x + b
-   stays below 2^64, where the single-correction Barrett estimate is
-   still exact — so this equals lcg_hash bit for bit at half the cost. */
-static inline uint64_t lcg_hash32(uint64_t x, uint64_t a, uint64_t b,
-                                  uint64_t p, uint64_t m) {
-    return barrett_mod(a * x + b, p, m);
-}
-
-/* Dedupe the query block: fill uniq with the sorted distinct values and
-   inverse with each occurrence's slot in it.  Returns n_uniq, or -1 when
-   any value overflows 32 bits (caller hashes inline instead). */
-static int64_t dedupe_values(const uint64_t *qvalues, int64_t n,
-                             uint64_t *uniq, int32_t *inverse,
-                             uint64_t *scratch_a, uint64_t *scratch_b) {
-    uint64_t seen = 0;
-    for (int64_t i = 0; i < n; i++) {
-        seen |= qvalues[i];
-        scratch_a[i] = (qvalues[i] << 32) | (uint64_t)i;
-    }
-    if (seen >> 32) return -1;
-    const uint64_t *sorted = radix_sort_u64(scratch_a, scratch_b, n, 32);
-    int64_t uid = -1;
-    uint64_t prev = 0;
-    for (int64_t k = 0; k < n; k++) {
-        const uint64_t v = sorted[k] >> 32;
-        if (uid < 0 || v != prev) { prev = v; uniq[++uid] = v; }
-        inverse[sorted[k] & 0xffffffffu] = (int32_t)uid;
-    }
-    return uid + 1;
-}
 
 /* What jem_ctx_open builds once per store and jem_map_ctx only reads — so
    any number of calls may run on one context at once: the hash family rows
@@ -285,90 +255,30 @@ void *jem_ctx_open(const uint32_t *const *col_values,
 
 void jem_ctx_close(void *ctx) { free(ctx); }
 
-typedef struct {                 /* one call's query block                */
-    const uint64_t *qvalues;     /* concatenated minimizer ranks          */
-    int64_t n;                   /* total minimizers                      */
-    const int64_t *starts;       /* per-segment offsets into qvalues      */
-    int64_t nseg;
-    const uint32_t *hashed_uniq; /* (trials, n_uniq) precomputed hashes,  */
-    const int32_t *inverse;      /* rank -> uniq row index; NULL = direct */
-    int64_t n_uniq;
-} map_query;
-
-/* Sketch phase over one block of segments, trial-outer: per trial, per
-   segment, the minimizer minimising (hash << 32) | index — the same
-   packed tie-break as jem_query_kernel.  With a dedupe table the hash is
-   a gather from the trial's precomputed row (overlapping read segments
-   repeat minimizer values heavily, so each distinct value is hashed once
-   per trial instead of once per occurrence); without, it is computed
-   inline.  An empty segment leaves UINT64_MAX (sketch values fit 32
-   bits, so that can never collide with a real one). */
-static void sketch_block(const jem_ctx *ctx, const map_query *q,
+/* Sketch phase over segments [blk_lo, blk_hi) of a query block,
+   trial-outer: per trial, per segment, the minimizer minimising
+   (hash << 32) | index — the same packed tie-break as jem_query_kernel.
+   An empty segment leaves UINT64_MAX (sketch values fit 32 bits, so that
+   can never collide with a real one). */
+static void sketch_block(const jem_ctx *ctx, const uint64_t *qvalues,
+                         int64_t n, const int64_t *starts, int64_t nseg,
                          int64_t blk_lo, int64_t blk_hi, uint64_t *sketch) {
     for (int64_t t = 0; t < ctx->trials; t++) {
         uint64_t *row = sketch + t * MAP_BLOCK;
-        const uint32_t *hu =
-            q->inverse != NULL ? q->hashed_uniq + t * q->n_uniq : NULL;
         const uint64_t at = ctx->a[t], bt = ctx->b[t];
         const uint64_t pt = ctx->p[t], mt = ctx->m[t];
         for (int64_t j = blk_lo; j < blk_hi; j++) {
-            const int64_t lo = q->starts[j];
-            const int64_t hi = (j + 1 < q->nseg) ? q->starts[j + 1] : q->n;
+            const int64_t lo = starts[j];
+            const int64_t hi = (j + 1 < nseg) ? starts[j + 1] : n;
             uint64_t best = UINT64_MAX;
-            if (hu != NULL) {
-                for (int64_t i = lo; i < hi; i++) {
-                    const uint64_t key =
-                        ((uint64_t)hu[q->inverse[i]] << 32) | (uint64_t)i;
-                    if (key < best) best = key;
-                }
-            } else {
-                for (int64_t i = lo; i < hi; i++) {
-                    const uint64_t key =
-                        (lcg_hash(q->qvalues[i], at, bt, pt, mt) << 32)
-                        | (uint64_t)i;
-                    if (key < best) best = key;
-                }
+            for (int64_t i = lo; i < hi; i++) {
+                const uint64_t key =
+                    (lcg_hash(qvalues[i], at, bt, pt, mt) << 32) | (uint64_t)i;
+                if (key < best) best = key;
             }
-            row[j - blk_lo] =
-                (hi > lo) ? q->qvalues[best & 0xffffffffu] : UINT64_MAX;
+            row[j - blk_lo] = (hi > lo) ? qvalues[best & 0xffffffffu] : UINT64_MAX;
         }
     }
-}
-
-/* The hash-once dedupe table of one call: the block's distinct values
-   (radix sorted) hashed once per trial, turning the sketch phase into
-   gathers.  Skipped — q->inverse stays NULL — for tiny blocks, 33-bit
-   values, low duplication (< 1/4 of occurrences) or allocation failure;
-   inline hashing is always correct, just slower. */
-static void dedupe_block(const jem_ctx *ctx, map_query *q) {
-    const int64_t n = q->n;
-    if (n < 64 || n >= ((int64_t)1 << 31)) return;
-    uint64_t *sa = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    uint64_t *sb = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    uint64_t *uniq = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    int32_t *inverse = (int32_t *)malloc((size_t)n * sizeof(int32_t));
-    uint32_t *hu = NULL;
-    if (sa != NULL && sb != NULL && uniq != NULL && inverse != NULL) {
-        const int64_t nu = dedupe_values(q->qvalues, n, uniq, inverse, sa, sb);
-        if (nu > 0 && nu <= n - (n >> 2))
-            hu = (uint32_t *)malloc((size_t)ctx->trials * (size_t)nu
-                                    * sizeof(uint32_t));
-        if (hu != NULL) {
-            for (int64_t t = 0; t < ctx->trials; t++) {
-                uint32_t *row = hu + t * nu;
-                for (int64_t u = 0; u < nu; u++)
-                    row[u] = (uint32_t)lcg_hash32(uniq[u], ctx->a[t], ctx->b[t],
-                                                  ctx->p[t], ctx->m[t]);
-            }
-            q->hashed_uniq = hu;
-            q->inverse = inverse;
-            q->n_uniq = nu;
-        }
-    }
-    free(sa);
-    free(sb);
-    free(uniq);
-    if (hu == NULL) free(inverse);
 }
 
 /* The one S4 entry point: fused sketch -> lookup -> vote over the nseg
@@ -378,7 +288,7 @@ static void dedupe_block(const jem_ctx *ctx, map_query *q) {
    entry is detected by its stored query id and re-seeded to (1, j).  Ties
    on the maximum count break toward the smallest subject id, matching
    count_hits_lazy / count_hits_vectorised bit for bit.  All scratch —
-   counters, sketch matrix, dedupe table — lives inside the call, and
+   counters and sketch matrix — lives inside the call, and
    segments are independent, so a block cut into several calls (on several
    threads) gives the same output.  Returns 0, or 1 on allocation failure. */
 int64_t jem_map_ctx(const void *handle, const uint64_t *qvalues, int64_t n,
@@ -400,12 +310,10 @@ int64_t jem_map_ctx(const void *handle, const uint64_t *qvalues, int64_t n,
     /* all-ones bytes == -1 in two's complement: no query id matches */
     if (n_subjects > 0)
         memset(counter_v, 0xff, (size_t)n_subjects * sizeof(int64_t));
-    map_query q = {qvalues, n, starts, nseg, NULL, NULL, 0};
-    dedupe_block(ctx, &q);
     for (int64_t blk_lo = 0; blk_lo < nseg; blk_lo += MAP_BLOCK) {
         const int64_t blk_hi =
             (blk_lo + MAP_BLOCK < nseg) ? blk_lo + MAP_BLOCK : nseg;
-        sketch_block(ctx, &q, blk_lo, blk_hi, sketch);
+        sketch_block(ctx, qvalues, n, starts, nseg, blk_lo, blk_hi, sketch);
         for (int64_t j = blk_lo; j < blk_hi; j++) {
             int64_t top_count = 0, top_subject = -1;
             for (int64_t t = 0; t < trials; t++) {
@@ -446,8 +354,6 @@ int64_t jem_map_ctx(const void *handle, const uint64_t *qvalues, int64_t n,
             best_count[j] = mapped ? top_count : 0;
         }
     }
-    free((void *)q.hashed_uniq);
-    free((void *)q.inverse);
     free(counter_u);
     free(counter_v);
     free(sketch);
@@ -518,4 +424,62 @@ int64_t jem_minimizer_kernel(const uint8_t *codes, const int64_t *offsets,
         counts[s] = m - first;
     }
     return m;
+}
+
+/* ---- S1: FASTA records to 2-bit codes ------------------------------------ */
+
+/* What Python's str.strip() removes, within ASCII: \t \n \v \f \r,
+   \x1c-\x1f and the space. */
+static inline int is_space(uint8_t c) {
+    return c == ' ' || (c >= 9 && c <= 13) || (c >= 0x1c && c <= 0x1f);
+}
+
+/* text[0, len) holds whole FASTA records, all ASCII, every line ending
+   folded to \n; a record runs from a '>' that opens a line up to the next
+   one (text before the first is a record of its own).  Per record, recs
+   gets six int64s: its start, the end of its header line, its base count,
+   a flag set when only the reference parser can tell what it is (a header
+   of only whitespace, or text before the first '>'), and the '\n' bytes
+   and codes from text's start through it.  An unflagged record's bases go
+   through table into codes, back to back, '\n' dropped: all of them, or
+   with ends > 0 the first ends and the last min(ends, bases - ends).
+   codes has room for len bytes (or 2 * ends a record).  Returns the number
+   of records, or -1 when they need more than cap rows. */
+int64_t jem_parse_block(const uint8_t *text, int64_t len,
+                        const uint8_t *table, int64_t ends,
+                        int64_t *recs, int64_t cap, uint8_t *codes) {
+    int64_t n = 0, m = 0, lines = 0;
+    for (int64_t start = 0, end; start < len; start = end) {
+        if (n == cap) return -1;
+        for (end = start + 1; end < len; end++) { /* to a line-start '>' */
+            const uint8_t *gt = memchr(text + end, '>', (size_t)(len - end));
+            end = gt != NULL ? gt - text : len;
+            if (end == len || text[end - 1] == '\n') break;
+        }
+        const uint8_t *nl = memchr(text + start, '\n', (size_t)(end - start));
+        const int64_t eol = nl != NULL ? nl - text : end;
+        int64_t blank = start + 1, bases = 0, k = 0;
+        while (blank < eol && is_space(text[blank])) blank++;
+        const int flag = text[start] != '>' || blank == eol;
+        const int64_t head = flag ? 0 : ends > 0 ? ends : len; /* bases to code */
+        lines += nl != NULL;
+        for (int64_t i = eol + 1; i < end; i++) { /* line by line */
+            const uint8_t *next = memchr(text + i, '\n', (size_t)(end - i));
+            const int64_t stop = next != NULL ? next - text : end;
+            const int64_t take = stop - i < head - k ? stop - i : head - k;
+            for (int64_t j = 0; j < take; j++) codes[m + k + j] = table[text[i + j]];
+            k += take;
+            bases += stop - i;
+            lines += next != NULL;
+            i = stop;
+        }
+        /* with ends: the last min(ends, bases - ends) bases, walked back */
+        const int64_t tail = flag ? 0 : bases - k < ends ? bases - k : ends;
+        for (int64_t i = end - 1, j = k + tail; j > k; i--)
+            if (text[i] != '\n') codes[m + --j] = table[text[i]];
+        m += k + tail;
+        int64_t *r = recs + 6 * n++;
+        r[0] = start; r[1] = eol; r[2] = bases; r[3] = flag; r[4] = lines; r[5] = m;
+    }
+    return n;
 }

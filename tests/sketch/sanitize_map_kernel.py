@@ -24,9 +24,9 @@ run).  The joined output is compared with the numpy sketch
 (``query_kernel_reference``) voted by ``count_hits_vectorised``.  Shapes:
 T = 1 and T = 256, an empty store, empty trials between non-empty ones, a
 store written by ``from_sized_keys``, 0 segments, fewer segments than threads,
-empty segments, a block under 64 values (no dedupe table), a duplicate-heavy
-block (table built), an all-distinct block (table tried and dropped), store
-and query values of 2^32 - 1, and a ``min_hits`` nothing reaches.
+empty segments, a block under 64 values, a duplicate-heavy block, an
+all-distinct block, store and query values of 2^32 - 1, and a ``min_hits``
+nothing reaches.
 """
 
 from __future__ import annotations
@@ -199,11 +199,11 @@ def shapes(rng: np.random.Generator):
     yield "0 segments", store_of(rng, 4, 5, 100, small), *block_of(rng, [], small), 1
     yield "two segments, three threads", store_of(rng, 4, 5, 100, small), \
         *block_of(rng, [4, 3], small), 1
-    yield "under 64 values: no dedupe table", store_of(rng, 6, 9, 300, small), \
+    yield "under 64 values", store_of(rng, 6, 9, 300, small), \
         *block_of(rng, [7] * 9, small), 1
-    yield "duplicate-heavy: table built", store_of(rng, 6, 9, 300, small), \
+    yield "duplicate-heavy", store_of(rng, 6, 9, 300, small), \
         *block_of(rng, rng.integers(0, 30, size=200), small), 1
-    yield "all-distinct: table tried and dropped", store_of(rng, 6, 9, 3_000, wide), \
+    yield "all-distinct", store_of(rng, 6, 9, 3_000, wide), \
         rng.permutation(wide).astype(np.uint64), np.arange(0, wide.size, 20, dtype=np.int64), 1
     yield "empty segments at both ends and in runs", store_of(rng, 5, 6, 300, small), \
         *block_of(rng, [0, 0, 8, 0, 5, 70, 0, 0, 3, 0], small), 1
