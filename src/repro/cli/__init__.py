@@ -64,9 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: glibc's ``mallopt`` parameter, and its own default value of it.
+#: glibc's ``mallopt`` parameters, and the values set for them: the mmap
+#: threshold's own default, and one arena.
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 128 << 10
+_M_ARENA_MAX = -8
 
 
 def _return_freed_memory() -> None:
@@ -76,8 +78,13 @@ def _return_freed_memory() -> None:
     freed (up to 32 MiB): after the first freed batch buffer every
     batch-sized array comes from the heap and stays resident, about 2.5 MB
     on each `jem` process's peak.  Setting the value switches that raise
-    off.  The program's policy, not the library's: ``import repro`` leaves
-    malloc alone, and off glibc this does nothing."""
+    off.  And keep every thread on the one main arena: kernel threads
+    allocate what they return — S2's per-trial key lists, which a build
+    holds until its merge — and in a thread's own arena those lists do not
+    reuse the memory the main thread frees (`jem map -s … -p 2` over 24 Mbp
+    of contigs peaked 5 MB higher).  The program's policy, not the
+    library's: ``import repro`` leaves malloc alone, and off glibc this does
+    nothing."""
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION")
     except (ValueError, OSError):  # no such name on this platform
@@ -85,7 +92,9 @@ def _return_freed_memory() -> None:
     if glibc:
         import ctypes
 
-        ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        libc = ctypes.CDLL(None)
+        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        libc.mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv: list[str] | None = None) -> int:

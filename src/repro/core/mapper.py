@@ -28,9 +28,9 @@ from ..sketch.jem import (
     query_kernel,
     query_minimizer_concat,
     query_sketch_values,
-    subject_sketch_pairs,
+    subject_intervals,
+    subject_kernel,
 )
-from ..sketch.kernels import release_scratch
 from .config import JEMConfig
 from .hitcounter import BestHits, count_hits_fused, count_hits_vectorised
 from .segments import SegmentInfo, extract_end_segments
@@ -225,21 +225,22 @@ class JEMMapper:
         case — on the concatenated set, at any :attr:`threads` count (each
         block's S1 and S2 are split over them).  ``unit(k, sketch)``, when
         given, returns block k's keys in place of ``sketch()`` — a
-        checkpointed build's load-or-sketch-and-commit.
+        checkpointed build's load-or-sketch-and-commit.  Nothing here holds
+        a block once ``sketch`` has it, and ``sketch`` lets it go after S1,
+        so the block's codes are freed before S2 takes its scratch.
         """
-        cfg = self.config
         parts: list[list[np.ndarray]] = []
         names: list[str] = []
-        try:
-            for k, part in enumerate(partitions):
-                sketch = partial(
-                    subject_sketch_pairs, part, cfg.k, cfg.w, cfg.ell, self._family,
-                    subject_id_offset=len(names), threads=self.threads,
-                )
-                parts.append(sketch() if unit is None else unit(k, sketch))
-                names.extend(part.names)
-        finally:
-            release_scratch()  # S2's working set, not the resident index's
+        k = 0  # not enumerate(): its reused result tuple holds the last block
+        for part in partitions:
+            offset = len(names)
+            names.extend(part.names)
+            held = [part]
+            del part
+            sketch = partial(self._sketch_block, held, offset)
+            parts.append(sketch() if unit is None else unit(k, sketch))
+            held.clear()  # a loaded unit never sketched it
+            k += 1
         if not names:  # no block, or only empty ones
             raise MappingError("cannot index an empty contig set")
         self._table = build_store(
@@ -247,6 +248,15 @@ class JEMMapper:
         )
         self._subject_names = names
         return self._table
+
+    def _sketch_block(self, held: list[SequenceSet], offset: int) -> list[np.ndarray]:
+        """S1 then S2 of the one block ``held`` holds, its subject ids from
+        ``offset``; the block is popped, so its codes die with S1."""
+        cfg = self.config
+        intervals = subject_intervals(
+            held.pop(), cfg.k, cfg.w, cfg.ell, subject_id_offset=offset, threads=self.threads
+        )
+        return subject_kernel(*intervals, self._family, threads=self.threads)
 
     # -- mapping (Algorithm 2) ----------------------------------------------
 

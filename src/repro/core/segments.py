@@ -62,10 +62,11 @@ def extract_end_segments(
     Reads shorter than ℓ contribute their full sequence as both prefix and
     suffix (the two segments then coincide, which is what mapping the "ends"
     of such a read degenerates to).  Empty reads are rejected.  The 2m
-    source ranges are worked out from the offsets at once and copied out
-    of the read buffer by one concatenate.  A read the parser trimmed to
-    its two ℓ-base ends (``iter_fasta(..., ends=ℓ)``) gives the same
-    segments and metas: a length enters only as ``min(ℓ, n)``.
+    source ranges are worked out from the offsets at once.  A read the
+    parser trimmed to its two ℓ-base ends (``iter_fasta(..., ends=ℓ)``)
+    gives the same segments and metas — a length enters only as
+    ``min(ℓ, n)`` — and a batch of only such reads is its own segment
+    buffer: the segment set is a view of it, not a copy.
 
     Returns
     -------
@@ -84,10 +85,22 @@ def extract_end_segments(
     lo[0::2] = reads.offsets[:-1]
     lo[1::2] = reads.offsets[1:] - seg_len
     seg_lens = np.repeat(seg_len, 2)
+    hi = lo + seg_lens
     offsets = np.zeros(2 * m + 1, dtype=np.int64)
     np.cumsum(seg_lens, out=offsets[1:])
-    ends = zip(lo.tolist(), (lo + seg_lens).tolist())
-    buffer = np.concatenate([reads.buffer[a:b] for a, b in ends]) if m else reads.buffer[:0]
+    # Segments that lie back to back in the read buffer form one run: a
+    # read of exactly 2ℓ codes (every read of 2ℓ bases or more the parser
+    # trimmed to its ends) and any run of such reads.  One run is a view of
+    # the buffer; reads whose ends overlap or lie apart break the runs, and
+    # the runs are then copied out by one concatenate.
+    cuts = np.flatnonzero(lo[1:] != hi[:-1]) + 1  # where a run starts, after the first
+    if not m:
+        buffer = reads.buffer[:0]
+    elif not cuts.size:
+        buffer = reads.buffer[lo[0] : hi[-1]]
+    else:
+        runs = zip(lo[np.append(0, cuts)].tolist(), hi[np.append(cuts, 2 * m) - 1].tolist())
+        buffer = np.concatenate([reads.buffer[a:b] for a, b in runs])
     kinds = (PREFIX, SUFFIX)
     return (
         SequenceSet(

@@ -113,9 +113,19 @@ def iter_batches(
         yield builder.build()
 
 
+def _take(pieces: list[SequenceSet]) -> SequenceSet:
+    """``SequenceSet.join(pieces)``, emptying ``pieces``: a generator that
+    yields it holds neither the batch nor its pieces while suspended."""
+    batch = SequenceSet.join(pieces)
+    pieces.clear()
+    return batch
+
+
 def _cut_blocks(blocks: Iterable[RecordBlock], batch_bases: int) -> Iterator[SequenceSet]:
     """:func:`iter_batches` over the records of ``blocks``: the same cuts,
-    each batch joined from slices of the blocks it spans."""
+    each batch joined from slices of the blocks it spans.  Once yielded, a
+    batch is its consumer's alone: the index build frees its codes after
+    S1."""
     pieces: list[SequenceSet] = []
     bases = count = 0
     for block in blocks:
@@ -124,15 +134,15 @@ def _cut_blocks(blocks: Iterable[RecordBlock], batch_bases: int) -> Iterator[Seq
             if count and bases + size > batch_bases:
                 if lo < i:
                     pieces.append(block.sequences.slice(lo, i))
-                batch, pieces, bases, count, lo = SequenceSet.join(pieces), [], 0, 0, i
-                yield batch  # its pieces are let go first
+                bases, count, lo = 0, 0, i
+                yield _take(pieces)
             bases += size
             count += 1
         if lo < len(block.bases):
             pieces.append(block.sequences.slice(lo, len(block.bases)) if lo else block.sequences)
     if count:
-        batch, pieces, block = SequenceSet.join(pieces), [], None
-        yield batch
+        block = None
+        yield _take(pieces)
 
 
 def iter_file_batches(

@@ -107,6 +107,18 @@ class SequenceSet:
         if len(self.metas) != len(self.names):
             raise SequenceError("metas length mismatch")
 
+    @classmethod
+    def _valid(
+        cls, buffer: np.ndarray, offsets: np.ndarray, names: list[str], metas: list[dict]
+    ) -> "SequenceSet":
+        """A set over arrays already known to be valid — a slice or join of
+        valid sets: the constructor's checks are for outside input, and
+        re-running them on every piece of a streamed batch costs more than
+        the slicing."""
+        self = cls.__new__(cls)
+        self.buffer, self.offsets, self.names, self.metas = buffer, offsets, names, metas
+        return self
+
     # -- construction ------------------------------------------------------
 
     @classmethod
@@ -174,7 +186,7 @@ class SequenceSet:
         if not (0 <= start <= stop <= len(self)):
             raise SequenceError(f"bad slice [{start}, {stop}) of {len(self)} sequences")
         base = self.offsets[start]
-        return SequenceSet(
+        return SequenceSet._valid(
             self.buffer[base : self.offsets[stop]],
             self.offsets[start : stop + 1] - base,
             self.names[start:stop],
@@ -203,7 +215,7 @@ class SequenceSet:
             buffer = owner[lo : lo + at[-1]]
         else:
             buffer = np.concatenate([s.buffer for s in sets])
-        return cls(
+        return cls._valid(
             buffer,
             np.concatenate([[0]] + [s.offsets[1:] + base for s, base in zip(sets, at)]),
             [name for s in sets for name in s.names],

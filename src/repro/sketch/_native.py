@@ -46,13 +46,12 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 #: The size from which numpy asks the kernel for transparent huge pages
-#: (``madvise``) for an array.  The kernels write their fixed scratch
-#: sparsely — S1's at w = 100 fills 2 % of it, S2's only the front of each
-#: row — and a huge page makes a whole 2 MiB resident wherever one byte is
-#: touched, so both scratches are sized to half this line: S1's per-call
-#: arrays through ``_BLOCK_BASES``, S2's key scratch through
-#: :data:`~repro.sketch.kernels.SUBJECT_SCRATCH_ELEMS` (a power of two,
-#: which the geometrically grown buffer reaches exactly).
+#: (``madvise``) for an array.  The kernels write their scratch sparsely —
+#: S1's at w = 100 fills 2 % of it, S2's row only as far as its kept keys
+#: reach — and a huge page makes a whole 2 MiB resident wherever one byte is
+#: touched, so S1's per-call arrays are sized to half this line
+#: (``_BLOCK_BASES``), and S2's two n-entry arrays a thread stay under it at
+#: a 2-Mi-base contig block's n (≈ 46k minimizers at w = 100).
 NUMPY_HUGEPAGE_BYTES = 1 << 22
 
 #: Most bases handed to ``jem_minimizer_kernel`` per call.  The kernel can
@@ -61,12 +60,13 @@ NUMPY_HUGEPAGE_BYTES = 1 << 22
 #: two 8-byte arrays a thread, each under ``NUMPY_HUGEPAGE_BYTES``.
 _BLOCK_BASES = NUMPY_HUGEPAGE_BYTES // 2 // 8
 
-#: Least work worth a thread of its own, ≈ 1 ms of kernel each way — bases
-#: for S1 (≈ 4 ns each), trial-row entries for S2 (≈ 40 ns each), end-segment
-#: bases for a map batch's S1 + S4 (≈ 10 ns each).  Starting, binding and
-#: joining a thread costs ≈ 0.15 ms and each further call ≈ 0.04 ms, so a
-#: served batch and an added contig stay inline; a 2-Mi-base block of contigs
-#: or of reads (≈ 0.4 Mi bases of end segments) does not.
+#: Least work worth a thread of its own, ≈ 0.3-1 ms of kernel each way —
+#: bases for S1 (≈ 4 ns each), trial-row entries for S2 (≈ 10 ns each),
+#: end-segment bases for a map batch's S1 + S4 (≈ 10 ns each).  Starting,
+#: binding and joining a thread costs ≈ 0.15 ms and each further call
+#: ≈ 0.04 ms, so a served batch and an added contig stay inline; a
+#: 2-Mi-base block of contigs or of reads (≈ 0.4 Mi bases of end segments)
+#: does not.
 MIN_THREAD_BASES = 1 << 18
 MIN_THREAD_ENTRIES = 1 << 15
 MIN_THREAD_MAP_BASES = 1 << 17
@@ -162,9 +162,11 @@ class NativeKernels:
         dll.jem_query_kernel.argtypes = [u64p, i64, i64p, i64, u64p, u64p, u64p, i64, u64p]
         dll.jem_query_kernel.restype = None
         dll.jem_subject_kernel.argtypes = [
-            u64p, i64p, i64, u64p, u64p, u64p, u64p, i64, u64p, u64p, u64p, i64p,
+            u64p, i64p, i64, u64p,                       # values, ends, n, subject_ids
+            ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,  # one trial's a, b, p
+            u64p, u64p,                                  # window, row
         ]
-        dll.jem_subject_kernel.restype = None
+        dll.jem_subject_kernel.restype = i64
         void_p = ctypes.c_void_p
         dll.jem_ctx_open.argtypes = [
             ctypes.POINTER(u32p), ctypes.POINTER(u32p),  # per-trial col_values, col_subjects
@@ -330,48 +332,43 @@ class NativeKernels:
         ends: np.ndarray,
         subject_ids: np.ndarray,
         family,
-        out: np.ndarray,
         *,
         threads: int | None = None,
-    ) -> np.ndarray:
-        """Trial t's sorted distinct packed sketch keys into row t of
-        ``out[(T, n)]`` (S2); returns how many each row holds.  A row is
-        written only as far as its compacted keys reach.  The rows are
-        divided between ``threads`` threads (None: :func:`thread_count`),
-        one kernel call each with its own deque and radix-sort scratch:
-        trials are independent, and ``out`` is the one key scratch
-        whatever the count."""
+    ) -> list[np.ndarray]:
+        """Every trial's sorted distinct packed sketch keys (S2), one
+        ``uint64`` array a trial of ``family``.
+
+        The trials are one :func:`thread_map` over ``threads`` threads
+        (None: :func:`thread_count`), one kernel call a trial.  A thread
+        takes its own window and row, ``n`` entries each, reuses them from
+        trial to trial and copies each trial's keys out of its row: S2 holds
+        ``2n`` scratch entries a thread, and no ``(T, n)`` matrix.
+        """
         u64, i64 = np.uint64, np.int64
         n, trials = values.size, family.size
-        counts = np.empty(trials, dtype=i64)
         shared = (
             self._ptr(values, u64, ctypes.c_uint64),
             self._ptr(ends, i64, ctypes.c_int64),
-            ctypes.c_int64(n),
+            n,
             self._ptr(subject_ids, u64, ctypes.c_uint64),
         )
-
+        hashes = list(zip(family.a.tolist(), family.b.tolist(), family.p.tolist()))
         shares = min(thread_shares(trials * n, MIN_THREAD_ENTRIES, threads), trials)
-        # deque and radix-sort scratch: one pair per thread, taken for a call
-        scratch = [np.empty((2, n), dtype=u64) for _ in range(shares)]
+        # window and row: one pair per thread, taken for a call
+        scratch = [(np.empty(n, dtype=u64), np.empty(n, dtype=u64)) for _ in range(shares)]
 
-        def sketch_rows(rows: slice) -> None:
-            mine = scratch.pop()
-            self._dll.jem_subject_kernel(
-                *shared,
-                self._ptr(family.a[rows], u64, ctypes.c_uint64),
-                self._ptr(family.b[rows], u64, ctypes.c_uint64),
-                self._ptr(family.p[rows], u64, ctypes.c_uint64),
-                ctypes.c_int64(rows.stop - rows.start),
-                self._ptr(mine[0], u64, ctypes.c_uint64),
-                self._ptr(mine[1], u64, ctypes.c_uint64),
-                self._ptr(out[rows], u64, ctypes.c_uint64),
-                self._ptr(counts[rows], i64, ctypes.c_int64),
+        def sketch_trial(t: int) -> np.ndarray:
+            mine = window, row = scratch.pop()
+            count = self._dll.jem_subject_kernel(
+                *shared, *hashes[t],
+                self._ptr(window, u64, ctypes.c_uint64),
+                self._ptr(row, u64, ctypes.c_uint64),
             )
+            keys = row[:count].copy()
             scratch.append(mine)
+            return keys
 
-        thread_map(sketch_rows, [slice(*r) for r in thread_ranges(trials, shares)], shares)
-        return counts
+        return thread_map(sketch_trial, range(trials), shares)
 
     def map_open(
         self,

@@ -28,10 +28,9 @@ import numpy as np
 
 from ..errors import SketchError
 from ..seq.records import SequenceSet
-from . import _native, kernels
+from . import _native
 from .hashing import HashFamily
 from .kernels import LOW32 as _LOW32
-from .kernels import key_scratch, trial_chunks
 from .minimizers import MinimizerList, minimizers_set
 
 __all__ = [
@@ -39,6 +38,7 @@ __all__ = [
     "unpack_keys",
     "jem_sketch_single",
     "subject_sketch_pairs",
+    "subject_intervals",
     "subject_kernel",
     "subject_kernel_reference",
     "query_sketch_values",
@@ -134,6 +134,40 @@ def _subject_minimizer_block(
     return values, positions, owner
 
 
+def subject_intervals(
+    subjects: SequenceSet,
+    k: int,
+    w: int,
+    ell: int,
+    *,
+    subject_id_offset: int = 0,
+    threads: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S1 of Algorithm 1 over a contig set: ``(values, ends, subject_ids)``,
+    :func:`subject_kernel`'s input.
+
+    Interval i is ``values[i : ends[i]]``: the minimizers whose position
+    lies in ``[p_i, p_i + ℓ]`` of the contig minimizer i came from, whose
+    global id is ``subject_ids[i]``.  The 32-bit range checks the kernel
+    relies on run here, once.  Nothing returned refers to ``subjects``'
+    codes, so a caller that lets the set go has freed them before S2.
+    """
+    values, positions, owner = _subject_minimizer_block(subjects, k, w, ell, threads)
+    if values.size >> 32:
+        raise SketchError("minimizer count exceeds packed-key capacity")  # pragma: no cover
+    # Hoisted validation: one pass over the minimizer values and subject
+    # ids; the native kernel checks neither.
+    if values.size and int(values.max()) >> 32:
+        raise SketchError("sketch values must fit in 32 bits (k <= 16)")
+    subject_ids = (owner + subject_id_offset).astype(np.uint64)
+    if subject_ids.size and int(subject_ids[-1]) >> 32:
+        raise SketchError("subject ids must fit in 32 bits")
+    # Interval i spans minimizers with position in [p_i, p_i + ell]; offsets
+    # guarantee the range stays inside sequence i's owner.
+    ends = np.searchsorted(positions, positions + ell, side="right")
+    return values, ends, subject_ids
+
+
 def subject_sketch_pairs(
     subjects: SequenceSet,
     k: int,
@@ -152,8 +186,8 @@ def subject_sketch_pairs(
     overlapping intervals are removed.
 
     The minimizer block and its intervals are extracted once for all
-    trials and the 32-bit range checks run once; :func:`subject_kernel`
-    does the rest.
+    trials (:func:`subject_intervals`); :func:`subject_kernel` does the
+    rest.
 
     Returns one **sorted unique** packed-key array per trial — exactly the
     per-trial lists S[t] of Fig. 2, ready for the sketch table (and for the
@@ -167,23 +201,10 @@ def subject_sketch_pairs(
     its trials (S2) over — the paper's block partition in shared memory,
     joined in input order, so the lists are the same at any count.
     """
-    values, positions, owner = _subject_minimizer_block(subjects, k, w, ell, threads)
-    total = values.size
-    if total == 0:
-        return [np.empty(0, dtype=np.uint64) for _ in range(family.size)]
-    if total >> 32:
-        raise SketchError("minimizer count exceeds packed-key capacity")  # pragma: no cover
-    # Hoisted validation: one pass over the minimizer values and subject
-    # ids; the native kernel checks neither.
-    if int(values.max()) >> 32:
-        raise SketchError("sketch values must fit in 32 bits (k <= 16)")
-    subject_ids = (owner + subject_id_offset).astype(np.uint64)
-    if int(subject_ids[-1]) >> 32:
-        raise SketchError("subject ids must fit in 32 bits")
-    # Interval i spans minimizers with position in [p_i, p_i + ell]; offsets
-    # guarantee the range stays inside sequence i's owner.
-    ends = np.searchsorted(positions, positions + ell, side="right")
-    return subject_kernel(values, ends, subject_ids, family, threads=threads)
+    intervals = subject_intervals(
+        subjects, k, w, ell, subject_id_offset=subject_id_offset, threads=threads
+    )
+    return subject_kernel(*intervals, family, threads=threads)
 
 
 def subject_kernel(
@@ -201,33 +222,25 @@ def subject_kernel(
 
     When the compiled fast path (:mod:`repro.sketch._native`) is
     available, each trial is one fused C sweep (Barrett-reduced LCG
-    feeding a monotone-deque sliding minimum) that keeps a key only where
-    it differs from the previous interval's and sorts the kept keys into
-    the trial's list; trials go through it a few at a time, under the
-    fixed :data:`~repro.sketch.kernels.SUBJECT_SCRATCH_ELEMS` budget, so
-    no ``(T, n)`` key matrix exists, and each chunk's rows are divided
-    between ``threads`` threads — the budget is shared, not multiplied.
-    Otherwise :func:`subject_kernel_reference` runs.  Both produce
-    bit-identical lists.
+    feeding a branch-free block-scan window minimum) that keeps a key only
+    where it differs from the previous interval's and sorts the kept keys
+    into the trial's list; the trials are spread over ``threads`` threads,
+    each with its own two ``n``-entry buffers, so no ``(T, n)`` key matrix
+    exists.  Otherwise :func:`subject_kernel_reference` runs.  Both
+    produce bit-identical lists.
     """
+    if values.size == 0:
+        return [np.empty(0, dtype=np.uint64) for _ in range(family.size)]
     native = _native.load()
     if native is None:
         return subject_kernel_reference(values, ends, subject_ids, family)
-    total = values.size
-    out: list[np.ndarray] = [np.empty(0, dtype=np.uint64)] * family.size
-    values = np.ascontiguousarray(values, dtype=np.uint64)
-    ends = np.ascontiguousarray(ends, dtype=np.int64)
-    subject_ids = np.ascontiguousarray(subject_ids, dtype=np.uint64)
-    budget = kernels.SUBJECT_SCRATCH_ELEMS  # read per call: tests shrink it
-    for chunk in trial_chunks(family.size, total, budget=budget):
-        sub = family.trial_slice(chunk.start, chunk.stop)
-        keys = key_scratch(len(chunk), total)
-        counts = native.subject_keys(
-            values, ends, subject_ids, sub, out=keys, threads=threads
-        )
-        for j, count in enumerate(counts):
-            out[chunk.start + j] = keys[j, :count].copy()
-    return out
+    return native.subject_keys(
+        np.ascontiguousarray(values, dtype=np.uint64),
+        np.ascontiguousarray(ends, dtype=np.int64),
+        np.ascontiguousarray(subject_ids, dtype=np.uint64),
+        family,
+        threads=threads,
+    )
 
 
 def subject_kernel_reference(

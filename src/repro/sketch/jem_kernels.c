@@ -15,10 +15,12 @@
    jem_query_kernel — per trial, one sequential sweep hashing each minimizer
      with a Barrett-reduced LCG and tracking the packed (hash << 32) | index
      minimum per segment;
-   jem_subject_kernel — per trial, the same Barrett hash plus an O(n)
-     monotone-deque sliding-window minimum over the l-interval ends, keeping
-     a packed (value << 32) | subject key only where it differs from the
-     previous interval's and radix-sorting what is kept into the trial's list;
+   jem_subject_kernel — one trial per call: the same Barrett hash plus a
+     branch-free block scan (prefix and suffix minima of chained blocks), in
+     O(n), for the minimum of every l-interval, keeping a packed
+     (value << 32) | subject key only where it differs from the previous
+     interval's and radix-sorting what is kept into the trial's list, in two
+     n-entry buffers the caller reuses;
    jem_ctx_open / jem_map_ctx / jem_ctx_close — the whole S4 query pipeline
      fused, on a context opened once per store: per segment and per trial,
      sketch (Barrett hash + packed-key minimum, every occurrence hashed
@@ -27,11 +29,12 @@
      counter A[1..n] — one pass from minimizer ranks to per-segment best hits.
 
    The minimizer pass packs the same (canon << 32) | position keys as
-   minimizers_set, Barrett reduction computes the exact x mod p (one
-   conditional subtract corrects the floor estimate), and tie-breaking uses
-   the same packed keys.  No kernel starts a thread or keeps state between
-   calls beyond the read-only context, and each writes only the buffers it is
-   handed, which is what lets the bindings run several calls at once. */
+   minimizers_set, one Barrett reduction computes the exact (a x + b) mod p
+   (one conditional subtract corrects the floor estimate; lcg_hash states
+   why a x + b cannot wrap), and tie-breaking uses the same packed keys.
+   No kernel starts a thread or keeps state between calls beyond the
+   read-only context, and each writes only the buffers it is handed, which
+   is what lets the bindings run several calls at once. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -39,9 +42,10 @@
 
 typedef unsigned __int128 u128;
 
-/* Exact x mod p for p in [2, 2^63) via Barrett reduction: with
-   m = floor(2^64 / p) the estimate q = (x * m) >> 64 is either the true
-   quotient or one less, so a single conditional subtract corrects r. */
+/* Exact x mod p for p in [2, 2^63) and any 64-bit x, via Barrett
+   reduction: with m = floor(2^64 / p) the estimate q = (x * m) >> 64 is
+   either the true quotient or one less, so a single conditional subtract
+   corrects r. */
 static inline uint64_t barrett_mod(uint64_t x, uint64_t p, uint64_t m) {
     uint64_t q = (uint64_t)(((u128)x * m) >> 64);
     uint64_t r = x - q * p;
@@ -49,11 +53,16 @@ static inline uint64_t barrett_mod(uint64_t x, uint64_t p, uint64_t m) {
     return r;
 }
 
-/* h_t(x) = (a * (x mod p) + b) mod p — the product stays below 2^62
-   because a < p < 2^31 and (x mod p) < p < 2^31. */
+/* h_t(x) = (a * x + b) mod p, which equals the reference's
+   (a * (x mod p) + b) mod p, in one Barrett reduction.  The bound: a and
+   b are below p < 2^31 and x is below 2^32, so a * x + b is at most
+   (2^31 - 2)(2^32 - 1) + 2^31 - 2 < 2^63 and never wraps.  Every hashed
+   x is a minimizer rank, under 2^32 because k <= 16: minimizer_block
+   refuses a larger k, and S2 checks again that "sketch values must fit in
+   32 bits" before its kernel runs. */
 static inline uint64_t lcg_hash(uint64_t x, uint64_t a, uint64_t b,
                                 uint64_t p, uint64_t m) {
-    return barrett_mod(a * barrett_mod(x, p, m) + b, p, m);
+    return barrett_mod(a * x + b, p, m);
 }
 
 /* S4: per trial and per segment [starts[j], starts[j+1]), the minimizer
@@ -103,52 +112,63 @@ static uint64_t *radix_sort_u64(uint64_t *src, uint64_t *dst, int64_t n) {
     return src;
 }
 
-/* S2: per trial, a monotone-deque sliding minimum of the packed keys
-   (hash << 32) | index over the half-open index intervals [i, ends[i])
-   (ends is non-decreasing and ends[i] > i).  Hashing is fused into the
-   deque push — every element is pushed exactly once — and the deque
-   stores the packed keys themselves, so the hot compare loop has no
-   indirection.  The packed sketch key (values[argmin] << 32) |
-   subject_ids[i] is kept only when it differs from the previous
-   interval's (overlapping intervals mostly share their minimum); the kept
-   keys are then radix-sorted and deduped, leaving counts[t] sorted
-   distinct keys in row t of out (trials, n).  deque_scratch and
-   sort_scratch hold n entries each. */
-void jem_subject_kernel(const uint64_t *values, const int64_t *ends,
-                        int64_t n, const uint64_t *subject_ids,
-                        const uint64_t *a, const uint64_t *b,
-                        const uint64_t *p, int64_t trials,
-                        uint64_t *deque_scratch, uint64_t *sort_scratch,
-                        uint64_t *out, int64_t *counts) {
-    for (int64_t t = 0; t < trials; t++) {
-        const uint64_t at = a[t], bt = b[t], pt = p[t];
-        const uint64_t mt = (uint64_t)((((u128)1) << 64) / pt);
-        uint64_t *row = out + t * n;
-        int64_t head = 0, tail = 0, r = 0, m = 0;
-        for (int64_t i = 0; i < n; i++) {
-            while (r < ends[i]) {
-                const uint64_t k = (lcg_hash(values[r], at, bt, pt, mt) << 32)
-                                   | (uint64_t)r;
-                while (tail > head && deque_scratch[tail - 1] > k)
-                    tail--;
-                deque_scratch[tail++] = k;
-                r++;
-            }
-            while ((int64_t)(deque_scratch[head] & 0xffffffffu) < i)
-                head++;
-            const uint64_t win = deque_scratch[head];
-            const uint64_t key =
-                (values[win & 0xffffffffu] << 32) | subject_ids[i];
-            if (m == 0 || key != row[m - 1]) row[m++] = key;
+/* S2 for one trial: the minimum packed key (hash << 32) | index over
+   every half-open index interval [i, ends[i]) (ends is non-decreasing and
+   ends[i] > i), by a branch-free block scan like jem_minimizer_kernel's.
+   The blocks are chained from 0, block [lo, ends[lo]) followed by the one
+   starting at its end; each block's keys are hashed into window with their
+   running (prefix) minima in row, then their suffix minima are rebuilt in
+   window in place.  An interval starts inside some block and ends at or
+   past that block's end, but not past the next block's end, so its minimum
+   is the block's suffix minimum at i and, when it reaches into the next
+   block, that block's prefix minimum at ends[i] - 1.  The keys are unique,
+   so the minimum is the one key a deque would find.  The packed sketch key
+   (values[argmin] << 32) | subject_ids[i] is kept only where it differs from
+   the previous interval's (overlapping intervals mostly share their
+   minimum), written over prefix minima no later interval reads (the kept
+   count never passes i, and interval i reads from ends[i] - 1 >= i).  The
+   kept keys are radix-sorted, window serving as the sort's scratch, and
+   deduped into row.  window and row hold n entries each; returns how many
+   sorted distinct keys row holds. */
+int64_t jem_subject_kernel(const uint64_t *values, const int64_t *ends,
+                           int64_t n, const uint64_t *subject_ids,
+                           uint64_t a, uint64_t b, uint64_t p,
+                           uint64_t *window, uint64_t *row) {
+    const uint64_t mp = (uint64_t)((((u128)1) << 64) / p);
+    for (int64_t lo = 0, hi; lo < n; lo = hi) {
+        hi = ends[lo];
+        uint64_t acc = UINT64_MAX;
+        for (int64_t q = lo; q < hi; q++) {
+            const uint64_t k = (lcg_hash(values[q], a, b, p, mp) << 32) | (uint64_t)q;
+            window[q] = k;
+            if (k < acc) acc = k;
+            row[q] = acc;
         }
-        const uint64_t *sorted = radix_sort_u64(row, sort_scratch, m);
-        int64_t kept = 0;
-        for (int64_t i = 0; i < m; i++) {
-            const uint64_t key = sorted[i];
-            if (kept == 0 || key != row[kept - 1]) row[kept++] = key;
+        acc = UINT64_MAX;
+        for (int64_t q = hi - 1; q >= lo; q--) {
+            if (window[q] < acc) acc = window[q];
+            window[q] = acc;
         }
-        counts[t] = kept;
     }
+    uint64_t prev = 0;
+    int64_t block_end = 0, m = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t end = ends[i];
+        block_end = i == block_end ? end : block_end;
+        const uint64_t next = end > block_end ? row[end - 1] : UINT64_MAX;
+        const uint64_t win = window[i] < next ? window[i] : next;
+        const uint64_t key = (values[win & 0xffffffffu] << 32) | subject_ids[i];
+        row[m] = key;
+        m += (key != prev) | (i == 0);
+        prev = key;
+    }
+    const uint64_t *sorted = radix_sort_u64(row, window, m);
+    int64_t kept = 0;
+    for (int64_t i = 0; i < m; i++) {
+        const uint64_t key = sorted[i];
+        if (kept == 0 || key != row[kept - 1]) row[kept++] = key;
+    }
+    return kept;
 }
 
 /* ---- fused S4 map kernel: sketch -> lookup -> vote ---------------------- */

@@ -1,8 +1,9 @@
 """Multi-trial helpers shared by the JEM and MinHash sketchers.
 
 The S2 and S4 kernels themselves live in :mod:`repro.sketch.jem` (a C
-kernel and one per-trial numpy oracle each); what is here is the ``(T, n)``
-plumbing around them and around the MinHash sketchers:
+kernel and one per-trial numpy oracle each, neither of which needs a
+``(T, n)`` matrix); what is here is the ``(T, n)`` plumbing of the MinHash
+sketchers and the packed-key constant they share with the JEM kernels:
 
 * :func:`pack_keys_batched` — one validation pass then one shift-or over
   a whole trial matrix (replaces T ``pack_key`` calls, each of which
@@ -24,14 +25,11 @@ import threading
 import numpy as np
 
 from ..errors import SketchError
-from ._native import NUMPY_HUGEPAGE_BYTES
 
 __all__ = [
     "LOW32",
-    "SUBJECT_SCRATCH_ELEMS",
     "key_scratch",
     "pack_keys_batched",
-    "release_scratch",
     "sorted_unique_rows",
     "trial_chunks",
 ]
@@ -43,14 +41,6 @@ LOW32 = np.uint64(0xFFFFFFFF)
 #: every trial in a single chunk, small enough that a whole-genome k-mer
 #: list cannot blow up memory T-fold.
 MAX_BATCH_ELEMS = 1 << 24
-
-#: Key-scratch budget (uint64 entries, 2 MiB: under
-#: :data:`~repro.sketch._native.NUMPY_HUGEPAGE_BYTES`, for the reason given
-#: there) of the native subject kernel, which writes each trial's
-#: *compacted* row: however many minimizers a contig set has, its trials go
-#: through the kernel a few rows at a time (one row, of n entries, once n
-#: alone exceeds the budget; a 2-Mi-base block at w = 100 is ≈ 6 rows).
-SUBJECT_SCRATCH_ELEMS = NUMPY_HUGEPAGE_BYTES // 2 // 8
 
 _scratch = threading.local()
 
@@ -75,13 +65,6 @@ def key_scratch(rows: int, cols: int) -> np.ndarray:
             capacity *= 2
         buf = _scratch.buf = np.empty(capacity, dtype=np.uint64)
     return buf[:need].reshape(rows, cols)
-
-
-def release_scratch() -> None:
-    """Free this thread's scratch buffer (the next kernel call regrows it):
-    what a one-off pass — an index build — calls when it ends, so its
-    working set does not stay resident for the life of the process."""
-    _scratch.__dict__.pop("buf", None)
 
 
 def pack_keys_batched(

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core import PREFIX, SUFFIX, SegmentInfo, extract_end_segments
 from repro.errors import SequenceError
-from repro.seq import SequenceSet, SequenceSetBuilder, decode, encode
+from repro.seq import SequenceSet, SequenceSetBuilder, decode, encode, write_fasta
 
 
 def test_basic_extraction():
@@ -182,3 +182,24 @@ def test_the_segment_set_does_not_alias_the_reads():
     segments, _ = extract_end_segments(reads, 8)
     assert not np.shares_memory(segments.buffer, reads.buffer)
     assert len(extract_end_segments(SequenceSet.empty(), 8)[0]) == 0
+
+
+def test_reads_trimmed_to_their_ends_are_their_own_segment_buffer(tmp_path):
+    """A streamed batch of reads of 2ℓ bases or more holds each read's two
+    ℓ-base ends back to back: the segments are a view of the batch, equal to
+    the loop's.  One shorter read (its ends overlap) makes them a copy."""
+    from repro.core.streaming import iter_file_batches
+
+    rng = np.random.default_rng(5)
+    lengths = [2 * ELL, 5 * ELL, 2 * ELL + 1, 3 * ELL]
+    pairs = [
+        (f"r{i}", decode(rng.integers(0, 4, size=n).astype(np.uint8)))
+        for i, n in enumerate(lengths)
+    ]
+    for reads, shares in ((pairs, True), (pairs + [("short", "acgt" * (ELL // 4) + "a")], False)):
+        path = tmp_path / f"reads{len(reads)}.fasta"
+        write_fasta(str(path), SequenceSet.from_strings(reads))
+        (batch,) = iter_file_batches(str(path), ends=ELL)
+        got = extract_end_segments(batch, ELL)
+        _assert_same_segments(got, extract_end_segments_loop(batch, ELL))
+        assert np.shares_memory(got[0].buffer, batch.buffer) is shares

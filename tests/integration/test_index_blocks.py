@@ -7,6 +7,7 @@ from __future__ import annotations
 import gzip
 import os
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -187,26 +188,35 @@ def test_no_partitions_and_empty_contig_sets_are_typed_errors(tmp_path, capsys):
     assert not (tmp_path / "idx.npz").exists()
 
 
-def test_index_build_releases_the_sketch_scratch(contigs_path):
-    """S2's key scratch is the build's working set, not the resident index's:
-    `index_partitioned` frees it when it ends — also when a block fails."""
-    from repro.sketch import kernels
+@pytest.mark.parametrize("checkpointed", [False, True], ids=["plain", "checkpointed"])
+def test_index_build_frees_each_blocks_codes_before_its_s2(
+    contigs_path, tmp_path, monkeypatch, checkpointed
+):
+    """S2 reads only a block's minimizer intervals: when its kernel runs,
+    nothing — the reader generator, the build loop, the sketch thunk a
+    checkpoint is handed — keeps the block's codes alive."""
+    from repro.core import mapper as mapper_mod
 
-    mapper = JEMMapper(CFG)
-    mapper.index(read_fasta(contigs_path))
-    assert getattr(kernels._scratch, "buf", None) is None
-    kernels.key_scratch(4, 8)
-    assert kernels._scratch.buf.size
+    buffers, kernel_calls = [], []
+    real_cut, real_kernel = streaming._cut_blocks, mapper_mod.subject_kernel
 
-    def failing_blocks():
-        yield from iter_batches(iter_records(contigs_path), MID_CUT)
-        raise RuntimeError("parser died")
+    def track(batch: SequenceSet) -> SequenceSet:
+        buffers.append(weakref.ref(batch.buffer))
+        return batch
 
-    with pytest.raises(RuntimeError, match="parser died"):
-        JEMMapper(CFG).index_partitioned(failing_blocks())
-    assert getattr(kernels._scratch, "buf", None) is None
-    kernels.release_scratch()  # idempotent
-    assert kernels.key_scratch(2, 3).shape == (2, 3)  # and the buffer regrows
+    def kernel(*args, **kwargs):
+        assert buffers[-1]() is None, f"block {len(buffers) - 1}'s codes are alive in S2"
+        kernel_calls.append(len(buffers))
+        return real_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(streaming, "BATCH_BASES", MID_CUT)
+    monkeypatch.setattr(streaming, "_cut_blocks", lambda blocks, size: map(track, real_cut(blocks, size)))
+    monkeypatch.setattr(mapper_mod, "subject_kernel", kernel)
+    argv = ["index", "-s", contigs_path, "-o", str(tmp_path / "idx.npz"), *CONFIG_ARGV]
+    if checkpointed:
+        argv += ["--checkpoint-dir", str(tmp_path / "run")]
+    assert main(argv) == 0
+    assert len(buffers) >= 4 and kernel_calls == list(range(1, len(buffers) + 1))
 
 
 def test_engine_builds_from_the_file_without_holding_the_contig_set(

@@ -1,4 +1,5 @@
-"""Every `jem` process gives freed arrays back to the kernel.
+"""Every `jem` process gives freed arrays back to the kernel, and keeps
+its threads on one malloc arena.
 
 glibc raises its mmap threshold to the size of each mmapped chunk that is
 freed, so after one freed batch buffer every batch-sized array comes from
@@ -78,3 +79,38 @@ def test_importing_repro_keeps_glibcs_dynamic_threshold():
     behaviour, and the 4-MiB array comes from the heap."""
     setup = "import repro, repro.cli, repro.sketch"
     assert _mmapped_rise(setup) == 0
+
+
+_ARENAS = """
+import ctypes, sys, threading
+import numpy as np
+{setup}
+kept = []
+worker = threading.Thread(target=lambda: kept.append(np.ones(64 << 10, dtype=np.uint8)))
+worker.start()
+worker.join()
+sys.stdout.flush()
+ctypes.CDLL(None).malloc_stats()  # one "Arena N:" paragraph per arena, on stderr
+"""
+
+
+def _arenas(setup: str) -> int:
+    """Arenas glibc holds once a thread has allocated a heap-sized array."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _ARENAS.format(setup=setup)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return sum(line.startswith("Arena ") for line in done.stderr.splitlines())
+
+
+def test_jem_processes_keep_their_threads_on_the_main_arena():
+    """What a kernel thread allocates and returns — S2's per-trial key
+    lists — comes from the arena the main thread frees into, not from one
+    of the thread's own; a process that only imports ``repro`` keeps
+    glibc's arena per thread."""
+    assert _arenas('from repro.cli import main\nassert main(["datasets"]) == 0') == 1
+    assert _arenas("import repro, repro.cli, repro.sketch") == 2

@@ -53,7 +53,7 @@ def _checksum(path: str) -> int:
 def calls(monkeypatch):
     """Counts of contig blocks sketched and read batches mapped."""
     counted = {"sketch": 0, "map": 0}
-    sketch, map_reads = mapper_module.subject_sketch_pairs, JEMMapper.map_reads
+    sketch, map_reads = mapper_module.subject_intervals, JEMMapper.map_reads
 
     def counting_sketch(*args, **kwargs):
         counted["sketch"] += 1
@@ -63,7 +63,7 @@ def calls(monkeypatch):
         counted["map"] += 1
         return map_reads(self, reads)
 
-    monkeypatch.setattr(mapper_module, "subject_sketch_pairs", counting_sketch)
+    monkeypatch.setattr(mapper_module, "subject_intervals", counting_sketch)
     monkeypatch.setattr(JEMMapper, "map_reads", counting_map)
     return counted
 

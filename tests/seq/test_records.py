@@ -61,6 +61,30 @@ def test_slice_bad_range():
         make_set().slice(2, 1)
 
 
+def test_slices_and_joins_of_valid_sets_skip_the_input_checks(monkeypatch):
+    """A slice or join of valid sets is valid: neither re-runs the
+    constructor's checks, and both build what the checked constructor
+    would.  Outside input still goes through every check."""
+    s = make_set()
+    left, right = s.slice(0, 1), s.slice(1, 3)
+    copied = SequenceSet.from_strings([("d", "cc")])
+
+    def checked(*args, **kwargs):
+        raise AssertionError("a slice or join ran the constructor's checks")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SequenceSet, "__init__", checked)
+        got = [s.slice(1, 3), s.slice(2, 2), SequenceSet.join([left, right]),
+               SequenceSet.join([right, copied])]
+    for part in got:
+        want = SequenceSet(part.buffer, part.offsets, part.names, part.metas)
+        assert part.buffer.dtype == np.uint8 and part.offsets.dtype == np.int64
+        assert np.array_equal(part.offsets, want.offsets) and part.names == want.names
+    assert got[2].buffer.base is s.buffer  # back to back in one array: a view
+    with pytest.raises(SequenceError, match="non-decreasing"):
+        SequenceSet(np.zeros(3, np.uint8), np.array([0, 2, 1, 3]), ["a", "b", "c"])
+
+
 def test_concat():
     s = make_set()
     joined = s.concat(s)

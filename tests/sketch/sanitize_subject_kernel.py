@@ -7,21 +7,22 @@ Not collected by pytest: CI's ``kernels`` job runs it as
 with ``--sanitize thread``, after ``sanitize_minimizer_kernel.py``, whose
 build step it shares.
 
-The kernel writes each trial's *compacted* row — a key only where it
-differs from the previous interval's, then sorted and deduped in place —
-so the contract worth a sanitizer is "a row never needs more than n
-entries, however little compacts".  The C driver gives the kernel buffers
-of exactly the sizes the ctypes binding promises (n deque slots and n sort
-slots per thread, ``chunk x n`` key slots, ``chunk`` counts) and calls it
-once per chunk of trials, as ``subject_kernel`` does — the chunk's rows
-divided between 1, 2 and 3 POSIX threads, as ``NativeKernels.subject_keys``
-divides them, every thread writing its own rows of the one key scratch: two
-threads touching one byte abort the TSan run.  Each row is compared with
-``np.unique`` of the uncompacted keys from ``subject_kernel_reference``.
-Shapes: n = 0, n = 1, all-equal values (one key per subject), all-distinct
-values with ``ends[i] = i + 1`` (nothing compacts, m = n), T = 1 and
-T = 256, values and subject ids at 2^32 - 1, subject ids in no order, and
-a chunk budget of one trial.
+The kernel computes one trial per call into two buffers its caller reuses
+— a window and a row of n entries each — and writes the trial's
+*compacted* keys (a key only where it differs from the previous
+interval's, then sorted and deduped in place) to the front of the row, so
+the contract worth a sanitizer is "a call never needs more than n entries
+of either, however little compacts".  The C driver calls it as
+``NativeKernels.subject_keys`` does: 1, 2 and 3 POSIX threads each take the
+next trial from a shared counter, every thread with its own window and row
+of exactly n entries, allocated once and reused from trial to trial, and
+each trial's keys copied out of the row into a buffer of exactly their
+count — two threads touching one byte abort the TSan run.  Each trial is
+compared with ``np.unique`` of the uncompacted keys from
+``subject_kernel_reference``.  Shapes: n = 0, n = 1, all-equal values (one
+key per subject), all-distinct values with ``ends[i] = i + 1`` (nothing
+compacts, m = n), T = 1 and T = 256, values and subject ids at 2^32 - 1,
+subject ids in no order, and windows up to 60 entries wide.
 """
 
 from __future__ import annotations
@@ -58,18 +59,28 @@ static void *load(FILE *in, size_t count, size_t size) {
     return p;
 }
 
-typedef struct { /* rows [lo, hi) of one chunk: a thread's share */
+typedef struct { /* one pass: every trial of one input */
     const uint64_t *values, *subject_ids, *a, *b, *p;
     const int64_t *ends;
-    int64_t n, rows;
-    uint64_t *deque, *sort, *out;
+    int64_t n, trials;
+    int64_t next;     /* the next trial a thread takes */
+    uint64_t **keys;  /* per trial: its keys, copied out of a row */
     int64_t *counts;
-} share_t;
+} pass_t;
 
-static void *sketch_rows(void *arg) {
-    share_t *s = arg;
-    jem_subject_kernel(s->values, s->ends, s->n, s->subject_ids, s->a, s->b, s->p,
-                       s->rows, s->deque, s->sort, s->out, s->counts);
+static void *sketch_trials(void *arg) {
+    pass_t *s = arg;
+    /* this thread's scratch: exactly n entries each, reused trial to trial */
+    uint64_t *window = exact(s->n, 8), *row = exact(s->n, 8);
+    for (int64_t t; (t = __atomic_fetch_add(&s->next, 1, __ATOMIC_RELAXED)) < s->trials;) {
+        const int64_t count = jem_subject_kernel(
+            s->values, s->ends, s->n, s->subject_ids, s->a[t], s->b[t], s->p[t], window, row);
+        if (count < 0 || count > s->n) exit(4);
+        s->counts[t] = count;
+        s->keys[t] = exact(count, 8);
+        memcpy(s->keys[t], row, count * 8);
+    }
+    free(window); free(row);
     return NULL;
 }
 
@@ -77,44 +88,29 @@ int main(int argc, char **argv) {
     if (argc != 3) return 2;
     FILE *in = fopen(argv[1], "rb");
     const int64_t threads = atoll(argv[2]);
-    int64_t head[3]; /* minimizers, trials, trials per kernel call */
-    if (in == NULL || threads < 1 || fread(head, 8, 3, in) != 3) return 2;
-    const int64_t n = head[0], trials = head[1], chunk = head[2];
-    uint64_t *values = load(in, n, 8);
-    int64_t *ends = load(in, n, 8);
-    uint64_t *subject_ids = load(in, n, 8);
-    uint64_t *a = load(in, trials, 8), *b = load(in, trials, 8), *p = load(in, trials, 8);
+    int64_t head[2]; /* minimizers, trials */
+    if (in == NULL || threads < 1 || fread(head, 8, 2, in) != 2) return 2;
+    pass_t s = {.n = head[0], .trials = head[1], .next = 0};
+    const int64_t n = s.n, trials = s.trials;
+    s.values = load(in, n, 8);
+    s.ends = load(in, n, 8);
+    s.subject_ids = load(in, n, 8);
+    s.a = load(in, trials, 8); s.b = load(in, trials, 8); s.p = load(in, trials, 8);
     fclose(in);
-    share_t *shares = exact(threads, sizeof(share_t));
+    s.keys = exact(trials, sizeof(uint64_t *));
+    s.counts = exact(trials, 8);
     pthread_t *tids = exact(threads, sizeof(pthread_t));
-    for (int64_t t = 0; t < threads; t++) {
-        shares[t].deque = exact(n, 8);
-        shares[t].sort = exact(n, 8);
+    for (int64_t t = 0; t < threads; t++)
+        if (pthread_create(&tids[t], NULL, sketch_trials, &s)) return 3;
+    for (int64_t t = 0; t < threads; t++) pthread_join(tids[t], NULL);
+    for (int64_t t = 0; t < trials; t++) {
+        fwrite(&s.counts[t], 8, 1, stdout);
+        fwrite(s.keys[t], 8, s.counts[t], stdout);
+        free(s.keys[t]);
     }
-    for (int64_t lo = 0; lo < trials; lo += chunk) {
-        const int64_t c = lo + chunk < trials ? chunk : trials - lo;
-        /* fresh, exact-size rows per chunk: one write past row c - 1 aborts */
-        uint64_t *out = exact(c * n, 8);
-        int64_t *counts = exact(c, 8);
-        for (int64_t t = 0; t < threads; t++) {
-            share_t *s = &shares[t];
-            const int64_t r0 = c * t / threads, r1 = c * (t + 1) / threads;
-            s->values = values; s->ends = ends; s->n = n; s->subject_ids = subject_ids;
-            s->a = a + lo + r0; s->b = b + lo + r0; s->p = p + lo + r0;
-            s->rows = r1 - r0; s->out = out + r0 * n; s->counts = counts + r0;
-            if (pthread_create(&tids[t], NULL, sketch_rows, s)) return 3;
-        }
-        for (int64_t t = 0; t < threads; t++) pthread_join(tids[t], NULL);
-        for (int64_t t = 0; t < c; t++) {
-            if (counts[t] < 0 || counts[t] > n) return 4;
-            fwrite(&counts[t], 8, 1, stdout);
-            fwrite(out + t * n, 8, counts[t], stdout);
-        }
-        free(out); free(counts);
-    }
-    for (int64_t t = 0; t < threads; t++) { free(shares[t].deque); free(shares[t].sort); }
-    free(values); free(ends); free(subject_ids); free(a); free(b); free(p);
-    free(shares); free(tids);
+    free((void *)s.values); free((void *)s.ends); free((void *)s.subject_ids);
+    free((void *)s.a); free((void *)s.b); free((void *)s.p);
+    free(s.keys); free(s.counts); free(tids);
     return 0;
 }
 """
@@ -123,7 +119,7 @@ TOP = (1 << 32) - 1
 
 
 def shapes(rng: np.random.Generator):
-    """(label, values, ends, subject_ids, trials, trials per call)."""
+    """(label, values, ends, subject_ids, trials)."""
     u64, i64 = np.uint64, np.int64
 
     def windows(n, reach):
@@ -131,34 +127,34 @@ def shapes(rng: np.random.Generator):
         return np.maximum.accumulate(ends).clip(max=n).astype(i64)
 
     empty = np.empty(0, dtype=u64)
-    yield "n = 0", empty, np.empty(0, dtype=i64), empty, 3, 3
-    yield "n = 1", np.array([7], u64), np.array([1], i64), np.array([0], u64), 4, 4
+    yield "n = 0", empty, np.empty(0, dtype=i64), empty, 3
+    yield "n = 1", np.array([7], u64), np.array([1], i64), np.array([0], u64), 4
     n = 600
     subjects = np.sort(rng.integers(0, 9, size=n)).astype(u64)
     yield ("all-equal values: one key per subject",
-           np.full(n, 12345, u64), windows(n, 40), subjects, 5, 2)
+           np.full(n, 12345, u64), windows(n, 40), subjects, 5)
     distinct = rng.permutation(n).astype(u64)
     unit = np.arange(1, n + 1, dtype=i64)
-    yield "all-distinct values, ends[i] = i + 1: m = n", distinct, unit, subjects, 5, 5
+    yield "all-distinct values, ends[i] = i + 1: m = n", distinct, unit, subjects, 5
     yield "all-distinct, one subject per entry, at 2^32 - 1", \
-        distinct + u64(TOP - n + 1), unit, np.arange(n, dtype=u64) + u64(TOP - n + 1), 3, 1
+        distinct + u64(TOP - n + 1), unit, np.arange(n, dtype=u64) + u64(TOP - n + 1), 3
     values = rng.integers(0, 1 << 32, size=n, dtype=u64)
     values[rng.random(n) < 0.1] = TOP
     at_top = subjects.copy()
     at_top[at_top == at_top.max()] = TOP
-    yield "values and subject ids at 2^32 - 1", values, windows(n, 30), at_top, 6, 4
-    yield "T = 1", values, windows(n, 30), subjects, 1, 1
-    yield "T = 256", values[:80], windows(80, 10), subjects[:80], 256, 100
-    yield "chunk budget of one trial", values, windows(n, 60), subjects, 7, 1
+    yield "values and subject ids at 2^32 - 1", values, windows(n, 30), at_top, 6
+    yield "T = 1", values, windows(n, 30), subjects, 1
+    yield "T = 256", values[:80], windows(80, 10), subjects[:80], 256
+    yield "wide windows: blocks of up to 60 entries", values, windows(n, 60), subjects, 7
     yield ("subject ids in no order, repeats far apart",
            rng.integers(0, 20, size=n).astype(u64), windows(n, 5),
-           rng.integers(0, 1 << 32, size=n, dtype=u64), 4, 3)
+           rng.integers(0, 1 << 32, size=n, dtype=u64), 4)
 
 
-def run(exe, workdir, values, ends, subject_ids, family, chunk, threads):
+def run(exe, workdir, values, ends, subject_ids, family, threads):
     path = os.path.join(workdir, "case.bin")
     with open(path, "wb") as fh:
-        fh.write(np.array([values.size, family.size, chunk], dtype=np.int64).tobytes())
+        fh.write(np.array([values.size, family.size], dtype=np.int64).tobytes())
         for arr in (values, ends, subject_ids, family.a, family.b, family.p):
             fh.write(np.ascontiguousarray(arr).tobytes())
     raw = subprocess.run([exe, path, str(threads)], check=True, capture_output=True).stdout
@@ -176,13 +172,13 @@ def main(argv: list[str] | None = None) -> int:
     os.environ["REPRO_NO_NATIVE"] = "1"  # the oracle side never loads the kernels
     with tempfile.TemporaryDirectory() as workdir:
         exe = build_driver(workdir, _DRIVER, sanitize)
-        for label, values, ends, subject_ids, trials, chunk in shapes(
+        for label, values, ends, subject_ids, trials in shapes(
             np.random.default_rng(20230157)
         ):
             family = HashFamily.generate(trials, seed=trials)
             want = subject_kernel_reference(values, ends, subject_ids, family)
             for threads in THREADS:
-                rows = run(exe, workdir, values, ends, subject_ids, family, chunk, threads)
+                rows = run(exe, workdir, values, ends, subject_ids, family, threads)
                 if not all(np.array_equal(g, w) for g, w in zip(rows, want)):
                     print(f"FAIL {label} at {threads} thread(s)")
                     return 1

@@ -24,9 +24,9 @@ from repro import _native_build
 from repro.core import JEMConfig, JEMMapper
 from repro.core.mapper import map_segment_batch
 from repro.seq import SequenceSet
-from repro.sketch import _native, kernels
+from repro.sketch import _native
 from repro.sketch.hashing import HashFamily
-from repro.sketch.jem import subject_sketch_pairs
+from repro.sketch.jem import subject_intervals, subject_sketch_pairs
 from repro.sketch.minimizers import minimizers_set
 
 needs_native = pytest.mark.skipif(
@@ -243,14 +243,15 @@ def test_a_small_batch_is_not_worth_a_thread(monkeypatch):
 
 @needs_native
 @pytest.mark.parametrize("trials", [1, 2, 30])
-@pytest.mark.parametrize("budget", [1, None], ids=["one-row-chunks", "default-budget"])
+@pytest.mark.parametrize("least", [1, None], ids=["one-row-a-thread", "default-threshold"])
 def test_subject_sketch_pairs_is_the_same_at_every_thread_count(
-    monkeypatch, tiny_shares, trials, budget
+    monkeypatch, tiny_shares, trials, least
 ):
-    """One-row chunks leave a thread nothing to share; T = 1 leaves fewer
-    rows than threads; neither may show."""
-    if budget is not None:
-        monkeypatch.setattr(kernels, "SUBJECT_SCRATCH_ELEMS", budget)
+    """Any row worth a thread leaves one trial a thread at T = 1 and fewer
+    trials than threads at T = 2; the real threshold runs these small sets
+    inline.  None of it may show."""
+    if least is None:
+        monkeypatch.setattr(_native, "MIN_THREAD_ENTRIES", 1 << 15)
     family = HashFamily.generate(trials, seed=trials)
     for label, sset in edge_sets(np.random.default_rng(trials)):
         with monkeypatch.context() as numpy_arm:
@@ -267,26 +268,32 @@ def test_subject_sketch_pairs_is_the_same_at_every_thread_count(
 
 
 @needs_native
-def test_subject_rows_share_one_key_scratch(monkeypatch, tiny_shares):
-    """The chunk's rows are divided between the threads inside the one
-    key scratch the chunk was given: the budget is not multiplied."""
+def test_subject_scratch_is_per_thread(monkeypatch, tiny_shares):
+    """S2 takes a window and a row of n entries for each thread it runs on,
+    and nothing else: no array bigger than one n-entry row, and no more of
+    them at 30 trials than at one."""
     sizes = []
-    real = kernels.key_scratch
 
-    def spy(rows, cols):
-        sizes.append(rows * cols)
-        return real(rows, cols)
+    class SpyNumpy:  # what ``_native`` sees as ``np``: ``empty`` records sizes
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr("repro.sketch.jem.key_scratch", spy)
+        def empty(self, *args, **kwargs):
+            arr = np.empty(*args, **kwargs)
+            sizes.append(arr.size)
+            return arr
+
+    monkeypatch.setattr(_native, "np", SpyNumpy())
     sset = as_set([dna(np.random.default_rng(3), 4_000) for _ in range(4)])
-    family = HashFamily.generate(30, seed=1)
-    subject_sketch_pairs(sset, 12, 20, 300, family, threads=1)
-    one_thread = list(sizes)
-    sizes.clear()
-    subject_sketch_pairs(sset, 12, 20, 300, family, threads=3)
-    assert sizes == one_thread and max(sizes) <= kernels.SUBJECT_SCRATCH_ELEMS
-
-
+    intervals = subject_intervals(sset, 12, 20, 300)
+    n = intervals[0].size
+    for trials, threads in ((30, 1), (30, 3), (1, 3), (2, 3)):
+        sizes.clear()
+        keys = _native.load().subject_keys(
+            *intervals, HashFamily.generate(trials, seed=1), threads=threads
+        )
+        assert len(keys) == trials
+        assert sizes == [n] * (2 * min(threads, trials)), (trials, threads)
 # -- S1 then S4 ----------------------------------------------------------------
 
 MAP_CFG = JEMConfig(k=12, w=20, ell=300, trials=6, seed=3)

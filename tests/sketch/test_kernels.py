@@ -28,6 +28,7 @@ from repro.sketch import (
     subject_kernel,
     subject_sketch_pairs,
 )
+from repro.sketch.jem import subject_intervals
 from repro.sketch import _native
 from repro.sketch import jem as jem_mod
 from repro.sketch import kernels as kernels_mod
@@ -224,15 +225,16 @@ def test_query_values_match_single_sketch():
 
 
 def test_chunked_execution_is_bit_identical(monkeypatch):
-    """Shrinking the budgets forces multi-chunk paths (the native subject
-    kernel's key scratch, MinHash's packed matrix); output unchanged."""
+    """Shrinking the thresholds forces the multi-call paths (S2's trials
+    spread over threads, MinHash's packed matrix in chunks); output
+    unchanged."""
     seqs = _random_set(np.random.default_rng(11), 20)
     k, w, ell = 12, 20, 500
-    whole_subject = subject_sketch_pairs(seqs, k, w, ell, FAMILY)
+    whole_subject = subject_sketch_pairs(seqs, k, w, ell, FAMILY, threads=1)
     whole_minhash, whole_has = minhash_sketch_set(seqs, k, FAMILY)
-    monkeypatch.setattr(kernels_mod, "SUBJECT_SCRATCH_ELEMS", 256)
+    monkeypatch.setattr(_native, "MIN_THREAD_ENTRIES", 1)
     monkeypatch.setattr(kernels_mod, "MAX_BATCH_ELEMS", 256)
-    chunked_subject = subject_sketch_pairs(seqs, k, w, ell, FAMILY)
+    chunked_subject = subject_sketch_pairs(seqs, k, w, ell, FAMILY, threads=3)
     chunked_minhash, chunked_has = minhash_sketch_set(seqs, k, FAMILY)
     for a, b in zip(whole_subject, chunked_subject):
         assert np.array_equal(a, b)
@@ -269,8 +271,9 @@ def _dedupe_defeating_set(rng):
 @pytest.mark.parametrize("offset", [0, (1 << 32) - 8])
 def test_subject_pairs_survive_far_apart_repeats(monkeypatch, no_native, offset):
     """The native kernel drops a key equal to the previous interval's; the
-    repeats that rule cannot see must still be deduped — at every chunking,
-    with subject ids up against 2^32 - 1, on either backend."""
+    repeats that rule cannot see must still be deduped — on one thread and
+    spread over three, with subject ids up against 2^32 - 1, on either
+    backend."""
     if no_native:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
     seqs = _dedupe_defeating_set(np.random.default_rng(5))
@@ -293,10 +296,11 @@ def test_subject_pairs_survive_far_apart_repeats(monkeypatch, no_native, offset)
         assert np.array_equal(np.unique(raw), want[t])
         leftovers += np.count_nonzero(raw[1:] != raw[:-1]) + 1 - want[t].size
     assert leftovers > 0
-    for budget in (None, 1):  # 1: every chunk is one trial
-        if budget is not None:
-            monkeypatch.setattr(kernels_mod, "SUBJECT_SCRATCH_ELEMS", budget)
-        got = subject_sketch_pairs(seqs, k, w, ell, FAMILY, subject_id_offset=offset)
+    monkeypatch.setattr(_native, "MIN_THREAD_ENTRIES", 1)  # any row is worth a thread
+    for threads in (1, 3):  # 3: trials taken one at a time by three threads
+        got = subject_sketch_pairs(
+            seqs, k, w, ell, FAMILY, subject_id_offset=offset, threads=threads
+        )
         assert len(got) == FAMILY.size
         for g, e in zip(got, want):
             assert g.dtype == np.uint64 and np.array_equal(g, e)
@@ -304,71 +308,69 @@ def test_subject_pairs_survive_far_apart_repeats(monkeypatch, no_native, offset)
         subject_sketch_pairs(seqs, k, w, ell, FAMILY, subject_id_offset=(1 << 32) - 3)
 
 
-@pytest.mark.skipif(_native.load() is None, reason="no C compiler available")
-def test_native_subject_kernel_scratch_stays_under_its_budget():
-    """Sketching a tier-L-sized contig set (≈ 170k minimizers x 30 trials) never
-    asks the key scratch for the (T, n) matrix: the buffer stays at the budget."""
-    rng = np.random.default_rng(3)
-    lengths = rng.integers(1_500, 4_500, size=2_600)
+class _SpyNumpy:
+    """What ``_native`` sees as ``np``: ``empty`` records each array's size."""
+
+    def __init__(self) -> None:
+        self.nbytes: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        arr = np.empty(*args, **kwargs)
+        self.nbytes.append(arr.nbytes)
+        return arr
+
+
+def _random_contigs(rng, lengths) -> SequenceSet:
     offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    contigs = SequenceSet(
-        random_codes(int(offsets[-1]), rng), offsets, [f"c{i}" for i in range(lengths.size)]
+    return SequenceSet(
+        random_codes(int(offsets[-1]), rng), offsets, [f"c{i}" for i in range(len(lengths))]
     )
+
+
+@pytest.mark.skipif(_native.load() is None, reason="no C compiler available")
+def test_native_subject_kernel_scratch_stays_row_sized(monkeypatch):
+    """Sketching a tier-L-sized contig set (≈ 170k minimizers x 30 trials) on
+    two threads takes a window and a row of n entries a thread and nothing
+    else: no array larger than the n-entry deque the kernel once kept, and
+    no (T, n) key matrix, though the trials' keys would not fit one row."""
+    rng = np.random.default_rng(3)
+    contigs = _random_contigs(rng, rng.integers(1_500, 4_500, size=2_600))
     family = HashFamily.generate(30, seed=1)
-    seen = {}
-
-    def sketch():  # a fresh thread has a fresh scratch buffer
-        keys = subject_sketch_pairs(contigs, 16, 100, 1000, family)
-        seen["entries"] = sum(k.size for k in keys)
-        seen["scratch"] = kernels_mod._scratch.buf.size
-
-    thread = threading.Thread(target=sketch)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    assert seen["entries"] > kernels_mod.SUBJECT_SCRATCH_ELEMS  # the matrix would not have fit
-    assert seen["scratch"] == kernels_mod.SUBJECT_SCRATCH_ELEMS
+    values, ends, subject_ids = subject_intervals(contigs, 16, 100, 1000)
+    spy = _SpyNumpy()
+    monkeypatch.setattr(_native, "np", spy)
+    keys = subject_kernel(values, ends, subject_ids, family, threads=2)
+    assert sum(k.size for k in keys) > values.size > 100_000
+    assert spy.nbytes == [values.nbytes] * 4
 
 
 @pytest.mark.skipif(_native.load() is None, reason="no C compiler available")
 def test_fixed_scratches_stay_under_numpys_huge_page_line(monkeypatch):
     """Numpy asks for transparent huge pages from NUMPY_HUGEPAGE_BYTES on,
     and a sparsely written huge page is resident whole: every array S1
-    takes for one full ``_BLOCK_BASES`` run, and S2's key scratch at its
-    budget, stay below that line."""
+    takes for one full ``_BLOCK_BASES`` run, and every array S2 takes for a
+    2-Mi-base contig block of the benchmark's shape (1-4.5 kb contigs,
+    k = 16, w = 100, ℓ = 1000), stay below that line."""
+    from repro.core.streaming import BATCH_BASES
+
     line = _native.NUMPY_HUGEPAGE_BYTES
-    sizes = []
-
-    class SpyNumpy:  # what ``_native`` sees as ``np``: ``empty`` records sizes
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def empty(self, *args, **kwargs):
-            arr = np.empty(*args, **kwargs)
-            sizes.append(arr.nbytes)
-            return arr
-
-    monkeypatch.setattr(_native, "np", SpyNumpy())
+    spy = _SpyNumpy()
+    monkeypatch.setattr(_native, "np", spy)
     rng = np.random.default_rng(4)
     count = 2 * _native._BLOCK_BASES // 1_000
-    contigs = SequenceSet(
-        random_codes(1_000 * count, rng),
-        np.arange(0, 1_000 * (count + 1), 1_000, dtype=np.int64),
-        [f"c{i}" for i in range(count)],
-    )
+    contigs = _random_contigs(rng, np.full(count, 1_000))
     _native.load().minimizer_block(contigs.buffer, contigs.offsets, 16, 100, threads=1)
-    assert (_native._BLOCK_BASES - 1_000) * 8 <= max(sizes) < line  # a full run's
+    assert (_native._BLOCK_BASES - 1_000) * 8 <= max(spy.nbytes) < line  # a full run's
 
-    seen = {}
-
-    def grow():  # a fresh thread has a fresh scratch buffer
-        kernels_mod.key_scratch(1, kernels_mod.SUBJECT_SCRATCH_ELEMS)
-        seen["bytes"] = kernels_mod._scratch.buf.nbytes
-
-    thread = threading.Thread(target=grow)
-    thread.start()
-    thread.join()
-    assert seen["bytes"] == kernels_mod.SUBJECT_SCRATCH_ELEMS * 8 < line
+    lengths = rng.integers(1_000, 4_500, size=BATCH_BASES // 2_750)
+    block = _random_contigs(rng, lengths[: np.searchsorted(np.cumsum(lengths), BATCH_BASES)])
+    intervals = subject_intervals(block, 16, 100, 1000)
+    spy.nbytes.clear()
+    subject_kernel(*intervals, HashFamily.generate(30, seed=1), threads=2)
+    assert spy.nbytes == [intervals[0].nbytes] * 4 and max(spy.nbytes) < line
 
 
 def test_empty_and_degenerate_sets():
