@@ -101,9 +101,12 @@ class IndexGeneration:
 
     Satisfies the :class:`~repro.core.store.SketchStore` protocol, so
     every existing consumer — the vote kernels, the service, persistence,
-    shard planning — reads it like any other store.  All state is fixed at
-    construction; mutations happen by building a *new* generation
+    shard planning — reads it like any other store.  Its live entries are
+    fixed at construction; mutations happen by building a *new* generation
     (:class:`MutableSketchStore` does this), never by touching this one.
+    The one slot set later is ``_folded``, the cache of a dirty
+    generation's :meth:`as_columnar`: a function of those fixed entries,
+    so it never goes stale.
     """
 
     __slots__ = (
@@ -115,6 +118,7 @@ class IndexGeneration:
         "subject_names",
         "generation",
         "_dead",
+        "_folded",
     )
 
     def __init__(
@@ -140,6 +144,10 @@ class IndexGeneration:
         if self.tombstones:
             self._dead = np.zeros(self.n_subjects, dtype=bool)
             self._dead[list(self.tombstones)] = True
+        #: this generation folded into one columnar store, built at the
+        #: first :meth:`as_columnar` of a dirty generation (or handed over
+        #: by the flush that published it) and reused after that
+        self._folded: ColumnarSketchStore | None = None
 
     # -- structure -----------------------------------------------------------
 
@@ -283,14 +291,22 @@ class IndexGeneration:
         kernel maps over the result's columns as they are.
         ``n_subjects`` stays the allocated id count so live ids keep their
         meaning.
+
+        A generation is folded at most once: a clean one is its segment,
+        and a dirty one's fold is kept in ``_folded``, so the scatter
+        fleet's install and the compaction after it share one root.  (The
+        fleet and the handle fold under their mutation locks; two racing
+        callers would build equal stores and keep one.)
         """
         if self.is_clean:
             return self.segments[0]
-        return ColumnarSketchStore.from_sized_keys(
-            [self._live_entries(t) for t in range(self.trials)],
-            (self.trial_keys(t) for t in range(self.trials)),
-            self.n_subjects,
-        )
+        if self._folded is None:
+            self._folded = ColumnarSketchStore.from_sized_keys(
+                [self._live_entries(t) for t in range(self.trials)],
+                (self.trial_keys(t) for t in range(self.trials)),
+                self.n_subjects,
+            )
+        return self._folded
 
     def __repr__(self) -> str:
         return (
@@ -591,9 +607,14 @@ class MutableSketchStore:
             removed=frozenset(self._removed),
         )
 
-    def _publish(self) -> IndexGeneration:
-        self._current = self._snapshot()
-        return self._current
+    def _publish(self, folded: ColumnarSketchStore | None = None) -> IndexGeneration:
+        """Build and install the next generation; ``folded`` is its fold,
+        when the caller already holds it (a dirty generation keeps it)."""
+        current = self._snapshot()
+        if folded is not None and not current.is_clean:
+            current._folded = folded
+        self._current = current
+        return current
 
     # -- mutations -----------------------------------------------------------
 
@@ -675,11 +696,14 @@ class MutableSketchStore:
         segment file before the WAL record, then checkpoint the manifest
         and reset the WAL (adds/removes up to here are now in the
         manifest snapshot, so their records need never replay again).
+        The live entries do not change, so the new generation keeps the
+        fold the previous one may hold.
         """
         with self._lock:
             segment = self._memtable
             if segment is None:
                 return self._current
+            folded = self._current._folded
             if self._wal is not None:
                 self._seq += 1
                 rel, crc = self._write_segment_file(self._seq, segment)
@@ -694,15 +718,16 @@ class MutableSketchStore:
             self._generation += 1
             if self._wal is not None:
                 self._checkpoint()
-            return self._publish()
+            return self._publish(folded)
 
     def compact(self) -> IndexGeneration:
         """Fold memtable + segments − tombstones into one fresh segment.
 
-        The resulting generation is *clean*: its single segment is written
-        once, and the fused native kernel serves it at full speed without a
-        second copy.  With nothing to fold (no segment, empty
-        memtable) it is a no-op, like an empty flush.  Durable compactions
+        The resulting generation is *clean*: its single segment is the
+        current generation's fold (built here, or the one a scatter install
+        already built), written once, and the fused native kernel serves it
+        at full speed without a second copy.  With nothing to fold (no
+        segment, empty memtable) it is a no-op, like an empty flush.  Durable compactions
         follow the full checkpoint protocol (segment file → WAL record →
         manifest → WAL reset → delete superseded files); a SIGKILL at any
         point replays back to a state bit-identical to either before or
@@ -760,9 +785,10 @@ class MutableSketchStore:
     def _load_segment_file(self, meta: dict) -> ColumnarSketchStore | None:
         """The segment ``meta`` names, or None when it is missing or damaged.
 
-        The file's CRC is checked in 1 MiB pieces first; then its trial
-        members are read straight into the segment's columns, as a
-        v3 bundle loads — the segment is resident once.
+        The file's CRC is checked first, through one reused 64 KiB buffer
+        (:func:`~repro.core.persist.file_crc32`); then its trial members
+        are read straight into the segment's columns, as a v3 bundle
+        loads — the segment is resident once.
         """
         from .persist import file_crc32, read_trial_columns
 

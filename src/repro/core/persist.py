@@ -98,11 +98,22 @@ def stacked_trials(store: ColumnarSketchStore) -> Iterator[tuple[str, np.ndarray
         yield f"trial_{t:03d}", np.stack([store.values[t], store.subjects[t]])
 
 
+#: Bytes :func:`file_crc32` reads at a time, into one buffer it reuses.
+_CRC_BUFFER_BYTES = 1 << 16
+
+
 def file_crc32(fh: BinaryIO) -> int:
-    """CRC32 of an open binary file from its position on, read in 1 MiB pieces."""
+    """CRC32 of an open binary file from its position on.
+
+    The file is read with ``readinto`` into one reused
+    :data:`_CRC_BUFFER_BYTES` buffer, so checking a segment file of any
+    size (every v4 segment write and load does) holds 64 KiB.
+    """
+    buf = bytearray(_CRC_BUFFER_BYTES)
     crc = 0
-    while piece := fh.read(1 << 20):
-        crc = zlib.crc32(piece, crc)
+    with memoryview(buf) as view:
+        while n := fh.readinto(buf):
+            crc = zlib.crc32(view[:n], crc)
     return crc
 
 

@@ -97,20 +97,22 @@ def iter_batches(
     ``batch_bases`` (default :data:`BATCH_BASES`) — counted in the records'
     full :attr:`~repro.seq.records.SeqRecord.bases`, so a stream of trimmed
     reads is cut where the whole reads would be — and one batch is resident
-    at a time whatever the file holds.
+    at a time whatever the file holds.  Once yielded, a batch is its
+    consumer's alone: the suspended generator holds neither it nor its
+    records' codes.
     """
     batch_bases = _budget(batch_bases)
     builder = SequenceSetBuilder()
     bases = 0
     for record in records:
         if len(builder) and bases + record.bases > batch_bases:
-            yield builder.build()
-            builder = SequenceSetBuilder()
+            yield builder.take()
             bases = 0
         builder.add(record.name, record.codes, record.meta)
         bases += record.bases
     if len(builder):
-        yield builder.build()
+        record = None
+        yield builder.take()
 
 
 def _take(pieces: list[SequenceSet]) -> SequenceSet:

@@ -258,3 +258,10 @@ class SequenceSetBuilder:
         offsets = np.zeros(len(self._chunks) + 1, dtype=np.int64)
         np.cumsum(np.asarray(self._lengths, dtype=np.int64), out=offsets[1:])
         return SequenceSet(buffer, offsets, self._names, self._metas)
+
+    def take(self) -> SequenceSet:
+        """:meth:`build`, leaving the builder empty: the set is then the
+        caller's alone, and the builder holds none of its records' codes."""
+        built = self.build()
+        self._chunks, self._names, self._metas, self._lengths = [], [], [], []
+        return built

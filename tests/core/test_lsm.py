@@ -241,6 +241,25 @@ class TestMutateEqualsRebuild:
             assert np.array_equal(old.trial_keys(t), old_keys[t])
         assert isinstance(handle.current, IndexGeneration)
 
+    def test_a_dirty_generation_is_folded_once(self, rng):
+        """``as_columnar`` of a dirty generation is built at its first call
+        and reused; a flush hands the fold to the generation it publishes
+        (the live entries do not change), and compaction seals that fold."""
+        handle, model = seeded_handle(rng)
+        late = _contig_pairs(rng, 1, prefix="late")
+        handle.add_contigs(SequenceSet.from_strings(late))
+        model.add(late)
+        handle.remove_contigs(["c0"])
+        model.remove("c0")
+        dirty = handle.current
+        folded = dirty.as_columnar()
+        assert folded is dirty.as_columnar()
+        assert all(folded is not seg for seg in dirty.segments)
+        flushed = handle.flush()
+        assert not flushed.is_clean and flushed.as_columnar() is folded
+        assert handle.compact().segments[0] is folded
+        assert_key_parity(handle, model)
+
     def test_compact_of_an_empty_index_is_a_no_op(self):
         handle = MutableSketchStore.in_memory(JEMConfig())
         before = handle.current
@@ -654,10 +673,12 @@ class DurableLSMMachine(RuleBasedStateMachine):
 
     @rule()
     def flush(self):
-        segments = len(self.handle.current.segments)
-        had_memtable = self.handle.current.memtable is not None
-        assert self.handle.flush().memtable is None
-        assert len(self.handle.current.segments) == segments + had_memtable
+        before = self.handle.current
+        after = self.handle.flush()
+        assert after.memtable is None
+        assert len(after.segments) == len(before.segments) + (before.memtable is not None)
+        if before.trials and not after.is_clean:  # the fold moves with the entries
+            assert after.as_columnar() is before.as_columnar()
 
     @rule()
     def compact(self):
@@ -665,6 +686,8 @@ class DurableLSMMachine(RuleBasedStateMachine):
         after = self.handle.compact()
         if before.trials:
             assert after.is_clean and after.generation == before.generation + 1
+            # the invariant folded ``before`` after the last step: reused, not rebuilt
+            assert after.segments[0] is before.as_columnar()
         else:  # nothing to fold: as an empty flush, no new generation
             assert after is before
 

@@ -1,14 +1,17 @@
 import os
 import struct
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.core import JEMConfig, JEMMapper
 from repro.core.persist import (
+    _CRC_BUFFER_BYTES,
     INDEX_FORMAT_VERSION,
     _content_checksum,
+    file_crc32,
     load_index,
     save_index,
 )
@@ -555,3 +558,41 @@ def test_version_check(tmp_path, tiling_contigs):
     np.savez_compressed(path, **payload)
     with pytest.raises(MappingError, match="format"):
         load_index(path)
+
+
+class TestFileCrc32:
+    """``file_crc32`` is ``zlib.crc32`` of the file from its position on,
+    read through one reused buffer: every v4 segment write and load
+    checks its file through it."""
+
+    B = _CRC_BUFFER_BYTES
+
+    @pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_equals_the_crc_of_the_whole_file(self, tmp_path, size, start):
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            assert file_crc32(fh) == zlib.crc32(data[start:])
+            assert fh.read() == b""
+
+    def test_reading_back_a_4_mib_file_holds_one_buffer(self, tmp_path):
+        """The read-back's peak is the buffer, not the file: at most one
+        buffer plus 64 KiB, where reading fresh 1 MiB pieces peaked at
+        ≈ 2 MiB (the next piece allocated before the last was freed)."""
+        import tracemalloc
+
+        path = tmp_path / "blob"
+        path.write_bytes(np.random.default_rng(4).bytes(4 << 20))
+        with open(path, "rb") as fh:
+            file_crc32(fh)  # imports and one-time caches out of the window
+            fh.seek(0)
+            tracemalloc.start()
+            try:
+                file_crc32(fh)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= self.B + (64 << 10), peak

@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.core import JEMConfig, JEMMapper
+from repro.core import JEMConfig, JEMMapper, streaming
 from repro.core.streaming import map_file, map_reads_stream
 from repro.errors import MappingError
 from repro.seq import io_fasta, write_fasta, write_fastq
@@ -84,6 +86,62 @@ def test_map_file_fastq(tmp_path, mapper, clean_reads):
         [batch.subject for batch in map_file(mapper, str(path), ell=CFG.ell, batch_bases=15_000)]
     )
     assert np.array_equal(got, bulk.subject)
+
+
+@pytest.mark.parametrize("ends", [None, CFG.ell])
+def test_a_fastq_batch_is_held_once_by_its_consumer(tmp_path, monkeypatch, clean_reads, ends):
+    """Once ``iter_file_batches`` yields a FASTQ batch, the suspended
+    generator holds neither the batch nor its records' codes: the batch
+    is its consumer's alone, resident once.  The cuts are unchanged."""
+    path = tmp_path / "reads.fastq"
+    write_fastq(path, clean_reads)
+    parsed = []
+    iter_records = streaming.iter_records
+
+    def tracked(*args, **kwargs):
+        for record in iter_records(*args, **kwargs):
+            parsed.append(weakref.ref(record.codes))
+            yield record
+
+    monkeypatch.setattr(streaming, "iter_records", tracked)
+    batches = streaming.iter_file_batches(str(path), ends=ends, batch_bases=15_001)
+    sizes = []
+    while (batch := next(batches, None)) is not None:
+        done, buffer = sum(sizes), weakref.ref(batch.buffer)
+        sizes.append(len(batch))
+        del batch
+        assert buffer() is None, f"batch {len(sizes) - 1} outlives its consumer"
+        assert all(ref() is None for ref in parsed[done : done + sizes[-1]])
+    assert sizes == [3] * 6 + [2]
+
+
+def test_map_reads_stream_maps_a_batch_whose_records_are_gone(monkeypatch, mapper, clean_reads):
+    """While ``map_reads`` runs on a batch, the records it was built from
+    are no longer held: the stream keeps one copy of the batch's codes."""
+    from repro.seq import SeqRecord
+
+    made = []
+
+    def records():
+        for i in range(len(clean_reads)):
+            record = SeqRecord(clean_reads.names[i], clean_reads.codes_of(i).copy())
+            made.append(weakref.ref(record.codes))
+            yield record
+
+    map_reads, mapped = mapper.map_reads, []
+
+    def checked(batch):
+        done = sum(mapped)
+        assert all(ref() is None for ref in made[done : done + len(batch)])
+        mapped.append(len(batch))
+        return map_reads(batch)
+
+    monkeypatch.setattr(mapper, "map_reads", checked)
+    results = list(map_reads_stream(mapper, records(), batch_bases=15_001))
+    assert mapped == [3] * 6 + [2]
+    assert np.array_equal(
+        np.concatenate([r.subject for r in results]), map_reads(clean_reads).subject
+    )
 
 
 def test_map_file_fasta_asks_for_blocks_lazily(tmp_path, monkeypatch, mapper, clean_reads):
