@@ -190,11 +190,24 @@ def _map_batches(
     batches: Iterable[SequenceSet],
     unit: Callable[[int, Callable[[], MappingResult]], MappingResult] | None,
 ) -> Iterator[MappingResult]:
+    """Map each batch, holding none while the reader builds the next: the
+    batch is handed to ``map_batch`` in a one-item list it pops, the way
+    :meth:`~repro.core.mapper.JEMMapper.index_partitioned` hands its blocks."""
     if not getattr(mapper, "is_indexed", True):
         raise MappingError("index() must be called before streaming")
-    for k, batch in enumerate(batches):
-        map_batch = partial(mapper.map_reads, batch)
-        yield map_batch() if unit is None else unit(k, map_batch)
+    k = 0  # not enumerate(): its reused result tuple holds the last batch
+    for batch in batches:
+        held = [batch]
+        del batch
+        map_batch = partial(_map_held, mapper, held)
+        result = map_batch() if unit is None else unit(k, map_batch)
+        held.clear()  # a loaded unit never mapped it
+        yield result
+        k += 1
+
+
+def _map_held(mapper: "Mapper", held: list[SequenceSet]) -> MappingResult:
+    return mapper.map_reads(held.pop())
 
 
 def map_file(

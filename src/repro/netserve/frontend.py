@@ -5,9 +5,10 @@ the same connection handler, so a request line is parsed, routed, ordered
 and answered in exactly one place.  One event loop multiplexes every
 client:
 
-* a per-connection **reader** task parses NDJSON lines into the
-  connection's intake queue (``health`` is answered immediately, off the
-  ordered path, so probes never wait behind a slow batch);
+* each connection's **session** (an :class:`asyncio.BufferedProtocol`)
+  parses NDJSON lines out of its one receive buffer as they arrive, into
+  the connection's intake queue (``health`` is answered immediately, off
+  the ordered path, so probes never wait behind a slow batch);
 * one global **dispatcher** task drains intakes round-robin, at most
   ``fair_chunk`` messages per connection per cycle — per-client fairness:
   a firehose client cannot starve a trickle client's admissions;
@@ -42,8 +43,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import mmap
 from collections import deque
-from dataclasses import dataclass, field
 
 from ..errors import ReproError, ServiceOverloadError
 from ..service.protocol import (
@@ -57,7 +58,7 @@ from ..service.queue import MapFuture
 __all__ = ["NetFrontend", "parse_hostport"]
 
 #: Ops answered in the session's request order, through the dispatcher
-#: (``health``, ``drain`` and unknown ops are handled by the reader).
+#: (``health``, ``drain`` and unknown ops are handled by the session's parser).
 _ORDERED_OPS = ("map", "ping", "metrics", *MUTATION_OPS, *ADMIN_OPS)
 
 #: Messages the dispatcher drains from one connection per fairness cycle.
@@ -76,6 +77,12 @@ TENANT_RETRY_S = 0.05
 #: the session survives.
 MAX_LINE_BYTES = 1 << 20
 
+#: Receive buffer of one connection: the transport reads into it, and it
+#: grows past this only while one request line is longer.  Under the
+#: 128 KiB mmap threshold ``jem serve`` pins, so it is heap, not a fresh
+#: mapping a receive.
+RECV_BUFFER_BYTES = 1 << 16
+
 #: Per-connection read deadline: a client that cannot deliver one
 #: complete line in this long (slow-loris) is disconnected.
 IDLE_TIMEOUT_S = 300.0
@@ -84,59 +91,6 @@ IDLE_TIMEOUT_S = 300.0
 def _error(detail: str, **extra) -> dict:
     """Typed in-band protocol error frame."""
     return {**extra, "type": "error", "error": detail}
-
-
-class _LineReader:
-    """Bounded NDJSON line assembly over a raw :class:`asyncio.StreamReader`.
-
-    ``StreamReader.readline`` raises once a line exceeds the stream limit
-    and leaves the stream unusable, so one hostile frame would take the
-    whole connection down.  This reader enforces ``max_line_bytes``
-    itself: an oversized line is discarded through its terminating
-    newline and reported as ``None``, letting the session answer with a
-    typed in-band error and keep serving.
-    """
-
-    def __init__(self, reader: asyncio.StreamReader, max_line_bytes: int) -> None:
-        self._reader = reader
-        self._max = int(max_line_bytes)
-        self._buf = bytearray()
-        self._eof = False
-
-    async def readline(self) -> bytes | None:
-        """Next line (newline kept), ``b""`` at EOF, ``None`` if oversized."""
-        while True:
-            nl = self._buf.find(b"\n")
-            if nl >= 0:
-                line = bytes(self._buf[: nl + 1])
-                del self._buf[: nl + 1]
-                return None if nl > self._max else line
-            if len(self._buf) > self._max:
-                del self._buf[:]
-                if await self._skip_to_newline():
-                    return None
-                return b""  # EOF inside the oversized line: session over
-            if self._eof:
-                line = bytes(self._buf)  # a final unterminated line, or b""
-                del self._buf[:]
-                return line
-            chunk = await self._reader.read(65536)
-            if not chunk:
-                self._eof = True
-            else:
-                self._buf.extend(chunk)
-
-    async def _skip_to_newline(self) -> bool:
-        """Drop the rest of an oversized line; False when EOF comes first."""
-        while True:
-            chunk = await self._reader.read(65536)
-            if not chunk:
-                self._eof = True
-                return False
-            nl = chunk.find(b"\n")
-            if nl >= 0:
-                self._buf.extend(chunk[nl + 1:])
-                return True
 
 
 def parse_hostport(spec: str, *, default_host: str = "127.0.0.1") -> tuple[str, int]:
@@ -163,30 +117,269 @@ def parse_hostport(spec: str, *, default_host: str = "127.0.0.1") -> tuple[str, 
     return host, number
 
 
-@dataclass
-class _Connection:
-    """Per-client state shared by the reader/dispatcher/writer tasks."""
+class _Session(asyncio.BufferedProtocol):
+    """One connection: line assembly in one receive buffer, and the state
+    the dispatcher and the writer task share.
 
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    intake: deque = field(default_factory=deque)
-    #: ordered responses: ("map", header, afut, tenant) | ("ready", dict)
-    #: | ("metrics",) | ("mutation", op, message) | ("drain",)
-    pending: asyncio.Queue = field(default_factory=asyncio.Queue)
-    outstanding: int = 0  # dispatched maps not yet written
-    resume_read: asyncio.Event = field(default_factory=asyncio.Event)
-    mapped: int = 0
-    errors: int = 0
-    rejected: int = 0
-    closed: bool = False
-    #: a mutation of this session is queued or running: nothing behind it
-    #: is read or dispatched until its reply is out
-    held: bool = False
+    The transport receives into :meth:`get_buffer`'s views of one
+    anonymous :class:`mmap.mmap` of :data:`RECV_BUFFER_BYTES` (its pages
+    are touched only as bytes arrive, where a ``bytearray`` is zeroed
+    whole), which grows only while a
+    single line is longer than it (up to ``max_line_bytes``) and shrinks
+    back once that line is parsed; each complete line is copied out once,
+    as the ``bytes`` ``json.loads`` reads.  Lines are parsed as they
+    arrive, until one of three things holds the session: a mutation or
+    admin op it has queued and not yet answered (the barrier), ``max_pending``
+    unanswered maps, or a reply of its own waiting for the transport to
+    drain.  While held the session parses nothing and the transport reads
+    nothing, so TCP pushes back on the client.
+    """
+
+    def __init__(self, frontend: NetFrontend) -> None:
+        self._frontend = frontend
+        self._limit = frontend.max_line_bytes
+        self._buf = mmap.mmap(-1, RECV_BUFFER_BYTES)
+        self._view = memoryview(self._buf)
+        self._start = 0  # first byte not yet parsed
+        self._end = 0  # end of the received bytes
+        self._discarding = False  # inside an oversized line, until its newline
+        self._eof = False
+        self._ended = False  # input over: `drain` op, EOF, idle timeout or loss
+        self._capped = False  # max_pending unanswered maps (until half answered)
+        self._reply_wait = False  # a reply of the parser's own waits for a drain
+        self._write_paused = False
+        self._drain_waiter: asyncio.Future | None = None
+        self._idle: asyncio.TimerHandle | None = None
+        self._waiting_since = 0.0
+        self.transport: asyncio.Transport | None = None
+        self.closed_future: asyncio.Future | None = None
+        self.intake: deque = deque()
+        #: ordered responses: ("map", header, afut, tenant) | ("ready", dict)
+        #: | ("metrics",) | ("mutation", op, message) | ("drain",)
+        self.pending: asyncio.Queue = asyncio.Queue()
+        self.outstanding = 0  # dispatched maps not yet written
+        self.mapped = 0
+        self.errors = 0
+        self.rejected = 0
+        self.closed = False  # the dispatcher has taken this session's drain
+        #: a mutation or admin op of this session is queued or running:
+        #: nothing behind it is parsed until its reply is out
+        self.held = False
+
+    # -- asyncio protocol callbacks -------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        loop = asyncio.get_running_loop()
+        self._loop = loop
+        self.closed_future = loop.create_future()
+        self._frontend._open(self)
+        self._arm_idle()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._end - self._start == len(self._buf):  # one unfinished line fills it
+            self._move(min(2 * len(self._buf), self._limit + 1))
+        elif self._start:  # the unfinished line goes to the front
+            self._move(len(self._buf))
+        return self._view[self._end :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._ended:  # nothing more is read: drop what still arrives
+            return
+        self._end += nbytes
+        self._parse()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._parse()
+        return True  # keep the transport open: replies still go out
+
+    def connection_lost(self, exc) -> None:
+        self._end_input()
+        self._wake_drain()
+        if not self.closed_future.done():
+            self.closed_future.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._wake_drain()
+        if self._reply_wait:
+            self._reply_wait = False
+            self._resume()
+
+    # -- line assembly --------------------------------------------------------
+
+    def _move(self, size: int) -> None:
+        """Put the unparsed bytes at the front of a buffer of ``size``."""
+        kept = self._end - self._start
+        if size != len(self._buf):
+            buf = mmap.mmap(-1, size)
+            buf[:kept] = self._view[self._start : self._end]
+            self._buf, self._view = buf, memoryview(buf)
+        elif kept:
+            self._buf[:kept] = bytes(self._view[self._start : self._end])
+        self._start, self._end = 0, kept
+
+    def _blocked(self) -> bool:
+        return self._ended or self.held or self._capped or self._reply_wait
+
+    def _parse(self) -> None:
+        """Handle every complete line in the buffer, until the session is held;
+        at EOF, then the final unterminated line, then the end of input.  A
+        buffer grown for a long line shrinks back as soon as that line is
+        parsed: a held session reads nothing, so it would keep it through
+        the mutation it waits on."""
+        self._parse_lines()
+        if len(self._buf) > RECV_BUFFER_BYTES and self._end - self._start < RECV_BUFFER_BYTES:
+            self._move(RECV_BUFFER_BYTES)
+
+    def _parse_lines(self) -> None:
+        parsed = False
+        while not self._blocked():
+            nl = self._buf.find(b"\n", self._start, self._end)
+            if self._discarding:
+                if nl < 0:
+                    self._start = self._end = 0
+                    break
+                self._start = nl + 1
+                self._discarding = False
+                self._reply(_error(f"line too long: limit is {self._limit} bytes"))
+                continue
+            if nl < 0:
+                if self._end - self._start > self._limit:
+                    # no newline within the limit: drop the line up to its end
+                    self._discarding = True
+                    self._start = self._end = 0
+                break
+            line = bytes(self._view[self._start : nl])
+            too_long = nl - self._start > self._limit
+            self._start = nl + 1
+            parsed = True
+            if too_long:
+                self._reply(_error(f"line too long: limit is {self._limit} bytes"))
+            else:
+                self._line(line)
+        if self._blocked():
+            if not self._ended and not self._eof:
+                self.transport.pause_reading()
+            return
+        if self._eof:  # a final unterminated line, then EOF = implicit drain
+            if not self._discarding and self._end > self._start:
+                line = bytes(self._view[self._start : self._end])
+                self._start = self._end = 0
+                self._line(line)
+            self._end_input()
+        elif parsed:
+            self._waiting_since = self._loop.time()
+
+    def _line(self, line: bytes) -> None:
+        line = line.strip()
+        if not line:
+            return
+        try:
+            message = json.loads(line)
+            op = message.get("op", "map")
+        except (json.JSONDecodeError, AttributeError, UnicodeDecodeError) as exc:
+            self._reply(_error(f"bad request line: {exc}"))
+            return
+        if op == "health":
+            # immediate, off the ordered path: probes never queue
+            self._reply({"op": "health", **self._frontend.backend.healthz()})
+        elif op == "drain":
+            self._end_input()
+        elif op in _ORDERED_OPS:
+            if op in MUTATION_OPS or op in ADMIN_OPS:
+                self.held = True  # the barrier: parse nothing behind it
+            self.intake.append(("msg", message))
+            self._frontend._dispatch_wake.set()
+        else:
+            self._reply(_error(f"unknown op {op!r}"))
+
+    def _reply(self, obj: dict) -> None:
+        """Answer off the ordered path; parse nothing more until it drains."""
+        self.send_json(obj)
+        if self._write_paused:
+            self._reply_wait = True
+
+    def _end_input(self) -> None:
+        if self._ended:
+            return
+        self._ended = True
+        self._start = self._end = 0  # nothing more is parsed
+        if self._idle is not None:
+            self._idle.cancel()
+            self._idle = None
+        self.intake.append(("drain",))
+        self._frontend._dispatch_wake.set()
+
+    # -- holds and the idle deadline ------------------------------------------
+
+    def cap(self) -> None:
+        """``max_pending`` unanswered maps: stop reading."""
+        self._capped = True
+        if not self._eof and not self._ended:
+            self.transport.pause_reading()
+
+    def uncap(self) -> None:
+        if self._capped:
+            self._capped = False
+            self._resume()
+
+    def release(self) -> None:
+        """The barrier's reply is out: parse and read on."""
+        self.held = False
+        self._resume()
+
+    def _resume(self) -> None:
+        if self._blocked():
+            return
+        self._parse()
+        if not self._blocked():
+            if not self._eof:
+                self.transport.resume_reading()
+            self._arm_idle()
+
+    def _arm_idle(self) -> None:
+        self._waiting_since = self._loop.time()
+        if self._idle is None:
+            self._idle = self._loop.call_at(
+                self._waiting_since + self._frontend.idle_timeout_s, self._on_idle
+            )
+
+    def _on_idle(self) -> None:
+        """Slow-loris: no complete line within the idle timeout of the
+        session's last one (time held does not count) — cut it loose."""
+        self._idle = None
+        if self._blocked() or self._eof:
+            return  # _resume re-arms
+        timeout = self._frontend.idle_timeout_s
+        due = self._waiting_since + timeout
+        if self._loop.time() < due:
+            self._idle = self._loop.call_at(due, self._on_idle)
+            return
+        self.send_json(_error(f"idle timeout: no complete request line in {timeout:g}s"))
+        self._end_input()
+
+    # -- writing ----------------------------------------------------------------
 
     def send_json(self, obj: dict) -> None:
-        # whole lines only: StreamWriter.write is a synchronous buffer
-        # append, so health replies interleave safely with the writer task
-        self.writer.write((json.dumps(obj) + "\n").encode("utf-8"))
+        # whole lines only: off-path replies interleave safely with the
+        # writer task's
+        self.transport.write((json.dumps(obj) + "\n").encode("utf-8"))
+
+    def _wake_drain(self) -> None:
+        if self._drain_waiter is not None and not self._drain_waiter.done():
+            self._drain_waiter.set_result(None)
+        self._drain_waiter = None
+
+    async def drain(self) -> None:
+        """Wait until the transport takes more (or the connection is gone)."""
+        if self._write_paused and not self.closed_future.done():
+            self._drain_waiter = self._loop.create_future()
+            await self._drain_waiter
 
 
 class NetFrontend:
@@ -228,7 +421,7 @@ class NetFrontend:
         self.address: tuple[str, int] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._handlers: set[asyncio.Task] = set()
-        self._connections: list[_Connection] = []
+        self._connections: list[_Session] = []
         self._tenant_inflight: dict[str, int] = {}
         self._dispatch_wake = asyncio.Event()
         self._dispatcher: asyncio.Task | None = None
@@ -237,8 +430,8 @@ class NetFrontend:
 
     async def start(self) -> tuple[str, int]:
         """Bind and start serving; returns the actual (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Session(self), self.host, self.port
         )
         self.address = self._server.sockets[0].getsockname()[:2]
         self._dispatcher = asyncio.create_task(
@@ -253,7 +446,7 @@ class NetFrontend:
             await self._server.wait_closed()
         for conn in list(self._connections):
             with contextlib.suppress(Exception):
-                conn.writer.close()  # readers see EOF, sessions drain out
+                conn.transport.close()  # input ends, sessions drain out
         if self._handlers:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(
@@ -267,79 +460,20 @@ class NetFrontend:
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        conn = _Connection(reader=reader, writer=writer)
-        conn.resume_read.set()
+    def _open(self, conn: _Session) -> None:
+        """A new connection: its writer task, the session's lifetime."""
         self._connections.append(conn)
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        writer_task = asyncio.create_task(self._write_loop(conn))
+        task = asyncio.get_running_loop().create_task(self._session(conn))
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
+
+    async def _session(self, conn: _Session) -> None:
         try:
-            await self._read_loop(conn)
+            await self._write_loop(conn)
         finally:
-            conn.intake.append(("drain",))
-            self._dispatch_wake.set()
-            await writer_task
             self._connections.remove(conn)
-            with contextlib.suppress(ConnectionError):
-                conn.writer.close()
-                await conn.writer.wait_closed()
-
-    async def _read_loop(self, conn: _Connection) -> None:
-        lines = _LineReader(conn.reader, self.max_line_bytes)
-        while True:
-            await conn.resume_read.wait()  # pending-cap backpressure
-            try:
-                line = await asyncio.wait_for(lines.readline(), self.idle_timeout_s)
-            except asyncio.TimeoutError:
-                # slow-loris: the client held the connection without ever
-                # completing a request line — cut it loose
-                conn.send_json(_error(
-                    "idle timeout: no complete request line in "
-                    f"{self.idle_timeout_s:g}s"
-                ))
-                await self._drain_writer(conn)
-                return
-            except ConnectionError:
-                return
-            if line is None:  # oversized, already discarded to its newline
-                conn.send_json(_error(
-                    f"line too long: limit is {self.max_line_bytes} bytes"
-                ))
-                await self._drain_writer(conn)
-                continue
-            if not line:  # EOF = implicit drain
-                return
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                message = json.loads(line)
-                op = message.get("op", "map")
-            except (json.JSONDecodeError, AttributeError, UnicodeDecodeError) as exc:
-                conn.send_json(_error(f"bad request line: {exc}"))
-                continue
-            if op == "health":
-                # immediate, off the ordered path: probes never queue
-                conn.send_json({"op": "health", **self.backend.healthz()})
-                await self._drain_writer(conn)
-            elif op == "drain":
-                conn.intake.append(("drain",))
-                self._dispatch_wake.set()
-                return
-            elif op in _ORDERED_OPS:
-                conn.intake.append(("msg", message))
-                self._dispatch_wake.set()
-            else:
-                conn.send_json(_error(f"unknown op {op!r}"))
-                await self._drain_writer(conn)
-
-    @staticmethod
-    async def _drain_writer(conn: _Connection) -> None:
-        with contextlib.suppress(ConnectionError):
-            await conn.writer.drain()
+            conn.transport.close()
+            await conn.closed_future
 
     # -- fair dispatch -------------------------------------------------------
 
@@ -349,7 +483,7 @@ class NetFrontend:
             progressed = False
             for conn in list(self._connections):
                 for _ in range(self.fair_chunk):
-                    if not conn.intake or conn.closed or conn.held:
+                    if not conn.intake or conn.closed:
                         break
                     entry = conn.intake.popleft()
                     progressed = True
@@ -360,13 +494,10 @@ class NetFrontend:
                     self._dispatch_message(conn, entry[1])
             if not progressed:
                 self._dispatch_wake.clear()
-                if not any(
-                    c.intake for c in self._connections
-                    if not (c.closed or c.held)
-                ):
+                if not any(c.intake for c in self._connections if not c.closed):
                     await self._dispatch_wake.wait()
 
-    def _dispatch_message(self, conn: _Connection, message: dict) -> None:
+    def _dispatch_message(self, conn: _Session, message: dict) -> None:
         op = message.get("op", "map")
         if op == "ping":
             # ordered behind earlier maps: pong only after they are written
@@ -379,12 +510,10 @@ class NetFrontend:
         if op in MUTATION_OPS or op in ADMIN_OPS:
             # a barrier in this session's order: the writer runs it once
             # every earlier reply is out (those reads resolved on the old
-            # generation), and nothing behind it is read or dispatched
-            # until its own reply is (later reads see the new one).  Other
-            # sessions keep flowing; their in-flight maps keep the
-            # generation they captured.
-            conn.held = True
-            conn.resume_read.clear()
+            # generation), and the session parsed nothing behind it (it
+            # is held) until its own reply is out (later reads see the new
+            # one).  Other sessions keep flowing; their in-flight maps keep
+            # the generation they captured.
             conn.pending.put_nowait(("mutation", op, message))
             return
         header = {"id": message.get("id"), "name": message.get("name", "")}
@@ -424,7 +553,7 @@ class NetFrontend:
             self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
             conn.outstanding += 1
             if conn.outstanding >= self.max_pending:
-                conn.resume_read.clear()
+                conn.cap()
             conn.pending.put_nowait(("map", header, self._bridge(future), tenant))
             return
         conn.pending.put_nowait(("ready", refusal))
@@ -456,7 +585,7 @@ class NetFrontend:
 
     # -- ordered response writing --------------------------------------------
 
-    async def _write_loop(self, conn: _Connection) -> None:
+    async def _write_loop(self, conn: _Session) -> None:
         while True:
             entry = await conn.pending.get()
             if entry[0] == "drain":
@@ -478,9 +607,7 @@ class NetFrontend:
                     # in-band: a dead writer would hold the session forever
                     reply = _error(f"{type(exc).__name__}: {exc}", op=op)
                 conn.send_json(reply)
-                conn.held = False
-                conn.resume_read.set()
-                self._dispatch_wake.set()
+                conn.release()
             else:
                 _kind, header, afut, tenant = entry
                 try:
@@ -495,9 +622,9 @@ class NetFrontend:
                     0, self._tenant_inflight.get(tenant, 0) - 1
                 )
                 conn.outstanding -= 1
-                if conn.outstanding < self.max_pending // 2 and not conn.held:
-                    conn.resume_read.set()
-            await self._drain_writer(conn)
+                if conn.outstanding < self.max_pending // 2:
+                    conn.uncap()
+            await conn.drain()
         # the dispatcher queues "drain" last: nothing is pending behind it
         conn.send_json({
             "op": "drained",
@@ -506,4 +633,4 @@ class NetFrontend:
             "rejected": conn.rejected,
             "metrics": self.backend.metrics_snapshot(),
         })
-        await self._drain_writer(conn)
+        await conn.drain()

@@ -7,7 +7,7 @@ query-sketch content, and live metrics.  See
 ``docs/serving.md`` for the architecture and contracts.
 """
 
-from .cache import SketchCacheEntry, SketchLRUCache, read_content_key
+from .cache import SketchLRUCache, pack_entry, read_content_key, unpack_entry
 from .config import ServiceConfig
 from .metrics import (
     Counter,
@@ -31,7 +31,8 @@ __all__ = [
     "Gauge",
     "LatencyHistogram",
     "SketchLRUCache",
-    "SketchCacheEntry",
+    "pack_entry",
+    "unpack_entry",
     "read_content_key",
     "AdmissionQueue",
     "MapFuture",

@@ -8,7 +8,8 @@ repeated or duplicate reads — resubmissions, PCR/optical duplicates,
 overlapping client retries — skip sketching *and* table lookup entirely.
 Read names are deliberately not part of the key: two differently named
 reads with identical sequence share one entry (the cached value stores
-per-segment subject/hit pairs; names are re-attached on the way out).
+per-segment subject/hit pairs, packed into one int by :func:`pack_entry`;
+names are re-attached on the way out).
 
 Results are identical with or without the cache by construction: the
 cached value *is* the mapping the compute path produced for the same
@@ -27,7 +28,7 @@ try:  # the same type ``hashlib`` re-exports, without loading OpenSSL
 except ImportError:  # pragma: no cover - interpreters without the module
     from hashlib import blake2b
 
-__all__ = ["SketchCacheEntry", "SketchLRUCache", "read_content_key"]
+__all__ = ["SketchLRUCache", "pack_entry", "read_content_key", "unpack_entry"]
 
 
 def read_content_key(prefix_codes: np.ndarray, suffix_codes: np.ndarray) -> bytes:
@@ -44,41 +45,44 @@ def read_content_key(prefix_codes: np.ndarray, suffix_codes: np.ndarray) -> byte
     return h.digest()
 
 
-class SketchCacheEntry:
-    """Cached mapping of one read's (prefix, suffix) segment pair."""
+#: One of an entry's four 32-bit fields: a subject id plus one (-1 is
+#: unmapped) or a hit count.
+_FIELD_MASK = (1 << 32) - 1
 
-    __slots__ = ("prefix_subject", "prefix_hits", "suffix_subject", "suffix_hits")
 
-    def __init__(
-        self,
-        prefix_subject: int,
-        prefix_hits: int,
-        suffix_subject: int,
-        suffix_hits: int,
-    ) -> None:
-        self.prefix_subject = int(prefix_subject)
-        self.prefix_hits = int(prefix_hits)
-        self.suffix_subject = int(suffix_subject)
-        self.suffix_hits = int(suffix_hits)
+def pack_entry(prefix_subject: int, prefix_hits: int, suffix_subject: int, suffix_hits: int) -> int:
+    """One read's (prefix, suffix) mapping as one int: the cached value.
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SketchCacheEntry) and (
-            self.prefix_subject, self.prefix_hits,
-            self.suffix_subject, self.suffix_hits,
-        ) == (
-            other.prefix_subject, other.prefix_hits,
-            other.suffix_subject, other.suffix_hits,
-        )
+    Subjects run from -1 (unmapped) to 2**31 - 1 and hit counts from 0 to
+    the trial count, so each field fits in 32 bits; one int costs a cache
+    entry a fraction of an object with four attributes.
+    """
+    return (
+        (prefix_subject + 1) << 96 | prefix_hits << 64
+        | (suffix_subject + 1) << 32 | suffix_hits
+    )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SketchCacheEntry(prefix=({self.prefix_subject}, {self.prefix_hits}), "
-            f"suffix=({self.suffix_subject}, {self.suffix_hits}))"
-        )
+
+def unpack_entry(packed: int) -> tuple[int, int, int, int]:
+    """(prefix subject, prefix hits, suffix subject, suffix hits) of :func:`pack_entry`."""
+    return (
+        (packed >> 96) - 1,
+        packed >> 64 & _FIELD_MASK,
+        (packed >> 32 & _FIELD_MASK) - 1,
+        packed & _FIELD_MASK,
+    )
+
+
+def pack_entries(subject: np.ndarray, hit_count: np.ndarray) -> list[int]:
+    """:func:`pack_entry` of each read of a two-rows-per-read mapping block
+    (prefix row first), straight from its ``subject`` and ``hit_count``."""
+    words = (subject + 1).astype(np.uint64) << np.uint64(32) | hit_count.astype(np.uint64)
+    return [p << 64 | s for p, s in zip(words[0::2].tolist(), words[1::2].tolist())]
 
 
 class SketchLRUCache:
-    """Bounded least-recently-used map from content key to cached mapping.
+    """Bounded least-recently-used map from content key to cached mapping
+    (a :func:`pack_entry` int).
 
     ``capacity=0`` disables the cache (every ``get`` misses, ``put`` is a
     no-op) so the service code path stays branch-free.  Thread-safe; hit
@@ -89,7 +93,7 @@ class SketchLRUCache:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
-        self._entries: OrderedDict[bytes, SketchCacheEntry] = OrderedDict()
+        self._entries: OrderedDict[bytes, int] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -99,7 +103,7 @@ class SketchLRUCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: bytes) -> SketchCacheEntry | None:
+    def get(self, key: bytes) -> int | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -109,7 +113,7 @@ class SketchLRUCache:
             self.hits += 1
             return entry
 
-    def put(self, key: bytes, entry: SketchCacheEntry) -> None:
+    def put(self, key: bytes, entry: int) -> None:
         if self.capacity == 0:
             return
         with self._lock:

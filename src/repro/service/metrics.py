@@ -13,8 +13,8 @@ observability contract (see ``docs/serving.md``).
 from __future__ import annotations
 
 import json
+import math
 import threading
-from collections import deque
 from collections.abc import Sequence
 
 import numpy as np
@@ -89,19 +89,58 @@ class Gauge:
             return self._value
 
 
+def percentile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile(ordered, q)`` of a sorted, non-empty float64 array.
+
+    numpy's default ``linear`` rule, step for step: the virtual index
+    ``(n - 1) * q / 100``, its floor and the next index (both the last one
+    at or past the top), and ``_lerp``'s two-sided form, so the result is
+    bit for bit numpy's.  ``np.percentile`` itself calls ``np.unique``,
+    which imports ``numpy.ma`` (≈ 1.25 MB) into the process that first asks
+    for a snapshot.
+    """
+    n = ordered.size
+    virtual = (n - 1) * (q / 100)
+    lo = math.floor(virtual)
+    hi = lo + 1
+    if virtual >= n - 1:
+        lo = hi = -1
+    gamma = virtual - lo
+    a, b = float(ordered[lo]), float(ordered[hi])
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
+def _summary(count: int, total: float, lo: float, hi: float, reservoir: np.ndarray) -> dict:
+    """A histogram snapshot: exact totals, quantiles of the reservoir."""
+    if count == 0:
+        return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
+                **{key: 0.0 for _, key in QUANTILES}}
+    ordered = np.sort(reservoir)
+    return {
+        "count": count,
+        "sum": total,
+        "mean": total / count,
+        "min": lo,
+        "max": hi,
+        **{key: percentile(ordered, q) for q, key in QUANTILES},
+    }
+
+
 class LatencyHistogram:
     """Quantile summary over a bounded reservoir of observations.
 
-    Keeps the most recent ``window`` observations (count/sum/min/max are
-    exact over the full stream) and computes p50/p95/p99 from the
-    reservoir at snapshot time — accurate for the service's steady-state
-    distributions without unbounded memory.
+    Keeps the most recent ``window`` observations in a ``float64`` ring
+    (count/sum/min/max are exact over the full stream) and computes
+    p50/p95/p99 from the reservoir at snapshot time — accurate for the
+    service's steady-state distributions without unbounded memory.
     """
 
     def __init__(self, window: int = WINDOW) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        self._recent: deque[float] = deque(maxlen=window)
+        self._ring = np.empty(window, dtype=np.float64)
+        self._head = 0  # where the next observation goes
         self._count = 0
         self._sum = 0.0
         self._min = float("inf")
@@ -111,22 +150,49 @@ class LatencyHistogram:
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            self._recent.append(value)
+            self._ring[self._head] = value
+            self._head = (self._head + 1) % self._ring.size
             self._count += 1
             self._sum += value
             self._min = min(self._min, value)
             self._max = max(self._max, value)
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each of ``values`` in order, under one lock: the
+        same reservoir and the same count, sum, min and max."""
+        values = [float(v) for v in values]
+        if not values:
+            return
+        window = self._ring.size
+        with self._lock:
+            total = self._sum
+            for value in values:  # in order, as the per-value loop adds them
+                total += value
+            self._sum = total
+            self._count += len(values)
+            self._min = min(self._min, min(values))
+            self._max = max(self._max, max(values))
+            tail = values[-window:]
+            head = self._head
+            split = min(len(tail), window - head)
+            self._ring[head : head + split] = tail[:split]
+            self._ring[: len(tail) - split] = tail[split:]
+            self._head = (head + len(tail)) % window
 
     @property
     def count(self) -> int:
         with self._lock:
             return self._count
 
-    def _state(self) -> tuple[int, float, float, float, list[float]]:
-        """Consistent (count, sum, min, max, reservoir) under the lock."""
+    def _state(self) -> tuple[int, float, float, float, np.ndarray]:
+        """Consistent (count, sum, min, max, reservoir) under the lock; the
+        reservoir is a copy, oldest observation first."""
         with self._lock:
-            return (self._count, self._sum, self._min, self._max,
-                    list(self._recent))
+            if self._count < self._ring.size:
+                recent = self._ring[: self._count].copy()
+            else:
+                recent = np.roll(self._ring, -self._head)
+            return self._count, self._sum, self._min, self._max, recent
 
     @staticmethod
     def merged_snapshot(histograms: Sequence["LatencyHistogram"]) -> dict:
@@ -143,45 +209,17 @@ class LatencyHistogram:
         states = [h._state() for h in histograms]
         count = sum(s[0] for s in states)
         if count == 0:
-            return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                    **{key: 0.0 for _, key in QUANTILES}}
-        total = sum(s[1] for s in states)
-        lo = min(s[2] for s in states if s[0])
-        hi = max(s[3] for s in states if s[0])
-        pooled = np.sort(np.concatenate(
-            [np.asarray(s[4], dtype=np.float64) for s in states if s[4]]
-        ))
-        quantiles = {key: float(np.percentile(pooled, q)) for q, key in QUANTILES}
-        return {
-            "count": count,
-            "sum": total,
-            "mean": total / count,
-            "min": lo,
-            "max": hi,
-            **quantiles,
-        }
+            return _summary(0, 0.0, 0.0, 0.0, np.empty(0))
+        return _summary(
+            count,
+            sum(s[1] for s in states),
+            min(s[2] for s in states if s[0]),
+            max(s[3] for s in states if s[0]),
+            np.concatenate([s[4] for s in states]),
+        )
 
     def snapshot(self) -> dict:
-        with self._lock:
-            count = self._count
-            total = self._sum
-            lo, hi = self._min, self._max
-            recent = list(self._recent)
-        if count == 0:
-            return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                    **{key: 0.0 for _, key in QUANTILES}}
-        values = np.sort(np.asarray(recent, dtype=np.float64))
-        quantiles = {
-            key: float(np.percentile(values, q)) for q, key in QUANTILES
-        }
-        return {
-            "count": count,
-            "sum": total,
-            "mean": total / count,
-            "min": lo,
-            "max": hi,
-            **quantiles,
-        }
+        return _summary(*self._state())
 
 
 class ServiceMetrics:

@@ -40,7 +40,7 @@ import numpy as np
 from ..core.config import JEMConfig
 from ..core.lsm import store_stats
 from ..core.mapper import JEMMapper, MappingResult, map_segment_batch
-from ..core.segments import PREFIX, SUFFIX, SegmentInfo, extract_end_segments
+from ..core.segments import PREFIX, SUFFIX, SegmentInfo
 from ..core.store import ColumnarSketchStore
 from ..errors import (
     DeadlineExceededError,
@@ -50,8 +50,8 @@ from ..errors import (
     ServiceOverloadError,
 )
 from ..seq.encode import encode
-from ..seq.records import SequenceSet, SequenceSetBuilder
-from .cache import SketchCacheEntry, SketchLRUCache, read_content_key
+from ..seq.records import SequenceSet
+from .cache import SketchLRUCache, pack_entries, read_content_key, unpack_entry
 from .config import ServiceConfig
 from .health import OPEN, CircuitBreaker
 from .metrics import ServiceMetrics
@@ -488,34 +488,40 @@ class MappingService:
 
     # -- batch execution (scheduler thread) ----------------------------------
 
-    def _resolve(
+    def _resolve_all(
         self,
-        request: _MapRequest,
-        entry: SketchCacheEntry,
+        resolved: list[tuple[_MapRequest, int]],
         view: _IndexView,
         *,
         cached: bool,
         degraded: bool = False,
     ) -> None:
-        mapping = ReadMapping(
-            name=request.name,
-            subject=(entry.prefix_subject, entry.suffix_subject),
-            hit_count=(entry.prefix_hits, entry.suffix_hits),
-            subject_names=(
-                view.label(entry.prefix_subject),
-                view.label(entry.suffix_subject),
-            ),
-            cached=cached,
-            degraded=degraded,
-        )
+        """Answer each (request, packed entry) of a batch: the metrics first,
+        one call each, then the futures."""
+        if not resolved:
+            return
+        replies = []
+        for request, packed in resolved:
+            prefix_subject, prefix_hits, suffix_subject, suffix_hits = unpack_entry(packed)
+            replies.append(ReadMapping(
+                name=request.name,
+                subject=(prefix_subject, suffix_subject),
+                hit_count=(prefix_hits, suffix_hits),
+                subject_names=(view.label(prefix_subject), view.label(suffix_subject)),
+                cached=cached,
+                degraded=degraded,
+            ))
         now = time.perf_counter()
-        self.metrics.responses_total.inc()
-        self.metrics.reads_mapped_total.inc()
-        self.metrics.request_latency.observe(now - request.t_submit)
-        self.metrics.inflight.add(-1)
-        # resolved last: a snapshot taken once the reply is out (the
-        # protocol's ``metrics`` / ``drained``) already counts this read
-        request.future.set_result(mapping)
+        self.metrics.responses_total.inc(len(resolved))
+        self.metrics.reads_mapped_total.inc(len(resolved))
+        self.metrics.request_latency.observe_many(
+            [now - request.t_submit for request, _ in resolved]
+        )
+        self.metrics.inflight.add(-len(resolved))
+        # resolved last: a snapshot taken once a reply is out (the
+        # protocol's ``metrics`` / ``drained``) already counts its read
+        for (request, _), mapping in zip(resolved, replies):
+            request.future.set_result(mapping)
 
     def _fail(self, request: _MapRequest, exc: BaseException) -> None:
         self.metrics.errors_total.inc()
@@ -542,26 +548,30 @@ class MappingService:
             )
         )
 
-    @staticmethod
-    def _entries(result: MappingResult) -> list[SketchCacheEntry]:
-        """Per-read cache entries from a 2-segments-per-read mapping block."""
-        subjects = result.subject.tolist()
-        hits = result.hit_count.tolist()
-        return [
-            SketchCacheEntry(
-                prefix_subject=subjects[j],
-                prefix_hits=hits[j],
-                suffix_subject=subjects[j + 1],
-                suffix_hits=hits[j + 1],
-            )
-            for j in range(0, len(subjects), 2)
-        ]
+    def _segments_of(self, requests: list[_MapRequest]) -> SequenceSet:
+        """The batch's end segments, two a read, straight from the queued codes.
 
-    def _reads_of(self, requests: list[_MapRequest]) -> SequenceSet:
-        builder = SequenceSetBuilder()
+        :meth:`submit` keeps at most a read's two ℓ-code ends, so a read of
+        2ℓ codes already is its prefix then its suffix, back to back; a
+        shorter one gives ``min(ℓ, n)`` codes from each end (below ℓ, the
+        whole read twice) — :func:`~repro.core.segments.extract_end_segments`'
+        segments, without its names, metas and infos, which S4 never reads.
+        """
+        ell = self.jem_config.ell
+        pieces: list[np.ndarray] = []
+        ends: list[int] = []
         for request in requests:
-            builder.add(request.name, request.codes)
-        return builder.build()
+            codes = request.codes
+            end = min(ell, codes.size)
+            if codes.size == 2 * end:  # the two ends, back to back
+                pieces.append(codes)
+            else:
+                pieces += (codes[:end], codes[codes.size - end :])
+            ends.append(end)
+        offsets = np.zeros(2 * len(ends) + 1, dtype=np.int64)
+        np.cumsum(np.repeat(ends, 2), out=offsets[1:])
+        unnamed = [""] * (2 * len(ends))
+        return SequenceSet(np.concatenate(pieces), offsets, unnamed, [{}] * len(unnamed))
 
     @property
     def shed_level(self) -> int:
@@ -579,7 +589,7 @@ class MappingService:
 
     def _map_degraded(
         self, requests: list[_MapRequest], view: _IndexView
-    ) -> list[SketchCacheEntry]:
+    ) -> list[int]:
         """Best-effort reduced-trial mapping — the open-breaker fallback.
 
         Uses the first :meth:`degraded_trials` trials of the batch's index
@@ -593,7 +603,6 @@ class MappingService:
         full-trial call keeps failing.
         Results are never cached — they are lower-sensitivity answers.
         """
-        reads = self._reads_of(requests)
         cfg = self.jem_config
         t_eff = self.degraded_trials()
         degraded = self._degraded_view
@@ -609,26 +618,26 @@ class MappingService:
             self._degraded_view = degraded
         _, table, family = degraded
         min_hits = max(1, (cfg.min_hits * t_eff) // cfg.trials)
-        segments, _ = extract_end_segments(reads, cfg.ell)
         result = map_segment_batch(
-            table, segments, replace(cfg, trials=t_eff, min_hits=min_hits), family
+            table, self._segments_of(requests),
+            replace(cfg, trials=t_eff, min_hits=min_hits), family,
         )
-        return self._entries(result)
+        return pack_entries(result.subject, result.hit_count)
 
     def _map_misses(
         self, requests: list[_MapRequest], view: _IndexView
-    ) -> list[SketchCacheEntry]:
-        """Map uncached reads: one S4 call over the batch, one entry per read.
+    ) -> list[int]:
+        """Map uncached reads: one S4 call over the batch, one packed entry
+        (:func:`~repro.service.cache.pack_entry`) per read.
 
         Exactly :meth:`JEMMapper.map_segments` over the batch's view — the
         fused native kernel when the view's store is columnar (or a clean
         single-segment generation, which delegates to its segment).
         """
-        cfg = self.jem_config
-        segments, _ = extract_end_segments(self._reads_of(requests), cfg.ell)
-        return self._entries(
-            map_segment_batch(view.table, segments, cfg, self._family)
+        result = map_segment_batch(
+            view.table, self._segments_of(requests), self.jem_config, self._family
         )
+        return pack_entries(result.subject, result.hit_count)
 
     def _process_batch(self, batch: list[_MapRequest]) -> None:
         t0 = time.perf_counter()
@@ -644,13 +653,12 @@ class MappingService:
         if not batch:
             return
         self.metrics.batch_size.observe(len(batch))
-        for request in batch:
-            self.metrics.queue_wait.observe(t0 - request.t_submit)
+        self.metrics.queue_wait.observe_many([t0 - request.t_submit for request in batch])
         # the whole batch runs against one index generation, captured here:
         # lookups, labels, and cache traffic all go through this view, so a
         # concurrent mutation never mixes generations within a response
         view = self._view
-        hits: list[tuple[_MapRequest, SketchCacheEntry]] = []
+        hits: list[tuple[_MapRequest, int]] = []
         misses: list[_MapRequest] = []
         for request in batch:
             entry = self.cache.get(view.prefix + request.key)
@@ -660,7 +668,7 @@ class MappingService:
             else:
                 self.metrics.cache_misses_total.inc()
                 misses.append(request)
-        mapped: list[SketchCacheEntry] = []
+        mapped: list[int] = []
         degraded = False
         if misses:
             if self._breaker.decide() == "degraded":
@@ -677,10 +685,8 @@ class MappingService:
         self.metrics.map_latency.observe(time.perf_counter() - t0)
         self.metrics.batches_total.inc()
         self.metrics.cache_size.set(len(self.cache))
-        for request, entry in hits:
-            self._resolve(request, entry, view, cached=True)
-        for request, entry in zip(misses, mapped):
-            self._resolve(request, entry, view, cached=False, degraded=degraded)
+        self._resolve_all(hits, view, cached=True)
+        self._resolve_all(list(zip(misses, mapped)), view, cached=False, degraded=degraded)
         elapsed = time.perf_counter() - t0
         alpha = 0.3
         per_read = elapsed / len(batch)

@@ -185,3 +185,30 @@ def test_map_file_fasta_asks_for_blocks_lazily(tmp_path, monkeypatch, mapper, cl
     assert asked_per_batch == sorted(asked_per_batch)
     assert asked_per_batch[-1] == n_blocks + 1  # the last read returns b""
     assert np.array_equal(np.concatenate(subjects), mapper.map_reads(clean_reads).subject)
+
+
+@pytest.mark.parametrize("checkpointed", [False, True], ids=["plain", "unit"])
+def test_a_mapped_batch_is_dead_once_the_next_is_built(tmp_path, monkeypatch, mapper, clean_reads, checkpointed):
+    """``map_file`` holds no batch while the reader builds the next one:
+    batch k's buffer is gone when batch k+1 is made, plain or through a
+    checkpoint ``unit``."""
+    path = tmp_path / "reads.fasta"
+    write_fasta(path, clean_reads)
+    file_batches, made = streaming.iter_file_batches, []
+
+    def tracked(*args, **kwargs):
+        batches = file_batches(*args, **kwargs)
+        while True:
+            assert all(ref() is None for ref in made), f"batch {len(made) - 1} outlives its mapping"
+            held = [next(batches, None)]
+            if held[0] is None:
+                return
+            made.append(weakref.ref(held[0].buffer))
+            yield held.pop()
+
+    monkeypatch.setattr(streaming, "iter_file_batches", tracked)
+    unit = (lambda k, map_batch: map_batch()) if checkpointed else None
+    results = list(map_file(mapper, str(path), ell=CFG.ell, batch_bases=10_000, unit=unit))
+    assert len(made) == len(results) > 3
+    bulk = mapper.map_reads(clean_reads)
+    assert np.array_equal(np.concatenate([r.subject for r in results]), bulk.subject)

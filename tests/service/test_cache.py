@@ -5,11 +5,44 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.service import SketchCacheEntry, SketchLRUCache, read_content_key
+from repro.service import SketchLRUCache, pack_entry, read_content_key, unpack_entry
+from repro.service.cache import pack_entries
 
 
-def entry(n: int) -> SketchCacheEntry:
-    return SketchCacheEntry(n, n + 1, n + 2, n + 3)
+def entry(n: int) -> int:
+    return pack_entry(n, n + 1, n + 2, n + 3)
+
+
+class TestPackedEntry:
+    """A cached mapping is one int: every field survives the round trip."""
+
+    TRIALS = 64
+
+    def test_fields_round_trip_at_their_bounds(self):
+        subjects = (-1, 0, 1, 2**31 - 2, 2**31 - 1)
+        for prefix in subjects:
+            for suffix in subjects:
+                for hits in range(self.TRIALS + 1):
+                    fields = (prefix, hits, suffix, self.TRIALS - hits)
+                    assert unpack_entry(pack_entry(*fields)) == fields
+
+    def test_entries_packed_from_result_arrays_equal_the_per_read_pack(self):
+        rng = np.random.default_rng(7)
+        subject = rng.integers(-1, 2**31, size=2 * 50)
+        subject[:4] = (-1, 2**31 - 1, 2**31 - 1, -1)
+        hits = rng.integers(0, self.TRIALS + 1, size=subject.size)
+        hits[:4] = (0, self.TRIALS, 0, self.TRIALS)
+        packed = pack_entries(subject, hits)
+        assert packed == [
+            pack_entry(int(subject[j]), int(hits[j]), int(subject[j + 1]), int(hits[j + 1]))
+            for j in range(0, subject.size, 2)
+        ]
+        assert all(type(p) is int for p in packed)
+
+    def test_an_unmapped_read_is_a_hit_not_a_miss(self):
+        cache = SketchLRUCache(2)
+        cache.put(b"k", pack_entry(-1, 0, -1, 0))  # packs to 0
+        assert cache.get(b"k") == 0 and cache.hits == 1
 
 
 class TestContentKey:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.service import Counter, Gauge, LatencyHistogram, ServiceMetrics
+from repro.service.metrics import QUANTILES, percentile
 
 
 class TestCounter:
@@ -81,3 +84,116 @@ class TestServiceMetrics:
         m.cache_hits_total.inc(3)
         m.cache_misses_total.inc(1)
         assert m.cache_hit_ratio == pytest.approx(0.75)
+
+
+class TestReservoir:
+    """The float64 ring keeps what a ``deque(maxlen=window)`` of the same
+    observations keeps, and its quantiles are ``np.percentile``'s."""
+
+    def test_percentile_is_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 5_001):
+            values = np.sort(rng.lognormal(-7.0, 1.5, size=n))
+            if n % 7 == 0:  # ties, zeros and a constant run
+                values = np.sort(np.round(values, 3))
+                values[: n // 2] = 0.0
+            for q, _ in QUANTILES:
+                assert percentile(values, q) == float(np.percentile(values, q)), (n, q)
+
+    @pytest.mark.parametrize("window", [1, 3, 16])
+    def test_ring_keeps_the_deques_window_across_wrap_around(self, window):
+        histogram, recent = LatencyHistogram(window=window), deque(maxlen=window)
+        for step in range(5 * window + 2):
+            histogram.observe(step * 0.25)
+            recent.append(step * 0.25)
+            assert histogram._state()[4].tolist() == list(recent)
+        snap = histogram.snapshot()
+        ordered = np.sort(np.asarray(recent))
+        for q, key in QUANTILES:
+            assert snap[key] == float(np.percentile(ordered, q))
+
+    @pytest.mark.parametrize("window", [1, 5, 64])
+    def test_observe_many_equals_the_observe_loop(self, window):
+        rng = np.random.default_rng(window)
+        batches = [rng.exponential(1e-3, size=int(k)).tolist() for k in rng.integers(0, 3 * window, 40)]
+        looped, batched = LatencyHistogram(window=window), LatencyHistogram(window=window)
+        for batch in batches:
+            for value in batch:
+                looped.observe(value)
+            batched.observe_many(batch)
+            a, b = looped._state(), batched._state()
+            assert a[:4] == b[:4]  # count, sum (added in order), min, max: exact
+            assert a[4].tolist() == b[4].tolist()
+        assert looped.snapshot() == batched.snapshot()
+
+    def test_merged_snapshot_quantiles_are_numpys_over_the_pooled_reservoirs(self):
+        rng = np.random.default_rng(3)
+        histograms = [LatencyHistogram(window=50) for _ in range(3)]
+        for h, n in zip(histograms, (0, 30, 120)):
+            h.observe_many(rng.exponential(size=n).tolist())
+        merged = LatencyHistogram.merged_snapshot(histograms)
+        pooled = np.sort(np.concatenate([h._state()[4] for h in histograms]))
+        assert pooled.size == 80 and merged["count"] == 150
+        for q, key in QUANTILES:
+            assert merged[key] == float(np.percentile(pooled, q))
+
+
+def test_a_served_metrics_reply_imports_no_numpy_ma(monkeypatch):
+    """``np.percentile`` imports ``numpy.ma`` (≈ 1.25 MB): a server that
+    answers ``metrics`` and ``drained`` — the quantiles of every histogram
+    — must not load it.  The server maps on the compiled kernels, as
+    ``jem serve`` does: the numpy route's own S4 calls ``np.unique``."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from repro.sketch import _native
+
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    if _native.load() is None:
+        pytest.skip("the compiled kernels are unavailable")
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = r'''
+import asyncio, json, random, socket, sys
+from repro import JEMConfig, JEMMapper
+from repro.netserve import NetFrontend, ReplicaSet, make_placement
+from repro.seq import SequenceSet
+
+rng = random.Random(5)
+genome = "".join(rng.choice("ACGT") for _ in range(20_000))
+contigs = SequenceSet.from_strings([(f"c{i}", genome[5_000 * i : 5_000 * (i + 1)]) for i in range(4)])
+config = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
+mapper = JEMMapper(config)
+mapper.index(contigs)
+fleet = ReplicaSet(mapper.table, mapper.subject_names, config, placement=make_placement("replicate", 1))
+requests = [{"op": "map", "id": i, "seq": genome[3_000 * i : 3_000 * i + 2_500]} for i in range(3)]
+payload = "".join(json.dumps(r) + "\n" for r in [*requests, {"op": "metrics"}]).encode()
+
+async def main():
+    frontend = NetFrontend(fleet)
+    address = await frontend.start()
+
+    def client():
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(payload)
+            sock.shutdown(socket.SHUT_WR)
+            return sock.makefile("rb").read()
+
+    raw = await asyncio.get_running_loop().run_in_executor(None, client)
+    await frontend.stop()
+    return raw
+
+replies = [json.loads(line) for line in asyncio.run(main()).splitlines()]
+fleet.drain()
+assert [r.get("op", "map") for r in replies] == ["map"] * 3 + ["metrics", "drained"], replies
+latency = replies[3]["aggregate"]["histograms"]["request_latency_seconds"]
+assert latency["count"] == 3 and latency["p99"] >= latency["p50"] > 0, latency
+sys.exit(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")) or 0)
+'''
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

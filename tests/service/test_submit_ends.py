@@ -71,3 +71,49 @@ def test_refusals_read_the_whole_payload(tiling_contigs, queued):
         with pytest.raises(SequenceError, match="one flat sequence, got a 2-d array"):
             service.submit("m", np.zeros((2, 2 * ELL), dtype=np.uint8))
     assert queued == []
+
+
+@pytest.mark.parametrize("route", ["p1", "p2", "no-native"])
+def test_a_served_batch_maps_as_its_extracted_end_segments(
+    tiling_contigs, small_genome, monkeypatch, route
+):
+    """A batch maps the queued codes as its segment buffer: reads below ℓ,
+    of ℓ..2ℓ and past 2ℓ bases (trimmed to their ends by ``submit``) get
+    the rows :func:`extract_end_segments` of the whole reads gets, one
+    batch cut over two threads or none, compiled or numpy."""
+    from repro.core.mapper import map_segment_batch
+    from repro.core.segments import extract_end_segments
+    from repro.service import ServiceConfig
+    from repro.sketch import _native
+
+    if route == "no-native":
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    else:
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", route[1:])
+        monkeypatch.setattr(_native, "MIN_THREAD_MAP_BASES", 64)  # worth a thread
+    sizes = [1, 13, ELL // 2, ELL - 1, ELL, ELL + 1, 3 * ELL // 2, 2 * ELL - 1,
+             2 * ELL, 2 * ELL + 1, 3 * ELL, 5_000]
+    starts = [1_517 * i % (small_genome.size - 5_000) for i in range(2 * len(sizes))]
+    reads = SequenceSet.from_records(
+        SequenceSet(small_genome[at : at + n].copy(), np.array([0, n]), [f"r{i}"])[0]
+        for i, (n, at) in enumerate(zip(sizes * 2, starts))
+    )
+    mapper = JEMMapper(CONFIG)
+    mapper.index(tiling_contigs)
+    segments, _ = extract_end_segments(reads, ELL)
+    want = map_segment_batch(mapper.table, segments, CONFIG, CONFIG.hash_family())
+    assert (want.subject >= 0).sum() > len(reads)  # most ends map
+
+    service = MappingService.from_contigs(
+        tiling_contigs, CONFIG, ServiceConfig(max_batch_size=len(reads), cache_capacity=0),
+        auto_start=False,
+    )
+    futures = [service.submit(reads.names[i], reads.codes_of(i)) for i in range(len(reads))]
+    service.start()  # one batch: every read was queued before the scheduler ran
+    got = [future.result(30) for future in futures]
+    service.drain()
+    assert service.metrics.batches_total.value == 1
+    assert [g.subject for g in got] == list(zip(want.subject[0::2].tolist(), want.subject[1::2].tolist()))
+    assert [g.hit_count for g in got] == list(
+        zip(want.hit_count[0::2].tolist(), want.hit_count[1::2].tolist())
+    )
