@@ -48,7 +48,13 @@ __all__ = [
 def ablation_topx(
     ctx: BenchContext, *, xs: tuple[int, ...] = (1, 2, 3, 5)
 ) -> ExperimentOutput:
-    """Recall@x on a repeat-rich input — the Section IV-C recovery claim."""
+    """Recall@x on a repeat-rich input — the Section IV-C recovery claim.
+
+    Top-x can only recover a segment whose true contig collides with it at
+    all, so the recall with every colliding candidate reported is its
+    ceiling (column ``all``): the gap that x can close is the one between
+    recall@1 and that ceiling, not the one to 100 %.
+    """
     name = ctx.pick(("human_chr7",))[0]
     ds = ctx.dataset(name)
     cfg = ctx.config
@@ -59,11 +65,18 @@ def ablation_topx(
     for x in xs:
         hits = mapper.map_segments_topx(segments, x=x)
         recalls.append(100 * recall_at_x(hits, bench))
+    x = xs[-1]
+    while (hits.subjects[:, -1] >= 0).any():  # some segment has more candidates
+        x *= 2
+        hits = mapper.map_segments_topx(segments, x=x)
+    ceiling = 100 * recall_at_x(hits, bench)
     text = render_series(
         f"Ablation — recall@x with top-x hit reporting on {name} (scale={ctx.scale:g})",
-        "x", xs, {"recall %": recalls}, fmt="{:.2f}",
+        "x", (*xs, "all"), {"recall %": [*recalls, ceiling]}, fmt="{:.2f}",
     )
-    return _finish(ctx, ExperimentOutput("ablation_topx", text, {"x": xs, "recall": recalls}))
+    return _finish(ctx, ExperimentOutput(
+        "ablation_topx", text, {"x": xs, "recall": recalls, "ceiling": ceiling}
+    ))
 
 
 def __prepare(ds, cfg):

@@ -13,8 +13,6 @@ they share):
 * :mod:`.serve` — ``serve`` is a long-lived mapping service speaking NDJSON
   over TCP (see ``docs/serving.md``); ``client`` drives one from a
   FASTA/FASTQ file and writes the same TSV as ``map``;
-* :mod:`.chaos` — ``chaos`` runs seeded kill-resume cycles against
-  ``index``/``map`` with output-parity verification (``docs/robustness.md``);
 * :mod:`.paper` — ``simulate`` writes a Table I dataset, ``eval`` measures
   quality on one, ``bench`` regenerates the paper's tables/figures and
   ``datasets`` lists the registry.
@@ -36,7 +34,7 @@ import sys
 
 from .. import __version__, _native_build
 from ..errors import ReproError
-from . import chaos, index, mapping, paper, serve
+from . import index, mapping, paper, serve
 
 __all__ = ["main", "build_parser"]
 
@@ -59,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     index.register(sub)
     mapping.register(sub)
     serve.register(sub)
-    chaos.register(sub)
     paper.register(sub)
     return parser
 

@@ -163,7 +163,7 @@ def _warn_skipped(report: ParseReport, path: str) -> None:
 
 def read_sequences(path: str, *, on_error: str = "raise") -> SequenceSet:
     """Load a whole FASTA or FASTQ file (by extension), with the shared
-    skip-warning: what `client`/`chaos` and `map --paf` use."""
+    skip-warning: what `client` and `map --paf` use."""
     report = ParseReport()
     builder = SequenceSetBuilder()
     for rec in iter_records(path, on_error=on_error, report=report):

@@ -55,7 +55,8 @@ def unit_bases(path: str) -> int:
     less so that the file's bytes give at least :data:`MIN_UNITS` batches.
 
     Output does not depend on it (blocks and batches are bit-identical at any
-    size); the run's manifest records it, and ``jem chaos`` counts units by it.
+    size); the run's manifest records it, and the kill-resume tests count units
+    by it (``tests/chaos_harness.py``).
     """
     return max(1, min(BATCH_BASES, os.path.getsize(path) // MIN_UNITS))
 

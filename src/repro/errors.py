@@ -19,7 +19,6 @@ __all__ = [
     "FaultError",
     "PartialResultError",
     "CheckpointError",
-    "ChaosError",
     "ServiceError",
     "ServiceClosedError",
     "ServiceOverloadError",
@@ -115,10 +114,6 @@ class CheckpointError(ReproError):
     configuration or inputs (resuming would silently mix incompatible
     results), or when the checkpoint structures are misused.
     """
-
-
-class ChaosError(ReproError):
-    """The chaos harness was misconfigured or a chaos cycle failed."""
 
 
 class ServiceError(ReproError):

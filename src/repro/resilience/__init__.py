@@ -1,18 +1,13 @@
-"""Crash safety and chaos engineering for the mapping pipeline.
-
-Two cooperating pieces (see ``docs/robustness.md``):
+"""Crash safety for the mapping pipeline (see ``docs/robustness.md``).
 
 * :mod:`~repro.resilience.checkpoint` — a durable, CRC32-framed
   :class:`CheckpointLog` plus :class:`RunManifest` identity records, so a
   run SIGKILLed mid-flight resumes from its last completed S2 contig block
-  or S4 read batch and still produces bit-identical output;
-* :mod:`~repro.resilience.chaos` — a seeded, deterministic
-  :class:`ChaosPlan` that kills live processes mid-unit, tears and
-  corrupts checkpoint/index files, and drops their temporary files, with
-  a kill→resume→verify cycle runner behind ``jem chaos``; its serve
-  flavour (:class:`ServeChaosPlan` + :func:`run_serve_chaos`, ``jem
-  chaos serve``) kills and wedges supervised replicas mid-load and gates
-  on byte-identical serving output, full recovery, and zero shm leaks.
+  or S4 read batch and still produces bit-identical output; its
+  ``REPRO_CHAOS_KILL_AFTER`` hook lets a test kill a run at an exact
+  checkpoint boundary;
+* :mod:`~repro.resilience.runner` — hands a ``--checkpoint-dir`` run's
+  streamed loops their per-unit hook.
 """
 
 from .._lazy import lazy_exports
@@ -24,16 +19,7 @@ _EXPORTS = {
     "CheckpointLog": ".checkpoint",
     "RunManifest": ".checkpoint",
     "fingerprint_file": ".checkpoint",
-    "ChaosPlan": ".chaos",
-    "ChaosSpec": ".chaos",
-    "ChaosCycleResult": ".chaos",
-    "run_kill_resume_cycle": ".chaos",
-    "ServeChaosEvent": ".chaos",
-    "ServeChaosPlan": ".chaos",
-    "ServeChaosReport": ".chaos",
-    "run_serve_chaos": ".chaos",
     "checkpointed": ".runner",
-    "unit_count": ".runner",
 }
 
 __all__ = list(_EXPORTS)

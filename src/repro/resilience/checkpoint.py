@@ -32,8 +32,8 @@ Three on-disk artifacts live in a *run directory*:
     CRC on resume (chaos, partial write) is treated as *not done* and the
     unit is recomputed.
 
-The module also hosts the deterministic crash-injection hook the chaos
-harness uses: with ``REPRO_CHAOS_KILL_AFTER=N`` in the environment, the
+The module also hosts the deterministic crash-injection hook the
+kill-resume tests use (``tests/chaos_harness.py``): with ``REPRO_CHAOS_KILL_AFTER=N`` in the environment, the
 process SIGKILLs *itself* immediately after committing its N-th log
 record (``N:torn`` additionally leaves a torn half-frame behind first).
 Self-kill makes "SIGKILL at checkpoint boundary k" exactly

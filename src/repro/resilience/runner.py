@@ -18,14 +18,14 @@ import dataclasses
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from ..core.streaming import iter_file_batches, unit_bases
+from ..core.streaming import unit_bases
 from ..errors import MappingError
 from .checkpoint import CheckpointContext, RunManifest, fingerprint_file
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import MappingEngine
 
-__all__ = ["checkpointed", "unit_count"]
+__all__ = ["checkpointed"]
 
 
 def _manifest(
@@ -79,9 +79,3 @@ def checkpointed(
             yield ctx
         finally:
             engine.checkpoint = None
-
-
-def unit_count(path: str) -> int:
-    """How many units a checkpointed run cuts ``path`` into."""
-    return sum(1 for _ in iter_file_batches(path, batch_bases=unit_bases(path)))
-

@@ -1,29 +1,34 @@
-"""Process-kill chaos harness: real SIGKILLs, deterministic schedules.
+"""Process-kill and fleet chaos for the tests: real SIGKILLs, seeded schedules.
 
 :mod:`repro.parallel.faults` injects *in-band* compute faults — a work
 unit raises, sleeps, or its worker exits.  This module injects the faults
-that kill whole *runs*: the process is SIGKILLed mid-unit, checkpoint and
-index files are torn or bit-flipped mid-write, leftover temporary files are
-dropped.  Everything is driven by one seed, so a failing chaos cycle is
-replayable exactly.
+that kill whole *runs*: the process is SIGKILLed mid-unit, checkpoint
+files are torn or bit-flipped, and a torn temporary unit file is left
+where a kill between its ``open`` and its rename would leave one.
+Everything is driven by one seed, so a failing chaos cycle is replayable
+exactly.
 
 Determinism without races: instead of an external monitor trying to time
-a kill, the victim kills **itself**.  The :class:`~.checkpoint.CheckpointLog`
-honours one environment hook — ``REPRO_CHAOS_KILL_AFTER=N`` (SIGKILL the
-process right after its N-th durable log append), or ``N:torn`` (leave a
-half-written frame behind first).  A :class:`ChaosPlan` draws the
-kill point and the post-mortem file damage from its seed;
-:func:`run_kill_resume_cycle` executes one full cycle: run the victim
-under the plan, confirm the SIGKILL, vandalise the run directory, resume,
-and report what happened.  ``jem chaos`` wraps this in a parity check
-against an uninterrupted run.
+a kill, the victim kills **itself**.  The
+:class:`~repro.resilience.checkpoint.CheckpointLog` honours one
+environment hook — ``REPRO_CHAOS_KILL_AFTER=N`` (SIGKILL the process right
+after its N-th durable log append), or ``N:torn`` (leave a half-written
+frame behind first).  A :class:`ChaosPlan` draws the kill point and the
+post-mortem file damage from its seed; :func:`run_kill_resume_cycle` runs
+one full cycle: run the victim under the plan, confirm the SIGKILL,
+vandalise the run directory, and run the same command again.
+``tests/resilience/test_chaos.py`` holds the resumed output to an
+uninterrupted run's.
 
-The *serve* flavour (:class:`ServeChaosPlan` + :func:`run_serve_chaos`,
-``jem chaos serve``) tortures the network tier instead: replicas of a
-supervised scatter fleet are killed and wedged mid-load while a client
-streams reads, and the cycle passes only if every accepted read answers
-byte-identically to an undisturbed reference, the supervisor restores
-full scatter throughput, and no shm segment leaks.
+The *serve* half (:class:`ServeChaosPlan` + :func:`run_serve_chaos`)
+tortures the network tier instead: replicas of a supervised scatter fleet
+are killed and wedged mid-load while the reads stream through it, and the
+cycle passes only if every accepted read answers byte-identically to an
+undisturbed reference, the supervisor restores full scatter throughput,
+and no shm segment leaks.
+
+It sits beside ``conftest.py`` so that any test module can import it, run
+alone or in the suite.
 """
 
 from __future__ import annotations
@@ -36,26 +41,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ChaosError
-from .checkpoint import CHAOS_KILL_AFTER_ENV, LOG_NAME, CheckpointLog
+from repro.core.streaming import iter_file_batches, unit_bases
+from repro.resilience.checkpoint import CHAOS_KILL_AFTER_ENV, LOG_NAME
 
-__all__ = [
-    "DAMAGE_KINDS",
-    "ChaosSpec",
-    "ChaosPlan",
-    "ChaosCycleResult",
-    "apply_damage",
-    "run_kill_resume_cycle",
-    "read_tsv_body",
-    "SERVE_CHAOS_KINDS",
-    "ServeChaosEvent",
-    "ServeChaosPlan",
-    "ServeChaosReport",
-    "run_serve_chaos",
-]
+#: Post-kill vandalism a plan may order on the run directory.  A seeded
+#: plan draws its kinds by position, so the order is part of every seed.
+DAMAGE_KINDS = ("truncate_log", "corrupt_unit", "torn_tmp")
 
-#: Post-kill vandalism a plan may order on the run directory.
-DAMAGE_KINDS = ("truncate_log", "corrupt_unit", "drop_tmp")
+#: Mid-load faults a serve plan may order against the replica fleet.
+SERVE_CHAOS_KINDS = ("kill", "wedge")
+
+
+class ChaosError(Exception):
+    """A chaos plan is malformed, or a cycle failed for a non-chaos reason."""
+
+
+def unit_count(path: str) -> int:
+    """How many units a checkpointed run cuts ``path`` into."""
+    return sum(1 for _ in iter_file_batches(path, batch_bases=unit_bases(path)))
+
+
+def read_tsv_body(path: str) -> list[str]:
+    """A mapping TSV's data lines (``#`` header and timing lines stripped).
+
+    Two runs are *parity-equal* when these lists match exactly — the
+    comment lines carry wall-clock timings that legitimately differ.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line.rstrip("\n") for line in fh if not line.startswith("#")]
+
+
+# -- kill-resume chaos against a checkpointed run -----------------------------
 
 
 @dataclass(frozen=True)
@@ -87,28 +103,21 @@ class ChaosPlan:
     specs: tuple[ChaosSpec, ...]
 
     @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        *,
-        total_units: int,
-        max_damage: int = 2,
-        torn_probability: float = 0.5,
-    ) -> "ChaosPlan":
-        """Draw a plan: one kill somewhere in the unit range, 0..n damage.
+    def seeded(cls, seed: int, *, total_units: int) -> "ChaosPlan":
+        """Draw a plan: one kill somewhere in the unit range, 0..2 damages.
 
         ``total_units`` bounds the kill point (a checkpointed run appends
         one record per completed unit), so the SIGKILL lands at a real
-        checkpoint boundary somewhere strictly inside the run.
+        checkpoint boundary somewhere inside the run.
         """
         if total_units < 1:
             raise ChaosError(f"total_units must be >= 1, got {total_units}")
         rng = np.random.default_rng(seed)
-        kill_kind = "torn_kill" if rng.random() < torn_probability else "kill"
+        kill_kind = "torn_kill" if rng.random() < 0.5 else "kill"
         specs = [
             ChaosSpec(kind=kill_kind, after_records=int(rng.integers(1, total_units + 1)))
         ]
-        for _ in range(int(rng.integers(0, max_damage + 1))):
+        for _ in range(int(rng.integers(0, 3))):
             specs.append(ChaosSpec(kind=str(rng.choice(DAMAGE_KINDS))))
         return cls(seed=seed, specs=tuple(specs))
 
@@ -132,16 +141,18 @@ class ChaosPlan:
         return {CHAOS_KILL_AFTER_ENV: f"{kill.after_records}{torn}"}
 
 
-def apply_damage(run_dir: str, plan: ChaosPlan) -> list[str]:
+def apply_damage(run_dir: str, plan: ChaosPlan, *, dead_pid: int) -> list[str]:
     """Vandalise a (dead) run directory per the plan; returns what was done.
 
-    Each action is deterministic in the plan seed: the same plan always
-    truncates the same byte count and flips the same byte of the same
-    unit payload.  Missing targets (no units yet, no tmp files) are
-    recorded as skipped rather than failing the cycle — a kill at record
-    1 simply leaves less to vandalise.
+    Each action is deterministic in the plan seed and ``dead_pid`` (the
+    killed victim's process id): the same plan always truncates the same
+    byte count, flips the same byte of the same unit payload, and plants
+    the same torn ``units/<next unit>.npz.tmp.<dead_pid>``.  Missing
+    targets (no units yet) are recorded as skipped rather than failing
+    the cycle — a kill at record 1 simply leaves less to vandalise.
     """
     rng = np.random.default_rng((plan.seed, 0xDA_A6E))
+    units_dir = os.path.join(run_dir, "units")
     done: list[str] = []
     for spec in plan.damage:
         if spec.kind == "truncate_log":
@@ -155,17 +166,15 @@ def apply_damage(run_dir: str, plan: ChaosPlan) -> list[str]:
             with open(path, "r+b") as fh:
                 fh.truncate(max(size - cut, 0))
             done.append(f"truncate_log: -{cut} bytes")
-        elif spec.kind == "corrupt_unit":
-            units_dir = os.path.join(run_dir, "units")
-            try:
-                files = sorted(
-                    f for f in os.listdir(units_dir) if f.endswith(".npz")
-                )
-            except OSError:
-                files = []
-            if not files:
-                done.append("corrupt_unit: skipped (no units)")
-                continue
+            continue
+        try:
+            files = sorted(f for f in os.listdir(units_dir) if f.endswith(".npz"))
+        except OSError:
+            files = []
+        if not files:
+            done.append(f"{spec.kind}: skipped (no units)")
+            continue
+        if spec.kind == "corrupt_unit":
             victim = os.path.join(units_dir, files[int(rng.integers(len(files)))])
             offset = int(rng.integers(os.path.getsize(victim)))
             with open(victim, "r+b") as fh:
@@ -174,14 +183,19 @@ def apply_damage(run_dir: str, plan: ChaosPlan) -> list[str]:
                 fh.seek(offset)
                 fh.write(bytes([byte[0] ^ 0xFF]))
             done.append(f"corrupt_unit: {os.path.basename(victim)} @ {offset}")
-        elif spec.kind == "drop_tmp":
-            dropped = 0
-            for root, _dirs, files in os.walk(run_dir):
-                for name in files:
-                    if ".tmp." in name:
-                        os.unlink(os.path.join(root, name))
-                        dropped += 1
-            done.append(f"drop_tmp: {dropped} file(s)")
+        elif spec.kind == "torn_tmp":
+            # what a kill between open() and os.replace() leaves: the head of
+            # a unit payload under the next unit's temporary name (a map run
+            # commits every sketch_k before its first map_k)
+            last = max(files, key=lambda f: (f.startswith("map_"), f))
+            with open(os.path.join(units_dir, last), "rb") as fh:
+                payload = fh.read()
+            torn = payload[: int(rng.integers(1, len(payload)))]
+            phase, _, block = last.removesuffix(".npz").rpartition("_")
+            rel = os.path.join("units", f"{phase}_{int(block) + 1:04d}.npz.tmp.{dead_pid}")
+            with open(os.path.join(run_dir, rel), "wb") as fh:
+                fh.write(torn)
+            done.append(f"torn_tmp: {rel} ({len(torn)} bytes)")
     return done
 
 
@@ -191,9 +205,7 @@ class ChaosCycleResult:
 
     plan: ChaosPlan
     killed: bool
-    kill_returncode: int
     damage_applied: list[str] = field(default_factory=list)
-    records_surviving: int = 0
     resume_returncode: int | None = None
     resume_stderr: str = ""
 
@@ -203,13 +215,9 @@ class ChaosCycleResult:
 
 
 def run_kill_resume_cycle(
-    argv: list[str],
-    *,
-    run_dir: str,
-    plan: ChaosPlan,
-    timeout: float = 300.0,
+    argv: list[str], *, run_dir: str, plan: ChaosPlan, timeout: float = 300.0
 ) -> ChaosCycleResult:
-    """Execute one chaos cycle against the ``jem`` CLI.
+    """One chaos cycle against the ``jem`` CLI.
 
     ``argv`` is the CLI argument vector (without the interpreter) of a
     checkpointed run whose directory is ``run_dir``; it is launched with
@@ -223,27 +231,29 @@ def run_kill_resume_cycle(
     base = [sys.executable, "-m", "repro.cli"]
     env = {**os.environ, **plan.env()}
     env.pop("PYTEST_CURRENT_TEST", None)
-    victim = subprocess.run(
-        base + argv, env=env, capture_output=True, text=True, timeout=timeout,
+    # Popen, not run: the torn temporary file is named after the victim's pid
+    victim = subprocess.Popen(
+        base + argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
+    try:
+        _, victim_stderr = victim.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        victim.kill()
+        victim.communicate()
+        raise
     killed = victim.returncode == -signal.SIGKILL
-    result = ChaosCycleResult(
-        plan=plan, killed=killed, kill_returncode=victim.returncode
-    )
+    result = ChaosCycleResult(plan=plan, killed=killed)
     if not killed:
         if victim.returncode != 0:
             raise ChaosError(
                 f"victim run failed for a non-chaos reason "
-                f"(rc={victim.returncode}): {victim.stderr[-2000:]}"
+                f"(rc={victim.returncode}): {victim_stderr[-2000:]}"
             )
         # finished before the kill point: nothing to resume
         result.resume_returncode = 0
-        result.resume_stderr = victim.stderr
+        result.resume_stderr = victim_stderr
         return result
-    result.damage_applied = apply_damage(run_dir, plan)
-    result.records_surviving = len(
-        CheckpointLog(os.path.join(run_dir, LOG_NAME)).replay()
-    )
+    result.damage_applied = apply_damage(run_dir, plan, dead_pid=victim.pid)
     clean_env = {k: v for k, v in os.environ.items() if k != CHAOS_KILL_AFTER_ENV}
     resumed = subprocess.run(
         base + argv, env=clean_env, capture_output=True, text=True, timeout=timeout,
@@ -253,20 +263,7 @@ def run_kill_resume_cycle(
     return result
 
 
-def read_tsv_body(path: str) -> list[str]:
-    """A mapping TSV's data lines (``#`` timing comments stripped).
-
-    Two runs are *parity-equal* when these lists match exactly — the
-    comment line carries wall-clock timings that legitimately differ.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if not line.startswith("#")]
-
-
 # -- serve chaos: replica fleet torture under live load ----------------------
-
-#: Mid-load faults a serve plan may order against the replica fleet.
-SERVE_CHAOS_KINDS = ("kill", "wedge")
 
 
 @dataclass(frozen=True)
@@ -301,15 +298,8 @@ class ServeChaosPlan:
     events: tuple[ServeChaosEvent, ...]
 
     @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        *,
-        n_replicas: int,
-        total_reads: int,
-        max_events: int = 2,
-    ) -> "ServeChaosPlan":
-        """Draw 1..max_events kills/wedges strictly inside the stream."""
+    def seeded(cls, seed: int, *, n_replicas: int, total_reads: int) -> "ServeChaosPlan":
+        """Draw one or two kills/wedges strictly inside the stream."""
         if n_replicas < 1:
             raise ChaosError(f"n_replicas must be >= 1, got {n_replicas}")
         if total_reads < 2:
@@ -321,7 +311,7 @@ class ServeChaosPlan:
                 replica=int(rng.integers(n_replicas)),
                 after_mapped=int(rng.integers(1, total_reads)),
             )
-            for _ in range(int(rng.integers(1, max_events + 1)))
+            for _ in range(int(rng.integers(1, 3)))
         ]
         events.sort(key=lambda e: e.after_mapped)
         return cls(seed=seed, events=tuple(events))
@@ -329,7 +319,7 @@ class ServeChaosPlan:
 
 @dataclass
 class ServeChaosReport:
-    """What one serve-chaos cycle observed; ``ok`` is the gate CI trusts."""
+    """What one serve-chaos cycle observed; ``ok`` is the gate."""
 
     plan: ServeChaosPlan
     n_replicas: int
@@ -371,7 +361,7 @@ def _jem_shm_segments() -> set[str]:
     try:
         return {n for n in os.listdir("/dev/shm") if n.startswith("jem-")}
     except FileNotFoundError:  # pragma: no cover - non-Linux fallback
-        from ..parallel.shm import created_segment_names
+        from repro.parallel.shm import created_segment_names
 
         return set(created_segment_names())
 
@@ -385,8 +375,8 @@ def _stream_wire_lines(backend, reads, *, window: int = 4, timeout: float = 120.
     import json
     from collections import deque
 
-    from ..errors import ReproError
-    from ..service.protocol import response_for_mapping
+    from repro.errors import ReproError
+    from repro.service.protocol import response_for_mapping
 
     lines: list[str] = []
     dropped = 0
@@ -413,15 +403,7 @@ def _stream_wire_lines(backend, reads, *, window: int = 4, timeout: float = 120.
 
 
 def run_serve_chaos(
-    contigs,
-    reads,
-    config,
-    *,
-    plan: ServeChaosPlan,
-    n_replicas: int = 3,
-    hedge_timeout_s: float = 0.25,
-    service_config=None,
-    supervision=None,
+    contigs, reads, config, *, plan: ServeChaosPlan, n_replicas: int = 3
 ) -> ServeChaosReport:
     """One serve-chaos cycle: torture a supervised scatter fleet mid-load.
 
@@ -442,25 +424,23 @@ def run_serve_chaos(
        inline serving), and the fleet must leave no shm segment behind.
     """
     import threading
-    import time as _time
+    import time
 
-    from ..core.mapper import JEMMapper
-    from ..netserve import (
+    from repro.core.mapper import JEMMapper
+    from repro.netserve import (
         FleetSupervisor,
         ReplicaSet,
         SupervisorConfig,
         make_placement,
     )
-    from ..service import MappingService, ServiceConfig
+    from repro.service import MappingService, ServiceConfig
 
-    if service_config is None:
-        # result cache off: every read must exercise the scatter path the
-        # chaos is aimed at, not the front door's content-key cache
-        service_config = ServiceConfig(max_batch_size=8, cache_capacity=0)
-    if supervision is None:
-        supervision = SupervisorConfig(
-            probe_interval_s=0.05, probe_deadline_s=0.1, suspect_strikes=2
-        )
+    # result cache off: every read must exercise the scatter path the chaos
+    # is aimed at, not the front door's content-key cache
+    service_config = ServiceConfig(max_batch_size=8, cache_capacity=0)
+    supervision = SupervisorConfig(
+        probe_interval_s=0.05, probe_deadline_s=0.1, suspect_strikes=2
+    )
 
     # phase A: undisturbed reference bytes
     with MappingService.from_contigs(contigs, config, service_config) as ref_svc:
@@ -476,7 +456,7 @@ def run_serve_chaos(
         mapper.table, mapper.subject_names, config,
         placement=make_placement("scatter", n_replicas),
         service_config=service_config,
-        hedge_timeout_s=hedge_timeout_s,
+        hedge_timeout_s=0.25,
     )
     report = ServeChaosReport(
         plan=plan, n_replicas=n_replicas, reads_streamed=len(reads),
@@ -495,20 +475,16 @@ def run_serve_chaos(
                 if event.kind == "kill":
                     replica_set.kill_replica(event.replica)
                 else:
-                    replica_set.wedge_replica(
-                        event.replica, seconds=event.wedge_s
-                    )
+                    replica_set.wedge_replica(event.replica, seconds=event.wedge_s)
                 report.events_fired.append(
                     f"{event.kind} replica {event.replica} "
                     f"after {event.after_mapped} mapped"
                 )
-            _time.sleep(0.002)
+            time.sleep(0.002)
 
     try:
         supervisor.start()
-        thread = threading.Thread(
-            target=injector, name="jem-serve-chaos", daemon=True
-        )
+        thread = threading.Thread(target=injector, name="jem-serve-chaos", daemon=True)
         thread.start()
         # phase B: the storm — stream through the fleet under fire
         lines, dropped = _stream_wire_lines(replica_set, reads)

@@ -7,6 +7,7 @@ import contextlib
 import json
 import socket
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,24 @@ def clean_reads(small_genome, rng) -> SequenceSet:
             {"ref_start": start, "ref_end": start + 5_000, "ref_strand": 1},
         )
     return builder.build()
+
+
+@pytest.fixture(scope="session")
+def ci_world(tmp_path_factory) -> SimpleNamespace:
+    """The files `jem simulate e_coli --scale 0.005 --seed 3` writes: the
+    contigs FASTA and the reads FASTQ the chaos sweeps run on."""
+    from repro.eval.datasets import load_or_generate
+    from repro.seq.io_fasta import write_fasta
+    from repro.seq.io_fastq import write_fastq
+
+    dataset = load_or_generate("e_coli", scale=0.005, seed=3)
+    out = tmp_path_factory.mktemp("ci_world")
+    world = SimpleNamespace(
+        contigs=str(out / "e_coli_contigs.fasta"), reads=str(out / "e_coli_reads.fastq")
+    )
+    write_fasta(world.contigs, dataset.contigs)
+    write_fastq(world.reads, dataset.reads)
+    return world
 
 
 # -- serve-session harness: one NetFrontend over TCP -------------------------

@@ -25,6 +25,7 @@ import zlib
 
 import numpy as np
 import pytest
+from chaos_harness import ChaosPlan
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -39,7 +40,6 @@ from repro.core.lsm import (
 )
 from repro.core.store import ColumnarSketchStore, DictSketchStore
 from repro.errors import IndexCorruptError, MappingError, SketchError
-from repro.resilience.chaos import ChaosPlan
 from repro.resilience.checkpoint import CheckpointLog
 from repro.seq.records import SequenceSet
 from repro.sketch.jem import subject_sketch_pairs

@@ -187,13 +187,17 @@ def test_paf_incompatible_with_index(tmp_path):
 
 def test_scaffolder_is_gone(capsys):
     """Hybrid scaffolding is the paper's motivating use, not its mapper: no
-    `jem scaffold` subcommand, no `repro.Scaffolder` export."""
+    `jem scaffold` subcommand, no `repro.Scaffolder` export.  Nor is a crash
+    harness part of the mapper: no `jem chaos` (its seeded sweeps are
+    tests/resilience/)."""
     import repro
 
-    with pytest.raises(SystemExit) as exc:
-        main(["scaffold", "-q", "r.fq", "-s", "c.fa", "-o", "s.fa"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'scaffold'" in capsys.readouterr().err
+    for argv in (["scaffold", "-q", "r.fq", "-s", "c.fa", "-o", "s.fa"],
+                 ["chaos", "index", "-s", "c.fa", "--seeds", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
     with pytest.raises(AttributeError):
         repro.Scaffolder
 
@@ -450,7 +454,6 @@ def test_transport_flag_is_gone(capsys):
 _REQUIRED = {
     "serve": ["--index", "i.npz"],
     "client": ["-q", "r.fq", "--connect", "127.0.0.1:7000"],
-    "chaos": ["serve", "-s", "c.fa"],
     "index": ["-s", "c.fa", "-o", "i.npz"],
     "map": ["-q", "r.fq", "-s", "c.fa"],
 }
@@ -468,9 +471,6 @@ _REQUIRED = {
         "-s", "--subjects", "--index", "--server-cmd", "--k", "--w", "--ell",
         "--trials", "--seed", "--max-batch", "--queue-capacity", "--cache-capacity",
     )),
-    ("chaos", "--max-events"),
-    ("chaos", "--max-damage"),
-    ("chaos", "--keep"),
     ("index", "--resume"),
     ("map", "--resume"),
     ("serve", "--max-line-bytes"),
@@ -481,10 +481,9 @@ def test_retired_service_flags_are_gone(capsys, command, flag):
     """The scheduler sets its own batch window, `--listen` always
     supervises, scatter keeps the fleet's hedge deadline, `serve` opens only
     a built index (whose sketch parameters are its own), `client` only
-    connects to a running `serve --listen`, and `chaos` draws its plans at
-    their own bounds, a killed run resumes by running it again, the serve
-    guards keep their constants and `--workdir` alone keeps chaos run
-    directories: each of these flags is an argparse error."""
+    connects to a running `serve --listen`, a killed run resumes by running
+    it again, and the serve guards keep their constants: each of these
+    flags is an argparse error."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args([command, *_REQUIRED[command], flag])
     assert excinfo.value.code == 2

@@ -20,15 +20,15 @@ from repro.core.engine import PipelineConfig
 from repro.netserve import SupervisorConfig
 from repro.service import ServiceConfig
 
-#: 75 option flags + 4 environment variables + 23 config fields (`serve`
+#: 65 option flags + 4 environment variables + 23 config fields (`serve`
 #: takes only a built index, `client` only connects to a `serve --listen`,
-#: `chaos` draws its plans at their own bounds, the supervisor's history
-#: length is a constant, and there is no `jem scaffold`; a killed run resumes
-#: by running it again, not by `--resume`, the serve line, idle and queue
-#: limits are constants, `--workdir` alone keeps chaos run directories, one
+#: the supervisor's history length is a constant, and there is no `jem
+#: scaffold` and no `jem chaos` — the seeded kill-resume and serve-chaos
+#: sweeps are tests; a killed run resumes by running it again, not by
+#: `--resume`, the serve line, idle and queue limits are constants, one
 #: kill-hook variable carries the torn flag, and the benchmark harness, not
 #: `src/`, reads `REPRO_BENCH_*`)
-BUDGET = 102
+BUDGET = 92
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 

@@ -4,7 +4,8 @@ The acceptance bar: over seeded plans that SIGKILL ``jem index`` and
 ``jem map`` mid-unit (and then vandalise the run directory), the same
 command run again completes and its output is bit-identical to an
 uninterrupted run — the index by content checksum, the mapping by TSV
-body.
+body.  Seeds 1–5 run on the tiling world and on ``ci_world``, the
+simulated E. coli set at ``--trials 8``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,19 @@ import re
 
 import numpy as np
 import pytest
+from chaos_harness import (
+    DAMAGE_KINDS,
+    ChaosError,
+    ChaosPlan,
+    ChaosSpec,
+    apply_damage,
+    read_tsv_body,
+    run_kill_resume_cycle,
+    unit_count,
+)
 
 import repro
 from repro.cli import main
-from repro.errors import ChaosError
-from repro.resilience import ChaosPlan, ChaosSpec, run_kill_resume_cycle, unit_count
-from repro.resilience.chaos import DAMAGE_KINDS, apply_damage, read_tsv_body
 from repro.resilience.checkpoint import (
     CHAOS_KILL_AFTER_ENV,
     LOG_NAME,
@@ -30,6 +38,7 @@ from repro.seq.io_fasta import write_fasta
 
 CONFIG_ARGV = ["--k", "12", "--w", "20", "--ell", "500", "--trials", "6",
                "--seed", "99"]
+CI_ARGV = ["--trials", "8"]
 SEEDS = (1, 2, 3, 4, 5)
 
 
@@ -100,62 +109,74 @@ class TestChaosPlan:
                 log.append({"phase": "sketch", "block": 0})
             buf = np.arange(64, dtype=np.uint8).tobytes()
             (units / "sketch_0000.npz").write_bytes(buf)
-            (units / "sketch_0001.npz.tmp.123").write_bytes(b"torn")
             dirs.append(run_dir)
-        done_a = apply_damage(str(dirs[0]), plan)
-        done_b = apply_damage(str(dirs[1]), plan)
+        done_a = apply_damage(str(dirs[0]), plan, dead_pid=4242)
+        done_b = apply_damage(str(dirs[1]), plan, dead_pid=4242)
         assert done_a == done_b
         assert (dirs[0] / LOG_NAME).read_bytes() == (dirs[1] / LOG_NAME).read_bytes()
-        assert (dirs[0] / "units" / "sketch_0000.npz").read_bytes() == (
-            dirs[1] / "units" / "sketch_0000.npz"
-        ).read_bytes()
-        assert not (dirs[0] / "units" / "sketch_0001.npz.tmp.123").exists()
+        unit = [(d / "units" / "sketch_0000.npz").read_bytes() for d in dirs]
+        assert unit[0] == unit[1]
+        # the next unit's temporary file, torn short, under the dead pid
+        torn = [(d / "units" / "sketch_0001.npz.tmp.4242").read_bytes() for d in dirs]
+        assert torn[0] == torn[1]
+        assert 0 < len(torn[0]) < len(unit[0]) and unit[0].startswith(torn[0])
+        assert done_a[-1] == f"torn_tmp: units/sketch_0001.npz.tmp.4242 ({len(torn[0])} bytes)"
+
+
+def _index_checksum_sweep(tmp_path, contigs, config_argv):
+    """Seeds 1–5 of kill → vandalise → resume against a checkpointed
+    `jem index`; each resumed index holds the uninterrupted one's content."""
+    reference = str(tmp_path / "reference.npz")
+    assert main(["index", "-s", contigs, "-o", reference, *config_argv]) == 0
+    units = unit_count(contigs)  # the contig blocks
+    assert units >= 2
+    _sweep(tmp_path, "idx", units, index_checksum(reference), index_checksum,
+           ["index", "-s", contigs, *config_argv], ".npz")
+
+
+def _map_body_sweep(tmp_path, contigs, reads, config_argv):
+    """The same for a checkpointed `jem map`: blocks, then read batches."""
+    argv = ["map", "-q", reads, "-s", contigs, "-p", "2", *config_argv]
+    reference = str(tmp_path / "reference.tsv")
+    assert main([*argv, "-o", reference]) == 0
+    expected = read_tsv_body(reference)
+    assert expected, "reference mapping produced no rows"
+    units = unit_count(contigs) + unit_count(reads)
+    assert units >= 4
+    _sweep(tmp_path, "map", units, expected, read_tsv_body, argv, ".tsv")
+
+
+def _sweep(tmp_path, tag, units, expected, fingerprint, argv, ext):
+    for seed in SEEDS:
+        run_dir = str(tmp_path / f"{tag}{seed}")
+        out = os.path.join(run_dir, "out" + ext)
+        os.makedirs(run_dir, exist_ok=True)
+        plan = ChaosPlan.seeded(seed, total_units=units)
+        cycle = run_kill_resume_cycle(
+            [*argv, "-o", out, "--checkpoint-dir", run_dir], run_dir=run_dir, plan=plan,
+        )
+        assert cycle.killed, f"seed {seed}: victim was not killed"
+        assert cycle.resumed_ok, f"seed {seed}: {cycle.resume_stderr}"
+        assert fingerprint(out) == expected, f"seed {seed} parity"
+        for done in cycle.damage_applied:  # the resume ran beside the torn file
+            if done.startswith("torn_tmp: units"):
+                assert os.path.exists(os.path.join(run_dir, done.split()[1])), done
 
 
 class TestKillResumeParity:
     def test_index_kill_resume_parity_across_seeds(self, tmp_path, fasta_world):
         contigs, _ = fasta_world
-        reference = str(tmp_path / "reference.npz")
-        assert main(["index", "-s", contigs, "-o", reference, *CONFIG_ARGV]) == 0
-        expected = index_checksum(reference)
-        units = unit_count(contigs)  # the contig blocks
-        assert units >= 2
-        for seed in SEEDS:
-            run_dir = str(tmp_path / f"idx{seed}")
-            out = os.path.join(run_dir, "out.npz")
-            os.makedirs(run_dir, exist_ok=True)
-            plan = ChaosPlan.seeded(seed, total_units=units)
-            cycle = run_kill_resume_cycle(
-                ["index", "-s", contigs, "-o", out,
-                 "--checkpoint-dir", run_dir, *CONFIG_ARGV],
-                run_dir=run_dir, plan=plan,
-            )
-            assert cycle.killed, f"seed {seed}: victim was not killed"
-            assert cycle.resumed_ok, f"seed {seed}: {cycle.resume_stderr}"
-            assert index_checksum(out) == expected, f"seed {seed} parity"
+        _index_checksum_sweep(tmp_path, contigs, CONFIG_ARGV)
 
     def test_map_kill_resume_parity_across_seeds(self, tmp_path, fasta_world):
         contigs, reads = fasta_world
-        reference = str(tmp_path / "reference.tsv")
-        assert main(["map", "-q", reads, "-s", contigs, "-o", reference,
-                     "-p", "2", *CONFIG_ARGV]) == 0
-        expected = read_tsv_body(reference)
-        assert expected, "reference mapping produced no rows"
-        units = unit_count(contigs) + unit_count(reads)  # blocks, then batches
-        assert units >= 4
-        for seed in SEEDS:
-            run_dir = str(tmp_path / f"map{seed}")
-            out = os.path.join(run_dir, "out.tsv")
-            os.makedirs(run_dir, exist_ok=True)
-            plan = ChaosPlan.seeded(seed, total_units=units)
-            cycle = run_kill_resume_cycle(
-                ["map", "-q", reads, "-s", contigs, "-o", out, "-p", "2",
-                 "--checkpoint-dir", run_dir, *CONFIG_ARGV],
-                run_dir=run_dir, plan=plan,
-            )
-            assert cycle.killed, f"seed {seed}: victim was not killed"
-            assert cycle.resumed_ok, f"seed {seed}: {cycle.resume_stderr}"
-            assert read_tsv_body(out) == expected, f"seed {seed} parity"
+        _map_body_sweep(tmp_path, contigs, reads, CONFIG_ARGV)
+
+    def test_index_kill_resume_parity_on_the_ci_world(self, tmp_path, ci_world):
+        _index_checksum_sweep(tmp_path, ci_world.contigs, CI_ARGV)
+
+    def test_map_kill_resume_parity_on_the_ci_world(self, tmp_path, ci_world):
+        _map_body_sweep(tmp_path, ci_world.contigs, ci_world.reads, CI_ARGV)
 
 
 class TestResumeCli:
@@ -192,32 +213,3 @@ class TestResumeCli:
                          capsys.readouterr().err, re.M)
         assert not os.path.exists(mapped)
         assert not os.path.exists(os.path.join(run_dir, "invocation.json"))
-
-    def test_chaos_subcommand_end_to_end(self, tmp_path, fasta_world, capsys):
-        contigs, _ = fasta_world
-        rc = main(["chaos", "index", "-s", contigs, "--seeds", "3",
-                   "--workdir", str(tmp_path / "chaos"), *CONFIG_ARGV])
-        captured = capsys.readouterr()
-        assert rc == 0, captured.err
-        assert "1/1 chaos cycles reproduced" in captured.out
-        assert (tmp_path / "chaos" / "seed3" / LOG_NAME).exists()  # --workdir keeps
-
-    def test_chaos_removes_its_temp_workdir(self, tmp_path, fasta_world, capsys, monkeypatch):
-        import tempfile
-
-        contigs, _ = fasta_world
-        scratch = tmp_path / "tmp"
-        scratch.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-        assert main(["chaos", "index", "-s", contigs, "--seeds", "3", *CONFIG_ARGV]) == 0
-        assert "run dirs removed; --workdir to inspect" in capsys.readouterr().out
-        assert list(scratch.iterdir()) == []
-
-    @pytest.mark.parametrize("seeds", ["", "1,x"])
-    def test_chaos_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
-        rc = main(["chaos", "index", "-s", str(tmp_path / "contigs.fasta"),
-                   "--seeds", seeds])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error: --seeds")
-        assert ("'x'" in err) if seeds else ("empty" in err)

@@ -3,21 +3,19 @@
 One cycle = reference stream (undisturbed single service) → storm (kills
 and wedges fired against a supervised scatter fleet while the same reads
 stream through it) → recovery (fleet healthy again, scatter throughput
-restored, zero shm leaks).  The report's ``ok`` is exactly what the CI
-``chaos-serve`` job gates on.
+restored, zero shm leaks).  The report's ``ok`` is the gate, taken at 3
+replicas on the tiny tiling world and, for seeds 1–3, on ``ci_world``,
+the simulated E. coli set.
 """
 
 from __future__ import annotations
 
 import pytest
+from chaos_harness import ChaosError, ServeChaosEvent, ServeChaosPlan, run_serve_chaos
 
 from repro import JEMConfig
-from repro.errors import ChaosError
-from repro.resilience import (
-    ServeChaosEvent,
-    ServeChaosPlan,
-    run_serve_chaos,
-)
+from repro.core.engine import read_sequences
+from repro.seq.io_fasta import read_fasta
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
@@ -80,4 +78,14 @@ class TestServeChaosCycle:
         report = run_serve_chaos(
             tiling_contigs, clean_reads, CONFIG, plan=plan, n_replicas=3
         )
+        assert report.ok, report.story()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ci_world_seed_passes_the_gate(self, ci_world, seed):
+        """Default sketch parameters, 3 scatter replicas, every read of the
+        simulated set streamed through the storm and again after it."""
+        contigs = read_fasta(ci_world.contigs, on_error="raise")
+        reads = read_sequences(ci_world.reads, on_error="raise")
+        plan = ServeChaosPlan.seeded(seed, n_replicas=3, total_reads=len(reads))
+        report = run_serve_chaos(contigs, reads, JEMConfig(), plan=plan, n_replicas=3)
         assert report.ok, report.story()

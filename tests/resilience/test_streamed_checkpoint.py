@@ -15,14 +15,13 @@ import re
 
 import numpy as np
 import pytest
+from chaos_harness import ChaosPlan, ChaosSpec, apply_damage, read_tsv_body, unit_count
 
 from repro.cli import main
 from repro.core import engine as engine_module
 from repro.core import mapper as mapper_module
 from repro.core.mapper import JEMMapper
 from repro.parallel import driver, mp_backend, partition
-from repro.resilience import ChaosPlan, ChaosSpec, unit_count
-from repro.resilience.chaos import apply_damage, read_tsv_body
 from repro.resilience.checkpoint import MANIFEST_NAME
 from repro.seq.io_fasta import write_fasta
 from repro.seq.io_fastq import write_fastq
@@ -118,7 +117,7 @@ def test_resume_computes_only_missing_and_damaged_units(tmp_path, world, calls):
 
     plan = ChaosPlan(seed=4, specs=(ChaosSpec("kill"),) + (ChaosSpec("corrupt_unit"),) * 3)
     damaged = {
-        re.match(r"corrupt_unit: (\S+) @", line).group(1) for line in apply_damage(run_dir, plan)
+        re.match(r"corrupt_unit: (\S+) @", line).group(1) for line in apply_damage(run_dir, plan, dead_pid=0)
     }
     os.unlink(os.path.join(run_dir, "units", "map_0001.npz"))
     damaged.add("map_0001.npz")
