@@ -21,15 +21,26 @@ under a pid-unique temporary name and is renamed into place — the ``.c``
 file all cold processes share is never seen half-written, concurrent
 builders race benignly — and a failed, timed-out or abandoned compile
 removes its temporary output.
+
+With two CPUs or more the compiler runs on the caller's last CPU from exec
+on: the calling thread takes that one-CPU mask for the ``fork``, so the
+compiler and every process it starts inherit it, and then moves to its first
+CPU, where it stays until the compile is collected, fails, times out or is
+abandoned — only then does it get its whole mask back.  Left to the
+scheduler, the imports the caller makes meanwhile and the compiler share a
+CPU.  A thread the caller starts before then inherits the one-CPU mask, so a
+command that starts threads collects the compile first (``jem serve``).
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import functools
 import os
 import subprocess
 import tempfile
+import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +51,10 @@ __all__ = ["SOURCE_PATH", "affinity", "start", "library"]
 SOURCE_PATH = Path(__file__).resolve().parent / "sketch" / "jem_kernels.c"
 
 #: No ``-pthread``: the C starts no thread (:func:`repro.sketch._native.thread_map` does).
-_FLAGS = ("-O3", "-shared", "-fPIC")
+#: ``-O2``, not ``-O3``: the kernels run as fast (tier-X index and map alike)
+#: and a cold compile takes a sixth less; ``-pipe`` keeps the compiler's
+#: intermediate files off the disk.
+_FLAGS = ("-O2", "-pipe", "-shared", "-fPIC")
 
 #: Seconds a compile may take before it is killed and reported as failed.
 _TIMEOUT_S = 120
@@ -54,6 +68,16 @@ class _Compile:
     child: subprocess.Popen
     tmp: Path  # the compiler's output, renamed over ``target`` on success
     target: Path
+    #: the starting thread and the CPU mask it had: it runs on its first CPU
+    #: until the compile ends, then gets this mask back (None: never moved)
+    caller: tuple[int, list[int]] | None = None
+
+    def release_caller(self) -> None:
+        if self.caller is not None:
+            tid, cpus = self.caller
+            self.caller = None
+            with contextlib.suppress(OSError):  # the thread may be gone
+                os.sched_setaffinity(tid, cpus)
 
 
 _running: _Compile | None = None
@@ -110,23 +134,30 @@ def _spawn(cache: Path, stem: str) -> _Compile:
         tmp_c.unlink(missing_ok=True)
         raise
     tmp_so = cache / f".{stem}.{pid}.so"
-    child = subprocess.Popen(
-        [
-            os.environ.get("CC", "cc"), *_FLAGS, "-o", os.fspath(tmp_so), os.fspath(c_path),
-        ],
-        stdin=subprocess.DEVNULL,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-    )
     cpus = affinity()
-    if len(cpus) > 1:
-        # the compiler on the last CPU, this thread on the first (moved there
-        # by a one-CPU mask, then given its whole mask back): left where
-        # fork put it, the child shares the parent's CPU and overlaps nothing
-        os.sched_setaffinity(child.pid, {cpus[-1]})
+    caller = (threading.get_native_id(), cpus) if len(cpus) > 1 else None
+    if caller is not None:
+        # the child inherits this thread's mask at fork: the compiler, and
+        # every process it starts, runs on the last CPU from exec on
+        os.sched_setaffinity(0, {cpus[-1]})
+    try:
+        child = subprocess.Popen(
+            [
+                os.environ.get("CC", "cc"), *_FLAGS, "-o", os.fspath(tmp_so), os.fspath(c_path),
+            ],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+    except BaseException:
+        if caller is not None:
+            os.sched_setaffinity(0, cpus)
+        raise
+    if caller is not None:
+        # and this thread on the first until the compile ends: left to the
+        # scheduler, the imports it makes meanwhile share the compiler's CPU
         os.sched_setaffinity(0, {cpus[0]})
-        os.sched_setaffinity(0, cpus)
-    _running = _Compile(pid, child, tmp_so, cache / f"{stem}.so")
+    _running = _Compile(pid, child, tmp_so, cache / f"{stem}.so", caller)
     return _running
 
 
@@ -140,6 +171,8 @@ def _collect(build: _Compile) -> Path:
             build.child.kill()
             build.child.communicate()
             raise
+        finally:
+            build.release_caller()
         if build.child.returncode:
             raise subprocess.CalledProcessError(
                 build.child.returncode, build.child.args, stderr=stderr
@@ -157,6 +190,7 @@ def _abandon() -> None:
     if build is not None:
         build.child.kill()
         build.child.communicate()
+        build.release_caller()
         build.tmp.unlink(missing_ok=True)
 
 

@@ -126,11 +126,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from ..netserve import FleetSupervisor, NetFrontend, SupervisorConfig, parse_hostport
+    from ..sketch import _native
 
     # a bad address fails before the index loads and the fleet's threads start
     host, port = parse_hostport(args.listen)
     t0 = time.perf_counter()
-    backend = _fleet_from(args, engine_from(args))
+    engine = engine_from(args)
+    # a cold cache's compile ends here, and this thread gets its whole CPU
+    # mask back (repro._native_build), before the fleet starts the threads
+    # that inherit it
+    _native.load()
+    backend = _fleet_from(args, engine)
     interval_s = max(args.probe_interval_ms, 1.0) / 1000.0
     supervisor = FleetSupervisor(
         backend,

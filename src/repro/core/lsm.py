@@ -69,7 +69,7 @@ import os
 import threading
 import zipfile
 from itertools import chain
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -78,6 +78,9 @@ from ..seq.records import SequenceSet
 from ..sketch.jem import subject_sketch_pairs
 from .config import JEMConfig
 from .store import ColumnarSketchStore, SketchStore, TrialHits
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..resilience.checkpoint import CheckpointLog
 
 __all__ = [
     "IndexGeneration",
@@ -408,8 +411,6 @@ class MutableSketchStore:
         run_dir: str | None = None,
         _replay: bool = True,
     ) -> None:
-        from ..resilience.checkpoint import CheckpointLog
-
         self.config = config
         self._family = config.hash_family()
         self._dir = os.fspath(run_dir) if run_dir is not None else None
@@ -427,7 +428,9 @@ class MutableSketchStore:
         self._generation = 0
         self._seq = 0
         self._wal: CheckpointLog | None = None
-        if self._dir is not None:
+        if self._dir is not None:  # durable: only now is the WAL module loaded
+            from ..resilience.checkpoint import CheckpointLog
+
             os.makedirs(os.path.join(self._dir, _SEGMENTS_DIR), exist_ok=True)
             self._wal = CheckpointLog(os.path.join(self._dir, WAL_NAME))
             if _replay:

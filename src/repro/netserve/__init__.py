@@ -24,29 +24,25 @@ re-admit a rebuilt replica at the current index generation — see
 See ``docs/serving.md`` for the topology and lifecycle contracts.
 """
 
-from .frontend import NetFrontend, parse_hostport
-from .placement import (
-    FULL_RANGE,
-    PlacementPolicy,
-    ReplicatedPlacement,
-    ScatterPlacement,
-    make_placement,
-)
-from .replica import Replica, ReplicaSet
-from .router import ScatterGatherStore
-from .supervisor import FleetSupervisor, SupervisorConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NetFrontend",
-    "parse_hostport",
-    "PlacementPolicy",
-    "ScatterPlacement",
-    "ReplicatedPlacement",
-    "make_placement",
-    "FULL_RANGE",
-    "Replica",
-    "ReplicaSet",
-    "ScatterGatherStore",
-    "FleetSupervisor",
-    "SupervisorConfig",
-]
+#: Public name -> submodule that defines it, imported on first access (PEP 562):
+#: ``jem serve`` under the default replicate placement must not load the
+#: scatter router, or the fault plans and retry policy only its lanes take.
+_EXPORTS = {
+    "NetFrontend": ".frontend",
+    "parse_hostport": ".frontend",
+    "PlacementPolicy": ".placement",
+    "ScatterPlacement": ".placement",
+    "ReplicatedPlacement": ".placement",
+    "make_placement": ".placement",
+    "FULL_RANGE": ".placement",
+    "Replica": ".replica",
+    "ReplicaSet": ".replica",
+    "ScatterGatherStore": ".router",
+    "FleetSupervisor": ".supervisor",
+    "SupervisorConfig": ".supervisor",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -33,6 +33,7 @@ sick replica sheds or degrades alone while the set keeps serving:
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,16 +42,19 @@ from ..core.lsm import MutableSketchStore, store_stats
 from ..core.mapper import JEMMapper, MappingResult
 from ..core.store import ColumnarSketchStore
 from ..errors import ServiceClosedError, ServiceError, ServiceOverloadError
-from ..parallel.faults import FaultPlan
-from ..parallel.retry import RetryPolicy
 from ..seq.records import SequenceSet
 from ..service.config import ServiceConfig
 from ..service.health import OPEN
 from ..service.metrics import aggregate_metrics
 from ..service.queue import MapFuture
 from ..service.service import MappingService, map_reads_through
+from ..sketch.kernels import sorted_unique_rows
 from .placement import PlacementPolicy, ScatterPlacement
-from .router import LookupLane, ScatterGatherStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..parallel.faults import FaultPlan
+    from ..parallel.retry import RetryPolicy
+    from .router import LookupLane, ScatterGatherStore
 
 __all__ = ["Replica", "ReplicaSet"]
 
@@ -163,6 +167,10 @@ class ReplicaSet:
         self._router: ScatterGatherStore | None = None
         self.scatter_stats = None
         if isinstance(placement, ScatterPlacement):
+            # the router, and the fault plans and retry policy its lanes
+            # take, are imported by a scatter fleet only
+            from .router import ScatterGatherStore
+
             self._lanes = [self._lane(r) for r in self.replicas]
             virtual = ScatterGatherStore(
                 self._lanes, placement, store,
@@ -194,6 +202,8 @@ class ReplicaSet:
     def _lane(self, replica: Replica) -> LookupLane:
         """A lookup lane over ``replica``'s shard at the fleet's generation,
         sharing the replica's breaker and metrics."""
+        from .router import LookupLane
+
         return LookupLane(
             replica.id, replica.store,
             breaker=replica.service.breaker,
@@ -318,6 +328,8 @@ class ReplicaSet:
                 replica.store = generation
                 replica.service.install_index(generation, names)
             return self.store_stats()
+        from .router import ScatterGatherStore
+
         merged = generation.as_columnar()
         placement = ScatterPlacement(self.placement.n_replicas)
         new_lanes = []
@@ -444,9 +456,10 @@ class ReplicaSet:
                 picks = np.linspace(
                     0, col.size - 1, num=min(64, col.size), dtype=np.int64
                 )
-                qv = np.unique(
-                    np.concatenate([col[picks].astype(np.uint64), boundary])
-                )
+                # sort + run-boundary mask: np.unique would import numpy.ma
+                qv = sorted_unique_rows(
+                    np.concatenate([col[picks].astype(np.uint64), boundary])[None, :]
+                )[0]
             else:
                 qv = boundary
             expected = self._root.lookup_trial(t, qv)

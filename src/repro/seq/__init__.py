@@ -1,44 +1,41 @@
 """Sequence substrate: alphabet, 2-bit encoding, containers, I/O, statistics."""
 
-from .alphabet import ALPHABET, INVALID_CODE, complement_codes
-from .encode import (
-    count_invalid,
-    decode,
-    encode,
-    random_codes,
-    reverse_complement,
-    reverse_complement_str,
-)
-from .io_fasta import ParseReport, iter_fasta, read_fasta, write_fasta
-from .io_fastq import iter_fastq, read_fastq, write_fastq
-from .packed import pack_codes, packed_nbytes, unpack_codes
-from .records import SeqRecord, SequenceSet, SequenceSetBuilder
-from .stats import SetStats, n50, set_stats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALPHABET",
-    "INVALID_CODE",
-    "complement_codes",
-    "encode",
-    "decode",
-    "reverse_complement",
-    "reverse_complement_str",
-    "random_codes",
-    "count_invalid",
-    "SeqRecord",
-    "SequenceSet",
-    "SequenceSetBuilder",
-    "ParseReport",
-    "read_fasta",
-    "iter_fasta",
-    "write_fasta",
-    "read_fastq",
-    "iter_fastq",
-    "write_fastq",
-    "pack_codes",
-    "unpack_codes",
-    "packed_nbytes",
-    "SetStats",
-    "set_stats",
-    "n50",
-]
+# bound now, not on first access: the submodule of the same name, which
+# ``records`` imports, would otherwise shadow the function
+from .encode import encode
+
+#: Public name -> submodule that defines it, imported on first access (PEP 562):
+#: ``jem map`` parses FASTA and FASTQ and must not load statistics or
+#: bit-packing it never calls.
+_EXPORTS = {
+    "ALPHABET": ".alphabet",
+    "INVALID_CODE": ".alphabet",
+    "complement_codes": ".alphabet",
+    "encode": ".encode",
+    "decode": ".encode",
+    "reverse_complement": ".encode",
+    "reverse_complement_str": ".encode",
+    "random_codes": ".encode",
+    "count_invalid": ".encode",
+    "SeqRecord": ".records",
+    "SequenceSet": ".records",
+    "SequenceSetBuilder": ".records",
+    "ParseReport": ".io_fasta",
+    "read_fasta": ".io_fasta",
+    "iter_fasta": ".io_fasta",
+    "write_fasta": ".io_fasta",
+    "read_fastq": ".io_fastq",
+    "iter_fastq": ".io_fastq",
+    "write_fastq": ".io_fastq",
+    "pack_codes": ".packed",
+    "unpack_codes": ".packed",
+    "packed_nbytes": ".packed",
+    "SetStats": ".stats",
+    "set_stats": ".stats",
+    "n50": ".stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

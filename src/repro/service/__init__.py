@@ -7,37 +7,31 @@ query-sketch content, and live metrics.  See
 ``docs/serving.md`` for the architecture and contracts.
 """
 
-from .cache import SketchLRUCache, pack_entry, read_content_key, unpack_entry
-from .config import ServiceConfig
-from .metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    ServiceMetrics,
-    aggregate_metrics,
-)
-from .protocol import ClientStats, SocketTransport, run_session
-from .queue import AdmissionQueue, MapFuture
-from .scheduler import MicroBatchScheduler
-from .service import MappingService, ReadMapping
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MappingService",
-    "ReadMapping",
-    "ServiceConfig",
-    "ServiceMetrics",
-    "aggregate_metrics",
-    "Counter",
-    "Gauge",
-    "LatencyHistogram",
-    "SketchLRUCache",
-    "pack_entry",
-    "unpack_entry",
-    "read_content_key",
-    "AdmissionQueue",
-    "MapFuture",
-    "MicroBatchScheduler",
-    "run_session",
-    "SocketTransport",
-    "ClientStats",
-]
+#: Public name -> submodule that defines it, imported on first access (PEP 562):
+#: ``jem client`` speaks the protocol and must not load the service, its
+#: scheduler or its cache.
+_EXPORTS = {
+    "MappingService": ".service",
+    "ReadMapping": ".service",
+    "ServiceConfig": ".config",
+    "ServiceMetrics": ".metrics",
+    "aggregate_metrics": ".metrics",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "LatencyHistogram": ".metrics",
+    "SketchLRUCache": ".cache",
+    "pack_entry": ".cache",
+    "unpack_entry": ".cache",
+    "read_content_key": ".cache",
+    "AdmissionQueue": ".queue",
+    "MapFuture": ".queue",
+    "MicroBatchScheduler": ".scheduler",
+    "run_session": ".protocol",
+    "SocketTransport": ".protocol",
+    "ClientStats": ".protocol",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,70 +1,49 @@
 """Sketching substrate: k-mers, hash families, minimizers, MinHash, JEM."""
 
-from .hashing import HashFamily, is_prime_u64
-from .jem import (
-    QuerySketches,
-    jem_sketch_single,
-    pack_key,
-    query_kernel,
-    query_kernel_reference,
-    query_sketch_values,
-    subject_kernel,
-    subject_kernel_reference,
-    subject_sketch_pairs,
-    unpack_keys,
-)
-from .kernels import (
-    MAX_BATCH_ELEMS,
-    key_scratch,
-    pack_keys_batched,
-    sorted_unique_rows,
-    trial_chunks,
-)
-from .kmers import (
-    MAX_K,
-    canonical_kmer_ranks,
-    kmer_ranks,
-    rank_to_string,
-    revcomp_rank,
-    string_to_rank,
-    valid_kmer_mask,
-)
-from .minhash import jaccard, minhash_jaccard_estimate, minhash_sketch, minhash_sketch_set
-from .minimizers import MinimizerList, minimizer_density, minimizers, minimizers_set
-from .windowmin import sliding_window_min
+from .._lazy import lazy_exports
 
-__all__ = [
-    "HashFamily",
-    "is_prime_u64",
-    "QuerySketches",
-    "jem_sketch_single",
-    "pack_key",
-    "unpack_keys",
-    "query_kernel",
-    "query_kernel_reference",
-    "query_sketch_values",
-    "subject_kernel",
-    "subject_kernel_reference",
-    "subject_sketch_pairs",
-    "MAX_BATCH_ELEMS",
-    "key_scratch",
-    "pack_keys_batched",
-    "sorted_unique_rows",
-    "trial_chunks",
-    "MAX_K",
-    "kmer_ranks",
-    "canonical_kmer_ranks",
-    "valid_kmer_mask",
-    "rank_to_string",
-    "string_to_rank",
-    "revcomp_rank",
-    "minhash_sketch",
-    "minhash_sketch_set",
-    "jaccard",
-    "minhash_jaccard_estimate",
-    "MinimizerList",
-    "minimizers",
-    "minimizers_set",
-    "minimizer_density",
-    "sliding_window_min",
-]
+# bound now, not on first access: the submodule of the same name, which
+# ``jem`` imports, would otherwise shadow the function
+from .minimizers import minimizers
+
+#: Public name -> submodule that defines it, imported on first access (PEP 562):
+#: the mapping path runs the JEM sketch and must not load MinHash or the
+#: sketch-batching helpers it never calls.
+_EXPORTS = {
+    "HashFamily": ".hashing",
+    "is_prime_u64": ".hashing",
+    "QuerySketches": ".jem",
+    "jem_sketch_single": ".jem",
+    "pack_key": ".jem",
+    "unpack_keys": ".jem",
+    "query_kernel": ".jem",
+    "query_kernel_reference": ".jem",
+    "query_sketch_values": ".jem",
+    "subject_kernel": ".jem",
+    "subject_kernel_reference": ".jem",
+    "subject_sketch_pairs": ".jem",
+    "MAX_BATCH_ELEMS": ".kernels",
+    "key_scratch": ".kernels",
+    "pack_keys_batched": ".kernels",
+    "sorted_unique_rows": ".kernels",
+    "trial_chunks": ".kernels",
+    "MAX_K": ".kmers",
+    "kmer_ranks": ".kmers",
+    "canonical_kmer_ranks": ".kmers",
+    "valid_kmer_mask": ".kmers",
+    "rank_to_string": ".kmers",
+    "string_to_rank": ".kmers",
+    "revcomp_rank": ".kmers",
+    "minhash_sketch": ".minhash",
+    "minhash_sketch_set": ".minhash",
+    "jaccard": ".minhash",
+    "minhash_jaccard_estimate": ".minhash",
+    "MinimizerList": ".minimizers",
+    "minimizers": ".minimizers",
+    "minimizers_set": ".minimizers",
+    "minimizer_density": ".minimizers",
+    "sliding_window_min": ".windowmin",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

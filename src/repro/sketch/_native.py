@@ -39,7 +39,7 @@ from .. import _native_build
 
 __all__ = [
     "load", "load_error", "thread_count", "thread_shares", "thread_ranges", "thread_map",
-    "availability", "NativeKernels", "MapContext",
+    "availability", "bucket_index", "NativeKernels", "MapContext",
 ]
 
 _T = TypeVar("_T")
@@ -150,6 +150,27 @@ def thread_map(fn: Callable[[_T], _R], items: Sequence[_T], threads: int) -> lis
     return out
 
 
+def bucket_index(col_values: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The fused map's lookup index over sorted ``uint32`` value columns,
+    one a trial: ``(bucket_lo, bucket_shift)``, ``int64`` arrays of shape
+    ``(T, 257)`` and ``(T,)``.  Bucket ``b`` of trial ``t`` holds the values
+    ``v`` with ``v >> bucket_shift[t] == b``, the shift the least that puts
+    the column's largest value in bucket 255 or below, and covers rows
+    ``bucket_lo[t, b]:bucket_lo[t, b + 1]`` — the values under ``b << shift``
+    are counted by one ``searchsorted`` of 256 keys, not by a pass over
+    the entries."""
+    shifts = np.array(
+        [max(int(v[-1]).bit_length() - 8, 0) if v.size else 0 for v in col_values],
+        dtype=np.int64,
+    )
+    buckets = np.empty((len(col_values), 257), dtype=np.int64)
+    edges = np.arange(256, dtype=np.uint32)
+    for t, v in enumerate(col_values):
+        buckets[t, :256] = v.searchsorted(edges << np.uint32(shifts[t]))
+        buckets[t, 256] = v.size
+    return buckets, shifts
+
+
 class NativeKernels:
     """ctypes bindings over the compiled kernels (GIL released during calls)."""
 
@@ -159,19 +180,19 @@ class NativeKernels:
         u32p = ctypes.POINTER(ctypes.c_uint32)
         i64p = ctypes.POINTER(ctypes.c_int64)
         i64 = ctypes.c_int64
-        dll.jem_query_kernel.argtypes = [u64p, i64, i64p, i64, u64p, u64p, u64p, i64, u64p]
+        dll.jem_query_kernel.argtypes = [u64p, i64, i64p, i64, u64p, u64p, u64p, u64p, i64, u64p]
         dll.jem_query_kernel.restype = None
         dll.jem_subject_kernel.argtypes = [
             u64p, i64p, i64, u64p,                       # values, ends, n, subject_ids
-            ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,  # one trial's a, b, p
+            ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,  # a, b, p, m
             u64p, u64p,                                  # window, row
         ]
         dll.jem_subject_kernel.restype = i64
         void_p = ctypes.c_void_p
-        dll.jem_ctx_open.argtypes = [
-            ctypes.POINTER(u32p), ctypes.POINTER(u32p),  # per-trial col_values, col_subjects
-            i64p, i64,                                   # per-trial col_len, trials
-            u64p, u64p, u64p, i64,                       # a, b, p, n_subjects
+        dll.jem_ctx_open.argtypes = [       # arrays by address: the context points into them
+            void_p, void_p, void_p, i64,       # per-trial col_values, col_subjects, col_len; trials
+            void_p, void_p, void_p, void_p,    # the family's a, b, p, m rows
+            void_p, void_p, i64,               # bucket_lo (trials, 257), bucket_shift, n_subjects
         ]
         dll.jem_ctx_open.restype = void_p
         dll.jem_map_ctx.argtypes = [       # arrays by address: bound per call, not converted
@@ -321,6 +342,7 @@ class NativeKernels:
             self._ptr(family.a, u64, ctypes.c_uint64),
             self._ptr(family.b, u64, ctypes.c_uint64),
             self._ptr(family.p, u64, ctypes.c_uint64),
+            self._ptr(family.m, u64, ctypes.c_uint64),
             ctypes.c_int64(family.size),
             self._ptr(out, u64, ctypes.c_uint64),
         )
@@ -352,7 +374,7 @@ class NativeKernels:
             n,
             self._ptr(subject_ids, u64, ctypes.c_uint64),
         )
-        hashes = list(zip(family.a.tolist(), family.b.tolist(), family.p.tolist()))
+        hashes = list(zip(*(row.tolist() for row in (family.a, family.b, family.p, family.m))))
         shares = min(thread_shares(trials * n, MIN_THREAD_ENTRIES, threads), trials)
         # window and row: one pair per thread, taken for a call
         scratch = [(np.empty(n, dtype=u64), np.empty(n, dtype=u64)) for _ in range(shares)]
@@ -382,44 +404,51 @@ class NativeKernels:
         ``col_values[t]`` / ``col_subjects[t]`` are trial ``t``'s sorted
         value column and its parallel subject column — the columnar store's
         own arrays, wherever each lives: the context points into them and
-        copies none.  S4's set-up — the Barrett constants and a 256-bucket
-        index per trial column, a pass over every store entry — is paid
-        here, not per :meth:`MapContext.map` call.
+        copies none.  S4's set-up — :func:`bucket_index` — is paid here,
+        not per :meth:`MapContext.map` call.
         """
         trials = family.size
         if len(col_values) != trials or len(col_subjects) != trials or any(
-            v.shape != s.shape for v, s in zip(col_values, col_subjects)
+            v.shape != s.shape or v.dtype != np.uint32 or s.dtype != np.uint32
+            or not (v.flags.c_contiguous and s.flags.c_contiguous)
+            for v, s in zip(col_values, col_subjects)
         ):
-            raise ValueError("map context needs one value/subject column pair per trial")
-        u32, u32p = ctypes.c_uint32, ctypes.POINTER(ctypes.c_uint32)
+            raise ValueError("map context needs one uint32 value/subject column pair per trial")
         lengths = np.array([v.size for v in col_values], dtype=np.int64)
+        buckets, shifts = bucket_index(col_values)
+        pointers = tuple(
+            (ctypes.c_void_p * trials)(*(c.ctypes.data for c in cols))
+            for cols in (col_values, col_subjects)
+        )
         handle = self._dll.jem_ctx_open(
-            (u32p * trials)(*(self._ptr(v, np.uint32, u32) for v in col_values)),
-            (u32p * trials)(*(self._ptr(s, np.uint32, u32) for s in col_subjects)),
-            self._ptr(lengths, np.int64, ctypes.c_int64),
-            trials,
-            self._ptr(family.a, np.uint64, ctypes.c_uint64),
-            self._ptr(family.b, np.uint64, ctypes.c_uint64),
-            self._ptr(family.p, np.uint64, ctypes.c_uint64),
-            n_subjects,
+            *(ctypes.addressof(table) for table in pointers), lengths.ctypes.data, trials,
+            *(row.ctypes.data for row in (family.a, family.b, family.p, family.m)),
+            buckets.ctypes.data, shifts.ctypes.data, n_subjects,
         )
         if not handle:  # pragma: no cover - only on malloc failure
             raise MemoryError("jem_ctx_open: allocation failure")
-        return MapContext(self._dll, handle, family, (tuple(col_values), tuple(col_subjects)))
+        return MapContext(
+            self._dll, handle, family, (tuple(col_values), tuple(col_subjects)),
+            (pointers, lengths, buckets, shifts),
+        )
 
 
 class MapContext:
     """One store's open ``jem_ctx``: fused S4 — sketch → lookup → vote in C.
 
     Read-only once open, so calls on several threads may share it.  It
-    keeps the column arrays it points into alive and is closed when the
-    last reference to it goes — with the store that owns it, or after a
-    call still running on another thread when the store replaced it.
+    keeps every array it points into alive — the columns, the family's
+    rows, the bucket index — and is closed when the last reference to it
+    goes: with the store that owns it, or after a call still running on
+    another thread when the store replaced it.
     """
 
-    def __init__(self, dll: ctypes.CDLL, handle: int, family, columns: tuple) -> None:
+    def __init__(
+        self, dll: ctypes.CDLL, handle: int, family, columns: tuple, held: tuple
+    ) -> None:
         self.family = family
         self._columns = columns
+        self._held = held  # the column tables and lengths, the bucket index
         self._handle = handle
         self._map = dll.jem_map_ctx
         weakref.finalize(self, dll.jem_ctx_close, handle)

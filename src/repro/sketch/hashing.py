@@ -22,7 +22,7 @@ numpy's and the default family to literal constants.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,12 +159,15 @@ class HashFamily:
     """A family of ``T`` LCG hash functions with fixed random constants.
 
     Attributes are ``uint64`` arrays of length ``T``; every constant satisfies
-    ``0 < a < p``, ``0 <= b < p`` and ``2^30 <= p < 2^31``.
+    ``0 < a < p``, ``0 <= b < p`` and ``2^30 <= p < 2^31``.  ``m`` is derived:
+    each trial's Barrett constant ``floor(2^64 / p)``, the row the compiled
+    kernels reduce with (computed here once, not per kernel call).
     """
 
     a: np.ndarray
     b: np.ndarray
     p: np.ndarray
+    m: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "p"):
@@ -176,6 +179,8 @@ class HashFamily:
             raise SketchError("hash family must contain at least one function")
         if (self.a == 0).any() or (self.a >= self.p).any() or (self.b >= self.p).any():
             raise SketchError("hash constants must satisfy 0 < a < p, 0 <= b < p")
+        m = [(1 << 64) // p_t for p_t in self.p.tolist()]
+        object.__setattr__(self, "m", np.array(m, dtype=np.uint64))
 
     @property
     def size(self) -> int:

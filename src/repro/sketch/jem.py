@@ -30,7 +30,7 @@ from ..errors import SketchError
 from ..seq.records import SequenceSet
 from . import _native
 from .hashing import HashFamily
-from .kernels import LOW32 as _LOW32
+from .kernels import LOW32 as _LOW32, sorted_unique_rows
 from .minimizers import MinimizerList, minimizers_set
 
 __all__ = [
@@ -268,7 +268,8 @@ def subject_kernel_reference(
         packed = np.append((family.apply(t, values) << np.uint64(32)) | index, sentinel)
         mins = np.minimum.reduceat(packed, bounds)[0::2]
         idx = (mins & _LOW32).astype(np.int64)
-        out.append(np.unique(pack_key(values[idx], subject_ids)))
+        # sort + run-boundary mask: np.unique would import numpy.ma
+        out.append(sorted_unique_rows(pack_key(values[idx], subject_ids)[None, :])[0])
     return out
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import deque
 
 import numpy as np
@@ -138,24 +141,9 @@ class TestReservoir:
             assert merged[key] == float(np.percentile(pooled, q))
 
 
-def test_a_served_metrics_reply_imports_no_numpy_ma(monkeypatch):
-    """``np.percentile`` imports ``numpy.ma`` (≈ 1.25 MB): a server that
-    answers ``metrics`` and ``drained`` — the quantiles of every histogram
-    — must not load it.  The server maps on the compiled kernels, as
-    ``jem serve`` does: the numpy route's own S4 calls ``np.unique``."""
-    import os
-    import subprocess
-    import sys
-
-    import repro
-    from repro.sketch import _native
-
-    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
-    if _native.load() is None:
-        pytest.skip("the compiled kernels are unavailable")
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    code = r'''
+#: A replicate fleet answering three maps, ``metrics`` and ``drained`` over
+#: TCP; it exits with the ``numpy.ma`` modules it loaded (0 for none).
+_SERVED_SESSION = r'''
 import asyncio, json, random, socket, sys
 from repro import JEMConfig, JEMMapper
 from repro.netserve import NetFrontend, ReplicaSet, make_placement
@@ -192,8 +180,35 @@ latency = replies[3]["aggregate"]["histograms"]["request_latency_seconds"]
 assert latency["count"] == 3 and latency["p99"] >= latency["p50"] > 0, latency
 sys.exit(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")) or 0)
 '''
-    done = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+
+
+def served_session_loads(env: dict[str, str]) -> subprocess.CompletedProcess:
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", _SERVED_SESSION], env={**env, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120,
     )
+
+
+def test_a_served_metrics_reply_imports_no_numpy_ma(monkeypatch):
+    """``np.percentile`` imports ``numpy.ma`` (≈ 1.25 MB): a server that
+    answers ``metrics`` and ``drained`` — the quantiles of every histogram
+    — must not load it.  The server maps on the compiled kernels, as
+    ``jem serve`` does."""
+    from repro.sketch import _native
+
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    if _native.load() is None:
+        pytest.skip("the compiled kernels are unavailable")
+    done = served_session_loads(dict(os.environ))
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_server_on_the_numpy_route_imports_no_numpy_ma():
+    """Nor on the numpy route (``REPRO_NO_NATIVE``, or no compiler): the S2
+    oracle that builds its index dedupes by a sort and a run-boundary mask,
+    as ``np.unique`` without ``return_counts`` would import ``numpy.ma``."""
+    done = served_session_loads({**os.environ, "REPRO_NO_NATIVE": "1"})
     assert done.returncode == 0, done.stderr

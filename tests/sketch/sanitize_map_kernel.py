@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""``jem_ctx_open`` / ``jem_map_ctx`` / ``jem_ctx_close`` under AddressSanitizer
-+ UBSan, and under ThreadSanitizer (ROADMAP 8b).
+"""``jem_ctx_open`` / ``jem_map_ctx`` / ``jem_ctx_close``, and
+``jem_query_kernel`` (the sketch loop the map shares), under AddressSanitizer
++ UBSan, and under ThreadSanitizer (ROADMAP 8b, 14a).
 
 Not collected by pytest: CI's ``kernels`` job runs it as
 ``PYTHONPATH=src python tests/sketch/sanitize_map_kernel.py`` and again with
@@ -8,11 +9,13 @@ Not collected by pytest: CI's ``kernels`` job runs it as
 step it shares.
 
 The contract worth a sanitizer is the context's: built once, read-only
-afterwards, pointing into columns it does not own.  The C driver gives every
-trial's value column and subject column an exact-size allocation of its own,
-as a store built trial by trial holds them, so a read one past any trial's
-column aborts the ASan run instead of landing in the next trial.  It opens a
-context and closes it without a call, then opens two on the one store.  The
+afterwards, pointing into arrays it does not own — the columns, the hash
+family's rows with their Barrett constants, and the bucket index
+(``_native.bucket_index``), all the caller's, each in an exact-size
+allocation of its own, as a store built trial by trial holds its columns, so
+a read one past any of them aborts the ASan run instead of landing in the
+next.  It opens a context and closes it without a call, then opens two on
+the one store.  The
 block's segments are cut into one range per thread, as ``map_segment_batch``
 cuts a batch, and the ranges are mapped at once on POSIX threads — every
 thread on the **same** handle, each reading its own exact-size copy of its
@@ -21,7 +24,12 @@ past a column or a range aborts the ASan run, a write to anything the calls
 share aborts the TSan run.  The second handle then maps the whole block in
 one call and must agree byte for byte; both are closed (a leak fails the ASan
 run).  The joined output is compared with the numpy sketch
-(``query_kernel_reference``) voted by ``count_hits_vectorised``.  Shapes:
+(``query_kernel_reference``) voted by ``count_hits_vectorised``.  Each thread
+also sketches its range with ``jem_query_kernel`` into its own exact-size
+``(T, range)`` matrix, the whole block is sketched once more in one call, and
+the rows must agree with each other and with ``query_kernel_reference`` —
+an empty segment is the ``2^64 - 1`` sentinel, never a read of
+``values[2^32 - 1]``.  Shapes:
 T = 1 and T = 256, an empty store, empty trials between non-empty ones, a
 store written by ``from_sized_keys``, 0 segments, fewer segments than threads,
 empty segments, a block under 64 values, a duplicate-heavy block, an
@@ -45,6 +53,7 @@ from sanitize_minimizer_kernel import build as build_driver  # noqa: E402
 
 from repro.core.hitcounter import count_hits_vectorised  # noqa: E402
 from repro.core.store import ColumnarSketchStore  # noqa: E402
+from repro.sketch._native import bucket_index  # noqa: E402
 from repro.sketch.hashing import HashFamily  # noqa: E402
 from repro.sketch.jem import query_kernel_reference  # noqa: E402
 
@@ -68,14 +77,18 @@ static void *load(FILE *in, size_t count, size_t size) {
 typedef struct { /* segments [lo, hi) of the block: a thread's share */
     const void *ctx;
     uint64_t *values; int64_t *starts;   /* the range's own exact-size copies */
-    int64_t n, nseg, min_hits, rc;
+    int64_t n, nseg, min_hits, rc, trials;
     int64_t *subject, *count;
+    const uint64_t *a, *b, *p, *m;       /* shared with every thread */
+    uint64_t *sketch;                    /* (trials, nseg): jem_query_kernel's */
 } range_t;
 
 static void *map_range(void *arg) {
     range_t *r = arg;
     r->rc = jem_map_ctx(r->ctx, r->values, r->n, r->starts, r->nseg, r->min_hits,
                         r->subject, r->count);
+    jem_query_kernel(r->values, r->n, r->starts, r->nseg, r->a, r->b, r->p, r->m,
+                     r->trials, r->sketch);
     return NULL;
 }
 
@@ -90,7 +103,9 @@ int main(int argc, char **argv) {
     uint64_t *values = load(in, n, 8);
     int64_t *starts = load(in, nseg, 8);
     uint64_t *a = load(in, trials, 8), *b = load(in, trials, 8), *p = load(in, trials, 8);
+    uint64_t *m = load(in, trials, 8);
     int64_t *col_len = load(in, trials, 8);
+    int64_t *bucket_lo = load(in, trials * 257, 8), *bucket_shift = load(in, trials, 8);
     uint32_t **col_values = exact(trials, sizeof(uint32_t *));
     uint32_t **col_subjects = exact(trials, sizeof(uint32_t *));
     for (int64_t t = 0; t < trials; t++) { /* one exact-size block per column */
@@ -101,15 +116,12 @@ int main(int argc, char **argv) {
 
 #define OPEN() jem_ctx_open((const uint32_t *const *)col_values, \
                             (const uint32_t *const *)col_subjects, col_len, trials, \
-                            a, b, p, n_subjects)
+                            a, b, p, m, bucket_lo, bucket_shift, n_subjects)
     void *unused = OPEN();
     if (unused == NULL) return 3;
     jem_ctx_close(unused); /* open -> close without a call */
     void *ctx = OPEN(), *twin = OPEN();
     if (ctx == NULL || twin == NULL) return 3;
-    /* the family and the column table are copied at open: the caller's may
-       go (ASan sees a later read); the columns themselves stay */
-    free(a); free(b); free(p); free(col_len);
 
     range_t *ranges = exact(threads, sizeof(range_t));
     pthread_t *tids = exact(threads, sizeof(pthread_t));
@@ -117,8 +129,10 @@ int main(int argc, char **argv) {
         range_t *r = &ranges[t];
         const int64_t lo = nseg * t / threads, hi = nseg * (t + 1) / threads;
         const int64_t v0 = lo < nseg ? starts[lo] : n, v1 = hi < nseg ? starts[hi] : n;
-        r->ctx = ctx; r->min_hits = min_hits;
+        r->ctx = ctx; r->min_hits = min_hits; r->trials = trials;
+        r->a = a; r->b = b; r->p = p; r->m = m;
         r->nseg = hi - lo; r->n = v1 - v0;
+        r->sketch = exact(trials * r->nseg, 8);
         r->values = exact(r->n, 8); r->starts = exact(r->nseg, 8);
         memcpy(r->values, values + v0, (size_t)r->n * 8);
         for (int64_t j = 0; j < r->nseg; j++) r->starts[j] = starts[lo + j] - v0;
@@ -132,28 +146,37 @@ int main(int argc, char **argv) {
     /* the second handle on the same store, the whole block in one call */
     int64_t *subject = exact(nseg, 8), *count = exact(nseg, 8);
     if (jem_map_ctx(twin, values, n, starts, nseg, min_hits, subject, count) != 0) return 4;
+    /* and the whole block sketched in one call */
+    uint64_t *sketch = exact(trials * nseg, 8);
+    jem_query_kernel(values, n, starts, nseg, a, b, p, m, trials, sketch);
     int64_t at = 0;
     for (int64_t t = 0; t < threads; t++) {
         range_t *r = &ranges[t];
         if (memcmp(subject + at, r->subject, (size_t)r->nseg * 8)) return 5;
         if (memcmp(count + at, r->count, (size_t)r->nseg * 8)) return 5;
+        for (int64_t row = 0; row < trials; row++)
+            if (memcmp(sketch + row * nseg + at, r->sketch + row * r->nseg,
+                       (size_t)r->nseg * 8)) return 6;
         at += r->nseg;
     }
     fwrite(subject, 8, nseg, stdout);
     fwrite(count, 8, nseg, stdout);
+    fwrite(sketch, 8, trials * nseg, stdout);
     jem_ctx_close(ctx); jem_ctx_close(twin);
     for (int64_t t = 0; t < threads; t++) {
         free(ranges[t].values); free(ranges[t].starts);
-        free(ranges[t].subject); free(ranges[t].count);
+        free(ranges[t].subject); free(ranges[t].count); free(ranges[t].sketch);
     }
-    free(ranges); free(tids); free(subject); free(count);
+    free(ranges); free(tids); free(subject); free(count); free(sketch);
     for (int64_t t = 0; t < trials; t++) { free(col_values[t]); free(col_subjects[t]); }
     free(values); free(starts); free(col_values); free(col_subjects);
+    free(a); free(b); free(p); free(m); free(col_len); free(bucket_lo); free(bucket_shift);
     return 0;
 }
 """
 
 TOP = (1 << 32) - 1
+SENTINEL = (1 << 64) - 1
 
 
 def keys_of(rng, trials, n_subjects, entries, pool) -> list[np.ndarray]:
@@ -214,30 +237,36 @@ def shapes(rng: np.random.Generator):
 
 
 def oracle(store, family, values, starts, min_hits):
-    """Numpy sketch + vote; a segment with no value is unmapped."""
+    """Numpy sketch + vote; a segment with no value is unmapped, and its
+    sketch is the sentinel."""
     lengths = np.diff(np.append(starts, values.size))
     mask = lengths > 0
-    sketches = np.zeros((family.size, starts.size), dtype=np.uint64)
+    sketches = np.full((family.size, starts.size), SENTINEL, dtype=np.uint64)
     if mask.any():  # empty segments own no value: dropping them moves nothing
         sketches[:, mask] = query_kernel_reference(values, starts[mask], family)
-    hits = count_hits_vectorised(store, sketches, min_hits=min_hits, query_mask=mask)
-    return hits.subject, hits.count
+    voted = np.where(mask, sketches, 0)  # a masked query is never looked up
+    hits = count_hits_vectorised(store, voted, min_hits=min_hits, query_mask=mask)
+    return hits.subject, hits.count, sketches
 
 
 def run(exe, workdir, store, family, values, starts, min_hits, threads):
     path = os.path.join(workdir, "case.bin")
     lengths = np.array([v.size for v in store.values], dtype=np.int64)
+    buckets, shifts = bucket_index(store.values)
     with open(path, "wb") as fh:
         fh.write(np.array([starts.size, values.size, family.size, store.n_subjects,
                            min_hits], dtype=np.int64).tobytes())
-        for arr in (values, starts, family.a, family.b, family.p, lengths):
+        for arr in (values, starts, family.a, family.b, family.p, family.m, lengths,
+                    buckets, shifts):
             fh.write(np.ascontiguousarray(arr).tobytes())
         for v, s in zip(store.values, store.subjects):
             fh.write(v.tobytes() + s.tobytes())
     raw = subprocess.run([exe, path, str(threads)], check=True, capture_output=True).stdout
-    assert len(raw) == 16 * starts.size
-    return (np.frombuffer(raw, dtype=np.int64, count=starts.size),
-            np.frombuffer(raw, dtype=np.int64, count=starts.size, offset=8 * starts.size))
+    nseg = starts.size
+    assert len(raw) == 8 * nseg * (2 + family.size)
+    return (np.frombuffer(raw, dtype=np.int64, count=nseg),
+            np.frombuffer(raw, dtype=np.int64, count=nseg, offset=8 * nseg),
+            np.frombuffer(raw, dtype=np.uint64, offset=16 * nseg).reshape(family.size, nseg))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -250,12 +279,13 @@ def main(argv: list[str] | None = None) -> int:
             want = oracle(store, family, values, starts, min_hits)
             for threads in THREADS:
                 got = run(exe, workdir, store, family, values, starts, min_hits, threads)
-                if not (np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])):
+                if not all(np.array_equal(g, w) for g, w in zip(got, want)):
                     print(f"FAIL {label} at {threads} thread(s)")
                     return 1
             print(f"ok   {label}: {int((want[0] >= 0).sum())} of {starts.size} segments "
                   f"mapped at {THREADS} threads")
-    print(f"jem_ctx_open / jem_map_ctx / jem_ctx_close: clean under the {sanitize} sanitizers")
+    print(f"jem_ctx_open / jem_map_ctx / jem_ctx_close / jem_query_kernel: clean under the "
+          f"{sanitize} sanitizers")
     return 0
 
 

@@ -60,7 +60,7 @@ static void *load(FILE *in, size_t count, size_t size) {
 }
 
 typedef struct { /* one pass: every trial of one input */
-    const uint64_t *values, *subject_ids, *a, *b, *p;
+    const uint64_t *values, *subject_ids, *a, *b, *p, *m;
     const int64_t *ends;
     int64_t n, trials;
     int64_t next;     /* the next trial a thread takes */
@@ -74,7 +74,8 @@ static void *sketch_trials(void *arg) {
     uint64_t *window = exact(s->n, 8), *row = exact(s->n, 8);
     for (int64_t t; (t = __atomic_fetch_add(&s->next, 1, __ATOMIC_RELAXED)) < s->trials;) {
         const int64_t count = jem_subject_kernel(
-            s->values, s->ends, s->n, s->subject_ids, s->a[t], s->b[t], s->p[t], window, row);
+            s->values, s->ends, s->n, s->subject_ids, s->a[t], s->b[t], s->p[t], s->m[t],
+            window, row);
         if (count < 0 || count > s->n) exit(4);
         s->counts[t] = count;
         s->keys[t] = exact(count, 8);
@@ -96,6 +97,7 @@ int main(int argc, char **argv) {
     s.ends = load(in, n, 8);
     s.subject_ids = load(in, n, 8);
     s.a = load(in, trials, 8); s.b = load(in, trials, 8); s.p = load(in, trials, 8);
+    s.m = load(in, trials, 8);
     fclose(in);
     s.keys = exact(trials, sizeof(uint64_t *));
     s.counts = exact(trials, 8);
@@ -109,7 +111,7 @@ int main(int argc, char **argv) {
         free(s.keys[t]);
     }
     free((void *)s.values); free((void *)s.ends); free((void *)s.subject_ids);
-    free((void *)s.a); free((void *)s.b); free((void *)s.p);
+    free((void *)s.a); free((void *)s.b); free((void *)s.p); free((void *)s.m);
     free(s.keys); free(s.counts); free(tids);
     return 0;
 }
@@ -155,7 +157,7 @@ def run(exe, workdir, values, ends, subject_ids, family, threads):
     path = os.path.join(workdir, "case.bin")
     with open(path, "wb") as fh:
         fh.write(np.array([values.size, family.size], dtype=np.int64).tobytes())
-        for arr in (values, ends, subject_ids, family.a, family.b, family.p):
+        for arr in (values, ends, subject_ids, family.a, family.b, family.p, family.m):
             fh.write(np.ascontiguousarray(arr).tobytes())
     raw = subprocess.run([exe, path, str(threads)], check=True, capture_output=True).stdout
     rows, at = [], 0

@@ -11,6 +11,7 @@ cache directory.
 from __future__ import annotations
 
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -257,6 +258,63 @@ def test_start_returns_at_once_and_load_collects_the_running_compile(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True", "True", "True", "True", "True", "0", "True"]
     assert_one_library_and_no_temp_file(cache)
+
+
+@needs_compiler
+@needs_two_cpus
+def test_the_compiler_runs_on_the_last_cpu_and_the_caller_on_the_first_until_it_ends(tmp_path):
+    """From exec on, the compiler and what it forks (here a ``grep`` the
+    wrapper starts before it execs ``cc``) run on the caller's last CPU, and
+    the caller on its first, so the imports it makes meanwhile have a CPU of
+    their own; once the compile is collected the caller has its mask back."""
+    cache, seen = tmp_path / "cache", tmp_path / "forked-mask"
+    cc = shutil.which(os.environ.get("CC", "cc"))
+    wrapper = fake_compiler(
+        tmp_path, f'grep Cpus_allowed_list /proc/self/status > {seen}\nexec {cc} "$@"\n'
+    )
+    done = python(
+        """
+        import os
+        from repro import _native_build
+        mask = sorted(os.sched_getaffinity(0))
+        _native_build.start()
+        compiler = _native_build._running.child.pid
+        print(sorted(os.sched_getaffinity(compiler)) == mask[-1:],
+              sorted(os.sched_getaffinity(0)) == mask[:1])
+        from repro.sketch import _native
+        print(_native.load() is not None, sorted(os.sched_getaffinity(0)) == mask, mask[-1])
+        """,
+        cache, CC=wrapper,
+    )
+    assert done.returncode == 0, done.stderr
+    *flags, last = done.stdout.split()
+    assert flags == ["True"] * 4
+    assert seen.read_text().split() == ["Cpus_allowed_list:", last]
+    assert_one_library_and_no_temp_file(cache)
+
+
+@needs_two_cpus
+def test_a_compile_that_fails_or_is_abandoned_gives_the_caller_its_mask_back(tmp_path):
+    done = python(
+        """
+        import os, subprocess
+        from repro import _native_build
+        mask = sorted(os.sched_getaffinity(0))
+        _native_build.start()
+        pinned = sorted(os.sched_getaffinity(0)) == mask[:1]
+        try:
+            _native_build.library()
+        except subprocess.CalledProcessError:
+            print(pinned, sorted(os.sched_getaffinity(0)) == mask)
+        _native_build.start()  # nothing cached: a second compile starts
+        pinned = sorted(os.sched_getaffinity(0)) == mask[:1]
+        _native_build._abandon()  # what exit does to a compile nobody waited for
+        print(pinned, sorted(os.sched_getaffinity(0)) == mask)
+        """,
+        tmp_path / "cache", CC=fake_compiler(tmp_path, "sleep 1\nexit 1\n"),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"] * 4
 
 
 @needs_compiler
