@@ -38,13 +38,10 @@ def register(sub) -> None:
                               "index through the fused kernel, round-robin; "
                               "scatter = key-range shards + central numpy "
                               "vote (default replicate)")
-    p_serve.add_argument("--tenant-quota", type=int, default=None,
-                         help="max in-flight maps per tenant tag across all "
-                              "sessions (default: unlimited)")
     p_serve.add_argument("--probe-interval-ms", type=float, default=500.0,
                          help="supervisor heartbeat interval "
                               "(default 500; probe deadline is half of it)")
-    # the fleet's batching, caching, self-healing and index maintenance
+    # the fleet's batching, caching and self-healing
     p_serve.add_argument("--max-batch", type=int, default=64,
                          help="most reads coalesced into one micro-batch (default 64)")
     p_serve.add_argument("--cache-capacity", type=int, default=4096,
@@ -56,14 +53,6 @@ def register(sub) -> None:
                          help="failed batches in the rolling window that trip "
                               "the circuit breaker into degraded reduced-trial "
                               "mapping (0 = breaker disabled, default)")
-    p_serve.add_argument("--memtable-flush-entries", type=int, default=0,
-                         help="auto-flush the mutable index's memtable once an "
-                              "online add leaves this many entries in it "
-                              "(0 = disabled, default)")
-    p_serve.add_argument("--compact-segments", type=int, default=0,
-                         help="most segments the mutable index keeps: a "
-                              "mutation that leaves more compacts it "
-                              "(0 = disabled, default)")
     p_serve.set_defaults(run=_cmd_serve)
 
     p_client = sub.add_parser(
@@ -92,8 +81,6 @@ def _fleet_from(args: argparse.Namespace, engine: MappingEngine):
         max_batch_size=args.max_batch,
         cache_capacity=args.cache_capacity,
         breaker_failures=args.breaker_failures,
-        memtable_flush_entries=args.memtable_flush_entries,
-        compact_segments=args.compact_segments,
     )
     return ReplicaSet.from_engine(engine, make_placement(args.placement, args.replicas), config)
 
@@ -142,7 +129,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend,
         SupervisorConfig(probe_interval_s=interval_s, probe_deadline_s=interval_s / 2.0),
     )
-    frontend = NetFrontend(backend, host=host, port=port, tenant_quota=args.tenant_quota)
+    frontend = NetFrontend(backend, host=host, port=port)
 
     async def listen() -> None:
         bound_host, bound_port = await frontend.start()

@@ -28,14 +28,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, runtime_checkable
 
 from ..errors import MappingError
-from ..seq.io_fasta import ParseReport
 from ..seq.records import SequenceSet, SequenceSetBuilder
 from .config import JEMConfig
 from .mapper import JEMMapper, MappingResult
-from .streaming import iter_file_batches, iter_records, map_file, unit_bases
 
+# the FASTA reader and the streamed loops (core.streaming) are imported where
+# a file is read: a server opens only a built index and loads neither
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.checkpoint import CheckpointContext
+    from ..seq.io_fasta import ParseReport
 
 __all__ = [
     "PipelineConfig",
@@ -164,6 +165,9 @@ def _warn_skipped(report: ParseReport, path: str) -> None:
 def read_sequences(path: str, *, on_error: str = "raise") -> SequenceSet:
     """Load a whole FASTA or FASTQ file (by extension), with the shared
     skip-warning: what `client` and `map --paf` use."""
+    from ..seq.io_fasta import ParseReport
+    from .streaming import iter_records
+
     report = ParseReport()
     builder = SequenceSetBuilder()
     for rec in iter_records(path, on_error=on_error, report=report):
@@ -293,6 +297,9 @@ class MappingEngine:
             mapper = build_mapper(self.pipeline)
             path = self._subjects_path
             if self._subjects is None and path and isinstance(mapper, JEMMapper):
+                from ..seq.io_fasta import ParseReport
+                from .streaming import iter_file_batches, unit_bases
+
                 pipe, report, ckpt = self.pipeline, ParseReport(), self.checkpoint
                 batches = iter_file_batches(
                     path, on_error=pipe.on_error, report=report,
@@ -355,6 +362,9 @@ class MappingEngine:
         reported after the last.  :attr:`last_run` holds the telemetry
         once exhausted.
         """
+        from ..seq.io_fasta import ParseReport
+        from .streaming import map_file, unit_bases
+
         pipe = self.pipeline
         mode = self._mode()
         self.last_run = None

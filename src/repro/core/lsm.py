@@ -64,6 +64,7 @@ Durability protocol (why replay is crash-safe at every step):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -366,28 +367,6 @@ def store_stats(store) -> dict:
     }
 
 
-def _config_to_dict(cfg: JEMConfig) -> dict:
-    return {
-        "k": cfg.k,
-        "w": cfg.w,
-        "ell": cfg.ell,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "min_hits": cfg.min_hits,
-    }
-
-
-def _config_from_dict(data: dict) -> JEMConfig:
-    return JEMConfig(
-        k=int(data["k"]),
-        w=int(data["w"]),
-        ell=int(data["ell"]),
-        trials=int(data["trials"]),
-        seed=int(data["seed"]),
-        min_hits=int(data["min_hits"]),
-    )
-
-
 class MutableSketchStore:
     """The mutable index handle: LSM writes over immutable generation reads.
 
@@ -497,7 +476,7 @@ class MutableSketchStore:
             raise MappingError(f"no mutable index manifest in {run_dir!r}")
         with open(manifest_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return cls(_config_from_dict(data["config"]), run_dir=run_dir)
+        return cls(JEMConfig(**data["config"]), run_dir=run_dir)
 
     @classmethod
     def from_bundle(
@@ -809,11 +788,11 @@ class MutableSketchStore:
         return ColumnarSketchStore.from_flat(values, subjects, offsets, n_subjects)
 
     def _write_manifest(self) -> None:
-        from ..resilience.checkpoint import atomic_write_bytes
+        from .persist import atomic_write_bytes
 
         manifest = {
             "format_version": MUTABLE_FORMAT_VERSION,
-            "config": _config_to_dict(self.config),
+            "config": dataclasses.asdict(self.config),
             "generation": self._generation,
             "applied_seq": self._seq,
             "subject_names": list(self._names),
@@ -850,7 +829,7 @@ class MutableSketchStore:
                 f"mutable index format {version} unsupported "
                 f"(expected {MUTABLE_FORMAT_VERSION})"
             )
-        manifest_cfg = _config_from_dict(data["config"])
+        manifest_cfg = JEMConfig(**data["config"])
         if manifest_cfg != self.config:
             raise MappingError(
                 "mutable index was built with a different JEMConfig; "

@@ -45,6 +45,7 @@ __all__ = [
     "save_index",
     "load_index",
     "write_bundle",
+    "atomic_write_bytes",
     "read_trial_columns",
     "file_crc32",
     "INDEX_FORMAT_VERSION",
@@ -195,16 +196,33 @@ def write_bundle(
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, final)
-    parent = os.path.dirname(os.path.abspath(final))
-    try:
-        dir_fd = os.open(parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return crc
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    _fsync_dir(os.path.dirname(os.path.abspath(final)))
     return crc
+
+
+def atomic_write_bytes(path: str, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` crash-atomically (tmp + fsync + rename)."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        fh.write(payload)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    _fsync_dir(os.path.dirname(os.path.abspath(path)))
+
+
+def _fsync_dir(path: str) -> None:
+    """Flush a directory entry (rename durability); best effort."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir fds
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - not all fs support dir fsync
+        pass
+    finally:
+        os.close(fd)
 
 
 def save_index(mapper: JEMMapper, path: str | os.PathLike) -> str:

@@ -2,8 +2,8 @@
 
 The network tier on top of :mod:`repro.service`: an asyncio front-end
 (:class:`NetFrontend`) is the server side of the NDJSON protocol for
-many concurrent TCP clients, with per-client fairness and optional
-per-tenant quotas, and hands every read to a :class:`ReplicaSet`:
+many concurrent TCP clients, with per-client fairness, and hands every
+read to a :class:`ReplicaSet`:
 N :class:`~repro.service.MappingService` workers whose index ownership
 is decided by a pluggable :class:`PlacementPolicy`, and the one owner of
 the served index's mutable handle:

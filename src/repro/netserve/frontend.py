@@ -17,16 +17,14 @@ client:
   mapping's completion as it reaches the head of the line.
 
 Thread boundary: the backend (a :class:`~repro.netserve.ReplicaSet`)
-completes futures on its replicas' scheduler threads;
-``MapFuture.add_done_callback`` + ``loop.call_soon_threadsafe`` bridge
-each completion to an ``asyncio.Future``, so no executor thread is
-parked per in-flight request.
+completes each read's :class:`concurrent.futures.Future` on its
+replicas' scheduler threads; ``add_done_callback`` +
+``loop.call_soon_threadsafe`` bridge each completion to an
+``asyncio.Future``, so no executor thread is parked per in-flight request.
 
 Backpressure is layered: the admission queue rejects in-band with
-``retry_after``; a connection with ``max_pending`` unanswered maps stops
-being read (TCP pushes back); an optional **per-tenant quota** caps
-in-flight maps per ``tenant`` tag across all connections, rejecting the
-excess in-band so one tenant cannot occupy the whole admission queue.
+``retry_after``, and a connection with ``max_pending`` unanswered maps
+stops being read (TCP pushes back).
 
 Hostile or broken clients are contained per frame, not per connection:
 request lines are bounded by ``max_line_bytes`` (an oversized line is
@@ -35,7 +33,8 @@ frame), a connection that cannot complete one line within
 ``idle_timeout_s`` is cut loose (slow-loris), and any exception a
 malformed payload provokes during dispatch is answered in-band — the
 shared dispatcher task serving every other connection never dies for
-one client's garbage.
+one client's garbage.  So is whatever exception fails a read's batch:
+the session's writer answers it and the reads behind it, then ``drained``.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ import contextlib
 import json
 import mmap
 from collections import deque
+from concurrent.futures import Future
 
 from ..errors import ReproError, ServiceOverloadError
 from ..service.protocol import (
@@ -53,7 +53,6 @@ from ..service.protocol import (
     mutation_response,
     response_for_mapping,
 )
-from ..service.queue import MapFuture
 
 __all__ = ["NetFrontend", "parse_hostport"]
 
@@ -67,10 +66,6 @@ FAIR_CHUNK = 16
 #: Unanswered maps a session may hold before the front-end stops reading
 #: it.  Bounds server memory while still letting batches fill.
 MAX_PENDING = 512
-
-#: retry hint for tenant-quota rejections (the tenant's own responses
-#: drain the quota, so a short client-side pause is enough).
-TENANT_RETRY_S = 0.05
 
 #: Longest accepted NDJSON request line.  Oversized lines are discarded
 #: through their terminating newline and answered with a typed error —
@@ -154,7 +149,7 @@ class _Session(asyncio.BufferedProtocol):
         self.transport: asyncio.Transport | None = None
         self.closed_future: asyncio.Future | None = None
         self.intake: deque = deque()
-        #: ordered responses: ("map", header, afut, tenant) | ("ready", dict)
+        #: ordered responses: ("map", header, afut) | ("ready", dict)
         #: | ("metrics",) | ("mutation", op, message) | ("drain",)
         self.pending: asyncio.Queue = asyncio.Queue()
         self.outstanding = 0  # dispatched maps not yet written
@@ -385,7 +380,7 @@ class _Session(asyncio.BufferedProtocol):
 class NetFrontend:
     """Serve the NDJSON protocol over a submit/healthz/metrics backend.
 
-    ``backend`` needs ``submit(name, seq, *, deadline_s) -> MapFuture``,
+    ``backend`` needs ``submit(name, seq, *, deadline_s) -> Future``,
     ``healthz() -> dict``, ``metrics_snapshot() -> dict`` and the mutation
     surface of :func:`~repro.service.protocol.mutation_response` — a
     :class:`~repro.netserve.ReplicaSet`.  :meth:`start` binds and serves
@@ -398,14 +393,11 @@ class NetFrontend:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        tenant_quota: int | None = None,
         fair_chunk: int = FAIR_CHUNK,
         max_pending: int = MAX_PENDING,
         max_line_bytes: int = MAX_LINE_BYTES,
         idle_timeout_s: float = IDLE_TIMEOUT_S,
     ) -> None:
-        if tenant_quota is not None and tenant_quota < 1:
-            raise ReproError(f"tenant_quota must be >= 1, got {tenant_quota}")
         if max_line_bytes < 1:
             raise ReproError(f"max_line_bytes must be >= 1, got {max_line_bytes}")
         if idle_timeout_s <= 0:
@@ -413,7 +405,6 @@ class NetFrontend:
         self.backend = backend
         self.host = host
         self.port = int(port)
-        self.tenant_quota = tenant_quota
         self.fair_chunk = int(fair_chunk)
         self.max_pending = int(max_pending)
         self.max_line_bytes = int(max_line_bytes)
@@ -422,7 +413,6 @@ class NetFrontend:
         self._server: asyncio.AbstractServer | None = None
         self._handlers: set[asyncio.Task] = set()
         self._connections: list[_Session] = []
-        self._tenant_inflight: dict[str, int] = {}
         self._dispatch_wake = asyncio.Event()
         self._dispatcher: asyncio.Task | None = None
 
@@ -517,18 +507,6 @@ class NetFrontend:
             conn.pending.put_nowait(("mutation", op, message))
             return
         header = {"id": message.get("id"), "name": message.get("name", "")}
-        tenant = str(message.get("tenant", ""))
-        if (
-            self.tenant_quota is not None
-            and self._tenant_inflight.get(tenant, 0) >= self.tenant_quota
-        ):
-            conn.pending.put_nowait((
-                "ready",
-                {**header, "error": "overloaded",
-                 "retry_after": TENANT_RETRY_S, "tenant": tenant or None},
-            ))
-            conn.rejected += 1
-            return
         deadline_ms = message.get("deadline_ms")
         try:
             future = self.backend.submit(
@@ -550,20 +528,19 @@ class NetFrontend:
             conn.errors += 1
             refusal = _error(f"bad request: {exc}", **header)
         else:
-            self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
             conn.outstanding += 1
             if conn.outstanding >= self.max_pending:
                 conn.cap()
-            conn.pending.put_nowait(("map", header, self._bridge(future), tenant))
+            conn.pending.put_nowait(("map", header, self._bridge(future)))
             return
         conn.pending.put_nowait(("ready", refusal))
 
-    def _bridge(self, future: MapFuture) -> asyncio.Future:
-        """Thread-side MapFuture completion → loop-side asyncio.Future."""
+    def _bridge(self, future: Future) -> asyncio.Future:
+        """Thread-side Future completion → loop-side asyncio.Future."""
         loop = asyncio.get_running_loop()
         afut: asyncio.Future = loop.create_future()
 
-        def transfer(done: MapFuture) -> None:
+        def transfer(done: Future) -> None:
             try:
                 result = done.result()
             except BaseException as exc:  # noqa: BLE001 - re-raised loop-side
@@ -609,18 +586,20 @@ class NetFrontend:
                 conn.send_json(reply)
                 conn.release()
             else:
-                _kind, header, afut, tenant = entry
+                _kind, header, afut = entry
                 try:
                     mapping = await afut
-                except ReproError as exc:
-                    conn.send_json({**header, "error": str(exc)})
+                except Exception as exc:  # noqa: BLE001 - whatever failed the
+                    # read's batch answers in-band: a dead writer would drop
+                    # this reply, every one behind it and the `drained`
+                    conn.send_json({**header, "error": (
+                        str(exc) if isinstance(exc, ReproError)
+                        else f"{type(exc).__name__}: {exc}"
+                    )})
                     conn.errors += 1
                 else:
                     conn.send_json(response_for_mapping(header, mapping))
                     conn.mapped += 1
-                self._tenant_inflight[tenant] = max(
-                    0, self._tenant_inflight.get(tenant, 0) - 1
-                )
                 conn.outstanding -= 1
                 if conn.outstanding < self.max_pending // 2:
                     conn.uncap()

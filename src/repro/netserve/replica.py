@@ -9,9 +9,9 @@ The process holds one copy of the index however many replicas serve it,
 and replicas sharing one store object share its native map context too.
 
 The set is the one owner of a served index's mutable handle: mutations,
-auto-flush and auto-compaction run here under one lock, and each
-published generation is installed into the replica services, which only
-read.  ``jem serve`` fronts a set.
+flushes and compactions run here under one lock, each only when a caller
+asks for it, and each published generation is installed into the replica
+services, which only read.  ``jem serve`` fronts a set.
 
 Every replica keeps its own admission queue, circuit breaker, and
 labelled metrics registry (all inside its ``MappingService``), so one
@@ -33,6 +33,7 @@ sick replica sheds or degrades alone while the set keeps serving:
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,7 +47,6 @@ from ..seq.records import SequenceSet
 from ..service.config import ServiceConfig
 from ..service.health import OPEN
 from ..service.metrics import aggregate_metrics
-from ..service.queue import MapFuture
 from ..service.service import MappingService, map_reads_through
 from ..sketch.kernels import sorted_unique_rows
 from .placement import PlacementPolicy, ScatterPlacement
@@ -258,7 +258,7 @@ class ReplicaSet:
         sequence: str | np.ndarray,
         *,
         deadline_s: float | None = None,
-    ) -> MapFuture:
+    ) -> Future:
         """Admit one read: the round-robin member unless its breaker is
         open, it is draining or it refuses — only then the failover order."""
         if self._frontdoor is not None:
@@ -355,54 +355,29 @@ class ReplicaSet:
             lane.close()
         return self.store_stats()
 
-    def _flush(self) -> bool:
-        """Seal the memtable; True (and counted) when that made a generation."""
-        before = self._mutable.generation
-        self._mutable.flush()
-        if self._mutable.generation == before:
-            return False
-        self._mutation_counts["flushes_total"] += 1
-        return True
-
-    def _publish(self) -> dict:
-        """Auto-compact, then install the handle's latest generation.
-
-        Segments change only under the mutation lock, so the end of a
-        mutation is the one place the ``compact_segments`` limit can be
-        crossed: a generation left holding more segments is folded into
-        one before any replica sees it.  Called under the mutation lock.
-        """
-        limit = self.config.compact_segments
-        if limit and len(self._mutable.current.segments) > limit:
-            self._mutable.compact()
-            self._mutation_counts["compactions_total"] += 1
-        return self._install_generation()
-
     def add_contigs(self, contigs: SequenceSet) -> dict:
-        """Add contigs online across the whole set; returns store stats.
-
-        When ``memtable_flush_entries`` is configured and the memtable has
-        reached it, the same mutation also flushes.
-        """
+        """Add contigs online across the whole set; returns store stats."""
         with self._mutation_lock:
             self._mutable.add_contigs(contigs)
             self._mutation_counts["mutations_total"] += 1
-            limit = self.config.memtable_flush_entries
-            if limit and self._mutable.current.memtable_entries >= limit:
-                self._flush()
-            return self._publish()
+            return self._install_generation()
 
     def remove_contigs(self, names: list[str]) -> dict:
         """Tombstone contigs across the whole set; returns store stats."""
         with self._mutation_lock:
             self._mutable.remove_contigs(names)
             self._mutation_counts["mutations_total"] += 1
-            return self._publish()
+            return self._install_generation()
 
     def flush_index(self) -> dict:
         """Seal the set-level memtable into an immutable segment."""
         with self._mutation_lock:
-            return self._publish() if self._flush() else self.store_stats()
+            before = self._mutable.generation
+            self._mutable.flush()
+            if self._mutable.generation == before:  # nothing to seal
+                return self.store_stats()
+            self._mutation_counts["flushes_total"] += 1
+            return self._install_generation()
 
     def compact_index(self) -> dict:
         """Fold the set-level index into one clean segment."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ from ..errors import (
 )
 from ..parallel.faults import FaultPlan, inject_compute_faults
 from ..parallel.retry import RetryPolicy, retry_call
-from ..service.queue import AdmissionQueue, MapFuture
+from ..service.queue import AdmissionQueue
 
 __all__ = ["LookupLane", "ScatterGatherStore"]
 
@@ -55,7 +56,7 @@ class _LookupTask:
     def __init__(self, t: int, qv: np.ndarray) -> None:
         self.t = t
         self.qv = qv
-        self.future: MapFuture = MapFuture()
+        self.future: Future = Future()
 
 
 class LookupLane:
@@ -107,7 +108,7 @@ class LookupLane:
             and self._thread.is_alive()
         )
 
-    def submit(self, t: int, qv: np.ndarray) -> MapFuture:
+    def submit(self, t: int, qv: np.ndarray) -> Future:
         """Queue one trial's owned query slice; rejections raise immediately."""
         task = _LookupTask(t, qv)
         self._queue.put(task)  # ServiceOverloadError/ServiceClosedError propagate
@@ -335,7 +336,7 @@ class ScatterGatherStore:
         """
         qv = _check_query_values(query_values)
         owner = self._placement.owner_of(qv)
-        shares: list[tuple[np.ndarray, np.ndarray, MapFuture | None]] = []
+        shares: list[tuple[np.ndarray, np.ndarray, Future | None]] = []
         for i, lane in enumerate(self._lanes):
             mine = np.flatnonzero(owner == i)
             if mine.size == 0:

@@ -55,6 +55,7 @@ from typing import Any
 import numpy as np
 
 from ..core.mapper import MappingResult
+from ..core.persist import atomic_write_bytes, file_crc32, write_bundle
 from ..core.segments import SegmentInfo
 from ..errors import CheckpointError
 
@@ -65,7 +66,6 @@ __all__ = [
     "MANIFEST_NAME",
     "LOG_NAME",
     "fingerprint_file",
-    "atomic_write_bytes",
     "CHAOS_KILL_AFTER_ENV",
     "chaos_kill_point",
 ]
@@ -95,43 +95,11 @@ def chaos_kill_point(value: str | None) -> tuple[int, bool]:
     return int(count), bool(sep)
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` crash-atomically (tmp + fsync + rename)."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(os.path.dirname(path) or ".")
-
-
-def _fsync_dir(path: str) -> None:
-    """Flush a directory entry (rename durability); best effort."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - not all fs support dir fsync
-        pass
-    finally:
-        os.close(fd)
-
-
 def fingerprint_file(path: str) -> dict:
     """Content identity of an input file: size + CRC32 over its bytes."""
-    crc = 0
-    size = 0
     with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            if not chunk:
-                break
-            crc = zlib.crc32(chunk, crc)
-            size += len(chunk)
-    return {"size": size, "crc32": crc & 0xFFFFFFFF}
+        crc = file_crc32(fh)
+        return {"size": fh.tell(), "crc32": crc}
 
 
 class CheckpointLog:
@@ -387,28 +355,16 @@ class CheckpointContext:
         path = os.path.join(self.run_dir, record["file"])
         try:
             with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError:
-            return None
-        if (zlib.crc32(raw) & 0xFFFFFFFF) != record["crc32"]:
-            return None  # corrupt payload: treat the unit as not done
-        try:
-            return np.load(io.BytesIO(raw), allow_pickle=False)
-        except (ValueError, OSError, EOFError):  # pragma: no cover - crc guards
+                if file_crc32(fh) != record["crc32"]:
+                    return None  # corrupt payload: treat the unit as not done
+            return np.load(path, allow_pickle=False)
+        except (ValueError, OSError, EOFError):  # a missing file; crc guards the rest
             return None
 
     def _commit(self, phase: str, block: int, arrays: dict[str, np.ndarray]) -> None:
         rel = os.path.join(_UNITS_DIR, f"{phase}_{block:04d}.npz")
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        payload = buf.getvalue()
-        atomic_write_bytes(os.path.join(self.run_dir, rel), payload)
-        record = {
-            "phase": phase,
-            "block": int(block),
-            "file": rel,
-            "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
-        }
+        crc = write_bundle(os.path.join(self.run_dir, rel), arrays.items(), file_crc=True)
+        record = {"phase": phase, "block": int(block), "file": rel, "crc32": crc}
         self.log.append(record)
         self._done[(phase, int(block))] = record
 

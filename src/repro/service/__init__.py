@@ -26,7 +26,6 @@ _EXPORTS = {
     "unpack_entry": ".cache",
     "read_content_key": ".cache",
     "AdmissionQueue": ".queue",
-    "MapFuture": ".queue",
     "MicroBatchScheduler": ".scheduler",
     "run_session": ".protocol",
     "SocketTransport": ".protocol",

@@ -40,18 +40,6 @@ class ServiceConfig:
     breaker_cooldown_batches:
         Degraded batches served while open before a half-open probe of
         the primary path.
-    memtable_flush_entries:
-        Auto-flush threshold for a served mutable index: once an
-        ``add_contigs`` leaves at least this many entries in the
-        memtable, the :class:`~repro.netserve.ReplicaSet` flushes it into
-        a sealed segment in the same mutation.  ``0`` (the default)
-        disables auto-flush.
-    compact_segments:
-        Auto-compaction limit: the most segments a served mutable index
-        keeps.  A mutation that leaves more folds the index into one
-        compacted segment (restoring the fused read path) before its
-        generation is published, under the same lock.  ``0`` (the
-        default) disables auto-compaction.
     """
 
     max_batch_size: int = 64
@@ -60,8 +48,6 @@ class ServiceConfig:
     breaker_failures: int = 0
     breaker_window: int = 16
     breaker_cooldown_batches: int = 2
-    memtable_flush_entries: int = 0
-    compact_segments: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -82,13 +68,4 @@ class ServiceConfig:
             raise ConfigError(
                 "breaker_cooldown_batches must be >= 1, got "
                 f"{self.breaker_cooldown_batches}"
-            )
-        if self.memtable_flush_entries < 0:
-            raise ConfigError(
-                "memtable_flush_entries must be >= 0, got "
-                f"{self.memtable_flush_entries}"
-            )
-        if self.compact_segments < 0:
-            raise ConfigError(
-                f"compact_segments must be >= 0, got {self.compact_segments}"
             )

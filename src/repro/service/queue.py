@@ -1,4 +1,4 @@
-"""Bounded admission queue and per-request futures.
+"""Bounded admission queue.
 
 The queue is the service's backpressure point: a submit beyond
 ``capacity`` is rejected *immediately* with
@@ -19,68 +19,9 @@ from typing import Generic, TypeVar
 
 from ..errors import ServiceClosedError, ServiceOverloadError
 
-__all__ = ["MapFuture", "AdmissionQueue"]
+__all__ = ["AdmissionQueue"]
 
 T = TypeVar("T")
-
-
-class MapFuture:
-    """Completion handle for one submitted read (threading-based).
-
-    Besides the blocking :meth:`result`, callers may attach done
-    callbacks — the bridge the asyncio front-end uses to complete an
-    ``asyncio.Future`` (via ``call_soon_threadsafe``) without parking an
-    executor thread per in-flight request.  A callback added after
-    completion runs immediately on the adding thread; callbacks added
-    before run on the completing thread, outside the lock.
-    """
-
-    __slots__ = ("_event", "_result", "_exception", "_lock", "_callbacks")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._result = None
-        self._exception: BaseException | None = None
-        self._lock = threading.Lock()
-        self._callbacks: list = []
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def add_done_callback(self, fn) -> None:
-        """Run ``fn(self)`` once the future completes (never under the lock)."""
-        with self._lock:
-            if not self._event.is_set():
-                self._callbacks.append(fn)
-                return
-        fn(self)
-
-    def _complete(self) -> None:
-        with self._lock:
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
-
-    def set_result(self, result) -> None:
-        self._result = result
-        self._complete()
-
-    def set_exception(self, exc: BaseException) -> None:
-        self._exception = exc
-        self._complete()
-
-    def exception(self, timeout: float | None = None) -> BaseException | None:
-        if not self._event.wait(timeout):
-            raise TimeoutError("result not ready")
-        return self._exception
-
-    def result(self, timeout: float | None = None):
-        if not self._event.wait(timeout):
-            raise TimeoutError("result not ready")
-        if self._exception is not None:
-            raise self._exception
-        return self._result
 
 
 class AdmissionQueue(Generic[T]):

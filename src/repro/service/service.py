@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +56,7 @@ from .cache import SketchLRUCache, pack_entries, read_content_key, unpack_entry
 from .config import ServiceConfig
 from .health import OPEN, CircuitBreaker
 from .metrics import ServiceMetrics
-from .queue import AdmissionQueue, MapFuture
+from .queue import AdmissionQueue
 from .scheduler import MicroBatchScheduler
 
 __all__ = ["MappingService", "ReadMapping", "map_reads_through"]
@@ -132,7 +133,7 @@ class _MapRequest:
         self.name = name
         self.codes = codes
         self.key = key
-        self.future: MapFuture = MapFuture()
+        self.future: Future = Future()
         self.t_submit = time.perf_counter()
         self.deadline = (
             self.t_submit + deadline_s if deadline_s is not None else None
@@ -149,7 +150,7 @@ def map_reads_through(
     layout of :meth:`JEMMapper.map_reads` (prefix then suffix per read,
     reads in order) so callers can compare bit for bit.
     """
-    futures: list[MapFuture] = []
+    futures: list[Future] = []
     for i in range(len(reads)):
         while True:
             try:
@@ -426,7 +427,7 @@ class MappingService:
         sequence: str | np.ndarray,
         *,
         deadline_s: float | None = None,
-    ) -> MapFuture:
+    ) -> Future:
         """Admit one read; returns a future resolving to a :class:`ReadMapping`.
 
         ``deadline_s`` (seconds from now) propagates into S4 dispatch: a

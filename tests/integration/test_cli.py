@@ -476,6 +476,9 @@ _REQUIRED = {
     ("serve", "--max-line-bytes"),
     ("serve", "--idle-timeout"),
     ("serve", "--queue-capacity"),
+    *(("serve", flag) for flag in (
+        "--tenant-quota", "--memtable-flush-entries", "--compact-segments",
+    )),
 ])
 def test_retired_service_flags_are_gone(capsys, command, flag):
     """The scheduler sets its own batch window, `--listen` always

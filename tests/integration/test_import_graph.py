@@ -3,9 +3,9 @@
 Every module a process imports is compiled from source when no bytecode is
 cached, so the package ``__init__``s re-export lazily and a serving fleet
 imports its scatter router, its lanes' fault plans and retry policy, and the
-WAL module only when it runs them.  (``jem index`` and ``jem map`` are held
-to the same rule by ``test_cli.py::test_one_shot_commands_load_no_serving_
-or_scaffolding_code``.)
+WAL module only when it runs them — and the FASTA reader never.  (``jem
+index`` and ``jem map`` are held to the same rule by ``test_cli.py::test_one_
+shot_commands_load_no_serving_or_scaffolding_code``.)
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ _LOADED_AT_EXIT = (
 
 #: What only a scatter fleet, or a durable index directory, runs.
 SCATTER_AND_WAL = re.compile(r"repro\.netserve\.router|repro\.parallel(\.|$)|repro\.resilience(\.|$)")
+
+#: The FASTA reader and the streamed loops: a server opens a built index only.
+FASTA_READER = {"repro.core.streaming", "repro.seq.io_fasta"}
 
 
 @pytest.fixture
@@ -84,6 +87,7 @@ def test_serve_imports_scatter_fault_and_wal_code_only_to_run_it(
                 "repro.resilience.checkpoint"} <= set(found), found
     else:
         assert found == [] and "repro.netserve.replica" in loaded, found
+        assert FASTA_READER.isdisjoint(loaded), sorted(FASTA_READER & set(loaded))
 
 
 @pytest.mark.parametrize("first", [

@@ -1,4 +1,4 @@
-"""Asyncio TCP front-end: concurrent sessions, quotas, protocol parity.
+"""Asyncio TCP front-end: concurrent sessions, fairness, protocol parity.
 
 The front-end runs in a background thread's event loop while test-side
 clients drive real TCP connections through the same
@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 from conftest import connect_lines, serve_fleet, serve_session, serving
@@ -20,7 +21,6 @@ from repro.netserve import parse_hostport
 from repro.errors import ReproError
 from repro.service import ServiceConfig
 from repro.service.protocol import SocketTransport, run_session
-from repro.service.queue import MapFuture
 
 CONFIG = JEMConfig(k=12, w=20, ell=500, trials=6, seed=99)
 
@@ -169,14 +169,14 @@ class StubMapping:
 
 
 class StubBackend:
-    """Futures the test completes by hand — exposes ordering and quotas."""
+    """Futures the test completes by hand — exposes ordering and failures."""
 
     def __init__(self) -> None:
-        self.futures: list[MapFuture] = []
+        self.futures: list[Future] = []
         self.names: list[str] = []
 
-    def submit(self, name, seq, *, deadline_s=None) -> MapFuture:
-        future: MapFuture = MapFuture()
+    def submit(self, name, seq, *, deadline_s=None) -> Future:
+        future: Future = Future()
         self.futures.append(future)
         self.names.append(name)
         return future
@@ -188,59 +188,40 @@ class StubBackend:
         return {"aggregate": {}, "replicas": []}
 
 
-class TestTenantQuota:
-    def test_quota_rejects_excess_in_band(self):
+class TestBatchFailure:
+    def test_a_failed_batch_is_answered_in_band_and_the_session_goes_on(self):
+        """Whatever exception fails a read's batch reaches that read's
+        future: it is the read's error reply, and the reads behind it are
+        still answered, then ``drained``."""
         backend = StubBackend()
-        with serving(backend, tenant_quota=1) as address:
+        with serving(backend) as address:
             send, readline, close = connect_lines(address)
-            send({"op": "map", "id": 0, "name": "a0", "seq": "ACGT", "tenant": "acme"})
-            send({"op": "map", "id": 1, "name": "a1", "seq": "ACGT", "tenant": "acme"})
-            send({"op": "map", "id": 2, "name": "o2", "seq": "ACGT", "tenant": "other"})
-            # a session's lines are dispatched in order: once the other
-            # tenant's read reaches the backend, the second acme read was
-            # refused while the first still held acme's quota
+            send({"op": "map", "id": 0, "name": "r0", "seq": "ACGT"})
+            send({"op": "map", "id": 1, "name": "r1", "seq": "ACGT"})
             assert wait_until(lambda: len(backend.futures) == 2)
-            assert backend.names == ["a0", "o2"]
-            for future in backend.futures:
-                future.set_result(StubMapping())
-            first, second, third = readline(), readline(), readline()
+            backend.futures[0].set_exception(RuntimeError("kernel fell over"))
+            backend.futures[1].set_result(StubMapping())
+            failed, mapped = readline(), readline()
             send({"op": "drain"})
             summary = readline()
             close()
-        assert first["id"] == 0 and "results" in first
-        assert second["id"] == 1 and second["error"] == "overloaded"
-        assert second["retry_after"] > 0
-        assert second["tenant"] == "acme"
-        assert third["id"] == 2 and "results" in third
-        assert summary["op"] == "drained" and summary["rejected"] == 1
+        assert failed == {"id": 0, "name": "r0", "error": "RuntimeError: kernel fell over"}
+        assert mapped["id"] == 1 and "results" in mapped
+        assert summary["op"] == "drained"
+        assert (summary["mapped"], summary["errors"]) == (1, 1)
 
-    def test_quota_is_per_tenant_not_global(self):
-        backend = StubBackend()
-        with serving(backend, tenant_quota=1) as address:
-            send, readline, close = connect_lines(address)
-            send({"op": "map", "id": 0, "seq": "ACGT", "tenant": "acme"})
-            send({"op": "map", "id": 1, "seq": "ACGT", "tenant": "other"})
-            assert wait_until(lambda: len(backend.futures) == 2)
-            # different tenants are both admitted under the same quota
-            backend.futures[0].set_result(StubMapping())
-            backend.futures[1].set_result(StubMapping())
-            assert "results" in readline()
-            assert "results" in readline()
-            close()
 
-    def test_quota_frees_as_responses_drain(self):
-        backend = StubBackend()
-        with serving(backend, tenant_quota=1) as address:
-            send, readline, close = connect_lines(address)
-            send({"op": "map", "id": 0, "seq": "ACGT", "tenant": "acme"})
-            assert wait_until(lambda: backend.futures)
-            backend.futures[0].set_result(StubMapping())
-            assert "results" in readline()  # response written → quota freed
-            send({"op": "map", "id": 1, "seq": "ACGT", "tenant": "acme"})
-            assert wait_until(lambda: len(backend.futures) == 2)
-            backend.futures[1].set_result(StubMapping())
-            assert "results" in readline()
-            close()
+class TestNoTenants:
+    def test_a_tenant_tag_changes_no_reply(self, tiling_contigs, clean_reads):
+        """There are no tenant quotas: a map carrying ``tenant`` gets the
+        reply the same map gets without it."""
+        read = {"op": "map", "id": 0, "name": clean_reads.names[0],
+                "seq": clean_reads[0].sequence}
+        uncached = ServiceConfig(max_batch_size=8, cache_capacity=0)
+        with serve_fleet(tiling_contigs, CONFIG, uncached) as fleet:
+            plain, tagged, drained = serve_session(fleet, [read, {**read, "tenant": "acme"}])
+        assert "results" in plain and tagged == plain
+        assert drained["op"] == "drained" and drained["rejected"] == 0
 
 
 class TestFairness:

@@ -6,8 +6,8 @@ is installed everywhere at once — adopted wholesale by every replica
 replica services only read.  These tests pin the contract on both
 fleets: answers match a monolithic rebuild, every response is computed
 against exactly one generation, the result cache never answers across
-generations, auto-flush and auto-compaction run inside the mutation that
-crosses their limit, the mutation counters are the set's, a lane stamped
+generations, only an explicit flush or compact seals or folds the index,
+the mutation counters are the set's, a lane stamped
 with the wrong generation is refused (served inline instead — fail
 closed, never a mixed answer), and a TCP session drives the same
 mutations through the NDJSON protocol.
@@ -19,7 +19,6 @@ import shutil
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,10 +41,6 @@ SERVICE = ServiceConfig(max_batch_size=8)
 #: the fleets every folded contract runs on: the default one (what a
 #: plain ``jem serve`` runs) and a key-range fleet
 FLEETS = [("replicate", 1), ("scatter", 2)]
-
-#: the auto-maintenance limits: every add flushes, and a generation may
-#: keep two segments
-MAINTAINED = replace(SERVICE, memtable_flush_entries=1, compact_segments=2)
 
 
 def _dna(rng, n: int) -> str:
@@ -537,36 +532,22 @@ class TestGenerations:
             assert labels_of(replica_set, world) == rebuilt_labels(live, world)
 
 
-class TestAutoMaintenance:
-    """Auto-flush and auto-compaction run inside the mutation that crosses
-    their limit, under its lock — nothing is left for a later thread."""
+class TestExplicitMaintenance:
+    """A mutation publishes its generation and nothing more: only the
+    ``flush`` and ``compact`` a caller sends seal the memtable or fold the
+    segments."""
 
     @pytest.mark.parametrize("kind,n", FLEETS)
-    def test_memtable_flush_threshold_seals_segments(self, indexed, rng, kind, n):
-        config = replace(SERVICE, memtable_flush_entries=1)
-        with make_set(indexed, kind, n, service_config=config) as replica_set:
-            stats = replica_set.add_contigs(
-                SequenceSet.from_strings([("a0", _dna(rng, 900))])
-            )
-            assert stats["memtable_entries"] == 0
-            assert stats["segments"] == 2
-            assert counts(replica_set) == (1, 1, 0)
-
-    @pytest.mark.parametrize("kind,n", FLEETS)
-    def test_mutation_compacts_past_segment_limit(self, indexed, rng, kind, n):
-        """The first flushed add leaves two segments, at the limit; the
-        second would leave three, so that same mutation compacts before
-        its generation is published."""
+    def test_only_flush_and_compact_maintain(self, indexed, rng, kind, n):
         late = {f"g{i}": _dna(rng, 900) for i in range(2)}
-        with make_set(indexed, kind, n, service_config=MAINTAINED) as replica_set:
-            first, second = (
-                replica_set.add_contigs(SequenceSet.from_strings([pair]))
-                for pair in late.items()
-            )
-            assert first["segments"] == 2
-            assert second["segments"] == 1 and second["tombstones"] == 0
-            assert replica_set.store_stats() == second
-            assert counts(replica_set) == (2, 2, 1)
+        with make_set(indexed, kind, n) as replica_set:
+            for pair in late.items():
+                stats = replica_set.add_contigs(SequenceSet.from_strings([pair]))
+            assert stats["memtable_entries"] > 0 and stats["segments"] == 1
+            assert counts(replica_set) == (2, 0, 0)
+            assert replica_set.flush_index()["segments"] == 2
+            assert replica_set.compact_index()["segments"] == 1
+            assert counts(replica_set) == (2, 1, 1)
             assert labels_of(replica_set, late) == ["g0", "g0", "g1", "g1"]
 
 
@@ -605,18 +586,3 @@ class TestWireMutations:
         assert [r["contig"] for r in maps[0]["results"]] == [None, None]
         assert [r["contig"] for r in maps[1]["results"]] == ["p0", "p0"]
         assert replies[-1]["op"] == "drained"
-
-    @pytest.mark.parametrize("kind,n", FLEETS)
-    def test_auto_maintenance_over_the_wire(self, indexed, rng, kind, n):
-        with make_set(indexed, kind, n, service_config=MAINTAINED) as replica_set:
-            replies = serve_session(replica_set, [
-                {"op": "add_contigs", "names": [f"g{i}"], "seqs": [_dna(rng, 900)]}
-                for i in range(2)
-            ] + [{"op": "metrics"}])
-        assert [r["stats"]["segments"] for r in replies[:2]] == [2, 1]
-        counters = replies[2]["aggregate"]["counters"]
-        assert (
-            counters["mutations_total"],
-            counters["flushes_total"],
-            counters["compactions_total"],
-        ) == (2, 2, 1)

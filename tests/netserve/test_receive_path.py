@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+from concurrent.futures import Future
 
 import pytest
 
 from repro.netserve import NetFrontend
 from repro.netserve.frontend import RECV_BUFFER_BYTES, _Session
 from repro.service import ReadMapping
-from repro.service.queue import MapFuture
 
 
 class RecordingTransport:
@@ -52,10 +52,10 @@ class PendingBackend:
     """Map futures nobody completes until the test does."""
 
     def __init__(self) -> None:
-        self.futures: list[MapFuture] = []
+        self.futures: list[Future] = []
 
-    def submit(self, name, seq, *, deadline_s=None) -> MapFuture:
-        self.futures.append(MapFuture())
+    def submit(self, name, seq, *, deadline_s=None) -> Future:
+        self.futures.append(Future())
         return self.futures[-1]
 
     def healthz(self) -> dict:
