@@ -212,15 +212,17 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 
 
 def _fsync_dir(path: str) -> None:
-    """Flush a directory entry (rename durability); best effort."""
+    """Flush a directory entry (rename durability).
+
+    Skipped only where the platform cannot open a directory; a failed
+    ``fsync`` raises, so a rename that may not survive a crash is reported.
+    """
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir fds
         return
     try:
         os.fsync(fd)
-    except OSError:  # pragma: no cover - not all fs support dir fsync
-        pass
     finally:
         os.close(fd)
 

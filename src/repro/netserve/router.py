@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,7 +363,7 @@ class ScatterGatherStore:
             if future is not None:
                 try:
                     hits = future.result(wait)
-                except TimeoutError:
+                except FutureTimeout:
                     hedged = 1 if self._hedge is not None else 0
                 except FaultError:
                     hits = None

@@ -39,6 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +178,7 @@ class FleetSupervisor:
             return DEAD  # admission refused: the lane is closing/closed
         try:
             future.result(self.config.probe_deadline_s)
-        except TimeoutError:
+        except FutureTimeout:
             return WEDGED
         except ReproError:
             return SICK

@@ -1,4 +1,6 @@
+import errno
 import os
+import stat
 import struct
 import zipfile
 import zlib
@@ -307,6 +309,29 @@ def test_save_is_atomic_and_tolerates_stale_tmp(tmp_path, tiling_contigs):
         for name in os.listdir(os.path.dirname(path))
         if ".tmp." in name and name != os.path.basename(stale)
     ]
+
+
+@pytest.mark.parametrize("writer", ["write_bundle", "atomic_write_bytes"])
+def test_failed_directory_fsync_is_reported(tmp_path, monkeypatch, writer):
+    """A rename whose directory entry could not be flushed may not survive
+    a crash, so both durable writers raise instead of returning."""
+    from repro.core import persist
+
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, "directory fsync failed")
+        real_fsync(fd)
+
+    monkeypatch.setattr(persist.os, "fsync", fsync)
+    path = str(tmp_path / "out.npz")
+    with pytest.raises(OSError, match="directory fsync failed"):
+        if writer == "write_bundle":
+            persist.write_bundle(path, [("a", np.arange(4))])
+        else:
+            persist.atomic_write_bytes(path, b"payload")
+    assert os.path.exists(path)  # renamed; only its durability is unknown
 
 
 def test_streamed_bundle_equals_np_savez_of_the_same_payload(tmp_path, tiling_contigs):
