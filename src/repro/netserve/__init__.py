@@ -2,8 +2,8 @@
 
 The network tier on top of :mod:`repro.service`: an asyncio front-end
 (:class:`NetFrontend`) is the server side of the NDJSON protocol for
-many concurrent TCP clients, with per-client fairness, and hands every
-read to a :class:`ReplicaSet`:
+many concurrent TCP clients; each connection's session submits a read as
+it parses it, up to ``max_pending`` unanswered, to a :class:`ReplicaSet`:
 N :class:`~repro.service.MappingService` workers whose index ownership
 is decided by a pluggable :class:`PlacementPolicy`, and the one owner of
 the served index's mutable handle:
@@ -19,7 +19,8 @@ A :class:`FleetSupervisor` keeps the topology honest under failure:
 heartbeat probes detect dead or wedged members, hedged retry serves
 their scatter shares inline meanwhile, and respawn + parity probe
 re-admit a rebuilt replica at the current index generation — see
-``docs/robustness.md`` ("fleet recovery").
+``docs/robustness.md`` ("fleet recovery").  The set counts every
+replacement (``replica_respawns_total``), whoever asked for it.
 
 See ``docs/serving.md`` for the topology and lifecycle contracts.
 """

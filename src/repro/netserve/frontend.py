@@ -6,15 +6,18 @@ and answered in exactly one place.  One event loop multiplexes every
 client:
 
 * each connection's **session** (an :class:`asyncio.BufferedProtocol`)
-  parses NDJSON lines out of its one receive buffer as they arrive, into
-  the connection's intake queue (``health`` is answered immediately, off
-  the ordered path, so probes never wait behind a slow batch);
-* one global **dispatcher** task drains intakes round-robin, at most
-  ``fair_chunk`` messages per connection per cycle — per-client fairness:
-  a firehose client cannot starve a trickle client's admissions;
+  parses NDJSON lines out of its one receive buffer as they arrive and
+  routes each op once: a ``map`` is submitted to the backend as soon as
+  it is parsed, every other ordered op is queued for the writer, and
+  ``health`` is answered immediately, off the ordered path, so probes
+  never wait behind a slow batch;
 * a per-connection **writer** task emits responses *in request order*
   (the protocol's transcript-determinism contract), awaiting each
   mapping's completion as it reaches the head of the line.
+
+Per-client fairness comes from the event loop, which hands each
+connection one receive buffer at a time: a firehose client cannot
+starve a trickle client's admissions.
 
 Thread boundary: the backend (a :class:`~repro.netserve.ReplicaSet`)
 completes each read's :class:`concurrent.futures.Future` on its
@@ -23,7 +26,8 @@ replicas' scheduler threads; ``add_done_callback`` +
 ``asyncio.Future``, so no executor thread is parked per in-flight request.
 
 Backpressure is layered: the admission queue rejects in-band with
-``retry_after``, and a connection with ``max_pending`` unanswered maps
+``retry_after``, and ``max_pending`` bounds the maps a session has
+admitted and not yet answered — the session parses nothing past it and
 stops being read (TCP pushes back).
 
 Hostile or broken clients are contained per frame, not per connection:
@@ -31,9 +35,8 @@ request lines are bounded by ``max_line_bytes`` (an oversized line is
 discarded through its newline and answered with a typed ``error``
 frame), a connection that cannot complete one line within
 ``idle_timeout_s`` is cut loose (slow-loris), and any exception a
-malformed payload provokes during dispatch is answered in-band — the
-shared dispatcher task serving every other connection never dies for
-one client's garbage.  So is whatever exception fails a read's batch:
+malformed payload provokes during admission is answered in-band — the
+session parses on.  So is whatever exception fails a read's batch:
 the session's writer answers it and the reads behind it, then ``drained``.
 """
 
@@ -43,7 +46,6 @@ import asyncio
 import contextlib
 import json
 import mmap
-from collections import deque
 from concurrent.futures import Future
 
 from ..errors import ReproError, ServiceOverloadError
@@ -56,15 +58,9 @@ from ..service.protocol import (
 
 __all__ = ["NetFrontend", "parse_hostport"]
 
-#: Ops answered in the session's request order, through the dispatcher
-#: (``health``, ``drain`` and unknown ops are handled by the session's parser).
-_ORDERED_OPS = ("map", "ping", "metrics", *MUTATION_OPS, *ADMIN_OPS)
-
-#: Messages the dispatcher drains from one connection per fairness cycle.
-FAIR_CHUNK = 16
-
-#: Unanswered maps a session may hold before the front-end stops reading
-#: it.  Bounds server memory while still letting batches fill.
+#: Maps a session may have admitted and not yet answered: the session
+#: parses nothing past the last and stops being read.  Bounds server
+#: memory while still letting batches fill.
 MAX_PENDING = 512
 
 #: Longest accepted NDJSON request line.  Oversized lines are discarded
@@ -113,8 +109,8 @@ def parse_hostport(spec: str, *, default_host: str = "127.0.0.1") -> tuple[str, 
 
 
 class _Session(asyncio.BufferedProtocol):
-    """One connection: line assembly in one receive buffer, and the state
-    the dispatcher and the writer task share.
+    """One connection: line assembly in one receive buffer, admission of
+    each parsed op, and the ordered replies its writer task sends.
 
     The transport receives into :meth:`get_buffer`'s views of one
     anonymous :class:`mmap.mmap` of :data:`RECV_BUFFER_BYTES` (its pages
@@ -122,12 +118,13 @@ class _Session(asyncio.BufferedProtocol):
     whole), which grows only while a
     single line is longer than it (up to ``max_line_bytes``) and shrinks
     back once that line is parsed; each complete line is copied out once,
-    as the ``bytes`` ``json.loads`` reads.  Lines are parsed as they
-    arrive, until one of three things holds the session: a mutation or
-    admin op it has queued and not yet answered (the barrier), ``max_pending``
-    unanswered maps, or a reply of its own waiting for the transport to
-    drain.  While held the session parses nothing and the transport reads
-    nothing, so TCP pushes back on the client.
+    as the ``bytes`` ``json.loads`` reads.  Lines are parsed and admitted
+    as they arrive, until one of three things holds the session: a
+    mutation or admin op it has queued and not yet answered (the barrier),
+    ``max_pending`` admitted and unanswered maps, or a reply of its own
+    waiting for the transport to drain.  While held the session parses
+    nothing and the transport reads nothing, so TCP pushes back on the
+    client.
     """
 
     def __init__(self, frontend: NetFrontend) -> None:
@@ -148,15 +145,13 @@ class _Session(asyncio.BufferedProtocol):
         self._waiting_since = 0.0
         self.transport: asyncio.Transport | None = None
         self.closed_future: asyncio.Future | None = None
-        self.intake: deque = deque()
         #: ordered responses: ("map", header, afut) | ("ready", dict)
         #: | ("metrics",) | ("mutation", op, message) | ("drain",)
         self.pending: asyncio.Queue = asyncio.Queue()
-        self.outstanding = 0  # dispatched maps not yet written
+        self.outstanding = 0  # admitted maps not yet written
         self.mapped = 0
         self.errors = 0
         self.rejected = 0
-        self.closed = False  # the dispatcher has taken this session's drain
         #: a mutation or admin op of this session is queued or running:
         #: nothing behind it is parsed until its reply is out
         self.held = False
@@ -280,18 +275,61 @@ class _Session(asyncio.BufferedProtocol):
         except (json.JSONDecodeError, AttributeError, UnicodeDecodeError) as exc:
             self._reply(_error(f"bad request line: {exc}"))
             return
-        if op == "health":
+        if op == "map":
+            self._admit(message)
+        elif op == "health":
             # immediate, off the ordered path: probes never queue
             self._reply({"op": "health", **self._frontend.backend.healthz()})
         elif op == "drain":
             self._end_input()
-        elif op in _ORDERED_OPS:
-            if op in MUTATION_OPS or op in ADMIN_OPS:
-                self.held = True  # the barrier: parse nothing behind it
-            self.intake.append(("msg", message))
-            self._frontend._dispatch_wake.set()
+        elif op == "ping":
+            # ordered behind earlier maps: pong only after they are written
+            self.pending.put_nowait(("ready", {"op": "pong"}))
+        elif op == "metrics":
+            # snapshot taken at *write* time, after earlier maps resolved
+            self.pending.put_nowait(("metrics",))
+        elif op in MUTATION_OPS or op in ADMIN_OPS:
+            # a barrier in this session's order: the writer runs it once
+            # every earlier reply is out (those reads resolved on the old
+            # generation), and the session parses nothing behind it until
+            # its own reply is out (later reads see the new one).  Other
+            # sessions keep flowing; their in-flight maps keep the
+            # generation they captured.
+            self.held = True
+            self.pending.put_nowait(("mutation", op, message))
         else:
             self._reply(_error(f"unknown op {op!r}"))
+
+    def _admit(self, message: dict) -> None:
+        """Submit one map now; its reply takes its turn in ``pending``."""
+        header = {"id": message.get("id"), "name": message.get("name", "")}
+        deadline_ms = message.get("deadline_ms")
+        try:
+            future = self._frontend.backend.submit(
+                header["name"] or "read",
+                message.get("seq", ""),
+                deadline_s=(
+                    float(deadline_ms) / 1000.0 if deadline_ms is not None else None
+                ),
+            )
+        except ServiceOverloadError as exc:
+            self.rejected += 1
+            refusal = {**header, "error": "overloaded", "retry_after": exc.retry_after}
+        except ReproError as exc:
+            self.errors += 1
+            refusal = {**header, "error": str(exc)}
+        except Exception as exc:  # noqa: BLE001 - one client's hostile payload
+            # (e.g. a non-string "seq" or "deadline_ms") answers in-band,
+            # and the session parses on
+            self.errors += 1
+            refusal = _error(f"bad request: {exc}", **header)
+        else:
+            self.outstanding += 1
+            if self.outstanding >= self._frontend.max_pending:
+                self._capped = True  # the admission bound: parse no further
+            self.pending.put_nowait(("map", header, self._frontend._bridge(future)))
+            return
+        self.pending.put_nowait(("ready", refusal))
 
     def _reply(self, obj: dict) -> None:
         """Answer off the ordered path; parse nothing more until it drains."""
@@ -307,18 +345,12 @@ class _Session(asyncio.BufferedProtocol):
         if self._idle is not None:
             self._idle.cancel()
             self._idle = None
-        self.intake.append(("drain",))
-        self._frontend._dispatch_wake.set()
+        self.pending.put_nowait(("drain",))
 
     # -- holds and the idle deadline ------------------------------------------
 
-    def cap(self) -> None:
-        """``max_pending`` unanswered maps: stop reading."""
-        self._capped = True
-        if not self._eof and not self._ended:
-            self.transport.pause_reading()
-
     def uncap(self) -> None:
+        """Half the admitted maps are answered: admit on."""
         if self._capped:
             self._capped = False
             self._resume()
@@ -393,7 +425,6 @@ class NetFrontend:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        fair_chunk: int = FAIR_CHUNK,
         max_pending: int = MAX_PENDING,
         max_line_bytes: int = MAX_LINE_BYTES,
         idle_timeout_s: float = IDLE_TIMEOUT_S,
@@ -405,7 +436,6 @@ class NetFrontend:
         self.backend = backend
         self.host = host
         self.port = int(port)
-        self.fair_chunk = int(fair_chunk)
         self.max_pending = int(max_pending)
         self.max_line_bytes = int(max_line_bytes)
         self.idle_timeout_s = idle_timeout_s
@@ -413,8 +443,6 @@ class NetFrontend:
         self._server: asyncio.AbstractServer | None = None
         self._handlers: set[asyncio.Task] = set()
         self._connections: list[_Session] = []
-        self._dispatch_wake = asyncio.Event()
-        self._dispatcher: asyncio.Task | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -424,9 +452,6 @@ class NetFrontend:
             lambda: _Session(self), self.host, self.port
         )
         self.address = self._server.sockets[0].getsockname()[:2]
-        self._dispatcher = asyncio.create_task(
-            self._dispatch_loop(), name="jem-net-dispatch"
-        )
         return self.address
 
     async def stop(self, *, session_grace_s: float = 10.0) -> None:
@@ -443,10 +468,6 @@ class NetFrontend:
                     asyncio.gather(*list(self._handlers), return_exceptions=True),
                     session_grace_s,
                 )
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._dispatcher
 
     # -- connection handling -------------------------------------------------
 
@@ -465,75 +486,7 @@ class NetFrontend:
             conn.transport.close()
             await conn.closed_future
 
-    # -- fair dispatch -------------------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        """Round-robin drain across connection intakes — per-client fairness."""
-        while True:
-            progressed = False
-            for conn in list(self._connections):
-                for _ in range(self.fair_chunk):
-                    if not conn.intake or conn.closed:
-                        break
-                    entry = conn.intake.popleft()
-                    progressed = True
-                    if entry[0] == "drain":
-                        conn.closed = True
-                        conn.pending.put_nowait(("drain",))
-                        break
-                    self._dispatch_message(conn, entry[1])
-            if not progressed:
-                self._dispatch_wake.clear()
-                if not any(c.intake for c in self._connections if not c.closed):
-                    await self._dispatch_wake.wait()
-
-    def _dispatch_message(self, conn: _Session, message: dict) -> None:
-        op = message.get("op", "map")
-        if op == "ping":
-            # ordered behind earlier maps: pong only after they are written
-            conn.pending.put_nowait(("ready", {"op": "pong"}))
-            return
-        if op == "metrics":
-            # snapshot taken at *write* time, after earlier maps resolved
-            conn.pending.put_nowait(("metrics",))
-            return
-        if op in MUTATION_OPS or op in ADMIN_OPS:
-            # a barrier in this session's order: the writer runs it once
-            # every earlier reply is out (those reads resolved on the old
-            # generation), and the session parsed nothing behind it (it
-            # is held) until its own reply is out (later reads see the new
-            # one).  Other sessions keep flowing; their in-flight maps keep
-            # the generation they captured.
-            conn.pending.put_nowait(("mutation", op, message))
-            return
-        header = {"id": message.get("id"), "name": message.get("name", "")}
-        deadline_ms = message.get("deadline_ms")
-        try:
-            future = self.backend.submit(
-                header["name"] or "read",
-                message.get("seq", ""),
-                deadline_s=(
-                    float(deadline_ms) / 1000.0 if deadline_ms is not None else None
-                ),
-            )
-        except ServiceOverloadError as exc:
-            conn.rejected += 1
-            refusal = {**header, "error": "overloaded", "retry_after": exc.retry_after}
-        except ReproError as exc:
-            conn.errors += 1
-            refusal = {**header, "error": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - one client's hostile payload
-            # (e.g. a non-string "seq" or "deadline_ms") must answer in-band,
-            # never kill the dispatcher task shared by every connection
-            conn.errors += 1
-            refusal = _error(f"bad request: {exc}", **header)
-        else:
-            conn.outstanding += 1
-            if conn.outstanding >= self.max_pending:
-                conn.cap()
-            conn.pending.put_nowait(("map", header, self._bridge(future)))
-            return
-        conn.pending.put_nowait(("ready", refusal))
+    # -- completion hand-off -------------------------------------------------
 
     def _bridge(self, future: Future) -> asyncio.Future:
         """Thread-side Future completion → loop-side asyncio.Future."""
@@ -601,10 +554,10 @@ class NetFrontend:
                     conn.send_json(response_for_mapping(header, mapping))
                     conn.mapped += 1
                 conn.outstanding -= 1
-                if conn.outstanding < self.max_pending // 2:
+                if conn.outstanding <= self.max_pending // 2:
                     conn.uncap()
             await conn.drain()
-        # the dispatcher queues "drain" last: nothing is pending behind it
+        # the session queues "drain" last: nothing is pending behind it
         conn.send_json({
             "op": "drained",
             "mapped": conn.mapped,

@@ -150,14 +150,15 @@ class ReplicaSet:
         self._hedge_timeout_s = hedge_timeout_s
         self._mutation_lock = threading.Lock()
         #: counted once per set, not per replica (a respawn must not reset
-        #: them), under the mutation lock; metrics_snapshot reports them
-        self._mutation_counts = {
+        #: them), under the mutation lock; metrics_snapshot reports them.
+        #: ``replica_respawns_total`` counts every member replacement, by
+        #: the supervisor or a rolling restart
+        self._counts = {
             "mutations_total": 0, "flushes_total": 0, "compactions_total": 0,
+            "replica_respawns_total": 0,
         }
         self._drained = False
-        self._respawns = 0
-        self.supervisor = None  # set by FleetSupervisor.attach
-        self._extra_registries: list = []
+        self.supervisor = None  # set by FleetSupervisor
         self.replicas = [
             self._spawn(i, shard.store, shard.lo, shard.hi)
             for i, shard in enumerate(placement.plan(store))
@@ -359,14 +360,14 @@ class ReplicaSet:
         """Add contigs online across the whole set; returns store stats."""
         with self._mutation_lock:
             self._mutable.add_contigs(contigs)
-            self._mutation_counts["mutations_total"] += 1
+            self._counts["mutations_total"] += 1
             return self._install_generation()
 
     def remove_contigs(self, names: list[str]) -> dict:
         """Tombstone contigs across the whole set; returns store stats."""
         with self._mutation_lock:
             self._mutable.remove_contigs(names)
-            self._mutation_counts["mutations_total"] += 1
+            self._counts["mutations_total"] += 1
             return self._install_generation()
 
     def flush_index(self) -> dict:
@@ -376,21 +377,21 @@ class ReplicaSet:
             self._mutable.flush()
             if self._mutable.generation == before:  # nothing to seal
                 return self.store_stats()
-            self._mutation_counts["flushes_total"] += 1
+            self._counts["flushes_total"] += 1
             return self._install_generation()
 
     def compact_index(self) -> dict:
         """Fold the set-level index into one clean segment."""
         with self._mutation_lock:
             self._mutable.compact()
-            self._mutation_counts["compactions_total"] += 1
+            self._counts["compactions_total"] += 1
             return self._install_generation()
 
     # -- fleet recovery (chaos doors + respawn) ------------------------------
 
     @property
     def respawns(self) -> int:
-        return self._respawns
+        return self._counts["replica_respawns_total"]
 
     def kill_replica(self, i: int) -> None:
         """Chaos door: replica ``i`` dies abruptly, SIGKILL-style.
@@ -498,9 +499,7 @@ class ReplicaSet:
                 # over: this single assignment *is* re-admission
                 self._lanes[i] = lane
             self.replicas[i] = replica
-            self._respawns += 1
-            if self._frontdoor is not None:
-                self._frontdoor.metrics.replica_respawns_total.inc()
+            self._counts["replica_respawns_total"] += 1
             if graceful:
                 if old_lane is not None:
                     old_lane.close()
@@ -528,7 +527,7 @@ class ReplicaSet:
         return {
             "restarted": restarted,
             "generation": self.index_generation,
-            "respawns": self._respawns,
+            "respawns": self.respawns,
         }
 
     # -- health, metrics, lifecycle ------------------------------------------
@@ -568,7 +567,7 @@ class ReplicaSet:
             health["front"] = front
         if self.scatter_stats is not None:
             health["scatter"] = self.scatter_stats.as_dict()
-        health["respawns"] = self._respawns
+        health["respawns"] = self.respawns
         if self.supervisor is not None:
             health["supervisor"] = self.supervisor.status()
         return health
@@ -577,15 +576,14 @@ class ReplicaSet:
         regs = [r.service.metrics for r in self.replicas]
         if self._frontdoor is not None:
             regs.append(self._frontdoor.metrics)
-        regs.extend(self._extra_registries)
         return regs
 
     def metrics_snapshot(self) -> dict:
         """Aggregated view plus each labelled per-replica snapshot; the
-        set's own mutation counters ride in the aggregate."""
+        set's own mutation and respawn counters ride in the aggregate."""
         regs = self.metrics_registries()
         aggregate = aggregate_metrics(regs)
-        aggregate["counters"].update(self._mutation_counts)
+        aggregate["counters"].update(self._counts)
         return {"aggregate": aggregate, "replicas": [m.snapshot() for m in regs]}
 
     @property

@@ -41,6 +41,7 @@ from ..errors import (
 )
 from ..parallel.faults import FaultPlan, inject_compute_faults
 from ..parallel.retry import RetryPolicy, retry_call
+from ..service.health import note_breaker
 from ..service.queue import AdmissionQueue
 
 __all__ = ["LookupLane", "ScatterGatherStore"]
@@ -189,16 +190,10 @@ class LookupLane:
             )
         except FaultError as exc:
             self._metrics.errors_total.inc()
-            event = self._breaker.record_failure()
-            if event == "opened":
-                self._metrics.breaker_open_total.inc()
-                self._metrics.breaker_open.set(1.0)
+            note_breaker(self._metrics, self._breaker, self._breaker.record_failure())
             task.future.set_exception(exc)
         else:
-            event = self._breaker.record_success()
-            if event == "recovered":
-                self._metrics.recovered_total.inc()
-                self._metrics.breaker_open.set(0.0)
+            note_breaker(self._metrics, self._breaker, self._breaker.record_success())
             self._metrics.responses_total.inc()
             self._metrics.map_latency.observe(time.perf_counter() - t0)
             task.future.set_result(hits)

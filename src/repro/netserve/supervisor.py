@@ -29,9 +29,11 @@ flight during the whole
 episode are served via the router's hedged fallback — bit-identical by
 construction — so recovery is zero-downtime *and* zero-drift.
 
-The supervisor keeps its own labelled metrics registry (respawn counts
-survive the per-replica registries, which die with their replica) and a
-bounded transition history for ``healthz``.
+The supervisor keeps a plain count of its own repairs, for its
+``max_respawns`` budget and its ``healthz`` block, and a bounded
+transition history.  The fleet-wide ``replica_respawns_total`` is the
+set's: :meth:`ReplicaSet.respawn_replica` counts every replacement,
+rolling restarts included.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ReproError, ServiceError
-from ..service.metrics import ServiceMetrics
 
 __all__ = ["FleetSupervisor", "SupervisorConfig"]
 
@@ -101,12 +102,6 @@ class FleetSupervisor:
     def __init__(self, replica_set, config: SupervisorConfig | None = None) -> None:
         self._set = replica_set
         self.config = config if config is not None else SupervisorConfig()
-        self.metrics = ServiceMetrics(
-            labels={
-                "replica": "supervisor",
-                "placement": replica_set.placement.kind,
-            }
-        )
         n = len(replica_set.replicas)
         self._states = [HEALTHY] * n
         self._strikes = [0] * n
@@ -115,11 +110,9 @@ class FleetSupervisor:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self.ticks = 0
+        self.respawns = 0  # this supervisor's repairs: its budget
         self.respawn_failures = 0
-        # the set surfaces supervisor status in healthz and folds this
-        # registry into its fleet-wide metrics aggregation
-        replica_set.supervisor = self
-        replica_set._extra_registries.append(self.metrics)
+        replica_set.supervisor = self  # the set reports status() in healthz
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -200,7 +193,7 @@ class FleetSupervisor:
 
     def _budget_left(self) -> bool:
         limit = self.config.max_respawns
-        return limit == 0 or self.metrics.replica_respawns_total.value < limit
+        return limit == 0 or self.respawns < limit
 
     def _repair(self, i: int, cause: str) -> None:
         if not self._budget_left():
@@ -213,7 +206,7 @@ class FleetSupervisor:
             self.respawn_failures += 1
             self._note(i, DEAD, f"respawn failed: {exc}")
             return
-        self.metrics.replica_respawns_total.inc()
+        self.respawns += 1
         self._strikes[i] = 0
         self._note(i, HEALTHY, f"respawned after {cause}")
 
@@ -269,7 +262,7 @@ class FleetSupervisor:
             "ticks": self.ticks,
             "states": states,
             "strikes": strikes,
-            "respawns": int(self.metrics.replica_respawns_total.value),
+            "respawns": self.respawns,
             "respawn_failures": self.respawn_failures,
             "transitions": history,
         }

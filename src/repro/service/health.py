@@ -7,8 +7,8 @@ service re-routes batches to the degraded reduced-trial mapping path, a
 cheaper answer over a smaller store.  After a cooldown of degraded
 batches the breaker goes **half-open** and lets exactly one batch probe
 the primary path: success closes it (recovered), failure re-opens it.
-All transitions are returned as events so the service can count them in
-its metrics.
+All transitions are returned as events, and :func:`note_breaker` turns
+each into the metrics it moves.
 
 The breaker never changes mapping output on a healthy service: it only
 routes *after* failures, and a breaker with ``failure_threshold`` 0 is
@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-__all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
+__all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN", "note_breaker"]
 
 CLOSED = "closed"
 OPEN = "open"
@@ -150,3 +150,23 @@ class CircuitBreaker:
                     self._shed_level += 1
                 return "opened"
             return None
+
+
+def note_breaker(metrics, breaker: CircuitBreaker, event: str | None) -> None:
+    """Count ``event`` and write the gauges it moves: the one writer of
+    ``breaker_open``, ``ready``, ``shed_level``, ``breaker_open_total`` and
+    ``recovered_total``, for a service and the scatter lane sharing its
+    breaker.  ``event`` is what ``record_success`` / ``record_failure``
+    returned (None: nothing moved), or ``"started"`` / ``"stopped"``: a
+    service is ready while it serves and its breaker is not open.
+    """
+    if event is None:
+        return
+    if event == "opened":
+        metrics.breaker_open_total.inc()
+    elif event == "recovered":
+        metrics.recovered_total.inc()
+    is_open = breaker.state == OPEN
+    metrics.breaker_open.set(1.0 if is_open else 0.0)
+    metrics.ready.set(0.0 if is_open or event == "stopped" else 1.0)
+    metrics.shed_level.set(breaker.shed_level)

@@ -235,14 +235,17 @@ class ServiceMetrics:
         degraded single-trial path while the breaker was open),
         ``breaker_open_total`` (breaker trips), ``recovered_total``
         (half-open probes that closed the breaker),
-        ``replica_respawns_total`` (fleet supervisor respawns),
         ``hedged_requests_total`` (scatter shares answered inline because
-        the owning replica missed the hedge deadline).
+        the owning replica missed the hedge deadline).  A fleet's
+        ``replica_respawns_total`` is counted by its
+        :class:`~repro.netserve.ReplicaSet`, not by any one registry.
     Gauges
         ``queue_depth``, ``inflight``, ``cache_size``, ``ready``
-        (1 while the service passes its readiness check, 0 otherwise),
+        (1 while the service serves and its breaker is not open),
         ``breaker_open`` (1 while the breaker is open), ``shed_level``
-        (the breaker's current degraded-path trial-shedding step).
+        (the breaker's current degraded-path trial-shedding step).  The
+        last three and the two breaker counters are written at each
+        transition, by :func:`~repro.service.health.note_breaker` alone.
     Histograms (seconds unless noted)
         ``queue_wait`` (submit → batch pickup), ``map_latency`` (batch
         compute), ``request_latency`` (submit → response), ``batch_size``
@@ -258,8 +261,7 @@ class ServiceMetrics:
         "requests_total", "responses_total", "rejected_total", "errors_total",
         "cache_hits_total", "cache_misses_total", "batches_total",
         "reads_mapped_total", "shed_total", "degraded_total",
-        "breaker_open_total", "recovered_total",
-        "replica_respawns_total", "hedged_requests_total",
+        "breaker_open_total", "recovered_total", "hedged_requests_total",
     )
     GAUGES = (
         "queue_depth", "inflight", "cache_size", "ready", "breaker_open",
@@ -290,7 +292,6 @@ class ServiceMetrics:
         self.degraded_total = Counter()
         self.breaker_open_total = Counter()
         self.recovered_total = Counter()
-        self.replica_respawns_total = Counter()
         self.hedged_requests_total = Counter()
         self.queue_depth = Gauge()
         self.inflight = Gauge()

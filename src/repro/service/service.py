@@ -54,7 +54,7 @@ from ..seq.encode import encode
 from ..seq.records import SequenceSet
 from .cache import SketchLRUCache, pack_entries, read_content_key, unpack_entry
 from .config import ServiceConfig
-from .health import OPEN, CircuitBreaker
+from .health import OPEN, CircuitBreaker, note_breaker
 from .metrics import ServiceMetrics
 from .queue import AdmissionQueue
 from .scheduler import MicroBatchScheduler
@@ -251,7 +251,7 @@ class MappingService:
 
     def start(self) -> None:
         self._scheduler.start()
-        self.metrics.ready.set(1.0)
+        note_breaker(self.metrics, self._breaker, "started")
 
     @property
     def draining(self) -> bool:
@@ -280,7 +280,7 @@ class MappingService:
             )
         self._drained = True
         self.metrics.queue_depth.set(0)
-        self.metrics.ready.set(0.0)
+        note_breaker(self.metrics, self._breaker, "stopped")
 
     close = drain
 
@@ -316,7 +316,7 @@ class MappingService:
                 self._fail(request, ServiceClosedError("replica killed"))
         self._killed = True
         self._drained = True
-        self.metrics.ready.set(0.0)
+        note_breaker(self.metrics, self._breaker, "stopped")
 
     # -- the resident index ---------------------------------------------------
 
@@ -364,7 +364,8 @@ class MappingService:
             self._refresh_index_gauges()
 
     def healthz(self) -> dict:
-        """Liveness/readiness snapshot (also refreshes the ``ready`` gauge).
+        """Liveness/readiness snapshot.  It only reads: the gauges are
+        written at each transition, by :func:`~repro.service.health.note_breaker`.
 
         ``live`` is True until the service has drained — the process can
         still answer.  ``ready`` is True only while new work is being
@@ -372,15 +373,7 @@ class MappingService:
         draining, circuit breaker not open.
         """
         breaker_state = self._breaker.state
-        ready = (
-            self._scheduler.alive
-            and not self.draining
-            and breaker_state != OPEN
-        )
-        shed = self._breaker.shed_level
-        self.metrics.ready.set(1.0 if ready else 0.0)
-        self.metrics.breaker_open.set(1.0 if breaker_state == OPEN else 0.0)
-        self.metrics.shed_level.set(shed)
+        ready = self._scheduler.alive and not self.draining and breaker_state != OPEN
         from ..sketch import _native
 
         health: dict = {
@@ -388,7 +381,7 @@ class MappingService:
             "ready": ready,
             "draining": self.draining,
             "breaker": breaker_state,
-            "shed_level": shed,
+            "shed_level": self._breaker.shed_level,
             "queue_depth": self._queue.depth,
             "index_generation": self._view.generation,
             # whether the fused/native map path is actually in effect, its
@@ -396,16 +389,6 @@ class MappingService:
             "native": _native.availability(),
         }
         return health
-
-    def _note_breaker(self, event: str | None) -> None:
-        if event == "opened":
-            self.metrics.breaker_open_total.inc()
-            self.metrics.breaker_open.set(1.0)
-            self.metrics.ready.set(0.0)
-        elif event == "recovered":
-            self.metrics.recovered_total.inc()
-            self.metrics.breaker_open.set(0.0)
-            self.metrics.ready.set(1.0)
 
     # -- request path --------------------------------------------------------
 
@@ -531,7 +514,7 @@ class MappingService:
 
     def _fail_batch(self, batch, exc: BaseException) -> None:
         """Scheduler error hook: fail whatever the batch left unresolved."""
-        self._note_breaker(self._breaker.record_failure())
+        note_breaker(self.metrics, self._breaker, self._breaker.record_failure())
         for request in batch:
             if not request.future.done():
                 self._fail(request, exc)
@@ -680,7 +663,8 @@ class MappingService:
                 # a raise propagates to _fail_batch, which fails the batch's
                 # futures and records the breaker failure for this batch
                 mapped = self._map_misses(misses, view)
-                self._note_breaker(self._breaker.record_success())
+                event = self._breaker.record_success()
+                note_breaker(self.metrics, self._breaker, event)
                 for request, entry in zip(misses, mapped):
                     self.cache.put(view.prefix + request.key, entry)
         self.metrics.map_latency.observe(time.perf_counter() - t0)

@@ -229,7 +229,7 @@ class TestFairness:
         """A trickle client's read is admitted and answered while a
         firehose connection holds 64 unresolved in-flight maps."""
         backend = StubBackend()
-        with serving(backend, fair_chunk=1) as address:
+        with serving(backend) as address:
             hose_send, _hose_read, hose_close = connect_lines(address)
             for i in range(64):
                 hose_send({"op": "map", "id": i, "name": f"hose-{i}",

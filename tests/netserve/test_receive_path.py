@@ -4,17 +4,20 @@ Each connection is a :class:`~repro.netserve.frontend._Session` protocol:
 the transport receives into views of the session's one buffer, and the
 session cuts lines out of it.  These tests drive a session the way a
 transport does — ``get_buffer``, write into the view, ``buffer_updated`` —
-with the bytes cut at chosen places, and read what it parsed from its
-intake and what it answered from a recording transport.
+with the bytes cut at chosen places, and read what it admitted and queued
+for its writer and what it answered from a recording transport.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import time
 from concurrent.futures import Future
 
 import pytest
+from conftest import serving
 
 from repro.netserve import NetFrontend
 from repro.netserve.frontend import RECV_BUFFER_BYTES, _Session
@@ -53,8 +56,10 @@ class PendingBackend:
 
     def __init__(self) -> None:
         self.futures: list[Future] = []
+        self.seqs: list[str] = []
 
     def submit(self, name, seq, *, deadline_s=None) -> Future:
+        self.seqs.append(seq)
         self.futures.append(Future())
         return self.futures[-1]
 
@@ -79,8 +84,8 @@ def receive(session: _Session, data: bytes, chunk: int | None = None) -> None:
 
 def run_session(scenario, **frontend_kwargs):
     """Run ``scenario(session, transport, frontend)`` on a session of a
-    front-end whose dispatcher is not running: parsed lines stay in the
-    session's intake."""
+    front-end; until the scenario awaits, its writer task has not run and
+    what the session queued stays queued."""
 
     async def main():
         frontend = NetFrontend(PendingBackend(), **frontend_kwargs)
@@ -96,7 +101,28 @@ def run_session(scenario, **frontend_kwargs):
 
 
 def parsed(session: _Session) -> list:
-    return [entry[1] if entry[0] == "msg" else entry[0] for entry in session.intake]
+    """What the session admitted and queued for its writer, in order: a map
+    as the id and sequence it submitted, any other op by its name."""
+    seqs = iter(session._frontend.backend.seqs)
+    out = []
+    for entry in session.pending._queue:
+        if entry[0] == "map":
+            out.append((entry[1]["id"], next(seqs)))
+        elif entry[0] == "ready":  # the only one these sessions queue: pong
+            out.append({"pong": "ping"}[entry[1]["op"]])
+        elif entry[0] == "mutation":
+            out.append(entry[1])
+        else:
+            out.append(entry[0])  # metrics, drain
+    return out
+
+
+def queued(messages) -> list:
+    """What :func:`parsed` reads once ``messages`` are parsed in order."""
+    return [
+        (m["id"], m["seq"]) if m.get("op", "map") == "map" else m["op"]
+        for m in messages
+    ]
 
 
 def lines_of(messages) -> bytes:
@@ -119,7 +145,7 @@ def test_lines_cut_anywhere_parse_to_the_same_messages(chunk):
         return parsed(session), transport.replies()
 
     messages, replies = run_session(scenario)
-    assert messages == MESSAGES
+    assert messages == queued(MESSAGES)
     assert replies == []
 
 
@@ -141,7 +167,7 @@ def test_get_buffer_hands_out_views_of_one_buffer():
     owners, sizes, messages = run_session(scenario)
     assert len(owners) == 1
     assert max(sizes) == RECV_BUFFER_BYTES
-    assert messages == MESSAGES
+    assert messages == queued(MESSAGES)
 
 
 @pytest.mark.parametrize("op", ["map", "add_contigs"])
@@ -170,8 +196,8 @@ def test_a_line_longer_than_the_buffer_is_parsed_and_the_buffer_shrinks_back(op)
     grown, (size, held, first), messages, replies = run_session(scenario)
     assert grown > RECV_BUFFER_BYTES
     assert size == RECV_BUFFER_BYTES
-    assert held == (op == "add_contigs") and first == [long]
-    assert messages == [long, after]
+    assert held == (op == "add_contigs") and first == queued([long])
+    assert messages == queued([long, after])
     assert replies == []
 
 
@@ -185,7 +211,7 @@ def test_an_oversized_line_is_answered_in_band_and_the_session_serves_on(chunk):
         return parsed(session), transport.replies()
 
     messages, replies = run_session(scenario, max_line_bytes=1024)
-    assert messages == after
+    assert messages == queued(after)
     assert len(replies) == 1
     assert replies[0]["type"] == "error" and "line too long: limit is 1024" in replies[0]["error"]
 
@@ -200,7 +226,7 @@ def test_a_line_of_exactly_the_limit_is_served():
         return parsed(session), transport.replies()
 
     messages, replies = run_session(scenario, max_line_bytes=limit)
-    assert messages == [message]
+    assert messages == queued([message])
     assert len(replies) == 1 and "line too long" in replies[0]["error"]
 
 
@@ -212,8 +238,8 @@ def test_a_final_unterminated_line_is_served_then_the_input_ends():
         return before_eof, parsed(session), transport.replies()
 
     before_eof, messages, replies = run_session(scenario)
-    assert before_eof == [{"op": "ping"}]
-    assert messages == [{"op": "ping"}, {"op": "metrics"}, "drain"]
+    assert before_eof == ["ping"]
+    assert messages == ["ping", "metrics", "drain"]
     assert replies == []
 
 
@@ -224,7 +250,7 @@ def test_eof_in_the_middle_of_a_line_answers_it_and_drains():
         return parsed(session), transport.replies()
 
     messages, replies = run_session(scenario)
-    assert messages == [{"op": "ping"}, "drain"]
+    assert messages == ["ping", "drain"]
     assert len(replies) == 1 and replies[0]["error"].startswith("bad request line")
 
 
@@ -235,7 +261,7 @@ def test_eof_inside_an_oversized_line_ends_the_session_without_a_reply():
         return parsed(session), transport.replies()
 
     messages, replies = run_session(scenario, max_line_bytes=1024)
-    assert messages == [{"op": "ping"}, "drain"]
+    assert messages == ["ping", "drain"]
     assert replies == []
 
 
@@ -243,7 +269,6 @@ def test_a_session_at_its_pending_cap_pauses_its_transport():
     maps = [{"op": "map", "id": i, "seq": "ACGT"} for i in range(6)]
 
     async def scenario(session, transport, frontend):
-        dispatcher = asyncio.create_task(frontend._dispatch_loop())
         receive(session, lines_of(maps[:4]))
         for _ in range(5):
             await asyncio.sleep(0)
@@ -261,7 +286,6 @@ def test_a_session_at_its_pending_cap_pauses_its_transport():
             if len(frontend.backend.futures) == 6:
                 break
         resumed = (transport.reading, len(frontend.backend.futures))
-        dispatcher.cancel()
         return capped, still, resumed
 
     capped, still, resumed = run_session(scenario, max_pending=4)
@@ -278,7 +302,39 @@ def test_a_held_session_parses_nothing_behind_its_barrier():
         return held, parsed(session), transport.reading, transport.replies()
 
     held, messages, reading, replies = run_session(scenario)
-    assert held == ([{"op": "flush"}], False, [])
-    assert messages == [{"op": "flush"}, {"op": "ping"}]
+    assert held == (["flush"], False, [])
+    assert messages == ["flush", "ping"]
     assert reading
     assert replies == [{"op": "health", "live": True, "ready": True}]
+
+
+def wait_for(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()
+
+
+@pytest.mark.parametrize("cap", [1, 8])
+def test_one_buffer_of_maps_admits_no_more_than_max_pending(cap):
+    """A client that pipelines 2 x ``max_pending`` maps in one send has
+    exactly ``max_pending`` of them submitted until replies go out; the
+    rest are admitted as the session drains, and all are answered in
+    order."""
+    backend = PendingBackend()
+    maps = [{"op": "map", "id": i, "name": f"r{i}", "seq": "ACGT"} for i in range(2 * cap)]
+    answer = ReadMapping("r", (0, 0), (1, 1), ("c", "c"))
+    with serving(backend, max_pending=cap) as address:
+        with socket.create_connection(address, timeout=30.0) as sock:
+            sock.sendall(lines_of(maps))
+            assert wait_for(lambda: len(backend.futures) >= cap)
+            time.sleep(0.2)  # time enough for anything more to be admitted
+            admitted = len(backend.futures)
+            with sock.makefile("rb") as rfile:
+                for i in range(len(maps)):  # answer one map at a time
+                    assert wait_for(lambda: len(backend.futures) > i)
+                    backend.futures[i].set_result(answer)
+                    reply = json.loads(rfile.readline())
+                    assert reply["id"] == i and "results" in reply
+    assert admitted == cap
+    assert len(backend.futures) == len(maps)

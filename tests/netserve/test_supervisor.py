@@ -111,14 +111,13 @@ class TestKillDetectRespawn:
             rs.kill_replica(0)
             supervisor.tick()
             snapshot = rs.metrics_snapshot()
-            assert (
-                snapshot["aggregate"]["counters"]["replica_respawns_total"] >= 1
-            )
-            # the supervisor's own registry rides in the aggregation
-            assert any(
-                s.get("labels", {}).get("replica") == "supervisor"
-                for s in snapshot["replicas"]
-            )
+            # the set counts the repair once; no registry of the
+            # supervisor's own rides in the aggregation
+            assert snapshot["aggregate"]["counters"]["replica_respawns_total"] == 1
+            assert supervisor.status()["respawns"] == rs.respawns == 1
+            assert [s["labels"]["replica"] for s in snapshot["replicas"]] == [
+                "0", "1", "2", "front",
+            ]
 
     def test_killed_replicate_member_is_respawned(
         self, indexed, clean_reads, sequential
@@ -137,6 +136,34 @@ class TestKillDetectRespawn:
                 for r in rs.replicas
             ]
             assert served[0] > 0  # the respawned member takes reads again
+
+
+@pytest.mark.parametrize("kind", ["scatter", "replicate"])
+class TestFleetMetrics:
+    """With a supervisor attached, the ``metrics`` aggregate reads what
+    ``health`` reads, and the respawn counter counts each replacement once."""
+
+    def test_aggregate_ready_and_generation_match_health(self, indexed, kind):
+        extra = SequenceSet.from_strings([("novel_contig", "ACGTTGCA" * 200)])
+        with make_set(indexed, kind, 3) as rs:
+            FleetSupervisor(rs, SUPERVISION)
+            rs.add_contigs(extra)
+            gauges = rs.metrics_snapshot()["aggregate"]["gauges"]
+            health = rs.healthz()
+        assert health["ready"] and gauges["ready"] == 1.0
+        assert gauges["index_generation"] == rs.index_generation == 1
+
+    def test_respawn_counter_equals_the_sets_replacements(self, indexed, kind):
+        with make_set(indexed, kind, 3) as rs:
+            supervisor = FleetSupervisor(rs, SUPERVISION)
+            rs.kill_replica(0)
+            supervisor.tick()
+            repaired = rs.metrics_snapshot()["aggregate"]["counters"]
+            rs.rolling_restart()
+            restarted = rs.metrics_snapshot()["aggregate"]["counters"]
+            assert supervisor.status()["respawns"] == 1
+        assert repaired["replica_respawns_total"] == 1
+        assert restarted["replica_respawns_total"] == rs.respawns == 4
 
 
 class TestWedgeAndHedge:

@@ -193,12 +193,12 @@ class TestTCPFuzz:
             close()
         assert reply["id"] == 999 and "results" in reply
 
-    def test_hostile_seq_cannot_kill_the_shared_dispatcher(
+    def test_hostile_seq_is_answered_and_sessions_admit_on(
         self, backend, clean_reads
     ):
-        """Regression: the dispatcher task is global, so before the broad
-        dispatch catch one client's non-string ``seq`` raised out of
-        ``submit`` and silently stopped admissions for every client."""
+        """One client's non-string ``seq`` raises out of ``submit`` while its
+        session admits it: that map is answered in-band, and admissions go
+        on for that session and every other."""
         with serving(backend) as address:
             send_a, read_a, close_a = connect_lines(address)
             send_b, read_b, close_b = connect_lines(address)
@@ -206,11 +206,14 @@ class TestTCPFuzz:
                 send_a(hostile)
                 reply = read_a()
                 assert reply.get("id") == hostile["id"] and "error" in reply
-            # the other connection's admissions must still flow
+            # both connections' admissions still flow
+            send_a(probe_of(clean_reads))
+            reply_a = read_a()
             send_b(probe_of(clean_reads))
             reply = read_b()
             close_a()
             close_b()
+        assert reply_a["id"] == 999 and "results" in reply_a
         assert reply["id"] == 999 and "results" in reply
 
     def test_slow_loris_is_cut_after_the_idle_deadline(self, backend):

@@ -165,8 +165,12 @@ class TestAdaptiveShedEndToEnd:
             assert service.degraded_trials() == CONFIG.trials
             with pytest.raises(ServiceError):
                 service.submit("r0", clean_reads.codes_of(0)).result(60)
-            # first open: half the trials on the degraded path
+            # first open: half the trials on the degraded path, and the
+            # gauges say so before anything asks for health
             assert service.shed_level == 1
+            gauges = service.metrics.snapshot()["gauges"]
+            assert gauges["shed_level"] == 1.0
+            assert (gauges["breaker_open"], gauges["ready"]) == (1.0, 0.0)
             assert service.degraded_trials() == CONFIG.trials >> 1
             assert service.healthz()["shed_level"] == 1
             assert service.metrics.snapshot()["gauges"]["shed_level"] == 1.0
