@@ -14,7 +14,7 @@ import pytest
 from repro import JEMConfig, JEMMapper
 from repro.errors import ServiceClosedError
 from repro.netserve import ReplicaSet, make_placement
-from repro.parallel.faults import FaultPlan
+from repro.parallel.faults import FaultPlan, FaultSpec
 from repro.service import ServiceConfig
 from repro.service.health import OPEN
 from repro.sketch import _native
@@ -134,6 +134,23 @@ class TestSickReplicaIsolation:
             health = replica_set.healthz()
             assert health["ready"]  # the set still serves exactly
         assert_same_mapping(result, sequential)
+
+    def test_a_lane_fault_moves_its_replicas_gauges(
+        self, indexed, clean_reads, sequential
+    ):
+        """A scatter owner's lane opens the breaker it shares with its
+        replica: that replica's gauges say so without a health call."""
+        crash = FaultPlan([FaultSpec("crash", "map", block=1, times=None)])
+        with make_set(
+            indexed, "scatter", 3, service_config=self.BREAKER, faults=crash
+        ) as replica_set:
+            result = replica_set.map_reads(clean_reads)
+            snap = replica_set.replicas[1].service.metrics.snapshot()
+        assert_same_mapping(result, sequential)
+        assert snap["counters"]["breaker_open_total"] == 1
+        assert snap["gauges"]["breaker_open"] == 1.0
+        assert snap["gauges"]["ready"] == 0.0
+        assert snap["gauges"]["shed_level"] == 1.0
 
     def test_replicate_routes_around_open_breaker(
         self, indexed, clean_reads, sequential
